@@ -13,7 +13,7 @@ from .auxiva import AuxivaConfig, AuxivaState
 from .ctf import CtfConfig
 from .ilrma import IlrmaConfig, IlrmaState
 from .metrics import MetricCurve, erle, steady_state, terle
-from .nonlin import ExpansionConfig, expand, odd_powers
+from .nonlin import odd_powers
 from .pipeline import (
     EngineConfig,
     EngineStats,
@@ -49,7 +49,6 @@ __all__ = [
     "CtfConfig",
     "EngineConfig",
     "EngineStats",
-    "ExpansionConfig",
     "IlrmaConfig",
     "IlrmaState",
     "MetricCurve",
@@ -64,7 +63,6 @@ __all__ = [
     "analyze",
     "engine_from_mapping",
     "erle",
-    "expand",
     "hard_clip",
     "image_method_rir",
     "music_like",

@@ -14,13 +14,15 @@ element is exactly 1:
 
 The covariance recursion is stored as written; diagonal loading
 (relative to the trace) is applied only at solve time, which keeps the row
-invariant under any rescaling of V1. A bin whose solve still fails keeps
-its previous row and is counted in ``skipped_bins``.
+invariant under any global rescaling of a bin's V1. A bin whose solve still
+fails keeps its previous row and is counted in ``skipped_bins``.
+
+``process_frame`` is the online core of both optimizers. The recursion's
+weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
+the NMF model in ``IlrmaState``, a subclass that overrides only that method.
 
 Offline mode replaces the recursion by the batch mean over all frames and
-serves as the convergence oracle for the online mode. The covariance and
-row-solve helpers here are shared with the ILRMA-based optimizer, which
-differs only in its per-bin variance weighting.
+serves as the convergence oracle for the online mode.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctf import DemixingRow, demix_frame, passthrough_row
+from .ctf import demix_frame, passthrough_row
 
 COV_INIT_SCALE = 1e-3
 
@@ -64,18 +66,19 @@ class AuxivaState:
         self.frame_count = 0
         self.skipped_bins = 0
 
-    def row(self, k: int) -> DemixingRow:
-        """Live view of the demixing row for bin k."""
-        return DemixingRow(self.rows[k])
+    def frame_weight(self, obs: np.ndarray) -> float:
+        """Covariance weight for this frame: Phi(r1) from the pre-update rows."""
+        return weight(compute_r1(self, obs), self.config)
 
 
 def ewma_covariance_update(
     cov: np.ndarray, obs: np.ndarray, alpha: float, gain
 ) -> None:
-    """In-place V <- alpha*V + (1-alpha)*gain * y y^H per bin, re-Hermitized.
+    """In-place V <- alpha*V + (1-alpha)*gain * y y^H per bin.
 
     ``gain`` is a scalar (shared weight) or a length-K vector (per-bin
-    weight); ``cov`` is (K, D, D) and ``obs`` (K, D).
+    weight); ``cov`` is (K, D, D) and ``obs`` (K, D). y y^H is exactly
+    Hermitian, so ``cov`` stays exactly Hermitian with no re-symmetrization.
     """
     update = np.einsum("kd,ke->kde", obs, obs.conj())
     gain = np.asarray(gain, dtype=np.float64)
@@ -83,7 +86,6 @@ def ewma_covariance_update(
         gain = gain[:, np.newaxis, np.newaxis]
     cov *= alpha
     cov += (1.0 - alpha) * gain * update
-    cov[:] = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
 
 
 def loaded_covariance(cov: np.ndarray, diag_load: float) -> np.ndarray:
@@ -138,40 +140,20 @@ def weight(r1: float, config: AuxivaConfig) -> float:
     return float(r1 ** (config.beta - 2.0))
 
 
-def update_covariance(state: AuxivaState, k: int, y: np.ndarray, phi: float) -> None:
-    """Exponentially weighted rank-1 covariance update for bin k."""
-    ewma_covariance_update(
-        state.cov[k : k + 1], np.asarray(y)[np.newaxis, :], state.config.alpha, phi
-    )
-
-
-def update_row(state, k: int) -> None:
-    """Recompute the demixing row for bin k from its current covariance.
-
-    Shared by the AuxIVA and ILRMA states (both carry cov/rows/config).
-    """
-    rows, skipped = solve_demixing_rows(
-        state.cov[k : k + 1], state.rows[k : k + 1], state.config.diag_load
-    )
-    state.rows[k] = rows[0]
-    state.skipped_bins += skipped
-
-
 def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     """One online update with the frame's observations, returning E(k, n).
 
-    Steps: demix with previous rows, form r1 and Phi, update every
-    covariance, re-solve every row, then re-demix so the emitted frame uses
-    the updated rows.
+    Steps: weight the frame from the previous rows (``state.frame_weight``),
+    update every covariance, re-solve every row, then re-demix so the
+    emitted frame uses the updated rows. Serves both optimizers.
     """
     obs = np.asarray(obs, dtype=np.complex128)
     if obs.shape != (state.n_bins, state.dim):
         raise ValueError(
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
-    r1 = compute_r1(state, obs)
-    phi = weight(r1, state.config)
-    ewma_covariance_update(state.cov, obs, state.config.alpha, phi)
+    gain = state.frame_weight(obs)
+    ewma_covariance_update(state.cov, obs, state.config.alpha, gain)
     state.rows, skipped = solve_demixing_rows(
         state.cov, state.rows, state.config.diag_load
     )

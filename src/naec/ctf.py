@@ -105,6 +105,19 @@ def build_observation(
     return y
 
 
+def stack_observations(mic_frame: np.ndarray, ref_history: np.ndarray) -> np.ndarray:
+    """Observations of frame n in the layout above, shape (K, P*L + 1).
+
+    ``mic_frame`` is Y(., n), shape (K,); ``ref_history[i, lag]`` is
+    X_{i+1}(., n - lag), shape (P, L, K).
+    """
+    n_refs, n_lags, n_bins = ref_history.shape
+    obs = np.empty((n_bins, n_refs * n_lags + 1), dtype=np.complex128)
+    obs[:, 0] = mic_frame
+    obs[:, 1:] = ref_history.reshape(-1, n_bins).T
+    return obs
+
+
 def frame_observations(
     mic: Spectrogram,
     refs: Sequence[Spectrogram],
@@ -113,16 +126,11 @@ def frame_observations(
 ) -> np.ndarray:
     """Observation vectors for every bin of frame n, shape (K, P*L + 1)."""
     _check_shapes(mic, refs, config)
-    n_bins = mic.n_bins
-    obs = np.zeros((n_bins, config.dim), dtype=np.complex128)
-    obs[:, 0] = mic.data[:, n]
-    pos = 1
-    for ref in refs:
-        for lag in range(config.frames_l):
-            if n - lag >= 0:
-                obs[:, pos] = ref.data[:, n - lag]
-            pos += 1
-    return obs
+    history = np.zeros((config.order_p, config.frames_l, mic.n_bins), dtype=np.complex128)
+    for i, ref in enumerate(refs):
+        for lag in range(min(config.frames_l, n + 1)):
+            history[i, lag] = ref.data[:, n - lag]
+    return stack_observations(mic.data[:, n], history)
 
 
 def batch_observations(

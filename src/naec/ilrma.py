@@ -15,11 +15,12 @@ per-frame scalar of the AuxIVA variant:
 
     V1(k, n) = alpha * V1(k, n-1) + (1 - alpha) * (1 / r1(k, n)) * y y^H
 
-Row updates are identical to the AuxIVA ones and share their implementation.
-Online activations carry over between frames (frame 0 starts uniform at
-1/B); bases start at the constant 1. The offline mode keeps a full (B, N)
-activation matrix and uses batch sums, serving as the oracle for the online
-updates.
+The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
+``AuxivaState``, adds the NMF model and overrides only ``frame_weight``, so
+``process_frame`` here is ``auxiva.process_frame``. Online activations
+carry over between frames (frame 0 starts uniform at 1/B); bases start at
+the constant 1. The offline mode keeps a full (B, N) activation matrix and
+uses batch sums, serving as the oracle for the online updates.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiva import ewma_covariance_update, solve_demixing_rows, update_row as _shared_update_row
-from .ctf import DemixingRow, demix_frame, passthrough_row
-
-COV_INIT_SCALE = 1e-3
+from .auxiva import AuxivaState, solve_demixing_rows
+from .auxiva import process_frame as process_frame  # the shared core, re-exported
+from .ctf import demix_frame, passthrough_row
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ class NmfSourceModel:
         self.r1 = np.maximum(self.t1 @ self.v1, self.floor)
 
 
-def recompute_variance(model: NmfSourceModel) -> None:
-    model.recompute_variance()
-
-
 def update_bases(model: NmfSourceModel, e1: np.ndarray) -> None:
     """Multiplicative bases update from the current frame's outputs e1 (K,)."""
     p = np.abs(np.asarray(e1)) ** 2
@@ -87,62 +83,19 @@ def update_activations(model: NmfSourceModel, e1: np.ndarray) -> None:
     model.recompute_variance()
 
 
-class IlrmaState:
-    """Per-bin covariance/rows as in the AuxIVA state, plus the NMF source model."""
+class IlrmaState(AuxivaState):
+    """The AuxIVA covariance/rows state plus the NMF source model."""
 
     def __init__(self, n_bins: int, dim: int, config: IlrmaConfig = IlrmaConfig()):
-        self.config = config
-        self.n_bins = n_bins
-        self.dim = dim
-        self.cov = np.tile(
-            COV_INIT_SCALE * np.eye(dim, dtype=np.complex128), (n_bins, 1, 1)
-        )
-        self.rows = np.tile(passthrough_row(dim), (n_bins, 1))
+        super().__init__(n_bins, dim, config)
         self.model = NmfSourceModel(n_bins, config.bases_b, config.nmf_floor)
-        self.frame_count = 0
-        self.skipped_bins = 0
 
-    def row(self, k: int) -> DemixingRow:
-        return DemixingRow(self.rows[k])
-
-
-def update_covariance(state: IlrmaState, k: int, y: np.ndarray) -> None:
-    """Rank-1 covariance update for bin k with weight 1 / r1(k)."""
-    ewma_covariance_update(
-        state.cov[k : k + 1],
-        np.asarray(y)[np.newaxis, :],
-        state.config.alpha,
-        1.0 / state.model.r1[k],
-    )
-
-
-def update_row(state: IlrmaState, k: int) -> None:
-    """Identical to the AuxIVA row update (shared implementation)."""
-    _shared_update_row(state, k)
-
-
-def process_frame(state: IlrmaState, obs: np.ndarray) -> np.ndarray:
-    """One online update with the frame's observations, returning E(k, n).
-
-    Order: demix with previous rows, bases then activations updates (each
-    refreshing r1), per-bin weighted covariance update, row solves, and a
-    final re-demix with the updated rows.
-    """
-    obs = np.asarray(obs, dtype=np.complex128)
-    if obs.shape != (state.n_bins, state.dim):
-        raise ValueError(
-            f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
-        )
-    e_pre = demix_frame(state.rows, obs)
-    update_bases(state.model, e_pre)
-    update_activations(state.model, e_pre)
-    ewma_covariance_update(state.cov, obs, state.config.alpha, 1.0 / state.model.r1)
-    state.rows, skipped = solve_demixing_rows(
-        state.cov, state.rows, state.config.diag_load
-    )
-    state.skipped_bins += skipped
-    state.frame_count += 1
-    return demix_frame(state.rows, obs)
+    def frame_weight(self, obs: np.ndarray) -> np.ndarray:
+        """Per-bin 1/r1(k) after NMF bases then activations updates on E with the previous rows."""
+        e_pre = demix_frame(self.rows, obs)
+        update_bases(self.model, e_pre)
+        update_activations(self.model, e_pre)
+        return 1.0 / self.model.r1
 
 
 @dataclass

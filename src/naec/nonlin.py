@@ -3,29 +3,12 @@
 Channel ``i`` (1-based) carries ``x**(2*i - 1)``, so channel 1 is the signal
 itself. Expansion happens in the time domain; each channel is then analyzed
 separately so the references are true spectra of the powered signals.
+The order P is ``CtfConfig.order_p``, which also validates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .audio_io import AudioSignal
-
-
-@dataclass(frozen=True)
-class ExpansionConfig:
-    """Expansion order for the odd power series basis."""
-
-    order_p: int = 3
-    basis: str = "odd_power"
-
-    def __post_init__(self):
-        if self.order_p < 1:
-            raise ValueError(f"order_p must be >= 1, got {self.order_p}")
-        if self.basis != "odd_power":
-            raise ValueError(f"unsupported basis {self.basis!r}, only 'odd_power'")
 
 
 def odd_powers(x: np.ndarray, order_p: int) -> np.ndarray:
@@ -42,9 +25,3 @@ def odd_powers(x: np.ndarray, order_p: int) -> np.ndarray:
         for i in range(1, order_p):
             out[i] = out[i - 1] * x2
     return out
-
-
-def expand(signal: AudioSignal, config: ExpansionConfig = ExpansionConfig()):
-    """Return the P odd-power reference channels of ``signal``."""
-    channels = odd_powers(signal.samples, config.order_p)
-    return [AudioSignal(c, signal.sample_rate) for c in channels]

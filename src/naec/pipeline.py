@@ -3,30 +3,30 @@
 The engine consumes hop-sized chunks of the microphone and far-end signals,
 updates the adaptive demixing filter once per chunk, and emits enhanced
 samples with a fixed latency of ``window_len/hop - 1`` chunks (the analysis
-look-ahead of the overlapped transform). Batch processing (``run``) is the
-same push loop driven internally, so chunked and whole-signal operation
-produce bit-identical output by construction.
+look-ahead of the overlapped transform). ``run`` is ``run_streaming`` fed
+the whole signal as one chunk, so chunked and whole-signal operation produce
+bit-identical output by construction.
 
 Internally each chunk advances rolling time-domain buffers for the
 microphone and the expanded reference channels, computes one transform
 frame, stacks it with the reference frame history into the observation
-vector, runs one optimizer step, and overlap-adds the demixed frame into
-the output accumulator.
+vector (``ctf.stack_observations``), runs one step of the optimizer core
+(``auxiva.process_frame``, which serves both optimizers through their state
+class), and overlap-adds the demixed frame into the output accumulator.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from . import auxiva, ilrma
+from . import auxiva
 from .audio_io import SAMPLE_RATE, AudioSignal
 from .auxiva import AuxivaConfig, AuxivaState
-from .ctf import CtfConfig
+from .ctf import CtfConfig, stack_observations
 from .ilrma import IlrmaConfig, IlrmaState
 from .nonlin import odd_powers
 from .stft import StftConfig, check_cola
@@ -82,17 +82,14 @@ class StreamingEngine:
         self._pad = self._wl - self._hop
         self._n_bins = sc.n_bins
         p, l = config.ctf.order_p, config.ctf.frames_l
-        self._order_p, self._frames_l = p, l
-        self._dim = config.ctf.dim
+        self._order_p = p
         self._mic_buf = np.zeros(self._wl)
         self._ref_bufs = np.zeros((p, self._wl))
         self._hist = np.zeros((p, l, self._n_bins), dtype=np.complex128)
         if config.optimizer == "auxiva":
-            self._state = AuxivaState(self._n_bins, self._dim, config.auxiva)
-            self._step = auxiva.process_frame
+            self._state = AuxivaState(self._n_bins, config.ctf.dim, config.auxiva)
         else:
-            self._state = IlrmaState(self._n_bins, self._dim, config.ilrma)
-            self._step = ilrma.process_frame
+            self._state = IlrmaState(self._n_bins, config.ctf.dim, config.ilrma)
         # Output overlap-add accumulators cover the not-yet-emitted region;
         # the implicit zero history of the buffers pre-pads the stream by
         # window_len - hop samples, which are dropped on emission.
@@ -127,7 +124,8 @@ class StreamingEngine:
         """Feed one hop of microphone and far-end samples.
 
         Returns the newly available enhanced samples (empty during the
-        initial latency period, one hop per call afterwards).
+        initial latency period, one hop per call afterwards). A chunk with a
+        NaN or Inf raises ValueError and leaves the engine as it was.
         """
         if self._closed:
             raise RuntimeError("engine already flushed")
@@ -138,6 +136,8 @@ class StreamingEngine:
                 f"chunks must have shape ({self._hop},), "
                 f"got {mic.shape} and {ref.shape}"
             )
+        if not (np.isfinite(mic).all() and np.isfinite(ref).all()):
+            raise ValueError("chunks contain non-finite samples")
         out = self._process_chunk(mic, ref)
         self._n_in += self._hop
         return out
@@ -153,10 +153,8 @@ class StreamingEngine:
         x_spec = np.fft.rfft(self._ref_bufs * self._window, axis=-1)
         self._hist[:, 1:] = self._hist[:, :-1]
         self._hist[:, 0] = x_spec
-        obs = np.empty((self._n_bins, self._dim), dtype=np.complex128)
-        obs[:, 0] = y_spec
-        obs[:, 1:] = self._hist.reshape(-1, self._n_bins).T
-        enhanced = self._step(self._state, obs)
+        obs = stack_observations(y_spec, self._hist)
+        enhanced = auxiva.process_frame(self._state, obs)
 
         frame_td = np.fft.irfft(enhanced, n=self._fft_len)[:wl]
         start = self._frames * hop  # frame position on the padded time axis
@@ -196,8 +194,7 @@ class StreamingEngine:
         zero = np.zeros(self._hop)
         parts = [self._process_chunk(zero, zero) for _ in range(self.latency_chunks)]
         self._closed = True
-        out = np.concatenate(parts) if parts else np.empty(0)
-        return out
+        return np.concatenate(parts) if parts else np.empty(0)
 
 
 def run(
@@ -207,28 +204,14 @@ def run(
 ) -> tuple[AudioSignal, EngineStats]:
     """Process whole signals through the streaming engine.
 
-    The input is split into hop-sized chunks (last chunk zero-padded) and
-    fed through push/flush; the output is trimmed back to the input length
-    and stays sample-aligned with the microphone.
+    ``run_streaming`` with the whole signal as one chunk; the output is
+    trimmed to the input length and stays sample-aligned with the microphone.
     """
     if len(mic) != len(far):
         raise ValueError(f"length mismatch: mic {len(mic)}, far {len(far)}")
     if mic.sample_rate != SAMPLE_RATE or far.sample_rate != SAMPLE_RATE:
         raise ValueError(f"signals must be sampled at {SAMPLE_RATE} Hz")
-    engine = StreamingEngine(config)
-    hop = engine.hop
-    n = len(mic)
-    n_chunks = max(1, math.ceil(n / hop))
-    padded = n_chunks * hop
-    y = np.concatenate([mic.samples, np.zeros(padded - n)])
-    x = np.concatenate([far.samples, np.zeros(padded - n)])
-    parts = [
-        engine.push(y[j * hop : (j + 1) * hop], x[j * hop : (j + 1) * hop])
-        for j in range(n_chunks)
-    ]
-    parts.append(engine.flush())
-    out = np.concatenate(parts)[:n]
-    return AudioSignal(out), engine.stats
+    return run_streaming([(mic.samples, far.samples)], config)
 
 
 def run_streaming(
@@ -274,11 +257,8 @@ def run_streaming(
             pend_mic, pend_ref = pend_mic[hop:], pend_ref[hop:]
             deliver(out)
     if len(pend_mic):
-        short = len(pend_mic)
-        deliver(engine.push(
-            np.concatenate([pend_mic, np.zeros(hop - short)]),
-            np.concatenate([pend_ref, np.zeros(hop - short)]),
-        ))
+        pad = np.zeros(hop - len(pend_mic))
+        deliver(engine.push(np.concatenate([pend_mic, pad]), np.concatenate([pend_ref, pad])))
     deliver(engine.flush())
     out = np.concatenate(parts) if parts else np.empty(0)
     return AudioSignal(out), engine.stats

@@ -123,7 +123,6 @@ def sabine_reflection(room: RoomSpec) -> float:
 
 def image_method_rir(
     room: RoomSpec,
-    seed: int = 0,
     *,
     reflection: float | None = None,
     fractional_delay: bool = False,
@@ -133,11 +132,9 @@ def image_method_rir(
     Nearest-sample delay rounding by default; ``fractional_delay=True``
     spreads each image over a windowed-sinc low-pass kernel instead.
     ``reflection`` overrides the Sabine-derived wall coefficient (mainly for
-    diagnostics such as the anechoic single-impulse case). ``seed`` is
-    accepted for interface uniformity with the other scene generators; the
-    standard image method itself is deterministic.
+    diagnostics such as the anechoic single-impulse case). The image method
+    is deterministic, so unlike the other scene generators it takes no seed.
     """
-    del seed
     beta = sabine_reflection(room) if reflection is None else float(reflection)
     dims = np.asarray(room.dimensions)
     src = np.asarray(room.source_pos)
@@ -252,7 +249,7 @@ def synthesize_scene(spec: SceneSpec) -> SceneComponents:
         raise ValueError(f"far-end sample rate {x.sample_rate}, expected {SAMPLE_RATE}")
     n = len(x)
     driven = apply_nonlinearity(x, spec.nonlinearity)
-    rir = image_method_rir(spec.room, spec.seed)
+    rir = image_method_rir(spec.room)
     d = fftconvolve(driven.samples, rir.samples)[:n]
     if spec.near_end is not None:
         e_d = np.mean(d**2)

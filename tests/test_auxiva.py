@@ -68,6 +68,17 @@ def test_ewma_per_bin_gain(rng):
     np.testing.assert_allclose(cov[2], expected, rtol=1e-13)
 
 
+def test_ewma_keeps_covariance_exactly_hermitian(rng):
+    """The recursion needs no re-Hermitization: y y^H is exactly Hermitian."""
+    k, d = 6, 5
+    for gain_of in (lambda: float(rng.uniform(0.1, 10.0)), lambda: rng.uniform(0.1, 10.0, k)):
+        cov = np.tile(1e-3 * np.eye(d, dtype=np.complex128), (k, 1, 1))
+        for scale in np.logspace(-6, 3, 200):
+            obs = scale * (rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
+            ewma_covariance_update(cov, obs, 0.99, gain_of())
+            assert np.array_equal(cov, cov.conj().transpose(0, 2, 1))
+
+
 def test_loading_is_trace_relative(rng):
     cov = random_hpd(rng, 3, 2)
     out = loaded_covariance(cov, 1e-6)
@@ -157,10 +168,17 @@ def test_offline_batch_validates_shape():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_solved_rows_always_unit_leading(seed):
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=-40, max_value=40),
+)
+def test_solved_rows_always_unit_leading(seed, s):
     rng = np.random.default_rng(seed)
     cov = random_hpd(rng, 3, 4)
-    rows, _ = solve_demixing_rows(cov, np.tile(passthrough_row(3), (4, 1)), 1e-6)
+    prev = np.tile(passthrough_row(3), (4, 1))
+    rows, _ = solve_demixing_rows(cov, prev, 1e-6)
     assert np.isfinite(rows).all()
     np.testing.assert_array_equal(rows[:, 0], np.ones(4))
+    # A global rescale of each covariance leaves the rows unchanged.
+    scaled, _ = solve_demixing_rows(2.0**s * cov, prev, 1e-6)
+    np.testing.assert_array_equal(scaled, rows)

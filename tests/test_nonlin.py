@@ -1,13 +1,11 @@
 """Odd-power reference expansion."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from naec.audio_io import AudioSignal
-from naec.nonlin import ExpansionConfig, expand, odd_powers
+from naec.nonlin import odd_powers
 
 
 def test_small_vector_by_hand():
@@ -44,16 +42,3 @@ def test_channels_are_consecutive_odd_powers(rng):
     for i in range(4):
         np.testing.assert_allclose(out[i], x ** (2 * i + 1), rtol=1e-12, atol=1e-300)
 
-
-def test_expand_wraps_channels(short_noise):
-    channels = expand(short_noise, ExpansionConfig(order_p=2))
-    assert len(channels) == 2
-    assert all(isinstance(c, AudioSignal) for c in channels)
-    np.testing.assert_array_equal(channels[0].samples, short_noise.samples)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExpansionConfig(order_p=0)
-    with pytest.raises(ValueError):
-        ExpansionConfig(basis="chebyshev")

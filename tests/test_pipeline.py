@@ -88,6 +88,46 @@ def test_run_streaming_irregular_chunks_bit_exact(small_scene):
     np.testing.assert_array_equal(streamed.samples, batch.samples)
 
 
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
+    spec, comps = small_scene
+    config = EngineConfig(optimizer=optimizer)
+    clean, dirty = StreamingEngine(config), StreamingEngine(config)
+    hop = clean.hop
+    mic, far = comps.microphone.samples, spec.far_end.samples
+    n_chunks = len(mic) // hop
+    expected, got = [], []
+    for j in range(n_chunks):
+        y, x = mic[j * hop : (j + 1) * hop], far[j * hop : (j + 1) * hop]
+        if j in (20, 40):
+            bad_y, bad_x = y.copy(), x.copy()
+            if j == 20:
+                bad_y[7] = np.nan
+            else:
+                bad_x[-1] = np.inf
+            with pytest.raises(ValueError, match="non-finite"):
+                dirty.push(bad_y, bad_x)
+        expected.append(clean.push(y, x))
+        got.append(dirty.push(y, x))
+    expected.append(clean.flush())
+    got.append(dirty.flush())
+    assert np.concatenate(got).tobytes() == np.concatenate(expected).tobytes()
+    a, b = clean.stats, dirty.stats
+    assert (a.n_frames, a.n_samples_in, a.n_samples_out, a.skipped_bins) == (
+        b.n_frames, b.n_samples_in, b.n_samples_out, b.skipped_bins
+    )
+
+
+def test_run_zero_length_input():
+    """``run`` pushes nothing for an empty signal; flush still runs its 3 frames."""
+    empty = AudioSignal(np.zeros(0))
+    for optimizer in ("auxiva", "ilrma"):
+        out, stats = run(empty, empty, EngineConfig(optimizer=optimizer))
+        assert len(out) == 0
+        assert stats.n_samples_in == 0 and stats.n_samples_out == 0
+        assert stats.n_frames == 3
+
+
 def test_zero_far_end_is_passthrough():
     mic = white_noise(1.0, seed=6, level=0.2)
     far = AudioSignal(np.zeros(len(mic)))
