@@ -15,7 +15,9 @@ element is exactly 1:
 The covariance recursion is stored as written; diagonal loading
 (relative to the trace) is applied only at solve time, which keeps the row
 invariant under any global rescaling of a bin's V1. A bin whose solve still
-fails keeps its previous row and is counted in ``skipped_bins``.
+fails keeps its previous row and is counted in ``skipped_bins``. A bin whose
+covariance overflows (a huge finite input makes y y^H infinite) restarts
+from the initial prior and passthrough row instead of freezing for good.
 
 ``process_frame`` is the online core of both optimizers. The recursion's
 weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
@@ -34,6 +36,7 @@ import numpy as np
 from .ctf import demix_frame, passthrough_row
 
 COV_INIT_SCALE = 1e-3
+R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
 
 
 @dataclass(frozen=True)
@@ -41,15 +44,14 @@ class AuxivaConfig:
     alpha: float = 0.99
     beta: float = 0.4
     diag_load: float = 1e-6
-    r_floor: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.beta < 2.0:
             raise ValueError(f"beta must be in (0, 2), got {self.beta}")
-        if self.diag_load <= 0.0 or self.r_floor <= 0.0:
-            raise ValueError("diag_load and r_floor must be positive")
+        if self.diag_load <= 0.0:
+            raise ValueError(f"diag_load must be positive, got {self.diag_load}")
 
 
 class AuxivaState:
@@ -69,6 +71,11 @@ class AuxivaState:
     def frame_weight(self, obs: np.ndarray) -> float:
         """Covariance weight for this frame: Phi(r1) from the pre-update rows."""
         return weight(compute_r1(self, obs), self.config)
+
+    def reset_bins(self, bins: np.ndarray) -> None:
+        """Return the selected bins to the initial prior and passthrough row."""
+        self.cov[bins] = COV_INIT_SCALE * np.eye(self.dim)
+        self.rows[bins] = passthrough_row(self.dim)
 
 
 def ewma_covariance_update(
@@ -132,7 +139,7 @@ def compute_r1(state: AuxivaState, obs: np.ndarray) -> float:
     """Cross-band output norm sqrt(sum_k |w^H y|^2) with pre-update rows, floored."""
     e = demix_frame(state.rows, obs)
     r1 = float(np.sqrt(np.sum(np.abs(e) ** 2)))
-    return max(r1, state.config.r_floor)
+    return max(r1, R_FLOOR)
 
 
 def weight(r1: float, config: AuxivaConfig) -> float:
@@ -144,8 +151,9 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     """One online update with the frame's observations, returning E(k, n).
 
     Steps: weight the frame from the previous rows (``state.frame_weight``),
-    update every covariance, re-solve every row, then re-demix so the
-    emitted frame uses the updated rows. Serves both optimizers.
+    update every covariance, reset the bins whose covariance overflowed
+    (``state.reset_bins``), re-solve every row, then re-demix so the emitted
+    frame uses the updated rows. Serves both optimizers.
     """
     obs = np.asarray(obs, dtype=np.complex128)
     if obs.shape != (state.n_bins, state.dim):
@@ -154,6 +162,9 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
         )
     gain = state.frame_weight(obs)
     ewma_covariance_update(state.cov, obs, state.config.alpha, gain)
+    broken = ~np.isfinite(np.einsum("kdd->k", state.cov))
+    if broken.any():
+        state.reset_bins(broken)
     state.rows, skipped = solve_demixing_rows(
         state.cov, state.rows, state.config.diag_load
     )
@@ -181,7 +192,7 @@ def offline_batch(
     for _ in range(iterations):
         e = np.einsum("kd,nkd->nk", rows.conj(), observations)
         r = np.sqrt(np.sum(np.abs(e) ** 2, axis=1))
-        r = np.maximum(r, config.r_floor)
+        r = np.maximum(r, R_FLOOR)
         phi = r ** (config.beta - 2.0)
         cov = (
             np.einsum("n,nkd,nke->kde", phi, observations, observations.conj())

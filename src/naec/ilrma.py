@@ -9,7 +9,7 @@ low-rank product r1(k) = sum_b t1(k, b) v1(b); the multiplicative updates
 
 are kept in their literal form (the bases factor algebraically collapses to
 sqrt(|e1|^2 / r1); tests pin that equivalence). The variance r1 is refreshed
-after every bases/activation update, every entry is floored at ``nmf_floor``,
+after every bases/activation update, every entry is floored at ``NMF_FLOOR``,
 and the covariance recursion uses the per-bin weight 1/r1(k) instead of the
 per-frame scalar of the AuxIVA variant:
 
@@ -19,8 +19,10 @@ The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 ``AuxivaState``, adds the NMF model and overrides only ``frame_weight``, so
 ``process_frame`` here is ``auxiva.process_frame``. Online activations
 carry over between frames (frame 0 starts uniform at 1/B); bases start at
-the constant 1. The offline mode keeps a full (B, N) activation matrix and
-uses batch sums, serving as the oracle for the online updates.
+the constant 1; after a covariance overflow, non-finite bases rows and
+activations return to these values. The offline mode keeps a full (B, N)
+activation matrix and uses batch sums, serving as the oracle for the online
+updates.
 """
 
 from __future__ import annotations
@@ -33,27 +35,28 @@ from .auxiva import AuxivaState, solve_demixing_rows
 from .auxiva import process_frame as process_frame  # the shared core, re-exported
 from .ctf import demix_frame, passthrough_row
 
+NMF_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class IlrmaConfig:
     alpha: float = 0.99
     bases_b: int = 10
     diag_load: float = 1e-6
-    nmf_floor: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.bases_b < 1:
             raise ValueError(f"bases_b must be >= 1, got {self.bases_b}")
-        if self.diag_load <= 0.0 or self.nmf_floor <= 0.0:
-            raise ValueError("diag_load and nmf_floor must be positive")
+        if self.diag_load <= 0.0:
+            raise ValueError(f"diag_load must be positive, got {self.diag_load}")
 
 
 class NmfSourceModel:
     """Bases t1 (K x B), current-frame activations v1 (B,) and variance r1 (K,)."""
 
-    def __init__(self, n_bins: int, bases_b: int, floor: float = 1e-12):
+    def __init__(self, n_bins: int, bases_b: int, floor: float = NMF_FLOOR):
         self.floor = floor
         self.t1 = np.ones((n_bins, bases_b))
         self.v1 = np.full(bases_b, 1.0 / bases_b)
@@ -88,7 +91,7 @@ class IlrmaState(AuxivaState):
 
     def __init__(self, n_bins: int, dim: int, config: IlrmaConfig = IlrmaConfig()):
         super().__init__(n_bins, dim, config)
-        self.model = NmfSourceModel(n_bins, config.bases_b, config.nmf_floor)
+        self.model = NmfSourceModel(n_bins, config.bases_b)
 
     def frame_weight(self, obs: np.ndarray) -> np.ndarray:
         """Per-bin 1/r1(k) after NMF bases then activations updates on E with the previous rows."""
@@ -96,6 +99,14 @@ class IlrmaState(AuxivaState):
         update_bases(self.model, e_pre)
         update_activations(self.model, e_pre)
         return 1.0 / self.model.r1
+
+    def reset_bins(self, bins: np.ndarray) -> None:
+        """Reset the bins' prior and row, and any non-finite NMF entries."""
+        super().reset_bins(bins)
+        m = self.model
+        m.t1[~np.isfinite(m.t1).all(axis=1)] = 1.0
+        m.v1[~np.isfinite(m.v1)] = 1.0 / m.v1.size
+        m.recompute_variance()
 
 
 @dataclass
@@ -159,11 +170,11 @@ def offline_batch(
         t1 = rng.uniform(0.5, 1.5, size=(n_bins, b))
         v1 = rng.uniform(0.5, 1.5, size=(b, n_frames))
     rows = np.tile(passthrough_row(dim), (n_bins, 1))
-    r1 = np.maximum(t1 @ v1, config.nmf_floor)
+    r1 = np.maximum(t1 @ v1, NMF_FLOOR)
     for _ in range(iterations):
         e = np.einsum("kd,nkd->kn", rows.conj(), observations)
         power = np.abs(e) ** 2
-        t1, v1, r1 = nmf_batch_sweep(t1, v1, power, config.nmf_floor)
+        t1, v1, r1 = nmf_batch_sweep(t1, v1, power, NMF_FLOOR)
         cov = (
             np.einsum("kn,nkd,nke->kde", 1.0 / r1, observations, observations.conj())
             / n_frames

@@ -7,19 +7,22 @@ look-ahead of the overlapped transform). ``run`` is ``run_streaming`` fed
 the whole signal as one chunk, so chunked and whole-signal operation produce
 bit-identical output by construction.
 
-Internally each chunk advances rolling time-domain buffers for the
-microphone and the expanded reference channels, computes one transform
-frame, stacks it with the reference frame history into the observation
-vector (``ctf.stack_observations``), runs one step of the optimizer core
-(``auxiva.process_frame``, which serves both optimizers through their state
-class), and overlap-adds the demixed frame into the output accumulator.
+Internally each chunk shifts one time buffer holding the microphone (row 0)
+and the odd-power reference channels (rows 1..P), transforms all rows with
+one FFT, stacks the frame with the reference frame history into the
+observation vector (``ctf.stack_observations``), runs one step of the
+optimizer core (``auxiva.process_frame``, which serves both optimizers
+through their state class), and overlap-adds the demixed frame into a
+one-window accumulator aligned to the next sample to emit. The hop divides
+the window, so each emitted hop has been covered by exactly
+``window_len/hop`` frames and is divided by the fixed ``stft.ola_norm``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .auxiva import AuxivaConfig, AuxivaState
 from .ctf import CtfConfig, stack_observations
 from .ilrma import IlrmaConfig, IlrmaState
 from .nonlin import odd_powers
-from .stft import StftConfig, check_cola
+from .stft import StftConfig, check_cola, ola_norm
 
 OPTIMIZERS = ("auxiva", "ilrma")
 
@@ -76,30 +79,24 @@ class StreamingEngine:
         sc = config.stft
         check_cola(sc)
         self._window = sc.window_samples()
+        self._norm = ola_norm(sc)
         self._hop = sc.hop
         self._wl = sc.window_len
-        self._fft_len = sc.fft_len
-        self._pad = self._wl - self._hop
-        self._n_bins = sc.n_bins
         p, l = config.ctf.order_p, config.ctf.frames_l
         self._order_p = p
-        self._mic_buf = np.zeros(self._wl)
-        self._ref_bufs = np.zeros((p, self._wl))
-        self._hist = np.zeros((p, l, self._n_bins), dtype=np.complex128)
+        # Row 0: microphone, rows 1..P: odd powers of the far end. The zero
+        # history pre-pads the stream by window_len - hop samples, which the
+        # first latency_chunks frames shift out of the accumulator unemitted.
+        self._buf = np.zeros((p + 1, self._wl))
+        self._hist = np.zeros((p, l, sc.n_bins), dtype=np.complex128)
         if config.optimizer == "auxiva":
-            self._state = AuxivaState(self._n_bins, config.ctf.dim, config.auxiva)
+            self._state = AuxivaState(sc.n_bins, config.ctf.dim, config.auxiva)
         else:
-            self._state = IlrmaState(self._n_bins, config.ctf.dim, config.ilrma)
-        # Output overlap-add accumulators cover the not-yet-emitted region;
-        # the implicit zero history of the buffers pre-pads the stream by
-        # window_len - hop samples, which are dropped on emission.
-        self._acc = np.zeros(self._wl)
-        self._env = np.zeros(self._wl)
+            self._state = IlrmaState(sc.n_bins, config.ctf.dim, config.ilrma)
+        self._acc = np.zeros(self._wl)  # starts at the next sample to emit
         self._frames = 0
-        self._emit_z = self._pad
         self._closed = False
         self._n_in = 0
-        self._n_out = 0
         self._elapsed = 0.0
 
     @property
@@ -115,7 +112,7 @@ class StreamingEngine:
         return EngineStats(
             n_frames=self._frames,
             n_samples_in=self._n_in,
-            n_samples_out=self._n_out,
+            n_samples_out=max(0, self._frames - self.latency_chunks) * self._hop,
             skipped_bins=self._state.skipped_bins,
             elapsed_s=self._elapsed,
         )
@@ -123,9 +120,10 @@ class StreamingEngine:
     def push(self, mic_chunk, ref_chunk) -> np.ndarray:
         """Feed one hop of microphone and far-end samples.
 
-        Returns the newly available enhanced samples (empty during the
-        initial latency period, one hop per call afterwards). A chunk with a
-        NaN or Inf raises ValueError and leaves the engine as it was.
+        Returns the newly available enhanced samples: empty for the first
+        ``latency_chunks`` calls, exactly one hop per call afterwards. A
+        chunk with a NaN or Inf raises ValueError and leaves the engine as
+        it was.
         """
         if self._closed:
             raise RuntimeError("engine already flushed")
@@ -144,41 +142,21 @@ class StreamingEngine:
 
     def _process_chunk(self, mic: np.ndarray, ref: np.ndarray) -> np.ndarray:
         t0 = time.perf_counter()
-        hop, wl = self._hop, self._wl
-        self._mic_buf[:-hop] = self._mic_buf[hop:]
-        self._mic_buf[-hop:] = mic
-        self._ref_bufs[:, :-hop] = self._ref_bufs[:, hop:]
-        self._ref_bufs[:, -hop:] = odd_powers(ref, self._order_p)
-        y_spec = np.fft.rfft(self._mic_buf * self._window)
-        x_spec = np.fft.rfft(self._ref_bufs * self._window, axis=-1)
+        hop, buf, acc = self._hop, self._buf, self._acc
+        buf[:, :-hop] = buf[:, hop:]
+        buf[0, -hop:] = mic
+        buf[1:, -hop:] = odd_powers(ref, self._order_p)
+        spec = np.fft.rfft(buf * self._window, axis=-1)
         self._hist[:, 1:] = self._hist[:, :-1]
-        self._hist[:, 0] = x_spec
-        obs = stack_observations(y_spec, self._hist)
+        self._hist[:, 0] = spec[1:]
+        obs = stack_observations(spec[0], self._hist)
         enhanced = auxiva.process_frame(self._state, obs)
 
-        frame_td = np.fft.irfft(enhanced, n=self._fft_len)[:wl]
-        start = self._frames * hop  # frame position on the padded time axis
-        off = start - self._emit_z
-        if off >= 0:
-            self._acc[off : off + wl] += frame_td * self._window
-            self._env[off : off + wl] += self._window**2
-        else:
-            self._acc[: wl + off] += frame_td[-off:] * self._window[-off:]
-            self._env[: wl + off] += self._window[-off:] ** 2
+        acc += np.fft.irfft(enhanced, n=self._wl) * self._window
         self._frames += 1
-
-        emit_n = self._frames * hop - self._emit_z
-        if emit_n <= 0:
-            out = np.empty(0)
-        else:
-            acc, env = self._acc[:emit_n], self._env[:emit_n]
-            out = np.where(env > 1e-12, acc / np.where(env > 1e-12, env, 1.0), 0.0)
-            self._acc[:-emit_n] = self._acc[emit_n:]
-            self._acc[-emit_n:] = 0.0
-            self._env[:-emit_n] = self._env[emit_n:]
-            self._env[-emit_n:] = 0.0
-            self._emit_z += emit_n
-            self._n_out += emit_n
+        out = acc[:hop] / self._norm if self._frames > self.latency_chunks else np.empty(0)
+        acc[:-hop] = acc[hop:]
+        acc[-hop:] = 0.0
         self._elapsed += time.perf_counter() - t0
         return out
 
@@ -194,7 +172,7 @@ class StreamingEngine:
         zero = np.zeros(self._hop)
         parts = [self._process_chunk(zero, zero) for _ in range(self.latency_chunks)]
         self._closed = True
-        return np.concatenate(parts) if parts else np.empty(0)
+        return np.concatenate(parts)
 
 
 def run(
@@ -217,33 +195,18 @@ def run(
 def run_streaming(
     chunks: Iterable,
     config: EngineConfig | None = None,
-    sink: Callable[[np.ndarray], None] | None = None,
 ) -> tuple[AudioSignal, EngineStats]:
     """Drive the engine from an iterable of (mic_chunk, ref_chunk) pairs.
 
     Chunks may have any length; they are rebuffered to the engine hop
-    internally. Enhanced samples are passed to ``sink`` as they become
-    available and also collected into the returned signal, trimmed to the
-    total input length.
+    internally (the last partial hop is zero-padded). The enhanced samples
+    are returned trimmed to the total input length.
     """
     engine = StreamingEngine(config)
     hop = engine.hop
-    pend_mic = np.empty(0)
-    pend_ref = np.empty(0)
+    pend_mic = pend_ref = np.empty(0)
     total_in = 0
-    emitted = 0
     parts = []
-
-    def deliver(block: np.ndarray) -> None:
-        nonlocal emitted
-        block = block[: max(0, total_in - emitted)]
-        if len(block) == 0:
-            return
-        emitted += len(block)
-        parts.append(block)
-        if sink is not None:
-            sink(block)
-
     for mic_chunk, ref_chunk in chunks:
         mic = np.asarray(mic_chunk, dtype=np.float64)
         ref = np.asarray(ref_chunk, dtype=np.float64)
@@ -253,15 +216,13 @@ def run_streaming(
         pend_mic = np.concatenate([pend_mic, mic])
         pend_ref = np.concatenate([pend_ref, ref])
         while len(pend_mic) >= hop:
-            out = engine.push(pend_mic[:hop], pend_ref[:hop])
+            parts.append(engine.push(pend_mic[:hop], pend_ref[:hop]))
             pend_mic, pend_ref = pend_mic[hop:], pend_ref[hop:]
-            deliver(out)
     if len(pend_mic):
         pad = np.zeros(hop - len(pend_mic))
-        deliver(engine.push(np.concatenate([pend_mic, pad]), np.concatenate([pend_ref, pad])))
-    deliver(engine.flush())
-    out = np.concatenate(parts) if parts else np.empty(0)
-    return AudioSignal(out), engine.stats
+        parts.append(engine.push(np.concatenate([pend_mic, pad]), np.concatenate([pend_ref, pad])))
+    parts.append(engine.flush())
+    return AudioSignal(np.concatenate(parts)[:total_in]), engine.stats
 
 
 def engine_from_mapping(mapping: Mapping, prefix: str = "engine") -> EngineConfig:
@@ -283,11 +244,7 @@ def engine_from_mapping(mapping: Mapping, prefix: str = "engine") -> EngineConfi
         raise ValueError(
             f"unknown engine config keys: {sorted(dot + k for k in unknown)}"
         )
-    stft_kw = {}
-    if "window_len" in m:
-        stft_kw["window_len"] = int(m["window_len"])
-    if "hop" in m:
-        stft_kw["hop"] = int(m["hop"])
+    stft_kw = {k: int(m[k]) for k in ("window_len", "hop") if k in m}
     ctf = CtfConfig(
         frames_l=int(m.get("frames_l", 3)),
         order_p=int(m.get("order_p", 3)),

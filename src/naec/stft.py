@@ -3,7 +3,9 @@
 Analysis applies a plain windowed DFT per frame (frame ``n`` covers input
 samples ``[n*hop, n*hop + window_len)``), so spectrogram values match the
 windowed-DFT quantities used by the frequency-domain echo model. All window
-normalization happens at synthesis time.
+normalization happens at synthesis time. The hop divides the window, so
+every sample away from the edges lies under ``window_len/hop`` frames and
+the squared-window overlap sum is one hop-long vector, ``ola_norm``.
 """
 
 from __future__ import annotations
@@ -24,19 +26,16 @@ class ColaError(ValueError):
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis/synthesis parameters: 1024-tap Hanning window, 75% overlap."""
+    """Analysis/synthesis parameters: periodic Hann window, 1024 taps, 75% overlap."""
 
     window_len: int = 1024
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
         if self.window_len <= 0 or self.window_len & (self.window_len - 1):
             raise ValueError(f"window_len must be a positive power of two, got {self.window_len}")
-        if not 0 < self.hop <= self.window_len:
-            raise ValueError(f"hop must be in (0, window_len], got {self.hop}")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}, only 'hann'")
+        if self.hop <= 0 or self.window_len % self.hop:
+            raise ValueError(f"hop must divide window_len={self.window_len}, got {self.hop}")
 
     @property
     def fft_len(self) -> int:
@@ -102,15 +101,23 @@ def analyze(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogr
     return Spectrogram(data.T, config)
 
 
+def ola_norm(config: StftConfig) -> np.ndarray:
+    """Squared-window overlap sum at each offset within a hop, shape (hop,).
+
+    Summed oldest frame first, as ``synthesize`` sums its envelope, so both
+    divide by the same bits.
+    """
+    w2, hop = config.window_samples() ** 2, config.hop
+    norm = np.zeros(hop)
+    for m in reversed(range(config.window_len // hop)):
+        norm += w2[m * hop : (m + 1) * hop]
+    return norm
+
+
 def check_cola(config: StftConfig, tol: float = 1e-10) -> None:
     """Raise ColaError unless the squared window overlap-adds to a constant."""
-    w2 = config.window_samples() ** 2
-    reps = 3 * (config.window_len // config.hop) + 3
-    acc = np.zeros(config.window_len + reps * config.hop)
-    for m in range(reps):
-        acc[m * config.hop : m * config.hop + config.window_len] += w2
-    interior = acc[config.window_len : config.window_len + 2 * config.hop]
-    if interior.max() - interior.min() > tol * interior.mean():
+    norm = ola_norm(config)
+    if norm.max() - norm.min() > tol * norm.mean():
         raise ColaError(
             f"window_len={config.window_len}, hop={config.hop} is not constant-overlap-add"
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_hpd
 from naec.auxiva import (
+    R_FLOOR,
     AuxivaConfig,
     AuxivaState,
     compute_r1,
@@ -131,7 +132,7 @@ def test_r1_and_weight(rng):
     # passthrough rows: outputs are the first observation entries
     assert r1 == pytest.approx(np.sqrt(np.sum(np.abs(obs[:, 0]) ** 2)))
     assert weight(r1, state.config) == pytest.approx(r1 ** (0.4 - 2.0))
-    assert compute_r1(state, np.zeros((3, 2), dtype=complex)) == state.config.r_floor
+    assert compute_r1(state, np.zeros((3, 2), dtype=complex)) == R_FLOOR
 
 
 def test_process_frame_counts_and_shape(rng):

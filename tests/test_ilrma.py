@@ -155,5 +155,3 @@ def test_config_validation():
         IlrmaConfig(bases_b=0)
     with pytest.raises(ValueError):
         IlrmaConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        IlrmaConfig(nmf_floor=0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from naec import auxiva
 from naec.audio_io import SAMPLE_RATE, AudioSignal
 from naec.ctf import CtfConfig
 from naec.metrics import erle, steady_state
@@ -15,7 +16,14 @@ from naec.pipeline import (
     run,
     run_streaming,
 )
-from naec.sim import white_noise
+from naec.sim import (
+    NonlinearitySpec,
+    RoomSpec,
+    SceneSpec,
+    speech_like,
+    synthesize_scene,
+    white_noise,
+)
 from naec.stft import Spectrogram, StftConfig, analyze, synthesize
 
 
@@ -35,13 +43,44 @@ def test_push_validates_chunk_shape():
         engine.push(np.zeros(256), np.zeros(255))
 
 
-def test_latency_then_hop_sized_output():
-    engine = StreamingEngine()
-    assert engine.latency_chunks == 3
-    chunk = np.zeros(256)
-    for _ in range(3):
+@pytest.mark.parametrize("window_len, hop", [(1024, 256), (512, 128), (64, 16), (1024, 128)])
+def test_latency_then_hop_sized_output(window_len, hop):
+    engine = StreamingEngine(EngineConfig(stft=StftConfig(window_len, hop)))
+    assert engine.latency_chunks == window_len // hop - 1
+    chunk = np.zeros(hop)
+    for _ in range(engine.latency_chunks):
         assert len(engine.push(chunk, chunk)) == 0
-    assert len(engine.push(chunk, chunk)) == 256
+    for _ in range(3):
+        assert len(engine.push(chunk, chunk)) == hop
+    assert len(engine.flush()) == engine.latency_chunks * hop
+    stats = engine.stats
+    assert stats.n_samples_out == stats.n_samples_in == (engine.latency_chunks + 3) * hop
+
+
+@pytest.mark.parametrize(
+    "window_len, hop, optimizer",
+    [(1024, 256, "auxiva"), (512, 128, "ilrma"), (64, 16, "auxiva"), (1024, 128, "ilrma")],
+)
+def test_streaming_overlap_add_matches_batch_synthesis(
+    small_scene, monkeypatch, window_len, hop, optimizer
+):
+    """The engine's hop-shifted overlap-add equals ``synthesize`` of its own frames, bit for bit."""
+    spec, comps = small_scene
+    frames = []
+    core = auxiva.process_frame
+
+    def capture(state, obs):
+        frames.append(core(state, obs))
+        return frames[-1]
+
+    monkeypatch.setattr(auxiva, "process_frame", capture)
+    sc = StftConfig(window_len, hop)
+    cfg = EngineConfig(optimizer=optimizer, stft=sc, ctf=CtfConfig(frames_l=2))
+    out, stats = run(spec.far_end, comps.microphone, cfg)
+    assert len(frames) == stats.n_frames
+    batch = synthesize(Spectrogram(np.array(frames).T, sc)).samples
+    start = window_len - hop
+    assert out.samples.tobytes() == batch[start : start + len(out)].tobytes()
 
 
 def test_flush_closes_engine():
@@ -116,6 +155,56 @@ def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
     assert (a.n_frames, a.n_samples_in, a.n_samples_out, a.skipped_bins) == (
         b.n_frames, b.n_samples_in, b.n_samples_out, b.skipped_bins
     )
+
+
+@pytest.fixture(scope="module")
+def spiky_scene():
+    """8 s clipped speech echo in a T60 = 0.3 s room, the criterion-8 scene shortened."""
+    scene = SceneSpec(
+        far_end=speech_like(8.0, seed=21, level=0.3),
+        room=RoomSpec(t60=0.3, rir_length=4096),
+        nonlinearity=NonlinearitySpec(kind="hard_clip", clip_ratio=0.2),
+        snr_db=60.0,
+        seed=1,
+    )
+    return scene.far_end.samples, synthesize_scene(scene).microphone.samples
+
+
+def _push_all(config, mic, far, burst_chunk=None):
+    engine = StreamingEngine(config)
+    hop = engine.hop
+    n = len(mic) // hop
+    parts = []
+    for j in range(n):
+        y = mic[j * hop : (j + 1) * hop].copy()
+        if j == burst_chunk:
+            y[7] = 1e200
+        parts.append(engine.push(y, far[j * hop : (j + 1) * hop]))
+    parts.append(engine.flush())
+    return np.concatenate(parts)[: n * hop], engine.stats
+
+
+# |y|^2 of a 1e200 sample overflows inside the optimizer; these warnings are
+# the expected symptom of the burst, not a failure.
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+def test_covariance_overflow_resets_bins_and_adaptation_recovers(spiky_scene, optimizer):
+    """A finite 1e200 mic sample overflows every covariance; the bins reset and re-adapt."""
+    far, mic = spiky_scene
+    config = EngineConfig(optimizer=optimizer)
+    clean, _ = _push_all(config, mic, far)
+    out, stats = _push_all(config, mic, far, burst_chunk=100)
+    assert np.isfinite(out).all()
+    assert stats.skipped_bins == 0
+    # ERLE is taken after the burst (chunk 100 ends at 1.6 s): the burst's own
+    # block has an infinite output energy.
+    after = slice(2 * SAMPLE_RATE, len(out))
+    ref = AudioSignal(mic[after])
+    clean_erle = steady_state(erle(ref, AudioSignal(clean[after])))
+    assert steady_state(erle(ref, AudioSignal(out[after]))) >= clean_erle - 1.0
 
 
 def test_run_zero_length_input():

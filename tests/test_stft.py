@@ -14,6 +14,7 @@ from naec.stft import (
     analyze,
     check_cola,
     n_frames_for,
+    ola_norm,
     synthesize,
 )
 
@@ -33,8 +34,8 @@ def test_config_validation():
         StftConfig(hop=0)
     with pytest.raises(ValueError):
         StftConfig(hop=2048)
-    with pytest.raises(ValueError):
-        StftConfig(window="hamming")
+    with pytest.raises(ValueError, match="divide"):
+        StftConfig(window_len=512, hop=3)  # the overlap sum is flat, but not per hop
 
 
 def test_periodic_hann_window():
@@ -50,6 +51,7 @@ def test_periodic_hann_window():
 def test_overlap_sum_is_constant():
     c = StftConfig()
     check_cola(c)  # should not raise
+    np.testing.assert_allclose(ola_norm(c), np.full(c.hop, 1.5), rtol=1e-12)  # 4 * 3/8
     with pytest.raises(ColaError):
         check_cola(StftConfig(window_len=1024, hop=1024))
 
