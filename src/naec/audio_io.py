@@ -123,13 +123,9 @@ def write_result_csv(table: ResultTable, path) -> None:
     Floats are written with ``repr`` so a generic CSV reader recovers the
     exact values.
     """
-    order = []
-    grouped = {}
+    grouped = {}  # series in order of first appearance
     for time_s, value_db, series in table.rows:
-        if series not in grouped:
-            grouped[series] = []
-            order.append(series)
-        grouped[series].append((time_s, value_db))
+        grouped.setdefault(series, []).append((time_s, value_db))
     for series, pairs in grouped.items():
         times = [t for t, _ in pairs]
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -137,6 +133,6 @@ def write_result_csv(table: ResultTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "value_db", "series"])
-        for series in order:
-            for time_s, value_db in grouped[series]:
+        for series, pairs in grouped.items():
+            for time_s, value_db in pairs:
                 writer.writerow([repr(time_s), repr(value_db), series])

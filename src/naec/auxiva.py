@@ -24,7 +24,8 @@ weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
 the NMF model in ``IlrmaState``, a subclass that overrides only that method.
 
 Offline mode replaces the recursion by the batch mean over all frames and
-serves as the convergence oracle for the online mode.
+serves as the convergence oracle for the online mode; its sweep
+``batch_fixed_point`` serves both oracles, each with its own weights.
 """
 
 from __future__ import annotations
@@ -173,31 +174,43 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     return demix_frame(state.rows, obs)
 
 
+def batch_array(observations) -> np.ndarray:
+    """(N, K, D) complex observations for the batch oracles; other ranks raise."""
+    observations = np.asarray(observations, dtype=np.complex128)
+    if observations.ndim != 3:
+        raise ValueError(f"expected (N, K, D) observations, got {observations.shape}")
+    return observations
+
+
+def batch_fixed_point(
+    observations: np.ndarray, diag_load: float, iterations: int, weights
+) -> np.ndarray:
+    """Batch fixed-point sweeps over (N, K, D) observations; returns (K, D) rows.
+
+    From passthrough rows, each sweep maps the (N, K) outputs to covariance
+    weights (``weights``), forms the weighted mean covariance per bin, and
+    re-solves every row with the online mode's normalization.
+    """
+    obs = batch_array(observations)
+    n_frames, n_bins, dim = obs.shape
+    rows = np.tile(passthrough_row(dim), (n_bins, 1))
+    for _ in range(iterations):
+        e = np.einsum("kd,nkd->nk", rows.conj(), obs)
+        cov = np.einsum("nk,nkd,nke->kde", weights(e), obs, obs.conj()) / n_frames
+        cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
+        rows, _ = solve_demixing_rows(cov, rows, diag_load)
+    return rows
+
+
 def offline_batch(
     observations: np.ndarray,
     config: AuxivaConfig = AuxivaConfig(),
     iterations: int = 20,
 ) -> np.ndarray:
-    """Batch fixed-point iteration over (N, K, D) observations; returns (K, D) rows.
+    """Batch fixed point with the per-frame weight Phi(r1(n)), shared by all bins."""
 
-    Each sweep computes all per-frame weights with the current rows, forms
-    the weighted mean covariance per bin, and re-solves every row with the
-    same leading-element normalization as the online mode.
-    """
-    observations = np.asarray(observations, dtype=np.complex128)
-    if observations.ndim != 3:
-        raise ValueError(f"expected (N, K, D) observations, got {observations.shape}")
-    n_frames, n_bins, dim = observations.shape
-    rows = np.tile(passthrough_row(dim), (n_bins, 1))
-    for _ in range(iterations):
-        e = np.einsum("kd,nkd->nk", rows.conj(), observations)
-        r = np.sqrt(np.sum(np.abs(e) ** 2, axis=1))
-        r = np.maximum(r, R_FLOOR)
-        phi = r ** (config.beta - 2.0)
-        cov = (
-            np.einsum("n,nkd,nke->kde", phi, observations, observations.conj())
-            / n_frames
-        )
-        cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-        rows, _ = solve_demixing_rows(cov, rows, config.diag_load)
-    return rows
+    def phi(e):
+        r = np.maximum(np.sqrt(np.sum(np.abs(e) ** 2, axis=1)), R_FLOOR)
+        return np.broadcast_to((r ** (config.beta - 2.0))[:, np.newaxis], e.shape)
+
+    return batch_fixed_point(observations, config.diag_load, iterations, phi)

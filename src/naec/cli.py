@@ -152,14 +152,19 @@ def _cmd_process(args, out_dir: Path) -> None:
     print(f"real-time factor: {stats.realtime_factor:.2f}")
 
 
-def _evaluate(comps, enhanced):
-    """Metric curves and steady-state values for one processed scene."""
+def _run_engine(scene, comps, engine, all_curves, suffix, label):
+    """Run and score one engine: curves go to ``all_curves`` under ``suffix``,
+    a line after ``label`` to stdout; returns the output and summary entry."""
+    enhanced, stats = run(scene.far_end, comps.microphone, engine)
     curves = {"erle": erle(comps.microphone, enhanced)}
-    ss = {"erle_db": steady_state(curves["erle"])}
     if len(comps.near) and comps.near.samples.any():
         curves["terle"] = terle(comps.echo, enhanced, comps.near)
-        ss["terle_db"] = steady_state(curves["terle"])
-    return curves, ss
+    ss = {f"{name}_db": steady_state(curve) for name, curve in curves.items()}
+    for name, curve in curves.items():
+        all_curves[name + suffix] = curve
+    shown = " ".join(f"{k}={v:.2f} dB" for k, v in sorted(ss.items()))
+    print(f"{label}: {shown}")
+    return enhanced, {"steady_state": ss, "stats": _stats_dict(stats)}
 
 
 def _write_scene_wavs(out_dir: Path, far, comps, enhanced, suffix="") -> None:
@@ -200,20 +205,12 @@ def _cmd_simulate(args, out_dir: Path) -> None:
             m[sweep_key] = token
         scene = _scene(m, base_dir, args.seed)
         comps = synthesize_scene(scene)
-        enhanced, stats = run(scene.far_end, comps.microphone, _engine(m))
-        curves, ss = _evaluate(comps, enhanced)
         tag = "" if token is None else f"[{sweep_key}={token}]"
-        for label, curve in curves.items():
-            all_curves[label + tag] = curve
-        results.append({
-            "grid": {} if token is None else {sweep_key: token},
-            "steady_state": ss,
-            "stats": _stats_dict(stats),
-        })
+        enhanced, entry = _run_engine(scene, comps, _engine(m), all_curves,
+                                      tag, f"simulate{tag}")
+        results.append({"grid": {} if token is None else {sweep_key: token}, **entry})
         if token is None:
             _write_scene_wavs(out_dir, scene.far_end, comps, enhanced)
-        shown = " ".join(f"{k}={v:.2f} dB" for k, v in sorted(ss.items()))
-        print(f"simulate{tag}: {shown}")
     write_result_csv(ResultTable.from_curves(all_curves), out_dir / "metrics.csv")
     _write_json({
         "command": "simulate",
@@ -243,16 +240,11 @@ def _cmd_compare(args, out_dir: Path) -> None:
     all_curves = {}
     engines = []
     for name in names:
-        enhanced, stats = run(scene.far_end, comps.microphone,
-                              _engine(mapping, prefix=f"engine.{name}"))
+        enhanced, entry = _run_engine(scene, comps,
+                                      _engine(mapping, prefix=f"engine.{name}"),
+                                      all_curves, f".{name}", name)
         write_wav(enhanced, out_dir / f"enhanced.{name}.wav")
-        curves, ss = _evaluate(comps, enhanced)
-        for label, curve in curves.items():
-            all_curves[f"{label}.{name}"] = curve
-        engines.append({"name": name, "steady_state": ss,
-                        "stats": _stats_dict(stats)})
-        shown = " ".join(f"{k}={v:.2f} dB" for k, v in sorted(ss.items()))
-        print(f"{name}: {shown}")
+        engines.append({"name": name, **entry})
     write_result_csv(ResultTable.from_curves(all_curves), out_dir / "metrics.csv")
     _write_json({"command": "compare", "seed": args.seed, "engines": engines},
                 out_dir / "summary.json")

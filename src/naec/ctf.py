@@ -152,14 +152,6 @@ def demix_frame(rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return np.einsum("kd,kd->k", rows.conj(), obs)
 
 
-def apply_demixing(row: DemixingRow, y: np.ndarray) -> complex:
-    """Single-point demixing E = w^H y; with w_tail = 0 this returns Y(k, n)."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (row.dim,):
-        raise ValueError(f"observation shape {y.shape} does not match row dim {row.dim}")
-    return complex(demix_frame(row.w_full[np.newaxis, :], y[np.newaxis, :])[0])
-
-
 def constrained_matrix(row: DemixingRow) -> np.ndarray:
     """Full (P*L+1)-square demixing matrix: first row w^H, rest [0 | I]."""
     d = row.dim

@@ -7,8 +7,8 @@ low-rank product r1(k) = sum_b t1(k, b) v1(b); the multiplicative updates
     v1(b)    <- v1(b)    * sqrt( sum_k |e1(k)|^2 t1(k, b) r1(k)^-2
                                  / sum_k t1(k, b) r1(k)^-1 )
 
-are kept in their literal form (the bases factor algebraically collapses to
-sqrt(|e1|^2 / r1); tests pin that equivalence). The variance r1 is refreshed
+run online with the bases factor in its collapsed form sqrt(|e1|^2 / r1)
+(a test pins it against the literal formula). The variance r1 is refreshed
 after every bases/activation update, every entry is floored at ``NMF_FLOOR``,
 and the covariance recursion uses the per-bin weight 1/r1(k) instead of the
 per-frame scalar of the AuxIVA variant:
@@ -21,8 +21,8 @@ The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 carry over between frames (frame 0 starts uniform at 1/B); bases start at
 the constant 1; after a covariance overflow, non-finite bases rows and
 activations return to these values. The offline mode keeps a full (B, N)
-activation matrix and uses batch sums, serving as the oracle for the online
-updates.
+activation matrix and uses batch sums (``nmf_batch_sweep``) inside the
+AuxIVA batch sweep, serving as the oracle for the online updates.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiva import AuxivaState, solve_demixing_rows
-from .auxiva import process_frame as process_frame  # the shared core, re-exported
-from .ctf import demix_frame, passthrough_row
+from .auxiva import AuxivaState, batch_array, batch_fixed_point
+from .auxiva import process_frame as process_frame  # the shared online core, re-exported
+from .auxiva import solve_demixing_rows as solve_demixing_rows  # likewise
+from .ctf import demix_frame
 
 NMF_FLOOR = 1e-12
 
@@ -69,11 +70,10 @@ class NmfSourceModel:
 
 
 def update_bases(model: NmfSourceModel, e1: np.ndarray) -> None:
-    """Multiplicative bases update from the current frame's outputs e1 (K,)."""
-    p = np.abs(np.asarray(e1)) ** 2
-    num = p[:, np.newaxis] * model.v1[np.newaxis, :] * (model.r1 ** -2.0)[:, np.newaxis]
-    den = model.v1[np.newaxis, :] * (model.r1 ** -1.0)[:, np.newaxis]
-    model.t1 = np.maximum(model.t1 * np.sqrt(num / den), model.floor)
+    """Multiplicative bases update from the current frame's outputs e1 (K,),
+    with the factor in its collapsed form sqrt(|e1|^2 / r1), shared by all bases."""
+    factor = np.sqrt(np.abs(np.asarray(e1)) ** 2 / model.r1)
+    model.t1 = np.maximum(model.t1 * factor[:, np.newaxis], model.floor)
     model.recompute_variance()
 
 
@@ -151,16 +151,14 @@ def offline_batch(
     iterations: int = 20,
     seed: int | None = None,
 ) -> OfflineIlrmaResult:
-    """Batch alternation of NMF sweeps and row solves over (N, K, D) observations.
+    """Batch fixed point weighted by 1/r1 after one ``nmf_batch_sweep`` per sweep.
 
     With ``seed`` given, bases and activations start from random positive
     values (the usual batch NMF initialization); otherwise both start
     uniform, matching the online mode.
     """
-    observations = np.asarray(observations, dtype=np.complex128)
-    if observations.ndim != 3:
-        raise ValueError(f"expected (N, K, D) observations, got {observations.shape}")
-    n_frames, n_bins, dim = observations.shape
+    observations = batch_array(observations)
+    n_frames, n_bins, _ = observations.shape
     b = config.bases_b
     if seed is None:
         t1 = np.ones((n_bins, b))
@@ -169,16 +167,12 @@ def offline_batch(
         rng = np.random.default_rng(seed)
         t1 = rng.uniform(0.5, 1.5, size=(n_bins, b))
         v1 = rng.uniform(0.5, 1.5, size=(b, n_frames))
-    rows = np.tile(passthrough_row(dim), (n_bins, 1))
     r1 = np.maximum(t1 @ v1, NMF_FLOOR)
-    for _ in range(iterations):
-        e = np.einsum("kd,nkd->kn", rows.conj(), observations)
-        power = np.abs(e) ** 2
-        t1, v1, r1 = nmf_batch_sweep(t1, v1, power, NMF_FLOOR)
-        cov = (
-            np.einsum("kn,nkd,nke->kde", 1.0 / r1, observations, observations.conj())
-            / n_frames
-        )
-        cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-        rows, _ = solve_demixing_rows(cov, rows, config.diag_load)
+
+    def nmf_weights(e):
+        nonlocal t1, v1, r1
+        t1, v1, r1 = nmf_batch_sweep(t1, v1, np.abs(e.T) ** 2, NMF_FLOOR)
+        return (1.0 / r1).T
+
+    rows = batch_fixed_point(observations, config.diag_load, iterations, nmf_weights)
     return OfflineIlrmaResult(rows=rows, t1=t1, v1=v1, r1=r1)

@@ -122,8 +122,8 @@ class StreamingEngine:
 
         Returns the newly available enhanced samples: empty for the first
         ``latency_chunks`` calls, exactly one hop per call afterwards. A
-        chunk with a NaN or Inf raises ValueError and leaves the engine as
-        it was.
+        chunk with a NaN or Inf, or a far-end chunk whose odd powers
+        overflow, raises ValueError and leaves the engine as it was.
         """
         if self._closed:
             raise RuntimeError("engine already flushed")
@@ -134,18 +134,20 @@ class StreamingEngine:
                 f"chunks must have shape ({self._hop},), "
                 f"got {mic.shape} and {ref.shape}"
             )
-        if not (np.isfinite(mic).all() and np.isfinite(ref).all()):
-            raise ValueError("chunks contain non-finite samples")
-        out = self._process_chunk(mic, ref)
+        with np.errstate(over="ignore"):
+            powers = odd_powers(ref, self._order_p)
+        if not (np.isfinite(mic).all() and np.isfinite(powers).all()):
+            raise ValueError("chunks contain non-finite samples or far-end powers")
+        out = self._process_chunk(mic, powers)
         self._n_in += self._hop
         return out
 
-    def _process_chunk(self, mic: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    def _process_chunk(self, mic: np.ndarray, powers: np.ndarray) -> np.ndarray:
         t0 = time.perf_counter()
         hop, buf, acc = self._hop, self._buf, self._acc
         buf[:, :-hop] = buf[:, hop:]
         buf[0, -hop:] = mic
-        buf[1:, -hop:] = odd_powers(ref, self._order_p)
+        buf[1:, -hop:] = powers
         spec = np.fft.rfft(buf * self._window, axis=-1)
         self._hist[:, 1:] = self._hist[:, :-1]
         self._hist[:, 0] = spec[1:]
@@ -170,7 +172,8 @@ class StreamingEngine:
         if self._closed:
             raise RuntimeError("engine already flushed")
         zero = np.zeros(self._hop)
-        parts = [self._process_chunk(zero, zero) for _ in range(self.latency_chunks)]
+        parts = [self._process_chunk(zero, odd_powers(zero, self._order_p))
+                 for _ in range(self.latency_chunks)]
         self._closed = True
         return np.concatenate(parts)
 

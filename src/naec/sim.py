@@ -125,12 +125,10 @@ def image_method_rir(
     room: RoomSpec,
     *,
     reflection: float | None = None,
-    fractional_delay: bool = False,
 ) -> AudioSignal:
     """Rectangular-room impulse response via the mirror-image source method.
 
-    Nearest-sample delay rounding by default; ``fractional_delay=True``
-    spreads each image over a windowed-sinc low-pass kernel instead.
+    Each image adds its gain at its delay rounded to the nearest sample.
     ``reflection`` overrides the Sabine-derived wall coefficient (mainly for
     diagnostics such as the anechoic single-impulse case). The image method
     is deterministic, so unlike the other scene generators it takes no seed.
@@ -161,37 +159,10 @@ def image_method_rir(
         keep = dist > 1e-9
         dist, refl = dist[keep], refl[keep]
         gain = refl / (4.0 * np.pi * dist)
-        delay = dist / SPEED_OF_SOUND * SAMPLE_RATE
-        if fractional_delay:
-            _add_fractional(h, delay, gain)
-        else:
-            idx = np.rint(delay).astype(np.intp)
-            inside = idx < n_samp
-            np.add.at(h, idx[inside], gain[inside])
+        idx = np.rint(dist / SPEED_OF_SOUND * SAMPLE_RATE).astype(np.intp)
+        inside = idx < n_samp
+        np.add.at(h, idx[inside], gain[inside])
     return AudioSignal(h)
-
-
-def _add_fractional(
-    h: np.ndarray,
-    delay: np.ndarray,
-    gain: np.ndarray,
-    taps: int = 40,
-    chunk: int = 50_000,
-) -> None:
-    # Peterson-style windowed-sinc interpolation of non-integer delays.
-    n_samp = len(h)
-    tw = taps / SAMPLE_RATE
-    fc = 0.9 * SAMPLE_RATE / 2.0
-    offsets = np.arange(taps + 1)
-    for start in range(0, len(delay), chunk):
-        d = delay[start : start + chunk]
-        g = gain[start : start + chunk]
-        n0 = np.ceil(d - taps / 2.0).astype(np.intp)
-        idx = n0[:, None] + offsets[None, :]
-        t = idx / SAMPLE_RATE - (d / SAMPLE_RATE)[:, None]
-        valid = (np.abs(t) <= tw / 2.0) & (idx >= 0) & (idx < n_samp)
-        kernel = 0.5 * (1.0 + np.cos(2.0 * np.pi * t / tw)) * np.sinc(2.0 * fc * t)
-        np.add.at(h, idx[valid], (kernel * g[:, None])[valid])
 
 
 def hard_clip(signal: AudioSignal, clip_ratio: float = 0.2) -> AudioSignal:
@@ -296,13 +267,24 @@ def _resonator(x: np.ndarray, fc: float, bandwidth: float) -> np.ndarray:
     return lfilter([1.0 - r], [1.0, -2.0 * r * np.cos(theta), r * r], x)
 
 
-def _normalize(x: np.ndarray, level: float) -> np.ndarray:
-    rms = np.sqrt(np.mean(x**2))
-    x = x * (level / rms)
+def _fade(seg: int, max_edge: int) -> np.ndarray:
+    """Segment envelope with raised-cosine edges of min(max_edge, seg // 4) samples."""
+    edge = min(max_edge, seg // 4)
+    env = np.ones(seg)
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
+    env[:edge] = ramp
+    env[seg - edge :] = ramp[::-1]
+    return env
+
+
+def _finish(x: np.ndarray, rng: np.random.Generator, level: float) -> AudioSignal:
+    """Add a white floor 45 dB below the signal, scale to RMS ``level``, cap peaks at 0.95."""
+    x = x + rng.standard_normal(len(x)) * (np.sqrt(np.mean(x**2)) * 10 ** (-45.0 / 20.0))
+    x = x * (level / np.sqrt(np.mean(x**2)))
     peak = np.max(np.abs(x))
     if peak > 0.95:
         x *= 0.95 / peak
-    return x
+    return AudioSignal(x)
 
 
 def speech_like(
@@ -343,16 +325,9 @@ def speech_like(
         else:
             pos += seg
             continue
-        edge = min(160, seg // 4)
-        env = np.ones(seg)
-        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
-        env[:edge] = ramp
-        env[seg - edge :] = ramp[::-1]
-        out[pos : pos + seg] += x * env * rng.uniform(0.4, 1.0)
+        out[pos : pos + seg] += x * _fade(seg, 160) * rng.uniform(0.4, 1.0)
         pos += seg
-    x = out[:n]
-    x = x + rng.standard_normal(n) * (np.sqrt(np.mean(x**2)) * 10 ** (-45.0 / 20.0))
-    return AudioSignal(_normalize(x, level))
+    return _finish(out[:n], rng, level)
 
 
 def music_like(duration_s: float, seed: int, level: float = 0.1) -> AudioSignal:
@@ -372,16 +347,9 @@ def music_like(duration_s: float, seed: int, level: float = 0.1) -> AudioSignal:
                 x += (0.6**harm) * np.cos(
                     2.0 * np.pi * f * harm * t + rng.uniform(0.0, 2.0 * np.pi)
                 )
-        edge = min(320, seg // 4)
-        env = np.ones(seg)
-        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
-        env[:edge] = ramp
-        env[seg - edge :] = ramp[::-1]
-        out[pos : pos + seg] += x * env * rng.uniform(0.5, 1.0)
+        out[pos : pos + seg] += x * _fade(seg, 320) * rng.uniform(0.5, 1.0)
         pos += seg
-    x = out[:n]
-    x = x + rng.standard_normal(n) * (np.sqrt(np.mean(x**2)) * 10 ** (-45.0 / 20.0))
-    return AudioSignal(_normalize(x, level))
+    return _finish(out[:n], rng, level)
 
 
 # ---------------------------------------------------------------------------

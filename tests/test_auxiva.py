@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hpd
+from naec import ilrma
 from naec.auxiva import (
     R_FLOOR,
     AuxivaConfig,
@@ -163,9 +164,11 @@ def test_offline_batch_scale_invariant(rng):
     np.testing.assert_allclose(rows_a, rows_b, rtol=1e-9)
 
 
-def test_offline_batch_validates_shape():
-    with pytest.raises(ValueError):
-        offline_batch(np.zeros((4, 3), dtype=complex))
+@pytest.mark.parametrize("batch", [offline_batch, ilrma.offline_batch],
+                         ids=["auxiva", "ilrma"])
+def test_offline_batch_validates_shape(batch):
+    with pytest.raises(ValueError, match=r"\(N, K, D\)"):
+        batch(np.zeros((4, 3), dtype=complex))
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 from naec.ctf import (
     CtfConfig,
     DemixingRow,
-    apply_demixing,
     batch_observations,
     build_observation,
     constrained_matrix,
@@ -90,7 +89,7 @@ def test_reference_count_must_match_order():
 def test_passthrough_leaves_microphone_entry():
     row = DemixingRow(passthrough_row(5))
     y = np.arange(5) + 1j * np.arange(5)
-    assert apply_demixing(row, y) == y[0]
+    assert demix_frame(row.w_full[np.newaxis], y[np.newaxis])[0] == y[0]
 
 
 def test_row_requires_unit_leading_element():

@@ -138,12 +138,14 @@ def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
     expected, got = [], []
     for j in range(n_chunks):
         y, x = mic[j * hop : (j + 1) * hop], far[j * hop : (j + 1) * hop]
-        if j in (20, 40):
+        if j in (20, 40, 60):
             bad_y, bad_x = y.copy(), x.copy()
             if j == 20:
                 bad_y[7] = np.nan
-            else:
+            elif j == 40:
                 bad_x[-1] = np.inf
+            else:
+                bad_x[3] = 1e200  # finite, but its cube overflows
             with pytest.raises(ValueError, match="non-finite"):
                 dirty.push(bad_y, bad_x)
         expected.append(clean.push(y, x))
