@@ -6,18 +6,19 @@ of the stacked observation vector
     V1(k, n) = alpha * V1(k, n-1) + (1 - alpha) * Phi(r1(n)) * y(k, n) y(k, n)^H
 
 with a single per-frame weight Phi(r1) = r1**(beta - 2) driven by the
-cross-band norm r1(n) = sqrt(sum_k |w(k)^H y(k, n)|^2). The row update is
-the first column of the inverse covariance, renormalized so its leading
-element is exactly 1:
+cross-band norm r1(n) = sqrt(sum_k |w(k)^H y(k, n)|^2). The row is the first
+column of the loaded inverse covariance with its leading element pinned to 1,
+which for V1 = [[a, b^H], [b, C]] is the Schur form
 
-    w(k, n) <- V1(k, n)^{-1} e1,   w(k, n) <- w(k, n) / w[0]
+    w(k, n) = [1; -(C + lambda I)^{-1} b],   lambda = diag_load * tr(V1) / D
 
-The covariance recursion is stored as written; diagonal loading
-(relative to the trace) is applied only at solve time, which keeps the row
-invariant under any global rescaling of a bin's V1. A bin whose solve still
-fails keeps its previous row and is counted in ``skipped_bins``. A bin whose
-covariance overflows (a huge finite input makes y y^H infinite) restarts
-from the initial prior and passthrough row instead of freezing for good.
+``solve_demixing_rows`` solves every bin at once by Gaussian elimination
+without pivoting (C + lambda I is positive definite) with the bins on the
+contiguous last axis. The recursion is stored as written and the loading is
+trace-relative with no square roots, so a power-of-two rescale of a bin's V1
+leaves its row bit-identical. A bin whose trace or solution is non-finite
+keeps its previous row and is counted in ``skipped_bins``; a bin whose
+covariance overflows restarts from the initial prior and passthrough row.
 
 ``process_frame`` is the online core of both optimizers. The recursion's
 weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
@@ -96,44 +97,42 @@ def ewma_covariance_update(
     cov += (1.0 - alpha) * gain * update
 
 
-def loaded_covariance(cov: np.ndarray, diag_load: float) -> np.ndarray:
-    """Copy of (K, D, D) covariances with trace-relative diagonal loading."""
-    dim = cov.shape[-1]
-    load = diag_load * np.einsum("kdd->k", cov).real / dim
-    out = cov.copy()
-    idx = np.arange(dim)
-    out[:, idx, idx] += load[:, np.newaxis]
-    return out
-
-
 def solve_demixing_rows(
     cov: np.ndarray, prev_rows: np.ndarray, diag_load: float
 ) -> tuple[np.ndarray, int]:
-    """First column of each loaded inverse covariance, leading element pinned to 1.
+    """Rows [1; -(C + lambda I)^{-1} b] of every bin's loaded covariance.
 
-    Bins whose solve fails (or produces non-finite values) keep their
-    previous row; the count of such bins is returned alongside the rows.
+    ``cov`` is (K, D, D) and Hermitian, ``prev_rows`` (K, D). Bins whose
+    trace or solution is non-finite keep their previous row; the count of
+    such bins is returned alongside the rows.
     """
     n_bins, dim = prev_rows.shape
-    loaded = loaded_covariance(cov, diag_load)
-    e1 = np.zeros((n_bins, dim, 1), dtype=np.complex128)
-    e1[:, 0, 0] = 1.0
-    try:
-        sol = np.linalg.solve(loaded, e1)[:, :, 0]
-    except np.linalg.LinAlgError:
-        sol = np.full((n_bins, dim), np.nan, dtype=np.complex128)
-        for k in range(n_bins):
-            try:
-                sol[k] = np.linalg.solve(loaded[k], e1[k])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-    bad = ~np.isfinite(sol).all(axis=1)
-    bad |= np.abs(sol[:, 0]) < np.finfo(np.float64).tiny
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sol = sol / sol[:, :1]
-    sol[:, 0] = 1.0
-    rows = np.where(bad[:, np.newaxis], prev_rows, sol)
-    return rows, int(bad.sum())
+    n = dim - 1
+    trace = np.einsum("kdd->k", cov).real
+    # Augmented [C + lambda I | b] with the bins on the contiguous last axis.
+    a = np.empty((n, dim, n_bins), dtype=np.complex128)
+    a[:, :n] = cov[:, 1:, 1:].transpose(1, 2, 0)
+    a[:, n] = cov[:, 1:, 0].T
+    a.reshape(n * dim, n_bins)[:: dim + 1] += diag_load * trace / dim
+    with np.errstate(all="ignore"):
+        # Forward elimination on the upper triangle: row j is final at step j;
+        # it is scaled by its real pivot and, by Hermitian symmetry, its
+        # conjugate supplies the multipliers for the rows below.
+        for j in range(n):
+            inv_pivot = 1.0 / a[j, j].real
+            lower = a[j, j + 1 : n].conj()
+            a[j, j + 1 :] *= inv_pivot
+            for i in range(j + 1, n):
+                a[i, i:] -= lower[i - j - 1] * a[j, i:]
+        # Back substitution on the unit upper triangle leaves (C + lambda I)^{-1} b.
+        x = a[:, n]
+        for col in range(n - 1, 0, -1):
+            x[:col] -= a[:col, col] * x[col]
+    bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(trace))
+    rows = np.empty_like(prev_rows)
+    rows[:, 0] = 1.0
+    np.negative(x.T, out=rows[:, 1:])
+    return np.where(bad[:, np.newaxis], prev_rows, rows), int(bad.sum())
 
 
 def compute_r1(state: AuxivaState, obs: np.ndarray) -> float:

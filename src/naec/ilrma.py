@@ -20,9 +20,11 @@ The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 ``process_frame`` here is ``auxiva.process_frame``. Online activations
 carry over between frames (frame 0 starts uniform at 1/B); bases start at
 the constant 1; after a covariance overflow, non-finite bases rows and
-activations return to these values. The offline mode keeps a full (B, N)
-activation matrix and uses batch sums (``nmf_batch_sweep``) inside the
-AuxIVA batch sweep, serving as the oracle for the online updates.
+activations return to these values. A frame whose pre-update output is all
+zero (digital silence) skips both updates and reuses the last 1/r1. The
+offline mode keeps a full (B, N) activation matrix and uses batch sums
+(``nmf_batch_sweep``) inside the AuxIVA batch sweep, serving as the oracle
+for the online updates.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ class IlrmaState(AuxivaState):
     def frame_weight(self, obs: np.ndarray) -> np.ndarray:
         """Per-bin 1/r1(k) after NMF bases then activations updates on E with the previous rows."""
         e_pre = demix_frame(self.rows, obs)
-        update_bases(self.model, e_pre)
-        update_activations(self.model, e_pre)
+        if e_pre.any():  # an all-zero frame would floor every t1 and v1
+            update_bases(self.model, e_pre)
+            update_activations(self.model, e_pre)
         return 1.0 / self.model.r1
 
     def reset_bins(self, bins: np.ndarray) -> None:

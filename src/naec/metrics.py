@@ -40,7 +40,7 @@ def _block_energies(x: np.ndarray, block: int) -> np.ndarray:
 
 def _ratio_curve(num: AudioSignal, den: np.ndarray, block_len: float) -> MetricCurve:
     block = int(round(block_len * num.sample_rate))
-    top = _block_energies(num.samples, block)
+    top = np.maximum(_block_energies(num.samples, block), SILENCE_FLOOR)
     bottom = _block_energies(den, block)
     values = np.where(
         bottom < SILENCE_FLOOR,
@@ -64,7 +64,8 @@ def erle(y: AudioSignal, e: AudioSignal, block_len: float = 0.1) -> MetricCurve:
     """Echo return loss enhancement 10*log10(E[y^2] / E[e^2]) per block.
 
     Blocks whose residual energy falls below the silence floor report the
-    80 dB curve ceiling.
+    80 dB curve ceiling; a microphone block below it counts as the floor, so
+    an exactly silent microphone gives a finite value.
     """
     _check_aligned(y, e)
     return _ratio_curve(y, e.samples, block_len)

@@ -13,7 +13,6 @@ from naec.auxiva import (
     AuxivaState,
     compute_r1,
     ewma_covariance_update,
-    loaded_covariance,
     offline_batch,
     process_frame,
     solve_demixing_rows,
@@ -81,35 +80,63 @@ def test_ewma_keeps_covariance_exactly_hermitian(rng):
             assert np.array_equal(cov, cov.conj().transpose(0, 2, 1))
 
 
+def _lapack_rows(cov, diag_load):
+    """Oracle: solve(V + lambda I, e1) per bin, normalized by its first entry."""
+    n_bins, dim, _ = cov.shape
+    load = diag_load * np.einsum("kdd->k", cov).real / dim
+    loaded = cov + load[:, np.newaxis, np.newaxis] * np.eye(dim)
+    e1 = np.zeros((n_bins, dim, 1), dtype=np.complex128)
+    e1[:, 0, 0] = 1.0
+    sol = np.linalg.solve(loaded, e1)[:, :, 0]
+    return sol / sol[:, :1]
+
+
 def test_loading_is_trace_relative(rng):
-    cov = random_hpd(rng, 3, 2)
-    out = loaded_covariance(cov, 1e-6)
-    for k in range(2):
-        load = 1e-6 * np.trace(cov[k]).real / 3
-        np.testing.assert_allclose(
-            out[k], cov[k] + load * np.eye(3), rtol=0, atol=1e-18
-        )
+    """The tail is -(C + lambda I)^{-1} b with lambda = diag_load * tr(V) / D."""
+    dim, n_bins = 3, 2
+    cov = random_hpd(rng, dim, n_bins)
+    prev = np.tile(passthrough_row(dim), (n_bins, 1))
+    for diag_load in (0.1, 1.0):
+        rows, skipped = solve_demixing_rows(cov, prev, diag_load)
+        assert skipped == 0
+        for k in range(n_bins):
+            load = diag_load * np.trace(cov[k]).real / dim
+            loaded = cov[k, 1:, 1:] + load * np.eye(dim - 1)
+            tail = -np.linalg.solve(loaded, cov[k, 1:, 0])
+            np.testing.assert_allclose(rows[k, 1:], tail, rtol=1e-12)
+            assert rows[k, 0] == 1.0
 
 
 def test_row_solve_matches_inverse_first_column(rng):
-    cov = random_hpd(rng, 5, 8)
-    prev = np.tile(passthrough_row(5), (8, 1))
-    rows, skipped = solve_demixing_rows(cov, prev, diag_load=1e-12)
-    assert skipped == 0
-    for k in range(8):
-        col = np.linalg.inv(cov[k])[:, 0]
-        np.testing.assert_allclose(rows[k], col / col[0], rtol=1e-8)
-        assert rows[k, 0] == 1.0  # pinned exactly, not approximately
+    n_bins = 513
+    for dim in (2, 4, 10, 19):
+        cov = random_hpd(rng, dim, n_bins)
+        prev = np.tile(passthrough_row(dim), (n_bins, 1))
+        for diag_load in (1e-12, 1e-6):
+            rows, skipped = solve_demixing_rows(cov, prev, diag_load)
+            assert skipped == 0
+            expected = _lapack_rows(cov, diag_load)
+            err = np.linalg.norm(rows - expected, axis=1) / np.linalg.norm(expected, axis=1)
+            assert err.max() <= 1e-9, (dim, diag_load, err.max())
+            np.testing.assert_array_equal(rows[:, 0], np.ones(n_bins))  # pinned exactly
+        for k in range(8):
+            col = np.linalg.inv(cov[k])[:, 0]
+            rows, _ = solve_demixing_rows(cov[k : k + 1], prev[k : k + 1], 1e-12)
+            np.testing.assert_allclose(rows[0], col / col[0], rtol=1e-8)
 
 
 def test_row_solve_keeps_previous_on_singular(rng):
-    cov = np.zeros((2, 3, 3), dtype=np.complex128)
+    cov = np.zeros((3, 3, 3), dtype=np.complex128)
     cov[1] = random_hpd(rng, 3, 1)[0]
-    prev = np.tile(passthrough_row(3), (2, 1))
+    cov[2] = random_hpd(rng, 3, 1)[0]
+    cov[2, 0, 0] = np.inf  # infinite trace, finite tail
+    prev = np.tile(passthrough_row(3), (3, 1))
     prev[0, 1] = 0.25
+    prev[2, 2] = -0.5
     rows, skipped = solve_demixing_rows(cov, prev, diag_load=1e-30)
-    assert skipped == 1
+    assert skipped == 2
     np.testing.assert_array_equal(rows[0], prev[0])
+    np.testing.assert_array_equal(rows[2], prev[2])
     assert np.isfinite(rows[1]).all()
 
 

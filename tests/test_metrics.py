@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naec.audio_io import SAMPLE_RATE, AudioSignal
-from naec.metrics import CEILING_DB, MetricCurve, erle, steady_state, terle
+from naec.metrics import CEILING_DB, SILENCE_FLOOR, MetricCurve, erle, steady_state, terle
 
 
 def _sig(*block_values, block=1600):
@@ -32,6 +32,18 @@ def test_silent_residual_hits_ceiling():
     y = _sig(1.0)
     e = _sig(0.0)
     assert erle(y, e).values[0] == CEILING_DB
+
+
+def test_silent_microphone_blocks_stay_finite():
+    """A zero-mic block is measured at the floor: finite, and no divide-by-zero warning."""
+    curve = erle(_sig(0.0, 0.0), _sig(1e-3, 0.0))
+    np.testing.assert_allclose(
+        curve.values[0], 10 * np.log10(SILENCE_FLOOR / (1600 * 1e-6)), rtol=1e-12
+    )
+    assert curve.values[1] == CEILING_DB
+    assert np.isfinite(steady_state(curve, tail_fraction=1.0))
+    d = _sig(0.0, 1.0)
+    assert np.isfinite(terle(d, _sig(1e-3, 1.0), _sig(0.0, 0.0)).values).all()
 
 
 def test_partial_trailing_block_is_dropped():
