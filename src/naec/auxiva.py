@@ -12,26 +12,41 @@ which for V1 = [[a, b^H], [b, C]] is the Schur form
 
     w(k, n) = [1; -(C + lambda I)^{-1} b],   lambda = diag_load * tr(V1) / D
 
-``solve_demixing_rows`` solves every bin at once by Gaussian elimination
-without pivoting (C + lambda I is positive definite) with the bins on the
-contiguous last axis. The recursion is stored as written and the loading is
-trace-relative with no square roots, so a power-of-two rescale of a bin's V1
-leaves its row bit-identical. A bin whose trace or solution is non-finite
-keeps its previous row and is counted in ``skipped_bins``; a bin whose
-covariance overflows restarts from the initial prior and passthrough row.
+``ewma_covariance_update`` and ``solve_demixing_rows`` each make one pass
+over all bins per frame. Both run a compiled C kernel (``_kernels.c``) when
+one is loaded: ``build_kernels`` compiles it with ``cc`` when this module is
+first imported and caches the shared object under ``__pycache__``. Without
+a compiler, or if the build or load fails, the numpy code in the same two
+functions runs instead; it is also the reference the tests compare the
+kernels against. The kernels do the numpy code's arithmetic in the same
+order, written out in real operations that are never fused into
+multiply-adds (numpy's complex products are on CPUs with FMA), so the two
+paths agree to rounding. The row solve is Gaussian elimination without
+pivoting (C + lambda I is positive definite); numpy runs it with the bins
+on the contiguous last axis, the kernel one bin at a time. The recursion is
+stored as written and the loading is trace-relative with no square roots,
+so a power-of-two rescale of a bin's V1 leaves its row bit-identical. A bin
+whose trace or solution is non-finite keeps its previous row and is counted
+in ``skipped_bins``; a bin whose covariance overflows restarts from the
+initial prior and passthrough row.
 
 ``process_frame`` is the online core of both optimizers. The recursion's
 weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
 the NMF model in ``IlrmaState``, a subclass that overrides only that method.
 
-Offline mode replaces the recursion by the batch mean over all frames and
-serves as the convergence oracle for the online mode; its sweep
-``batch_fixed_point`` serves both oracles, each with its own weights.
+Offline mode (``offline_batch``) replaces the recursion by the batch mean
+over all frames and serves as the convergence oracle for the online mode.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +54,44 @@ from .ctf import demix_frame, passthrough_row
 
 COV_INIT_SCALE = 1e-3
 R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
+KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
+    """The compiled ``ewma`` and ``solve`` kernels, or None if any step fails.
+
+    The shared object is cached as ``kernels-<sha256 of source and flags>.so``
+    in ``cache_dir``, compiled there on first use by ``cc`` into a temporary
+    file that is then renamed into place, and loaded through ``ctypes``.
+    """
+    try:
+        source = KERNEL_SOURCE.read_bytes()
+        digest = hashlib.sha256(source + " ".join(KERNEL_FLAGS).encode()).hexdigest()
+        target = cache_dir / f"kernels-{digest}.so"
+        if not target.exists():
+            cache_dir.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *KERNEL_FLAGS, "-o", tmp, str(KERNEL_SOURCE)],
+                               capture_output=True, check=True, timeout=120)
+                os.replace(tmp, target)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        lib = ctypes.CDLL(str(target))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
+    lib.ewma.argtypes = (size, size, ptr, ptr, real, ptr, size)
+    lib.ewma.restype = None
+    lib.solve.argtypes = (size, size, ptr, ptr, real, ptr)
+    lib.solve.restype = size
+    return lib
+
+
+_kernels = build_kernels()  # None: the numpy code below runs instead
 
 
 @dataclass(frozen=True)
@@ -80,6 +133,12 @@ class AuxivaState:
         self.rows[bins] = passthrough_row(self.dim)
 
 
+def _kernel_layout(cov: np.ndarray) -> bool:
+    """Whether the kernel can update ``cov`` in place: C-contiguous complex128 (K, D, D)."""
+    return (cov.dtype == np.complex128 and cov.ndim == 3 and cov.shape[1] == cov.shape[2]
+            and cov.flags.c_contiguous and cov.flags.writeable)
+
+
 def ewma_covariance_update(
     cov: np.ndarray, obs: np.ndarray, alpha: float, gain
 ) -> None:
@@ -88,9 +147,21 @@ def ewma_covariance_update(
     ``gain`` is a scalar (shared weight) or a length-K vector (per-bin
     weight); ``cov`` is (K, D, D) and ``obs`` (K, D). y y^H is exactly
     Hermitian, so ``cov`` stays exactly Hermitian with no re-symmetrization.
+    Runs the compiled kernel when it is loaded and ``cov`` is a C-contiguous
+    complex128 (K, D, D) array, else the numpy code below.
     """
-    update = np.einsum("kd,ke->kde", obs, obs.conj())
     gain = np.asarray(gain, dtype=np.float64)
+    n_bins = len(cov)
+    # A 0-d gain becomes (1,) under ascontiguousarray, so take the stride first.
+    stride = {(): 0, (1,): 0, (n_bins,): 1}.get(gain.shape)
+    if _kernels is not None and stride is not None and _kernel_layout(cov):
+        obs = np.ascontiguousarray(obs, dtype=np.complex128)
+        if obs.shape == cov.shape[:2]:
+            gain = np.ascontiguousarray(gain)
+            _kernels.ewma(n_bins, obs.shape[1], cov.ctypes.data, obs.ctypes.data,
+                          alpha, gain.ctypes.data, stride)
+            return
+    update = np.einsum("kd,ke->kde", obs, obs.conj())
     if gain.ndim == 1:
         gain = gain[:, np.newaxis, np.newaxis]
     cov *= alpha
@@ -104,9 +175,19 @@ def solve_demixing_rows(
 
     ``cov`` is (K, D, D) and Hermitian, ``prev_rows`` (K, D). Bins whose
     trace or solution is non-finite keep their previous row; the count of
-    such bins is returned alongside the rows.
+    such bins is returned alongside the rows. Runs the compiled kernel when
+    it is loaded, else the numpy code below.
     """
     n_bins, dim = prev_rows.shape
+    if _kernels is not None and np.shape(cov) == (n_bins, dim, dim):
+        cov = np.ascontiguousarray(cov, dtype=np.complex128)
+        prev_rows = np.ascontiguousarray(prev_rows, dtype=np.complex128)
+        rows = np.empty_like(prev_rows)
+        skipped = _kernels.solve(n_bins, dim, cov.ctypes.data, prev_rows.ctypes.data,
+                                 diag_load, rows.ctypes.data)
+        if skipped < 0:
+            raise MemoryError("row solve workspace")
+        return rows, skipped
     n = dim - 1
     trace = np.einsum("kdd->k", cov).real
     # Augmented [C + lambda I | b] with the bins on the contiguous last axis.
@@ -173,43 +254,27 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     return demix_frame(state.rows, obs)
 
 
-def batch_array(observations) -> np.ndarray:
-    """(N, K, D) complex observations for the batch oracles; other ranks raise."""
-    observations = np.asarray(observations, dtype=np.complex128)
-    if observations.ndim != 3:
-        raise ValueError(f"expected (N, K, D) observations, got {observations.shape}")
-    return observations
-
-
-def batch_fixed_point(
-    observations: np.ndarray, diag_load: float, iterations: int, weights
-) -> np.ndarray:
-    """Batch fixed-point sweeps over (N, K, D) observations; returns (K, D) rows.
-
-    From passthrough rows, each sweep maps the (N, K) outputs to covariance
-    weights (``weights``), forms the weighted mean covariance per bin, and
-    re-solves every row with the online mode's normalization.
-    """
-    obs = batch_array(observations)
-    n_frames, n_bins, dim = obs.shape
-    rows = np.tile(passthrough_row(dim), (n_bins, 1))
-    for _ in range(iterations):
-        e = np.einsum("kd,nkd->nk", rows.conj(), obs)
-        cov = np.einsum("nk,nkd,nke->kde", weights(e), obs, obs.conj()) / n_frames
-        cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-        rows, _ = solve_demixing_rows(cov, rows, diag_load)
-    return rows
-
-
 def offline_batch(
     observations: np.ndarray,
     config: AuxivaConfig = AuxivaConfig(),
     iterations: int = 20,
 ) -> np.ndarray:
-    """Batch fixed point with the per-frame weight Phi(r1(n)), shared by all bins."""
+    """Batch fixed-point sweeps over (N, K, D) observations; returns (K, D) rows.
 
-    def phi(e):
-        r = np.maximum(np.sqrt(np.sum(np.abs(e) ** 2, axis=1)), R_FLOOR)
-        return np.broadcast_to((r ** (config.beta - 2.0))[:, np.newaxis], e.shape)
-
-    return batch_fixed_point(observations, config.diag_load, iterations, phi)
+    From passthrough rows, each sweep weights every frame by Phi(r1(n)) of its
+    outputs, shared by all bins, forms the weighted mean covariance per bin,
+    and re-solves every row with the online mode's normalization.
+    """
+    obs = np.asarray(observations, dtype=np.complex128)
+    if obs.ndim != 3:
+        raise ValueError(f"expected (N, K, D) observations, got {obs.shape}")
+    n_frames, n_bins, dim = obs.shape
+    rows = np.tile(passthrough_row(dim), (n_bins, 1))
+    for _ in range(iterations):
+        e = np.einsum("kd,nkd->nk", rows.conj(), obs)
+        r1 = np.maximum(np.sqrt(np.sum(np.abs(e) ** 2, axis=1)), R_FLOOR)
+        phi = np.broadcast_to((r1 ** (config.beta - 2.0))[:, np.newaxis], e.shape)
+        cov = np.einsum("nk,nkd,nke->kde", phi, obs, obs.conj()) / n_frames
+        cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
+        rows, _ = solve_demixing_rows(cov, rows, config.diag_load)
+    return rows

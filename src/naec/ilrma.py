@@ -21,10 +21,9 @@ The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 carry over between frames (frame 0 starts uniform at 1/B); bases start at
 the constant 1; after a covariance overflow, non-finite bases rows and
 activations return to these values. A frame whose pre-update output is all
-zero (digital silence) skips both updates and reuses the last 1/r1. The
-offline mode keeps a full (B, N) activation matrix and uses batch sums
-(``nmf_batch_sweep``) inside the AuxIVA batch sweep, serving as the oracle
-for the online updates.
+zero (digital silence) skips both updates and reuses the last 1/r1.
+``nmf_batch_sweep`` runs both updates with batch sums over a full (B, N)
+activation matrix; it is the oracle for the online updates.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiva import AuxivaState, batch_array, batch_fixed_point
+from .auxiva import AuxivaState
 from .auxiva import process_frame as process_frame  # the shared online core, re-exported
 from .auxiva import solve_demixing_rows as solve_demixing_rows  # likewise
 from .ctf import demix_frame
@@ -112,16 +111,6 @@ class IlrmaState(AuxivaState):
         m.recompute_variance()
 
 
-@dataclass
-class OfflineIlrmaResult:
-    """Converged rows plus the batch NMF model (activations are B x N here)."""
-
-    rows: np.ndarray
-    t1: np.ndarray
-    v1: np.ndarray
-    r1: np.ndarray
-
-
 def nmf_batch_sweep(
     t1: np.ndarray, v1: np.ndarray, power: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,36 +135,3 @@ def itakura_saito(power: np.ndarray, variance: np.ndarray) -> float:
     """Itakura-Saito divergence sum(p/r - log(p/r) - 1) between power and model."""
     ratio = np.asarray(power) / np.asarray(variance)
     return float(np.sum(ratio - np.log(ratio) - 1.0))
-
-
-def offline_batch(
-    observations: np.ndarray,
-    config: IlrmaConfig = IlrmaConfig(),
-    iterations: int = 20,
-    seed: int | None = None,
-) -> OfflineIlrmaResult:
-    """Batch fixed point weighted by 1/r1 after one ``nmf_batch_sweep`` per sweep.
-
-    With ``seed`` given, bases and activations start from random positive
-    values (the usual batch NMF initialization); otherwise both start
-    uniform, matching the online mode.
-    """
-    observations = batch_array(observations)
-    n_frames, n_bins, _ = observations.shape
-    b = config.bases_b
-    if seed is None:
-        t1 = np.ones((n_bins, b))
-        v1 = np.full((b, n_frames), 1.0 / b)
-    else:
-        rng = np.random.default_rng(seed)
-        t1 = rng.uniform(0.5, 1.5, size=(n_bins, b))
-        v1 = rng.uniform(0.5, 1.5, size=(b, n_frames))
-    r1 = np.maximum(t1 @ v1, NMF_FLOOR)
-
-    def nmf_weights(e):
-        nonlocal t1, v1, r1
-        t1, v1, r1 = nmf_batch_sweep(t1, v1, np.abs(e.T) ** 2, NMF_FLOOR)
-        return (1.0 / r1).T
-
-    rows = batch_fixed_point(observations, config.diag_load, iterations, nmf_weights)
-    return OfflineIlrmaResult(rows=rows, t1=t1, v1=v1, r1=r1)

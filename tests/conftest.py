@@ -1,8 +1,12 @@
 """Shared fixtures: small deterministic signals and scenes."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from naec import auxiva
 from naec.audio_io import AudioSignal
 from naec.sim import (
     NonlinearitySpec,
@@ -57,3 +61,20 @@ def random_hpd(rng, dim, n_bins=1):
 def signal_pair(short_noise):
     mic = AudioSignal(short_noise.samples * 0.5)
     return short_noise, mic
+
+
+def numpy_path():
+    """Context in which ``naec.auxiva`` runs its numpy code, as with no C compiler."""
+    return mock.patch.object(auxiva, "_kernels", None)
+
+
+def on_both_paths(test):
+    """Run ``test`` on the compiled kernels (when loaded), then on the numpy path."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        test(*args, **kwargs)
+        with numpy_path():
+            test(*args, **kwargs)
+
+    return run

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hpd
-from naec import ilrma
+from conftest import on_both_paths, random_hpd
 from naec.auxiva import (
     R_FLOOR,
     AuxivaConfig,
@@ -42,6 +41,7 @@ def test_state_starts_at_passthrough():
     assert state.frame_count == 0 and state.skipped_bins == 0
 
 
+@on_both_paths
 def test_ewma_update_matches_dense_formula(rng):
     k, d, alpha, phi = 3, 4, 0.9, 2.5
     cov = random_hpd(rng, d, k)
@@ -55,6 +55,7 @@ def test_ewma_update_matches_dense_formula(rng):
     np.testing.assert_allclose(cov, cov.conj().transpose(0, 2, 1), rtol=0, atol=1e-15)
 
 
+@on_both_paths
 def test_ewma_per_bin_gain(rng):
     k, d = 4, 2
     cov = random_hpd(rng, d, k)
@@ -69,6 +70,7 @@ def test_ewma_per_bin_gain(rng):
     np.testing.assert_allclose(cov[2], expected, rtol=1e-13)
 
 
+@on_both_paths
 def test_ewma_keeps_covariance_exactly_hermitian(rng):
     """The recursion needs no re-Hermitization: y y^H is exactly Hermitian."""
     k, d = 6, 5
@@ -91,6 +93,7 @@ def _lapack_rows(cov, diag_load):
     return sol / sol[:, :1]
 
 
+@on_both_paths
 def test_loading_is_trace_relative(rng):
     """The tail is -(C + lambda I)^{-1} b with lambda = diag_load * tr(V) / D."""
     dim, n_bins = 3, 2
@@ -107,6 +110,7 @@ def test_loading_is_trace_relative(rng):
             assert rows[k, 0] == 1.0
 
 
+@on_both_paths
 def test_row_solve_matches_inverse_first_column(rng):
     n_bins = 513
     for dim in (2, 4, 10, 19):
@@ -125,6 +129,7 @@ def test_row_solve_matches_inverse_first_column(rng):
             np.testing.assert_allclose(rows[0], col / col[0], rtol=1e-8)
 
 
+@on_both_paths
 def test_row_solve_keeps_previous_on_singular(rng):
     cov = np.zeros((3, 3, 3), dtype=np.complex128)
     cov[1] = random_hpd(rng, 3, 1)[0]
@@ -191,13 +196,12 @@ def test_offline_batch_scale_invariant(rng):
     np.testing.assert_allclose(rows_a, rows_b, rtol=1e-9)
 
 
-@pytest.mark.parametrize("batch", [offline_batch, ilrma.offline_batch],
-                         ids=["auxiva", "ilrma"])
-def test_offline_batch_validates_shape(batch):
+def test_offline_batch_validates_shape():
     with pytest.raises(ValueError, match=r"\(N, K, D\)"):
-        batch(np.zeros((4, 3), dtype=complex))
+        offline_batch(np.zeros((4, 3), dtype=complex))
 
 
+@on_both_paths
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),

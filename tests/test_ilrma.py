@@ -9,7 +9,6 @@ from naec.ilrma import (
     NmfSourceModel,
     itakura_saito,
     nmf_batch_sweep,
-    offline_batch,
     process_frame,
     update_activations,
     update_bases,
@@ -136,18 +135,6 @@ def test_process_frame_shape_check():
     state = IlrmaState(4, 3)
     with pytest.raises(ValueError):
         process_frame(state, np.zeros((3, 3), dtype=complex))
-
-
-def test_offline_batch_shapes_and_determinism(rng):
-    obs = rng.standard_normal((10, 5, 3)) + 1j * rng.standard_normal((10, 5, 3))
-    res_a = offline_batch(obs, IlrmaConfig(bases_b=2), iterations=6)
-    res_b = offline_batch(obs, IlrmaConfig(bases_b=2), iterations=6)
-    assert res_a.rows.shape == (5, 3)
-    assert res_a.t1.shape == (5, 2)
-    assert res_a.v1.shape == (2, 10)
-    np.testing.assert_array_equal(res_a.rows, res_b.rows)
-    seeded = offline_batch(obs, IlrmaConfig(bases_b=2), iterations=6, seed=1)
-    assert not np.array_equal(seeded.t1, res_a.t1)
 
 
 def test_config_validation():
