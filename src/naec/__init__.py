@@ -11,7 +11,7 @@ from .audio_io import (
 )
 from .auxiva import AuxivaConfig, AuxivaState
 from .ctf import CtfConfig
-from .ilrma import IlrmaConfig, IlrmaState
+from .ilrma import IlrmaState
 from .metrics import MetricCurve, erle, steady_state, terle
 from .nonlin import odd_powers
 from .pipeline import (
@@ -49,7 +49,6 @@ __all__ = [
     "CtfConfig",
     "EngineConfig",
     "EngineStats",
-    "IlrmaConfig",
     "IlrmaState",
     "MetricCurve",
     "NonlinearitySpec",

@@ -96,9 +96,12 @@ _kernels = build_kernels()  # None: the numpy code below runs instead
 
 @dataclass(frozen=True)
 class AuxivaConfig:
+    """Online-core settings of both optimizers; ``beta`` is AuxIVA's, ``bases_b`` ILRMA's."""
+
     alpha: float = 0.99
     beta: float = 0.4
     diag_load: float = 1e-6
+    bases_b: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -107,6 +110,8 @@ class AuxivaConfig:
             raise ValueError(f"beta must be in (0, 2), got {self.beta}")
         if self.diag_load <= 0.0:
             raise ValueError(f"diag_load must be positive, got {self.diag_load}")
+        if self.bases_b < 1:
+            raise ValueError(f"bases_b must be >= 1, got {self.bases_b}")
 
 
 class AuxivaState:

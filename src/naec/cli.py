@@ -8,8 +8,9 @@ Three subcommands share the flat dotted-key config format:
 - ``compare``: run two or more named engine configs on the identical scene.
 
 Exit codes: 0 success, 1 usage error (bad arguments, unreadable inputs,
-invalid config), 2 runtime error. All randomness flows from the scene seed
-(or ``--seed``), so repeated runs write byte-identical CSV and WAV outputs.
+invalid config), 2 runtime error. Engine configs are all checked before any
+work. All randomness flows from the scene seed (or ``--seed``), so repeated
+runs on one machine write byte-identical CSV and WAV outputs.
 """
 
 from __future__ import annotations
@@ -193,20 +194,18 @@ def _cmd_simulate(args, out_dir: Path) -> None:
     if (sweep_key is None) != (sweep_values is None):
         raise UsageError("sweep.key and sweep.values must be given together")
 
-    base_dir = args.config.parent
     grid = sweep_values.split() if sweep_values else [None]
     if not grid:
         raise UsageError("sweep.values is empty")
+    runs = [mapping if token is None else {**mapping, sweep_key: token} for token in grid]
+    engines = [_engine(m) for m in runs]  # every config is checked before any work
     all_curves = {}
     results = []
-    for token in grid:
-        m = dict(mapping)
-        if token is not None:
-            m[sweep_key] = token
-        scene = _scene(m, base_dir, args.seed)
+    for token, m, engine in zip(grid, runs, engines):
+        scene = _scene(m, args.config.parent, args.seed)
         comps = synthesize_scene(scene)
         tag = "" if token is None else f"[{sweep_key}={token}]"
-        enhanced, entry = _run_engine(scene, comps, _engine(m), all_curves,
+        enhanced, entry = _run_engine(scene, comps, engine, all_curves,
                                       tag, f"simulate{tag}")
         results.append({"grid": {} if token is None else {sweep_key: token}, **entry})
         if token is None:
@@ -234,15 +233,14 @@ def _cmd_compare(args, out_dir: Path) -> None:
     if plain:
         raise UsageError(f"compare uses only engine.<name>.* keys, got {sorted(plain)}")
 
+    configs = [_engine(mapping, prefix=f"engine.{name}") for name in names]
     scene = _scene(mapping, args.config.parent, args.seed)
     comps = synthesize_scene(scene)
     _write_scene_wavs(out_dir, scene.far_end, comps, enhanced=None)
     all_curves = {}
     engines = []
-    for name in names:
-        enhanced, entry = _run_engine(scene, comps,
-                                      _engine(mapping, prefix=f"engine.{name}"),
-                                      all_curves, f".{name}", name)
+    for name, config in zip(names, configs):
+        enhanced, entry = _run_engine(scene, comps, config, all_curves, f".{name}", name)
         write_wav(enhanced, out_dir / f"enhanced.{name}.wav")
         engines.append({"name": name, **entry})
     write_result_csv(ResultTable.from_curves(all_curves), out_dir / "metrics.csv")

@@ -16,43 +16,25 @@ per-frame scalar of the AuxIVA variant:
     V1(k, n) = alpha * V1(k, n-1) + (1 - alpha) * (1 / r1(k, n)) * y y^H
 
 The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
-``AuxivaState``, adds the NMF model and overrides only ``frame_weight``, so
-``process_frame`` here is ``auxiva.process_frame``. Online activations
-carry over between frames (frame 0 starts uniform at 1/B); bases start at
-the constant 1; after a covariance overflow, non-finite bases rows and
-activations return to these values. A frame whose pre-update output is all
-zero (digital silence) skips both updates and reuses the last 1/r1.
-``nmf_batch_sweep`` runs both updates with batch sums over a full (B, N)
-activation matrix; it is the oracle for the online updates.
+``AuxivaState``, adds an NMF model of ``AuxivaConfig.bases_b`` bases and
+overrides only ``frame_weight``; ``auxiva.process_frame`` drives it. Online
+activations carry over between frames (frame 0 starts uniform at 1/B);
+bases start at the constant 1; after a covariance overflow, non-finite
+bases rows and activations return to these values. A frame whose
+pre-update output is all zero (digital silence) skips both updates and
+reuses the last 1/r1. ``nmf_batch_sweep`` runs both updates with batch
+sums over a full (B, N) activation matrix; it is the oracle for the online
+updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .auxiva import AuxivaState
-from .auxiva import process_frame as process_frame  # the shared online core, re-exported
-from .auxiva import solve_demixing_rows as solve_demixing_rows  # likewise
+from .auxiva import AuxivaConfig, AuxivaState
 from .ctf import demix_frame
 
 NMF_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class IlrmaConfig:
-    alpha: float = 0.99
-    bases_b: int = 10
-    diag_load: float = 1e-6
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.bases_b < 1:
-            raise ValueError(f"bases_b must be >= 1, got {self.bases_b}")
-        if self.diag_load <= 0.0:
-            raise ValueError(f"diag_load must be positive, got {self.diag_load}")
 
 
 class NmfSourceModel:
@@ -90,7 +72,7 @@ def update_activations(model: NmfSourceModel, e1: np.ndarray) -> None:
 class IlrmaState(AuxivaState):
     """The AuxIVA covariance/rows state plus the NMF source model."""
 
-    def __init__(self, n_bins: int, dim: int, config: IlrmaConfig = IlrmaConfig()):
+    def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
         super().__init__(n_bins, dim, config)
         self.model = NmfSourceModel(n_bins, config.bases_b)
 

@@ -11,17 +11,18 @@ Internally each chunk shifts one time buffer holding the microphone (row 0)
 and the odd-power reference channels (rows 1..P), transforms all rows with
 one FFT, stacks the frame with the reference frame history into the
 observation vector (``ctf.stack_observations``), runs one step of the
-optimizer core (``auxiva.process_frame``, which serves both optimizers
-through their state class), and overlap-adds the demixed frame into a
-one-window accumulator aligned to the next sample to emit. The hop divides
-the window, so each emitted hop has been covered by exactly
-``window_len/hop`` frames and is divided by the fixed ``stft.ola_norm``.
+optimizer core (``auxiva.process_frame`` on the optimizer's state class in
+``STATES``, configured by ``EngineConfig.auxiva``), and overlap-adds the
+demixed frame into a one-window accumulator aligned to the next sample to
+emit. The hop divides the window at least four times, so each emitted hop
+has been covered by exactly ``window_len/hop`` frames and is divided by
+the flat ``stft.ola_norm``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,27 +31,26 @@ from . import auxiva
 from .audio_io import SAMPLE_RATE, AudioSignal
 from .auxiva import AuxivaConfig, AuxivaState
 from .ctf import CtfConfig, stack_observations
-from .ilrma import IlrmaConfig, IlrmaState
+from .ilrma import IlrmaState
 from .nonlin import odd_powers
-from .stft import StftConfig, check_cola, ola_norm
+from .stft import StftConfig, ola_norm
 
-OPTIMIZERS = ("auxiva", "ilrma")
+STATES = {"auxiva": AuxivaState, "ilrma": IlrmaState}  # optimizer name -> state class
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Optimizer choice plus transform / filter / adaptation parameters."""
+    """Optimizer choice plus transform / filter / online-core parameters."""
 
     optimizer: str = "auxiva"
     stft: StftConfig = field(default_factory=StftConfig)
     ctf: CtfConfig = field(default_factory=CtfConfig)
     auxiva: AuxivaConfig = field(default_factory=AuxivaConfig)
-    ilrma: IlrmaConfig = field(default_factory=IlrmaConfig)
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
+        if self.optimizer not in STATES:
             raise ValueError(
-                f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
+                f"optimizer must be one of {tuple(STATES)}, got {self.optimizer!r}"
             )
 
 
@@ -77,7 +77,6 @@ class StreamingEngine:
     def __init__(self, config: EngineConfig | None = None):
         self.config = config = config if config is not None else EngineConfig()
         sc = config.stft
-        check_cola(sc)
         self._window = sc.window_samples()
         self._norm = ola_norm(sc)
         self._hop = sc.hop
@@ -89,10 +88,7 @@ class StreamingEngine:
         # first latency_chunks frames shift out of the accumulator unemitted.
         self._buf = np.zeros((p + 1, self._wl))
         self._hist = np.zeros((p, l, sc.n_bins), dtype=np.complex128)
-        if config.optimizer == "auxiva":
-            self._state = AuxivaState(sc.n_bins, config.ctf.dim, config.auxiva)
-        else:
-            self._state = IlrmaState(sc.n_bins, config.ctf.dim, config.ilrma)
+        self._state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
         self._acc = np.zeros(self._wl)  # starts at the next sample to emit
         self._frames = 0
         self._closed = False
@@ -231,41 +227,22 @@ def run_streaming(
 def engine_from_mapping(mapping: Mapping, prefix: str = "engine") -> EngineConfig:
     """Build an EngineConfig from flat dotted keys under ``prefix``.
 
-    Recognized keys (all optional): optimizer, frames_l, order_p, alpha,
-    beta, bases_b, diag_load, window_len, hop. ``alpha`` sets the smoothing
-    factor of whichever optimizer is selected. Unknown keys under the
-    prefix raise ValueError.
+    Recognized keys (all optional): ``optimizer`` and the field names of
+    ``StftConfig``, ``CtfConfig`` and ``AuxivaConfig``, which share none.
+    Each value is converted by the type of its field's default; an absent
+    key keeps the dataclass default. Unknown keys under the prefix raise
+    ValueError.
     """
     dot = prefix + "."
     m = {k[len(dot):]: v for k, v in mapping.items() if k.startswith(dot)}
-    known = {
-        "optimizer", "frames_l", "order_p", "alpha", "beta",
-        "bases_b", "diag_load", "window_len", "hop",
-    }
+    sections = {"stft": StftConfig, "ctf": CtfConfig, "auxiva": AuxivaConfig}
+    known = {"optimizer"} | {f.name for cls in sections.values() for f in fields(cls)}
     unknown = set(m) - known
     if unknown:
-        raise ValueError(
-            f"unknown engine config keys: {sorted(dot + k for k in unknown)}"
-        )
-    stft_kw = {k: int(m[k]) for k in ("window_len", "hop") if k in m}
-    ctf = CtfConfig(
-        frames_l=int(m.get("frames_l", 3)),
-        order_p=int(m.get("order_p", 3)),
-    )
-    aux_kw = {}
-    ilr_kw = {}
-    if "alpha" in m:
-        aux_kw["alpha"] = ilr_kw["alpha"] = float(m["alpha"])
-    if "diag_load" in m:
-        aux_kw["diag_load"] = ilr_kw["diag_load"] = float(m["diag_load"])
-    if "beta" in m:
-        aux_kw["beta"] = float(m["beta"])
-    if "bases_b" in m:
-        ilr_kw["bases_b"] = int(m["bases_b"])
-    return EngineConfig(
-        optimizer=m.get("optimizer", "auxiva"),
-        stft=StftConfig(**stft_kw),
-        ctf=ctf,
-        auxiva=AuxivaConfig(**aux_kw),
-        ilrma=IlrmaConfig(**ilr_kw),
-    )
+        raise ValueError(f"unknown engine config keys: {sorted(dot + k for k in unknown)}")
+    kwargs = {name: cls(**{f.name: type(f.default)(m[f.name])
+                           for f in fields(cls) if f.name in m})
+              for name, cls in sections.items()}
+    if "optimizer" in m:
+        kwargs["optimizer"] = m["optimizer"]
+    return EngineConfig(**kwargs)

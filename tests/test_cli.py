@@ -150,6 +150,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) \
             == EXIT_USAGE
 
+    def test_non_cola_window_is_usage_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, SCENE_CFG + "engine.hop = 512\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        assert "window_len/hop" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_invalid_sweep_value_stops_before_any_work(self, tmp_path, capsys):
+        cfg = _write_cfg(
+            tmp_path, SCENE_CFG + "sweep.key = engine.alpha\nsweep.values = 0.9 2\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""  # no sweep point ran
+        assert list(out.iterdir()) == []
+
     def test_synthesis_failure_is_runtime_error(self, tmp_path, capsys):
         # t60 at the spec minimum is physically unreachable in the default
         # room, which only surfaces once synthesis derives wall absorption
@@ -190,6 +206,15 @@ class TestCompare:
         cfg = _write_cfg(tmp_path, self.CFG + "engine.optimizer = auxiva\n")
         assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) \
             == EXIT_USAGE
+
+    def test_invalid_section_stops_before_any_work(self, tmp_path, capsys):
+        cfg = _write_cfg(
+            tmp_path, SCENE_CFG + "engine.a.optimizer = auxiva\nengine.b.alpha = 2\n"
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        assert "alpha" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_rejects_sweep(self, tmp_path):
         cfg = _write_cfg(tmp_path, self.CFG + "sweep.key = room.t60\nsweep.values = 0.2\n")

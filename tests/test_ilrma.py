@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from naec.auxiva import AuxivaConfig, process_frame
 from naec.ilrma import (
-    IlrmaConfig,
     IlrmaState,
     NmfSourceModel,
     itakura_saito,
     nmf_batch_sweep,
-    process_frame,
     update_activations,
     update_bases,
 )
@@ -121,7 +120,7 @@ def test_itakura_saito_zero_at_match(rng):
 
 
 def test_online_state_and_zero_reference_passthrough(rng):
-    state = IlrmaState(4, 3, IlrmaConfig(bases_b=2))
+    state = IlrmaState(4, 3, AuxivaConfig(bases_b=2))
     for _ in range(8):
         obs = np.zeros((4, 3), dtype=np.complex128)
         obs[:, 0] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -135,10 +134,3 @@ def test_process_frame_shape_check():
     state = IlrmaState(4, 3)
     with pytest.raises(ValueError):
         process_frame(state, np.zeros((3, 3), dtype=complex))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IlrmaConfig(bases_b=0)
-    with pytest.raises(ValueError):
-        IlrmaConfig(alpha=1.5)

@@ -1,10 +1,15 @@
 """Streaming engine: chunked equivalence, latency, passthrough, config."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from naec import auxiva
 from naec.audio_io import SAMPLE_RATE, AudioSignal
+from naec.auxiva import AuxivaConfig
 from naec.ctf import CtfConfig
 from naec.metrics import erle, steady_state
 from naec.nonlin import odd_powers
@@ -303,7 +308,41 @@ def test_subband_filter_model_convergence():
     assert steady_state(erle(mic, out)) > 15.0
 
 
+SECTIONS = (StftConfig, CtfConfig, AuxivaConfig)
+# A valid non-default value for every engine setting, as a config file writes it.
+NON_DEFAULT = {
+    "optimizer": "ilrma", "window_len": "2048", "hop": "128", "frames_l": "2",
+    "order_p": "1", "alpha": "0.95", "beta": "0.5", "diag_load": "1e-5", "bases_b": "4",
+}
+
+
+def _settings(c: EngineConfig) -> dict:
+    """Every independently settable value of an engine config, by key."""
+    sections = (c.stft, c.ctf, c.auxiva)
+    return {"optimizer": c.optimizer,
+            **{f.name: getattr(s, f.name) for s in sections for f in fields(s)}}
+
+
 class TestEngineFromMapping:
+    def test_settings_have_distinct_names(self):
+        names = ["optimizer"] + [f.name for cls in SECTIONS for f in fields(cls)]
+        assert len(set(names)) == len(names) == 9
+        assert set(_settings(EngineConfig())) == set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_each_key_sets_exactly_its_field(self, key):
+        c = engine_from_mapping({f"engine.{key}": NON_DEFAULT[key]})
+        default = _settings(EngineConfig())
+        assert _settings(c) == {**default, key: type(default[key])(NON_DEFAULT[key])}
+        assert _settings(c)[key] != default[key]
+
+    def test_readme_engine_row_lists_exactly_the_keys(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        row = next(line for line in readme.read_text().splitlines()
+                   if line.startswith("| `engine.` |"))
+        keys = re.findall(r"`([a-z_]+)`", re.sub(r"\([^)]*\)", "", row.split("|")[2]))
+        assert sorted(keys) == sorted(NON_DEFAULT)
+
     def test_defaults(self):
         c = engine_from_mapping({})
         assert c == EngineConfig()
@@ -324,9 +363,7 @@ class TestEngineFromMapping:
         )
         assert c.optimizer == "ilrma"
         assert c.ctf == CtfConfig(frames_l=2, order_p=1)
-        assert c.ilrma.alpha == 0.95 and c.auxiva.alpha == 0.95
-        assert c.ilrma.bases_b == 4
-        assert c.auxiva.beta == 0.5
+        assert c.auxiva == AuxivaConfig(alpha=0.95, beta=0.5, diag_load=1e-5, bases_b=4)
         assert c.stft.window_len == 512 and c.stft.hop == 128
 
     def test_unknown_key(self):

@@ -12,7 +12,6 @@ from naec.stft import (
     Spectrogram,
     StftConfig,
     analyze,
-    check_cola,
     n_frames_for,
     ola_norm,
     synthesize,
@@ -36,6 +35,35 @@ def test_config_validation():
         StftConfig(hop=2048)
     with pytest.raises(ValueError, match="divide"):
         StftConfig(window_len=512, hop=3)  # the overlap sum is flat, but not per hop
+    for window_len, hop in [(1, 1), (2, 1), (1024, 512), (1024, 1024)]:
+        with pytest.raises(ColaError):  # window_len/hop < 4
+            StftConfig(window_len, hop)
+
+
+def _squared_hann_overlap_sum(window_len: int, hop: int) -> np.ndarray:
+    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(window_len) / window_len))
+    return (w * w).reshape(-1, hop).sum(axis=0)
+
+
+def test_config_admits_exactly_the_flat_overlap_pairs():
+    """Every power-of-two window up to 2**16 with every hop dividing it:
+    a pair is admitted exactly when the squared-window overlap sum is
+    non-zero and flat to 1e-10, save for the flat two-sample window at
+    hop 1, which the window_len/hop >= 4 rule excludes."""
+    flat_but_rejected = []
+    for window_len in (2**e for e in range(17)):
+        for hop in (2**e for e in range(window_len.bit_length())):
+            norm = _squared_hann_overlap_sum(window_len, hop)
+            flat = norm.min() > 0 and norm.max() - norm.min() <= 1e-10 * norm.mean()
+            try:
+                config = StftConfig(window_len, hop)
+            except ColaError:
+                if flat:
+                    flat_but_rejected.append((window_len, hop))
+                continue
+            assert flat, (window_len, hop)
+            np.testing.assert_allclose(ola_norm(config), 0.375 * window_len / hop, rtol=1e-10)
+    assert flat_but_rejected == [(2, 1)]
 
 
 def test_periodic_hann_window():
@@ -50,10 +78,7 @@ def test_periodic_hann_window():
 
 def test_overlap_sum_is_constant():
     c = StftConfig()
-    check_cola(c)  # should not raise
     np.testing.assert_allclose(ola_norm(c), np.full(c.hop, 1.5), rtol=1e-12)  # 4 * 3/8
-    with pytest.raises(ColaError):
-        check_cola(StftConfig(window_len=1024, hop=1024))
 
 
 def test_frame_count_formula():
