@@ -29,10 +29,6 @@ def test_config_validation():
         AuxivaConfig(beta=2.0)
     with pytest.raises(ValueError):
         AuxivaConfig(diag_load=0.0)
-    with pytest.raises(ValueError):
-        AuxivaConfig(bases_b=0)
-    with pytest.raises(ValueError):
-        AuxivaConfig(alpha=1.5)
 
 
 def test_state_starts_at_passthrough():

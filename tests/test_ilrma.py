@@ -134,3 +134,10 @@ def test_process_frame_shape_check():
     state = IlrmaState(4, 3)
     with pytest.raises(ValueError):
         process_frame(state, np.zeros((3, 3), dtype=complex))
+
+
+def test_config_validation():
+    with pytest.raises(ValueError):
+        AuxivaConfig(bases_b=0)
+    with pytest.raises(ValueError):
+        AuxivaConfig(alpha=1.5)
