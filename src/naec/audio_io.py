@@ -1,14 +1,18 @@
-"""Audio file I/O and experiment-result serialization.
+"""Audio file I/O and the experiment formats: WAV, flat config, result CSV.
 
 Every pipeline entry point works on mono 16 kHz signals. WAV files outside
 that contract are rejected outright; there is no silent resampling.
+
+Configs are flat ``key = value`` text with dotted keys (``room.t60 = 0.3``),
+read by ``parse_flat_config``; ``from_flat`` builds one config dataclass from
+the keys under a prefix, so config loaders write no default of their own.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,41 +102,61 @@ def write_wav(signal: AudioSignal, path, fmt: str = "float32") -> None:
         raise ValueError(f"unknown WAV format {fmt!r}, expected 'float32' or 'pcm16'")
 
 
-@dataclass
-class ResultTable:
-    """Rows of (time_s, value_db, series) ready for CSV export."""
-
-    rows: list = field(default_factory=list)
-
-    def append(self, time_s: float, value_db: float, series: str) -> None:
-        self.rows.append((float(time_s), float(value_db), str(series)))
-
-    @classmethod
-    def from_curves(cls, curves) -> "ResultTable":
-        """Build a table from a mapping of series label -> metric curve."""
-        table = cls()
-        for label, curve in curves.items():
-            for t, v in zip(curve.times, curve.values):
-                table.append(t, v, label)
-        return table
+def parse_flat_config(text: str) -> dict:
+    """Parse ``key = value`` lines with dotted keys; '#' starts a comment."""
+    mapping = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ValueError(f"line {lineno}: empty key")
+        mapping[key] = value.strip()
+    return mapping
 
 
-def write_result_csv(table: ResultTable, path) -> None:
-    """Write ``table`` grouped by series, times ascending within each series.
+def check_keys(mapping, prefix: str, names) -> None:
+    """Raise ValueError naming each key under ``prefix`` (or ``prefix`` alone) not in ``names``."""
+    dot = prefix + "."
+    unknown = sorted(k for k in mapping
+                     if (k == prefix or k.startswith(dot)) and k[len(dot):] not in names)
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
 
-    Floats are written with ``repr`` so a generic CSV reader recovers the
-    exact values.
+
+def from_flat(cls, mapping, prefix: str, others=()):
+    """The frozen dataclass ``cls`` built from the ``prefix.<field>`` keys of ``mapping``.
+
+    Each value is converted by the type of its field's default, a tuple
+    from space-separated floats; an absent key keeps the default. A key
+    under the prefix that is neither a field nor in ``others`` raises
+    ValueError.
     """
-    grouped = {}  # series in order of first appearance
-    for time_s, value_db, series in table.rows:
-        grouped.setdefault(series, []).append((time_s, value_db))
-    for series, pairs in grouped.items():
-        times = [t for t, _ in pairs]
-        if any(b <= a for a, b in zip(times, times[1:])):
+    check_keys(mapping, prefix, {*(f.name for f in fields(cls)), *others})
+    given = {f: mapping[f"{prefix}.{f.name}"] for f in fields(cls)
+             if f"{prefix}.{f.name}" in mapping}
+    return cls(**{f.name: tuple(float(v) for v in value.split())
+                  if isinstance(f.default, tuple) else type(f.default)(value)
+                  for f, value in given.items()})
+
+
+def write_result_csv(curves, path) -> None:
+    """Write ``{series: MetricCurve}`` as ``(time_s, value_db, series)`` rows.
+
+    Series follow the mapping's order, each with its times strictly
+    increasing. Floats are written with ``repr`` so a generic CSV reader
+    recovers the exact values.
+    """
+    for series, curve in curves.items():
+        if np.any(np.diff(curve.times) <= 0):
             raise ValueError(f"series {series!r}: time_s must be strictly increasing")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "value_db", "series"])
-        for series, pairs in grouped.items():
-            for time_s, value_db in pairs:
-                writer.writerow([repr(time_s), repr(value_db), series])
+        for series, curve in curves.items():
+            for time_s, value_db in zip(curve.times, curve.values):
+                writer.writerow([repr(float(time_s)), repr(float(value_db)), series])

@@ -115,7 +115,7 @@ class AuxivaConfig:
 
 
 class AuxivaState:
-    """Per-bin covariance and demixing row plus global frame/skip counters."""
+    """Per-bin covariance and demixing row plus the count of skipped bins."""
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
         self.config = config
@@ -125,7 +125,6 @@ class AuxivaState:
             COV_INIT_SCALE * np.eye(dim, dtype=np.complex128), (n_bins, 1, 1)
         )
         self.rows = np.tile(passthrough_row(dim), (n_bins, 1))
-        self.frame_count = 0
         self.skipped_bins = 0
 
     def frame_weight(self, obs: np.ndarray) -> float:
@@ -255,7 +254,6 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
         state.cov, state.rows, state.config.diag_load
     )
     state.skipped_bins += skipped
-    state.frame_count += 1
     return demix_frame(state.rows, obs)
 
 

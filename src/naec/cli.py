@@ -7,10 +7,14 @@ Three subcommands share the flat dotted-key config format:
   supports a one-axis parameter sweep.
 - ``compare``: run two or more named engine configs on the identical scene.
 
+``audio_io.parse_flat_config`` reads the config; ``sim.scene_from_mapping``
+and ``pipeline.engine_from_mapping`` build the scene and engine from it.
+
 Exit codes: 0 success, 1 usage error (bad arguments, unreadable inputs,
-invalid config), 2 runtime error. Engine configs are all checked before any
-work. All randomness flows from the scene seed (or ``--seed``), so repeated
-runs on one machine write byte-identical CSV and WAV outputs.
+invalid config), 2 runtime error. Every engine config and every sweep
+point's scene spec is built before the first scene is synthesized or any
+output written. All randomness flows from the scene seed (or ``--seed``), so
+repeated runs on one machine write byte-identical CSV and WAV outputs.
 """
 
 from __future__ import annotations
@@ -22,21 +26,22 @@ from pathlib import Path
 
 from .audio_io import (
     AudioFormatError,
-    ResultTable,
     SampleRateError,
+    check_keys,
+    parse_flat_config,
     read_wav,
     write_result_csv,
     write_wav,
 )
 from .metrics import erle, steady_state, terle
 from .pipeline import engine_from_mapping, run
-from .sim import parse_flat_config, scene_from_mapping, synthesize_scene
+from .sim import SCENE_PREFIXES, scene_from_mapping, synthesize_scene
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
-_TOP_PREFIXES = {"scene", "room", "nonlinearity", "far_end", "near_end", "engine", "sweep"}
+_TOP_PREFIXES = {*SCENE_PREFIXES, "engine", "sweep"}
 
 
 class UsageError(Exception):
@@ -56,17 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="flat key = value config file")
         p.add_argument("--out-dir", type=Path, default=Path("."),
                        help="directory for outputs (default: current directory)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scene seed")
 
     p = sub.add_parser("process", help="enhance a far-end / microphone WAV pair")
     p.add_argument("far_wav", type=Path)
     p.add_argument("mic_wav", type=Path)
     common(p)
-    p = sub.add_parser("simulate", help="run a synthetic scene and emit metrics")
-    common(p)
-    p = sub.add_parser("compare", help="run several engine configs on one scene")
-    common(p)
+    for name, text in (("simulate", "run a synthetic scene and emit metrics"),
+                       ("compare", "run several engine configs on one scene")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--seed", type=int, default=None, help="override the scene seed")
     return parser
 
 
@@ -96,17 +100,11 @@ def _read_input(path: Path):
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _scene(mapping, base_dir, seed):
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, raising an invalid config or input as UsageError."""
     try:
-        return scene_from_mapping(mapping, base_dir=base_dir, seed_override=seed)
-    except (ValueError, OSError, AudioFormatError, SampleRateError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _engine(mapping, prefix="engine"):
-    try:
-        return engine_from_mapping(mapping, prefix=prefix)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as exc:  # includes AudioFormatError, SampleRateError
         raise UsageError(str(exc)) from exc
 
 
@@ -144,7 +142,7 @@ def _cmd_process(args, out_dir: Path) -> None:
     bad = [k for k in mapping if not k.startswith("engine.")]
     if bad:
         raise UsageError(f"process accepts only engine.* config keys, got {sorted(bad)}")
-    enhanced, stats = run(far, mic, _engine(mapping))
+    enhanced, stats = run(far, mic, _checked(engine_from_mapping, mapping))
     write_wav(enhanced, out_dir / "enhanced.wav")
     _write_json({"command": "process", "stats": _stats_dict(stats)},
                 out_dir / "summary.json")
@@ -185,24 +183,23 @@ def _cmd_simulate(args, out_dir: Path) -> None:
     if _engine_section_names(mapping):
         raise UsageError("simulate uses plain engine.* keys; use compare for "
                          "multiple engine sections")
-    sweep_keys = {k for k in mapping if k.startswith("sweep.")}
-    if sweep_keys - {"sweep.key", "sweep.values"}:
-        raise UsageError(f"unknown sweep keys: "
-                         f"{sorted(sweep_keys - {'sweep.key', 'sweep.values'})}")
+    _checked(check_keys, mapping, "sweep", ("key", "values"))
     sweep_key = mapping.get("sweep.key")
     sweep_values = mapping.get("sweep.values")
     if (sweep_key is None) != (sweep_values is None):
         raise UsageError("sweep.key and sweep.values must be given together")
+    if sweep_key is not None and sweep_key.split(".", 1)[0] not in _TOP_PREFIXES - {"sweep"}:
+        raise UsageError(f"sweep.key {sweep_key!r} is not a scene or engine key")
 
     grid = sweep_values.split() if sweep_values else [None]
     if not grid:
         raise UsageError("sweep.values is empty")
     runs = [mapping if token is None else {**mapping, sweep_key: token} for token in grid]
-    engines = [_engine(m) for m in runs]  # every config is checked before any work
+    engines = [_checked(engine_from_mapping, m) for m in runs]  # all checked before any work
+    scenes = [_checked(scene_from_mapping, m, args.config.parent, args.seed) for m in runs]
     all_curves = {}
     results = []
-    for token, m, engine in zip(grid, runs, engines):
-        scene = _scene(m, args.config.parent, args.seed)
+    for token, scene, engine in zip(grid, scenes, engines):
         comps = synthesize_scene(scene)
         tag = "" if token is None else f"[{sweep_key}={token}]"
         enhanced, entry = _run_engine(scene, comps, engine, all_curves,
@@ -210,7 +207,7 @@ def _cmd_simulate(args, out_dir: Path) -> None:
         results.append({"grid": {} if token is None else {sweep_key: token}, **entry})
         if token is None:
             _write_scene_wavs(out_dir, scene.far_end, comps, enhanced)
-    write_result_csv(ResultTable.from_curves(all_curves), out_dir / "metrics.csv")
+    write_result_csv(all_curves, out_dir / "metrics.csv")
     _write_json({
         "command": "simulate",
         "seed": args.seed,
@@ -233,8 +230,8 @@ def _cmd_compare(args, out_dir: Path) -> None:
     if plain:
         raise UsageError(f"compare uses only engine.<name>.* keys, got {sorted(plain)}")
 
-    configs = [_engine(mapping, prefix=f"engine.{name}") for name in names]
-    scene = _scene(mapping, args.config.parent, args.seed)
+    configs = [_checked(engine_from_mapping, mapping, f"engine.{name}") for name in names]
+    scene = _checked(scene_from_mapping, mapping, args.config.parent, args.seed)
     comps = synthesize_scene(scene)
     _write_scene_wavs(out_dir, scene.far_end, comps, enhanced=None)
     all_curves = {}
@@ -243,7 +240,7 @@ def _cmd_compare(args, out_dir: Path) -> None:
         enhanced, entry = _run_engine(scene, comps, config, all_curves, f".{name}", name)
         write_wav(enhanced, out_dir / f"enhanced.{name}.wav")
         engines.append({"name": name, **entry})
-    write_result_csv(ResultTable.from_curves(all_curves), out_dir / "metrics.csv")
+    write_result_csv(all_curves, out_dir / "metrics.csv")
     _write_json({"command": "compare", "seed": args.seed, "engines": engines},
                 out_dir / "summary.json")
 

@@ -13,7 +13,9 @@ odd-power reference channel. Lags before the start of the signal are zero.
 
 Only one demixing row ever adapts; its first element is pinned to 1 so the
 row rewrites the microphone entry and leaves every reference entry alone.
-Rows use the Hermitian convention: the near-end estimate is ``w^H y``.
+A row is a plain complex array of length P*L + 1, and the rows of all bins
+a (K, P*L + 1) array. Rows use the Hermitian convention: the near-end
+estimate is ``w^H y``.
 """
 
 from __future__ import annotations
@@ -50,29 +52,6 @@ def passthrough_row(dim: int) -> np.ndarray:
     row = np.zeros(dim, dtype=np.complex128)
     row[0] = 1.0
     return row
-
-
-class DemixingRow:
-    """View over one demixing row of dimension P*L + 1, first element 1."""
-
-    __slots__ = ("w_full",)
-
-    def __init__(self, w_full: np.ndarray):
-        w_full = np.asarray(w_full, dtype=np.complex128)
-        if w_full.ndim != 1:
-            raise ValueError(f"expected a 1-D row, got shape {w_full.shape}")
-        if w_full[0] != 1.0:
-            raise ValueError(f"first row element must be exactly 1, got {w_full[0]}")
-        self.w_full = w_full
-
-    @property
-    def w_tail(self) -> np.ndarray:
-        """The P*L adaptive coefficients (a view, not a copy)."""
-        return self.w_full[1:]
-
-    @property
-    def dim(self) -> int:
-        return self.w_full.shape[0]
 
 
 def _check_shapes(mic: Spectrogram, refs: Sequence[Spectrogram], config: CtfConfig):
@@ -152,9 +131,14 @@ def demix_frame(rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return np.einsum("kd,kd->k", rows.conj(), obs)
 
 
-def constrained_matrix(row: DemixingRow) -> np.ndarray:
-    """Full (P*L+1)-square demixing matrix: first row w^H, rest [0 | I]."""
-    d = row.dim
-    mat = np.eye(d, dtype=np.complex128)
-    mat[0, :] = row.w_full.conj()
+def constrained_matrix(row: np.ndarray) -> np.ndarray:
+    """Full (P*L+1)-square demixing matrix: first row w^H, rest [0 | I].
+
+    ``row`` is the whole 1-D row w, whose first element must be exactly 1.
+    """
+    row = np.asarray(row, dtype=np.complex128)
+    if row.ndim != 1 or row[0] != 1.0:
+        raise ValueError(f"expected a 1-D row with first element exactly 1, got {row}")
+    mat = np.eye(len(row), dtype=np.complex128)
+    mat[0, :] = row.conj()
     return mat

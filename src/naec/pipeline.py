@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import auxiva
-from .audio_io import SAMPLE_RATE, AudioSignal
+from .audio_io import SAMPLE_RATE, AudioSignal, from_flat
 from .auxiva import AuxivaConfig, AuxivaState
 from .ctf import CtfConfig, stack_observations
 from .ilrma import IlrmaState
@@ -228,21 +228,13 @@ def engine_from_mapping(mapping: Mapping, prefix: str = "engine") -> EngineConfi
     """Build an EngineConfig from flat dotted keys under ``prefix``.
 
     Recognized keys (all optional): ``optimizer`` and the field names of
-    ``StftConfig``, ``CtfConfig`` and ``AuxivaConfig``, which share none.
-    Each value is converted by the type of its field's default; an absent
-    key keeps the dataclass default. Unknown keys under the prefix raise
-    ValueError.
+    ``StftConfig``, ``CtfConfig`` and ``AuxivaConfig``, which share none;
+    each section is read by ``audio_io.from_flat``. Unknown keys under the
+    prefix raise ValueError.
     """
-    dot = prefix + "."
-    m = {k[len(dot):]: v for k, v in mapping.items() if k.startswith(dot)}
     sections = {"stft": StftConfig, "ctf": CtfConfig, "auxiva": AuxivaConfig}
-    known = {"optimizer"} | {f.name for cls in sections.values() for f in fields(cls)}
-    unknown = set(m) - known
-    if unknown:
-        raise ValueError(f"unknown engine config keys: {sorted(dot + k for k in unknown)}")
-    kwargs = {name: cls(**{f.name: type(f.default)(m[f.name])
-                           for f in fields(cls) if f.name in m})
-              for name, cls in sections.items()}
-    if "optimizer" in m:
-        kwargs["optimizer"] = m["optimizer"]
+    names = {"optimizer"} | {f.name for cls in sections.values() for f in fields(cls)}
+    kwargs = {name: from_flat(cls, mapping, prefix, names) for name, cls in sections.items()}
+    if f"{prefix}.optimizer" in mapping:
+        kwargs["optimizer"] = mapping[f"{prefix}.optimizer"]
     return EngineConfig(**kwargs)

@@ -6,8 +6,10 @@ uniform wall reflection coefficient derived from the requested T60 via
 Sabine's relation. Scenes are fully determined by their spec (including the
 seed): identical specs yield bit-identical components.
 
-A scene can be described as a flat ``key = value`` text config with dotted
-sections (``room.t60 = 0.3`` and so on); see ``scene_from_mapping`` and the
+A scene can be described in the flat ``key = value`` config format of
+``audio_io`` with dotted sections (``room.t60 = 0.3`` and so on);
+``scene_from_mapping`` reads it through ``audio_io.from_flat``, so every
+default is the one its dataclass or signal generator declares. See the
 README for the schema.
 """
 
@@ -21,13 +23,10 @@ from typing import Mapping
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
-from .audio_io import SAMPLE_RATE, AudioSignal, read_wav
+from .audio_io import SAMPLE_RATE, AudioSignal, check_keys, from_flat, read_wav
+from .nonlin import odd_powers
 
 SPEED_OF_SOUND = 343.0
-
-DEFAULT_DIMENSIONS = (6.0, 5.0, 3.0)
-DEFAULT_SOURCE_POS = (2.0, 3.0, 1.2)
-DEFAULT_MIC_POS = (4.0, 2.0, 1.2)
 
 _MIN_SOURCE_MIC_DIST = 0.1
 
@@ -36,9 +35,9 @@ _MIN_SOURCE_MIC_DIST = 0.1
 class RoomSpec:
     """Rectangular room geometry, target T60 and RIR length in samples."""
 
-    dimensions: tuple = DEFAULT_DIMENSIONS
-    source_pos: tuple = DEFAULT_SOURCE_POS
-    mic_pos: tuple = DEFAULT_MIC_POS
+    dimensions: tuple = (6.0, 5.0, 3.0)
+    source_pos: tuple = (2.0, 3.0, 1.2)
+    mic_pos: tuple = (4.0, 2.0, 1.2)
     t60: float = 0.3
     rir_length: int = 4096
 
@@ -48,10 +47,10 @@ class RoomSpec:
         mic = np.asarray(self.mic_pos, dtype=np.float64)
         if dims.shape != (3,) or src.shape != (3,) or mic.shape != (3,):
             raise ValueError("dimensions and positions must be 3-vectors")
-        if np.any(dims <= 0):
-            raise ValueError(f"room dimensions must be positive, got {self.dimensions}")
+        if not np.all((dims > 0) & (dims < np.inf)):
+            raise ValueError(f"room dimensions must be positive and finite, got {self.dimensions}")
         for name, pos in (("source", src), ("mic", mic)):
-            if np.any(pos <= 0) or np.any(pos >= dims):
+            if not (np.all(pos > 0) and np.all(pos < dims)):
                 raise ValueError(f"{name} position {tuple(pos)} not strictly inside room")
         if np.linalg.norm(src - mic) < _MIN_SOURCE_MIC_DIST:
             raise ValueError(
@@ -91,6 +90,12 @@ class SceneSpec:
     ser_db: float = 0.0
     snr_db: float | None = 60.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not np.isfinite(self.ser_db):
+            raise ValueError(f"ser_db must be finite, got {self.ser_db}")
+        if self.snr_db is not None and not self.snr_db > -np.inf:
+            raise ValueError(f"snr_db must be a number above -inf, got {self.snr_db}")
 
 
 @dataclass
@@ -180,18 +185,11 @@ def hard_clip(signal: AudioSignal, clip_ratio: float = 0.2) -> AudioSignal:
 
 def power_series_nonlinearity(signal: AudioSignal, coeffs) -> AudioSignal:
     """sum_i coeffs[i] * x**(2i+1), an explicit odd power series loudspeaker."""
-    coeffs = list(coeffs)
-    if not coeffs:
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if not len(coeffs):
         raise ValueError("coeffs must be nonempty")
-    x = signal.samples
-    acc = np.zeros_like(x)
-    term = x.copy()
-    x2 = x * x
-    for i, a in enumerate(coeffs):
-        if i > 0:
-            term = term * x2
-        acc += a * term
-    return AudioSignal(acc, signal.sample_rate)
+    terms = coeffs[:, np.newaxis] * odd_powers(signal.samples, len(coeffs))
+    return AudioSignal(np.sum(terms, axis=0, initial=0.0), signal.sample_rate)
 
 
 def apply_nonlinearity(signal: AudioSignal, spec: NonlinearitySpec) -> AudioSignal:
@@ -353,30 +351,12 @@ def music_like(duration_s: float, seed: int, level: float = 0.1) -> AudioSignal:
 
 
 # ---------------------------------------------------------------------------
-# Flat dotted-key config format
+# Scene loader for the flat config format of ``audio_io``
 
-_SCENE_PREFIXES = ("scene", "room", "nonlinearity", "far_end", "near_end")
-
-
-def parse_flat_config(text: str) -> dict:
-    """Parse ``key = value`` lines with dotted keys; '#' starts a comment."""
-    mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ValueError(f"line {lineno}: empty key")
-        mapping[key] = value.strip()
-    return mapping
-
-
-def _floats(value: str) -> tuple:
-    return tuple(float(v) for v in value.split())
+SCENE_PREFIXES = ("scene", "room", "nonlinearity", "far_end", "near_end")
+SCENE_KEYS = ("duration_s", "seed", "ser_db", "snr_db")
+SIGNAL_KEYS = ("kind", "path", "seed", "level", "pause_weight")
+_GENERATORS = {"speech_like": speech_like, "music_like": music_like, "noise": white_noise}
 
 
 def _signal_from_mapping(
@@ -384,26 +364,24 @@ def _signal_from_mapping(
     default_seed: int, base_dir: Path | None,
 ) -> AudioSignal | None:
     kind = m.get(f"{prefix}.kind", default_kind)
-    path = m.get(f"{prefix}.path")
-    seed = int(m.get(f"{prefix}.seed", default_seed))
-    level = float(m.get(f"{prefix}.level", 0.1))
+    if f"{prefix}.pause_weight" in m and kind != "speech_like":
+        raise ValueError(f"{prefix}.pause_weight applies to speech_like only, not {kind!r}")
     if kind == "none":
         return None
     if kind == "wav":
+        path = m.get(f"{prefix}.path")
         if path is None:
             raise ValueError(f"{prefix}.kind = wav requires {prefix}.path")
         p = Path(path)
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
         return read_wav(p)
-    if kind == "speech_like":
-        pause = float(m.get(f"{prefix}.pause_weight", 0.2))
-        return speech_like(duration_s, seed, level, pause)
-    if kind == "music_like":
-        return music_like(duration_s, seed, level)
-    if kind == "noise":
-        return white_noise(duration_s, seed, level)
-    raise ValueError(f"unknown {prefix}.kind {kind!r}")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown {prefix}.kind {kind!r}")
+    seed = int(m.get(f"{prefix}.seed", default_seed))
+    given = {k: float(m[f"{prefix}.{k}"]) for k in ("level", "pause_weight")
+             if f"{prefix}.{k}" in m}
+    return _GENERATORS[kind](duration_s, seed, **given)
 
 
 def scene_from_mapping(
@@ -413,55 +391,29 @@ def scene_from_mapping(
 ) -> SceneSpec:
     """Build a SceneSpec from a flat dotted-key mapping.
 
-    Unknown keys under the scene-related prefixes raise, so typos do not
-    silently fall back to defaults. Signal seeds default to scene.seed + 1
-    (far end) and scene.seed + 2 (near end).
+    ``room.*`` and ``nonlinearity.*`` keys are the fields of ``RoomSpec`` and
+    ``NonlinearitySpec``, ``scene.*`` keys are ``SCENE_KEYS`` and signal keys
+    ``SIGNAL_KEYS``; an absent key keeps its dataclass or generator default.
+    Unknown keys raise, so typos do not silently fall back to defaults.
+    Signal seeds default to scene.seed + 1 (far end) and + 2 (near end).
     """
-    m = {k: v for k, v in mapping.items() if k.split(".", 1)[0] in _SCENE_PREFIXES}
-    known = {
-        "scene.duration_s", "scene.seed", "scene.ser_db", "scene.snr_db",
-        "room.dimensions", "room.source_pos", "room.mic_pos", "room.t60",
-        "room.rir_length",
-        "nonlinearity.kind", "nonlinearity.clip_ratio", "nonlinearity.coeffs",
-    }
+    m = mapping
+    check_keys(m, "scene", SCENE_KEYS)
     for prefix in ("far_end", "near_end"):
-        known |= {
-            f"{prefix}.{k}"
-            for k in ("kind", "path", "seed", "level", "pause_weight")
-        }
-    unknown = set(m) - known
-    if unknown:
-        raise ValueError(f"unknown scene config keys: {sorted(unknown)}")
-
-    seed = int(m.get("scene.seed", 0))
+        check_keys(m, prefix, SIGNAL_KEYS)
+    room = from_flat(RoomSpec, m, "room")
+    nonlin = from_flat(NonlinearitySpec, m, "nonlinearity")
+    seed = int(m.get("scene.seed", SceneSpec.seed))
     if seed_override is not None:
         seed = seed_override
     duration_s = float(m.get("scene.duration_s", 10.0))
-    snr_raw = m.get("scene.snr_db", "60")
-    snr_db = None if snr_raw.lower() in ("none", "inf") else float(snr_raw)
-
-    room = RoomSpec(
-        dimensions=_floats(m.get("room.dimensions", "6 5 3")),
-        source_pos=_floats(m.get("room.source_pos", "2 3 1.2")),
-        mic_pos=_floats(m.get("room.mic_pos", "4 2 1.2")),
-        t60=float(m.get("room.t60", 0.3)),
-        rir_length=int(m.get("room.rir_length", 4096)),
-    )
-    nonlin = NonlinearitySpec(
-        kind=m.get("nonlinearity.kind", "hard_clip"),
-        clip_ratio=float(m.get("nonlinearity.clip_ratio", 0.2)),
-        coeffs=_floats(m.get("nonlinearity.coeffs", "1")),
-    )
+    if not 0.0 < duration_s < np.inf:
+        raise ValueError(f"scene.duration_s must be positive and finite, got {duration_s}")
+    kwargs = {k: None if k == "snr_db" and v.lower() == "none" else float(v)
+              for k in ("ser_db", "snr_db") if (v := m.get(f"scene.{k}")) is not None}
     far = _signal_from_mapping(m, "far_end", duration_s, "speech_like", seed + 1, base_dir)
     if far is None:
         raise ValueError("far_end.kind must not be 'none'")
     near = _signal_from_mapping(m, "near_end", duration_s, "none", seed + 2, base_dir)
-    return SceneSpec(
-        far_end=far,
-        room=room,
-        nonlinearity=nonlin,
-        near_end=near,
-        ser_db=float(m.get("scene.ser_db", 0.0)),
-        snr_db=snr_db,
-        seed=seed,
-    )
+    return SceneSpec(far_end=far, room=room, nonlinearity=nonlin, near_end=near,
+                     seed=seed, **kwargs)

@@ -14,7 +14,7 @@ from conftest import random_hpd
 from naec.audio_io import AudioSignal, read_wav
 from naec.auxiva import AuxivaConfig, AuxivaState, offline_batch, process_frame
 from naec.cli import EXIT_OK, main
-from naec.ctf import CtfConfig, DemixingRow, batch_observations, constrained_matrix
+from naec.ctf import CtfConfig, batch_observations, constrained_matrix
 from naec.ilrma import (
     NmfSourceModel,
     nmf_batch_sweep,
@@ -84,7 +84,7 @@ def test_criterion_02_constrained_demixing_inverse_identity():
         dim = dims[trial % 3]
         v = random_hpd(rng, dim, 1)[0]
         tail = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
-        w = constrained_matrix(DemixingRow(np.concatenate([[1.0 + 0j], tail])))
+        w = constrained_matrix(np.concatenate([[1.0 + 0j], tail]))
         e1 = np.zeros(dim, dtype=np.complex128)
         e1[0] = 1.0
         lhs = np.linalg.solve(w @ v, e1)

@@ -10,7 +10,6 @@ from naec.audio_io import (
     SAMPLE_RATE,
     AudioFormatError,
     AudioSignal,
-    ResultTable,
     SampleRateError,
     read_wav,
     write_result_csv,
@@ -95,21 +94,20 @@ def test_write_clips_out_of_range(tmp_path):
     assert np.max(np.abs(back.samples)) <= 1.0
 
 
-def test_result_table_from_curves_orders_series():
-    c1 = MetricCurve(0.1, np.array([0.1, 0.2]), np.array([1.0, 2.0]))
-    c2 = MetricCurve(0.1, np.array([0.1]), np.array([3.0]))
-    table = ResultTable.from_curves({"b": c1, "a": c2})
-    series = [row[2] for row in table.rows]
-    assert series == ["b", "b", "a"]
-
-
 def test_csv_format(tmp_path):
-    table = ResultTable()
-    table.append(0.1, 1.5, "erle")
-    table.append(0.2, -3.25, "erle")
+    curves = {
+        "erle": MetricCurve(0.1, np.array([0.1, 0.2]), np.array([1.5, -3.25])),
+        "a": MetricCurve(0.1, np.array([0.1]), np.array([3.0])),
+    }
     path = tmp_path / "m.csv"
-    write_result_csv(table, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time_s,value_db,series"
-    assert lines[1] == "0.1,1.5,erle"
-    assert lines[2] == "0.2,-3.25,erle"
+    write_result_csv(curves, path)
+    assert path.read_text().splitlines() == [
+        "time_s,value_db,series",  # series in mapping order, exact float reprs
+        "0.1,1.5,erle",
+        "0.2,-3.25,erle",
+        "0.1,3.0,a",
+    ]
+    for times in ([0.1, 0.1], [0.2, 0.1]):
+        bad = MetricCurve(0.1, np.array(times), np.zeros(2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            write_result_csv({"erle": bad}, path)

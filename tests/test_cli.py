@@ -78,6 +78,11 @@ class TestProcess:
         )
         assert code == EXIT_USAGE
 
+    def test_rejects_seed(self, tmp_path, wav_pair):
+        far, mic = wav_pair
+        assert main(["process", str(far), str(mic), "--seed", "3",
+                     "--out-dir", str(tmp_path)]) == EXIT_USAGE
+
     def test_engine_config_applies(self, tmp_path, wav_pair):
         far, mic = wav_pair
         cfg = _write_cfg(tmp_path, "engine.optimizer = ilrma\nengine.frames_l = 1\n")
@@ -146,9 +151,42 @@ class TestSimulate:
             == EXIT_USAGE
 
     def test_unknown_top_prefix(self, tmp_path):
-        cfg = _write_cfg(tmp_path, SCENE_CFG + "mixer.gain = 1\n")
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) \
-            == EXIT_USAGE
+        for line in ("mixer.gain = 1\n", "room = 1\n", "engine = ilrma\n"):
+            cfg = _write_cfg(tmp_path, SCENE_CFG + line)
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) \
+                == EXIT_USAGE
+
+    @pytest.mark.parametrize("sweep", [
+        "sweep.key = rooms.t60\nsweep.values = 0.3 0.5",  # no section reads rooms.*
+        "sweep.key = room.t60\nsweep.values = 0.3 5",  # t60 = 5 is out of range
+        "sweep.key = room.t6\nsweep.values = 0.3",
+        "sweep.key = room\nsweep.values = 0.3",
+        "sweep.key = sweep.values\nsweep.values = 1",
+    ])
+    def test_invalid_sweep_stops_before_any_work(self, tmp_path, capsys, sweep):
+        cfg = _write_cfg(tmp_path, SCENE_CFG + sweep + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("lines, key", [
+        ("scene.snr_db = nan", "snr_db"),
+        ("scene.snr_db = -inf", "snr_db"),
+        ("near_end.kind = speech_like\nscene.ser_db = nan", "ser_db"),
+        ("scene.duration_s = 0", "scene.duration_s"),
+        ("scene.duration_s = -1", "scene.duration_s"),
+        ("far_end.kind = music_like\nfar_end.pause_weight = 0.1", "far_end.pause_weight"),
+        ("far_end.kind = noise\nfar_end.pause_weight = 0.1", "far_end.pause_weight"),
+        ("room.dimensions = nan 5 3", "dimensions"),
+    ])
+    def test_outside_scene_value_is_usage_error(self, tmp_path, capsys, lines, key):
+        cfg = _write_cfg(tmp_path, SCENE_CFG + lines + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert key in captured.err and captured.out == ""
+        assert list(out.iterdir()) == []
 
     def test_non_cola_window_is_usage_error(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, SCENE_CFG + "engine.hop = 512\n")

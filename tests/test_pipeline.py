@@ -369,6 +369,8 @@ class TestEngineFromMapping:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="engine.step_size"):
             engine_from_mapping({"engine.step_size": "0.1"})
+        with pytest.raises(ValueError, match="'engine'"):
+            engine_from_mapping({"engine": "ilrma"})
 
     def test_prefix_isolation(self):
         c = engine_from_mapping(

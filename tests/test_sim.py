@@ -1,13 +1,19 @@
 """Room simulation, loudspeaker models, and scene mixing."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from naec.audio_io import SAMPLE_RATE, AudioSignal, write_wav
+from naec.audio_io import SAMPLE_RATE, AudioSignal, parse_flat_config, write_wav
 from naec.sim import (
+    SCENE_KEYS,
+    SIGNAL_KEYS,
     SPEED_OF_SOUND,
     NonlinearitySpec,
     RoomSpec,
@@ -16,7 +22,6 @@ from naec.sim import (
     hard_clip,
     image_method_rir,
     music_like,
-    parse_flat_config,
     power_series_nonlinearity,
     sabine_reflection,
     scene_from_mapping,
@@ -46,6 +51,13 @@ class TestRoomSpec:
             RoomSpec(source_pos=(0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             RoomSpec(mic_pos=(6.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            RoomSpec(mic_pos=(np.nan, 1.0, 1.0))
+
+    @pytest.mark.parametrize("dims", [(np.nan, 5.0, 3.0), (np.inf, 5.0, 3.0), (6.0, 0.0, 3.0)])
+    def test_dimensions_must_be_positive_and_finite(self, dims):
+        with pytest.raises(ValueError, match="dimensions"):
+            RoomSpec(dimensions=dims)
 
     def test_minimum_separation(self):
         with pytest.raises(ValueError):
@@ -158,6 +170,24 @@ class TestNonlinearities:
         neg = power_series_nonlinearity(AudioSignal(-x), coeffs).samples
         np.testing.assert_array_equal(neg, -pos)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(min_value=1, max_value=16),
+            elements=st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
+        ),
+        st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=6),
+    )
+    def test_power_series_matches_term_by_term_loop(self, x, coeffs):
+        acc, term = np.zeros_like(x), x.copy()
+        for i, a in enumerate(coeffs):
+            if i > 0:
+                term = term * (x * x)
+            acc += a * term
+        out = power_series_nonlinearity(AudioSignal(x), coeffs).samples
+        assert out.tobytes() == acc.tobytes()  # bit-identical, signed zeros included
+
     def test_apply_dispatch(self, rng):
         x = AudioSignal(rng.standard_normal(32))
         clip = apply_nonlinearity(x, NonlinearitySpec(kind="hard_clip", clip_ratio=0.5))
@@ -227,6 +257,13 @@ class TestSceneSynthesis:
         b = synthesize_scene(SceneSpec(far_end=far, room=room, snr_db=np.inf))
         np.testing.assert_array_equal(a.microphone.samples, b.microphone.samples)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"ser_db": np.nan}, {"ser_db": np.inf}, {"snr_db": np.nan}, {"snr_db": -np.inf},
+    ])
+    def test_spec_rejects_non_numbers(self, short_noise, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SceneSpec(far_end=short_noise, **kwargs)
+
     def test_deterministic(self, small_scene):
         spec, comps = small_scene
         again = synthesize_scene(spec)
@@ -287,10 +324,22 @@ class TestFlatConfig:
         assert spec.near_end is None
         assert spec.snr_db == 60.0
         assert len(spec.far_end) == SAMPLE_RATE // 2
+        # absent signal keys leave the generator's own level and pause_weight
+        np.testing.assert_array_equal(spec.far_end.samples, speech_like(0.5, seed=1).samples)
+
+    def test_signal_keys_reach_the_generator(self):
+        spec = scene_from_mapping({
+            "scene.duration_s": "0.5", "far_end.seed": "7", "far_end.level": "0.3",
+            "far_end.pause_weight": "0",
+        })
+        expected = speech_like(0.5, seed=7, level=0.3, pause_weight=0.0)
+        np.testing.assert_array_equal(spec.far_end.samples, expected.samples)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="room.hieght"):
             scene_from_mapping({"room.hieght": "3"})
+        with pytest.raises(ValueError, match="'room'"):
+            scene_from_mapping({"room": "3"})
 
     def test_snr_none_token(self):
         spec = scene_from_mapping({"scene.duration_s": "0.5", "scene.snr_db": "none"})
@@ -321,3 +370,52 @@ class TestFlatConfig:
         )
         assert spec.near_end is not None
         assert spec.ser_db == 3.0
+
+
+# A valid non-default value for every room and loudspeaker field: the config
+# text and the field value it must set.
+NON_DEFAULT = {
+    "room.dimensions": ("7 5.5 3.1", (7.0, 5.5, 3.1)),
+    "room.source_pos": ("2.5 3 1.3", (2.5, 3.0, 1.3)),
+    "room.mic_pos": ("4 2.5 1", (4.0, 2.5, 1.0)),
+    "room.t60": ("0.5", 0.5),
+    "room.rir_length": ("2048", 2048),
+    "nonlinearity.kind": ("power_series", "power_series"),
+    "nonlinearity.clip_ratio": ("0.5", 0.5),
+    "nonlinearity.coeffs": ("1 -0.2", (1.0, -0.2)),
+}
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _spec_fields(spec: SceneSpec) -> dict:
+    """Every room and loudspeaker field of a scene spec, by config key."""
+    return {f"{prefix}.{f.name}": getattr(obj, f.name)
+            for prefix, obj in (("room", spec.room), ("nonlinearity", spec.nonlinearity))
+            for f in fields(obj)}
+
+
+class TestSceneLoaderKeys:
+    BASE = {"scene.duration_s": "0.1", "far_end.kind": "noise"}
+
+    def test_every_field_has_a_case(self):
+        assert set(_spec_fields(scene_from_mapping(self.BASE))) == set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_each_key_sets_exactly_its_field(self, key):
+        text, value = NON_DEFAULT[key]
+        default = _spec_fields(scene_from_mapping(self.BASE))
+        assert value != default[key]
+        spec = scene_from_mapping({**self.BASE, key: text})
+        assert _spec_fields(spec) == {**default, key: value}
+
+    @pytest.mark.parametrize("section, keys", [
+        ("scene.", SCENE_KEYS),
+        ("room.", [f.name for f in fields(RoomSpec)]),
+        ("nonlinearity.", [f.name for f in fields(NonlinearitySpec)]),
+        ("far_end.", SIGNAL_KEYS),
+    ])
+    def test_readme_row_lists_exactly_the_keys(self, section, keys):
+        row = next(line for line in README.read_text().splitlines()
+                   if line.startswith(f"| `{section}`"))
+        listed = re.findall(r"`([a-z_0-9]+)`", re.sub(r"\([^)]*\)", "", row.split("|")[2]))
+        assert sorted(listed) == sorted(keys)
