@@ -94,18 +94,23 @@ def test_write_clips_out_of_range(tmp_path):
     assert np.max(np.abs(back.samples)) <= 1.0
 
 
+def test_result_table_from_curves_orders_series(tmp_path):
+    c1 = MetricCurve(0.1, np.array([0.1, 0.2]), np.array([1.0, 2.0]))
+    c2 = MetricCurve(0.1, np.array([0.1]), np.array([3.0]))
+    path = tmp_path / "m.csv"
+    write_result_csv({"b": c1, "a": c2}, path)
+    series = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert series == ["b", "b", "a"]
+
+
 def test_csv_format(tmp_path):
-    curves = {
-        "erle": MetricCurve(0.1, np.array([0.1, 0.2]), np.array([1.5, -3.25])),
-        "a": MetricCurve(0.1, np.array([0.1]), np.array([3.0])),
-    }
+    curves = {"erle": MetricCurve(0.1, np.array([0.1, 0.2]), np.array([1.5, -3.25]))}
     path = tmp_path / "m.csv"
     write_result_csv(curves, path)
     assert path.read_text().splitlines() == [
-        "time_s,value_db,series",  # series in mapping order, exact float reprs
+        "time_s,value_db,series",  # exact float reprs
         "0.1,1.5,erle",
         "0.2,-3.25,erle",
-        "0.1,3.0,a",
     ]
     for times in ([0.1, 0.1], [0.2, 0.1]):
         bad = MetricCurve(0.1, np.array(times), np.zeros(2))
