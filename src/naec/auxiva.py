@@ -23,12 +23,15 @@ order, written out in real operations that are never fused into
 multiply-adds (numpy's complex products are on CPUs with FMA), so the two
 paths agree to rounding. The row solve is Gaussian elimination without
 pivoting (C + lambda I is positive definite); numpy runs it with the bins
-on the contiguous last axis, the kernel one bin at a time. The recursion is
-stored as written and the loading is trace-relative with no square roots,
-so a power-of-two rescale of a bin's V1 leaves its row bit-identical. A bin
-whose trace or solution is non-finite keeps its previous row and is counted
-in ``skipped_bins``; a bin whose covariance overflows restarts from the
-initial prior and passthrough row.
+on the contiguous last axis, the kernel eight bins at a time, one per lane
+of a vector type, with each lane doing a one-bin solve's operations in its
+order, so a bin's row does not depend on its block or the ISA picked at run
+time. The recursion is stored as written and the loading is trace-relative
+with no square roots, so a power-of-two rescale of a bin's V1 leaves its
+row bit-identical. A bin whose trace or solution is non-finite keeps its
+previous row and is counted in ``skipped_bins``. The EWMA update returns
+how many bins' traces overflowed; only then are those bins found and
+restarted from the initial prior and passthrough row.
 
 ``process_frame`` is the online core of both optimizers. The recursion's
 weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
@@ -85,7 +88,7 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
         return None
     size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
     lib.ewma.argtypes = (size, size, ptr, ptr, real, ptr, size)
-    lib.ewma.restype = None
+    lib.ewma.restype = size
     lib.solve.argtypes = (size, size, ptr, ptr, real, ptr)
     lib.solve.restype = size
     return lib
@@ -143,16 +146,23 @@ def _kernel_layout(cov: np.ndarray) -> bool:
             and cov.flags.c_contiguous and cov.flags.writeable)
 
 
+def nonfinite_trace(cov: np.ndarray) -> np.ndarray:
+    """Mask of the bins whose trace, as the row solve takes it, is not finite."""
+    return ~np.isfinite(np.einsum("kdd->k", cov).real)
+
+
 def ewma_covariance_update(
     cov: np.ndarray, obs: np.ndarray, alpha: float, gain
-) -> None:
+) -> int:
     """In-place V <- alpha*V + (1-alpha)*gain * y y^H per bin.
 
     ``gain`` is a scalar (shared weight) or a length-K vector (per-bin
     weight); ``cov`` is (K, D, D) and ``obs`` (K, D). y y^H is exactly
     Hermitian, so ``cov`` stays exactly Hermitian with no re-symmetrization.
-    Runs the compiled kernel when it is loaded and ``cov`` is a C-contiguous
-    complex128 (K, D, D) array, else the numpy code below.
+    Returns the number of bins whose updated trace is not finite (the
+    ``nonfinite_trace`` count). Runs the compiled kernel when it is loaded and
+    ``cov`` is a C-contiguous complex128 (K, D, D) array, else the numpy
+    code below.
     """
     gain = np.asarray(gain, dtype=np.float64)
     n_bins = len(cov)
@@ -162,14 +172,14 @@ def ewma_covariance_update(
         obs = np.ascontiguousarray(obs, dtype=np.complex128)
         if obs.shape == cov.shape[:2]:
             gain = np.ascontiguousarray(gain)
-            _kernels.ewma(n_bins, obs.shape[1], cov.ctypes.data, obs.ctypes.data,
-                          alpha, gain.ctypes.data, stride)
-            return
+            return _kernels.ewma(n_bins, obs.shape[1], cov.ctypes.data, obs.ctypes.data,
+                                 alpha, gain.ctypes.data, stride)
     update = np.einsum("kd,ke->kde", obs, obs.conj())
     if gain.ndim == 1:
         gain = gain[:, np.newaxis, np.newaxis]
     cov *= alpha
     cov += (1.0 - alpha) * gain * update
+    return int(np.count_nonzero(nonfinite_trace(cov)))
 
 
 def solve_demixing_rows(
@@ -246,10 +256,8 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
     gain = state.frame_weight(obs)
-    ewma_covariance_update(state.cov, obs, state.config.alpha, gain)
-    broken = ~np.isfinite(np.einsum("kdd->k", state.cov))
-    if broken.any():
-        state.reset_bins(broken)
+    if ewma_covariance_update(state.cov, obs, state.config.alpha, gain):
+        state.reset_bins(nonfinite_trace(state.cov))
     state.rows, skipped = solve_demixing_rows(
         state.cov, state.rows, state.config.diag_load
     )

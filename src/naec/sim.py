@@ -77,6 +77,8 @@ class NonlinearitySpec:
             raise ValueError(f"clip_ratio must be in (0, 1], got {self.clip_ratio}")
         if self.kind == "power_series" and len(self.coeffs) == 0:
             raise ValueError("power_series requires at least one coefficient")
+        if not np.all(np.isfinite(np.asarray(self.coeffs, dtype=np.float64))):
+            raise ValueError(f"coeffs must be finite, got {self.coeffs}")
 
 
 @dataclass
@@ -251,10 +253,20 @@ def synthesize_scene(spec: SceneSpec) -> SceneComponents:
 # Deterministic test signals
 
 
+def _n_samples(duration_s: float, name: str = "duration_s") -> int:
+    """Sample count of ``duration_s``, which must be at least one sample long."""
+    if not 1.0 / SAMPLE_RATE <= duration_s < np.inf:
+        raise ValueError(
+            f"{name} must be at least one sample (1/{SAMPLE_RATE} s) and finite, "
+            f"got {duration_s}"
+        )
+    return int(round(duration_s * SAMPLE_RATE))
+
+
 def white_noise(duration_s: float, seed: int, level: float = 0.1) -> AudioSignal:
     """Gaussian noise with RMS ``level``."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * SAMPLE_RATE))
+    n = _n_samples(duration_s)
     x = rng.standard_normal(n)
     return AudioSignal(x * (level / np.sqrt(np.mean(x**2))))
 
@@ -275,8 +287,13 @@ def _fade(seg: int, max_edge: int) -> np.ndarray:
     return env
 
 
-def _finish(x: np.ndarray, rng: np.random.Generator, level: float) -> AudioSignal:
-    """Add a white floor 45 dB below the signal, scale to RMS ``level``, cap peaks at 0.95."""
+def _finish(x: np.ndarray, rng: np.random.Generator, level: float, silent: str) -> AudioSignal:
+    """Add a white floor 45 dB below the signal, scale to RMS ``level``, cap peaks at 0.95.
+
+    An all-zero ``x`` has no level to scale to: it raises ValueError(``silent``).
+    """
+    if not x.any():
+        raise ValueError(silent)
     x = x + rng.standard_normal(len(x)) * (np.sqrt(np.mean(x**2)) * 10 ** (-45.0 / 20.0))
     x = x * (level / np.sqrt(np.mean(x**2)))
     peak = np.max(np.abs(x))
@@ -293,12 +310,13 @@ def speech_like(
     Voiced segments are glottal-style pulse trains shaped by random formant
     resonators; unvoiced segments are band-shaped noise bursts. A faint
     broadband floor keeps every frequency bin weakly excited. ``pause_weight``
-    sets the fraction of silent segments; 0 gives uninterrupted speech.
+    sets the fraction of silent segments; 0 gives uninterrupted speech. A
+    draw of nothing but pauses has no level to scale to and raises ValueError.
     """
     if not 0.0 <= pause_weight < 1.0:
         raise ValueError("pause_weight must lie in [0, 1)")
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * SAMPLE_RATE))
+    n = _n_samples(duration_s)
     out = np.zeros(n + SAMPLE_RATE)
     active = 1.0 - pause_weight
     probs = [0.625 * active, 0.375 * active, pause_weight]
@@ -325,13 +343,16 @@ def speech_like(
             continue
         out[pos : pos + seg] += x * _fade(seg, 160) * rng.uniform(0.4, 1.0)
         pos += seg
-    return _finish(out[:n], rng, level)
+    return _finish(out[:n], rng, level, (
+        f"speech_like drew no sound (duration_s = {duration_s}, pause_weight = "
+        f"{pause_weight}, seed = {seed}): only pauses, or less than a segment's "
+        "fade-in; use a longer duration_s or a smaller pause_weight"))
 
 
 def music_like(duration_s: float, seed: int, level: float = 0.1) -> AudioSignal:
     """Sustained-chord test signal with a strongly low-rank spectrogram."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * SAMPLE_RATE))
+    n = _n_samples(duration_s)
     out = np.zeros(n + SAMPLE_RATE)
     midi_scale = np.array([48, 50, 52, 55, 57, 60, 62, 64, 67, 69, 72])
     pos = 0
@@ -347,7 +368,9 @@ def music_like(duration_s: float, seed: int, level: float = 0.1) -> AudioSignal:
                 )
         out[pos : pos + seg] += x * _fade(seg, 320) * rng.uniform(0.5, 1.0)
         pos += seg
-    return _finish(out[:n], rng, level)
+    return _finish(out[:n], rng, level, (
+        f"music_like drew no sound (duration_s = {duration_s}): "
+        "less than a chord's fade-in; use a longer duration_s"))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +380,9 @@ SCENE_PREFIXES = ("scene", "room", "nonlinearity", "far_end", "near_end")
 SCENE_KEYS = ("duration_s", "seed", "ser_db", "snr_db")
 SIGNAL_KEYS = ("kind", "path", "seed", "level", "pause_weight")
 _GENERATORS = {"speech_like": speech_like, "music_like": music_like, "noise": white_noise}
+# The signal keys besides ``kind`` that each kind reads.
+_KIND_KEYS = {"none": (), "wav": ("path",), "speech_like": ("seed", "level", "pause_weight"),
+              "music_like": ("seed", "level"), "noise": ("seed", "level")}
 
 
 def _signal_from_mapping(
@@ -364,8 +390,11 @@ def _signal_from_mapping(
     default_seed: int, base_dir: Path | None,
 ) -> AudioSignal | None:
     kind = m.get(f"{prefix}.kind", default_kind)
-    if f"{prefix}.pause_weight" in m and kind != "speech_like":
-        raise ValueError(f"{prefix}.pause_weight applies to speech_like only, not {kind!r}")
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown {prefix}.kind {kind!r}")
+    for key in SIGNAL_KEYS:
+        if key != "kind" and f"{prefix}.{key}" in m and key not in _KIND_KEYS[kind]:
+            raise ValueError(f"{prefix}.{key} does not apply to {prefix}.kind = {kind}")
     if kind == "none":
         return None
     if kind == "wav":
@@ -376,8 +405,6 @@ def _signal_from_mapping(
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
         return read_wav(p)
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown {prefix}.kind {kind!r}")
     seed = int(m.get(f"{prefix}.seed", default_seed))
     given = {k: float(m[f"{prefix}.{k}"]) for k in ("level", "pause_weight")
              if f"{prefix}.{k}" in m}
@@ -394,7 +421,9 @@ def scene_from_mapping(
     ``room.*`` and ``nonlinearity.*`` keys are the fields of ``RoomSpec`` and
     ``NonlinearitySpec``, ``scene.*`` keys are ``SCENE_KEYS`` and signal keys
     ``SIGNAL_KEYS``; an absent key keeps its dataclass or generator default.
-    Unknown keys raise, so typos do not silently fall back to defaults.
+    Unknown keys raise, so typos do not silently fall back to defaults, and
+    so do signal keys their kind does not read (``path`` on a generated
+    kind, ``seed`` or ``level`` on ``wav``, any key but ``kind`` on ``none``).
     Signal seeds default to scene.seed + 1 (far end) and + 2 (near end).
     """
     m = mapping
@@ -407,8 +436,7 @@ def scene_from_mapping(
     if seed_override is not None:
         seed = seed_override
     duration_s = float(m.get("scene.duration_s", 10.0))
-    if not 0.0 < duration_s < np.inf:
-        raise ValueError(f"scene.duration_s must be positive and finite, got {duration_s}")
+    _n_samples(duration_s, "scene.duration_s")
     kwargs = {k: None if k == "snr_db" and v.lower() == "none" else float(v)
               for k in ("ser_db", "snr_db") if (v := m.get(f"scene.{k}")) is not None}
     far = _signal_from_mapping(m, "far_end", duration_s, "speech_like", seed + 1, base_dir)

@@ -179,6 +179,14 @@ class TestSimulate:
         ("far_end.kind = music_like\nfar_end.pause_weight = 0.1", "far_end.pause_weight"),
         ("far_end.kind = noise\nfar_end.pause_weight = 0.1", "far_end.pause_weight"),
         ("room.dimensions = nan 5 3", "dimensions"),
+        ("scene.duration_s = 0.00001", "scene.duration_s"),
+        ("scene.duration_s = 0.1\nscene.seed = 0", "pause_weight"),  # all pauses
+        ("nonlinearity.kind = power_series\nnonlinearity.coeffs = 1 nan", "coeffs"),
+        ("far_end.kind = wav\nfar_end.path = far.wav\nfar_end.seed = 99", "far_end.seed"),
+        ("far_end.kind = wav\nfar_end.path = far.wav\nfar_end.level = 5", "far_end.level"),
+        ("far_end.path = far.wav", "far_end.path"),
+        ("near_end.seed = 3", "near_end.seed"),
+        ("near_end.kind = none\nnear_end.level = 0.1", "near_end.level"),
     ])
     def test_outside_scene_value_is_usage_error(self, tmp_path, capsys, lines, key):
         cfg = _write_cfg(tmp_path, SCENE_CFG + lines + "\n")

@@ -1,5 +1,7 @@
 """The compiled per-bin kernels against the numpy code they replace, and their build."""
 
+import contextlib
+import ctypes
 import os
 import shutil
 import subprocess
@@ -119,3 +121,139 @@ def test_process_frame_paths_agree_over_300_frames(rng, dim, state_type):
     err = np.linalg.norm(compiled.rows - reference.rows) / np.linalg.norm(reference.rows)
     assert err <= 1e-12, err
     assert compiled.skipped_bins == reference.skipped_bins == 0
+
+
+LANE_BINS = [1, 7, 8, 9, 513]  # one lane, a short block, a full block, a tail, the engine's K
+LANE_DIMS = [2, 4, 10, 19]
+
+
+def _solve_inputs(rng, n_bins, dim):
+    cov = random_hpd(rng, dim, n_bins)
+    prev = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    return cov, prev
+
+
+@needs_kernels
+@pytest.mark.parametrize("dim", LANE_DIMS)
+@pytest.mark.parametrize("n_bins", LANE_BINS)
+def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
+    """Each lane is one bin's scalar solve: block position and block-mates change no bit."""
+    cov, prev = _solve_inputs(rng, n_bins, dim)
+    rows, skipped = auxiva.solve_demixing_rows(cov, prev, 1e-6)
+    assert skipped == 0
+    single = np.concatenate([auxiva.solve_demixing_rows(cov[k : k + 1], prev[k : k + 1], 1e-6)[0]
+                             for k in range(n_bins)])
+    assert rows.tobytes() == single.tobytes()
+
+
+@needs_kernels
+@pytest.mark.parametrize("fault", ["nan", "1e200"])
+@pytest.mark.parametrize("dim", LANE_DIMS)
+@pytest.mark.parametrize("n_bins", LANE_BINS)
+def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
+    """A bin with a NaN in b (finite trace) or overflowed by a 1e200 observation
+    (infinite trace) keeps its previous row, is counted, and leaves every other
+    bin's row byte-equal to a clean run."""
+    cov, prev = _solve_inputs(rng, n_bins, dim)
+    clean, _ = auxiva.solve_demixing_rows(cov, prev, 1e-6)
+    bad = sorted({0, n_bins // 2, n_bins - 1})
+    faulty = cov.copy()
+    if fault == "nan":
+        faulty[bad, dim - 1, 0] = np.nan
+    else:
+        y = np.full(dim, 1e200, dtype=np.complex128)
+        with np.errstate(over="ignore"):
+            faulty[bad] += np.outer(y, y.conj())
+    rows, skipped = auxiva.solve_demixing_rows(faulty, prev, 1e-6)
+    assert skipped == len(bad)
+    good = np.setdiff1d(np.arange(n_bins), bad)
+    assert rows[good].tobytes() == clean[good].tobytes()
+    assert rows[bad].tobytes() == prev[bad].tobytes()
+
+
+@needs_kernels
+@pytest.mark.parametrize("dim", [4, 10, 19])
+@pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
+                         ids=["auxiva", "ilrma"])
+def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
+    """A 1e200 microphone burst in some bins: the EWMA's broken-bin count and
+    the reset that follows are the same on the kernels and on the numpy path."""
+    n_bins, burst_frame, burst_bins = 65, 20, [3, 8, 64]
+    frames = rng.standard_normal((40, n_bins, dim)) + 1j * rng.standard_normal((40, n_bins, dim))
+    frames[burst_frame, burst_bins, 0] = 1e200
+
+    def run():
+        state = state_type(n_bins, dim)
+        resets = []
+        reset = state.reset_bins
+        state.reset_bins = lambda bins: (resets.append(np.flatnonzero(bins)), reset(bins))
+        with np.errstate(all="ignore"):
+            for obs in frames:
+                auxiva.process_frame(state, obs)
+        return state, resets
+
+    compiled, compiled_resets = run()
+    with numpy_path():
+        reference, reference_resets = run()
+    assert len(compiled_resets) == 1
+    for got, expected in zip(compiled_resets, reference_resets, strict=True):
+        np.testing.assert_array_equal(got, expected)
+    if state_type is auxiva.AuxivaState:  # ILRMA's NMF model spreads the burst to all bins
+        np.testing.assert_array_equal(compiled_resets[0], burst_bins)
+    assert compiled.skipped_bins == reference.skipped_bins == 0
+    err = np.linalg.norm(compiled.rows - reference.rows) / np.linalg.norm(reference.rows)
+    assert err <= 1e-12, err
+
+
+@pytest.mark.parametrize("n_bins", [1, 65])
+def test_ewma_returns_the_count_of_broken_bins(rng, n_bins):
+    """Both paths count the bins whose updated trace is not finite."""
+    cov = random_hpd(rng, 4, n_bins)
+    obs = rng.standard_normal((n_bins, 4)) + 1j * rng.standard_normal((n_bins, 4))
+    assert auxiva.ewma_covariance_update(cov.copy(), obs, 0.9, 1.0) == 0
+    obs[-1, 2] = 1e200
+    for paths in (contextlib.nullcontext(), numpy_path()):
+        with paths, np.errstate(over="ignore", invalid="ignore"):
+            assert auxiva.ewma_covariance_update(cov.copy(), obs, 0.9, 1.0) == 1
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+                    "-o", str(tmp_path / "kernels.so"), str(auxiva.KERNEL_SOURCE)],
+                   check=True, capture_output=True, timeout=120)
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return set(next((line.split(":", 1)[1].split() for line in text.splitlines()
+                     if line.startswith("flags")), []))
+
+
+@needs_kernels
+@pytest.mark.parametrize("isa", ["baseline", "avx2", "avx512f"])
+def test_every_isa_build_gives_the_same_rows(rng, tmp_path, isa):
+    """The solve built for one ISA alone, as each run-time clone is, gives the
+    loaded kernel's rows and skipped count byte for byte."""
+    if isa != "baseline" and isa not in _cpu_flags():
+        pytest.skip(f"CPU without {isa}")
+    target = tmp_path / "kernels.so"
+    subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
+                    *([] if isa == "baseline" else [f"-m{isa}"]),
+                    "-o", str(target), str(auxiva.KERNEL_SOURCE)],
+                   check=True, capture_output=True, timeout=120)
+    lib = ctypes.CDLL(str(target))
+    lib.solve.argtypes = auxiva._kernels.solve.argtypes
+    lib.solve.restype = auxiva._kernels.solve.restype
+    for dim in LANE_DIMS:
+        cov, prev = _solve_inputs(rng, 513, dim)
+        cov[5, dim - 1, 0] = np.nan
+        expected, expected_skipped = auxiva.solve_demixing_rows(cov, prev, 1e-6)
+        rows = np.empty_like(prev)
+        skipped = lib.solve(513, dim, cov.ctypes.data, prev.ctypes.data, 1e-6, rows.ctypes.data)
+        assert skipped == expected_skipped == 1
+        assert rows.tobytes() == expected.tobytes()

@@ -203,6 +203,9 @@ class TestNonlinearities:
             NonlinearitySpec(clip_ratio=0.0)
         with pytest.raises(ValueError):
             NonlinearitySpec(kind="power_series", coeffs=())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="coeffs must be finite"):
+                NonlinearitySpec(kind="power_series", coeffs=(1.0, bad))
 
 
 class TestSceneSynthesis:
@@ -300,6 +303,24 @@ class TestSignalGenerators:
         with pytest.raises(ValueError):
             speech_like(1.0, seed=0, pause_weight=1.0)
 
+    def test_all_pause_draw_raises_naming_its_inputs(self):
+        # seed 1 draws a pause as its first segment, which covers all of 0.1 s
+        with pytest.raises(ValueError, match=r"no sound \(duration_s = 0.1, pause_weight = 0.2"):
+            speech_like(0.1, seed=1)
+        assert np.abs(speech_like(0.1, seed=1, pause_weight=0.0).samples).max() > 0
+
+    @pytest.mark.parametrize("generator", [speech_like, music_like, white_noise])
+    def test_duration_must_be_at_least_one_sample(self, generator):
+        for duration in (0.0, 0.5 / SAMPLE_RATE, np.inf):
+            with pytest.raises(ValueError, match="duration_s must be at least one sample"):
+                generator(duration, seed=2)
+        try:  # one sample is a valid duration, but may lie inside a fade-in
+            x = generator(1.0 / SAMPLE_RATE, seed=2)
+        except ValueError as exc:
+            assert "no sound (duration_s = 6.25e-05" in str(exc)
+        else:
+            assert len(x) == 1 and np.isfinite(x.samples).all()
+
     def test_duration_and_peak_cap(self):
         x = speech_like(1.25, seed=7, level=0.9)
         assert len(x) == int(1.25 * SAMPLE_RATE)
@@ -334,6 +355,19 @@ class TestFlatConfig:
         })
         expected = speech_like(0.5, seed=7, level=0.3, pause_weight=0.0)
         np.testing.assert_array_equal(spec.far_end.samples, expected.samples)
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"far_end.kind": "wav", "far_end.path": "far.wav", "far_end.level": "5"}, "level"),
+        ({"far_end.kind": "wav", "far_end.path": "far.wav", "far_end.seed": "99"}, "seed"),
+        ({"far_end.kind": "noise", "far_end.path": "far.wav"}, "path"),
+        ({"far_end.path": "far.wav"}, "path"),
+        ({"near_end.seed": "3"}, "seed"),
+        ({"near_end.kind": "none", "near_end.level": "0.1"}, "level"),
+    ])
+    def test_signal_keys_the_kind_does_not_read_are_rejected(self, extra, key):
+        prefix = next(iter(extra)).split(".")[0]
+        with pytest.raises(ValueError, match=rf"{prefix}\.{key} does not apply"):
+            scene_from_mapping({"scene.duration_s": "0.5", **extra})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="room.hieght"):
