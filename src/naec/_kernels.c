@@ -10,10 +10,12 @@
    ``solve`` works on blocks of LANES bins held in GCC/Clang vector types,
    one bin per lane: every vector operation is the scalar operation of one
    bin, done for LANES bins at once, so each bin's row is bit-identical to a
-   one-bin-at-a-time solve. On x86-64 it is compiled for AVX-512F, AVX2 and
-   the baseline ISA, and the widest one the CPU has is picked when the
-   library is loaded; the IEEE operations and their order are the same in
-   every clone. */
+   one-bin-at-a-time solve. On x86-64 it is compiled for AVX-512F and for
+   the baseline ISA, and the AVX-512F clone is picked when the library is
+   loaded on a CPU that has it; the IEEE operations and their order are the
+   same in both. On an AVX-512F Xeon the AVX-512F clone takes about half the
+   baseline build's time at D = 10 and 19, and an AVX2 build was no faster
+   than the baseline one, so none is made (BENCH_lane_solve.json). */
 
 #include <math.h>
 #include <stdlib.h>
@@ -30,7 +32,7 @@ _Static_assert(LANES == 8, "GATHER lists eight lanes");
    the compiler targets. */
 #ifndef LANE_CLONES
 #if defined(__x86_64__)
-#define LANE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define LANE_CLONES __attribute__((target_clones("avx512f", "default")))
 #else
 #define LANE_CLONES
 #endif

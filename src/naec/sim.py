@@ -15,6 +15,7 @@ README for the schema.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -378,11 +379,13 @@ def music_like(duration_s: float, seed: int, level: float = 0.1) -> AudioSignal:
 
 SCENE_PREFIXES = ("scene", "room", "nonlinearity", "far_end", "near_end")
 SCENE_KEYS = ("duration_s", "seed", "ser_db", "snr_db")
-SIGNAL_KEYS = ("kind", "path", "seed", "level", "pause_weight")
 _GENERATORS = {"speech_like": speech_like, "music_like": music_like, "noise": white_noise}
-# The signal keys besides ``kind`` that each kind reads.
-_KIND_KEYS = {"none": (), "wav": ("path",), "speech_like": ("seed", "level", "pause_weight"),
-              "music_like": ("seed", "level"), "noise": ("seed", "level")}
+# The signal keys besides ``kind`` that each kind reads: a generator reads its
+# parameters but ``duration_s``, which is the scene's.
+_KIND_KEYS = {"none": (), "wav": ("path",)} | {
+    kind: tuple(p for p in inspect.signature(gen).parameters if p != "duration_s")
+    for kind, gen in _GENERATORS.items()}
+SIGNAL_KEYS = ("kind", *dict.fromkeys(k for keys in _KIND_KEYS.values() for k in keys))
 
 
 def _signal_from_mapping(
@@ -406,8 +409,8 @@ def _signal_from_mapping(
             p = base_dir / p
         return read_wav(p)
     seed = int(m.get(f"{prefix}.seed", default_seed))
-    given = {k: float(m[f"{prefix}.{k}"]) for k in ("level", "pause_weight")
-             if f"{prefix}.{k}" in m}
+    given = {k: float(m[f"{prefix}.{k}"]) for k in _KIND_KEYS[kind]
+             if k != "seed" and f"{prefix}.{k}" in m}
     return _GENERATORS[kind](duration_s, seed, **given)
 
 

@@ -225,25 +225,12 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
                    check=True, capture_output=True, timeout=120)
 
 
-def _cpu_flags() -> set:
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return set()
-    return set(next((line.split(":", 1)[1].split() for line in text.splitlines()
-                     if line.startswith("flags")), []))
-
-
 @needs_kernels
-@pytest.mark.parametrize("isa", ["baseline", "avx2", "avx512f"])
-def test_every_isa_build_gives_the_same_rows(rng, tmp_path, isa):
-    """The solve built for one ISA alone, as each run-time clone is, gives the
-    loaded kernel's rows and skipped count byte for byte."""
-    if isa != "baseline" and isa not in _cpu_flags():
-        pytest.skip(f"CPU without {isa}")
+def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
+    """The solve built for the baseline ISA alone gives the loaded kernel's
+    rows and skipped count byte for byte, whichever clone the CPU runs."""
     target = tmp_path / "kernels.so"
     subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
-                    *([] if isa == "baseline" else [f"-m{isa}"]),
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
                    check=True, capture_output=True, timeout=120)
     lib = ctypes.CDLL(str(target))

@@ -314,12 +314,12 @@ class TestSignalGenerators:
         for duration in (0.0, 0.5 / SAMPLE_RATE, np.inf):
             with pytest.raises(ValueError, match="duration_s must be at least one sample"):
                 generator(duration, seed=2)
-        try:  # one sample is a valid duration, but may lie inside a fade-in
+        if generator is white_noise:
             x = generator(1.0 / SAMPLE_RATE, seed=2)
-        except ValueError as exc:
-            assert "no sound (duration_s = 6.25e-05" in str(exc)
-        else:
-            assert len(x) == 1 and np.isfinite(x.samples).all()
+            assert len(x) == 1 and abs(x.samples[0]) == pytest.approx(0.1)
+        else:  # one sample is valid, but every segment's fade-in starts at zero
+            with pytest.raises(ValueError, match=r"no sound \(duration_s = 6.25e-05"):
+                generator(1.0 / SAMPLE_RATE, seed=2)
 
     def test_duration_and_peak_cap(self):
         x = speech_like(1.25, seed=7, level=0.9)
