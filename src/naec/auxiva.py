@@ -12,26 +12,36 @@ which for V1 = [[a, b^H], [b, C]] is the Schur form
 
     w(k, n) = [1; -(C + lambda I)^{-1} b],   lambda = diag_load * tr(V1) / D
 
+The covariances are held in one block-planar layout shared with the
+compiled kernels (``covariance_planes``): blocks of ``LANES`` bins, each a
+real and an imaginary plane of the D(D+1)/2 upper-triangle entries with the
+bins innermost, so an entry of a block is one vector of ``LANES`` bins.
+Row 0 stores conj(b), the first column below the diagonal, which is what
+the row solve reads; the rest of the upper triangle is stored as is. The
+lanes of a short last block repeat the last bin. ``pack_covariance`` and
+``unpack_covariance`` convert to and from the (K, D, D) Hermitian form,
+which the state exposes as ``AuxivaState.covariance``.
+
 ``ewma_covariance_update`` and ``solve_demixing_rows`` each make one pass
 over all bins per frame. Both run a compiled C kernel (``_kernels.c``) when
 one is loaded: ``build_kernels`` compiles it with ``cc`` when this module is
 first imported and caches the shared object under ``__pycache__``. Without
 a compiler, or if the build or load fails, the numpy code in the same two
 functions runs instead; it is also the reference the tests compare the
-kernels against. The kernels do the numpy code's arithmetic in the same
-order, written out in real operations that are never fused into
-multiply-adds (numpy's complex products are on CPUs with FMA), so the two
-paths agree to rounding. The row solve is Gaussian elimination without
-pivoting (C + lambda I is positive definite); numpy runs it with the bins
-on the contiguous last axis, the kernel eight bins at a time, one per lane
-of a vector type, with each lane doing a one-bin solve's operations in its
-order, so a bin's row does not depend on its block or the ISA picked at run
-time. The recursion is stored as written and the loading is trace-relative
-with no square roots, so a power-of-two rescale of a bin's V1 leaves its
-row bit-identical. A bin whose trace or solution is non-finite keeps its
-previous row and is counted in ``skipped_bins``. The EWMA update returns
-how many bins' traces overflowed; only then are those bins found and
-restarted from the initial prior and passthrough row.
+kernels against. Both paths work on the planes: the kernels with each
+vector lane doing one bin's scalar operations in its order, the numpy code
+with the bins on the contiguous last axis. The EWMA is written out in real
+operations on both, so its planes are bit-identical on the two paths; the
+numpy solve's complex products may be fused into multiply-adds on CPUs
+with FMA, while the kernels never fuse, so rows agree to rounding. The
+row solve is Gaussian elimination without pivoting (C + lambda I is
+positive definite), and a bin's row does not depend on its block or the
+ISA picked at run time. The recursion is stored as written and the loading
+is trace-relative with no square roots, so a power-of-two rescale of a
+bin's V1 leaves its row bit-identical. A bin whose trace or solution is
+non-finite keeps its previous row and is counted in ``skipped_bins``. The
+EWMA update returns how many bins' traces overflowed; only then are those
+bins found and restarted from the initial prior and passthrough row.
 
 ``process_frame`` is the online core of both optimizers. The recursion's
 weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
@@ -44,6 +54,7 @@ over all frames and serves as the convergence oracle for the online mode.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -59,6 +70,8 @@ COV_INIT_SCALE = 1e-3
 R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+LANES = 8  # bins per block of the covariance planes, as in _kernels.c
+ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
@@ -118,68 +131,196 @@ class AuxivaConfig:
 
 
 class AuxivaState:
-    """Per-bin covariance and demixing row plus the count of skipped bins."""
+    """Per-bin covariance planes and demixing rows plus the count of skipped bins."""
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
         self.config = config
         self.n_bins = n_bins
         self.dim = dim
-        self.cov = np.tile(
-            COV_INIT_SCALE * np.eye(dim, dtype=np.complex128), (n_bins, 1, 1)
-        )
+        self.cov = pack_covariance(np.broadcast_to(_prior(dim), (n_bins, dim, dim)))
         self.rows = np.tile(passthrough_row(dim), (n_bins, 1))
         self.skipped_bins = 0
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The (K, D, D) Hermitian covariances, unpacked from ``cov``."""
+        return unpack_covariance(self.cov, self.n_bins)
 
     def frame_weight(self, obs: np.ndarray) -> float:
         """Covariance weight for this frame: Phi(r1) from the pre-update rows."""
         return weight(compute_r1(self, obs), self.config)
 
     def reset_bins(self, bins: np.ndarray) -> None:
-        """Return the selected bins to the initial prior and passthrough row."""
-        self.cov[bins] = COV_INIT_SCALE * np.eye(self.dim)
-        self.rows[bins] = passthrough_row(self.dim)
+        """Return the selected bins (a mask or indices) to the initial prior and passthrough row."""
+        mask = np.zeros(self.n_bins, dtype=bool)
+        mask[bins] = True
+        prior = pack_covariance(_prior(self.dim)[np.newaxis])
+        lanes = mask[_lane_bins(self.n_bins)].reshape(len(self.cov), 1, 1, LANES)
+        np.copyto(self.cov, prior, where=lanes)
+        self.rows[mask] = passthrough_row(self.dim)
 
 
-def _kernel_layout(cov: np.ndarray) -> bool:
-    """Whether the kernel can update ``cov`` in place: C-contiguous complex128 (K, D, D)."""
-    return (cov.dtype == np.complex128 and cov.ndim == 3 and cov.shape[1] == cov.shape[2]
-            and cov.flags.c_contiguous and cov.flags.writeable)
+def _prior(dim: int) -> np.ndarray:
+    return COV_INIT_SCALE * np.eye(dim, dtype=np.complex128)
 
 
-def nonfinite_trace(cov: np.ndarray) -> np.ndarray:
-    """Mask of the bins whose trace, as the row solve takes it, is not finite."""
-    return ~np.isfinite(np.einsum("kdd->k", cov).real)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# The index arrays below are cached per K or D, as a frame would otherwise
+# spend more time building them than the numpy code spends using them.
+@functools.lru_cache(maxsize=16)
+def _lane_bins(n_bins: int) -> np.ndarray:
+    """The bin held by each lane of the planes; a short last block repeats bin K - 1."""
+    return _read_only(np.minimum(np.arange(-(-n_bins // LANES) * LANES), n_bins - 1))[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _upper(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each plane entry: the upper triangle in row-major order."""
+    return _read_only(*np.triu_indices(dim))
+
+
+@functools.lru_cache(maxsize=16)
+def _entries(dim: int) -> np.ndarray:
+    """(D, D) plane entry that holds V[i, j] or, below the diagonal, its conjugate."""
+    rows, cols = _upper(dim)
+    index = np.empty((dim, dim), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return _read_only(index)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _augmented(dim: int) -> np.ndarray:
+    """Plane entry of each element of the row solve's augmented (D-1, D)
+    matrix, flattened: C[i, c] = V[i + 1, c + 1] for c < D - 1, b[i] = V[i + 1, 0]."""
+    i, c = np.indices((dim - 1, dim))
+    return _read_only(_entries(dim)[i + 1, (c + 1) % dim].ravel())[0]
+
+
+def _planes_shape(n_bins: int, dim: int) -> tuple[int, int, int, int]:
+    return (-(-n_bins // LANES), 2, dim * (dim + 1) // 2, LANES)
+
+
+def _dim(cov: np.ndarray) -> int:
+    """D from planes of D(D+1)/2 entries."""
+    return (int(np.sqrt(8 * cov.shape[2] + 1)) - 1) // 2
+
+
+def covariance_planes(n_bins: int, dim: int) -> np.ndarray:
+    """Zeroed planes (ceil(K / LANES), 2, D(D+1)/2, LANES) float64, ``ALIGN``-byte aligned.
+
+    Only the aligned view is returned; it keeps its over-allocated buffer
+    alive as its base, so the planes' ``nbytes`` is their whole footprint.
+    """
+    shape = _planes_shape(n_bins, dim)
+    nbytes = int(np.prod(shape)) * 8
+    raw = np.zeros(nbytes + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start : start + nbytes].view(np.float64).reshape(shape)
+
+
+def pack_covariance(cov: np.ndarray) -> np.ndarray:
+    """Planes of the (K, D, D) covariances ``cov``.
+
+    Stores the upper triangle, with row 0 taken as the conjugate of the
+    first column below the diagonal: the entries the row solve reads of a
+    (K, D, D) matrix, bit for bit.
+    """
+    n_bins, dim, _ = cov.shape
+    rows, cols = _upper(dim)
+    lanes = np.asarray(cov)[_lane_bins(n_bins)]
+    tri = lanes[:, rows, cols]
+    tri[:, 1:dim] = lanes[:, 1:, 0].conj()
+    planes = covariance_planes(n_bins, dim)
+    tri = tri.reshape(len(planes), LANES, -1).transpose(0, 2, 1)
+    planes[:, 0] = tri.real
+    planes[:, 1] = tri.imag
+    return planes
+
+
+def unpack_covariance(cov: np.ndarray, n_bins: int) -> np.ndarray:
+    """The exactly Hermitian (K, D, D) covariances held in the planes ``cov``."""
+    dim = _dim(cov)
+    rows, cols = _upper(dim)
+    tri = np.empty((len(cov), LANES, len(rows)), dtype=np.complex128)
+    tri.real = cov[:, 0].transpose(0, 2, 1)
+    tri.imag = cov[:, 1].transpose(0, 2, 1)
+    tri = tri.reshape(-1, len(rows))[:n_bins]
+    out = np.empty((n_bins, dim, dim), dtype=np.complex128)
+    out[:, cols, rows] = tri.conj()
+    out[:, rows, cols] = tri
+    return out
+
+
+def _kernel_address(cov: np.ndarray, n_bins: int, dim: int) -> int | None:
+    """Address of the planes ``cov`` if the kernels are loaded and can take them
+    in place (aligned, C-contiguous, writeable), else None. Raises ValueError
+    if ``cov`` does not have the planes' shape."""
+    shape = _planes_shape(n_bins, dim)
+    if np.shape(cov) != shape:
+        raise ValueError(f"expected covariance planes of shape {shape}, got {np.shape(cov)}")
+    if _kernels is None or cov.dtype != np.float64 or not cov.flags.c_contiguous:
+        return None
+    address = cov.ctypes.data
+    return address if address % ALIGN == 0 and cov.flags.writeable else None
+
+
+def _trace(cov: np.ndarray) -> np.ndarray:
+    """(blocks, LANES) traces: the real diagonal summed in index order, as the kernels do."""
+    trace = np.zeros(cov.shape[::3])
+    for at in np.diagonal(_entries(_dim(cov))):
+        trace += cov[:, 0, at]
+    return trace
+
+
+def nonfinite_trace(cov: np.ndarray, n_bins: int) -> np.ndarray:
+    """Mask of the K bins whose trace, as the row solve takes it, is not finite."""
+    return ~np.isfinite(_trace(cov).reshape(-1)[:n_bins])
 
 
 def ewma_covariance_update(
     cov: np.ndarray, obs: np.ndarray, alpha: float, gain
 ) -> int:
-    """In-place V <- alpha*V + (1-alpha)*gain * y y^H per bin.
+    """In-place V <- alpha*V + (1-alpha)*gain * y y^H per bin, on the planes ``cov``.
 
     ``gain`` is a scalar (shared weight) or a length-K vector (per-bin
-    weight); ``cov`` is (K, D, D) and ``obs`` (K, D). y y^H is exactly
-    Hermitian, so ``cov`` stays exactly Hermitian with no re-symmetrization.
-    Returns the number of bins whose updated trace is not finite (the
-    ``nonfinite_trace`` count). Runs the compiled kernel when it is loaded and
-    ``cov`` is a C-contiguous complex128 (K, D, D) array, else the numpy
-    code below.
+    weight); ``obs`` is (K, D). Only the upper triangle is stored, so the
+    covariances stay exactly Hermitian. Returns the number of bins whose
+    updated trace is not finite (the ``nonfinite_trace`` count). Runs the
+    compiled kernel when it is loaded and ``cov`` is aligned C-contiguous
+    planes, else the numpy code below; both give the same planes bit for bit.
     """
     gain = np.asarray(gain, dtype=np.float64)
-    n_bins = len(cov)
+    n_bins, dim = np.shape(obs)
     # A 0-d gain becomes (1,) under ascontiguousarray, so take the stride first.
     stride = {(): 0, (1,): 0, (n_bins,): 1}.get(gain.shape)
-    if _kernels is not None and stride is not None and _kernel_layout(cov):
+    address = _kernel_address(cov, n_bins, dim)
+    if address is not None and stride is not None:
         obs = np.ascontiguousarray(obs, dtype=np.complex128)
-        if obs.shape == cov.shape[:2]:
-            gain = np.ascontiguousarray(gain)
-            return _kernels.ewma(n_bins, obs.shape[1], cov.ctypes.data, obs.ctypes.data,
-                                 alpha, gain.ctypes.data, stride)
-    update = np.einsum("kd,ke->kde", obs, obs.conj())
-    if gain.ndim == 1:
-        gain = gain[:, np.newaxis, np.newaxis]
-    cov *= alpha
-    cov += (1.0 - alpha) * gain * update
-    return int(np.count_nonzero(nonfinite_trace(cov)))
+        gain = np.ascontiguousarray(gain)
+        broken = _kernels.ewma(n_bins, dim, address, obs.ctypes.data,
+                               alpha, gain.ctypes.data, stride)
+        if broken < 0:
+            raise MemoryError("EWMA workspace")
+        return broken
+    lanes = _lane_bins(n_bins)
+    y = np.asarray(obs, dtype=np.complex128)[lanes]
+    rows, cols = _upper(dim)
+    y_i, y_j = y[:, rows], y[:, cols]  # per lane and plane entry
+    scale = (1.0 - alpha) * np.broadcast_to(gain, (n_bins,))[lanes, np.newaxis]
+    planes = (len(cov), LANES, len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # y_i conj(y_j), written out as the kernel does.
+        ur = (y_i.real * y_j.real + y_i.imag * y_j.imag) * scale
+        ui = (y_i.imag * y_j.real - y_i.real * y_j.imag) * scale
+        cov *= alpha
+        cov[:, 0] += ur.reshape(planes).transpose(0, 2, 1)
+        cov[:, 1] += ui.reshape(planes).transpose(0, 2, 1)
+    return int(np.count_nonzero(nonfinite_trace(cov, n_bins)))
 
 
 def solve_demixing_rows(
@@ -187,28 +328,32 @@ def solve_demixing_rows(
 ) -> tuple[np.ndarray, int]:
     """Rows [1; -(C + lambda I)^{-1} b] of every bin's loaded covariance.
 
-    ``cov`` is (K, D, D) and Hermitian, ``prev_rows`` (K, D). Bins whose
-    trace or solution is non-finite keep their previous row; the count of
-    such bins is returned alongside the rows. Runs the compiled kernel when
-    it is loaded, else the numpy code below.
+    ``cov`` holds the planes of Hermitian covariances, ``prev_rows`` is
+    (K, D). Bins whose trace or solution is non-finite keep their previous
+    row; the count of such bins is returned alongside the rows. Runs the
+    compiled kernel when it is loaded and ``cov`` is aligned C-contiguous
+    planes, else the numpy code below.
     """
     n_bins, dim = prev_rows.shape
-    if _kernels is not None and np.shape(cov) == (n_bins, dim, dim):
-        cov = np.ascontiguousarray(cov, dtype=np.complex128)
+    address = _kernel_address(cov, n_bins, dim)
+    if address is not None:
         prev_rows = np.ascontiguousarray(prev_rows, dtype=np.complex128)
         rows = np.empty_like(prev_rows)
-        skipped = _kernels.solve(n_bins, dim, cov.ctypes.data, prev_rows.ctypes.data,
+        skipped = _kernels.solve(n_bins, dim, address, prev_rows.ctypes.data,
                                  diag_load, rows.ctypes.data)
         if skipped < 0:
             raise MemoryError("row solve workspace")
         return rows, skipped
-    n = dim - 1
-    trace = np.einsum("kdd->k", cov).real
-    # Augmented [C + lambda I | b] with the bins on the contiguous last axis.
-    a = np.empty((n, dim, n_bins), dtype=np.complex128)
-    a[:, :n] = cov[:, 1:, 1:].transpose(1, 2, 0)
-    a[:, n] = cov[:, 1:, 0].T
-    a.reshape(n * dim, n_bins)[:: dim + 1] += diag_load * trace / dim
+    n, n_lanes = dim - 1, cov.shape[0] * LANES
+    trace = _trace(cov).reshape(n_lanes)
+    # Augmented [C + lambda I | b] with the lanes on the contiguous last axis:
+    # C from the upper triangle (its unread lower part mirrors it), b = conj(row 0).
+    a = np.empty((n, dim, n_lanes), dtype=np.complex128)
+    parts = a.view(np.float64).reshape(n * dim, len(cov), LANES, 2)
+    for part in (0, 1):
+        parts[..., part] = cov[:, part, _augmented(dim)].transpose(1, 0, 2)
+    np.negative(a[:, n].imag, out=a[:, n].imag)
+    a.reshape(n * dim, n_lanes)[:: dim + 1] += diag_load * trace / dim
     with np.errstate(all="ignore"):
         # Forward elimination on the upper triangle: row j is final at step j;
         # it is scaled by its real pivot and, by Hermitian symmetry, its
@@ -220,10 +365,10 @@ def solve_demixing_rows(
             for i in range(j + 1, n):
                 a[i, i:] -= lower[i - j - 1] * a[j, i:]
         # Back substitution on the unit upper triangle leaves (C + lambda I)^{-1} b.
-        x = a[:, n]
+        x = a[:, n, :n_bins]
         for col in range(n - 1, 0, -1):
-            x[:col] -= a[:col, col] * x[col]
-    bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(trace))
+            x[:col] -= a[:col, col, :n_bins] * x[col]
+    bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(trace[:n_bins]))
     rows = np.empty_like(prev_rows)
     rows[:, 0] = 1.0
     np.negative(x.T, out=rows[:, 1:])
@@ -255,9 +400,12 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
-    gain = state.frame_weight(obs)
+    # A finite burst may overflow |e|^2 in the weight; the EWMA's count of
+    # broken bins handles it, so numpy's warnings are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = state.frame_weight(obs)
     if ewma_covariance_update(state.cov, obs, state.config.alpha, gain):
-        state.reset_bins(nonfinite_trace(state.cov))
+        state.reset_bins(nonfinite_trace(state.cov, state.n_bins))
     state.rows, skipped = solve_demixing_rows(
         state.cov, state.rows, state.config.diag_load
     )
@@ -287,5 +435,5 @@ def offline_batch(
         phi = np.broadcast_to((r1 ** (config.beta - 2.0))[:, np.newaxis], e.shape)
         cov = np.einsum("nk,nkd,nke->kde", phi, obs, obs.conj()) / n_frames
         cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-        rows, _ = solve_demixing_rows(cov, rows, config.diag_load)
+        rows, _ = solve_demixing_rows(pack_covariance(cov), rows, config.diag_load)
     return rows

@@ -63,6 +63,19 @@ def signal_pair(short_noise):
     return short_noise, mic
 
 
+def ewma_dense(cov, obs, alpha, gain):
+    """``ewma_covariance_update`` on (K, D, D) ``cov``, in place through the planes."""
+    planes = auxiva.pack_covariance(cov)
+    broken = auxiva.ewma_covariance_update(planes, obs, alpha, gain)
+    cov[...] = auxiva.unpack_covariance(planes, len(cov))
+    return broken
+
+
+def solve_dense(cov, prev_rows, diag_load):
+    """``solve_demixing_rows`` on (K, D, D) ``cov``."""
+    return auxiva.solve_demixing_rows(auxiva.pack_covariance(cov), prev_rows, diag_load)
+
+
 def numpy_path():
     """Context in which ``naec.auxiva`` runs its numpy code, as with no C compiler."""
     return mock.patch.object(auxiva, "_kernels", None)

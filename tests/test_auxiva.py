@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import on_both_paths, random_hpd
+from conftest import ewma_dense, on_both_paths, random_hpd, solve_dense
 from naec.auxiva import (
     R_FLOOR,
     AuxivaConfig,
     AuxivaState,
     compute_r1,
-    ewma_covariance_update,
     offline_batch,
     process_frame,
-    solve_demixing_rows,
     weight,
 )
 from naec.ctf import constrained_matrix, passthrough_row
@@ -36,7 +34,7 @@ def test_state_starts_at_passthrough():
     np.testing.assert_array_equal(state.rows[:, 0], np.ones(4))
     np.testing.assert_array_equal(state.rows[:, 1:], np.zeros((4, 2)))
     np.testing.assert_array_equal(
-        state.cov, np.broadcast_to(1e-3 * np.eye(3), (4, 3, 3))
+        state.covariance, np.broadcast_to(1e-3 * np.eye(3), (4, 3, 3))
     )
     assert state.skipped_bins == 0
 
@@ -50,7 +48,7 @@ def test_ewma_update_matches_dense_formula(rng):
         "kd,ke->kde", obs, obs.conj()
     )
     expected = 0.5 * (expected + expected.conj().transpose(0, 2, 1))
-    ewma_covariance_update(cov, obs, alpha, phi)
+    ewma_dense(cov, obs, alpha, phi)
     np.testing.assert_allclose(cov, expected, rtol=1e-13)
     np.testing.assert_allclose(cov, cov.conj().transpose(0, 2, 1), rtol=0, atol=1e-15)
 
@@ -62,7 +60,7 @@ def test_ewma_per_bin_gain(rng):
     before = cov.copy()
     obs = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
     gains = np.array([0.0, 1.0, 2.0, 3.0])
-    ewma_covariance_update(cov, obs, 0.5, gains)
+    ewma_dense(cov, obs, 0.5, gains)
     np.testing.assert_allclose(cov[0], 0.5 * before[0], rtol=1e-14)
     rank1 = np.outer(obs[2], obs[2].conj())
     expected = 0.5 * before[2] + 0.5 * 2.0 * rank1
@@ -72,14 +70,16 @@ def test_ewma_per_bin_gain(rng):
 
 @on_both_paths
 def test_ewma_keeps_covariance_exactly_hermitian(rng):
-    """The recursion needs no re-Hermitization: y y^H is exactly Hermitian."""
+    """The recursion needs no re-Hermitization: only the upper triangle is
+    stored, and y y^H keeps its diagonal exactly real."""
     k, d = 6, 5
     for gain_of in (lambda: float(rng.uniform(0.1, 10.0)), lambda: rng.uniform(0.1, 10.0, k)):
         cov = np.tile(1e-3 * np.eye(d, dtype=np.complex128), (k, 1, 1))
         for scale in np.logspace(-6, 3, 200):
             obs = scale * (rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
-            ewma_covariance_update(cov, obs, 0.99, gain_of())
+            ewma_dense(cov, obs, 0.99, gain_of())
             assert np.array_equal(cov, cov.conj().transpose(0, 2, 1))
+            assert not np.einsum("kdd->kd", cov).imag.any()
 
 
 def _lapack_rows(cov, diag_load):
@@ -100,7 +100,7 @@ def test_loading_is_trace_relative(rng):
     cov = random_hpd(rng, dim, n_bins)
     prev = np.tile(passthrough_row(dim), (n_bins, 1))
     for diag_load in (0.1, 1.0):
-        rows, skipped = solve_demixing_rows(cov, prev, diag_load)
+        rows, skipped = solve_dense(cov, prev, diag_load)
         assert skipped == 0
         for k in range(n_bins):
             load = diag_load * np.trace(cov[k]).real / dim
@@ -117,7 +117,7 @@ def test_row_solve_matches_inverse_first_column(rng):
         cov = random_hpd(rng, dim, n_bins)
         prev = np.tile(passthrough_row(dim), (n_bins, 1))
         for diag_load in (1e-12, 1e-6):
-            rows, skipped = solve_demixing_rows(cov, prev, diag_load)
+            rows, skipped = solve_dense(cov, prev, diag_load)
             assert skipped == 0
             expected = _lapack_rows(cov, diag_load)
             err = np.linalg.norm(rows - expected, axis=1) / np.linalg.norm(expected, axis=1)
@@ -125,7 +125,7 @@ def test_row_solve_matches_inverse_first_column(rng):
             np.testing.assert_array_equal(rows[:, 0], np.ones(n_bins))  # pinned exactly
         for k in range(8):
             col = np.linalg.inv(cov[k])[:, 0]
-            rows, _ = solve_demixing_rows(cov[k : k + 1], prev[k : k + 1], 1e-12)
+            rows, _ = solve_dense(cov[k : k + 1], prev[k : k + 1], 1e-12)
             np.testing.assert_allclose(rows[0], col / col[0], rtol=1e-8)
 
 
@@ -138,7 +138,7 @@ def test_row_solve_keeps_previous_on_singular(rng):
     prev = np.tile(passthrough_row(3), (3, 1))
     prev[0, 1] = 0.25
     prev[2, 2] = -0.5
-    rows, skipped = solve_demixing_rows(cov, prev, diag_load=1e-30)
+    rows, skipped = solve_dense(cov, prev, diag_load=1e-30)
     assert skipped == 2
     np.testing.assert_array_equal(rows[0], prev[0])
     np.testing.assert_array_equal(rows[2], prev[2])
@@ -211,9 +211,9 @@ def test_solved_rows_always_unit_leading(seed, s):
     rng = np.random.default_rng(seed)
     cov = random_hpd(rng, 3, 4)
     prev = np.tile(passthrough_row(3), (4, 1))
-    rows, _ = solve_demixing_rows(cov, prev, 1e-6)
+    rows, _ = solve_dense(cov, prev, 1e-6)
     assert np.isfinite(rows).all()
     np.testing.assert_array_equal(rows[:, 0], np.ones(4))
     # A global rescale of each covariance leaves the rows unchanged.
-    scaled, _ = solve_demixing_rows(2.0**s * cov, prev, 1e-6)
+    scaled, _ = solve_dense(2.0**s * cov, prev, 1e-6)
     np.testing.assert_array_equal(scaled, rows)

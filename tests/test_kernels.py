@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 import naec
-from conftest import numpy_path, random_hpd
+from conftest import numpy_path, on_both_paths, random_hpd, solve_dense
 from naec import AudioSignal, auxiva
+from naec.auxiva import LANES, pack_covariance, unpack_covariance
+from naec.ctf import CtfConfig
+from naec.pipeline import EngineConfig, StreamingEngine
+from naec.stft import StftConfig
 from naec.ilrma import IlrmaState
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -63,9 +67,15 @@ def test_import_without_compiler_runs_the_numpy_path(tmp_path):
     assert np.load(tmp_path / "out.npy").tobytes() == expected.samples.tobytes()
 
 
+def _aligned_copy(planes):
+    out = auxiva.covariance_planes(len(planes) * LANES, auxiva._dim(planes))
+    out[...] = planes
+    return out
+
+
 def _ewma_both(cov, obs, alpha, gain):
-    """EWMA of copies of ``cov`` on the kernels and on the numpy path."""
-    got, expected = cov.copy(), cov.copy()
+    """EWMA of the planes of ``cov`` on the kernels and on the numpy path."""
+    got, expected = pack_covariance(cov), pack_covariance(cov)
     auxiva.ewma_covariance_update(got, obs, alpha, gain)
     with numpy_path():
         auxiva.ewma_covariance_update(expected, obs, alpha, gain)
@@ -76,7 +86,9 @@ def _ewma_both(cov, obs, alpha, gain):
 @pytest.mark.parametrize("gain", ["float", "0-d", "numpy-scalar", "(1,)", "per-bin"])
 @pytest.mark.parametrize("n_bins", [1, 64])
 def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
-    """A 0-d gain is shared by all bins: the kernel must not step through it."""
+    """A 0-d gain is shared by all bins: the kernel must not step through it.
+    Both paths do the same real operations in the same order, so their planes
+    are byte-equal."""
     cov = random_hpd(rng, 5, n_bins)
     obs = rng.standard_normal((n_bins, 5)) + 1j * rng.standard_normal((n_bins, 5))
     value = {
@@ -88,7 +100,7 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
     }[gain]
     got, expected = _ewma_both(cov, obs, 0.9, value)
     assert np.isfinite(got).all()
-    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+    assert got.tobytes() == expected.tobytes()
 
 
 @needs_kernels
@@ -96,14 +108,36 @@ def test_kernels_take_non_contiguous_inputs(rng):
     k, d = 9, 4
     cov = random_hpd(rng, d, 2 * k)
     obs = (rng.standard_normal((k, 2 * d)) + 1j * rng.standard_normal((k, 2 * d)))[:, ::2]
-    got, expected = _ewma_both(cov[:k], obs, 0.95, 1.7)
-    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+    got, expected = _ewma_both(cov[::2], obs, 0.95, 1.7)
+    assert got.tobytes() == expected.tobytes()
     prev = np.tile(np.eye(1, 2 * d, dtype=complex), (k, 1))[:, ::2]
-    rows, skipped = auxiva.solve_demixing_rows(cov[::2], prev, 1e-6)
+    rows, skipped = auxiva.solve_demixing_rows(got, prev, 1e-6)
     with numpy_path():
-        expected_rows, _ = auxiva.solve_demixing_rows(cov[::2], prev, 1e-6)
+        expected_rows, _ = auxiva.solve_demixing_rows(got, prev, 1e-6)
     assert skipped == 0
     np.testing.assert_allclose(rows, expected_rows, rtol=1e-12, atol=0)
+
+
+@needs_kernels
+def test_unaligned_planes_take_the_numpy_path(rng):
+    """The kernels load whole 64-byte vectors; planes off that alignment are
+    updated and solved by the numpy code instead, with the same results."""
+    k, d = 9, 4
+    planes = pack_covariance(random_hpd(rng, d, k))
+    raw = np.empty(planes.nbytes + 2 * auxiva.ALIGN, dtype=np.uint8)
+    start = (8 - raw.ctypes.data) % auxiva.ALIGN
+    unaligned = raw[start : start + planes.nbytes].view(np.float64).reshape(planes.shape)
+    unaligned[...] = planes
+    assert unaligned.ctypes.data % auxiva.ALIGN == 8
+    obs = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    for p in (planes, unaligned):
+        assert auxiva.ewma_covariance_update(p, obs, 0.9, 1.3) == 0
+    assert unaligned.tobytes() == planes.tobytes()
+    prev = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    rows, _ = auxiva.solve_demixing_rows(unaligned, prev, 1e-6)
+    with numpy_path():
+        expected, _ = auxiva.solve_demixing_rows(planes, prev, 1e-6)
+    assert rows.tobytes() == expected.tobytes()
 
 
 @needs_kernels
@@ -133,15 +167,87 @@ def _solve_inputs(rng, n_bins, dim):
     return cov, prev
 
 
+def _per_lane(planes):
+    """(lanes, 2, entries): each lane's real and imaginary entries."""
+    return planes.transpose(0, 3, 1, 2).reshape(-1, 2, planes.shape[2])
+
+
+@pytest.mark.parametrize("dim", LANE_DIMS)
+@pytest.mark.parametrize("n_bins", LANE_BINS)
+def test_pack_unpack_is_exact_and_hermitian(rng, n_bins, dim):
+    """Unpacking gives back an exactly Hermitian input bit for bit, packing its
+    output gives back the planes, and the lanes of a short last block hold
+    copies of the last bin."""
+    upper = np.triu(random_hpd(rng, dim, n_bins))
+    idx = np.arange(dim)
+    upper[:, idx, idx] = upper[:, idx, idx].real
+    cov = upper + np.triu(upper, 1).conj().transpose(0, 2, 1)
+    planes = pack_covariance(cov)
+    back = unpack_covariance(planes, n_bins)
+    assert back.tobytes() == cov.tobytes()
+    assert np.array_equal(back, back.conj().transpose(0, 2, 1))
+    assert pack_covariance(back).tobytes() == planes.tobytes()
+    lanes = _per_lane(planes)
+    assert len(lanes) == -(-n_bins // LANES) * LANES
+    for pad in lanes[n_bins:]:
+        assert pad.tobytes() == lanes[n_bins - 1].tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+@pytest.mark.parametrize("window_len", [256, 1024, 4096])
+def test_engine_planes_are_aligned(optimizer, window_len):
+    """Every state the engine builds holds ALIGN-byte aligned planes, which the
+    kernels take in place."""
+    for order_p in (1, 3, 5):
+        for frames_l in range(1, 7):
+            config = EngineConfig(optimizer=optimizer,
+                                  stft=StftConfig(window_len=window_len, hop=window_len // 4),
+                                  ctf=CtfConfig(frames_l=frames_l, order_p=order_p))
+            state = StreamingEngine(config)._state
+            assert state.cov.ctypes.data % auxiva.ALIGN == 0
+            assert state.cov.shape == (-(-state.n_bins // LANES), 2,
+                                       state.dim * (state.dim + 1) // 2, LANES)
+            if auxiva._kernels is not None:
+                assert auxiva._kernel_address(state.cov, state.n_bins, state.dim) is not None
+
+
+@pytest.mark.parametrize("dim", [4, 10])
+@pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
+                         ids=["auxiva", "ilrma"])
+@on_both_paths
+def test_bin_reset_after_overflow_gives_the_prior_row(rng, dim, state_type):
+    """A bin reset by an overflow is solved from the prior, whose b is +0: its
+    row is [1, -0.0 - 0.0j, ...] byte for byte, as the (K, D, D) layout gave.
+    Row 0 of the planes holds conj(b), so the prior stores -0.0 there. The
+    reset covers the last bin, whose copies fill the short last block."""
+    n_bins, burst_bins = 9, [3, 8]
+    state = state_type(n_bins, dim)
+    for _ in range(5):
+        auxiva.process_frame(state, rng.standard_normal((n_bins, dim))
+                             + 1j * rng.standard_normal((n_bins, dim)))
+    obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    obs[burst_bins, 0] = 1e200
+    auxiva.process_frame(state, obs)
+    expected = np.negative(np.zeros(dim, dtype=np.complex128))
+    expected[0] = 1.0
+    for k in burst_bins:
+        assert state.rows[k].tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(state.covariance[burst_bins],
+                                  np.broadcast_to(1e-3 * np.eye(dim), (2, dim, dim)))
+    lanes = _per_lane(state.cov)
+    for pad in lanes[n_bins:]:
+        assert pad.tobytes() == lanes[n_bins - 1].tobytes()
+
+
 @needs_kernels
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
     """Each lane is one bin's scalar solve: block position and block-mates change no bit."""
     cov, prev = _solve_inputs(rng, n_bins, dim)
-    rows, skipped = auxiva.solve_demixing_rows(cov, prev, 1e-6)
+    rows, skipped = solve_dense(cov, prev, 1e-6)
     assert skipped == 0
-    single = np.concatenate([auxiva.solve_demixing_rows(cov[k : k + 1], prev[k : k + 1], 1e-6)[0]
+    single = np.concatenate([solve_dense(cov[k : k + 1], prev[k : k + 1], 1e-6)[0]
                              for k in range(n_bins)])
     assert rows.tobytes() == single.tobytes()
 
@@ -155,15 +261,17 @@ def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
     (infinite trace) keeps its previous row, is counted, and leaves every other
     bin's row byte-equal to a clean run."""
     cov, prev = _solve_inputs(rng, n_bins, dim)
-    clean, _ = auxiva.solve_demixing_rows(cov, prev, 1e-6)
+    clean, _ = solve_dense(cov, prev, 1e-6)
     bad = sorted({0, n_bins // 2, n_bins - 1})
-    faulty = cov.copy()
     if fault == "nan":
-        faulty[bad, dim - 1, 0] = np.nan
+        faulty = pack_covariance(cov)
+        for k in bad:  # the stored upper entry (0, dim - 1), conj of b's last entry
+            faulty[k // LANES, 0, dim - 1, k % LANES] = np.nan
     else:
         y = np.full(dim, 1e200, dtype=np.complex128)
         with np.errstate(over="ignore"):
-            faulty[bad] += np.outer(y, y.conj())
+            cov[bad] += np.outer(y, y.conj())
+        faulty = pack_covariance(cov)
     rows, skipped = auxiva.solve_demixing_rows(faulty, prev, 1e-6)
     assert skipped == len(bad)
     good = np.setdiff1d(np.arange(n_bins), bad)
@@ -210,11 +318,11 @@ def test_ewma_returns_the_count_of_broken_bins(rng, n_bins):
     """Both paths count the bins whose updated trace is not finite."""
     cov = random_hpd(rng, 4, n_bins)
     obs = rng.standard_normal((n_bins, 4)) + 1j * rng.standard_normal((n_bins, 4))
-    assert auxiva.ewma_covariance_update(cov.copy(), obs, 0.9, 1.0) == 0
+    assert auxiva.ewma_covariance_update(pack_covariance(cov), obs, 0.9, 1.0) == 0
     obs[-1, 2] = 1e200
     for paths in (contextlib.nullcontext(), numpy_path()):
-        with paths, np.errstate(over="ignore", invalid="ignore"):
-            assert auxiva.ewma_covariance_update(cov.copy(), obs, 0.9, 1.0) == 1
+        with paths:
+            assert auxiva.ewma_covariance_update(pack_covariance(cov), obs, 0.9, 1.0) == 1
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -227,20 +335,31 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 @needs_kernels
 def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
-    """The solve built for the baseline ISA alone gives the loaded kernel's
-    rows and skipped count byte for byte, whichever clone the CPU runs."""
+    """Both kernels built for the baseline ISA alone give the loaded kernels'
+    planes, rows and counts byte for byte, whichever clone the CPU runs."""
     target = tmp_path / "kernels.so"
     subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
                    check=True, capture_output=True, timeout=120)
     lib = ctypes.CDLL(str(target))
-    lib.solve.argtypes = auxiva._kernels.solve.argtypes
-    lib.solve.restype = auxiva._kernels.solve.restype
+    for name in ("ewma", "solve"):
+        getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
+        getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
     for dim in LANE_DIMS:
         cov, prev = _solve_inputs(rng, 513, dim)
-        cov[5, dim - 1, 0] = np.nan
-        expected, expected_skipped = auxiva.solve_demixing_rows(cov, prev, 1e-6)
+        planes = pack_covariance(cov)
+        planes[5 // LANES, 0, dim - 1, 5 % LANES] = np.nan  # in b of bin 5, finite trace
+        baseline = _aligned_copy(planes)
+        obs = rng.standard_normal((513, dim)) + 1j * rng.standard_normal((513, dim))
+        obs[512, 0] = 1e200  # overflows bin 512's trace
+        gain = rng.uniform(0.1, 3.0, 513)
+        assert auxiva.ewma_covariance_update(planes, obs, 0.9, gain) == 1
+        assert lib.ewma(513, dim, baseline.ctypes.data, obs.ctypes.data, 0.9,
+                        gain.ctypes.data, 1) == 1
+        assert baseline.tobytes() == planes.tobytes()
+        expected, expected_skipped = auxiva.solve_demixing_rows(planes, prev, 1e-6)
         rows = np.empty_like(prev)
-        skipped = lib.solve(513, dim, cov.ctypes.data, prev.ctypes.data, 1e-6, rows.ctypes.data)
-        assert skipped == expected_skipped == 1
+        skipped = lib.solve(513, dim, baseline.ctypes.data, prev.ctypes.data, 1e-6,
+                            rows.ctypes.data)
+        assert skipped == expected_skipped == 2
         assert rows.tobytes() == expected.tobytes()

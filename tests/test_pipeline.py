@@ -1,12 +1,15 @@
 """Streaming engine: chunked equivalence, latency, passthrough, config."""
 
+import contextlib
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import numpy_path
 from naec import auxiva
 from naec.audio_io import SAMPLE_RATE, AudioSignal
 from naec.auxiva import AuxivaConfig
@@ -191,12 +194,6 @@ def _push_all(config, mic, far, burst_chunk=None):
     return np.concatenate(parts)[: n * hop], engine.stats
 
 
-# |y|^2 of a 1e200 sample overflows inside the optimizer; these warnings are
-# the expected symptom of the burst, not a failure.
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
 def test_covariance_overflow_resets_bins_and_adaptation_recovers(spiky_scene, optimizer):
     """A finite 1e200 mic sample overflows every covariance; the bins reset and re-adapt."""
@@ -212,6 +209,22 @@ def test_covariance_overflow_resets_bins_and_adaptation_recovers(spiky_scene, op
     ref = AudioSignal(mic[after])
     clean_erle = steady_state(erle(ref, AudioSignal(clean[after])))
     assert steady_state(erle(ref, AudioSignal(out[after]))) >= clean_erle - 1.0
+
+
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+def test_finite_burst_raises_no_warning(spiky_scene, optimizer):
+    """A 1e200 mic sample overflows |e|^2 in the frame weight and the
+    covariance; the engine answers with a bin reset, so it must not also
+    raise numpy warnings, which an application may have made errors."""
+    far, mic = spiky_scene
+    n = 120 * EngineConfig().stft.hop
+    for paths in (contextlib.nullcontext(), numpy_path()):
+        with paths, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, stats = _push_all(EngineConfig(optimizer=optimizer), mic[:n], far[:n],
+                                   burst_chunk=100)
+        assert np.isfinite(out).all()
+        assert stats.skipped_bins == 0
 
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
