@@ -16,9 +16,9 @@ from conftest import numpy_path, on_both_paths, random_hpd, solve_dense
 from naec import AudioSignal, auxiva
 from naec.auxiva import LANES, pack_covariance, unpack_covariance
 from naec.ctf import CtfConfig
+from naec.ilrma import IlrmaState
 from naec.pipeline import EngineConfig, StreamingEngine
 from naec.stft import StftConfig
-from naec.ilrma import IlrmaState
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_kernels = pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
