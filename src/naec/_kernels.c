@@ -1,4 +1,8 @@
-/* Per-bin kernels for naec.auxiva: the EWMA covariance update and the row solve.
+/* Per-frame kernels for naec.auxiva and naec.ilrma:
+     ewma          the EWMA covariance update;
+     solve         the row solve, which also demixes the frame with the new rows;
+     demix         AuxIVA's demix with the previous rows;
+     ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1.
 
    The covariances are held in block-planar form: bins are grouped in blocks
    of LANES, and a block holds a real plane and an imaginary plane of the
@@ -8,20 +12,28 @@
    of bin K - 1 and are updated with its observation and gain, so they stay
    equal to it. Row 0 holds conj(b), where b = cov[1:, 0] is the first column
    below the diagonal. ``obs``, ``prev_rows`` and ``rows`` are (K, D)
-   interleaved complex doubles (re, im), C-contiguous; the caller checks
-   shapes, dtypes, contiguity and alignment.
+   interleaved complex doubles (re, im), C-contiguous, and a demixed frame
+   is (K,) of them; the caller checks shapes, dtypes, contiguity and
+   alignment.
 
    Every vector operation is the scalar operation of one bin, done for LANES
    bins at once, so each bin's result is bit-identical to a one-bin-at-a-time
    computation. The complex arithmetic is written out in real operations (a
    ``double complex`` product calls __muldc3), and the file is built with
-   -ffp-contract=off so no multiply-add is fused. On x86-64 both kernels are
-   compiled for AVX-512F and for the baseline ISA, and the AVX-512F clone is
-   picked when the library is loaded on a CPU that has it; the IEEE
-   operations and their order are the same in both. On an AVX-512F Xeon the
-   AVX-512F clone of the solve takes about half the baseline build's time at
-   D = 10 and 19, and an AVX2 build was no faster than the baseline one, so
-   none is made (BENCH_lane_solve.json). */
+   -ffp-contract=off so no multiply-add is fused. The demixes do the
+   operations of numpy's einsum in its order and give its bytes; ILRMA's
+   NMF updates agree with the numpy ones to rounding, not bytes (see
+   ilrma.py). On x86-64 the lane kernels are compiled for AVX-512F and for
+   the baseline ISA, and the AVX-512F clone is picked when the library is
+   loaded on a CPU that has it; the IEEE operations and their order are the
+   same in both. A static helper is compiled once, for the baseline ISA, so
+   one that holds vector code and is not inlined runs at baseline speed
+   inside the AVX-512F clone: vector helpers are macros, and the scalar
+   demix_bin is always inlined. On an AVX-512F Xeon the AVX-512F clone of
+   the solve takes about half the baseline build's time at D = 10 and 19,
+   and of ilrma_weight about 0.4 of it at K = 513 and B = 10; an AVX2 build
+   was no faster than the baseline one, so none is made
+   (BENCH_lane_solve.json, BENCH_compiled_weight.json). */
 
 #include <math.h>
 #include <stdlib.h>
@@ -38,6 +50,19 @@ typedef double v8 __attribute__((vector_size(LANES * sizeof(double))));
 #define LANE_CLONES
 #endif
 #endif
+
+/* Lane masks: a comparison of two v8 gives one. */
+typedef long v8l __attribute__((vector_size(LANES * sizeof(long))));
+
+/* x with every lane below lo replaced by lo's, evaluating each argument
+   once; a NaN lane is kept, as np.maximum(x, lo) keeps it. A macro, as a
+   function taking or returning v8 has a different ABI in each clone. */
+#define AT_LEAST(x, lo)                                                    \
+    __extension__({                                                        \
+        const v8 x_ = (x), lo_ = (lo);                                     \
+        const v8l below_ = x_ < lo_;                                       \
+        (v8)(((v8l)x_ & ~below_) | ((v8l)lo_ & below_));                   \
+    })
 
 /* Index of the upper-triangle entry (i, j), i <= j, in a plane. */
 static long upper(long dim, long i, long j)
@@ -91,6 +116,28 @@ long ewma(long n_bins, long dim, v8 *cov, const double *obs, double alpha,
     return broken;
 }
 
+/* out = row^H y for one bin: the sum over d of conj(row[d]) y[d], taken
+   in index order from 0.0 in unfused real operations, which are the
+   operations and order of np.einsum("kd,kd->k", rows.conj(), obs). */
+static inline __attribute__((always_inline)) void
+demix_bin(long dim, const double *row, const double *y, double *out)
+{
+    double re = 0.0, im = 0.0;
+    for (long d = 0; d < dim; d++) {
+        re += row[2 * d] * y[2 * d] + row[2 * d + 1] * y[2 * d + 1];
+        im += row[2 * d] * y[2 * d + 1] - row[2 * d + 1] * y[2 * d];
+    }
+    out[0] = re;
+    out[1] = im;
+}
+
+/* out[k] = rows[k]^H obs[k] for every bin; ``out`` is (K,) complex. */
+void demix(long n_bins, long dim, const double *rows, const double *obs, double *out)
+{
+    for (long k = 0; k < n_bins; k++)
+        demix_bin(dim, rows + 2 * k * dim, obs + 2 * k * dim, out + 2 * k);
+}
+
 /* rows[k] = [1; -(C + lambda I)^{-1} b] for cov[k] = [[a, b^H], [b, C]] and
    lambda = diag_load * tr(cov[k]) / D, by Gaussian elimination without
    pivoting on the augmented (D-1, D) matrix [C + lambda I | b], LANES bins
@@ -100,7 +147,7 @@ long ewma(long n_bins, long dim, v8 *cov, const double *obs, double alpha,
    number of such bins, or -1 if the workspace could not be allocated. */
 LANE_CLONES
 long solve(long n_bins, long dim, const v8 *cov, const double *prev_rows,
-           double diag_load, double *rows)
+           double diag_load, double *rows, const double *obs, double *out)
 {
     const long n = dim - 1, tri = dim * (dim + 1) / 2;
     /* Entry (i, c) of the augmented matrix is re[i * dim + c] + i im[...];
@@ -172,16 +219,95 @@ long solve(long n_bins, long dim, const v8 *cov, const double *prev_rows,
                 for (long d = 0; d < 2 * dim; d++)
                     row[d] = prev[d];
                 skipped++;
-                continue;
+            } else {
+                row[0] = 1.0;
+                row[1] = 0.0;
+                for (long i = 0; i < n; i++) {
+                    row[2 * (i + 1)] = -re[i * dim + n][l];
+                    row[2 * (i + 1) + 1] = -im[i * dim + n][l];
+                }
             }
-            row[0] = 1.0;
-            row[1] = 0.0;
-            for (long i = 0; i < n; i++) {
-                row[2 * (i + 1)] = -re[i * dim + n][l];
-                row[2 * (i + 1) + 1] = -im[i * dim + n][l];
-            }
+            if (out != NULL)
+                demix_bin(dim, row, obs + 2 * k * dim, out + 2 * k);
         }
     }
     free(re);
     return skipped;
+}
+
+/* One frame of ILRMA's NMF source model and its weight, as
+   IlrmaState.frame_weight does it in numpy: from the outputs e = rows^H obs
+   of the previous rows, the bases update t1 <- max(t1 sqrt(|e|^2 / r1),
+   floor), the refresh r1 = max(t1 v1, floor), the activation update
+   v1 <- max(v1 sqrt(num / den), floor) with num = t1^T (|e|^2 / r1^2) and
+   den = t1^T (1 / r1) summed over the K bins, and the final refresh of r1;
+   then gain = 1 / r1. A frame whose outputs are all zero leaves the model
+   as it is. ``bases`` holds t1 basis-major, (B, blocks * LANES), and
+   ``r1`` and ``gain`` are blocks * LANES long, all 64-byte aligned; ``v1``
+   is B long. Lanes past bin K - 1 are computed on bin K - 1's power but
+   are left out of num and den, so they never reach a bin's result.
+   Returns 1 if the model was updated, 0 if the frame was all zero, or -1
+   if the workspace could not be allocated. */
+LANE_CLONES
+long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
+                  const double *obs, v8 *bases, double *v1, v8 *r1,
+                  double floor, v8 *gain)
+{
+    const long blocks = (n_bins + LANES - 1) / LANES;
+    /* |e|^2 per block, then the per-lane partial sums of num and den. */
+    v8 *power = aligned_alloc(sizeof(v8), sizeof(v8) * (blocks + 2 * n_bases));
+    if (power == NULL)
+        return -1;
+    v8 *num = power + blocks, *den = num + n_bases;
+    long live = 0;
+    for (long k = 0; k < blocks * LANES; k++) {
+        double e[2];
+        const long bin = k < n_bins ? k : n_bins - 1;
+        demix_bin(dim, rows + 2 * bin * dim, obs + 2 * bin * dim, e);
+        power[k / LANES][k % LANES] = e[0] * e[0] + e[1] * e[1];
+        live |= e[0] != 0.0 || e[1] != 0.0;
+    }
+    if (live) {
+        const v8 lo = (v8){0.0} + floor;
+        const v8l lane = {0, 1, 2, 3, 4, 5, 6, 7};
+        for (long b = 0; b < n_bases; b++)
+            num[b] = den[b] = (v8){0.0};
+        for (long j = 0; j < blocks; j++) {
+            const v8 ratio = power[j] / r1[j];
+            v8 factor, r = {0.0};
+            for (int l = 0; l < LANES; l++)
+                factor[l] = sqrt(ratio[l]);
+            for (long b = 0; b < n_bases; b++) {
+                const v8 t = AT_LEAST(bases[b * blocks + j] * factor, lo);
+                bases[b * blocks + j] = t;
+                r += t * v1[b];
+            }
+            const v8 w1 = 1.0 / AT_LEAST(r, lo), w2 = power[j] * (w1 * w1);
+            const v8l in_range = lane < n_bins - j * LANES;
+            for (long b = 0; b < n_bases; b++) {
+                const v8 t = bases[b * blocks + j];
+                num[b] += (v8)((v8l)(t * w2) & in_range);
+                den[b] += (v8)((v8l)(t * w1) & in_range);
+            }
+        }
+        for (long b = 0; b < n_bases; b++) {
+            double n = 0.0, d = 0.0;
+            for (int l = 0; l < LANES; l++) {
+                n += num[b][l];
+                d += den[b][l];
+            }
+            const double v = v1[b] * sqrt(n / d);
+            v1[b] = v < floor ? floor : v;
+        }
+        for (long j = 0; j < blocks; j++) {
+            v8 r = {0.0};
+            for (long b = 0; b < n_bases; b++)
+                r += bases[b * blocks + j] * v1[b];
+            r1[j] = AT_LEAST(r, lo);
+        }
+    }
+    for (long j = 0; j < blocks; j++)
+        gain[j] = 1.0 / r1[j];
+    free(power);
+    return live;
 }

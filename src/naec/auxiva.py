@@ -44,8 +44,16 @@ EWMA update returns how many bins' traces overflowed; only then are those
 bins found and restarted from the initial prior and passthrough row.
 
 ``process_frame`` is the online core of both optimizers. The recursion's
-weight is ``state.frame_weight(obs)``: Phi(r1) here, the per-bin 1/r1(k) of
-the NMF model in ``IlrmaState``, a subclass that overrides only that method.
+weight is Phi(r1) here and the per-bin 1/r1(k) of the NMF model in
+``IlrmaState``, a subclass that overrides the weight. With the kernels
+loaded, a frame is three compiled calls on buffers the state owns, whose
+addresses it takes once: the weight (``state.kernel_weight``: here the
+``demix`` kernel, then r1 and Phi in numpy), the EWMA, and the row solve,
+which also demixes the frame with the new rows. Both demixes do the
+operations of ``ctf.demix_frame`` in its order, so for the same rows and
+observations they give its bytes. Without the kernels,
+``state.frame_weight``, ``ewma_covariance_update``, ``solve_demixing_rows``
+and ``ctf.demix_frame`` run.
 
 Offline mode (``offline_batch``) replaces the recursion by the batch mean
 over all frames and serves as the convergence oracle for the online mode.
@@ -75,7 +83,7 @@ ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
-    """The compiled ``ewma`` and ``solve`` kernels, or None if any step fails.
+    """The compiled kernels (``ewma``, ``solve``, ``demix``, ``ilrma_weight``), or None if any step fails.
 
     The shared object is cached as ``kernels-<sha256 of source and flags>.so``
     in ``cache_dir``, compiled there on first use by ``cc`` into a temporary
@@ -102,8 +110,12 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
     lib.ewma.argtypes = (size, size, ptr, ptr, real, ptr, size)
     lib.ewma.restype = size
-    lib.solve.argtypes = (size, size, ptr, ptr, real, ptr)
+    lib.solve.argtypes = (size, size, ptr, ptr, real, ptr, ptr, ptr)
     lib.solve.restype = size
+    lib.demix.argtypes = (size, size, ptr, ptr, ptr)
+    lib.demix.restype = None
+    lib.ilrma_weight.argtypes = (size, size, size, ptr, ptr, ptr, ptr, ptr, real, ptr)
+    lib.ilrma_weight.restype = size
     return lib
 
 
@@ -131,15 +143,28 @@ class AuxivaConfig:
 
 
 class AuxivaState:
-    """Per-bin covariance planes and demixing rows plus the count of skipped bins."""
+    """Per-bin covariance planes and demixing rows plus the count of skipped bins.
+
+    The planes ``cov`` and the rows, with the frame's covariance weight
+    ``gain`` (padded to whole blocks of ``LANES`` bins, ``ALIGN``-byte
+    aligned) and its output ``out``, are buffers that live as long as the
+    state and are only written in place; ``cov`` and ``rows`` cannot be
+    rebound. The compiled path takes their ``addresses`` once, here.
+    """
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
         self.config = config
         self.n_bins = n_bins
         self.dim = dim
-        self.cov = pack_covariance(np.broadcast_to(_prior(dim), (n_bins, dim, dim)))
-        self.rows = np.tile(passthrough_row(dim), (n_bins, 1))
+        self._cov = pack_covariance(np.broadcast_to(_prior(dim), (n_bins, dim, dim)))
+        self._rows = np.tile(passthrough_row(dim), (n_bins, 1))
+        self.gain = aligned_zeros(padded_bins(n_bins))
+        self.out = np.empty(n_bins, dtype=np.complex128)
+        self.addresses = tuple(a.ctypes.data for a in (self._cov, self._rows, self.gain, self.out))
         self.skipped_bins = 0
+
+    cov = property(lambda self: self._cov, doc="The covariance planes (``covariance_planes``).")
+    rows = property(lambda self: self._rows, doc="The (K, D) demixing rows.")
 
     @property
     def covariance(self) -> np.ndarray:
@@ -149,6 +174,13 @@ class AuxivaState:
     def frame_weight(self, obs: np.ndarray) -> float:
         """Covariance weight for this frame: Phi(r1) from the pre-update rows."""
         return weight(compute_r1(self, obs), self.config)
+
+    def kernel_weight(self, obs_address: int) -> int:
+        """``frame_weight`` into ``gain[0]``, with the outputs demixed by the
+        compiled kernel into ``out``; returns the gain's stride over bins, 0."""
+        _kernels.demix(self.n_bins, self.dim, self.addresses[1], obs_address, self.addresses[3])
+        self.gain[0] = weight(output_norm(self.out), self.config)
+        return 0
 
     def reset_bins(self, bins: np.ndarray) -> None:
         """Return the selected bins (a mask or indices) to the initial prior and passthrough row."""
@@ -211,12 +243,21 @@ def _dim(cov: np.ndarray) -> int:
 
 
 def covariance_planes(n_bins: int, dim: int) -> np.ndarray:
-    """Zeroed planes (ceil(K / LANES), 2, D(D+1)/2, LANES) float64, ``ALIGN``-byte aligned.
+    """Zeroed planes (ceil(K / LANES), 2, D(D+1)/2, LANES) float64, ``ALIGN``-byte aligned."""
+    return aligned_zeros(_planes_shape(n_bins, dim))
+
+
+def padded_bins(n_bins: int) -> int:
+    """K rounded up to whole blocks of ``LANES`` bins."""
+    return -(-n_bins // LANES) * LANES
+
+
+def aligned_zeros(shape) -> np.ndarray:
+    """Zeroed float64 array of ``shape``, ``ALIGN``-byte aligned.
 
     Only the aligned view is returned; it keeps its over-allocated buffer
-    alive as its base, so the planes' ``nbytes`` is their whole footprint.
+    alive as its base, so its ``nbytes`` is its whole footprint.
     """
-    shape = _planes_shape(n_bins, dim)
     nbytes = int(np.prod(shape)) * 8
     raw = np.zeros(nbytes + ALIGN, dtype=np.uint8)
     start = -raw.ctypes.data % ALIGN
@@ -340,7 +381,7 @@ def solve_demixing_rows(
         prev_rows = np.ascontiguousarray(prev_rows, dtype=np.complex128)
         rows = np.empty_like(prev_rows)
         skipped = _kernels.solve(n_bins, dim, address, prev_rows.ctypes.data,
-                                 diag_load, rows.ctypes.data)
+                                 diag_load, rows.ctypes.data, None, None)
         if skipped < 0:
             raise MemoryError("row solve workspace")
         return rows, skipped
@@ -377,9 +418,12 @@ def solve_demixing_rows(
 
 def compute_r1(state: AuxivaState, obs: np.ndarray) -> float:
     """Cross-band output norm sqrt(sum_k |w^H y|^2) with pre-update rows, floored."""
-    e = demix_frame(state.rows, obs)
-    r1 = float(np.sqrt(np.sum(np.abs(e) ** 2)))
-    return max(r1, R_FLOOR)
+    return output_norm(demix_frame(state.rows, obs))
+
+
+def output_norm(e: np.ndarray) -> float:
+    """sqrt(sum_k |e(k)|^2), floored at ``R_FLOOR``."""
+    return max(float(np.sqrt(np.sum(np.abs(e) ** 2))), R_FLOOR)
 
 
 def weight(r1: float, config: AuxivaConfig) -> float:
@@ -390,27 +434,49 @@ def weight(r1: float, config: AuxivaConfig) -> float:
 def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     """One online update with the frame's observations, returning E(k, n).
 
-    Steps: weight the frame from the previous rows (``state.frame_weight``),
-    update every covariance, reset the bins whose covariance overflowed
-    (``state.reset_bins``), re-solve every row, then re-demix so the emitted
-    frame uses the updated rows. Serves both optimizers.
+    Steps: weight the frame from the previous rows, update every covariance,
+    reset the bins whose covariance overflowed (``state.reset_bins``),
+    re-solve every row, then re-demix so the emitted frame uses the updated
+    rows. Serves both optimizers. With the kernels loaded this is three
+    compiled calls on the state's buffers: the weight
+    (``state.kernel_weight``), the EWMA, and the row solve, which also
+    demixes into ``state.out``. Without them, the numpy functions run:
+    ``state.frame_weight``, ``ewma_covariance_update``,
+    ``solve_demixing_rows`` and ``ctf.demix_frame``.
     """
-    obs = np.asarray(obs, dtype=np.complex128)
+    obs = np.ascontiguousarray(obs, dtype=np.complex128)
     if obs.shape != (state.n_bins, state.dim):
         raise ValueError(
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
+    n_bins, dim, config = state.n_bins, state.dim, state.config
     # A finite burst may overflow |e|^2 in the weight; the EWMA's count of
     # broken bins handles it, so numpy's warnings are only noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gain = state.frame_weight(obs)
-    if ewma_covariance_update(state.cov, obs, state.config.alpha, gain):
-        state.reset_bins(nonfinite_trace(state.cov, state.n_bins))
-    state.rows, skipped = solve_demixing_rows(
-        state.cov, state.rows, state.config.diag_load
-    )
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    if _kernels is None:
+        with quiet:
+            gain = state.frame_weight(obs)
+        if ewma_covariance_update(state.cov, obs, config.alpha, gain):
+            state.reset_bins(nonfinite_trace(state.cov, n_bins))
+        rows, skipped = solve_demixing_rows(state.cov, state.rows, config.diag_load)
+        state.rows[...] = rows
+        state.skipped_bins += skipped
+        return demix_frame(state.rows, obs)
+    obs_address = obs.ctypes.data
+    cov, rows, gain, out = state.addresses
+    with quiet:
+        stride = state.kernel_weight(obs_address)
+    broken = _kernels.ewma(n_bins, dim, cov, obs_address, config.alpha, gain, stride)
+    if broken < 0:
+        raise MemoryError("EWMA workspace")
+    if broken:
+        state.reset_bins(nonfinite_trace(state.cov, n_bins))
+    # In place: a bin's previous row is read only to keep it.
+    skipped = _kernels.solve(n_bins, dim, cov, rows, config.diag_load, rows, obs_address, out)
+    if skipped < 0:
+        raise MemoryError("row solve workspace")
     state.skipped_bins += skipped
-    return demix_frame(state.rows, obs)
+    return state.out.copy()
 
 
 def offline_batch(

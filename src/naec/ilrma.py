@@ -17,34 +17,73 @@ per-frame scalar of the AuxIVA variant:
 
 The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 ``AuxivaState``, adds an NMF model of ``AuxivaConfig.bases_b`` bases and
-overrides only ``frame_weight``; ``auxiva.process_frame`` drives it. Online
+overrides the frame weight; ``auxiva.process_frame`` drives it. Online
 activations carry over between frames (frame 0 starts uniform at 1/B);
 bases start at the constant 1; after a covariance overflow, non-finite
 bases rows and activations return to these values. A frame whose
 pre-update output is all zero (digital silence) skips both updates and
-reuses the last 1/r1. ``nmf_batch_sweep`` runs both updates with batch
-sums over a full (B, N) activation matrix; it is the oracle for the online
-updates.
+reuses the last 1/r1.
+
+With the compiled kernels loaded, ``kernel_weight`` makes one call of
+``ilrma_weight`` (``_kernels.c``): the pre-update demix, both updates, both
+refreshes and 1/r1, eight bins per vector operation. Without them,
+``frame_weight`` runs ``ctf.demix_frame``, ``update_bases`` and
+``update_activations``, which are also the kernel's test oracle. The two
+paths agree to rounding, not bytes: the kernel takes |e1|^2 as re^2 + im^2
+and r1^-2 as (1 / r1)^2 and sums t1 v1 and the activation sums in a fixed
+order, where numpy uses hypot, its own power function and BLAS. Every build
+of the kernel gives the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .auxiva import AuxivaConfig, AuxivaState
+from . import auxiva
+from .auxiva import AuxivaConfig, AuxivaState, aligned_zeros, padded_bins
 from .ctf import demix_frame
 
 NMF_FLOOR = 1e-12
 
 
+class _Buffer:
+    """A model attribute kept in a fixed buffer: reading gives ``view(model)``,
+    assigning copies into it, so the buffer's address never changes."""
+
+    def __init__(self, view):
+        self.view = view
+
+    def __get__(self, model, owner=None):
+        return self if model is None else self.view(model)
+
+    def __set__(self, model, value):
+        self.view(model)[...] = value
+
+
 class NmfSourceModel:
-    """Bases t1 (K x B), current-frame activations v1 (B,) and variance r1 (K,)."""
+    """Bases t1 (K x B), current-frame activations v1 (B,) and variance r1 (K,).
+
+    The values live in buffers laid out for the compiled weight kernel:
+    ``bases`` holds t1 basis-major with the bins padded to whole blocks of
+    ``LANES``, (B, ceil(K / LANES) * LANES), and ``variance`` holds r1 padded
+    the same way, both ``ALIGN``-byte aligned; ``t1`` and ``r1`` are views
+    of them. Assigning to t1, v1 or r1 copies into the buffers, so their
+    ``addresses`` stay valid for the model's life.
+    """
+
+    t1 = _Buffer(lambda m: m.bases[:, : m.n_bins].T)
+    v1 = _Buffer(lambda m: m.activations)
+    r1 = _Buffer(lambda m: m.variance[: m.n_bins])
 
     def __init__(self, n_bins: int, bases_b: int, floor: float = NMF_FLOOR):
         self.floor = floor
-        self.t1 = np.ones((n_bins, bases_b))
-        self.v1 = np.full(bases_b, 1.0 / bases_b)
-        self.r1 = np.empty(n_bins)
+        self.n_bins = n_bins
+        self.bases = aligned_zeros((bases_b, padded_bins(n_bins)))
+        self.bases[...] = 1.0
+        self.variance = aligned_zeros(padded_bins(n_bins))
+        self.variance[...] = 1.0
+        self.activations = np.full(bases_b, 1.0 / bases_b)
+        self.addresses = tuple(a.ctypes.data for a in (self.bases, self.activations, self.variance))
         self.recompute_variance()
 
     def recompute_variance(self) -> None:
@@ -84,36 +123,22 @@ class IlrmaState(AuxivaState):
             update_activations(self.model, e_pre)
         return 1.0 / self.model.r1
 
+    def kernel_weight(self, obs_address: int) -> int:
+        """``frame_weight`` into ``gain`` by the compiled NMF kernel; returns
+        the gain's stride over bins, 1."""
+        m = self.model
+        _, rows, gain, _ = self.addresses
+        if auxiva._kernels.ilrma_weight(self.n_bins, self.dim, m.v1.size, rows, obs_address,
+                                        *m.addresses, m.floor, gain) < 0:
+            raise MemoryError("NMF workspace")
+        return 1
+
     def reset_bins(self, bins: np.ndarray) -> None:
-        """Reset the bins' prior and row, and any non-finite NMF entries."""
+        """Reset the bins' prior and row, and any non-finite NMF entries,
+        the bases' padding lanes included."""
         super().reset_bins(bins)
         m = self.model
-        m.t1[~np.isfinite(m.t1).all(axis=1)] = 1.0
+        m.bases[:, ~np.isfinite(m.bases).all(axis=0)] = 1.0
         m.v1[~np.isfinite(m.v1)] = 1.0 / m.v1.size
         m.recompute_variance()
 
-
-def nmf_batch_sweep(
-    t1: np.ndarray, v1: np.ndarray, power: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One batch sweep of the bases/activations updates against |e1|^2.
-
-    ``power`` is (K, N), ``t1`` (K, B), ``v1`` (B, N). Returns refreshed
-    (t1, v1, r1); the variance is recomputed after each half-update.
-    """
-    r1 = np.maximum(t1 @ v1, floor)
-    num = (power * r1 ** -2.0) @ v1.T
-    den = (r1 ** -1.0) @ v1.T
-    t1 = np.maximum(t1 * np.sqrt(num / den), floor)
-    r1 = np.maximum(t1 @ v1, floor)
-    num = t1.T @ (power * r1 ** -2.0)
-    den = t1.T @ (r1 ** -1.0)
-    v1 = np.maximum(v1 * np.sqrt(num / den), floor)
-    r1 = np.maximum(t1 @ v1, floor)
-    return t1, v1, r1
-
-
-def itakura_saito(power: np.ndarray, variance: np.ndarray) -> float:
-    """Itakura-Saito divergence sum(p/r - log(p/r) - 1) between power and model."""
-    ratio = np.asarray(power) / np.asarray(variance)
-    return float(np.sum(ratio - np.log(ratio) - 1.0))

@@ -17,7 +17,6 @@ from naec.cli import EXIT_OK, main
 from naec.ctf import CtfConfig, batch_observations, constrained_matrix
 from naec.ilrma import (
     NmfSourceModel,
-    nmf_batch_sweep,
     update_activations,
     update_bases,
 )
@@ -35,6 +34,7 @@ from naec.sim import (
     white_noise,
 )
 from naec.stft import Spectrogram, StftConfig, analyze, synthesize
+from oracles import nmf_batch_sweep
 
 SAMPLE_RATE = 16000
 

@@ -7,11 +7,10 @@ from naec.auxiva import AuxivaConfig, process_frame
 from naec.ilrma import (
     IlrmaState,
     NmfSourceModel,
-    itakura_saito,
-    nmf_batch_sweep,
     update_activations,
     update_bases,
 )
+from oracles import itakura_saito, nmf_batch_sweep
 
 
 def _literal_bases_update(t1, v1, r1, p, floor):

@@ -15,7 +15,7 @@ import naec
 from conftest import numpy_path, on_both_paths, random_hpd, solve_dense
 from naec import AudioSignal, auxiva
 from naec.auxiva import LANES, pack_covariance, unpack_covariance
-from naec.ctf import CtfConfig
+from naec.ctf import CtfConfig, demix_frame, passthrough_row
 from naec.ilrma import IlrmaState
 from naec.pipeline import EngineConfig, StreamingEngine
 from naec.stft import StftConfig
@@ -335,14 +335,15 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 @needs_kernels
 def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
-    """Both kernels built for the baseline ISA alone give the loaded kernels'
-    planes, rows and counts byte for byte, whichever clone the CPU runs."""
+    """Every kernel built for the baseline ISA alone gives the loaded kernels'
+    planes, rows, demixed frames, NMF weights and counts byte for byte,
+    whichever clone the CPU runs."""
     target = tmp_path / "kernels.so"
     subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
                    check=True, capture_output=True, timeout=120)
     lib = ctypes.CDLL(str(target))
-    for name in ("ewma", "solve"):
+    for name in ("ewma", "solve", "demix", "ilrma_weight"):
         getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
         getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
     for dim in LANE_DIMS:
@@ -358,8 +359,200 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
                         gain.ctypes.data, 1) == 1
         assert baseline.tobytes() == planes.tobytes()
         expected, expected_skipped = auxiva.solve_demixing_rows(planes, prev, 1e-6)
-        rows = np.empty_like(prev)
+        rows, out = np.empty_like(prev), np.empty(513, dtype=np.complex128)
         skipped = lib.solve(513, dim, baseline.ctypes.data, prev.ctypes.data, 1e-6,
-                            rows.ctypes.data)
+                            rows.ctypes.data, obs.ctypes.data, out.ctypes.data)
         assert skipped == expected_skipped == 2
         assert rows.tobytes() == expected.tobytes()
+        expected_out = _demix_with(auxiva._kernels, rows, obs)
+        assert out.tobytes() == _demix_with(lib, rows, obs).tobytes() == expected_out.tobytes()
+        for bases_b in NMF_BASES:
+            loaded, base = (_nmf_state(np.random.default_rng(bases_b), 513, dim, bases_b)
+                            for _ in range(2))
+            for frame in _nmf_frames(rng, 513, dim):
+                assert loaded.kernel_weight(frame.ctypes.data) == 1
+                assert _ilrma_weight(lib, base, frame) == 1
+                assert _nmf_bytes(base) == _nmf_bytes(loaded)
+
+
+def _demix_with(lib, rows, obs):
+    out = np.empty(len(rows), dtype=np.complex128)
+    lib.demix(len(rows), rows.shape[1], rows.ctypes.data, obs.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _ilrma_weight(lib, state, obs):
+    """``lib``'s NMF weight kernel on ``state``'s rows, model and gain."""
+    _, rows, gain, _ = state.addresses
+    m = state.model
+    return lib.ilrma_weight(state.n_bins, state.dim, m.v1.size, rows, obs.ctypes.data,
+                            *m.addresses, m.floor, gain)
+
+
+def _nmf_bytes(state):
+    m = state.model
+    return m.bases.tobytes(), m.v1.tobytes(), m.variance.tobytes(), state.gain.tobytes()
+
+
+NMF_BASES = [1, 2, 10, 33]
+
+
+def _nmf_state(rng, n_bins, dim, bases_b):
+    """An ILRMA state with random rows and a random NMF model, padding lanes
+    left as they start."""
+    state = IlrmaState(n_bins, dim, auxiva.AuxivaConfig(bases_b=bases_b))
+    state.rows[:, 1:] = 0.3 * (rng.standard_normal((n_bins, dim - 1))
+                               + 1j * rng.standard_normal((n_bins, dim - 1)))
+    state.model.t1 = rng.uniform(0.2, 2.0, (n_bins, bases_b))
+    state.model.v1 = rng.uniform(0.2, 2.0, bases_b)
+    state.model.recompute_variance()
+    return state
+
+
+def _nmf_frames(rng, n_bins, dim, count=3):
+    return rng.standard_normal((count, n_bins, dim)) + 1j * rng.standard_normal((count, n_bins, dim))
+
+
+def _flush_like(rng, n_bins, dim):
+    """Observations with exact +0.0 and -0.0 entries, some rows all zero, as a
+    flush of silence gives, and the rest random."""
+    obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    zeros = rng.random((n_bins, dim, 2)) < 0.4
+    signs = np.where(rng.random((n_bins, dim, 2)) < 0.5, -0.0, 0.0)
+    parts = obs.view(np.float64).reshape(n_bins, dim, 2)
+    parts[zeros] = signs[zeros]
+    obs[::3] = signs[::3, :, 0] + 0j
+    obs[1::3, 0] = complex(-0.0, -0.0)
+    return obs
+
+
+@needs_kernels
+@pytest.mark.parametrize("dim", LANE_DIMS)
+@pytest.mark.parametrize("n_bins", LANE_BINS)
+def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
+    """The pre-update demix kernel and the demix inside the row solve give
+    ``ctf.demix_frame``'s bytes, signed zeros included, for passthrough rows
+    (as the first frames and a flush have), solved rows and rows a skipped bin
+    keeps."""
+    obs = _flush_like(rng, n_bins, dim)
+    passthrough = np.tile(passthrough_row(dim), (n_bins, 1))
+    signed = passthrough.copy()
+    signed[:, 1:] = complex(-0.0, -0.0)
+    random_rows = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    for rows in (passthrough, signed, random_rows):
+        assert _demix_with(auxiva._kernels, rows, obs).tobytes() == demix_frame(rows, obs).tobytes()
+    cov, prev = _solve_inputs(rng, n_bins, dim)
+    planes = pack_covariance(cov)
+    planes[0, 0, dim - 1, 0] = np.nan  # bin 0 keeps its previous row
+    rows, out = prev.copy(), np.empty(n_bins, dtype=np.complex128)
+    skipped = auxiva._kernels.solve(n_bins, dim, planes.ctypes.data, rows.ctypes.data, 1e-6,
+                                    rows.ctypes.data, obs.ctypes.data, out.ctypes.data)
+    assert skipped == 1
+    assert rows[0].tobytes() == prev[0].tobytes()
+    assert out.tobytes() == demix_frame(rows, obs).tobytes()
+
+
+def _weights_both(compiled, reference, obs):
+    """One frame's weight on the NMF kernel and on the numpy updates."""
+    compiled.kernel_weight(obs.ctypes.data)
+    with np.errstate(all="ignore"):
+        return reference.frame_weight(obs)
+
+
+def _assert_models_close(compiled, reference, expected_gain):
+    for name in ("t1", "v1", "r1"):
+        np.testing.assert_allclose(getattr(compiled.model, name),
+                                   getattr(reference.model, name), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(compiled.gain[: compiled.n_bins], expected_gain, rtol=1e-12, atol=0)
+
+
+@needs_kernels
+@pytest.mark.parametrize("bases_b", NMF_BASES)
+@pytest.mark.parametrize("n_bins, dim", [(9, 4), (513, 4), (65, 10)])
+def test_nmf_kernel_agrees_with_the_numpy_updates(n_bins, dim, bases_b):
+    """The weight kernel follows ``update_bases`` + ``update_activations`` to
+    rounding over several frames. The padding lanes of the last block hold
+    huge bases and variances; were they summed, v1 would be far off."""
+    compiled, reference = (_nmf_state(np.random.default_rng(bases_b), n_bins, dim, bases_b)
+                           for _ in range(2))
+    pad = np.s_[n_bins:]
+    compiled.model.bases[:, pad] = 1e150
+    compiled.model.variance[pad] = 1e-150
+    for obs in _nmf_frames(np.random.default_rng(dim), n_bins, dim, count=5):
+        gain = _weights_both(compiled, reference, obs)
+        _assert_models_close(compiled, reference, gain)
+
+
+@needs_kernels
+def test_nmf_kernel_propagates_non_finite_as_numpy_does(rng):
+    """NaN and Inf bases and outputs stay non-finite in the same entries on
+    both paths, so ``reset_bins`` resets the same bases rows."""
+    n_bins, dim, bases_b = 21, 4, 3
+    compiled, reference = (_nmf_state(np.random.default_rng(5), n_bins, dim, bases_b)
+                           for _ in range(2))
+    for state in (compiled, reference):
+        state.model.t1[2, 1] = np.nan
+        state.model.t1[7, 0] = np.inf
+        state.model.t1[20, 2] = np.inf  # the last bin, whose copies pad its block
+        state.model.recompute_variance()
+    obs = _nmf_frames(rng, n_bins, dim, count=1)[0]
+    obs[11] = 1e200  # |e|^2 overflows in bin 11
+    gain = _weights_both(compiled, reference, obs)
+    for name in ("t1", "v1", "r1"):
+        got, expected = getattr(compiled.model, name), getattr(reference.model, name)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+        np.testing.assert_array_equal(np.isposinf(got), np.isposinf(expected))
+    np.testing.assert_array_equal(np.isfinite(compiled.gain[:n_bins]), np.isfinite(gain))
+    assert not np.isfinite(reference.model.t1).all()
+    resets = []
+    for state in (compiled, reference):
+        before = np.isfinite(state.model.t1).all(axis=1)
+        state.reset_bins([])
+        resets.append(~before)
+        assert np.isfinite(state.model.bases).all()
+    np.testing.assert_array_equal(*resets)
+
+
+@needs_kernels
+@pytest.mark.parametrize("n_bins", [9, 513])
+def test_all_zero_frame_skips_the_nmf_update(n_bins):
+    """A frame whose pre-update outputs are all zero, signed zeros included,
+    leaves the model byte for byte and weights by the last 1/r1, in the
+    kernel and in a compiled ``process_frame``."""
+    state = _nmf_state(np.random.default_rng(3), n_bins, 4, 10)
+    before = _nmf_bytes(state)[:3]
+    obs = np.zeros((n_bins, 4), dtype=np.complex128)
+    obs[::2] = complex(-0.0, -0.0)
+    assert _ilrma_weight(auxiva._kernels, state, obs) == 0
+    assert _nmf_bytes(state)[:3] == before
+    auxiva.process_frame(state, obs)
+    assert _nmf_bytes(state)[:3] == before
+    assert state.gain[:n_bins].tobytes() == (1.0 / state.model.r1).tobytes()
+
+
+@needs_kernels
+@pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
+                         ids=["auxiva", "ilrma"])
+def test_kernel_addresses_stay_valid(rng, state_type):
+    """The addresses a state takes at construction are those of its buffers
+    after 300 frames and a bin reset, and its buffers cannot be rebound."""
+    n_bins, dim = 65, 4
+    state = state_type(n_bins, dim)
+    frames = rng.standard_normal((300, n_bins, dim)) + 1j * rng.standard_normal((300, n_bins, dim))
+    frames[150, [3, 64], 0] = 1e200  # overflows two bins' covariance
+    resets = []
+    reset = state.reset_bins
+    state.reset_bins = lambda bins: (resets.append(bins), reset(bins))
+    with np.errstate(all="ignore"):
+        for obs in frames:
+            out = auxiva.process_frame(state, obs)
+    assert len(resets) == 1
+    buffers = (state.cov, state.rows, state.gain, state.out)
+    assert state.addresses == tuple(a.ctypes.data for a in buffers)
+    assert out.tobytes() == state.out.tobytes() and out.ctypes.data != state.out.ctypes.data
+    if state_type is IlrmaState:
+        m = state.model
+        assert m.addresses == tuple(a.ctypes.data for a in (m.bases, m.activations, m.variance))
+    for name in ("cov", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, getattr(state, name).copy())
