@@ -31,7 +31,7 @@
    inside the AVX-512F clone: vector helpers are macros, and the scalar
    demix_bin is always inlined. On an AVX-512F Xeon the AVX-512F clone of
    the solve takes about half the baseline build's time at D = 10 and 19,
-   and of ilrma_weight about 0.4 of it at K = 513 and B = 10; an AVX2 build
+   and of ilrma_weight 0.4-0.6 of it at K = 513 and B = 10; an AVX2 build
    was no faster than the baseline one, so none is made
    (BENCH_lane_solve.json, BENCH_compiled_weight.json). */
 
