@@ -35,7 +35,7 @@ from .sim import (
     synthesize_scene,
     white_noise,
 )
-from .stft import ColaError, Spectrogram, StftConfig, analyze, synthesize
+from .stft import ColaError, StftConfig
 
 __version__ = "0.1.0"
 
@@ -56,10 +56,8 @@ __all__ = [
     "SampleRateError",
     "SceneComponents",
     "SceneSpec",
-    "Spectrogram",
     "StftConfig",
     "StreamingEngine",
-    "analyze",
     "engine_from_mapping",
     "erle",
     "hard_clip",
@@ -72,7 +70,6 @@ __all__ = [
     "scene_from_mapping",
     "speech_like",
     "steady_state",
-    "synthesize",
     "synthesize_scene",
     "terle",
     "white_noise",

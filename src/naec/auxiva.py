@@ -13,7 +13,7 @@ which for V1 = [[a, b^H], [b, C]] is the Schur form
     w(k, n) = [1; -(C + lambda I)^{-1} b],   lambda = diag_load * tr(V1) / D
 
 The covariances are held in one block-planar layout shared with the
-compiled kernels (``covariance_planes``): blocks of ``LANES`` bins, each a
+compiled kernels (``pack_covariance``): blocks of ``LANES`` bins, each a
 real and an imaginary plane of the D(D+1)/2 upper-triangle entries with the
 bins innermost, so an entry of a block is one vector of ``LANES`` bins.
 Row 0 stores conj(b), the first column below the diagonal, which is what
@@ -22,41 +22,35 @@ lanes of a short last block repeat the last bin. ``pack_covariance`` and
 ``unpack_covariance`` convert to and from the (K, D, D) Hermitian form,
 which the state exposes as ``AuxivaState.covariance``.
 
-``ewma_covariance_update`` and ``solve_demixing_rows`` each make one pass
-over all bins per frame. Both run a compiled C kernel (``_kernels.c``) when
-one is loaded: ``build_kernels`` compiles it with ``cc`` when this module is
-first imported and caches the shared object under ``__pycache__``. Without
-a compiler, or if the build or load fails, the numpy code in the same two
-functions runs instead; it is also the reference the tests compare the
-kernels against. Both paths work on the planes: the kernels with each
-vector lane doing one bin's scalar operations in its order, the numpy code
-with the bins on the contiguous last axis. The EWMA is written out in real
-operations on both, so its planes are bit-identical on the two paths; the
-numpy solve's complex products may be fused into multiply-adds on CPUs
-with FMA, while the kernels never fuse, so rows agree to rounding. The
-row solve is Gaussian elimination without pivoting (C + lambda I is
-positive definite), and a bin's row does not depend on its block or the
-ISA picked at run time. The recursion is stored as written and the loading
-is trace-relative with no square roots, so a power-of-two rescale of a
-bin's V1 leaves its row bit-identical. A bin whose trace or solution is
-non-finite keeps its previous row and is counted in ``skipped_bins``. The
-EWMA update returns how many bins' traces overflowed; only then are those
-bins found and restarted from the initial prior and passthrough row.
-
 ``process_frame`` is the online core of both optimizers. The recursion's
 weight is Phi(r1) here and the per-bin 1/r1(k) of the NMF model in
-``IlrmaState``, a subclass that overrides the weight. With the kernels
-loaded, a frame is three compiled calls on buffers the state owns, whose
-addresses it takes once: the weight (``state.kernel_weight``: here the
-``demix`` kernel, then r1 and Phi in numpy), the EWMA, and the row solve,
-which also demixes the frame with the new rows. Both demixes do the
-operations of ``ctf.demix_frame`` in its order, so for the same rows and
-observations they give its bytes. Without the kernels,
-``state.frame_weight``, ``ewma_covariance_update``, ``solve_demixing_rows``
-and ``ctf.demix_frame`` run.
+``IlrmaState``, a subclass that overrides the weight. ``build_kernels``
+compiles ``_kernels.c`` with ``cc`` when this module is first imported and
+caches the shared object under ``__pycache__``. With the kernels loaded, a
+frame is three compiled calls on buffers the state owns, whose addresses it
+takes once: the weight (``state.kernel_weight``: here the ``demix`` kernel,
+then r1 and Phi in numpy), the EWMA, and the row solve, which also demixes
+the frame with the new rows. ``process_frame`` and the two
+``kernel_weight`` methods are the only callers of the kernels.
 
-Offline mode (``offline_batch``) replaces the recursion by the batch mean
-over all frames and serves as the convergence oracle for the online mode.
+Without a compiler, or if the build or load fails, ``process_frame`` runs
+``state.frame_weight``, ``ewma_covariance_update``,
+``solve_demixing_rows`` and ``ctf.demix_frame``: numpy code on the same
+planes, with the bins on the contiguous last axis, and the reference the
+tests compare the kernels against. The EWMA is written out in real
+operations on both paths, so its planes are bit-identical; the numpy
+solve's complex products may be fused into multiply-adds on CPUs with FMA,
+while the kernels never fuse, so rows agree to rounding. Both demixes do
+the operations of ``ctf.demix_frame`` in its order, so for the same rows
+and observations they give its bytes. The row solve is Gaussian
+elimination without pivoting (C + lambda I is positive definite), and a
+kernel bin's row does not depend on its block or the ISA picked at run
+time. The recursion is stored as written and the loading is trace-relative
+with no square roots, so a power-of-two rescale of a bin's V1 leaves its
+row bit-identical. A bin whose trace or solution is non-finite keeps its
+previous row and is counted in ``skipped_bins``. The EWMA update returns
+how many bins' traces overflowed; only then are those bins found and
+restarted from the initial prior and passthrough row.
 """
 
 from __future__ import annotations
@@ -163,7 +157,7 @@ class AuxivaState:
         self.addresses = tuple(a.ctypes.data for a in (self._cov, self._rows, self.gain, self.out))
         self.skipped_bins = 0
 
-    cov = property(lambda self: self._cov, doc="The covariance planes (``covariance_planes``).")
+    cov = property(lambda self: self._cov, doc="The covariance planes (``pack_covariance``).")
     rows = property(lambda self: self._rows, doc="The (K, D) demixing rows.")
 
     @property
@@ -207,7 +201,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=16)
 def _lane_bins(n_bins: int) -> np.ndarray:
     """The bin held by each lane of the planes; a short last block repeats bin K - 1."""
-    return _read_only(np.minimum(np.arange(-(-n_bins // LANES) * LANES), n_bins - 1))[0]
+    return _read_only(np.minimum(np.arange(padded_bins(n_bins)), n_bins - 1))[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -233,18 +227,9 @@ def _augmented(dim: int) -> np.ndarray:
     return _read_only(_entries(dim)[i + 1, (c + 1) % dim].ravel())[0]
 
 
-def _planes_shape(n_bins: int, dim: int) -> tuple[int, int, int, int]:
-    return (-(-n_bins // LANES), 2, dim * (dim + 1) // 2, LANES)
-
-
 def _dim(cov: np.ndarray) -> int:
     """D from planes of D(D+1)/2 entries."""
     return (int(np.sqrt(8 * cov.shape[2] + 1)) - 1) // 2
-
-
-def covariance_planes(n_bins: int, dim: int) -> np.ndarray:
-    """Zeroed planes (ceil(K / LANES), 2, D(D+1)/2, LANES) float64, ``ALIGN``-byte aligned."""
-    return aligned_zeros(_planes_shape(n_bins, dim))
 
 
 def padded_bins(n_bins: int) -> int:
@@ -265,7 +250,8 @@ def aligned_zeros(shape) -> np.ndarray:
 
 
 def pack_covariance(cov: np.ndarray) -> np.ndarray:
-    """Planes of the (K, D, D) covariances ``cov``.
+    """Planes of the (K, D, D) covariances ``cov``: (ceil(K / LANES), 2,
+    D(D+1)/2, LANES) float64, ``ALIGN``-byte aligned.
 
     Stores the upper triangle, with row 0 taken as the conjugate of the
     first column below the diagonal: the entries the row solve reads of a
@@ -276,7 +262,7 @@ def pack_covariance(cov: np.ndarray) -> np.ndarray:
     lanes = np.asarray(cov)[_lane_bins(n_bins)]
     tri = lanes[:, rows, cols]
     tri[:, 1:dim] = lanes[:, 1:, 0].conj()
-    planes = covariance_planes(n_bins, dim)
+    planes = aligned_zeros((len(lanes) // LANES, 2, len(rows), LANES))
     tri = tri.reshape(len(planes), LANES, -1).transpose(0, 2, 1)
     planes[:, 0] = tri.real
     planes[:, 1] = tri.imag
@@ -295,19 +281,6 @@ def unpack_covariance(cov: np.ndarray, n_bins: int) -> np.ndarray:
     out[:, cols, rows] = tri.conj()
     out[:, rows, cols] = tri
     return out
-
-
-def _kernel_address(cov: np.ndarray, n_bins: int, dim: int) -> int | None:
-    """Address of the planes ``cov`` if the kernels are loaded and can take them
-    in place (aligned, C-contiguous, writeable), else None. Raises ValueError
-    if ``cov`` does not have the planes' shape."""
-    shape = _planes_shape(n_bins, dim)
-    if np.shape(cov) != shape:
-        raise ValueError(f"expected covariance planes of shape {shape}, got {np.shape(cov)}")
-    if _kernels is None or cov.dtype != np.float64 or not cov.flags.c_contiguous:
-        return None
-    address = cov.ctypes.data
-    return address if address % ALIGN == 0 and cov.flags.writeable else None
 
 
 def _trace(cov: np.ndarray) -> np.ndarray:
@@ -331,28 +304,16 @@ def ewma_covariance_update(
     ``gain`` is a scalar (shared weight) or a length-K vector (per-bin
     weight); ``obs`` is (K, D). Only the upper triangle is stored, so the
     covariances stay exactly Hermitian. Returns the number of bins whose
-    updated trace is not finite (the ``nonfinite_trace`` count). Runs the
-    compiled kernel when it is loaded and ``cov`` is aligned C-contiguous
-    planes, else the numpy code below; both give the same planes bit for bit.
+    updated trace is not finite (the ``nonfinite_trace`` count). The ``ewma``
+    kernel gives the same planes bit for bit.
     """
-    gain = np.asarray(gain, dtype=np.float64)
     n_bins, dim = np.shape(obs)
-    # A 0-d gain becomes (1,) under ascontiguousarray, so take the stride first.
-    stride = {(): 0, (1,): 0, (n_bins,): 1}.get(gain.shape)
-    address = _kernel_address(cov, n_bins, dim)
-    if address is not None and stride is not None:
-        obs = np.ascontiguousarray(obs, dtype=np.complex128)
-        gain = np.ascontiguousarray(gain)
-        broken = _kernels.ewma(n_bins, dim, address, obs.ctypes.data,
-                               alpha, gain.ctypes.data, stride)
-        if broken < 0:
-            raise MemoryError("EWMA workspace")
-        return broken
     lanes = _lane_bins(n_bins)
     y = np.asarray(obs, dtype=np.complex128)[lanes]
     rows, cols = _upper(dim)
     y_i, y_j = y[:, rows], y[:, cols]  # per lane and plane entry
-    scale = (1.0 - alpha) * np.broadcast_to(gain, (n_bins,))[lanes, np.newaxis]
+    gain = np.broadcast_to(np.asarray(gain, dtype=np.float64), (n_bins,))
+    scale = (1.0 - alpha) * gain[lanes, np.newaxis]
     planes = (len(cov), LANES, len(rows))
     with np.errstate(over="ignore", invalid="ignore"):
         # y_i conj(y_j), written out as the kernel does.
@@ -371,20 +332,10 @@ def solve_demixing_rows(
 
     ``cov`` holds the planes of Hermitian covariances, ``prev_rows`` is
     (K, D). Bins whose trace or solution is non-finite keep their previous
-    row; the count of such bins is returned alongside the rows. Runs the
-    compiled kernel when it is loaded and ``cov`` is aligned C-contiguous
-    planes, else the numpy code below.
+    row; the count of such bins is returned alongside the rows. The
+    ``solve`` kernel's rows agree to rounding.
     """
     n_bins, dim = prev_rows.shape
-    address = _kernel_address(cov, n_bins, dim)
-    if address is not None:
-        prev_rows = np.ascontiguousarray(prev_rows, dtype=np.complex128)
-        rows = np.empty_like(prev_rows)
-        skipped = _kernels.solve(n_bins, dim, address, prev_rows.ctypes.data,
-                                 diag_load, rows.ctypes.data, None, None)
-        if skipped < 0:
-            raise MemoryError("row solve workspace")
-        return rows, skipped
     n, n_lanes = dim - 1, cov.shape[0] * LANES
     trace = _trace(cov).reshape(n_lanes)
     # Augmented [C + lambda I | b] with the lanes on the contiguous last axis:
@@ -478,28 +429,3 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     state.skipped_bins += skipped
     return state.out.copy()
 
-
-def offline_batch(
-    observations: np.ndarray,
-    config: AuxivaConfig = AuxivaConfig(),
-    iterations: int = 20,
-) -> np.ndarray:
-    """Batch fixed-point sweeps over (N, K, D) observations; returns (K, D) rows.
-
-    From passthrough rows, each sweep weights every frame by Phi(r1(n)) of its
-    outputs, shared by all bins, forms the weighted mean covariance per bin,
-    and re-solves every row with the online mode's normalization.
-    """
-    obs = np.asarray(observations, dtype=np.complex128)
-    if obs.ndim != 3:
-        raise ValueError(f"expected (N, K, D) observations, got {obs.shape}")
-    n_frames, n_bins, dim = obs.shape
-    rows = np.tile(passthrough_row(dim), (n_bins, 1))
-    for _ in range(iterations):
-        e = np.einsum("kd,nkd->nk", rows.conj(), obs)
-        r1 = np.maximum(np.sqrt(np.sum(np.abs(e) ** 2, axis=1)), R_FLOOR)
-        phi = np.broadcast_to((r1 ** (config.beta - 2.0))[:, np.newaxis], e.shape)
-        cov = np.einsum("nk,nkd,nke->kde", phi, obs, obs.conj()) / n_frames
-        cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-        rows, _ = solve_demixing_rows(pack_covariance(cov), rows, config.diag_load)
-    return rows

@@ -75,8 +75,7 @@ class NmfSourceModel:
     v1 = _Buffer(lambda m: m.activations)
     r1 = _Buffer(lambda m: m.variance[: m.n_bins])
 
-    def __init__(self, n_bins: int, bases_b: int, floor: float = NMF_FLOOR):
-        self.floor = floor
+    def __init__(self, n_bins: int, bases_b: int):
         self.n_bins = n_bins
         self.bases = aligned_zeros((bases_b, padded_bins(n_bins)))
         self.bases[...] = 1.0
@@ -88,14 +87,14 @@ class NmfSourceModel:
 
     def recompute_variance(self) -> None:
         """r1 = t1 @ v1, floored so divisions stay finite."""
-        self.r1 = np.maximum(self.t1 @ self.v1, self.floor)
+        self.r1 = np.maximum(self.t1 @ self.v1, NMF_FLOOR)
 
 
 def update_bases(model: NmfSourceModel, e1: np.ndarray) -> None:
     """Multiplicative bases update from the current frame's outputs e1 (K,),
     with the factor in its collapsed form sqrt(|e1|^2 / r1), shared by all bases."""
     factor = np.sqrt(np.abs(np.asarray(e1)) ** 2 / model.r1)
-    model.t1 = np.maximum(model.t1 * factor[:, np.newaxis], model.floor)
+    model.t1 = np.maximum(model.t1 * factor[:, np.newaxis], NMF_FLOOR)
     model.recompute_variance()
 
 
@@ -104,7 +103,7 @@ def update_activations(model: NmfSourceModel, e1: np.ndarray) -> None:
     p = np.abs(np.asarray(e1)) ** 2
     num = model.t1.T @ (p * model.r1 ** -2.0)
     den = model.t1.T @ (model.r1 ** -1.0)
-    model.v1 = np.maximum(model.v1 * np.sqrt(num / den), model.floor)
+    model.v1 = np.maximum(model.v1 * np.sqrt(num / den), NMF_FLOOR)
     model.recompute_variance()
 
 
@@ -129,7 +128,7 @@ class IlrmaState(AuxivaState):
         m = self.model
         _, rows, gain, _ = self.addresses
         if auxiva._kernels.ilrma_weight(self.n_bins, self.dim, m.v1.size, rows, obs_address,
-                                        *m.addresses, m.floor, gain) < 0:
+                                        *m.addresses, NMF_FLOOR, gain) < 0:
             raise MemoryError("NMF workspace")
         return 1
 

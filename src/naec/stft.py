@@ -1,12 +1,14 @@
-"""Short-time Fourier analysis and weighted overlap-add synthesis.
+"""Short-time Fourier settings: the periodic Hann window and its overlap-add norm.
 
-Analysis applies a plain windowed DFT per frame (frame ``n`` covers input
-samples ``[n*hop, n*hop + window_len)``), so spectrogram values match the
-windowed-DFT quantities used by the frequency-domain echo model. All window
+The engine (``pipeline``) frames its input itself: frame ``n`` covers input
+samples ``[n*hop, n*hop + window_len)``, windowed and transformed by a plain
+one-sided DFT, and synthesis windows again and overlap-adds. All window
 normalization happens at synthesis time. ``StftConfig`` admits only hops
 that divide the window at least four times, so every sample away from the
 edges lies under ``window_len/hop`` frames and the squared periodic Hann
-window overlap-adds to a constant: the hop-long ``ola_norm`` is flat.
+window overlap-adds to a constant: the hop-long ``ola_norm`` is flat. The
+batch analysis and synthesis the tests hold the engine to are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .audio_io import AudioSignal
-
-_ENVELOPE_FLOOR = 1e-12
 
 
 class ColaError(ValueError):
@@ -41,12 +39,8 @@ class StftConfig:
             raise ColaError(f"window_len/hop must be >= 4, got {self.window_len}/{self.hop}")
 
     @property
-    def fft_len(self) -> int:
-        return self.window_len
-
-    @property
     def n_bins(self) -> int:
-        return self.fft_len // 2 + 1
+        return self.window_len // 2 + 1
 
     def window_samples(self) -> np.ndarray:
         return _hann_periodic(self.window_len)
@@ -60,55 +54,11 @@ def _hann_periodic(n: int) -> np.ndarray:
     return w
 
 
-@dataclass
-class Spectrogram:
-    """One-sided complex spectrogram, shape (n_bins, n_frames)."""
-
-    data: np.ndarray
-    config: StftConfig
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 2 or self.data.shape[0] != self.config.n_bins:
-            raise ValueError(
-                f"expected shape ({self.config.n_bins}, n_frames), got {self.data.shape}"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("spectrogram contains non-finite entries")
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[1]
-
-
-def n_frames_for(num_samples: int, config: StftConfig) -> int:
-    """Number of analysis frames covering ``num_samples`` input samples."""
-    if num_samples <= config.window_len:
-        return 1
-    return 1 + int(np.ceil((num_samples - config.window_len) / config.hop))
-
-
-def analyze(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
-    """Windowed one-sided DFT of ``signal``; short input is zero-padded."""
-    x = signal.samples
-    n = n_frames_for(len(x), config)
-    padded_len = (n - 1) * config.hop + config.window_len
-    if padded_len > len(x):
-        x = np.concatenate([x, np.zeros(padded_len - len(x))])
-    frames = np.lib.stride_tricks.sliding_window_view(x, config.window_len)[:: config.hop]
-    data = np.fft.rfft(frames * config.window_samples(), axis=1)
-    return Spectrogram(data.T, config)
-
-
 def ola_norm(config: StftConfig) -> np.ndarray:
     """Squared-window overlap sum at each offset within a hop, shape (hop,).
 
-    Summed oldest frame first, as ``synthesize`` sums its envelope, so both
-    divide by the same bits.
+    Summed oldest frame first, as the batch synthesis of ``tests/oracles.py``
+    sums its envelope, so both divide by the same bits.
     """
     w2, hop = config.window_samples() ** 2, config.hop
     norm = np.zeros(hop)
@@ -116,20 +66,3 @@ def ola_norm(config: StftConfig) -> np.ndarray:
         norm += w2[m * hop : (m + 1) * hop]
     return norm
 
-
-def synthesize(spec: Spectrogram) -> AudioSignal:
-    """Weighted overlap-add inverse; output length (n_frames-1)*hop + window_len."""
-    config = spec.config
-    w = config.window_samples()
-    hop, wl = config.hop, config.window_len
-    n = spec.n_frames
-    out_len = (n - 1) * hop + wl
-    acc = np.zeros(out_len)
-    env = np.zeros(out_len)
-    frames = np.fft.irfft(spec.data.T, n=config.fft_len, axis=1)
-    w2 = w * w
-    for m in range(n):
-        acc[m * hop : m * hop + wl] += w * frames[m]
-        env[m * hop : m * hop + wl] += w2
-    out = np.where(env > _ENVELOPE_FLOOR, acc / np.maximum(env, _ENVELOPE_FLOOR), 0.0)
-    return AudioSignal(out)

@@ -63,17 +63,60 @@ def signal_pair(short_noise):
     return short_noise, mic
 
 
+def kernel_ewma(lib, planes, obs, alpha, gain, stride):
+    """``lib``'s EWMA kernel on the aligned ``planes`` in place, bin k weighted
+    by ``gain[k * stride]``; returns its count of bins with a broken trace."""
+    _assert_kernel_inputs(planes, obs, gain)
+    n_bins, dim = obs.shape
+    return lib.ewma(n_bins, dim, planes.ctypes.data, obs.ctypes.data, alpha,
+                    gain.ctypes.data, stride)
+
+
+def kernel_solve(lib, planes, prev, diag_load, obs=None):
+    """``lib``'s row solve on the aligned ``planes``: the new (K, D) rows, the
+    count of bins that kept ``prev``, and, given ``obs``, the frame demixed
+    with the new rows (else None)."""
+    rows = np.empty_like(prev)
+    out = None if obs is None else np.empty(len(prev), dtype=np.complex128)
+    frame = () if obs is None else (obs, out)
+    _assert_kernel_inputs(planes, prev, *frame)
+    skipped = lib.solve(*prev.shape, planes.ctypes.data, prev.ctypes.data, diag_load,
+                        rows.ctypes.data, *([a.ctypes.data for a in frame] or [None, None]))
+    return rows, skipped, out
+
+
+def _assert_kernel_inputs(planes, *arrays):
+    """The kernels take C-contiguous arrays of doubles and ALIGN-byte aligned planes."""
+    assert planes.dtype == np.float64 and planes.ctypes.data % auxiva.ALIGN == 0
+    for a in (planes, *arrays):
+        assert a.flags.c_contiguous and a.dtype in (np.float64, np.complex128)
+
+
+def kernel_gain(gain):
+    """A scalar or per-bin gain as the EWMA kernel's buffer and stride."""
+    gain = np.atleast_1d(np.asarray(gain, dtype=np.float64))
+    return gain, int(gain.size > 1)
+
+
 def ewma_dense(cov, obs, alpha, gain):
-    """``ewma_covariance_update`` on (K, D, D) ``cov``, in place through the planes."""
+    """The EWMA on (K, D, D) ``cov``, in place through the planes: the loaded
+    kernel, or ``ewma_covariance_update`` inside ``numpy_path``."""
     planes = auxiva.pack_covariance(cov)
-    broken = auxiva.ewma_covariance_update(planes, obs, alpha, gain)
+    if auxiva._kernels is None:
+        broken = auxiva.ewma_covariance_update(planes, obs, alpha, gain)
+    else:
+        broken = kernel_ewma(auxiva._kernels, planes, obs, alpha, *kernel_gain(gain))
     cov[...] = auxiva.unpack_covariance(planes, len(cov))
     return broken
 
 
 def solve_dense(cov, prev_rows, diag_load):
-    """``solve_demixing_rows`` on (K, D, D) ``cov``."""
-    return auxiva.solve_demixing_rows(auxiva.pack_covariance(cov), prev_rows, diag_load)
+    """The row solve on (K, D, D) ``cov``: the loaded kernel, or
+    ``solve_demixing_rows`` inside ``numpy_path``; returns (rows, skipped)."""
+    planes = auxiva.pack_covariance(cov)
+    if auxiva._kernels is None:
+        return auxiva.solve_demixing_rows(planes, prev_rows, diag_load)
+    return kernel_solve(auxiva._kernels, planes, prev_rows, diag_load)[:2]
 
 
 def numpy_path():

@@ -1,10 +1,177 @@
-"""Batch forms of the online updates, kept as test oracles only.
+"""Batch forms of the online engine, kept as test oracles only.
 
-No part of the package calls these; the tests compare the online updates
-against them.
+No part of the package calls these; the tests compare the engine's framing,
+observation stacking and online updates against them.
 """
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
+
+from naec.audio_io import AudioSignal
+from naec.auxiva import R_FLOOR, AuxivaConfig, pack_covariance, solve_demixing_rows
+from naec.ctf import CtfConfig, passthrough_row, stack_observations
+from naec.stft import StftConfig
+
+_ENVELOPE_FLOOR = 1e-12
+
+
+@dataclass
+class Spectrogram:
+    """One-sided complex spectrogram, shape (n_bins, n_frames)."""
+
+    data: np.ndarray
+    config: StftConfig
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.complex128)
+        if self.data.ndim != 2 or self.data.shape[0] != self.config.n_bins:
+            raise ValueError(
+                f"expected shape ({self.config.n_bins}, n_frames), got {self.data.shape}"
+            )
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("spectrogram contains non-finite entries")
+
+    @property
+    def n_bins(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n_frames(self) -> int:
+        return self.data.shape[1]
+
+
+def n_frames_for(num_samples: int, config: StftConfig) -> int:
+    """Number of analysis frames covering ``num_samples`` input samples."""
+    if num_samples <= config.window_len:
+        return 1
+    return 1 + int(np.ceil((num_samples - config.window_len) / config.hop))
+
+
+def analyze(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
+    """Windowed one-sided DFT of ``signal``; short input is zero-padded."""
+    x = signal.samples
+    n = n_frames_for(len(x), config)
+    padded_len = (n - 1) * config.hop + config.window_len
+    if padded_len > len(x):
+        x = np.concatenate([x, np.zeros(padded_len - len(x))])
+    frames = np.lib.stride_tricks.sliding_window_view(x, config.window_len)[:: config.hop]
+    data = np.fft.rfft(frames * config.window_samples(), axis=1)
+    return Spectrogram(data.T, config)
+
+
+def synthesize(spec: Spectrogram) -> AudioSignal:
+    """Weighted overlap-add inverse; output length (n_frames-1)*hop + window_len."""
+    config = spec.config
+    w = config.window_samples()
+    hop, wl = config.hop, config.window_len
+    n = spec.n_frames
+    out_len = (n - 1) * hop + wl
+    acc = np.zeros(out_len)
+    env = np.zeros(out_len)
+    frames = np.fft.irfft(spec.data.T, n=wl, axis=1)
+    w2 = w * w
+    for m in range(n):
+        acc[m * hop : m * hop + wl] += w * frames[m]
+        env[m * hop : m * hop + wl] += w2
+    out = np.where(env > _ENVELOPE_FLOOR, acc / np.maximum(env, _ENVELOPE_FLOOR), 0.0)
+    return AudioSignal(out)
+
+
+def _check_shapes(mic: Spectrogram, refs: Sequence[Spectrogram], config: CtfConfig):
+    if len(refs) != config.order_p:
+        raise ValueError(f"expected {config.order_p} reference spectrograms, got {len(refs)}")
+    for r in refs:
+        if r.data.shape != mic.data.shape:
+            raise ValueError(
+                f"reference shape {r.data.shape} does not match microphone {mic.data.shape}"
+            )
+
+
+def build_observation(
+    mic: Spectrogram,
+    refs: Sequence[Spectrogram],
+    k: int,
+    n: int,
+    config: CtfConfig,
+) -> np.ndarray:
+    """Stacked observation vector y(k, n) of dimension P*L + 1."""
+    _check_shapes(mic, refs, config)
+    y = np.zeros(config.dim, dtype=np.complex128)
+    y[0] = mic.data[k, n]
+    pos = 1
+    for ref in refs:
+        for lag in range(config.frames_l):
+            if n - lag >= 0:
+                y[pos] = ref.data[k, n - lag]
+            pos += 1
+    return y
+
+
+def frame_observations(
+    mic: Spectrogram,
+    refs: Sequence[Spectrogram],
+    n: int,
+    config: CtfConfig,
+) -> np.ndarray:
+    """Observation vectors for every bin of frame n, shape (K, P*L + 1)."""
+    _check_shapes(mic, refs, config)
+    history = np.zeros((config.order_p, config.frames_l, mic.n_bins), dtype=np.complex128)
+    for i, ref in enumerate(refs):
+        for lag in range(min(config.frames_l, n + 1)):
+            history[i, lag] = ref.data[:, n - lag]
+    return stack_observations(mic.data[:, n], history)
+
+
+def batch_observations(
+    mic: Spectrogram,
+    refs: Sequence[Spectrogram],
+    config: CtfConfig,
+) -> np.ndarray:
+    """Observations for every frame, shape (N, K, P*L + 1)."""
+    return np.stack(
+        [frame_observations(mic, refs, n, config) for n in range(mic.n_frames)]
+    )
+
+
+def constrained_matrix(row: np.ndarray) -> np.ndarray:
+    """Full (P*L+1)-square demixing matrix: first row w^H, rest [0 | I].
+
+    ``row`` is the whole 1-D row w, whose first element must be exactly 1.
+    """
+    row = np.asarray(row, dtype=np.complex128)
+    if row.ndim != 1 or row[0] != 1.0:
+        raise ValueError(f"expected a 1-D row with first element exactly 1, got {row}")
+    mat = np.eye(len(row), dtype=np.complex128)
+    mat[0, :] = row.conj()
+    return mat
+
+
+def offline_batch(
+    observations: np.ndarray,
+    config: AuxivaConfig = AuxivaConfig(),
+    iterations: int = 20,
+) -> np.ndarray:
+    """Batch fixed-point sweeps over (N, K, D) observations; returns (K, D) rows.
+
+    From passthrough rows, each sweep weights every frame by Phi(r1(n)) of its
+    outputs, shared by all bins, forms the weighted mean covariance per bin,
+    and re-solves every row with the online mode's normalization.
+    """
+    obs = np.asarray(observations, dtype=np.complex128)
+    if obs.ndim != 3:
+        raise ValueError(f"expected (N, K, D) observations, got {obs.shape}")
+    n_frames, n_bins, dim = obs.shape
+    rows = np.tile(passthrough_row(dim), (n_bins, 1))
+    for _ in range(iterations):
+        e = np.einsum("kd,nkd->nk", rows.conj(), obs)
+        r1 = np.maximum(np.sqrt(np.sum(np.abs(e) ** 2, axis=1)), R_FLOOR)
+        phi = np.broadcast_to((r1 ** (config.beta - 2.0))[:, np.newaxis], e.shape)
+        cov = np.einsum("nk,nkd,nke->kde", phi, obs, obs.conj()) / n_frames
+        cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
+        rows, _ = solve_demixing_rows(pack_covariance(cov), rows, config.diag_load)
+    return rows
 
 
 def nmf_batch_sweep(

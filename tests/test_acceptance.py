@@ -12,10 +12,11 @@ import pytest
 
 from conftest import random_hpd
 from naec.audio_io import AudioSignal, read_wav
-from naec.auxiva import AuxivaConfig, AuxivaState, offline_batch, process_frame
+from naec.auxiva import AuxivaConfig, AuxivaState, process_frame
 from naec.cli import EXIT_OK, main
-from naec.ctf import CtfConfig, batch_observations, constrained_matrix
+from naec.ctf import CtfConfig
 from naec.ilrma import (
+    NMF_FLOOR,
     NmfSourceModel,
     update_activations,
     update_bases,
@@ -33,8 +34,16 @@ from naec.sim import (
     synthesize_scene,
     white_noise,
 )
-from naec.stft import Spectrogram, StftConfig, analyze, synthesize
-from oracles import nmf_batch_sweep
+from naec.stft import StftConfig
+from oracles import (
+    Spectrogram,
+    analyze,
+    batch_observations,
+    constrained_matrix,
+    nmf_batch_sweep,
+    offline_batch,
+    synthesize,
+)
 
 SAMPLE_RATE = 16000
 
@@ -117,7 +126,7 @@ def test_criterion_03_model_matched_convergence():
     echo = np.zeros((sc.n_bins, n_frames), dtype=np.complex128)
     for i in range(cfg.order_p):
         for lag in range(cfg.frames_l):
-            h = np.fft.rfft(rng.standard_normal(64), sc.fft_len)
+            h = np.fft.rfft(rng.standard_normal(64), sc.window_len)
             h *= scales[i] * 0.7**lag
             echo[:, lag:] += h[:, None] * ref_specs[i].data[:, : n_frames - lag]
     mic_td = synthesize(Spectrogram(echo, sc)).samples
@@ -197,7 +206,7 @@ def test_criterion_06_nmf_update_property_suite():
         # online update pair consistent with the batch sweep on one column
         e1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         t_ref, v_ref, r_ref = nmf_batch_sweep(
-            m.t1.copy(), m.v1.copy()[:, None], (np.abs(e1) ** 2)[:, None], m.floor
+            m.t1.copy(), m.v1.copy()[:, None], (np.abs(e1) ** 2)[:, None], NMF_FLOOR
         )
         update_bases(m, e1)
         update_activations(m, e1)
@@ -207,8 +216,8 @@ def test_criterion_06_nmf_update_property_suite():
 
         # silence drives the bases to the floor, never below
         update_bases(m, np.zeros(8, dtype=complex))
-        np.testing.assert_array_equal(m.t1, np.full((8, 2), m.floor))
-        assert np.all(m.v1 >= m.floor) and np.all(m.r1 >= m.floor)
+        np.testing.assert_array_equal(m.t1, np.full((8, 2), NMF_FLOOR))
+        assert np.all(m.v1 >= NMF_FLOOR) and np.all(m.r1 >= NMF_FLOOR)
     assert time.perf_counter() - start < 5.0
 
 

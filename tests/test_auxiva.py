@@ -11,11 +11,11 @@ from naec.auxiva import (
     AuxivaConfig,
     AuxivaState,
     compute_r1,
-    offline_batch,
     process_frame,
     weight,
 )
-from naec.ctf import constrained_matrix, passthrough_row
+from naec.ctf import passthrough_row
+from oracles import constrained_matrix, offline_batch
 
 
 def test_config_validation():

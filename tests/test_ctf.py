@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from naec.ctf import (
-    CtfConfig,
+from naec.ctf import CtfConfig, demix_frame, passthrough_row
+from naec.stft import StftConfig
+from oracles import (
+    Spectrogram,
     batch_observations,
     build_observation,
     constrained_matrix,
-    demix_frame,
     frame_observations,
-    passthrough_row,
 )
-from naec.stft import Spectrogram, StftConfig
 
 
 def _specs(n_frames=4, order_p=2, seed=0):

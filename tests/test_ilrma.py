@@ -5,6 +5,7 @@ import pytest
 
 from naec.auxiva import AuxivaConfig, process_frame
 from naec.ilrma import (
+    NMF_FLOOR,
     IlrmaState,
     NmfSourceModel,
     update_activations,
@@ -39,11 +40,11 @@ def test_bases_update_matches_literal_formula(rng):
     m.recompute_variance()
     e1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     expected = _literal_bases_update(
-        m.t1, m.v1, m.r1, np.abs(e1) ** 2, m.floor
+        m.t1, m.v1, m.r1, np.abs(e1) ** 2, NMF_FLOOR
     )
     update_bases(m, e1)
     np.testing.assert_allclose(m.t1, expected, rtol=1e-13)
-    np.testing.assert_allclose(m.r1, np.maximum(m.t1 @ m.v1, m.floor), rtol=0)
+    np.testing.assert_allclose(m.r1, np.maximum(m.t1 @ m.v1, NMF_FLOOR), rtol=0)
 
 
 def test_activation_update_sums_over_bins(rng):
@@ -57,7 +58,7 @@ def test_activation_update_sums_over_bins(rng):
     for j in range(2):
         num = np.sum(m.t1[:, j] * p / m.r1**2)
         den = np.sum(m.t1[:, j] / m.r1)
-        expected[j] = max(m.v1[j] * np.sqrt(num / den), m.floor)
+        expected[j] = max(m.v1[j] * np.sqrt(num / den), NMF_FLOOR)
     update_activations(m, e1)
     np.testing.assert_allclose(m.v1, expected, rtol=1e-13)
 
@@ -77,7 +78,7 @@ def test_perfect_fit_is_a_fixed_point(rng):
 
 
 def test_zero_power_floors_bases():
-    m = NmfSourceModel(3, 2, floor=1e-12)
+    m = NmfSourceModel(3, 2)
     update_bases(m, np.zeros(3, dtype=complex))
     np.testing.assert_array_equal(m.t1, np.full((3, 2), 1e-12))
     assert np.all(m.r1 >= 1e-12)
@@ -90,7 +91,7 @@ def test_online_pair_equals_single_column_batch_sweep(rng):
     m.recompute_variance()
     e1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     t_ref, v_ref, r_ref = nmf_batch_sweep(
-        m.t1.copy(), m.v1.copy()[:, None], (np.abs(e1) ** 2)[:, None], m.floor
+        m.t1.copy(), m.v1.copy()[:, None], (np.abs(e1) ** 2)[:, None], NMF_FLOOR
     )
     update_bases(m, e1)
     update_activations(m, e1)

@@ -1,34 +1,46 @@
 """The compiled per-bin kernels against the numpy code they replace, and their build."""
 
-import contextlib
 import ctypes
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import naec
-from conftest import numpy_path, on_both_paths, random_hpd, solve_dense
+from conftest import (
+    ewma_dense,
+    kernel_ewma,
+    kernel_gain,
+    kernel_solve,
+    numpy_path,
+    on_both_paths,
+    random_hpd,
+    solve_dense,
+)
 from naec import AudioSignal, auxiva
-from naec.auxiva import LANES, pack_covariance, unpack_covariance
+from naec.auxiva import ALIGN, LANES, pack_covariance, padded_bins, unpack_covariance
 from naec.ctf import CtfConfig, demix_frame, passthrough_row
-from naec.ilrma import IlrmaState
+from naec.ilrma import NMF_FLOOR, IlrmaState
 from naec.pipeline import EngineConfig, StreamingEngine
 from naec.stft import StftConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_kernels = pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
 
-# Runs the default engine on saved (far, mic) samples in a fresh interpreter.
-RUN_SAVED = """
+OPTIMIZERS = ("auxiva", "ilrma")
+
+# Runs the default engine with each optimizer on saved (far, mic) samples in
+# a fresh interpreter.
+RUN_SAVED = f"""
 import sys, numpy as np, naec
 far, mic = (naec.AudioSignal(x) for x in np.load(sys.argv[1]))
-out, _ = naec.run(far, mic)
-np.save(sys.argv[2], out.samples)
+outs = [naec.run(far, mic, naec.EngineConfig(optimizer=o))[0].samples for o in {OPTIMIZERS}]
+np.save(sys.argv[2], np.stack(outs))
 print(naec.auxiva._kernels is None)
 """
 
@@ -48,7 +60,7 @@ def test_failed_build_gives_no_kernels(tmp_path):
 
 def test_import_without_compiler_runs_the_numpy_path(tmp_path):
     """A package copy with no cached kernel and no ``cc`` on PATH imports and
-    gives the numpy path's output byte for byte."""
+    gives the numpy path's output byte for byte, with either optimizer."""
     shutil.copytree(SRC / "naec", tmp_path / "naec",
                     ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "bin").mkdir()
@@ -63,32 +75,33 @@ def test_import_without_compiler_runs_the_numpy_path(tmp_path):
     assert proc.stdout.strip() == "True"
     assert not list((tmp_path / "naec" / "__pycache__").glob("*.so"))
     with numpy_path():
-        expected, _ = naec.run(AudioSignal(far), AudioSignal(mic))
-    assert np.load(tmp_path / "out.npy").tobytes() == expected.samples.tobytes()
+        expected = [naec.run(AudioSignal(far), AudioSignal(mic),
+                             naec.EngineConfig(optimizer=o))[0].samples for o in OPTIMIZERS]
+    assert np.load(tmp_path / "out.npy").tobytes() == np.stack(expected).tobytes()
 
 
-def _aligned_copy(planes):
-    out = auxiva.covariance_planes(len(planes) * LANES, auxiva._dim(planes))
-    out[...] = planes
+def _unaligned_copy(a):
+    """A copy of ``a`` 8 bytes off ``ALIGN``, which the kernels cannot take."""
+    raw = np.empty(a.nbytes + ALIGN, dtype=np.uint8)
+    start = (8 - raw.ctypes.data) % ALIGN
+    out = raw[start : start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
     return out
 
 
-def _ewma_both(cov, obs, alpha, gain):
-    """EWMA of the planes of ``cov`` on the kernels and on the numpy path."""
-    got, expected = pack_covariance(cov), pack_covariance(cov)
-    auxiva.ewma_covariance_update(got, obs, alpha, gain)
-    with numpy_path():
-        auxiva.ewma_covariance_update(expected, obs, alpha, gain)
-    return got, expected
+def _strided_copy(a):
+    """A non-contiguous view holding the values of ``a``."""
+    return np.repeat(a, 2, axis=0)[::2]
 
 
 @needs_kernels
 @pytest.mark.parametrize("gain", ["float", "0-d", "numpy-scalar", "(1,)", "per-bin"])
 @pytest.mark.parametrize("n_bins", [1, 64])
 def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
-    """A 0-d gain is shared by all bins: the kernel must not step through it.
-    Both paths do the same real operations in the same order, so their planes
-    are byte-equal."""
+    """The numpy EWMA takes a shared gain in any scalar shape, or one per bin,
+    on planes and observations of any layout, and gives the planes of the
+    kernel with that gain and stride 0 or 1. Both do the same real operations
+    in the same order, so their planes are byte-equal."""
     cov = random_hpd(rng, 5, n_bins)
     obs = rng.standard_normal((n_bins, 5)) + 1j * rng.standard_normal((n_bins, 5))
     value = {
@@ -98,46 +111,29 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
         "(1,)": np.array([2.5]),
         "per-bin": rng.uniform(0.1, 3.0, n_bins),
     }[gain]
-    got, expected = _ewma_both(cov, obs, 0.9, value)
+    got = pack_covariance(cov)
+    assert kernel_ewma(auxiva._kernels, got, obs, 0.9, *kernel_gain(value)) == 0
+    for planes, y in ((pack_covariance(cov), obs),
+                      (_unaligned_copy(pack_covariance(cov)), _strided_copy(obs))):
+        assert auxiva.ewma_covariance_update(planes, y, 0.9, value) == 0
+        assert planes.tobytes() == got.tobytes()
     assert np.isfinite(got).all()
-    assert got.tobytes() == expected.tobytes()
 
 
 @needs_kernels
-def test_kernels_take_non_contiguous_inputs(rng):
-    k, d = 9, 4
-    cov = random_hpd(rng, d, 2 * k)
-    obs = (rng.standard_normal((k, 2 * d)) + 1j * rng.standard_normal((k, 2 * d)))[:, ::2]
-    got, expected = _ewma_both(cov[::2], obs, 0.95, 1.7)
+@pytest.mark.parametrize("n_bins", [1, 9, 64])
+def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
+    """With stride 0 the kernel weights every bin by ``gain[0]``, as
+    ``AuxivaState.kernel_weight`` leaves it: NaN in the rest of the buffer
+    changes no bit, and the planes are the numpy EWMA's with that scalar."""
+    cov = random_hpd(rng, 5, n_bins)
+    obs = rng.standard_normal((n_bins, 5)) + 1j * rng.standard_normal((n_bins, 5))
+    gain = np.full(padded_bins(n_bins), np.nan)
+    gain[0] = 2.5
+    got, expected = pack_covariance(cov), pack_covariance(cov)
+    assert kernel_ewma(auxiva._kernels, got, obs, 0.9, gain, 0) == 0
+    auxiva.ewma_covariance_update(expected, obs, 0.9, 2.5)
     assert got.tobytes() == expected.tobytes()
-    prev = np.tile(np.eye(1, 2 * d, dtype=complex), (k, 1))[:, ::2]
-    rows, skipped = auxiva.solve_demixing_rows(got, prev, 1e-6)
-    with numpy_path():
-        expected_rows, _ = auxiva.solve_demixing_rows(got, prev, 1e-6)
-    assert skipped == 0
-    np.testing.assert_allclose(rows, expected_rows, rtol=1e-12, atol=0)
-
-
-@needs_kernels
-def test_unaligned_planes_take_the_numpy_path(rng):
-    """The kernels load whole 64-byte vectors; planes off that alignment are
-    updated and solved by the numpy code instead, with the same results."""
-    k, d = 9, 4
-    planes = pack_covariance(random_hpd(rng, d, k))
-    raw = np.empty(planes.nbytes + 2 * auxiva.ALIGN, dtype=np.uint8)
-    start = (8 - raw.ctypes.data) % auxiva.ALIGN
-    unaligned = raw[start : start + planes.nbytes].view(np.float64).reshape(planes.shape)
-    unaligned[...] = planes
-    assert unaligned.ctypes.data % auxiva.ALIGN == 8
-    obs = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-    for p in (planes, unaligned):
-        assert auxiva.ewma_covariance_update(p, obs, 0.9, 1.3) == 0
-    assert unaligned.tobytes() == planes.tobytes()
-    prev = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-    rows, _ = auxiva.solve_demixing_rows(unaligned, prev, 1e-6)
-    with numpy_path():
-        expected, _ = auxiva.solve_demixing_rows(planes, prev, 1e-6)
-    assert rows.tobytes() == expected.tobytes()
 
 
 @needs_kernels
@@ -204,11 +200,9 @@ def test_engine_planes_are_aligned(optimizer, window_len):
                                   stft=StftConfig(window_len=window_len, hop=window_len // 4),
                                   ctf=CtfConfig(frames_l=frames_l, order_p=order_p))
             state = StreamingEngine(config)._state
-            assert state.cov.ctypes.data % auxiva.ALIGN == 0
+            assert state.cov.ctypes.data % ALIGN == 0 and state.cov.flags.c_contiguous
             assert state.cov.shape == (-(-state.n_bins // LANES), 2,
                                        state.dim * (state.dim + 1) // 2, LANES)
-            if auxiva._kernels is not None:
-                assert auxiva._kernel_address(state.cov, state.n_bins, state.dim) is not None
 
 
 @pytest.mark.parametrize("dim", [4, 10])
@@ -259,9 +253,10 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
 def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
     """A bin with a NaN in b (finite trace) or overflowed by a 1e200 observation
     (infinite trace) keeps its previous row, is counted, and leaves every other
-    bin's row byte-equal to a clean run."""
+    bin's row byte-equal to a clean run, in the kernel and in the numpy solve,
+    which also takes unaligned planes and non-contiguous rows."""
     cov, prev = _solve_inputs(rng, n_bins, dim)
-    clean, _ = solve_dense(cov, prev, 1e-6)
+    clean_planes = pack_covariance(cov)
     bad = sorted({0, n_bins // 2, n_bins - 1})
     if fault == "nan":
         faulty = pack_covariance(cov)
@@ -272,11 +267,15 @@ def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
         with np.errstate(over="ignore"):
             cov[bad] += np.outer(y, y.conj())
         faulty = pack_covariance(cov)
-    rows, skipped = auxiva.solve_demixing_rows(faulty, prev, 1e-6)
-    assert skipped == len(bad)
     good = np.setdiff1d(np.arange(n_bins), bad)
-    assert rows[good].tobytes() == clean[good].tobytes()
-    assert rows[bad].tobytes() == prev[bad].tobytes()
+    kernel = (kernel_solve(auxiva._kernels, clean_planes, prev, 1e-6)[0],
+              kernel_solve(auxiva._kernels, faulty, prev, 1e-6)[:2])
+    numpy = (auxiva.solve_demixing_rows(clean_planes, prev, 1e-6)[0],
+             auxiva.solve_demixing_rows(_unaligned_copy(faulty), _strided_copy(prev), 1e-6))
+    for clean, (rows, skipped) in (kernel, numpy):
+        assert skipped == len(bad)
+        assert rows[good].tobytes() == clean[good].tobytes()
+        assert rows[bad].tobytes() == prev[bad].tobytes()
 
 
 @needs_kernels
@@ -314,15 +313,14 @@ def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
 
 
 @pytest.mark.parametrize("n_bins", [1, 65])
+@on_both_paths
 def test_ewma_returns_the_count_of_broken_bins(rng, n_bins):
     """Both paths count the bins whose updated trace is not finite."""
     cov = random_hpd(rng, 4, n_bins)
     obs = rng.standard_normal((n_bins, 4)) + 1j * rng.standard_normal((n_bins, 4))
-    assert auxiva.ewma_covariance_update(pack_covariance(cov), obs, 0.9, 1.0) == 0
+    assert ewma_dense(cov.copy(), obs, 0.9, 1.0) == 0
     obs[-1, 2] = 1e200
-    for paths in (contextlib.nullcontext(), numpy_path()):
-        with paths:
-            assert auxiva.ewma_covariance_update(pack_covariance(cov), obs, 0.9, 1.0) == 1
+    assert ewma_dense(cov.copy(), obs, 0.9, 1.0) == 1
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -336,8 +334,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 @needs_kernels
 def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
-    planes, rows, demixed frames, NMF weights and counts byte for byte,
-    whichever clone the CPU runs."""
+    bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
+    counts, rows and output; an EWMA with per-bin weights; and NMF weights."""
     target = tmp_path / "kernels.so"
     subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
@@ -348,24 +346,29 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
         getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
     for dim in LANE_DIMS:
         cov, prev = _solve_inputs(rng, 513, dim)
-        planes = pack_covariance(cov)
-        planes[5 // LANES, 0, dim - 1, 5 % LANES] = np.nan  # in b of bin 5, finite trace
-        baseline = _aligned_copy(planes)
         obs = rng.standard_normal((513, dim)) + 1j * rng.standard_normal((513, dim))
-        obs[512, 0] = 1e200  # overflows bin 512's trace
-        gain = rng.uniform(0.1, 3.0, 513)
-        assert auxiva.ewma_covariance_update(planes, obs, 0.9, gain) == 1
-        assert lib.ewma(513, dim, baseline.ctypes.data, obs.ctypes.data, 0.9,
-                        gain.ctypes.data, 1) == 1
+        prev[512, 1], obs[512, 1] = 0.0, 1e200  # overflows bin 512's trace, not its output
+        loaded, base = auxiva.AuxivaState(513, dim), auxiva.AuxivaState(513, dim)
+        for state in (loaded, base):
+            state.cov[...] = pack_covariance(cov)
+            state.cov[5 // LANES, 0, dim - 1, 5 % LANES] = np.nan  # in b of bin 5, finite trace
+            state.rows[...] = prev
+        out = auxiva.process_frame(loaded, obs)
+        # The same frame, kernel by kernel, on the baseline build.
+        with mock.patch.object(auxiva, "_kernels", lib):
+            assert base.kernel_weight(obs.ctypes.data) == 0
+        assert kernel_ewma(lib, base.cov, obs, 0.99, base.gain, 0) == 1
+        base.reset_bins(auxiva.nonfinite_trace(base.cov, 513))
+        rows, skipped, base_out = kernel_solve(lib, base.cov, base.rows, 1e-6, obs)
+        assert skipped == loaded.skipped_bins == 1
+        assert base.gain.tobytes() == loaded.gain.tobytes()
+        assert base.cov.tobytes() == loaded.cov.tobytes()
+        assert rows.tobytes() == loaded.rows.tobytes()
+        assert base_out.tobytes() == out.tobytes()
+        gain, planes, baseline = rng.uniform(0.1, 3.0, 513), pack_covariance(cov), pack_covariance(cov)
+        assert kernel_ewma(auxiva._kernels, planes, obs, 0.9, gain, 1) == 1
+        assert kernel_ewma(lib, baseline, obs, 0.9, gain, 1) == 1
         assert baseline.tobytes() == planes.tobytes()
-        expected, expected_skipped = auxiva.solve_demixing_rows(planes, prev, 1e-6)
-        rows, out = np.empty_like(prev), np.empty(513, dtype=np.complex128)
-        skipped = lib.solve(513, dim, baseline.ctypes.data, prev.ctypes.data, 1e-6,
-                            rows.ctypes.data, obs.ctypes.data, out.ctypes.data)
-        assert skipped == expected_skipped == 2
-        assert rows.tobytes() == expected.tobytes()
-        expected_out = _demix_with(auxiva._kernels, rows, obs)
-        assert out.tobytes() == _demix_with(lib, rows, obs).tobytes() == expected_out.tobytes()
         for bases_b in NMF_BASES:
             loaded, base = (_nmf_state(np.random.default_rng(bases_b), 513, dim, bases_b)
                             for _ in range(2))
@@ -375,18 +378,12 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
                 assert _nmf_bytes(base) == _nmf_bytes(loaded)
 
 
-def _demix_with(lib, rows, obs):
-    out = np.empty(len(rows), dtype=np.complex128)
-    lib.demix(len(rows), rows.shape[1], rows.ctypes.data, obs.ctypes.data, out.ctypes.data)
-    return out
-
-
 def _ilrma_weight(lib, state, obs):
     """``lib``'s NMF weight kernel on ``state``'s rows, model and gain."""
     _, rows, gain, _ = state.addresses
     m = state.model
     return lib.ilrma_weight(state.n_bins, state.dim, m.v1.size, rows, obs.ctypes.data,
-                            *m.addresses, m.floor, gain)
+                            *m.addresses, NMF_FLOOR, gain)
 
 
 def _nmf_bytes(state):
@@ -433,23 +430,32 @@ def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
     """The pre-update demix kernel and the demix inside the row solve give
     ``ctf.demix_frame``'s bytes, signed zeros included, for passthrough rows
     (as the first frames and a flush have), solved rows and rows a skipped bin
-    keeps."""
+    keeps. The solve in place gives the rows and output of the solve out of
+    place byte for byte."""
     obs = _flush_like(rng, n_bins, dim)
     passthrough = np.tile(passthrough_row(dim), (n_bins, 1))
     signed = passthrough.copy()
     signed[:, 1:] = complex(-0.0, -0.0)
     random_rows = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
     for rows in (passthrough, signed, random_rows):
-        assert _demix_with(auxiva._kernels, rows, obs).tobytes() == demix_frame(rows, obs).tobytes()
+        state = auxiva.AuxivaState(n_bins, dim)
+        state.rows[...] = rows
+        state.kernel_weight(obs.ctypes.data)  # the demix kernel, into state.out
+        assert state.out.tobytes() == demix_frame(rows, obs).tobytes()
     cov, prev = _solve_inputs(rng, n_bins, dim)
     planes = pack_covariance(cov)
     planes[0, 0, dim - 1, 0] = np.nan  # bin 0 keeps its previous row
-    rows, out = prev.copy(), np.empty(n_bins, dtype=np.complex128)
-    skipped = auxiva._kernels.solve(n_bins, dim, planes.ctypes.data, rows.ctypes.data, 1e-6,
-                                    rows.ctypes.data, obs.ctypes.data, out.ctypes.data)
+    rows, skipped, out = kernel_solve(auxiva._kernels, planes, prev, 1e-6, obs)
     assert skipped == 1
     assert rows[0].tobytes() == prev[0].tobytes()
     assert out.tobytes() == demix_frame(rows, obs).tobytes()
+    # In place, with rows aliasing prev_rows as process_frame calls it.
+    in_place, in_place_out = prev.copy(), np.empty(n_bins, dtype=np.complex128)
+    assert auxiva._kernels.solve(n_bins, dim, planes.ctypes.data, in_place.ctypes.data, 1e-6,
+                                 in_place.ctypes.data, obs.ctypes.data,
+                                 in_place_out.ctypes.data) == 1
+    assert in_place.tobytes() == rows.tobytes()
+    assert in_place_out.tobytes() == out.tobytes()
 
 
 def _weights_both(compiled, reference, obs):

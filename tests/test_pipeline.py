@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import naec
 from conftest import numpy_path
-from naec import auxiva
+from naec import auxiva, ctf, stft
 from naec.audio_io import SAMPLE_RATE, AudioSignal
 from naec.auxiva import AuxivaConfig
 from naec.ctf import CtfConfig
@@ -32,7 +33,22 @@ from naec.sim import (
     synthesize_scene,
     white_noise,
 )
-from naec.stft import Spectrogram, StftConfig, analyze, synthesize
+from naec.stft import StftConfig
+from oracles import Spectrogram, analyze, synthesize
+
+
+def test_public_names_resolve_and_batch_oracles_are_test_only():
+    for name in naec.__all__:
+        assert getattr(naec, name, None) is not None, name
+    oracles = {
+        stft: ["Spectrogram", "analyze", "synthesize", "n_frames_for", "_ENVELOPE_FLOOR"],
+        ctf: ["_check_shapes", "build_observation", "frame_observations",
+              "batch_observations", "constrained_matrix"],
+        auxiva: ["offline_batch"],
+    }
+    for module, names in oracles.items():
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_default_engine_config():
@@ -313,7 +329,7 @@ def test_subband_filter_model_convergence():
     echo = np.zeros((sc.n_bins, n_frames), dtype=np.complex128)
     for i in range(cfg.order_p):
         for lag in range(cfg.frames_l):
-            h = np.fft.rfft(rng.standard_normal(32), sc.fft_len) * 0.5**(i + lag)
+            h = np.fft.rfft(rng.standard_normal(32), sc.window_len) * 0.5**(i + lag)
             echo[:, lag:] += h[:, None] * specs[i].data[:, : n_frames - lag]
     mic_td = synthesize(Spectrogram(echo, sc)).samples
     mic = AudioSignal(mic_td[pad : pad + len(far)])
