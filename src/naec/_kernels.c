@@ -2,7 +2,14 @@
      ewma          the EWMA covariance update;
      solve         the row solve, which also demixes the frame with the new rows;
      demix         AuxIVA's demix with the previous rows;
-     ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1.
+     ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1;
+   and for the engine's framing in naec.pipeline, around numpy's FFTs:
+     frame_in      the far end's odd powers, the finite check, the time
+                   buffer's shift and the analysis window;
+     stack         the frame's spectra into the observations, lags in place;
+     ola           the synthesis window, overlap-add, norm and shift.
+   The framing kernels are scalar and make copies and elementwise products
+   only, the operations of the numpy code they replace.
 
    The covariances are held in block-planar form: bins are grouped in blocks
    of LANES, and a block holds a real plane and an imaginary plane of the
@@ -29,7 +36,7 @@
    same in both. A static helper is compiled once, for the baseline ISA, so
    one that holds vector code and is not inlined runs at baseline speed
    inside the AVX-512F clone: vector helpers are macros, and the scalar
-   demix_bin is always inlined. On an AVX-512F Xeon the AVX-512F clone of
+   demix_bins is always inlined. On an AVX-512F Xeon the AVX-512F clone of
    the solve takes about half the baseline build's time at D = 10 and 19,
    and of ilrma_weight 0.4-0.6 of it at K = 513 and B = 10; an AVX2 build
    was no faster than the baseline one, so none is made
@@ -37,6 +44,7 @@
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define LANES 8
 typedef double v8 __attribute__((vector_size(LANES * sizeof(double))));
@@ -116,26 +124,49 @@ long ewma(long n_bins, long dim, v8 *cov, const double *obs, double alpha,
     return broken;
 }
 
-/* out = row^H y for one bin: the sum over d of conj(row[d]) y[d], taken
-   in index order from 0.0 in unfused real operations, which are the
-   operations and order of np.einsum("kd,kd->k", rows.conj(), obs). */
+/* out[k] = rows[k]^H obs[k] for n bins: each the sum over d of
+   conj(rows[k][d]) obs[k][d], taken in index order from 0.0 in unfused real
+   operations, which are the operations and order of
+   np.einsum("kd,kd->k", rows.conj(), obs). DEMIX_WAYS bins are summed
+   side by side, each in its own order, which the compiler turns into one
+   two-lane vector operation per step; on an AVX-512F Xeon that took a
+   quarter less time than one bin at a time, and four or eight bins side by
+   side were slower than two. */
+#define DEMIX_WAYS 2
 static inline __attribute__((always_inline)) void
-demix_bin(long dim, const double *row, const double *y, double *out)
+demix_bins(long n, long dim, const double *rows, const double *obs, double *out)
 {
-    double re = 0.0, im = 0.0;
-    for (long d = 0; d < dim; d++) {
-        re += row[2 * d] * y[2 * d] + row[2 * d + 1] * y[2 * d + 1];
-        im += row[2 * d] * y[2 * d + 1] - row[2 * d + 1] * y[2 * d];
+    long k = 0;
+    for (; k + DEMIX_WAYS <= n; k += DEMIX_WAYS) {
+        const double *r = rows + 2 * k * dim, *y = obs + 2 * k * dim;
+        double re[DEMIX_WAYS] = {0.0}, im[DEMIX_WAYS] = {0.0};
+        for (long d = 0; d < 2 * dim; d += 2)
+            for (int w = 0; w < DEMIX_WAYS; w++) {
+                const double *rw = r + 2 * w * dim + d, *yw = y + 2 * w * dim + d;
+                re[w] += rw[0] * yw[0] + rw[1] * yw[1];
+                im[w] += rw[0] * yw[1] - rw[1] * yw[0];
+            }
+        for (int w = 0; w < DEMIX_WAYS; w++) {
+            out[2 * (k + w)] = re[w];
+            out[2 * (k + w) + 1] = im[w];
+        }
     }
-    out[0] = re;
-    out[1] = im;
+    for (; k < n; k++) {
+        const double *r = rows + 2 * k * dim, *y = obs + 2 * k * dim;
+        double re = 0.0, im = 0.0;
+        for (long d = 0; d < 2 * dim; d += 2) {
+            re += r[d] * y[d] + r[d + 1] * y[d + 1];
+            im += r[d] * y[d + 1] - r[d + 1] * y[d];
+        }
+        out[2 * k] = re;
+        out[2 * k + 1] = im;
+    }
 }
 
 /* out[k] = rows[k]^H obs[k] for every bin; ``out`` is (K,) complex. */
 void demix(long n_bins, long dim, const double *rows, const double *obs, double *out)
 {
-    for (long k = 0; k < n_bins; k++)
-        demix_bin(dim, rows + 2 * k * dim, obs + 2 * k * dim, out + 2 * k);
+    demix_bins(n_bins, dim, rows, obs, out);
 }
 
 /* rows[k] = [1; -(C + lambda I)^{-1} b] for cov[k] = [[a, b^H], [b, C]] and
@@ -227,8 +258,10 @@ long solve(long n_bins, long dim, const v8 *cov, const double *prev_rows,
                     row[2 * (i + 1) + 1] = -im[i * dim + n][l];
                 }
             }
-            if (out != NULL)
-                demix_bin(dim, row, obs + 2 * k * dim, out + 2 * k);
+        }
+        if (out != NULL) {
+            const long count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
+            demix_bins(count, dim, rows + 2 * k0 * dim, obs + 2 * k0 * dim, out + 2 * k0);
         }
     }
     free(re);
@@ -260,12 +293,15 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
         return -1;
     v8 *num = power + blocks, *den = num + n_bases;
     long live = 0;
-    for (long k = 0; k < blocks * LANES; k++) {
-        double e[2];
-        const long bin = k < n_bins ? k : n_bins - 1;
-        demix_bin(dim, rows + 2 * bin * dim, obs + 2 * bin * dim, e);
-        power[k / LANES][k % LANES] = e[0] * e[0] + e[1] * e[1];
-        live |= e[0] != 0.0 || e[1] != 0.0;
+    for (long j = 0; j < blocks; j++) {
+        const long k0 = j * LANES, count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
+        double e[2 * LANES];
+        demix_bins(count, dim, rows + 2 * k0 * dim, obs + 2 * k0 * dim, e);
+        for (int l = 0; l < LANES; l++) {
+            const double *el = e + 2 * (l < count ? l : count - 1);
+            power[j][l] = el[0] * el[0] + el[1] * el[1];
+            live |= el[0] != 0.0 || el[1] != 0.0;
+        }
     }
     if (live) {
         const v8 lo = (v8){0.0} + floor;
@@ -310,4 +346,84 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
         gain[j] = 1.0 / r1[j];
     free(power);
     return live;
+}
+
+/* The engine's framing (naec.pipeline), on buffers the engine allocates
+   once: ``tail`` is (P + 1, hop), ``buf`` and ``frame`` (P + 1, window_len),
+   ``window`` window_len, all C-contiguous doubles.
+
+   frame_in: row 0 of ``tail`` holds the hop of microphone samples and row 1
+   the far-end samples x; rows 2..P get x^3, ..., x^(2P - 1), each the row
+   above times x * x, as nonlin.odd_powers builds them. Returns 0, having
+   written nothing but ``tail``, if any entry of ``tail`` is not finite.
+   Otherwise shifts each row of ``buf`` left by a hop, appends the row of
+   ``tail``, sets ``frame`` to ``buf`` times the window and returns 1. */
+long frame_in(long order_p, long hop, long window_len, double *tail,
+              double *restrict buf, const double *restrict window, double *restrict frame)
+{
+    const double *restrict x = tail + hop;
+    for (long i = 2; i <= order_p; i++) {
+        double *restrict power = tail + i * hop;
+        const double *restrict below = power - hop;
+        for (long t = 0; t < hop; t++)
+            power[t] = below[t] * (x[t] * x[t]);
+    }
+    /* v - v is 0 for finite v and NaN for an infinity or NaN. */
+    int finite = 1;
+    for (long t = 0; t < (order_p + 1) * hop; t++)
+        finite &= tail[t] - tail[t] == 0.0;
+    if (!finite)
+        return 0;
+    const long keep = window_len - hop;
+    for (long r = 0; r <= order_p; r++) {
+        double *b = buf + r * window_len, *f = frame + r * window_len;
+        memmove(b, b + hop, sizeof(double) * keep);
+        memcpy(b + keep, tail + r * hop, sizeof(double) * hop);
+        for (long t = 0; t < window_len; t++)
+            f[t] = b[t] * window[t];
+    }
+    return 1;
+}
+
+/* The (K, D) observations of the frame from its (P + 1, K) complex spectra
+   ``spec`` (row 0 the microphone), in the layout of naec.ctf, in place:
+   each reference's lags move one place later, dropping the oldest, then
+   lag 0 and the microphone entry are written. */
+void stack(long order_p, long frames_l, long n_bins, const double *restrict spec,
+           double *restrict obs)
+{
+    const long dim = order_p * frames_l + 1;
+    for (long k = 0; k < n_bins; k++) {
+        obs[2 * k * dim] = spec[2 * k];
+        obs[2 * k * dim + 1] = spec[2 * k + 1];
+    }
+    for (long i = 0; i < order_p; i++) {
+        const double *x = spec + 2 * (i + 1) * n_bins;
+        for (long k = 0; k < n_bins; k++) {
+            double *lags = obs + 2 * (k * dim + 1 + i * frames_l);
+            for (long lag = frames_l - 1; lag > 0; lag--) {
+                lags[2 * lag] = lags[2 * lag - 2];
+                lags[2 * lag + 1] = lags[2 * lag - 1];
+            }
+            lags[0] = x[2 * k];
+            lags[1] = x[2 * k + 1];
+        }
+    }
+}
+
+/* Overlap-add of the synthesized frame ``synth`` (window_len) into ``acc``,
+   which starts at the next sample to emit: acc += synth * window, then
+   ``emit`` (hop) = the first hop of ``acc`` / ``norm``, and ``acc`` shifts
+   left by a hop with zeros appended. */
+void ola(long hop, long window_len, const double *restrict synth,
+         const double *restrict window, double *restrict acc,
+         const double *restrict norm, double *restrict emit)
+{
+    for (long t = 0; t < window_len; t++)
+        acc[t] += synth[t] * window[t];
+    for (long t = 0; t < hop; t++)
+        emit[t] = acc[t] / norm[t];
+    memmove(acc, acc + hop, sizeof(double) * (window_len - hop));
+    for (long t = window_len - hop; t < window_len; t++)
+        acc[t] = 0.0;
 }

@@ -31,7 +31,9 @@ frame is three compiled calls on buffers the state owns, whose addresses it
 takes once: the weight (``state.kernel_weight``: here the ``demix`` kernel,
 then r1 and Phi in numpy), the EWMA, and the row solve, which also demixes
 the frame with the new rows. ``process_frame`` and the two
-``kernel_weight`` methods are the only callers of the kernels.
+``kernel_weight`` methods are the only callers of these kernels; the
+engine's framing (``naec.pipeline``) calls ``frame_in``, ``stack`` and
+``ola`` of the same library.
 
 Without a compiler, or if the build or load fails, ``process_frame`` runs
 ``state.frame_weight``, ``ewma_covariance_update``,
@@ -77,7 +79,9 @@ ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
-    """The compiled kernels (``ewma``, ``solve``, ``demix``, ``ilrma_weight``), or None if any step fails.
+    """The compiled kernels of ``process_frame`` (``ewma``, ``solve``, ``demix``,
+    ``ilrma_weight``) and of the engine's framing (``frame_in``, ``stack``,
+    ``ola``), or None if any step fails.
 
     The shared object is cached as ``kernels-<sha256 of source and flags>.so``
     in ``cache_dir``, compiled there on first use by ``cc`` into a temporary
@@ -110,6 +114,12 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     lib.demix.restype = None
     lib.ilrma_weight.argtypes = (size, size, size, ptr, ptr, ptr, ptr, ptr, real, ptr)
     lib.ilrma_weight.restype = size
+    lib.frame_in.argtypes = (size, size, size, ptr, ptr, ptr, ptr)
+    lib.frame_in.restype = size
+    lib.stack.argtypes = (size, size, size, ptr, ptr)
+    lib.stack.restype = None
+    lib.ola.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr)
+    lib.ola.restype = None
     return lib
 
 
@@ -155,6 +165,7 @@ class AuxivaState:
         self.gain = aligned_zeros(padded_bins(n_bins))
         self.out = np.empty(n_bins, dtype=np.complex128)
         self.addresses = tuple(a.ctypes.data for a in (self._cov, self._rows, self.gain, self.out))
+        self.obs, self.obs_address = None, 0  # the last frame's, see process_frame
         self.skipped_bins = 0
 
     cov = property(lambda self: self._cov, doc="The covariance planes (``pack_covariance``).")
@@ -173,7 +184,10 @@ class AuxivaState:
         """``frame_weight`` into ``gain[0]``, with the outputs demixed by the
         compiled kernel into ``out``; returns the gain's stride over bins, 0."""
         _kernels.demix(self.n_bins, self.dim, self.addresses[1], obs_address, self.addresses[3])
-        self.gain[0] = weight(output_norm(self.out), self.config)
+        # A finite burst may overflow |e|^2; the EWMA's count of broken bins
+        # handles it, so numpy's warnings are only noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.gain[0] = weight(output_norm(self.out), self.config)
         return 0
 
     def reset_bins(self, bins: np.ndarray) -> None:
@@ -394,18 +408,23 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     demixes into ``state.out``. Without them, the numpy functions run:
     ``state.frame_weight``, ``ewma_covariance_update``,
     ``solve_demixing_rows`` and ``ctf.demix_frame``.
+
+    ``obs`` may be any (K, D) array; it is converted to a C-contiguous
+    complex128 array, whose address the state keeps. Passed the same array
+    again, as the engine passes its observation buffer every frame, it is
+    neither converted nor asked for its address again.
     """
-    obs = np.ascontiguousarray(obs, dtype=np.complex128)
+    if obs is not state.obs:
+        state.obs = np.ascontiguousarray(obs, dtype=np.complex128)
+        state.obs_address = state.obs.ctypes.data
+    obs = state.obs
     if obs.shape != (state.n_bins, state.dim):
         raise ValueError(
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
     n_bins, dim, config = state.n_bins, state.dim, state.config
-    # A finite burst may overflow |e|^2 in the weight; the EWMA's count of
-    # broken bins handles it, so numpy's warnings are only noise.
-    quiet = np.errstate(over="ignore", invalid="ignore")
     if _kernels is None:
-        with quiet:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in kernel_weight
             gain = state.frame_weight(obs)
         if ewma_covariance_update(state.cov, obs, config.alpha, gain):
             state.reset_bins(nonfinite_trace(state.cov, n_bins))
@@ -413,10 +432,9 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
         state.rows[...] = rows
         state.skipped_bins += skipped
         return demix_frame(state.rows, obs)
-    obs_address = obs.ctypes.data
+    obs_address = state.obs_address
     cov, rows, gain, out = state.addresses
-    with quiet:
-        stride = state.kernel_weight(obs_address)
+    stride = state.kernel_weight(obs_address)
     broken = _kernels.ewma(n_bins, dim, cov, obs_address, config.alpha, gain, stride)
     if broken < 0:
         raise MemoryError("EWMA workspace")

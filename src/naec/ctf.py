@@ -15,10 +15,13 @@ Only one demixing row ever adapts; its first element is pinned to 1 so the
 row rewrites the microphone entry and leaves every reference entry alone.
 A row is a plain complex array of length P*L + 1, and the rows of all bins
 a (K, P*L + 1) array. Rows use the Hermitian convention: the near-end
-estimate is ``w^H y``. The engine stacks each frame from its own reference
-history (``stack_observations``); the batch stacking of whole spectrograms
-and the full constrained demixing matrix are test oracles, in
-``tests/oracles.py``.
+estimate is ``w^H y``. The engine keeps one (K, P*L + 1) observation buffer
+for its whole life, and the buffer is also its reference history: each
+frame moves the lags in place and writes the new spectra
+(``stack_observations``, or the ``stack`` kernel of ``_kernels.c``, which
+does the same copies and which the tests hold to its bytes). The batch
+stacking of whole spectrograms and the full constrained demixing matrix are
+test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -54,17 +57,19 @@ def passthrough_row(dim: int) -> np.ndarray:
     return row
 
 
-def stack_observations(mic_frame: np.ndarray, ref_history: np.ndarray) -> np.ndarray:
-    """Observations of frame n in the layout above, shape (K, P*L + 1).
+def stack_observations(spec: np.ndarray, obs: np.ndarray) -> None:
+    """Stack frame n into ``obs``, which holds frame n-1's observations, in place.
 
-    ``mic_frame`` is Y(., n), shape (K,); ``ref_history[i, lag]`` is
-    X_{i+1}(., n - lag), shape (P, L, K).
+    ``spec`` is the frame's (P+1, K) spectra: row 0 Y(., n), row i X_i(., n).
+    ``obs`` is (K, P*L + 1) in the layout above, zero before the first
+    frame. Each reference's lags move one place later, the oldest dropping
+    out, then lag 0 and the microphone entry are written. The ``stack``
+    kernel of ``_kernels.c`` does the same copies.
     """
-    n_refs, n_lags, n_bins = ref_history.shape
-    obs = np.empty((n_bins, n_refs * n_lags + 1), dtype=np.complex128)
-    obs[:, 0] = mic_frame
-    obs[:, 1:] = ref_history.reshape(-1, n_bins).T
-    return obs
+    lags = obs[:, 1:].reshape(len(obs), len(spec) - 1, -1)  # a view: (K, P, L)
+    lags[:, :, 1:] = lags[:, :, :-1]
+    lags[:, :, 0] = spec[1:].T
+    obs[:, 0] = spec[0]
 
 
 def demix_frame(rows: np.ndarray, obs: np.ndarray) -> np.ndarray:

@@ -7,16 +7,33 @@ look-ahead of the overlapped transform). ``run`` is ``run_streaming`` fed
 the whole signal as one chunk, so chunked and whole-signal operation produce
 bit-identical output by construction.
 
-Internally each chunk shifts one time buffer holding the microphone (row 0)
-and the odd-power reference channels (rows 1..P), transforms all rows with
-one FFT, stacks the frame with the reference frame history into the
-observation vector (``ctf.stack_observations``), runs one step of the
-optimizer core (``auxiva.process_frame`` on the optimizer's state class in
-``STATES``, configured by ``EngineConfig.auxiva``), and overlap-adds the
-demixed frame into a one-window accumulator aligned to the next sample to
-emit. The hop divides the window at least four times, so each emitted hop
-has been covered by exactly ``window_len/hop`` frames and is divided by
-the flat ``stft.ola_norm``.
+The engine allocates its buffers once and each frame writes them in place.
+A time buffer holds the last window of the microphone (row 0) and of the
+odd-power reference channels (rows 1..P). One (K, P*L + 1) observation
+buffer in the layout of ``ctf`` is also the reference history: each frame
+moves its lags in place. A frame is five calls:
+
+1. ``frame_in``: the new hop's odd powers into a (P+1, hop) tail buffer,
+   and the check that the microphone and every power are finite, which
+   rejects a chunk before any engine state is written; then the time
+   buffer shifts by a hop, takes the tail and is windowed into the frame
+   buffer.
+2. ``np.fft.rfft`` of the P+1 rows into the spectra buffer.
+3. ``stack``: the spectra into the observation buffer.
+4. ``auxiva.process_frame`` on the optimizer's state (``STATES``,
+   configured by ``EngineConfig.auxiva``), looked up on ``auxiva`` every
+   frame; then ``np.fft.irfft`` of the demixed frame.
+5. ``ola``: the synthesis window, the overlap-add into a one-window
+   accumulator that starts at the next sample to emit, its first hop
+   divided by the flat ``stft.ola_norm`` into the emit buffer, and the
+   accumulator's shift. The hop divides the window at least four times,
+   so each emitted hop has been covered by ``window_len/hop`` frames.
+
+Steps 1, 3 and 5 are kernels of ``_kernels.c`` while ``auxiva._kernels``
+is loaded (looked up at each call) and otherwise numpy code on the same
+buffers, built on ``nonlin.odd_powers`` and ``ctf.stack_observations``.
+Both do the same IEEE operations in the same order, so the framing gives
+the same bytes on either path.
 """
 
 from __future__ import annotations
@@ -79,17 +96,30 @@ class StreamingEngine:
         sc = config.stft
         self._window = sc.window_samples()
         self._norm = ola_norm(sc)
-        self._hop = sc.hop
-        self._wl = sc.window_len
+        self._hop = hop = sc.hop
+        self._wl = wl = sc.window_len
         p, l = config.ctf.order_p, config.ctf.frames_l
         self._order_p = p
-        # Row 0: microphone, rows 1..P: odd powers of the far end. The zero
-        # history pre-pads the stream by window_len - hop samples, which the
-        # first latency_chunks frames shift out of the accumulator unemitted.
-        self._buf = np.zeros((p + 1, self._wl))
-        self._hist = np.zeros((p, l, sc.n_bins), dtype=np.complex128)
+        # Buffers written in place every frame; the kernels' arguments below
+        # hold their addresses. Row 0 of the time buffers is the microphone,
+        # rows 1..P the odd powers of the far end. The zero history pre-pads
+        # the stream by window_len - hop samples, which the first
+        # latency_chunks frames shift out of the accumulator unemitted.
+        self._tail = np.zeros((p + 1, hop))  # the new hop of each row
+        self._buf = np.zeros((p + 1, wl))
+        self._frame = np.zeros((p + 1, wl))  # buf times the window
+        self._spec = np.zeros((p + 1, sc.n_bins), dtype=np.complex128)
+        self._obs = np.zeros((sc.n_bins, config.ctf.dim), dtype=np.complex128)
+        self._synth = np.zeros(wl)  # the demixed frame, back in time
+        self._acc = np.zeros(wl)  # starts at the next sample to emit
+        self._emit = np.zeros(hop)
         self._state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
-        self._acc = np.zeros(self._wl)  # starts at the next sample to emit
+        tail, buf, window, frame, spec, obs, synth, acc, norm, emit = (a.ctypes.data for a in (
+            self._tail, self._buf, self._window, self._frame, self._spec, self._obs,
+            self._synth, self._acc, self._norm, self._emit))
+        self._frame_in_args = (p, hop, wl, tail, buf, window, frame)
+        self._stack_args = (p, l, sc.n_bins, spec, obs)
+        self._ola_args = (hop, wl, synth, window, acc, norm, emit)
         self._frames = 0
         self._closed = False
         self._n_in = 0
@@ -130,31 +160,51 @@ class StreamingEngine:
                 f"chunks must have shape ({self._hop},), "
                 f"got {mic.shape} and {ref.shape}"
             )
-        with np.errstate(over="ignore"):
-            powers = odd_powers(ref, self._order_p)
-        if not (np.isfinite(mic).all() and np.isfinite(powers).all()):
+        t0 = time.perf_counter()
+        self._tail[0] = mic
+        self._tail[1] = ref
+        if not self._frame_in():
             raise ValueError("chunks contain non-finite samples or far-end powers")
-        out = self._process_chunk(mic, powers)
+        out = self._process_frame(t0)
         self._n_in += self._hop
         return out
 
-    def _process_chunk(self, mic: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        t0 = time.perf_counter()
-        hop, buf, acc = self._hop, self._buf, self._acc
+    def _frame_in(self) -> bool:
+        """Expand the odd powers into the tail and check it; only if all is
+        finite, shift the time buffer and window it into the frame buffer."""
+        lib = auxiva._kernels
+        if lib is not None:
+            return bool(lib.frame_in(*self._frame_in_args))
+        tail, buf, hop = self._tail, self._buf, self._hop
+        with np.errstate(over="ignore"):
+            tail[1:] = odd_powers(tail[1], self._order_p)
+        if not np.isfinite(tail).all():
+            return False
         buf[:, :-hop] = buf[:, hop:]
-        buf[0, -hop:] = mic
-        buf[1:, -hop:] = powers
-        spec = np.fft.rfft(buf * self._window, axis=-1)
-        self._hist[:, 1:] = self._hist[:, :-1]
-        self._hist[:, 0] = spec[1:]
-        obs = stack_observations(spec[0], self._hist)
-        enhanced = auxiva.process_frame(self._state, obs)
+        buf[:, -hop:] = tail
+        np.multiply(buf, self._window, out=self._frame)
+        return True
 
-        acc += np.fft.irfft(enhanced, n=self._wl) * self._window
+    def _process_frame(self, t0: float) -> np.ndarray:
+        """The frame in the frame buffer, from its spectra to the emitted hop."""
+        np.fft.rfft(self._frame, axis=-1, out=self._spec)
+        lib = auxiva._kernels
+        if lib is not None:
+            lib.stack(*self._stack_args)
+        else:
+            stack_observations(self._spec, self._obs)
+        enhanced = auxiva.process_frame(self._state, self._obs)
+        np.fft.irfft(enhanced, n=self._wl, out=self._synth)
+        if lib is not None:
+            lib.ola(*self._ola_args)
+        else:
+            hop, acc = self._hop, self._acc
+            acc += self._synth * self._window
+            np.divide(acc[:hop], self._norm, out=self._emit)
+            acc[:-hop] = acc[hop:]
+            acc[-hop:] = 0.0
         self._frames += 1
-        out = acc[:hop] / self._norm if self._frames > self.latency_chunks else np.empty(0)
-        acc[:-hop] = acc[hop:]
-        acc[-hop:] = 0.0
+        out = self._emit.copy() if self._frames > self.latency_chunks else np.empty(0)
         self._elapsed += time.perf_counter() - t0
         return out
 
@@ -167,9 +217,12 @@ class StreamingEngine:
         """
         if self._closed:
             raise RuntimeError("engine already flushed")
-        zero = np.zeros(self._hop)
-        parts = [self._process_chunk(zero, odd_powers(zero, self._order_p))
-                 for _ in range(self.latency_chunks)]
+        parts = []
+        for _ in range(self.latency_chunks):
+            t0 = time.perf_counter()
+            self._tail[:2] = 0.0
+            self._frame_in()
+            parts.append(self._process_frame(t0))
         self._closed = True
         return np.concatenate(parts)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from naec.audio_io import AudioSignal
 from naec.auxiva import R_FLOOR, AuxivaConfig, pack_covariance, solve_demixing_rows
-from naec.ctf import CtfConfig, passthrough_row, stack_observations
+from naec.ctf import CtfConfig, passthrough_row
 from naec.stft import StftConfig
 
 _ENVELOPE_FLOOR = 1e-12
@@ -117,11 +117,12 @@ def frame_observations(
 ) -> np.ndarray:
     """Observation vectors for every bin of frame n, shape (K, P*L + 1)."""
     _check_shapes(mic, refs, config)
-    history = np.zeros((config.order_p, config.frames_l, mic.n_bins), dtype=np.complex128)
+    obs = np.zeros((mic.n_bins, config.dim), dtype=np.complex128)
+    obs[:, 0] = mic.data[:, n]
     for i, ref in enumerate(refs):
         for lag in range(min(config.frames_l, n + 1)):
-            history[i, lag] = ref.data[:, n - lag]
-    return stack_observations(mic.data[:, n], history)
+            obs[:, 1 + i * config.frames_l + lag] = ref.data[:, n - lag]
+    return obs
 
 
 def batch_observations(

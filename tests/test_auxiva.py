@@ -178,6 +178,22 @@ def test_process_frame_counts_and_shape(rng):
         process_frame(state, np.zeros((5, 4), dtype=complex))
 
 
+@on_both_paths
+def test_process_frame_reads_a_reused_buffer_afresh(rng):
+    """One buffer rewritten in place every frame, as the engine passes it, a
+    strided view and fresh arrays give the same frames byte for byte."""
+    frames = rng.standard_normal((6, 9, 4)) + 1j * rng.standard_normal((6, 9, 4))
+    states = [AuxivaState(9, 4) for _ in range(3)]
+    buffer = np.empty((9, 4), dtype=np.complex128)
+    wide = np.empty((9, 8), dtype=np.complex128)
+    for obs in frames:
+        buffer[...] = obs
+        wide[:, ::2] = obs
+        outs = [process_frame(s, o) for s, o in zip(states, (buffer, wide[:, ::2], obs.copy()))]
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+    assert states[0].obs is buffer
+
+
 def test_zero_references_keep_passthrough(rng):
     """With silent reference channels the row never moves off passthrough."""
     state = AuxivaState(4, 3)

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -321,6 +322,34 @@ def test_ewma_returns_the_count_of_broken_bins(rng, n_bins):
     assert ewma_dense(cov.copy(), obs, 0.9, 1.0) == 0
     obs[-1, 2] = 1e200
     assert ewma_dense(cov.copy(), obs, 0.9, 1.0) == 1
+
+
+# A definition with external linkage: return type at the start of a line,
+# then the name and the parameter list up to the opening brace.
+KERNEL_DEFINITION = re.compile(r"^(long|void) (\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
+
+
+def _ctype(declaration):
+    """The ctypes type of a C parameter or return type of the kernels."""
+    if "*" in declaration:
+        return ctypes.c_void_p
+    return {"long": ctypes.c_long, "double": ctypes.c_double, "void": None}[declaration.split()[0]]
+
+
+def test_build_kernels_declares_every_kernel():
+    """``build_kernels`` gives every external function of ``_kernels.c`` its
+    restype and one argtype per C parameter, of the parameter's type;
+    without them ``ctypes`` would pass 64-bit pointers as C ints."""
+    lib = auxiva.build_kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+    definitions = KERNEL_DEFINITION.findall(auxiva.KERNEL_SOURCE.read_text())
+    assert {"ewma", "solve", "frame_in", "ola"} <= {name for _, name, _ in definitions}
+    for restype, name, params in definitions:
+        kernel = getattr(lib, name)
+        assert kernel.argtypes is not None, name
+        assert list(kernel.argtypes) == [_ctype(p) for p in params.split(",")], name
+        assert kernel.restype is _ctype(restype), name
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):

@@ -5,12 +5,13 @@ import re
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import naec
-from conftest import numpy_path
+from conftest import numpy_path, on_both_paths
 from naec import auxiva, ctf, stft
 from naec.audio_io import SAMPLE_RATE, AudioSignal
 from naec.auxiva import AuxivaConfig
@@ -34,7 +35,7 @@ from naec.sim import (
     white_noise,
 )
 from naec.stft import StftConfig
-from oracles import Spectrogram, analyze, synthesize
+from oracles import Spectrogram, analyze, frame_observations, synthesize
 
 
 def test_public_names_resolve_and_batch_oracles_are_test_only():
@@ -152,6 +153,7 @@ def test_run_streaming_irregular_chunks_bit_exact(small_scene):
 
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+@on_both_paths
 def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
     spec, comps = small_scene
     config = EngineConfig(optimizer=optimizer)
@@ -160,20 +162,27 @@ def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
     mic, far = comps.microphone.samples, spec.far_end.samples
     n_chunks = len(mic) // hop
     expected, got = [], []
+
+    def reject(j, y, x):
+        bad_y, bad_x = y.copy(), x.copy()
+        if j == 20:
+            bad_y[7] = np.nan
+        elif j == 40:
+            bad_x[-1] = np.inf
+        elif j == 60:
+            bad_x[3] = 1e200  # finite, but its cube overflows
+        else:
+            bad_x[5] = 1e70  # finite with a finite cube; only x**5, the highest power, overflows
+        with pytest.raises(ValueError, match="non-finite"):
+            dirty.push(bad_y, bad_x)
+
     for j in range(n_chunks):
         y, x = mic[j * hop : (j + 1) * hop], far[j * hop : (j + 1) * hop]
-        if j in (20, 40, 60):
-            bad_y, bad_x = y.copy(), x.copy()
-            if j == 20:
-                bad_y[7] = np.nan
-            elif j == 40:
-                bad_x[-1] = np.inf
-            else:
-                bad_x[3] = 1e200  # finite, but its cube overflows
-            with pytest.raises(ValueError, match="non-finite"):
-                dirty.push(bad_y, bad_x)
+        if j in (20, 40, 60, 80):
+            reject(j, y, x)
         expected.append(clean.push(y, x))
         got.append(dirty.push(y, x))
+    reject(80, y, x)  # a flush right after a rejected push
     expected.append(clean.flush())
     got.append(dirty.flush())
     assert np.concatenate(got).tobytes() == np.concatenate(expected).tobytes()
@@ -181,6 +190,110 @@ def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
     assert (a.n_frames, a.n_samples_in, a.n_samples_out, a.skipped_bins) == (
         b.n_frames, b.n_samples_in, b.n_samples_out, b.skipped_bins
     )
+
+
+# (window_len, hop, order_p, frames_l): the benchmark's two framings, a
+# short window with six lags, and a hop of an eighth of the window.
+FRAMINGS = [(1024, 256, 3, 1), (1024, 256, 3, 3), (64, 16, 2, 6), (1024, 128, 1, 2)]
+
+
+def _framing_config(window_len, hop, order_p, frames_l):
+    return EngineConfig(stft=StftConfig(window_len, hop), ctf=CtfConfig(frames_l, order_p))
+
+
+@pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
+@on_both_paths
+def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l):
+    """Each frame's observations and emitted hop are, byte for byte, those of
+    plain numpy framing: odd powers, a shifted time buffer times the window,
+    one rfft, a (P, L, K) reference history stacked after the microphone,
+    and the windowed irfft overlap-added and divided by ``ola_norm``."""
+    config = _framing_config(window_len, hop, order_p, frames_l)
+    sc, n_bins, n_frames = config.stft, config.stft.n_bins, 3 * window_len // hop
+    rng = np.random.default_rng(window_len + order_p + frames_l)
+    chunks = rng.standard_normal((n_frames, 2, hop)) * rng.choice([0.01, 0.5, 3.0], (n_frames, 1, 1))
+    frames = rng.standard_normal((n_frames, n_bins)) + 1j * rng.standard_normal((n_frames, n_bins))
+    window, norm = sc.window_samples(), stft.ola_norm(sc)
+    buf = np.zeros((order_p + 1, window_len))
+    history = np.zeros((order_p, frames_l, n_bins), dtype=np.complex128)
+    acc = np.zeros(window_len)
+    seen = []
+
+    def demixed(state, obs):
+        seen.append(obs.copy())
+        return frames[len(seen) - 1]
+
+    engine = StreamingEngine(config)
+    with mock.patch.object(auxiva, "process_frame", demixed):
+        for j, (mic, far) in enumerate(chunks):
+            out = engine.push(mic, far)
+            buf[:, :-hop] = buf[:, hop:]
+            buf[0, -hop:] = mic
+            buf[1:, -hop:] = odd_powers(far, order_p)
+            spec = np.fft.rfft(buf * window, axis=-1)
+            history[:, 1:] = history[:, :-1]
+            history[:, 0] = spec[1:]
+            obs = np.column_stack([spec[0], history.reshape(-1, n_bins).T])
+            assert seen[j].tobytes() == obs.tobytes(), j
+            acc += np.fft.irfft(frames[j], n=window_len) * window
+            expected = acc[:hop] / norm if j >= engine.latency_chunks else np.empty(0)
+            assert out.tobytes() == expected.tobytes(), j
+            acc[:-hop] = acc[hop:]
+            acc[-hop:] = 0.0
+
+
+@pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
+@on_both_paths
+def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, order_p, frames_l):
+    """After n frames the engine's one observation buffer holds, byte for
+    byte, the stacked observations of frame n of the batch spectrograms of
+    the pre-padded microphone and far-end powers."""
+    config = _framing_config(window_len, hop, order_p, frames_l)
+    sc, n_frames = config.stft, 2 * window_len // hop + frames_l
+    rng = np.random.default_rng(hop + frames_l)
+    mic, far = 0.3 * rng.standard_normal((2, n_frames * hop))
+    pad = np.zeros(window_len - hop)
+    mic_spec = analyze(AudioSignal(np.concatenate([pad, mic])), sc)
+    ref_specs = [analyze(AudioSignal(np.concatenate([pad, x])), sc)
+                 for x in odd_powers(far, order_p)]
+    buffers = []
+    core = auxiva.process_frame
+
+    def capture(state, obs):
+        buffers.append(obs)
+        return core(state, obs)
+
+    engine = StreamingEngine(config)
+    with mock.patch.object(auxiva, "process_frame", capture):
+        for n in range(n_frames):
+            engine.push(mic[n * hop : (n + 1) * hop], far[n * hop : (n + 1) * hop])
+            expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
+            assert buffers[-1].tobytes() == expected.tobytes(), n
+    assert all(b is buffers[0] for b in buffers)
+
+
+@on_both_paths
+def test_push_takes_strided_float32_and_int16_chunks():
+    """Chunks that are strided views, float32 or int16 give the output of
+    their contiguous float64 copies, byte for byte."""
+    rng = np.random.default_rng(11)
+    hop, n_chunks = 256, 12
+    wide = 0.3 * rng.standard_normal((2, n_chunks, 2 * hop))
+    kinds = {
+        "strided": wide[:, :, ::2],
+        "float32": wide[:, :, :hop].astype(np.float32),
+        "int16": (20000 * wide[:, :, :hop]).astype(np.int16),
+    }
+    for kind, (mics, fars) in kinds.items():
+        chunks = list(zip(mics, fars))
+        for optimizer in ("auxiva", "ilrma"):
+            outputs = []
+            for convert in (lambda c: c, lambda c: np.ascontiguousarray(c, dtype=np.float64)):
+                engine = StreamingEngine(EngineConfig(optimizer=optimizer))
+                parts = [engine.push(convert(y), convert(x)) for y, x in chunks]
+                outputs.append(np.concatenate(parts + [engine.flush()]))
+            assert outputs[0].tobytes() == outputs[1].tobytes(), (kind, optimizer)
+            assert np.isfinite(outputs[0]).all()
 
 
 @pytest.fixture(scope="module")
