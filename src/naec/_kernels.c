@@ -1,15 +1,20 @@
 /* Per-frame kernels for naec.auxiva and naec.ilrma:
      ewma          the EWMA covariance update;
      solve         the row solve, which also demixes the frame with the new rows;
-     demix         AuxIVA's demix with the previous rows;
+     demix         AuxIVA's demix with the previous rows, r1 and Phi(r1);
      ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1;
-   and for the engine's framing in naec.pipeline, around numpy's FFTs:
+   and for the engine's framing in naec.pipeline, so that a compiled push
+   is frame_in, the three calls of process_frame, and ola:
+     fft_plan      the twiddle factors of the real FFTs, once per engine;
      frame_in      the far end's odd powers, the finite check, the time
-                   buffer's shift and the analysis window;
-     stack         the frame's spectra into the observations, lags in place;
-     ola           the synthesis window, overlap-add, norm and shift.
-   The framing kernels are scalar and make copies and elementwise products
-   only, the operations of the numpy code they replace.
+                   buffer's shift, the analysis window and the real FFTs
+                   into the observations, lags moved in place;
+     ola           the inverse real FFT, synthesis window, overlap-add,
+                   norm and shift;
+     rfft, irfft   the same FFTs alone, for the tests.
+   Apart from the FFTs, the framing kernels make copies and elementwise
+   products only, the operations of the numpy code they replace. The FFTs
+   and AuxIVA's r1 agree with the numpy path to rounding, not bytes.
 
    The covariances are held in block-planar form: bins are grouped in blocks
    of LANES, and a block holds a real plane and an imaginary plane of the
@@ -40,7 +45,10 @@
    the solve takes about half the baseline build's time at D = 10 and 19,
    and of ilrma_weight 0.4-0.6 of it at K = 513 and B = 10; an AVX2 build
    was no faster than the baseline one, so none is made
-   (BENCH_lane_solve.json, BENCH_compiled_weight.json). */
+   (BENCH_lane_solve.json, BENCH_compiled_weight.json). The FFTs' vectors
+   of four doubles are split in two by the baseline build; there a
+   1024-point real FFT of one row took about 3.3 us against 2.1-2.6 us in
+   the AVX-512F clone (C harness). */
 
 #include <math.h>
 #include <stdlib.h>
@@ -163,10 +171,19 @@ demix_bins(long n, long dim, const double *rows, const double *obs, double *out)
     }
 }
 
-/* out[k] = rows[k]^H obs[k] for every bin; ``out`` is (K,) complex. */
-void demix(long n_bins, long dim, const double *rows, const double *obs, double *out)
+/* AuxIVA's frame weight from the previous rows: out[k] = rows[k]^H obs[k]
+   for every bin (``out`` is (K,) complex), then r1 = sqrt(sum_k |out[k]|^2),
+   each |out[k]|^2 taken as re^2 + im^2 and summed in bin order, floored at
+   ``floor`` (a NaN stays NaN), and gain[0] = pow(r1, exponent). */
+void demix(long n_bins, long dim, const double *rows, const double *obs, double *out,
+           double floor, double exponent, double *gain)
 {
     demix_bins(n_bins, dim, rows, obs, out);
+    double power = 0.0;
+    for (long k = 0; k < 2 * n_bins; k += 2)
+        power += out[k] * out[k] + out[k + 1] * out[k + 1];
+    const double r1 = sqrt(power);
+    gain[0] = pow(r1 < floor ? floor : r1, exponent);
 }
 
 /* rows[k] = [1; -(C + lambda I)^{-1} b] for cov[k] = [[a, b^H], [b, C]] and
@@ -348,18 +365,260 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
     return live;
 }
 
+/* The engine's real FFTs, of n = 2m samples, n a power of two >= 4: the
+   m-point complex FFT of z[t] = x[2t] + i x[2t + 1], split into the spectra
+   of the even and the odd samples (Sorensen et al., "Real-valued fast
+   Fourier transform algorithms", IEEE TASSP 1987). The complex FFT, for
+   m >= 4, is four interleaved FFTs of q = m / 4 points, z[4t + r] in lane r
+   of a vector of FFT_LANES doubles, by radix-4 Stockham passes (and a
+   radix-2 one last when log2 q is odd), then one radix-4 pass across the
+   lanes. The twiddle factors come from libm's cos and sin on angles of at
+   most pi / 4 and the symmetries of the circle, once per plan. The
+   transforms agree with numpy's pocketfft to rounding, not bytes. */
+#define FFT_LANES 4
+typedef double v4 __attribute__((vector_size(FFT_LANES * sizeof(double))));
+typedef struct {
+    v4 re, im;
+} cv4;
+
+/* A plan of an n-point transform in fft_plan's layout: the twiddles of
+   the lane FFTs and of the pass across the lanes, two lane buffers, an
+   m-point complex buffer and the twiddles of the split. */
+struct fft {
+    long n, m, q;
+    cv4 *inner;    /* W_q^j in every lane, j < q: stored broadcast, as the
+                      baseline build makes a broadcast through the stack */
+    cv4 *across;   /* lane r of across[k]: W_m^(rk), k < q */
+    cv4 *lanes[2]; /* q each */
+    double *z;     /* m complex */
+    double *split; /* W_n^k, k <= m / 2 */
+};
+
+static struct fft fft_parts(long n, double *plan)
+{
+    const long q = n / 8;
+    cv4 *inner = (cv4 *)plan;
+    double *z = (double *)(inner + 4 * q);
+    return (struct fft){n, n / 2, q, inner, inner + q, {inner + 2 * q, inner + 3 * q}, z, z + n};
+}
+
+/* W_n^j = exp(-2 pi i j / n) into w[0], w[1], for a power of two n >= 4:
+   the angle is reduced to its first octant, so quarter turns are exact. */
+static void unit_root(long j, long n, double *w)
+{
+    const long quarter = 4 * j / n, r = j - quarter * (n / 4);
+    double c, s;
+    if (8 * r <= n) {
+        c = cos(M_PI * (2.0 * r / n));
+        s = sin(M_PI * (2.0 * r / n));
+    } else {
+        s = cos(M_PI * (2.0 * (n / 4 - r) / n));
+        c = sin(M_PI * (2.0 * (n / 4 - r) / n));
+    }
+    const double cs[4][2] = {{c, s}, {-s, c}, {-c, -s}, {s, -c}};
+    w[0] = cs[quarter][0];
+    w[1] = -cs[quarter][1];
+}
+
+/* The length in doubles of the plan of an n-point real FFT, n a power of
+   two >= 4; given a plan, 32-byte aligned, also writes its twiddle
+   factors. The rest of a plan is the transforms' workspace. */
+long fft_plan(long n, double *plan)
+{
+    const long q = n / 8, m = n / 2;
+    if (plan != NULL) {
+        const struct fft f = fft_parts(n, plan);
+        double w[2];
+        for (long k = 0; k < q; k++)
+            for (int r = 0; r < FFT_LANES; r++) {
+                unit_root(8 * k, n, w);
+                f.inner[k].re[r] = w[0];
+                f.inner[k].im[r] = w[1];
+                unit_root(2 * r * k, n, w);
+                f.across[k].re[r] = w[0];
+                f.across[k].im[r] = w[1];
+            }
+        for (long k = 0; k <= m / 2; k++)
+            unit_root(k, n, f.split + 2 * k);
+    }
+    return 32 * q + 3 * m + 2;
+}
+
+/* y = (zr + i zi) (wr + i wi) for vectors, each argument evaluated once. */
+#define CMUL_INTO(y, zr, zi, wr, wi)                                       \
+    do {                                                                   \
+        const v4 zr_ = (zr), zi_ = (zi);                                   \
+        (y).re = zr_ * (wr) - zi_ * (wi);                                  \
+        (y).im = zr_ * (wi) + zi_ * (wr);                                  \
+    } while (0)
+
+/* The m-point forward DFT of the complex z (interleaved) into out. */
+static inline __attribute__((always_inline)) void
+cfft(const struct fft *f, const double *restrict z, double *restrict out)
+{
+    const long q = f->q;
+    if (q == 0) { /* m = 2 */
+        out[0] = z[0] + z[2];
+        out[1] = z[1] + z[3];
+        out[2] = z[0] - z[2];
+        out[3] = z[1] - z[3];
+        return;
+    }
+    cv4 *a = f->lanes[0], *b = f->lanes[1];
+    for (long t = 0; t < q; t++) {
+        const double *zt = z + 8 * t;
+        a[t] = (cv4){{zt[0], zt[2], zt[4], zt[6]}, {zt[1], zt[3], zt[5], zt[7]}};
+    }
+    /* Stockham passes over the lanes: a sub-transform of n points at
+       stride s becomes four of n / 4 points at stride 4 s. */
+    long n = q, s = 1;
+    for (; n >= 4; n /= 4, s *= 4) {
+        const long m4 = n / 4;
+        for (long p = 0; p < m4; p++) {
+            const cv4 *w1 = f->inner + p * s, *w2 = w1 + p * s, *w3 = w2 + p * s;
+            for (long t = 0; t < s; t++) {
+                const cv4 *restrict x0 = a + t + s * p, *restrict x1 = x0 + s * m4;
+                const cv4 *restrict x2 = x1 + s * m4, *restrict x3 = x2 + s * m4;
+                cv4 *restrict y = b + t + 4 * s * p;
+                const v4 s02r = x0->re + x2->re, s02i = x0->im + x2->im;
+                const v4 d02r = x0->re - x2->re, d02i = x0->im - x2->im;
+                const v4 s13r = x1->re + x3->re, s13i = x1->im + x3->im;
+                const v4 d13r = x1->re - x3->re, d13i = x1->im - x3->im;
+                y[0].re = s02r + s13r;
+                y[0].im = s02i + s13i;
+                CMUL_INTO(y[s], d02r + d13i, d02i - d13r, w1->re, w1->im); /* (d02 - i d13) W */
+                CMUL_INTO(y[2 * s], s02r - s13r, s02i - s13i, w2->re, w2->im);
+                CMUL_INTO(y[3 * s], d02r - d13i, d02i + d13r, w3->re, w3->im); /* (d02 + i d13) W^3 */
+            }
+        }
+        cv4 *swap = a;
+        a = b;
+        b = swap;
+    }
+    if (n == 2) {
+        for (long t = 0; t < s; t++) {
+            const v4 xr = a[t].re, xi = a[t].im, yr = a[t + s].re, yi = a[t + s].im;
+            b[t].re = xr + yr;
+            b[t].im = xi + yi;
+            b[t + s].re = xr - yr;
+            b[t + s].im = xi - yi;
+        }
+        a = b;
+    }
+    /* The radix-4 pass across the lanes: lane r of a[k] times W_m^(rk). */
+    for (long k = 0; k < q; k++) {
+        const cv4 w = f->across[k];
+        const v4 tr = a[k].re * w.re - a[k].im * w.im, ti = a[k].re * w.im + a[k].im * w.re;
+        const double sr = tr[0] + tr[2], si = ti[0] + ti[2], dr = tr[0] - tr[2], di = ti[0] - ti[2];
+        const double er = tr[1] + tr[3], ei = ti[1] + ti[3], fr = tr[1] - tr[3], fi = ti[1] - ti[3];
+        out[2 * k] = sr + er;
+        out[2 * k + 1] = si + ei;
+        out[2 * (k + q)] = dr + fi;
+        out[2 * (k + q) + 1] = di - fr;
+        out[2 * (k + 2 * q)] = sr - er;
+        out[2 * (k + 2 * q) + 1] = si - ei;
+        out[2 * (k + 3 * q)] = dr - fi;
+        out[2 * (k + 3 * q) + 1] = di + fr;
+    }
+}
+
+/* The one-sided spectrum of n real samples x: bin k into out[k * stride]
+   (complex), with exact zeros for the imaginary parts at DC and Nyquist. */
+static inline __attribute__((always_inline)) void
+rfft_row(const struct fft *f, const double *restrict x, double *restrict out, long stride)
+{
+    const long m = f->m;
+    const double *z = f->z;
+    cfft(f, x, f->z);
+    out[0] = z[0] + z[1];
+    out[1] = 0.0;
+    out[2 * m * stride] = z[0] - z[1];
+    out[2 * m * stride + 1] = 0.0;
+    /* E = (Z[k] + conj(Z[m - k])) / 2 and O = -i (Z[k] - conj(Z[m - k])) / 2
+       are the spectra of the even and the odd samples at k, and bins k and
+       m - k are E + W_n^k O and conj(E - W_n^k O); for k = m / 2 the second
+       write is kept. */
+    for (long k = 1; k <= m / 2; k++) {
+        const double ar = z[2 * k], ai = z[2 * k + 1], br = z[2 * (m - k)], bi = -z[2 * (m - k) + 1];
+        const double er = 0.5 * (ar + br), ei = 0.5 * (ai + bi);
+        const double odd_r = 0.5 * (ai - bi), odd_i = 0.5 * (br - ar);
+        const double *w = f->split + 2 * k;
+        const double tr = odd_r * w[0] - odd_i * w[1], ti = odd_r * w[1] + odd_i * w[0];
+        out[2 * (m - k) * stride] = er - tr;
+        out[2 * (m - k) * stride + 1] = ti - ei;
+        out[2 * k * stride] = er + tr;
+        out[2 * k * stride + 1] = ei + ti;
+    }
+}
+
+/* n real samples from their one-sided spectrum (m + 1 complex), ignoring
+   the imaginary parts at DC and Nyquist as numpy's irfft does. */
+static inline __attribute__((always_inline)) void
+irfft_row(const struct fft *f, const double *restrict spec, double *restrict x)
+{
+    const long m = f->m;
+    double *z = f->z;
+    /* 2 (E + i O), conjugated, for the spectra of the even and the odd
+       samples E = (X[k] + conj(X[m - k])) / 2 and
+       O = (X[k] - conj(X[m - k])) W_n^-k / 2: the inverse FFT is the
+       conjugate of the forward one of the conjugate, and 1 / n scales it. */
+    z[0] = spec[0] + spec[2 * m];
+    z[1] = spec[2 * m] - spec[0];
+    for (long k = 1; k <= m / 2; k++) {
+        const double ar = spec[2 * k], ai = spec[2 * k + 1];
+        const double br = spec[2 * (m - k)], bi = -spec[2 * (m - k) + 1];
+        const double er = ar + br, ei = ai + bi, dr = ar - br, di = ai - bi;
+        const double *w = f->split + 2 * k;
+        const double odd_r = dr * w[0] + di * w[1], odd_i = di * w[0] - dr * w[1];
+        z[2 * k] = er - odd_i;
+        z[2 * k + 1] = -(ei + odd_r);
+        z[2 * (m - k)] = er + odd_i;
+        z[2 * (m - k) + 1] = ei - odd_r;
+    }
+    cfft(f, z, x);
+    const double scale = 1.0 / (double)f->n;
+    for (long t = 0; t < 2 * m; t += 2) {
+        x[t] *= scale;
+        x[t + 1] = -x[t + 1] * scale;
+    }
+}
+
+/* rfft: ``n_rows`` rows of n real samples ``x`` to their one-sided spectra
+   ``out``, (n_rows, n / 2 + 1) complex. irfft: one spectrum to n samples.
+   ``plan`` is fft_plan's; the engine's framing does the same transforms. */
+LANE_CLONES
+void rfft(long n, long n_rows, double *plan, const double *x, double *out)
+{
+    const struct fft f = fft_parts(n, plan);
+    for (long r = 0; r < n_rows; r++)
+        rfft_row(&f, x + r * n, out + r * (n + 2), 1);
+}
+
+LANE_CLONES
+void irfft(long n, double *plan, const double *spec, double *x)
+{
+    const struct fft f = fft_parts(n, plan);
+    irfft_row(&f, spec, x);
+}
+
 /* The engine's framing (naec.pipeline), on buffers the engine allocates
    once: ``tail`` is (P + 1, hop), ``buf`` and ``frame`` (P + 1, window_len),
-   ``window`` window_len, all C-contiguous doubles.
+   ``window`` window_len, all C-contiguous doubles; ``obs`` is the (K, D)
+   observation buffer and ``plan`` fft_plan's for window_len.
 
    frame_in: row 0 of ``tail`` holds the hop of microphone samples and row 1
    the far-end samples x; rows 2..P get x^3, ..., x^(2P - 1), each the row
    above times x * x, as nonlin.odd_powers builds them. Returns 0, having
    written nothing but ``tail``, if any entry of ``tail`` is not finite.
    Otherwise shifts each row of ``buf`` left by a hop, appends the row of
-   ``tail``, sets ``frame`` to ``buf`` times the window and returns 1. */
-long frame_in(long order_p, long hop, long window_len, double *tail,
-              double *restrict buf, const double *restrict window, double *restrict frame)
+   ``tail``, sets ``frame`` to ``buf`` times the window, and transforms
+   the rows of ``frame`` into ``obs`` in the layout of naec.ctf: each
+   reference's lags move one place later, dropping the oldest, then lag 0
+   and the microphone entry are written. Returns 1. */
+LANE_CLONES
+long frame_in(long order_p, long frames_l, long hop, long window_len, double *tail,
+              double *restrict buf, const double *restrict window, double *restrict frame,
+              double *plan, double *restrict obs)
 {
     const double *restrict x = tail + hop;
     for (long i = 2; i <= order_p; i++) {
@@ -376,49 +635,41 @@ long frame_in(long order_p, long hop, long window_len, double *tail,
         return 0;
     const long keep = window_len - hop;
     for (long r = 0; r <= order_p; r++) {
-        double *b = buf + r * window_len, *f = frame + r * window_len;
+        double *b = buf + r * window_len, *row = frame + r * window_len;
         memmove(b, b + hop, sizeof(double) * keep);
         memcpy(b + keep, tail + r * hop, sizeof(double) * hop);
         for (long t = 0; t < window_len; t++)
-            f[t] = b[t] * window[t];
+            row[t] = b[t] * window[t];
+    }
+    const long dim = order_p * frames_l + 1, n_bins = window_len / 2 + 1;
+    const struct fft f = fft_parts(window_len, plan);
+    rfft_row(&f, frame, obs, dim);
+    for (long i = 0; i < order_p; i++) {
+        double *lags = obs + 2 * (1 + i * frames_l);
+        for (long k = 0; k < n_bins; k++) {
+            double *at = lags + 2 * k * dim;
+            for (long lag = frames_l - 1; lag > 0; lag--) {
+                at[2 * lag] = at[2 * lag - 2];
+                at[2 * lag + 1] = at[2 * lag - 1];
+            }
+        }
+        rfft_row(&f, frame + (i + 1) * window_len, lags, dim);
     }
     return 1;
 }
 
-/* The (K, D) observations of the frame from its (P + 1, K) complex spectra
-   ``spec`` (row 0 the microphone), in the layout of naec.ctf, in place:
-   each reference's lags move one place later, dropping the oldest, then
-   lag 0 and the microphone entry are written. */
-void stack(long order_p, long frames_l, long n_bins, const double *restrict spec,
-           double *restrict obs)
-{
-    const long dim = order_p * frames_l + 1;
-    for (long k = 0; k < n_bins; k++) {
-        obs[2 * k * dim] = spec[2 * k];
-        obs[2 * k * dim + 1] = spec[2 * k + 1];
-    }
-    for (long i = 0; i < order_p; i++) {
-        const double *x = spec + 2 * (i + 1) * n_bins;
-        for (long k = 0; k < n_bins; k++) {
-            double *lags = obs + 2 * (k * dim + 1 + i * frames_l);
-            for (long lag = frames_l - 1; lag > 0; lag--) {
-                lags[2 * lag] = lags[2 * lag - 2];
-                lags[2 * lag + 1] = lags[2 * lag - 1];
-            }
-            lags[0] = x[2 * k];
-            lags[1] = x[2 * k + 1];
-        }
-    }
-}
-
-/* Overlap-add of the synthesized frame ``synth`` (window_len) into ``acc``,
+/* Overlap-add of the demixed frame ``spec`` (K complex, read after
+   ``synth`` (window_len) is set to its inverse transform) into ``acc``,
    which starts at the next sample to emit: acc += synth * window, then
    ``emit`` (hop) = the first hop of ``acc`` / ``norm``, and ``acc`` shifts
    left by a hop with zeros appended. */
-void ola(long hop, long window_len, const double *restrict synth,
-         const double *restrict window, double *restrict acc,
+LANE_CLONES
+void ola(long hop, long window_len, double *plan, const double *restrict spec,
+         double *restrict synth, const double *restrict window, double *restrict acc,
          const double *restrict norm, double *restrict emit)
 {
+    const struct fft f = fft_parts(window_len, plan);
+    irfft_row(&f, spec, synth);
     for (long t = 0; t < window_len; t++)
         acc[t] += synth[t] * window[t];
     for (long t = 0; t < hop; t++)

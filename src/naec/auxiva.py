@@ -29,11 +29,11 @@ compiles ``_kernels.c`` with ``cc`` when this module is first imported and
 caches the shared object under ``__pycache__``. With the kernels loaded, a
 frame is three compiled calls on buffers the state owns, whose addresses it
 takes once: the weight (``state.kernel_weight``: here the ``demix`` kernel,
-then r1 and Phi in numpy), the EWMA, and the row solve, which also demixes
-the frame with the new rows. ``process_frame`` and the two
-``kernel_weight`` methods are the only callers of these kernels; the
-engine's framing (``naec.pipeline``) calls ``frame_in``, ``stack`` and
-``ola`` of the same library.
+which also takes r1 and Phi), the EWMA, and the row solve, which also
+demixes the frame with the new rows; none of them makes a numpy call.
+``process_frame`` and the two ``kernel_weight`` methods are the only
+callers of these kernels; the engine's framing (``naec.pipeline``) calls
+``fft_plan``, ``frame_in`` and ``ola`` of the same library.
 
 Without a compiler, or if the build or load fails, ``process_frame`` runs
 ``state.frame_weight``, ``ewma_covariance_update``,
@@ -44,7 +44,10 @@ operations on both paths, so its planes are bit-identical; the numpy
 solve's complex products may be fused into multiply-adds on CPUs with FMA,
 while the kernels never fuse, so rows agree to rounding. Both demixes do
 the operations of ``ctf.demix_frame`` in its order, so for the same rows
-and observations they give its bytes. The row solve is Gaussian
+and observations they give its bytes; the ``demix`` kernel sums the
+weight's |e|^2 as re^2 + im^2 in bin order, where ``output_norm`` takes
+numpy's ``abs`` and pairwise sum, so AuxIVA's weight agrees to rounding,
+not bytes. The row solve is Gaussian
 elimination without pivoting (C + lambda I is positive definite), and a
 kernel bin's row does not depend on its block or the ISA picked at run
 time. The recursion is stored as written and the loading is trace-relative
@@ -80,8 +83,9 @@ ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
     """The compiled kernels of ``process_frame`` (``ewma``, ``solve``, ``demix``,
-    ``ilrma_weight``) and of the engine's framing (``frame_in``, ``stack``,
-    ``ola``), or None if any step fails.
+    ``ilrma_weight``) and of the engine's framing (``fft_plan``, ``frame_in``,
+    ``ola``, and the ``rfft`` and ``irfft`` they run), or None if any step
+    fails.
 
     The shared object is cached as ``kernels-<sha256 of source and flags>.so``
     in ``cache_dir``, compiled there on first use by ``cc`` into a temporary
@@ -110,15 +114,19 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     lib.ewma.restype = size
     lib.solve.argtypes = (size, size, ptr, ptr, real, ptr, ptr, ptr)
     lib.solve.restype = size
-    lib.demix.argtypes = (size, size, ptr, ptr, ptr)
+    lib.demix.argtypes = (size, size, ptr, ptr, ptr, real, real, ptr)
     lib.demix.restype = None
     lib.ilrma_weight.argtypes = (size, size, size, ptr, ptr, ptr, ptr, ptr, real, ptr)
     lib.ilrma_weight.restype = size
-    lib.frame_in.argtypes = (size, size, size, ptr, ptr, ptr, ptr)
+    lib.fft_plan.argtypes = (size, ptr)
+    lib.fft_plan.restype = size
+    lib.rfft.argtypes = (size, size, ptr, ptr, ptr)
+    lib.rfft.restype = None
+    lib.irfft.argtypes = (size, ptr, ptr, ptr)
+    lib.irfft.restype = None
+    lib.frame_in.argtypes = (size, size, size, size, ptr, ptr, ptr, ptr, ptr, ptr)
     lib.frame_in.restype = size
-    lib.stack.argtypes = (size, size, size, ptr, ptr)
-    lib.stack.restype = None
-    lib.ola.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr)
+    lib.ola.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr)
     lib.ola.restype = None
     return lib
 
@@ -181,13 +189,17 @@ class AuxivaState:
         return weight(compute_r1(self, obs), self.config)
 
     def kernel_weight(self, obs_address: int) -> int:
-        """``frame_weight`` into ``gain[0]``, with the outputs demixed by the
-        compiled kernel into ``out``; returns the gain's stride over bins, 0."""
-        _kernels.demix(self.n_bins, self.dim, self.addresses[1], obs_address, self.addresses[3])
-        # A finite burst may overflow |e|^2; the EWMA's count of broken bins
-        # handles it, so numpy's warnings are only noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.gain[0] = weight(output_norm(self.out), self.config)
+        """``frame_weight`` into ``gain[0]`` by the compiled ``demix``, which
+        leaves the outputs in ``out``; returns the gain's stride over bins, 0.
+
+        The kernel sums |e|^2 as re^2 + im^2 in bin order, where
+        ``output_norm`` takes numpy's ``abs`` and pairwise sum, so the two
+        agree to rounding. An |e|^2 that overflows on a finite burst makes
+        the weight 0 or NaN, which the EWMA's count of broken bins handles.
+        """
+        _, rows, gain, out = self.addresses
+        _kernels.demix(self.n_bins, self.dim, rows, obs_address, out,
+                       R_FLOOR, self.config.beta - 2.0, gain)
         return 0
 
     def reset_bins(self, bins: np.ndarray) -> None:
@@ -424,7 +436,9 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
         )
     n_bins, dim, config = state.n_bins, state.dim, state.config
     if _kernels is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # as in kernel_weight
+        # A finite burst may overflow |e|^2; the EWMA's count of broken bins
+        # handles it, so numpy's warnings are only noise.
+        with np.errstate(over="ignore", invalid="ignore"):
             gain = state.frame_weight(obs)
         if ewma_covariance_update(state.cov, obs, config.alpha, gain):
             state.reset_bins(nonfinite_trace(state.cov, n_bins))

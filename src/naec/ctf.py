@@ -18,8 +18,9 @@ a (K, P*L + 1) array. Rows use the Hermitian convention: the near-end
 estimate is ``w^H y``. The engine keeps one (K, P*L + 1) observation buffer
 for its whole life, and the buffer is also its reference history: each
 frame moves the lags in place and writes the new spectra
-(``stack_observations``, or the ``stack`` kernel of ``_kernels.c``, which
-does the same copies and which the tests hold to its bytes). The batch
+(``stack_observations`` after numpy's rfft, or the ``frame_in`` kernel of
+``_kernels.c``, which does the same copies and writes its own FFT's
+spectra; the tests hold it to these bytes). The batch
 stacking of whole spectrograms and the full constrained demixing matrix are
 test oracles, in ``tests/oracles.py``.
 """
@@ -63,7 +64,7 @@ def stack_observations(spec: np.ndarray, obs: np.ndarray) -> None:
     ``spec`` is the frame's (P+1, K) spectra: row 0 Y(., n), row i X_i(., n).
     ``obs`` is (K, P*L + 1) in the layout above, zero before the first
     frame. Each reference's lags move one place later, the oldest dropping
-    out, then lag 0 and the microphone entry are written. The ``stack``
+    out, then lag 0 and the microphone entry are written. The ``frame_in``
     kernel of ``_kernels.c`` does the same copies.
     """
     lags = obs[:, 1:].reshape(len(obs), len(spec) - 1, -1)  # a view: (K, P, L)

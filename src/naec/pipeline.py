@@ -11,29 +11,33 @@ The engine allocates its buffers once and each frame writes them in place.
 A time buffer holds the last window of the microphone (row 0) and of the
 odd-power reference channels (rows 1..P). One (K, P*L + 1) observation
 buffer in the layout of ``ctf`` is also the reference history: each frame
-moves its lags in place. A frame is five calls:
+moves its lags in place. A frame is three steps:
 
 1. ``frame_in``: the new hop's odd powers into a (P+1, hop) tail buffer,
    and the check that the microphone and every power are finite, which
    rejects a chunk before any engine state is written; then the time
    buffer shifts by a hop, takes the tail and is windowed into the frame
-   buffer.
-2. ``np.fft.rfft`` of the P+1 rows into the spectra buffer.
-3. ``stack``: the spectra into the observation buffer.
-4. ``auxiva.process_frame`` on the optimizer's state (``STATES``,
+   buffer, and the real FFTs of the P+1 rows go into the observation
+   buffer, each reference's lags moving one place later.
+2. ``auxiva.process_frame`` on the optimizer's state (``STATES``,
    configured by ``EngineConfig.auxiva``), looked up on ``auxiva`` every
-   frame; then ``np.fft.irfft`` of the demixed frame.
-5. ``ola``: the synthesis window, the overlap-add into a one-window
-   accumulator that starts at the next sample to emit, its first hop
-   divided by the flat ``stft.ola_norm`` into the emit buffer, and the
-   accumulator's shift. The hop divides the window at least four times,
-   so each emitted hop has been covered by ``window_len/hop`` frames.
+   frame.
+3. ``ola``: the inverse real FFT of the demixed frame, the synthesis
+   window, the overlap-add into a one-window accumulator that starts at
+   the next sample to emit, its first hop divided by the flat
+   ``stft.ola_norm`` into the emit buffer, and the accumulator's shift.
+   The hop divides the window at least four times, so each emitted hop
+   has been covered by ``window_len/hop`` frames.
 
-Steps 1, 3 and 5 are kernels of ``_kernels.c`` while ``auxiva._kernels``
-is loaded (looked up at each call) and otherwise numpy code on the same
-buffers, built on ``nonlin.odd_powers`` and ``ctf.stack_observations``.
-Both do the same IEEE operations in the same order, so the framing gives
-the same bytes on either path.
+If ``auxiva._kernels`` is loaded when the engine is built, steps 1 and 3
+are the ``frame_in`` and ``ola`` kernels of ``_kernels.c``, whose FFTs use
+a plan of twiddle factors the engine builds once (``fft_plan``), and a push
+is ``frame_in``, ``process_frame`` (three compiled calls) and ``ola``.
+Otherwise they are numpy code on the same buffers: ``nonlin.odd_powers``,
+``np.fft.rfft``, ``ctf.stack_observations``, ``np.fft.irfft`` and the
+overlap-add. The two paths do the same IEEE operations in the same order
+everywhere but in the transforms, where the kernels' FFTs agree with
+numpy's pocketfft to rounding, not bytes.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import auxiva
 from .audio_io import SAMPLE_RATE, AudioSignal, from_flat
-from .auxiva import AuxivaConfig, AuxivaState
+from .auxiva import AuxivaConfig, AuxivaState, aligned_zeros
 from .ctf import CtfConfig, stack_observations
 from .ilrma import IlrmaState
 from .nonlin import odd_powers
@@ -108,18 +112,24 @@ class StreamingEngine:
         self._tail = np.zeros((p + 1, hop))  # the new hop of each row
         self._buf = np.zeros((p + 1, wl))
         self._frame = np.zeros((p + 1, wl))  # buf times the window
-        self._spec = np.zeros((p + 1, sc.n_bins), dtype=np.complex128)
         self._obs = np.zeros((sc.n_bins, config.ctf.dim), dtype=np.complex128)
         self._synth = np.zeros(wl)  # the demixed frame, back in time
         self._acc = np.zeros(wl)  # starts at the next sample to emit
         self._emit = np.zeros(hop)
         self._state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
-        tail, buf, window, frame, spec, obs, synth, acc, norm, emit = (a.ctypes.data for a in (
-            self._tail, self._buf, self._window, self._frame, self._spec, self._obs,
-            self._synth, self._acc, self._norm, self._emit))
-        self._frame_in_args = (p, hop, wl, tail, buf, window, frame)
-        self._stack_args = (p, l, sc.n_bins, spec, obs)
-        self._ola_args = (hop, wl, synth, window, acc, norm, emit)
+        self._lib = lib = auxiva._kernels  # the framing's path for the engine's life
+        if lib is None:
+            self._spec = np.zeros((p + 1, sc.n_bins), dtype=np.complex128)
+        else:
+            self._plan = aligned_zeros(lib.fft_plan(wl, None))
+            self._demixed = np.zeros(sc.n_bins, dtype=np.complex128)
+            tail, buf, window, frame, plan, obs, demixed, synth, acc, norm, emit = (
+                a.ctypes.data for a in (self._tail, self._buf, self._window, self._frame,
+                                        self._plan, self._obs, self._demixed, self._synth,
+                                        self._acc, self._norm, self._emit))
+            lib.fft_plan(wl, plan)
+            self._frame_in_args = (p, l, hop, wl, tail, buf, window, frame, plan, obs)
+            self._ola_args = (hop, wl, plan, demixed, synth, window, acc, norm, emit)
         self._frames = 0
         self._closed = False
         self._n_in = 0
@@ -171,10 +181,10 @@ class StreamingEngine:
 
     def _frame_in(self) -> bool:
         """Expand the odd powers into the tail and check it; only if all is
-        finite, shift the time buffer and window it into the frame buffer."""
-        lib = auxiva._kernels
-        if lib is not None:
-            return bool(lib.frame_in(*self._frame_in_args))
+        finite, shift the time buffer, window it into the frame buffer and
+        transform the frame into the observation buffer."""
+        if self._lib is not None:
+            return bool(self._lib.frame_in(*self._frame_in_args))
         tail, buf, hop = self._tail, self._buf, self._hop
         with np.errstate(over="ignore"):
             tail[1:] = odd_powers(tail[1], self._order_p)
@@ -183,22 +193,19 @@ class StreamingEngine:
         buf[:, :-hop] = buf[:, hop:]
         buf[:, -hop:] = tail
         np.multiply(buf, self._window, out=self._frame)
+        np.fft.rfft(self._frame, axis=-1, out=self._spec)
+        stack_observations(self._spec, self._obs)
         return True
 
     def _process_frame(self, t0: float) -> np.ndarray:
-        """The frame in the frame buffer, from its spectra to the emitted hop."""
-        np.fft.rfft(self._frame, axis=-1, out=self._spec)
-        lib = auxiva._kernels
-        if lib is not None:
-            lib.stack(*self._stack_args)
-        else:
-            stack_observations(self._spec, self._obs)
+        """The frame in the observation buffer, from its demix to the emitted hop."""
         enhanced = auxiva.process_frame(self._state, self._obs)
-        np.fft.irfft(enhanced, n=self._wl, out=self._synth)
-        if lib is not None:
-            lib.ola(*self._ola_args)
+        if self._lib is not None:
+            self._demixed[...] = enhanced
+            self._lib.ola(*self._ola_args)
         else:
             hop, acc = self._hop, self._acc
+            np.fft.irfft(enhanced, n=self._wl, out=self._synth)
             acc += self._synth * self._window
             np.divide(acc[:hop], self._norm, out=self._emit)
             acc[:-hop] = acc[hop:]

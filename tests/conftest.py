@@ -134,3 +134,41 @@ def on_both_paths(test):
             test(*args, **kwargs)
 
     return run
+
+
+def fft_plan(lib, n):
+    """``lib``'s twiddle plan of an n-point real FFT, as the engine builds it."""
+    plan = auxiva.aligned_zeros(lib.fft_plan(n, None))
+    lib.fft_plan(n, plan.ctypes.data)
+    return plan
+
+
+def engine_rfft(x, lib=None):
+    """The real FFT over the last axis that an engine built now frames with:
+    ``lib``'s (by default the loaded kernels') ``rfft``, or ``np.fft.rfft``
+    inside ``numpy_path``."""
+    lib = auxiva._kernels if lib is None else lib
+    if lib is None:
+        return np.fft.rfft(x)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    out = np.empty((len(rows), n // 2 + 1), dtype=np.complex128)
+    plan = fft_plan(lib, n)
+    lib.rfft(n, len(rows), plan.ctypes.data, rows.ctypes.data, out.ctypes.data)
+    return out.reshape(*x.shape[:-1], n // 2 + 1)
+
+
+def engine_irfft(spec, n, lib=None):
+    """The inverse of ``engine_rfft`` to n samples over the last axis:
+    ``lib``'s ``irfft`` row by row, or ``np.fft.irfft`` inside ``numpy_path``."""
+    lib = auxiva._kernels if lib is None else lib
+    if lib is None:
+        return np.fft.irfft(spec, n=n)
+    spec = np.ascontiguousarray(spec, dtype=np.complex128)
+    rows = spec.reshape(-1, spec.shape[-1])
+    out = np.empty((len(rows), n))
+    plan = fft_plan(lib, n)
+    for row, x in zip(rows, out):
+        lib.irfft(n, plan.ctypes.data, row.ctypes.data, x.ctypes.data)
+    return out.reshape(*spec.shape[:-1], n)

@@ -49,20 +49,23 @@ def n_frames_for(num_samples: int, config: StftConfig) -> int:
     return 1 + int(np.ceil((num_samples - config.window_len) / config.hop))
 
 
-def analyze(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
-    """Windowed one-sided DFT of ``signal``; short input is zero-padded."""
+def analyze(signal: AudioSignal, config: StftConfig = StftConfig(),
+            rfft=np.fft.rfft) -> Spectrogram:
+    """Windowed one-sided DFT of ``signal`` by ``rfft`` over the last axis;
+    short input is zero-padded."""
     x = signal.samples
     n = n_frames_for(len(x), config)
     padded_len = (n - 1) * config.hop + config.window_len
     if padded_len > len(x):
         x = np.concatenate([x, np.zeros(padded_len - len(x))])
     frames = np.lib.stride_tricks.sliding_window_view(x, config.window_len)[:: config.hop]
-    data = np.fft.rfft(frames * config.window_samples(), axis=1)
+    data = rfft(frames * config.window_samples())
     return Spectrogram(data.T, config)
 
 
-def synthesize(spec: Spectrogram) -> AudioSignal:
-    """Weighted overlap-add inverse; output length (n_frames-1)*hop + window_len."""
+def synthesize(spec: Spectrogram, irfft=np.fft.irfft) -> AudioSignal:
+    """Weighted overlap-add inverse by ``irfft`` over the last axis; output
+    length (n_frames-1)*hop + window_len."""
     config = spec.config
     w = config.window_samples()
     hop, wl = config.hop, config.window_len
@@ -70,7 +73,7 @@ def synthesize(spec: Spectrogram) -> AudioSignal:
     out_len = (n - 1) * hop + wl
     acc = np.zeros(out_len)
     env = np.zeros(out_len)
-    frames = np.fft.irfft(spec.data.T, n=wl, axis=1)
+    frames = irfft(spec.data.T, n=wl)
     w2 = w * w
     for m in range(n):
         acc[m * hop : m * hop + wl] += w * frames[m]

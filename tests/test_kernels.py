@@ -14,7 +14,10 @@ import pytest
 
 import naec
 from conftest import (
+    engine_irfft,
+    engine_rfft,
     ewma_dense,
+    fft_plan,
     kernel_ewma,
     kernel_gain,
     kernel_solve,
@@ -27,7 +30,7 @@ from naec import AudioSignal, auxiva
 from naec.auxiva import ALIGN, LANES, pack_covariance, padded_bins, unpack_covariance
 from naec.ctf import CtfConfig, demix_frame, passthrough_row
 from naec.ilrma import NMF_FLOOR, IlrmaState
-from naec.pipeline import EngineConfig, StreamingEngine
+from naec.pipeline import EngineConfig, StreamingEngine, run_streaming
 from naec.stft import StftConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -364,15 +367,30 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
     bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
-    counts, rows and output; an EWMA with per-bin weights; and NMF weights."""
+    counts, rows and output; an EWMA with per-bin weights; NMF weights; the
+    FFTs and their plans; and the engine's framing, ``frame_in`` and ``ola``."""
     target = tmp_path / "kernels.so"
     subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
                    check=True, capture_output=True, timeout=120)
     lib = ctypes.CDLL(str(target))
-    for name in ("ewma", "solve", "demix", "ilrma_weight"):
+    for name in ("ewma", "solve", "demix", "ilrma_weight", "fft_plan", "rfft", "irfft",
+                 "frame_in", "ola"):
         getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
         getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
+    for n in (4, 8, 64, 1024, 2048):
+        assert fft_plan(lib, n).tobytes() == fft_plan(auxiva._kernels, n).tobytes()
+        x = rng.standard_normal((5, n))
+        spec = engine_rfft(x, lib)
+        assert spec.tobytes() == engine_rfft(x, auxiva._kernels).tobytes()
+        assert engine_irfft(spec, n, lib).tobytes() == engine_irfft(spec, n, auxiva._kernels).tobytes()
+    chunks = 0.3 * rng.standard_normal((40, 2, 256))
+    for optimizer in OPTIMIZERS:
+        config = EngineConfig(optimizer=optimizer)
+        loaded = run_streaming(chunks, config)[0].samples
+        with mock.patch.object(auxiva, "_kernels", lib):
+            base = run_streaming(chunks, config)[0].samples
+        assert base.tobytes() == loaded.tobytes(), optimizer
     for dim in LANE_DIMS:
         cov, prev = _solve_inputs(rng, 513, dim)
         obs = rng.standard_normal((513, dim)) + 1j * rng.standard_normal((513, dim))
@@ -591,3 +609,73 @@ def test_kernel_addresses_stay_valid(rng, state_type):
     for name in ("cov", "rows"):
         with pytest.raises(AttributeError):
             setattr(state, name, getattr(state, name).copy())
+
+
+FFT_SIZES = [2**e for e in range(2, 13)]  # 4 to 4096 points
+
+
+@needs_kernels
+@pytest.mark.parametrize("n", FFT_SIZES)
+def test_rfft_kernel_agrees_with_numpy(rng, n):
+    """The kernel's forward FFT of 1 to 6 rows of any scale agrees with
+    ``np.fft.rfft`` to 1e-14 of each row's largest bin, the imaginary parts
+    at DC and Nyquist are exactly +0.0, and repeated calls, with the same
+    plan or a new one, give the same bytes."""
+    lib = auxiva._kernels
+    for rows in range(1, 7):
+        x = rng.standard_normal((rows, n)) * rng.choice([1e-6, 1.0, 1e6], (rows, 1))
+        got = engine_rfft(x, lib)
+        expected = np.fft.rfft(x)
+        err = np.abs(got - expected).max(axis=1)
+        assert (err <= 1e-14 * np.abs(expected).max(axis=1)).all(), (rows, err)
+        assert got[:, [0, -1]].imag.tobytes() == np.zeros((rows, 2)).tobytes()
+        assert engine_rfft(x, lib).tobytes() == got.tobytes()
+    plan = fft_plan(lib, n)
+    out = [np.empty(n // 2 + 1, dtype=np.complex128) for _ in range(2)]
+    for spec in out:
+        lib.rfft(n, 1, plan.ctypes.data, x[0].ctypes.data, spec.ctypes.data)
+    assert out[0].tobytes() == out[1].tobytes() == got[0].tobytes()
+
+
+@needs_kernels
+@pytest.mark.parametrize("n", FFT_SIZES)
+def test_irfft_kernel_agrees_with_numpy(rng, n):
+    """The kernel's inverse FFT agrees with ``np.fft.irfft`` to 1e-14 of the
+    largest sample, and like it ignores the imaginary parts at DC and
+    Nyquist: spectra that differ only there give the same bytes. Repeated
+    calls give the same bytes, and so does the inverse of the forward."""
+    lib = auxiva._kernels
+    spec = rng.standard_normal((4, n // 2 + 1)) + 1j * rng.standard_normal((4, n // 2 + 1))
+    got = engine_irfft(spec, n, lib)
+    expected = np.fft.irfft(spec, n=n)
+    err = np.abs(got - expected).max(axis=1)
+    assert (err <= 1e-14 * np.abs(expected).max(axis=1)).all(), err
+    real_ends = spec.copy()
+    real_ends[:, [0, -1]] = real_ends[:, [0, -1]].real
+    assert engine_irfft(real_ends, n, lib).tobytes() == got.tobytes()
+    assert engine_irfft(spec, n, lib).tobytes() == got.tobytes()
+    x = rng.standard_normal((2, n))
+    np.testing.assert_allclose(engine_irfft(engine_rfft(x, lib), n, lib), x, rtol=0, atol=1e-14 * n)
+
+
+@needs_kernels
+@pytest.mark.parametrize("dim", LANE_DIMS)
+@pytest.mark.parametrize("n_bins", LANE_BINS)
+def test_demix_kernel_weight_agrees_with_compute_r1(rng, n_bins, dim):
+    """AuxIVA's compiled weight, with r1 summed as re^2 + im^2 in bin order,
+    agrees with ``weight(compute_r1(...))`` to 1e-13 relative for r1 far
+    above and below 1, and equals it exactly at the floor (a silent frame)
+    and when |e|^2 overflows (weight 0)."""
+    state = auxiva.AuxivaState(n_bins, dim)
+    state.rows[...] = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    for scale in (1e-5, 1.0, 1e5):
+        frame = np.ascontiguousarray(scale * obs)
+        assert state.kernel_weight(frame.ctypes.data) == 0
+        expected = auxiva.weight(auxiva.compute_r1(state, frame), state.config)
+        assert abs(state.gain[0] - expected) <= 1e-13 * expected, scale
+    for frame in (np.zeros_like(obs), np.full_like(obs, 1e200)):
+        state.kernel_weight(frame.ctypes.data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = auxiva.weight(auxiva.compute_r1(state, frame), state.config)
+        assert state.gain[0] == expected

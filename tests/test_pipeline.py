@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import naec
-from conftest import numpy_path, on_both_paths
+from conftest import engine_irfft, engine_rfft, numpy_path, on_both_paths
 from naec import auxiva, ctf, stft
 from naec.audio_io import SAMPLE_RATE, AudioSignal
 from naec.auxiva import AuxivaConfig
@@ -89,7 +89,8 @@ def test_latency_then_hop_sized_output(window_len, hop):
 def test_streaming_overlap_add_matches_batch_synthesis(
     small_scene, monkeypatch, window_len, hop, optimizer
 ):
-    """The engine's hop-shifted overlap-add equals ``synthesize`` of its own frames, bit for bit."""
+    """The engine's hop-shifted overlap-add equals ``synthesize`` of its own
+    frames, bit for bit, with the inverse FFT the engine runs."""
     spec, comps = small_scene
     frames = []
     core = auxiva.process_frame
@@ -103,7 +104,7 @@ def test_streaming_overlap_add_matches_batch_synthesis(
     cfg = EngineConfig(optimizer=optimizer, stft=sc, ctf=CtfConfig(frames_l=2))
     out, stats = run(spec.far_end, comps.microphone, cfg)
     assert len(frames) == stats.n_frames
-    batch = synthesize(Spectrogram(np.array(frames).T, sc)).samples
+    batch = synthesize(Spectrogram(np.array(frames).T, sc), irfft=engine_irfft).samples
     start = window_len - hop
     assert out.samples.tobytes() == batch[start : start + len(out)].tobytes()
 
@@ -207,7 +208,8 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
     """Each frame's observations and emitted hop are, byte for byte, those of
     plain numpy framing: odd powers, a shifted time buffer times the window,
     one rfft, a (P, L, K) reference history stacked after the microphone,
-    and the windowed irfft overlap-added and divided by ``ola_norm``."""
+    and the windowed irfft overlap-added and divided by ``ola_norm``. The
+    transforms are the engine's: numpy's, or the kernels' FFTs."""
     config = _framing_config(window_len, hop, order_p, frames_l)
     sc, n_bins, n_frames = config.stft, config.stft.n_bins, 3 * window_len // hop
     rng = np.random.default_rng(window_len + order_p + frames_l)
@@ -230,12 +232,12 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
             buf[:, :-hop] = buf[:, hop:]
             buf[0, -hop:] = mic
             buf[1:, -hop:] = odd_powers(far, order_p)
-            spec = np.fft.rfft(buf * window, axis=-1)
+            spec = engine_rfft(buf * window)
             history[:, 1:] = history[:, :-1]
             history[:, 0] = spec[1:]
             obs = np.column_stack([spec[0], history.reshape(-1, n_bins).T])
             assert seen[j].tobytes() == obs.tobytes(), j
-            acc += np.fft.irfft(frames[j], n=window_len) * window
+            acc += engine_irfft(frames[j], n=window_len) * window
             expected = acc[:hop] / norm if j >= engine.latency_chunks else np.empty(0)
             assert out.tobytes() == expected.tobytes(), j
             acc[:-hop] = acc[hop:]
@@ -247,14 +249,14 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
 def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, order_p, frames_l):
     """After n frames the engine's one observation buffer holds, byte for
     byte, the stacked observations of frame n of the batch spectrograms of
-    the pre-padded microphone and far-end powers."""
+    the pre-padded microphone and far-end powers, taken with the engine's FFT."""
     config = _framing_config(window_len, hop, order_p, frames_l)
     sc, n_frames = config.stft, 2 * window_len // hop + frames_l
     rng = np.random.default_rng(hop + frames_l)
     mic, far = 0.3 * rng.standard_normal((2, n_frames * hop))
     pad = np.zeros(window_len - hop)
-    mic_spec = analyze(AudioSignal(np.concatenate([pad, mic])), sc)
-    ref_specs = [analyze(AudioSignal(np.concatenate([pad, x])), sc)
+    mic_spec = analyze(AudioSignal(np.concatenate([pad, mic])), sc, rfft=engine_rfft)
+    ref_specs = [analyze(AudioSignal(np.concatenate([pad, x])), sc, rfft=engine_rfft)
                  for x in odd_powers(far, order_p)]
     buffers = []
     core = auxiva.process_frame
@@ -270,6 +272,26 @@ def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, ord
             expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
             assert buffers[-1].tobytes() == expected.tobytes(), n
     assert all(b is buffers[0] for b in buffers)
+
+
+@pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+def test_compiled_frame_calls_no_numpy_fft_or_errstate(optimizer):
+    """With the kernels loaded, ``push`` and ``flush`` call neither numpy's
+    FFTs nor ``np.errstate``: the transforms and both weights are compiled.
+    A change that brings numpy back into a compiled frame fails here."""
+    rng = np.random.default_rng(5)
+    engine = StreamingEngine(EngineConfig(optimizer=optimizer))
+    forbidden = [mock.patch.object(np.fft, name, side_effect=AssertionError(name))
+                 for name in ("rfft", "irfft")]
+    forbidden.append(mock.patch.object(np, "errstate", side_effect=AssertionError("errstate")))
+    with contextlib.ExitStack() as stack:
+        for patch in forbidden:
+            stack.enter_context(patch)
+        parts = [engine.push(*(0.3 * rng.standard_normal((2, engine.hop)))) for _ in range(8)]
+        parts.append(engine.flush())
+    out = np.concatenate(parts)
+    assert len(out) == 8 * engine.hop and np.isfinite(out).all() and np.any(out)
 
 
 @on_both_paths
