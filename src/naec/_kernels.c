@@ -86,52 +86,6 @@ static long upper(long dim, long i, long j)
     return i * dim - i * (i - 1) / 2 + (j - i);
 }
 
-/* cov[k] <- alpha * cov[k] + (1 - alpha) * gain[k * gain_stride] * y y^H,
-   y = obs[k], on the upper triangle. A gain_stride of 0 shares gain[0] by
-   all bins. Returns the number of bins whose updated trace, the sum of the
-   real diagonal in index order as ``solve`` takes it, is not finite, or -1
-   if the workspace could not be allocated. */
-LANE_CLONES
-long ewma(long n_bins, long dim, v8 *cov, const double *obs, double alpha,
-          const double *gain, long gain_stride)
-{
-    const long tri = dim * (dim + 1) / 2;
-    /* The block's observations as real and imaginary planes. */
-    v8 *yr = aligned_alloc(sizeof(v8), sizeof(v8) * 2 * dim);
-    if (yr == NULL)
-        return -1;
-    v8 *yi = yr + dim;
-    long broken = 0;
-    for (long k0 = 0; k0 < n_bins; k0 += LANES) {
-        v8 *re = cov + 2 * (k0 / LANES) * tri, *im = re + tri;
-        v8 s;
-        for (int l = 0; l < LANES; l++) {
-            const long k = k0 + l < n_bins ? k0 + l : n_bins - 1;
-            s[l] = (1.0 - alpha) * gain[k * gain_stride];
-            for (long i = 0; i < dim; i++) {
-                yr[i][l] = obs[2 * (k * dim + i)];
-                yi[i][l] = obs[2 * (k * dim + i) + 1];
-            }
-        }
-        v8 trace = {0.0};
-        for (long i = 0, t = 0; i < dim; i++) {
-            const long diag = t;
-            for (long j = i; j < dim; j++, t++) {
-                /* y_i conj(y_j) */
-                const v8 ur = yr[i] * yr[j] + yi[i] * yi[j];
-                const v8 ui = yi[i] * yr[j] - yr[i] * yi[j];
-                re[t] = re[t] * alpha + ur * s;
-                im[t] = im[t] * alpha + ui * s;
-            }
-            trace += re[diag];
-        }
-        for (int l = 0; l < LANES && k0 + l < n_bins; l++)
-            broken += !isfinite(trace[l]);
-    }
-    free(yr);
-    return broken;
-}
-
 /* out[k] = rows[k]^H obs[k] for n bins: each the sum over d of
    conj(rows[k][d]) obs[k][d], taken in index order from 0.0 in unfused real
    operations, which are the operations and order of
@@ -186,105 +140,152 @@ void demix(long n_bins, long dim, const double *rows, const double *obs, double 
     gain[0] = pow(r1 < floor ? floor : r1, exponent);
 }
 
-/* rows[k] = [1; -(C + lambda I)^{-1} b] for cov[k] = [[a, b^H], [b, C]] and
-   lambda = diag_load * tr(cov[k]) / D, by Gaussian elimination without
-   pivoting on the augmented (D-1, D) matrix [C + lambda I | b], LANES bins
-   at a time. The matrix is copied from the block's planes: the upper
-   triangle of C and b = conj(row 0), as a scalar elimination reads them. A
-   bin whose trace or solution is non-finite gets prev_rows[k]. Returns the
-   number of such bins, or -1 if the workspace could not be allocated. */
-LANE_CLONES
-long solve(long n_bins, long dim, const v8 *cov, const double *prev_rows,
-           double diag_load, double *rows, const double *obs, double *out)
-{
-    const long n = dim - 1, tri = dim * (dim + 1) / 2;
-    /* Entry (i, c) of the augmented matrix is re[i * dim + c] + i im[...];
-       the multipliers of the current step follow in lower_re, lower_im. */
-    v8 *re = aligned_alloc(sizeof(v8), sizeof(v8) * (2 * n * dim + 2 * n + 1));
-    if (re == NULL)
-        return -1;
-    v8 *im = re + n * dim, *lower_re = im + n * dim, *lower_im = lower_re + n;
-    long skipped = 0;
-    for (long k0 = 0; k0 < n_bins; k0 += LANES) {
-        const v8 *vr = cov + 2 * (k0 / LANES) * tri, *vi = vr + tri;
-        v8 trace = {0.0};
-        for (long d = 0; d < dim; d++)
-            trace += vr[upper(dim, d, d)];
-        const v8 load = diag_load * trace / (double)dim;
-        for (long i = 0; i < n; i++) {
-            /* Column c < n of row i is cov[i + 1][c + 1]; column n is b. */
-            const long row = upper(dim, i + 1, i + 1) - i;
-            for (long c = i; c < n; c++) {
-                re[i * dim + c] = vr[row + c];
-                im[i * dim + c] = vi[row + c];
-            }
-            re[i * dim + n] = vr[i + 1];
-            im[i * dim + n] = -vi[i + 1];
-            re[i * dim + i] += load;
-        }
-        /* Forward elimination on the upper triangle: row j is final at step
-           j; it is scaled by its real pivot and, by Hermitian symmetry, its
-           conjugate gives the multipliers of the rows below. */
-        for (long j = 0; j < n; j++) {
-            v8 *rj = re + j * dim, *ij = im + j * dim;
-            const v8 inv_pivot = 1.0 / rj[j];
-            for (long i = j + 1; i < n; i++) {
-                lower_re[i] = rj[i];
-                lower_im[i] = -ij[i];
-            }
-            for (long c = j + 1; c <= n; c++) {
-                rj[c] *= inv_pivot;
-                ij[c] *= inv_pivot;
-            }
-            for (long i = j + 1; i < n; i++) {
-                v8 *ri = re + i * dim, *ii = im + i * dim;
-                const v8 lr = lower_re[i], li = lower_im[i];
-                for (long c = i; c <= n; c++) {
-                    const v8 br = rj[c], bi = ij[c];
-                    ri[c] -= lr * br - li * bi;
-                    ii[c] -= lr * bi + li * br;
-                }
-            }
-        }
-        /* Back substitution on the unit upper triangle leaves
-           (C + lambda I)^{-1} b in the last column. */
-        for (long col = n - 1; col > 0; col--) {
-            const v8 xr = re[col * dim + n], xi = im[col * dim + n];
-            for (long r = 0; r < col; r++) {
-                const v8 cr = re[r * dim + col], ci = im[r * dim + col];
-                re[r * dim + n] -= cr * xr - ci * xi;
-                im[r * dim + n] -= cr * xi + ci * xr;
-            }
-        }
-        for (int l = 0; l < LANES && k0 + l < n_bins; l++) {
-            const long k = k0 + l;
-            double *row = rows + 2 * k * dim;
-            int bad = !isfinite(trace[l]);
-            for (long i = 0; i < n && !bad; i++)
-                bad = !isfinite(re[i * dim + n][l]) || !isfinite(im[i * dim + n][l]);
-            if (bad) {
-                const double *prev = prev_rows + 2 * k * dim;
-                for (long d = 0; d < 2 * dim; d++)
-                    row[d] = prev[d];
-                skipped++;
-            } else {
-                row[0] = 1.0;
-                row[1] = 0.0;
-                for (long i = 0; i < n; i++) {
-                    row[2 * (i + 1)] = -re[i * dim + n][l];
-                    row[2 * (i + 1) + 1] = -im[i * dim + n][l];
-                }
-            }
-        }
-        if (out != NULL) {
-            const long count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
-            demix_bins(count, dim, rows + 2 * k0 * dim, obs + 2 * k0 * dim, out + 2 * k0);
-        }
-    }
-    free(re);
-    return skipped;
-}
+/* One frame of every bin's tracked inverse covariance P = V^-1 and trace
+   tau = tr(V), then its row and its demixed output. With y = obs[k],
+   s = (1 - alpha) gain[k * gain_stride] (a gain_stride of 0 shares gain[0]
+   by all bins) and j = coord, the recursion
 
+       V <- alpha V + s y y^H + rho e_j e_j^H
+
+   is two Sherman-Morrison updates: u = P y, q = Re(y^H u),
+   c1 = s / (alpha + s q); v = (P - c1 u u^H) e_j, d = Re v_j,
+   c2 = rho / (alpha + rho d); P <- (P - c1 u u^H - c2 v v^H) / alpha. The
+   loading is rho = load tau after tau <- alpha tau + s |y|^2, with
+   load = (1 - alpha) (D - 1) diag_load / D, and tau <- tau + rho; a frame
+   that adds nothing (s |y|^2 = 0, a silent bin) adds no loading, so in
+   digital silence P only grows by 1 / alpha. Each u_i is summed over j in
+   index order, and c1 u and c2 v are taken before their products. The
+   imaginary parts of P's diagonal are never written. A lane whose tr(P),
+   summed in index order, passes RESCALE_ABOVE has P scaled down and tau up
+   by that power of two, which changes no row. The row is the first column
+   of P over P_00, written over rows[k] unless tau or tr(P) is not finite
+   (a broken bin) or the row is not finite (a skipped bin); then rows[k]
+   is kept. out[k] = rows[k]^H y. Writes the number of skipped bins to
+   skipped[0] and returns the number of broken bins, or -1 if the
+   workspace could not be allocated. */
+#define RESCALE_ABOVE 0x1p512
+LANE_CLONES
+long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double alpha,
+            const double *gain, long gain_stride, double diag_load, long coord,
+            double *rows, double *out, long *skipped)
+{
+    const long tri = dim * (dim + 1) / 2, j = coord;
+    const double inv_alpha = 1.0 / alpha;
+    const double load = (1.0 - alpha) * (double)(dim - 1) * diag_load / (double)dim;
+    /* The block's y, u and v as real and imaginary planes. */
+    v8 *yr = aligned_alloc(sizeof(v8), sizeof(v8) * 6 * dim);
+    if (yr == NULL)
+        return -1;
+    v8 *yi = yr + dim, *ur = yi + dim, *ui = ur + dim, *vr = ui + dim, *vi = vr + dim;
+    long broken = 0;
+    skipped[0] = 0;
+    for (long k0 = 0; k0 < n_bins; k0 += LANES) {
+        v8 *re = inv + 2 * (k0 / LANES) * tri, *im = re + tri;
+        v8 s;
+        for (int l = 0; l < LANES; l++) {
+            const long k = k0 + l < n_bins ? k0 + l : n_bins - 1;
+            s[l] = (1.0 - alpha) * gain[k * gain_stride];
+            for (long i = 0; i < dim; i++) {
+                yr[i][l] = obs[2 * (k * dim + i)];
+                yi[i][l] = obs[2 * (k * dim + i) + 1];
+            }
+        }
+        /* u = P y: entry (a, b) adds P_ab y_b to u_a and, below the
+           diagonal, conj(P_ab) y_a to u_b, so each u_i is summed in index
+           order. */
+        for (long i = 0; i < dim; i++)
+            ur[i] = ui[i] = (v8){0.0};
+        for (long a = 0, t = 0; a < dim; a++) {
+            ur[a] += re[t] * yr[a] - im[t] * yi[a];
+            ui[a] += re[t] * yi[a] + im[t] * yr[a];
+            t++;
+            for (long b = a + 1; b < dim; b++, t++) {
+                const v8 pr = re[t], pi = im[t];
+                ur[a] += pr * yr[b] - pi * yi[b];
+                ui[a] += pr * yi[b] + pi * yr[b];
+                ur[b] += pr * yr[a] + pi * yi[a];
+                ui[b] += pr * yi[a] - pi * yr[a];
+            }
+        }
+        v8 q = {0.0}, norm = {0.0};
+        for (long i = 0; i < dim; i++) {
+            q += yr[i] * ur[i] + yi[i] * ui[i];
+            norm += yr[i] * yr[i] + yi[i] * yi[i];
+        }
+        const v8 c1 = s / (alpha + s * q), e = s * norm;
+        v8 tau = trace[k0 / LANES] * alpha + e;
+        const v8 rho = (v8)((v8l)(load * tau) & (e > 0.0));
+        tau += rho;
+        for (long i = 0; i < dim; i++) {
+            const long t = i <= j ? upper(dim, i, j) : upper(dim, j, i);
+            const v8 a1r = c1 * ur[i], a1i = c1 * ui[i];
+            vr[i] = re[t] - (a1r * ur[j] + a1i * ui[j]);
+            vi[i] = (i <= j ? im[t] : -im[t]) - (a1i * ur[j] - a1r * ui[j]);
+        }
+        const v8 c2 = rho / (alpha + rho * vr[j]);
+        v8 tr = {0.0};
+        for (long a = 0, t = 0; a < dim; a++) {
+            const v8 a1r = c1 * ur[a], a1i = c1 * ui[a], a2r = c2 * vr[a], a2i = c2 * vi[a];
+            re[t] = ((re[t] - (a1r * ur[a] + a1i * ui[a])) - (a2r * vr[a] + a2i * vi[a])) * inv_alpha;
+            tr += re[t++];
+            for (long b = a + 1; b < dim; b++, t++) {
+                re[t] = ((re[t] - (a1r * ur[b] + a1i * ui[b])) - (a2r * vr[b] + a2i * vi[b]))
+                        * inv_alpha;
+                im[t] = ((im[t] - (a1i * ur[b] - a1r * ui[b])) - (a2i * vr[b] - a2r * vi[b]))
+                        * inv_alpha;
+            }
+        }
+        v8 down = (v8){0.0} + 1.0, up = down;
+        int any = 0;
+        for (int l = 0; l < LANES; l++)
+            if (tr[l] > RESCALE_ABOVE) {
+                down[l] = 1.0 / RESCALE_ABOVE;
+                up[l] = RESCALE_ABOVE;
+                any = 1;
+            }
+        if (any) {
+            for (long t = 0; t < tri; t++) {
+                re[t] *= down;
+                im[t] *= down;
+            }
+            tau *= up;
+            tr = (v8){0.0};
+            for (long a = 0; a < dim; a++)
+                tr += re[upper(dim, a, a)];
+        }
+        trace[k0 / LANES] = tau;
+        /* The row's entries i >= 1 into v's planes, which are no longer read. */
+        const v8 inv00 = 1.0 / re[0];
+        for (long i = 1; i < dim; i++) {
+            vr[i] = re[i] * inv00;
+            vi[i] = -im[i] * inv00;
+        }
+        const long count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
+        for (int l = 0; l < count; l++) {
+            if (!isfinite(tau[l]) || !isfinite(tr[l])) {
+                broken++;
+                continue;
+            }
+            int bad = 0;
+            for (long i = 1; i < dim; i++)
+                bad |= !isfinite(vr[i][l]) || !isfinite(vi[i][l]);
+            if (bad) {
+                skipped[0]++;
+                continue;
+            }
+            double *row = rows + 2 * (k0 + l) * dim;
+            row[0] = 1.0;
+            row[1] = 0.0;
+            for (long i = 1; i < dim; i++) {
+                row[2 * i] = vr[i][l];
+                row[2 * i + 1] = vi[i][l];
+            }
+        }
+        demix_bins(count, dim, rows + 2 * k0 * dim, obs + 2 * k0 * dim, out + 2 * k0);
+    }
+    free(yr);
+    return broken;
+}
 /* One frame of ILRMA's NMF source model and its weight, as
    IlrmaState.frame_weight does it in numpy: from the outputs e = rows^H obs
    of the previous rows, the bases update t1 <- max(t1 sqrt(|e|^2 / r1),

@@ -74,6 +74,7 @@ import numpy as np
 from .ctf import demix_frame, passthrough_row
 
 COV_INIT_SCALE = 1e-3
+RESCALE_ABOVE = 2.0**512  # a bin's tr(P) above which P and tau are rescaled, as in _kernels.c
 R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -82,7 +83,7 @@ ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
-    """The compiled kernels of ``process_frame`` (``ewma``, ``solve``, ``demix``,
+    """The compiled kernels of ``process_frame`` (``update``, ``demix``,
     ``ilrma_weight``) and of the engine's framing (``fft_plan``, ``frame_in``,
     ``ola``, and the ``rfft`` and ``irfft`` they run), or None if any step
     fails.
@@ -110,10 +111,8 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     except (OSError, subprocess.SubprocessError):
         return None
     size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-    lib.ewma.argtypes = (size, size, ptr, ptr, real, ptr, size)
-    lib.ewma.restype = size
-    lib.solve.argtypes = (size, size, ptr, ptr, real, ptr, ptr, ptr)
-    lib.solve.restype = size
+    lib.update.argtypes = (size, size, ptr, ptr, ptr, real, ptr, size, real, size, ptr, ptr, ptr)
+    lib.update.restype = size
     lib.demix.argtypes = (size, size, ptr, ptr, ptr, real, real, ptr)
     lib.demix.restype = None
     lib.ilrma_weight.argtypes = (size, size, size, ptr, ptr, ptr, ptr, ptr, real, ptr)
@@ -155,34 +154,41 @@ class AuxivaConfig:
 
 
 class AuxivaState:
-    """Per-bin covariance planes and demixing rows plus the count of skipped bins.
+    """Per-bin inverse covariances, traces and demixing rows plus the count of skipped bins.
 
-    The planes ``cov`` and the rows, with the frame's covariance weight
-    ``gain`` (padded to whole blocks of ``LANES`` bins, ``ALIGN``-byte
-    aligned) and its output ``out``, are buffers that live as long as the
-    state and are only written in place; ``cov`` and ``rows`` cannot be
-    rebound. The compiled path takes their ``addresses`` once, here.
+    The planes ``inv`` of P = V^-1, the traces ``trace`` of V and the rows,
+    with the frame's covariance weight ``gain`` (``trace`` and ``gain``
+    padded to whole blocks of ``LANES`` bins, ``ALIGN``-byte aligned) and its
+    output ``out``, are buffers that live as long as the state and are only
+    written in place; ``inv`` and ``rows`` cannot be rebound. ``frames``
+    counts the frames, which pick the loaded coordinate. The compiled path
+    takes the buffers' ``addresses`` once, here.
     """
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
         self.config = config
         self.n_bins = n_bins
         self.dim = dim
-        self._cov = pack_covariance(np.broadcast_to(_prior(dim), (n_bins, dim, dim)))
+        self._inv = pack_covariance(np.broadcast_to(_prior(dim), (n_bins, dim, dim)))
+        self.trace = aligned_zeros(padded_bins(n_bins))
+        self.trace[...] = dim * COV_INIT_SCALE
         self._rows = np.tile(passthrough_row(dim), (n_bins, 1))
         self.gain = aligned_zeros(padded_bins(n_bins))
         self.out = np.empty(n_bins, dtype=np.complex128)
-        self.addresses = tuple(a.ctypes.data for a in (self._cov, self._rows, self.gain, self.out))
+        self.skipped = np.zeros(1, dtype=np.int64)  # the update kernel's count of a frame
+        self.addresses = tuple(a.ctypes.data for a in (self._inv, self.trace, self._rows,
+                                                       self.gain, self.out, self.skipped))
         self.obs, self.obs_address = None, 0  # the last frame's, see process_frame
+        self.frames = 0
         self.skipped_bins = 0
 
-    cov = property(lambda self: self._cov, doc="The covariance planes (``pack_covariance``).")
+    inv = property(lambda self: self._inv, doc="The planes of P = V^-1 (``pack_covariance``).")
     rows = property(lambda self: self._rows, doc="The (K, D) demixing rows.")
 
     @property
-    def covariance(self) -> np.ndarray:
-        """The (K, D, D) Hermitian covariances, unpacked from ``cov``."""
-        return unpack_covariance(self.cov, self.n_bins)
+    def inverse(self) -> np.ndarray:
+        """The (K, D, D) Hermitian inverse covariances P, unpacked from ``inv``."""
+        return unpack_covariance(self.inv, self.n_bins)
 
     def frame_weight(self, obs: np.ndarray) -> float:
         """Covariance weight for this frame: Phi(r1) from the pre-update rows."""
@@ -195,9 +201,9 @@ class AuxivaState:
         The kernel sums |e|^2 as re^2 + im^2 in bin order, where
         ``output_norm`` takes numpy's ``abs`` and pairwise sum, so the two
         agree to rounding. An |e|^2 that overflows on a finite burst makes
-        the weight 0 or NaN, which the EWMA's count of broken bins handles.
+        the weight 0 or NaN, which the update's count of broken bins handles.
         """
-        _, rows, gain, out = self.addresses
+        _, _, rows, gain, out, _ = self.addresses
         _kernels.demix(self.n_bins, self.dim, rows, obs_address, out,
                        R_FLOOR, self.config.beta - 2.0, gain)
         return 0
@@ -207,13 +213,15 @@ class AuxivaState:
         mask = np.zeros(self.n_bins, dtype=bool)
         mask[bins] = True
         prior = pack_covariance(_prior(self.dim)[np.newaxis])
-        lanes = mask[_lane_bins(self.n_bins)].reshape(len(self.cov), 1, 1, LANES)
-        np.copyto(self.cov, prior, where=lanes)
+        lanes = mask[_lane_bins(self.n_bins)]
+        np.copyto(self.inv, prior, where=lanes.reshape(len(self.inv), 1, 1, LANES))
+        self.trace[lanes] = self.dim * COV_INIT_SCALE
         self.rows[mask] = passthrough_row(self.dim)
 
 
 def _prior(dim: int) -> np.ndarray:
-    return COV_INIT_SCALE * np.eye(dim, dtype=np.complex128)
+    """P of the initial covariance COV_INIT_SCALE * I."""
+    return np.eye(dim, dtype=np.complex128) / COV_INIT_SCALE
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -243,14 +251,6 @@ def _entries(dim: int) -> np.ndarray:
     index = np.empty((dim, dim), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(len(rows))
     return _read_only(index)[0]
-
-
-@functools.lru_cache(maxsize=16)
-def _augmented(dim: int) -> np.ndarray:
-    """Plane entry of each element of the row solve's augmented (D-1, D)
-    matrix, flattened: C[i, c] = V[i + 1, c + 1] for c < D - 1, b[i] = V[i + 1, 0]."""
-    i, c = np.indices((dim - 1, dim))
-    return _read_only(_entries(dim)[i + 1, (c + 1) % dim].ravel())[0]
 
 
 def _dim(cov: np.ndarray) -> int:
@@ -309,88 +309,102 @@ def unpack_covariance(cov: np.ndarray, n_bins: int) -> np.ndarray:
     return out
 
 
-def _trace(cov: np.ndarray) -> np.ndarray:
-    """(blocks, LANES) traces: the real diagonal summed in index order, as the kernels do."""
-    trace = np.zeros(cov.shape[::3])
-    for at in np.diagonal(_entries(_dim(cov))):
-        trace += cov[:, 0, at]
+def _trace(inv: np.ndarray) -> np.ndarray:
+    """(blocks, LANES) traces: the real diagonal summed in index order, as the kernel does."""
+    trace = np.zeros(inv.shape[::3])
+    for at in np.diagonal(_entries(_dim(inv))):
+        trace += inv[:, 0, at]
     return trace
 
 
-def nonfinite_trace(cov: np.ndarray, n_bins: int) -> np.ndarray:
-    """Mask of the K bins whose trace, as the row solve takes it, is not finite."""
-    return ~np.isfinite(_trace(cov).reshape(-1)[:n_bins])
+def nonfinite_trace(inv: np.ndarray, trace: np.ndarray, n_bins: int) -> np.ndarray:
+    """Mask of the K broken bins: those whose trace of V or of P is not finite."""
+    return ~(np.isfinite(trace[:n_bins]) & np.isfinite(_trace(inv).reshape(-1)[:n_bins]))
 
 
-def ewma_covariance_update(
-    cov: np.ndarray, obs: np.ndarray, alpha: float, gain
-) -> int:
-    """In-place V <- alpha*V + (1-alpha)*gain * y y^H per bin, on the planes ``cov``.
+def ewma_covariance_update(inv: np.ndarray, trace: np.ndarray, obs: np.ndarray, alpha: float,
+                           gain, diag_load: float, coord: int) -> int:
+    """In place, P = V^-1 and tau = tr(V) of every bin after
+    V <- alpha V + s y y^H + rho e_j e_j^H, j = ``coord``, s = (1 - alpha) gain.
 
-    ``gain`` is a scalar (shared weight) or a length-K vector (per-bin
-    weight); ``obs`` is (K, D). Only the upper triangle is stored, so the
-    covariances stay exactly Hermitian. Returns the number of bins whose
-    updated trace is not finite (the ``nonfinite_trace`` count). The ``ewma``
-    kernel gives the same planes bit for bit.
+    ``inv`` holds the planes of P, ``trace`` tau (padded like ``gain`` in
+    ``AuxivaState``), ``obs`` is (K, D) and ``gain`` a scalar or a length-K
+    vector. The ``update`` kernel of ``_kernels.c`` documents the steps;
+    these are its real operations in its order, so P and tau are its bytes.
+    Returns the number of broken bins (``nonfinite_trace``).
     """
     n_bins, dim = np.shape(obs)
-    lanes = _lane_bins(n_bins)
-    y = np.asarray(obs, dtype=np.complex128)[lanes]
+    blocks, lanes = len(inv), _lane_bins(n_bins)
     rows, cols = _upper(dim)
-    y_i, y_j = y[:, rows], y[:, cols]  # per lane and plane entry
+    y = np.asarray(obs, dtype=np.complex128)[lanes].reshape(blocks, LANES, dim).transpose(2, 0, 1)
+    yr, yi = y.real, y.imag  # (D, blocks, LANES)
     gain = np.broadcast_to(np.asarray(gain, dtype=np.float64), (n_bins,))
-    scale = (1.0 - alpha) * gain[lanes, np.newaxis]
-    planes = (len(cov), LANES, len(rows))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # y_i conj(y_j), written out as the kernel does.
-        ur = (y_i.real * y_j.real + y_i.imag * y_j.imag) * scale
-        ui = (y_i.imag * y_j.real - y_i.real * y_j.imag) * scale
-        cov *= alpha
-        cov[:, 0] += ur.reshape(planes).transpose(0, 2, 1)
-        cov[:, 1] += ui.reshape(planes).transpose(0, 2, 1)
-    return int(np.count_nonzero(nonfinite_trace(cov, n_bins)))
+    s = (1.0 - alpha) * gain[lanes].reshape(blocks, LANES)
+    re, im = inv[:, 0], inv[:, 1]
+    # P's (D, D) entries, lower ones conjugated, as (D, D, blocks, LANES).
+    pr = re[:, _entries(dim)].transpose(1, 2, 0, 3)
+    pi = im[:, _entries(dim)].transpose(1, 2, 0, 3)
+    lower = np.tril(np.ones((dim, dim), dtype=bool), -1)
+    pi[lower] = -pi[lower]
+    tau = trace.reshape(blocks, LANES)
+    with np.errstate(all="ignore"):
+        ur, ui = np.zeros_like(yr), np.zeros_like(yr)
+        for j in range(dim):
+            ur += pr[:, j] * yr[j] - pi[:, j] * yi[j]
+            ui += pr[:, j] * yi[j] + pi[:, j] * yr[j]
+        q, norm = np.zeros_like(s), np.zeros_like(s)
+        for i in range(dim):
+            q += yr[i] * ur[i] + yi[i] * ui[i]
+            norm += yr[i] * yr[i] + yi[i] * yi[i]
+        c1, e = s / (alpha + s * q), s * norm
+        tau[...] = tau * alpha + e
+        load = (1.0 - alpha) * (dim - 1) * diag_load / dim
+        rho = np.where(e > 0.0, load * tau, 0.0)
+        tau += rho
+        a1r, a1i = c1 * ur, c1 * ui
+        j = coord
+        vr = pr[:, j] - (a1r * ur[j] + a1i * ui[j])
+        vi = pi[:, j] - (a1i * ur[j] - a1r * ui[j])
+        c2 = rho / (alpha + rho * vr[j])
+        a2r, a2i = c2 * vr, c2 * vi
+        a, b = rows, cols
+        new = ((re.transpose(1, 0, 2) - (a1r[a] * ur[b] + a1i[a] * ui[b]))
+               - (a2r[a] * vr[b] + a2i[a] * vi[b])) * (1.0 / alpha)
+        re[...] = new.transpose(1, 0, 2)
+        off = np.flatnonzero(rows != cols)
+        a, b = rows[off], cols[off]
+        new = ((im[:, off].transpose(1, 0, 2) - (a1i[a] * ur[b] - a1r[a] * ui[b]))
+               - (a2i[a] * vr[b] - a2r[a] * vi[b])) * (1.0 / alpha)
+        im[:, off] = new.transpose(1, 0, 2)
+        big = _trace(inv) > RESCALE_ABOVE
+        if big.any():
+            inv *= np.where(big, 1.0 / RESCALE_ABOVE, 1.0)[:, np.newaxis, np.newaxis]
+            tau *= np.where(big, RESCALE_ABOVE, 1.0)
+    return int(np.count_nonzero(nonfinite_trace(inv, trace, n_bins)))
 
 
 def solve_demixing_rows(
-    cov: np.ndarray, prev_rows: np.ndarray, diag_load: float
+    inv: np.ndarray, trace: np.ndarray, prev_rows: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Rows [1; -(C + lambda I)^{-1} b] of every bin's loaded covariance.
+    """Rows P e_1 (1 / P_00) of every bin, from the planes ``inv`` of P.
 
-    ``cov`` holds the planes of Hermitian covariances, ``prev_rows`` is
-    (K, D). Bins whose trace or solution is non-finite keep their previous
-    row; the count of such bins is returned alongside the rows. The
-    ``solve`` kernel's rows agree to rounding.
+    ``prev_rows`` is (K, D). Broken bins (``nonfinite_trace``) and bins
+    whose row is not finite keep their previous row; the count of the
+    latter, the skipped bins, is returned alongside the rows. The rows are
+    the ``update`` kernel's bytes.
     """
     n_bins, dim = prev_rows.shape
-    n, n_lanes = dim - 1, cov.shape[0] * LANES
-    trace = _trace(cov).reshape(n_lanes)
-    # Augmented [C + lambda I | b] with the lanes on the contiguous last axis:
-    # C from the upper triangle (its unread lower part mirrors it), b = conj(row 0).
-    a = np.empty((n, dim, n_lanes), dtype=np.complex128)
-    parts = a.view(np.float64).reshape(n * dim, len(cov), LANES, 2)
-    for part in (0, 1):
-        parts[..., part] = cov[:, part, _augmented(dim)].transpose(1, 0, 2)
-    np.negative(a[:, n].imag, out=a[:, n].imag)
-    a.reshape(n * dim, n_lanes)[:: dim + 1] += diag_load * trace / dim
     with np.errstate(all="ignore"):
-        # Forward elimination on the upper triangle: row j is final at step j;
-        # it is scaled by its real pivot and, by Hermitian symmetry, its
-        # conjugate supplies the multipliers for the rows below.
-        for j in range(n):
-            inv_pivot = 1.0 / a[j, j].real
-            lower = a[j, j + 1 : n].conj()
-            a[j, j + 1 :] *= inv_pivot
-            for i in range(j + 1, n):
-                a[i, i:] -= lower[i - j - 1] * a[j, i:]
-        # Back substitution on the unit upper triangle leaves (C + lambda I)^{-1} b.
-        x = a[:, n, :n_bins]
-        for col in range(n - 1, 0, -1):
-            x[:col] -= a[:col, col, :n_bins] * x[col]
-    bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(trace[:n_bins]))
+        inv00 = 1.0 / inv[:, 0, :1]
+        tail_r = (inv[:, 0, 1:dim] * inv00).transpose(0, 2, 1).reshape(-1, dim - 1)[:n_bins]
+        tail_i = (-inv[:, 1, 1:dim] * inv00).transpose(0, 2, 1).reshape(-1, dim - 1)[:n_bins]
+    broken = nonfinite_trace(inv, trace, n_bins)
+    bad = ~(np.isfinite(tail_r).all(axis=1) & np.isfinite(tail_i).all(axis=1)) & ~broken
     rows = np.empty_like(prev_rows)
     rows[:, 0] = 1.0
-    np.negative(x.T, out=rows[:, 1:])
-    return np.where(bad[:, np.newaxis], prev_rows, rows), int(bad.sum())
+    rows[:, 1:].real = tail_r
+    rows[:, 1:].imag = tail_i
+    return np.where((bad | broken)[:, np.newaxis], prev_rows, rows), int(bad.sum())
 
 
 def compute_r1(state: AuxivaState, obs: np.ndarray) -> float:
@@ -435,29 +449,29 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
     n_bins, dim, config = state.n_bins, state.dim, state.config
+    coord = 1 + state.frames % (dim - 1)
+    state.frames += 1
     if _kernels is None:
-        # A finite burst may overflow |e|^2; the EWMA's count of broken bins
-        # handles it, so numpy's warnings are only noise.
+        # A finite burst may overflow |e|^2; the update's count of broken
+        # bins handles it, so numpy's warnings are only noise.
         with np.errstate(over="ignore", invalid="ignore"):
             gain = state.frame_weight(obs)
-        if ewma_covariance_update(state.cov, obs, config.alpha, gain):
-            state.reset_bins(nonfinite_trace(state.cov, n_bins))
-        rows, skipped = solve_demixing_rows(state.cov, state.rows, config.diag_load)
+        broken = ewma_covariance_update(state.inv, state.trace, obs, config.alpha, gain,
+                                        config.diag_load, coord)
+        rows, skipped = solve_demixing_rows(state.inv, state.trace, state.rows)
         state.rows[...] = rows
         state.skipped_bins += skipped
+        if broken:
+            state.reset_bins(nonfinite_trace(state.inv, state.trace, n_bins))
         return demix_frame(state.rows, obs)
-    obs_address = state.obs_address
-    cov, rows, gain, out = state.addresses
-    stride = state.kernel_weight(obs_address)
-    broken = _kernels.ewma(n_bins, dim, cov, obs_address, config.alpha, gain, stride)
+    inv, trace, rows, gain, out, skipped = state.addresses
+    stride = state.kernel_weight(state.obs_address)
+    broken = _kernels.update(n_bins, dim, inv, trace, state.obs_address, config.alpha, gain,
+                             stride, config.diag_load, coord, rows, out, skipped)
     if broken < 0:
-        raise MemoryError("EWMA workspace")
+        raise MemoryError("update workspace")
+    state.skipped_bins += int(state.skipped[0])
     if broken:
-        state.reset_bins(nonfinite_trace(state.cov, n_bins))
-    # In place: a bin's previous row is read only to keep it.
-    skipped = _kernels.solve(n_bins, dim, cov, rows, config.diag_load, rows, obs_address, out)
-    if skipped < 0:
-        raise MemoryError("row solve workspace")
-    state.skipped_bins += skipped
+        state.reset_bins(nonfinite_trace(state.inv, state.trace, n_bins))
+        state.out[...] = demix_frame(state.rows, obs)
     return state.out.copy()
-

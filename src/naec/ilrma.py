@@ -126,7 +126,7 @@ class IlrmaState(AuxivaState):
         """``frame_weight`` into ``gain`` by the compiled NMF kernel; returns
         the gain's stride over bins, 1."""
         m = self.model
-        _, rows, gain, _ = self.addresses
+        _, _, rows, gain, _, _ = self.addresses
         if auxiva._kernels.ilrma_weight(self.n_bins, self.dim, m.v1.size, rows, obs_address,
                                         *m.addresses, NMF_FLOOR, gain) < 0:
             raise MemoryError("NMF workspace")

@@ -8,6 +8,7 @@ import pytest
 
 from naec import auxiva
 from naec.audio_io import AudioSignal
+from naec.ctf import passthrough_row
 from naec.sim import (
     NonlinearitySpec,
     RoomSpec,
@@ -63,26 +64,18 @@ def signal_pair(short_noise):
     return short_noise, mic
 
 
-def kernel_ewma(lib, planes, obs, alpha, gain, stride):
-    """``lib``'s EWMA kernel on the aligned ``planes`` in place, bin k weighted
-    by ``gain[k * stride]``; returns its count of bins with a broken trace."""
-    _assert_kernel_inputs(planes, obs, gain)
-    n_bins, dim = obs.shape
-    return lib.ewma(n_bins, dim, planes.ctypes.data, obs.ctypes.data, alpha,
-                    gain.ctypes.data, stride)
-
-
-def kernel_solve(lib, planes, prev, diag_load, obs=None):
-    """``lib``'s row solve on the aligned ``planes``: the new (K, D) rows, the
-    count of bins that kept ``prev``, and, given ``obs``, the frame demixed
-    with the new rows (else None)."""
-    rows = np.empty_like(prev)
-    out = None if obs is None else np.empty(len(prev), dtype=np.complex128)
-    frame = () if obs is None else (obs, out)
-    _assert_kernel_inputs(planes, prev, *frame)
-    skipped = lib.solve(*prev.shape, planes.ctypes.data, prev.ctypes.data, diag_load,
-                        rows.ctypes.data, *([a.ctypes.data for a in frame] or [None, None]))
-    return rows, skipped, out
+def kernel_update(lib, planes, trace, obs, alpha, gain, stride, diag_load, coord, rows):
+    """``lib``'s update kernel on the aligned ``planes`` of P and ``trace`` in
+    place, bin k weighted by ``gain[k * stride]``, with the (K, D) ``rows``
+    read as the previous rows and overwritten; returns its broken count, its
+    skipped count and the frame demixed with the new rows."""
+    out = np.empty(len(rows), dtype=np.complex128)
+    skipped = np.zeros(1, dtype=np.int64)
+    _assert_kernel_inputs(planes, trace, obs, gain, rows)
+    broken = lib.update(*obs.shape, planes.ctypes.data, trace.ctypes.data, obs.ctypes.data,
+                        alpha, gain.ctypes.data, stride, diag_load, coord, rows.ctypes.data,
+                        out.ctypes.data, skipped.ctypes.data)
+    return broken, int(skipped[0]), out
 
 
 def _assert_kernel_inputs(planes, *arrays):
@@ -93,30 +86,55 @@ def _assert_kernel_inputs(planes, *arrays):
 
 
 def kernel_gain(gain):
-    """A scalar or per-bin gain as the EWMA kernel's buffer and stride."""
+    """A scalar or per-bin gain as the update kernel's buffer and stride."""
     gain = np.atleast_1d(np.asarray(gain, dtype=np.float64))
     return gain, int(gain.size > 1)
 
 
-def ewma_dense(cov, obs, alpha, gain):
-    """The EWMA on (K, D, D) ``cov``, in place through the planes: the loaded
-    kernel, or ``ewma_covariance_update`` inside ``numpy_path``."""
-    planes = auxiva.pack_covariance(cov)
-    if auxiva._kernels is None:
-        broken = auxiva.ewma_covariance_update(planes, obs, alpha, gain)
-    else:
-        broken = kernel_ewma(auxiva._kernels, planes, obs, alpha, *kernel_gain(gain))
-    cov[...] = auxiva.unpack_covariance(planes, len(cov))
-    return broken
+def aligned_copy(a):
+    """An ``ALIGN``-byte aligned copy of the float64 array ``a``, as the kernels take."""
+    out = auxiva.aligned_zeros(a.shape)
+    out[...] = a
+    return out
 
 
-def solve_dense(cov, prev_rows, diag_load):
-    """The row solve on (K, D, D) ``cov``: the loaded kernel, or
-    ``solve_demixing_rows`` inside ``numpy_path``; returns (rows, skipped)."""
-    planes = auxiva.pack_covariance(cov)
+def trace_buffer(trace, n_bins):
+    """The traces ``trace`` (a scalar or K of them) padded as ``AuxivaState.trace``."""
+    out = auxiva.aligned_zeros(auxiva.padded_bins(n_bins))
+    out[...] = np.broadcast_to(trace, (n_bins,))[auxiva._lane_bins(n_bins)]
+    return out
+
+
+def update_planes(planes, trace, obs, alpha, gain, diag_load, coord, prev_rows):
+    """One update of the planes of P and the padded ``trace`` in place: the
+    loaded kernel, or ``ewma_covariance_update`` then ``solve_demixing_rows``
+    inside ``numpy_path``; returns (broken, rows, skipped)."""
     if auxiva._kernels is None:
-        return auxiva.solve_demixing_rows(planes, prev_rows, diag_load)
-    return kernel_solve(auxiva._kernels, planes, prev_rows, diag_load)[:2]
+        broken = auxiva.ewma_covariance_update(planes, trace, obs, alpha, gain, diag_load, coord)
+        return (broken, *auxiva.solve_demixing_rows(planes, trace, prev_rows))
+    rows = np.array(prev_rows, dtype=np.complex128)
+    broken, skipped, _ = kernel_update(auxiva._kernels, planes, trace, obs, alpha,
+                                       *kernel_gain(gain), diag_load, coord, rows)
+    return broken, rows, skipped
+
+
+def update_dense(inv, trace, obs, alpha, gain, diag_load=1e-6, coord=1):
+    """``update_planes`` on (K, D, D) ``inv`` and K traces, both in place; returns (broken, rows)."""
+    n_bins, dim = obs.shape
+    planes, padded = auxiva.pack_covariance(inv), trace_buffer(trace, n_bins)
+    prev = np.tile(passthrough_row(dim), (n_bins, 1))
+    broken, rows, _ = update_planes(planes, padded, obs, alpha, gain, diag_load, coord, prev)
+    inv[...] = auxiva.unpack_covariance(planes, n_bins)
+    trace[...] = padded[:n_bins]
+    return broken, rows
+
+
+def rows_of(inv, prev_rows, trace=1.0):
+    """The rows that an update leaving P as it is reads from (K, D, D) ``inv``
+    (alpha = 1, gain 0, zero observations), and the skipped count."""
+    obs = np.zeros(prev_rows.shape, dtype=np.complex128)
+    planes, padded = auxiva.pack_covariance(inv), trace_buffer(trace, len(inv))
+    return update_planes(planes, padded, obs, 1.0, 0.0, 1e-6, 1, prev_rows)[1:]
 
 
 def numpy_path():

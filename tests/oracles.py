@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from naec.audio_io import AudioSignal
-from naec.auxiva import R_FLOOR, AuxivaConfig, pack_covariance, solve_demixing_rows
+from naec.auxiva import R_FLOOR, AuxivaConfig
 from naec.ctf import CtfConfig, passthrough_row
 from naec.stft import StftConfig
 
@@ -156,12 +156,14 @@ def offline_batch(
     observations: np.ndarray,
     config: AuxivaConfig = AuxivaConfig(),
     iterations: int = 20,
+    loading=1.0,
 ) -> np.ndarray:
     """Batch fixed-point sweeps over (N, K, D) observations; returns (K, D) rows.
 
     From passthrough rows, each sweep weights every frame by Phi(r1(n)) of its
     outputs, shared by all bins, forms the weighted mean covariance per bin,
-    and re-solves every row with the online mode's normalization.
+    and re-solves every row with the online mode's normalization, loaded
+    by ``loaded_rows`` with ``loading``.
     """
     obs = np.asarray(observations, dtype=np.complex128)
     if obs.ndim != 3:
@@ -174,8 +176,50 @@ def offline_batch(
         phi = np.broadcast_to((r1 ** (config.beta - 2.0))[:, np.newaxis], e.shape)
         cov = np.einsum("nk,nkd,nke->kde", phi, obs, obs.conj()) / n_frames
         cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-        rows, _ = solve_demixing_rows(pack_covariance(cov), rows, config.diag_load)
+        rows, _ = loaded_rows(cov, rows, config.diag_load, loading)
     return rows
+
+
+def ewma(cov: np.ndarray, obs: np.ndarray, alpha: float, gain) -> np.ndarray:
+    """The covariance recursion alpha V + (1 - alpha) gain y y^H on (K, D, D)
+    ``cov``, with a scalar or per-bin ``gain``, kept exactly Hermitian."""
+    gain = np.broadcast_to(np.asarray(gain, dtype=np.float64), (len(cov),))
+    out = alpha * cov + ((1.0 - alpha) * gain)[:, np.newaxis, np.newaxis] * np.einsum(
+        "kd,ke->kde", obs, obs.conj())
+    return 0.5 * (out + out.conj().transpose(0, 2, 1))
+
+
+def loaded_rows(cov: np.ndarray, prev_rows: np.ndarray, diag_load: float,
+                loading=1.0) -> tuple[np.ndarray, int]:
+    """Rows [1; -(C + lambda L)^{-1} b] of the (K, D, D) Hermitian ``cov``
+    = [[a, b^H], [b, C]], lambda = diag_load * tr(V) / D, L = diag(``loading``)
+    (a scalar, D - 1 weights, or D - 1 weights per bin), by Gaussian
+    elimination without pivoting over all bins at once; bins whose trace or
+    solution is not finite keep ``prev_rows``, and their count is returned.
+    This was the engine's row solve before it tracked the inverse."""
+    n_bins, dim = prev_rows.shape
+    n = dim - 1
+    trace = np.einsum("kdd->k", cov).real
+    a = np.empty((n, dim, n_bins), dtype=np.complex128)  # [C + lambda I | b], bins last
+    a[:, :n] = cov[:, 1:, 1:].transpose(1, 2, 0)
+    a[:, n] = cov[:, 1:, 0].T
+    a[np.arange(n), np.arange(n)] += np.broadcast_to(loading, (n_bins, n)).T * (
+        diag_load * trace / dim)
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            inv_pivot = 1.0 / a[j, j].real
+            lower = a[j, j + 1 : n].conj()
+            a[j, j + 1 :] *= inv_pivot
+            for i in range(j + 1, n):
+                a[i, i:] -= lower[i - j - 1] * a[j, i:]
+        x = a[:, n]
+        for col in range(n - 1, 0, -1):
+            x[:col] -= a[:col, col] * x[col]
+    bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(trace))
+    rows = np.empty_like(prev_rows)
+    rows[:, 0] = 1.0
+    rows[:, 1:] = -x.T
+    return np.where(bad[:, np.newaxis], prev_rows, rows), int(bad.sum())
 
 
 def nmf_batch_sweep(

@@ -1,13 +1,15 @@
-"""Covariance recursion, row solves, and batch/online fixed points."""
+"""The tracked inverse covariance, its rows, and batch/online fixed points."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ewma_dense, on_both_paths, random_hpd, solve_dense
+from conftest import on_both_paths, random_hpd, rows_of, update_dense, update_planes
+from naec import auxiva
 from naec.auxiva import (
     R_FLOOR,
+    pack_covariance,
     AuxivaConfig,
     AuxivaState,
     compute_r1,
@@ -15,7 +17,7 @@ from naec.auxiva import (
     weight,
 )
 from naec.ctf import passthrough_row
-from oracles import constrained_matrix, offline_batch
+from oracles import constrained_matrix, ewma, loaded_rows, offline_batch
 
 
 def test_config_validation():
@@ -34,115 +36,135 @@ def test_state_starts_at_passthrough():
     np.testing.assert_array_equal(state.rows[:, 0], np.ones(4))
     np.testing.assert_array_equal(state.rows[:, 1:], np.zeros((4, 2)))
     np.testing.assert_array_equal(
-        state.covariance, np.broadcast_to(1e-3 * np.eye(3), (4, 3, 3))
+        state.inverse, np.broadcast_to(np.eye(3) / 1e-3, (4, 3, 3))
     )
-    assert state.skipped_bins == 0
+    np.testing.assert_array_equal(state.trace, np.full(8, 3 * 1e-3))
+    assert state.skipped_bins == 0 and state.frames == 0
+
+
+def _dense_update(cov, obs, alpha, gain, diag_load, coord):
+    """The recursion V <- alpha V + s y y^H + rho e_j e_j^H on (K, D, D)
+    ``cov`` with its loading, returning V and the trace the update tracks."""
+    n_bins, dim = obs.shape
+    s = (1.0 - alpha) * np.broadcast_to(gain, (n_bins,))
+    tau = alpha * np.einsum("kdd->k", cov).real + s * np.sum(np.abs(obs) ** 2, axis=1)
+    rho = np.where(s * np.sum(np.abs(obs) ** 2, axis=1) > 0,
+                   (1.0 - alpha) * (dim - 1) * diag_load * tau / dim, 0.0)
+    cov = ewma(cov, obs, alpha, gain)
+    cov[:, coord, coord] += rho
+    return cov, tau + rho
 
 
 @on_both_paths
 def test_ewma_update_matches_dense_formula(rng):
+    """P after one update is the inverse of the loaded recursion's V, and tau its trace."""
     k, d, alpha, phi = 3, 4, 0.9, 2.5
-    cov = random_hpd(rng, d, k)
-    obs = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-    expected = alpha * cov + (1 - alpha) * phi * np.einsum(
-        "kd,ke->kde", obs, obs.conj()
-    )
-    expected = 0.5 * (expected + expected.conj().transpose(0, 2, 1))
-    ewma_dense(cov, obs, alpha, phi)
-    np.testing.assert_allclose(cov, expected, rtol=1e-13)
-    np.testing.assert_allclose(cov, cov.conj().transpose(0, 2, 1), rtol=0, atol=1e-15)
+    for diag_load in (1e-6, 0.3):
+        for coord in range(1, d):
+            cov = random_hpd(rng, d, k)
+            obs = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+            inv, trace = np.linalg.inv(cov), np.einsum("kdd->k", cov).real
+            update_dense(inv, trace, obs, alpha, phi, diag_load, coord)
+            expected, tau = _dense_update(cov, obs, alpha, phi, diag_load, coord)
+            np.testing.assert_allclose(inv, np.linalg.inv(expected), rtol=1e-10, atol=0)
+            np.testing.assert_allclose(trace, tau, rtol=1e-13)
 
 
 @on_both_paths
 def test_ewma_per_bin_gain(rng):
+    """Each bin takes its own gain; a gain of 0 adds neither data nor
+    loading, so at alpha = 0.5 P doubles and tau halves exactly."""
     k, d = 4, 2
     cov = random_hpd(rng, d, k)
-    before = cov.copy()
+    inv = auxiva.unpack_covariance(pack_covariance(np.linalg.inv(cov)), k)
+    inv[:, range(d), range(d)] = inv[:, range(d), range(d)].real  # as the update keeps it
+    trace = np.einsum("kdd->k", cov).real
+    before, before_trace = inv.copy(), trace.copy()
     obs = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
     gains = np.array([0.0, 1.0, 2.0, 3.0])
-    ewma_dense(cov, obs, 0.5, gains)
-    np.testing.assert_allclose(cov[0], 0.5 * before[0], rtol=1e-14)
-    rank1 = np.outer(obs[2], obs[2].conj())
-    expected = 0.5 * before[2] + 0.5 * 2.0 * rank1
-    expected = 0.5 * (expected + expected.conj().T)
-    np.testing.assert_allclose(cov[2], expected, rtol=1e-13)
+    update_dense(inv, trace, obs, 0.5, gains)
+    assert inv[0].tobytes() == (2.0 * before[0]).tobytes()
+    assert trace[0] == 0.5 * before_trace[0]
+    expected, tau = _dense_update(cov, obs, 0.5, gains, 1e-6, 1)
+    np.testing.assert_allclose(inv[1:], np.linalg.inv(expected[1:]), rtol=1e-10)
+    np.testing.assert_allclose(trace[1:], tau[1:], rtol=1e-13)
 
 
 @on_both_paths
 def test_ewma_keeps_covariance_exactly_hermitian(rng):
-    """The recursion needs no re-Hermitization: only the upper triangle is
-    stored, and y y^H keeps its diagonal exactly real."""
+    """Only the upper triangle of P is stored and the imaginary parts of its
+    diagonal are never written, so they stay exactly 0 over observations of
+    any scale and both kinds of gain, and P stays positive on its diagonal."""
     k, d = 6, 5
     for gain_of in (lambda: float(rng.uniform(0.1, 10.0)), lambda: rng.uniform(0.1, 10.0, k)):
-        cov = np.tile(1e-3 * np.eye(d, dtype=np.complex128), (k, 1, 1))
-        for scale in np.logspace(-6, 3, 200):
+        state = AuxivaState(k, d)
+        for n, scale in enumerate(np.logspace(-6, 3, 200)):
             obs = scale * (rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
-            ewma_dense(cov, obs, 0.99, gain_of())
-            assert np.array_equal(cov, cov.conj().transpose(0, 2, 1))
-            assert not np.einsum("kdd->kd", cov).imag.any()
-
-
-def _lapack_rows(cov, diag_load):
-    """Oracle: solve(V + lambda I, e1) per bin, normalized by its first entry."""
-    n_bins, dim, _ = cov.shape
-    load = diag_load * np.einsum("kdd->k", cov).real / dim
-    loaded = cov + load[:, np.newaxis, np.newaxis] * np.eye(dim)
-    e1 = np.zeros((n_bins, dim, 1), dtype=np.complex128)
-    e1[:, 0, 0] = 1.0
-    sol = np.linalg.solve(loaded, e1)[:, :, 0]
-    return sol / sol[:, :1]
+            update_planes(state.inv, state.trace, obs, 0.99, gain_of(), 1e-6, 1 + n % (d - 1),
+                          state.rows)
+            diagonal = np.diagonal(auxiva._entries(d))
+            assert state.inv[:, 1, diagonal].tobytes() == np.zeros_like(
+                state.inv[:, 1, diagonal]).tobytes()
+            inv = state.inverse
+            assert np.array_equal(inv, inv.conj().transpose(0, 2, 1))
+            assert (np.einsum("kdd->kd", inv).real > 0).all()
 
 
 @on_both_paths
 def test_loading_is_trace_relative(rng):
-    """The tail is -(C + lambda I)^{-1} b with lambda = diag_load * tr(V) / D."""
-    dim, n_bins = 3, 2
-    cov = random_hpd(rng, dim, n_bins)
-    prev = np.tile(passthrough_row(dim), (n_bins, 1))
-    for diag_load in (0.1, 1.0):
-        rows, skipped = solve_dense(cov, prev, diag_load)
-        assert skipped == 0
-        for k in range(n_bins):
-            load = diag_load * np.trace(cov[k]).real / dim
-            loaded = cov[k, 1:, 1:] + load * np.eye(dim - 1)
-            tail = -np.linalg.solve(loaded, cov[k, 1:, 0])
-            np.testing.assert_allclose(rows[k, 1:], tail, rtol=1e-12)
-            assert rows[k, 0] == 1.0
+    """Frame n loads coordinate 1 + n mod (D - 1) of every bin by
+    rho = (1 - alpha) (D - 1) diag_load tau / D, tau the trace after the
+    frame's data; a zero observation adds no loading."""
+    dim, n_bins, alpha = 3, 2, 0.5
+    state = AuxivaState(n_bins, dim, AuxivaConfig(alpha=alpha, diag_load=0.1))
+    cov = np.broadcast_to(1e-3 * np.eye(dim), (n_bins, dim, dim)).astype(complex)
+    for n in range(4):
+        obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+        obs[1] = 0.0
+        weight_before = state.frame_weight(obs)
+        process_frame(state, obs)
+        cov, tau = _dense_update(cov, obs, alpha, weight_before, 0.1, 1 + n % (dim - 1))
+        np.testing.assert_allclose(state.inverse[0], np.linalg.inv(cov[0]), rtol=1e-9)
+        np.testing.assert_allclose(state.trace[0], tau[0], rtol=1e-12)
+        np.testing.assert_array_equal(state.inverse[1], np.eye(dim) / 1e-3 * 2.0 ** (n + 1))
+    assert state.frames == 4
 
 
 @on_both_paths
 def test_row_solve_matches_inverse_first_column(rng):
+    """The row is P's first column over P_00, its first entry exactly 1, and
+    it equals the loaded solve of V = P^-1 without loading."""
     n_bins = 513
     for dim in (2, 4, 10, 19):
         cov = random_hpd(rng, dim, n_bins)
+        inv = np.linalg.inv(cov)
+        inv = 0.5 * (inv + inv.conj().transpose(0, 2, 1))
         prev = np.tile(passthrough_row(dim), (n_bins, 1))
-        for diag_load in (1e-12, 1e-6):
-            rows, skipped = solve_dense(cov, prev, diag_load)
-            assert skipped == 0
-            expected = _lapack_rows(cov, diag_load)
-            err = np.linalg.norm(rows - expected, axis=1) / np.linalg.norm(expected, axis=1)
-            assert err.max() <= 1e-9, (dim, diag_load, err.max())
-            np.testing.assert_array_equal(rows[:, 0], np.ones(n_bins))  # pinned exactly
-        for k in range(8):
-            col = np.linalg.inv(cov[k])[:, 0]
-            rows, _ = solve_dense(cov[k : k + 1], prev[k : k + 1], 1e-12)
-            np.testing.assert_allclose(rows[0], col / col[0], rtol=1e-8)
+        rows, skipped = rows_of(inv, prev)
+        assert skipped == 0
+        np.testing.assert_array_equal(rows[:, 0], np.ones(n_bins))  # pinned exactly
+        col = inv[:, :, 0]
+        np.testing.assert_allclose(rows, col / col[:, :1], rtol=1e-14, atol=0)
+        expected, _ = loaded_rows(cov, prev, 0.0)
+        err = np.linalg.norm(rows - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert err.max() <= 1e-8, (dim, err.max())
 
 
 @on_both_paths
 def test_row_solve_keeps_previous_on_singular(rng):
-    cov = np.zeros((3, 3, 3), dtype=np.complex128)
-    cov[1] = random_hpd(rng, 3, 1)[0]
-    cov[2] = random_hpd(rng, 3, 1)[0]
-    cov[2, 0, 0] = np.inf  # infinite trace, finite tail
+    """A bin whose trace is not finite (broken, reset by ``process_frame``)
+    and one whose row overflows (skipped, counted) keep their previous rows."""
+    inv = np.linalg.inv(random_hpd(rng, 3, 3))
+    inv[2, 0, 0] = 1e-300  # P_00 so small that the row overflows
+    inv[2, 0, 1], inv[2, 1, 0] = 1e200, 1e200
     prev = np.tile(passthrough_row(3), (3, 1))
     prev[0, 1] = 0.25
     prev[2, 2] = -0.5
-    rows, skipped = solve_dense(cov, prev, diag_load=1e-30)
-    assert skipped == 2
+    rows, skipped = rows_of(inv, prev, trace=np.array([np.inf, 1.0, 1.0]))
+    assert skipped == 1
     np.testing.assert_array_equal(rows[0], prev[0])
     np.testing.assert_array_equal(rows[2], prev[2])
-    assert np.isfinite(rows[1]).all()
+    assert np.isfinite(rows[1]).all() and not np.array_equal(rows[1], prev[1])
 
 
 def test_constrained_product_inverse_identity(rng):
@@ -224,12 +246,19 @@ def test_offline_batch_validates_shape():
     st.integers(min_value=-40, max_value=40),
 )
 def test_solved_rows_always_unit_leading(seed, s):
+    """Rows are finite with a leading 1, and an update of P, tau and the
+    gain rescaled by 2^-s, 2^s and 2^s gives P rescaled and the same rows,
+    bit for bit: the update is invariant to a power-of-two rescale."""
     rng = np.random.default_rng(seed)
     cov = random_hpd(rng, 3, 4)
-    prev = np.tile(passthrough_row(3), (4, 1))
-    rows, _ = solve_dense(cov, prev, 1e-6)
+    obs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    inv, trace = np.linalg.inv(cov), np.einsum("kdd->k", cov).real
+    inv = 0.5 * (inv + inv.conj().transpose(0, 2, 1))
+    scaled, scaled_trace = 2.0**-s * inv, 2.0**s * trace
+    _, rows = update_dense(inv, trace, obs, 0.99, 1.5, 1e-3)
     assert np.isfinite(rows).all()
     np.testing.assert_array_equal(rows[:, 0], np.ones(4))
-    # A global rescale of each covariance leaves the rows unchanged.
-    scaled, _ = solve_dense(2.0**s * cov, prev, 1e-6)
-    np.testing.assert_array_equal(scaled, rows)
+    _, scaled_rows = update_dense(scaled, scaled_trace, obs, 0.99, 2.0**s * 1.5, 1e-3)
+    assert scaled_rows.tobytes() == rows.tobytes()
+    assert scaled.tobytes() == (2.0**-s * inv).tobytes()
+    assert scaled_trace.tobytes() == (2.0**s * trace).tobytes()

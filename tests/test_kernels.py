@@ -14,17 +14,17 @@ import pytest
 
 import naec
 from conftest import (
+    aligned_copy,
     engine_irfft,
     engine_rfft,
-    ewma_dense,
     fft_plan,
-    kernel_ewma,
     kernel_gain,
-    kernel_solve,
+    kernel_update,
     numpy_path,
     on_both_paths,
     random_hpd,
-    solve_dense,
+    trace_buffer,
+    update_planes,
 )
 from naec import AudioSignal, auxiva
 from naec.auxiva import ALIGN, LANES, pack_covariance, padded_bins, unpack_covariance
@@ -98,16 +98,34 @@ def _strided_copy(a):
     return np.repeat(a, 2, axis=0)[::2]
 
 
+def _inverse_inputs(rng, n_bins, dim):
+    """Planes of random Hermitian positive-definite P (diagonal imaginary
+    parts 0, as the update keeps them), their padded traces tr(P^-1), random
+    observations and random previous rows."""
+    cov = random_hpd(rng, dim, n_bins)
+    inv = np.linalg.inv(cov)
+    inv[:, range(dim), range(dim)] = inv[:, range(dim), range(dim)].real
+    obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    prev = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    return pack_covariance(inv), trace_buffer(np.einsum("kdd->k", cov).real, n_bins), obs, prev
+
+
+def _numpy_update(planes, trace, obs, alpha, gain, diag_load, coord, prev):
+    """The numpy twin of one ``update`` call: (broken, rows, skipped, out)."""
+    broken = auxiva.ewma_covariance_update(planes, trace, obs, alpha, gain, diag_load, coord)
+    rows, skipped = auxiva.solve_demixing_rows(planes, trace, prev)
+    return broken, rows, skipped, demix_frame(rows, obs)
+
+
 @needs_kernels
 @pytest.mark.parametrize("gain", ["float", "0-d", "numpy-scalar", "(1,)", "per-bin"])
 @pytest.mark.parametrize("n_bins", [1, 64])
 def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
-    """The numpy EWMA takes a shared gain in any scalar shape, or one per bin,
-    on planes and observations of any layout, and gives the planes of the
-    kernel with that gain and stride 0 or 1. Both do the same real operations
-    in the same order, so their planes are byte-equal."""
-    cov = random_hpd(rng, 5, n_bins)
-    obs = rng.standard_normal((n_bins, 5)) + 1j * rng.standard_normal((n_bins, 5))
+    """The numpy update takes a shared gain in any scalar shape, or one per
+    bin, on planes and observations of any layout, and gives the planes,
+    traces and rows of the kernel with that gain and stride 0 or 1 byte for
+    byte: both do the same real operations in the same order."""
+    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, 5)
     value = {
         "float": 2.5,
         "0-d": np.array(2.5),
@@ -115,12 +133,16 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
         "(1,)": np.array([2.5]),
         "per-bin": rng.uniform(0.1, 3.0, n_bins),
     }[gain]
-    got = pack_covariance(cov)
-    assert kernel_ewma(auxiva._kernels, got, obs, 0.9, *kernel_gain(value)) == 0
-    for planes, y in ((pack_covariance(cov), obs),
-                      (_unaligned_copy(pack_covariance(cov)), _strided_copy(obs))):
-        assert auxiva.ewma_covariance_update(planes, y, 0.9, value) == 0
-        assert planes.tobytes() == got.tobytes()
+    got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
+    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.9, *kernel_gain(value), 1e-3,
+                         3, rows)[:2] == (0, 0)
+    for p, y, r in ((aligned_copy(planes), obs, prev),
+                    (_unaligned_copy(planes), _strided_copy(obs), _strided_copy(prev))):
+        t = aligned_copy(trace)
+        broken, expected, skipped, _ = _numpy_update(p, t, y, 0.9, value, 1e-3, 3, r)
+        assert (broken, skipped) == (0, 0)
+        assert p.tobytes() == got.tobytes() and t.tobytes() == got_trace.tobytes()
+        assert expected.tobytes() == rows.tobytes()
     assert np.isfinite(got).all()
 
 
@@ -129,15 +151,14 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
 def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
     """With stride 0 the kernel weights every bin by ``gain[0]``, as
     ``AuxivaState.kernel_weight`` leaves it: NaN in the rest of the buffer
-    changes no bit, and the planes are the numpy EWMA's with that scalar."""
-    cov = random_hpd(rng, 5, n_bins)
-    obs = rng.standard_normal((n_bins, 5)) + 1j * rng.standard_normal((n_bins, 5))
+    changes no bit, and the planes are the numpy update's with that scalar."""
+    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, 5)
     gain = np.full(padded_bins(n_bins), np.nan)
     gain[0] = 2.5
-    got, expected = pack_covariance(cov), pack_covariance(cov)
-    assert kernel_ewma(auxiva._kernels, got, obs, 0.9, gain, 0) == 0
-    auxiva.ewma_covariance_update(expected, obs, 0.9, 2.5)
-    assert got.tobytes() == expected.tobytes()
+    got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
+    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.9, gain, 0, 1e-6, 1, rows)[0] == 0
+    _numpy_update(planes, trace, obs, 0.9, 2.5, 1e-6, 1, prev)
+    assert got.tobytes() == planes.tobytes() and got_trace.tobytes() == trace.tobytes()
 
 
 @needs_kernels
@@ -159,12 +180,6 @@ def test_process_frame_paths_agree_over_300_frames(rng, dim, state_type):
 
 LANE_BINS = [1, 7, 8, 9, 513]  # one lane, a short block, a full block, a tail, the engine's K
 LANE_DIMS = [2, 4, 10, 19]
-
-
-def _solve_inputs(rng, n_bins, dim):
-    cov = random_hpd(rng, dim, n_bins)
-    prev = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
-    return cov, prev
 
 
 def _per_lane(planes):
@@ -196,17 +211,19 @@ def test_pack_unpack_is_exact_and_hermitian(rng, n_bins, dim):
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
 @pytest.mark.parametrize("window_len", [256, 1024, 4096])
 def test_engine_planes_are_aligned(optimizer, window_len):
-    """Every state the engine builds holds ALIGN-byte aligned planes, which the
-    kernels take in place."""
+    """Every state the engine builds holds ALIGN-byte aligned planes and
+    traces, which the kernels take in place."""
     for order_p in (1, 3, 5):
         for frames_l in range(1, 7):
             config = EngineConfig(optimizer=optimizer,
                                   stft=StftConfig(window_len=window_len, hop=window_len // 4),
                                   ctf=CtfConfig(frames_l=frames_l, order_p=order_p))
             state = StreamingEngine(config)._state
-            assert state.cov.ctypes.data % ALIGN == 0 and state.cov.flags.c_contiguous
-            assert state.cov.shape == (-(-state.n_bins // LANES), 2,
+            for buffer in (state.inv, state.trace):
+                assert buffer.ctypes.data % ALIGN == 0 and buffer.flags.c_contiguous
+            assert state.inv.shape == (-(-state.n_bins // LANES), 2,
                                        state.dim * (state.dim + 1) // 2, LANES)
+            assert state.trace.shape == (padded_bins(state.n_bins),)
 
 
 @pytest.mark.parametrize("dim", [4, 10])
@@ -214,10 +231,10 @@ def test_engine_planes_are_aligned(optimizer, window_len):
                          ids=["auxiva", "ilrma"])
 @on_both_paths
 def test_bin_reset_after_overflow_gives_the_prior_row(rng, dim, state_type):
-    """A bin reset by an overflow is solved from the prior, whose b is +0: its
-    row is [1, -0.0 - 0.0j, ...] byte for byte, as the (K, D, D) layout gave.
-    Row 0 of the planes holds conj(b), so the prior stores -0.0 there. The
-    reset covers the last bin, whose copies fill the short last block."""
+    """A bin whose trace overflows returns to the prior P = I / 1e-3, its
+    trace to D * 1e-3 and its row to the passthrough row byte for byte, and
+    its output is the microphone entry. The reset covers the last bin, whose
+    copies fill the short last block."""
     n_bins, burst_bins = 9, [3, 8]
     state = state_type(n_bins, dim)
     for _ in range(5):
@@ -225,29 +242,45 @@ def test_bin_reset_after_overflow_gives_the_prior_row(rng, dim, state_type):
                              + 1j * rng.standard_normal((n_bins, dim)))
     obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
     obs[burst_bins, 0] = 1e200
-    auxiva.process_frame(state, obs)
-    expected = np.negative(np.zeros(dim, dtype=np.complex128))
-    expected[0] = 1.0
+    out = auxiva.process_frame(state, obs)
     for k in burst_bins:
-        assert state.rows[k].tobytes() == expected.tobytes()
-    np.testing.assert_array_equal(state.covariance[burst_bins],
-                                  np.broadcast_to(1e-3 * np.eye(dim), (2, dim, dim)))
-    lanes = _per_lane(state.cov)
+        assert state.rows[k].tobytes() == passthrough_row(dim).tobytes()
+        assert out[k] == obs[k, 0]
+    np.testing.assert_array_equal(state.inverse[burst_bins],
+                                  np.broadcast_to(np.eye(dim) / 1e-3, (2, dim, dim)))
+    np.testing.assert_array_equal(state.trace[burst_bins], dim * 1e-3)
+    lanes = _per_lane(state.inv)
     for pad in lanes[n_bins:]:
         assert pad.tobytes() == lanes[n_bins - 1].tobytes()
+    assert (state.trace[n_bins:] == state.trace[n_bins - 1]).all()
 
 
 @needs_kernels
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
-    """Each lane is one bin's scalar solve: block position and block-mates change no bit."""
-    cov, prev = _solve_inputs(rng, n_bins, dim)
-    rows, skipped = solve_dense(cov, prev, 1e-6)
-    assert skipped == 0
-    single = np.concatenate([solve_dense(cov[k : k + 1], prev[k : k + 1], 1e-6)[0]
-                             for k in range(n_bins)])
-    assert rows.tobytes() == single.tobytes()
+    """Each lane is one bin's scalar update: block position and block-mates
+    change no bit of its planes, trace, row or output; and the numpy twin
+    gives the kernel's bytes for every bin, so its rows do not depend on the
+    number of bins either."""
+    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
+    gain = rng.uniform(0.1, 3.0, n_bins)
+    got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
+    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.99, gain, 1, 1e-6, dim - 1,
+                         rows)[:2] == (0, 0)
+    inv = unpack_covariance(planes, n_bins)
+    for k in range(n_bins):
+        one, one_trace, one_rows = (pack_covariance(inv[k : k + 1]), trace_buffer(trace[k], 1),
+                                    prev[k : k + 1].copy())
+        kernel_update(auxiva._kernels, one, one_trace, obs[k : k + 1], 0.99, gain[k : k + 1], 1,
+                      1e-6, dim - 1, one_rows)
+        assert _per_lane(one)[0].tobytes() == _per_lane(got)[k].tobytes()
+        assert one_trace[0] == got_trace[k] and one_rows.tobytes() == rows[k].tobytes()
+    broken, numpy_rows, skipped, _ = _numpy_update(planes, trace, obs, 0.99, gain, 1e-6, dim - 1,
+                                                   prev)
+    assert (broken, skipped) == (0, 0)
+    assert planes.tobytes() == got.tobytes() and trace.tobytes() == got_trace.tobytes()
+    assert numpy_rows.tobytes() == rows.tobytes()
 
 
 @needs_kernels
@@ -255,31 +288,41 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
-    """A bin with a NaN in b (finite trace) or overflowed by a 1e200 observation
-    (infinite trace) keeps its previous row, is counted, and leaves every other
-    bin's row byte-equal to a clean run, in the kernel and in the numpy solve,
-    which also takes unaligned planes and non-contiguous rows."""
-    cov, prev = _solve_inputs(rng, n_bins, dim)
-    clean_planes = pack_covariance(cov)
+    """A bin with a NaN in P (a finite trace of V) or overflowed by a 1e200
+    observation is broken: it keeps its previous row, is counted as broken,
+    not skipped, and leaves every other bin's planes, trace and row
+    byte-equal to a clean run, in the kernel and in the numpy update, which
+    also takes unaligned planes and non-contiguous rows."""
+    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
     bad = sorted({0, n_bins // 2, n_bins - 1})
+    faulty, faulty_obs = aligned_copy(planes), obs.copy()
     if fault == "nan":
-        faulty = pack_covariance(cov)
-        for k in bad:  # the stored upper entry (0, dim - 1), conj of b's last entry
+        for k in bad:  # the stored upper entry (0, dim - 1)
             faulty[k // LANES, 0, dim - 1, k % LANES] = np.nan
     else:
-        y = np.full(dim, 1e200, dtype=np.complex128)
-        with np.errstate(over="ignore"):
-            cov[bad] += np.outer(y, y.conj())
-        faulty = pack_covariance(cov)
+        faulty_obs[bad] = 1e200
     good = np.setdiff1d(np.arange(n_bins), bad)
-    kernel = (kernel_solve(auxiva._kernels, clean_planes, prev, 1e-6)[0],
-              kernel_solve(auxiva._kernels, faulty, prev, 1e-6)[:2])
-    numpy = (auxiva.solve_demixing_rows(clean_planes, prev, 1e-6)[0],
-             auxiva.solve_demixing_rows(_unaligned_copy(faulty), _strided_copy(prev), 1e-6))
-    for clean, (rows, skipped) in (kernel, numpy):
-        assert skipped == len(bad)
-        assert rows[good].tobytes() == clean[good].tobytes()
+    clean, clean_trace, clean_rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
+    kernel_update(auxiva._kernels, clean, clean_trace, obs, 0.99, *kernel_gain(1.0), 1e-6, 1,
+                  clean_rows)
+    runs = []
+    p, t, rows = aligned_copy(faulty), aligned_copy(trace), prev.copy()
+    runs.append((p, t, *kernel_update(auxiva._kernels, p, t, faulty_obs, 0.99,
+                                      *kernel_gain(1.0), 1e-6, 1, rows)[:2], rows))
+    p, t = _unaligned_copy(faulty), aligned_copy(trace)
+    with np.errstate(all="ignore"):
+        broken, rows, skipped, _ = _numpy_update(p, t, faulty_obs, 0.99, 1.0, 1e-6, 1,
+                                                 _strided_copy(prev))
+    runs.append((p, t, broken, skipped, rows))
+    for p, t, broken, skipped, rows in runs:
+        assert (broken, skipped) == (len(bad), 0)
+        assert rows[good].tobytes() == clean_rows[good].tobytes()
         assert rows[bad].tobytes() == prev[bad].tobytes()
+        assert t[good].tobytes() == clean_trace[good].tobytes()
+        for k in good:
+            assert _per_lane(p)[k].tobytes() == _per_lane(clean)[k].tobytes()
+        np.testing.assert_array_equal(auxiva.nonfinite_trace(p, t, n_bins),
+                                      np.isin(np.arange(n_bins), bad))
 
 
 @needs_kernels
@@ -319,12 +362,12 @@ def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
 @pytest.mark.parametrize("n_bins", [1, 65])
 @on_both_paths
 def test_ewma_returns_the_count_of_broken_bins(rng, n_bins):
-    """Both paths count the bins whose updated trace is not finite."""
-    cov = random_hpd(rng, 4, n_bins)
-    obs = rng.standard_normal((n_bins, 4)) + 1j * rng.standard_normal((n_bins, 4))
-    assert ewma_dense(cov.copy(), obs, 0.9, 1.0) == 0
+    """Both paths count the bins whose updated trace of V or of P is not finite."""
+    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, 4)
+    assert update_planes(aligned_copy(planes), aligned_copy(trace), obs, 0.9, 1.0, 1e-6, 1, prev)[0] == 0
     obs[-1, 2] = 1e200
-    assert ewma_dense(cov.copy(), obs, 0.9, 1.0) == 1
+    with np.errstate(all="ignore"):
+        assert update_planes(aligned_copy(planes), aligned_copy(trace), obs, 0.9, 1.0, 1e-6, 1, prev)[0] == 1
 
 
 # A definition with external linkage: return type at the start of a line,
@@ -347,7 +390,7 @@ def test_build_kernels_declares_every_kernel():
     if lib is None:
         pytest.skip("no compiled kernels")
     definitions = KERNEL_DEFINITION.findall(auxiva.KERNEL_SOURCE.read_text())
-    assert {"ewma", "solve", "frame_in", "ola"} <= {name for _, name, _ in definitions}
+    assert {"update", "demix", "frame_in", "ola"} <= {name for _, name, _ in definitions}
     for restype, name, params in definitions:
         kernel = getattr(lib, name)
         assert kernel.argtypes is not None, name
@@ -367,14 +410,14 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
     bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
-    counts, rows and output; an EWMA with per-bin weights; NMF weights; the
+    counts, rows and output; an update with per-bin weights; NMF weights; the
     FFTs and their plans; and the engine's framing, ``frame_in`` and ``ola``."""
     target = tmp_path / "kernels.so"
     subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
                    check=True, capture_output=True, timeout=120)
     lib = ctypes.CDLL(str(target))
-    for name in ("ewma", "solve", "demix", "ilrma_weight", "fft_plan", "rfft", "irfft",
+    for name in ("update", "demix", "ilrma_weight", "fft_plan", "rfft", "irfft",
                  "frame_in", "ola"):
         getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
         getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
@@ -392,30 +435,37 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
             base = run_streaming(chunks, config)[0].samples
         assert base.tobytes() == loaded.tobytes(), optimizer
     for dim in LANE_DIMS:
-        cov, prev = _solve_inputs(rng, 513, dim)
-        obs = rng.standard_normal((513, dim)) + 1j * rng.standard_normal((513, dim))
+        planes, trace, obs, prev = _inverse_inputs(rng, 513, dim)
         prev[512, 1], obs[512, 1] = 0.0, 1e200  # overflows bin 512's trace, not its output
+        obs[5] = 0.0  # bin 5's P only grows by 1 / alpha, and its row overflows
         loaded, base = auxiva.AuxivaState(513, dim), auxiva.AuxivaState(513, dim)
         for state in (loaded, base):
-            state.cov[...] = pack_covariance(cov)
-            state.cov[5 // LANES, 0, dim - 1, 5 % LANES] = np.nan  # in b of bin 5, finite trace
+            state.inv[...] = planes
+            state.inv[5 // LANES, 0, 0, 5 % LANES] = 1e-300
+            state.inv[5 // LANES, 0, 1, 5 % LANES] = 1e200
+            state.trace[...] = trace
             state.rows[...] = prev
         out = auxiva.process_frame(loaded, obs)
         # The same frame, kernel by kernel, on the baseline build.
         with mock.patch.object(auxiva, "_kernels", lib):
             assert base.kernel_weight(obs.ctypes.data) == 0
-        assert kernel_ewma(lib, base.cov, obs, 0.99, base.gain, 0) == 1
-        base.reset_bins(auxiva.nonfinite_trace(base.cov, 513))
-        rows, skipped, base_out = kernel_solve(lib, base.cov, base.rows, 1e-6, obs)
-        assert skipped == loaded.skipped_bins == 1
+        broken, skipped, base_out = kernel_update(lib, base.inv, base.trace, obs, 0.99, base.gain,
+                                                  0, 1e-6, 1, base.rows)
+        assert broken == 1 and skipped == loaded.skipped_bins == 1
+        base.reset_bins(auxiva.nonfinite_trace(base.inv, base.trace, 513))
+        base_out[512] = demix_frame(base.rows[512:], obs[512:])[0]
         assert base.gain.tobytes() == loaded.gain.tobytes()
-        assert base.cov.tobytes() == loaded.cov.tobytes()
-        assert rows.tobytes() == loaded.rows.tobytes()
+        assert base.inv.tobytes() == loaded.inv.tobytes()
+        assert base.trace.tobytes() == loaded.trace.tobytes()
+        assert base.rows.tobytes() == loaded.rows.tobytes()
         assert base_out.tobytes() == out.tobytes()
-        gain, planes, baseline = rng.uniform(0.1, 3.0, 513), pack_covariance(cov), pack_covariance(cov)
-        assert kernel_ewma(auxiva._kernels, planes, obs, 0.9, gain, 1) == 1
-        assert kernel_ewma(lib, baseline, obs, 0.9, gain, 1) == 1
-        assert baseline.tobytes() == planes.tobytes()
+        gain = rng.uniform(0.1, 3.0, 513)
+        results = []
+        for library in (auxiva._kernels, lib):
+            p, t, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
+            assert kernel_update(library, p, t, obs, 0.9, gain, 1, 1e-6, 2 % dim, rows)[0] == 1
+            results.append((p.tobytes(), t.tobytes(), rows.tobytes()))
+        assert results[0] == results[1]
         for bases_b in NMF_BASES:
             loaded, base = (_nmf_state(np.random.default_rng(bases_b), 513, dim, bases_b)
                             for _ in range(2))
@@ -427,7 +477,7 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
 
 def _ilrma_weight(lib, state, obs):
     """``lib``'s NMF weight kernel on ``state``'s rows, model and gain."""
-    _, rows, gain, _ = state.addresses
+    _, _, rows, gain, _, _ = state.addresses
     m = state.model
     return lib.ilrma_weight(state.n_bins, state.dim, m.v1.size, rows, obs.ctypes.data,
                             *m.addresses, NMF_FLOOR, gain)
@@ -474,11 +524,10 @@ def _flush_like(rng, n_bins, dim):
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
-    """The pre-update demix kernel and the demix inside the row solve give
+    """The pre-update demix kernel and the demix inside the update give
     ``ctf.demix_frame``'s bytes, signed zeros included, for passthrough rows
-    (as the first frames and a flush have), solved rows and rows a skipped bin
-    keeps. The solve in place gives the rows and output of the solve out of
-    place byte for byte."""
+    (as the first frames and a flush have), updated rows and rows a skipped
+    bin keeps."""
     obs = _flush_like(rng, n_bins, dim)
     passthrough = np.tile(passthrough_row(dim), (n_bins, 1))
     signed = passthrough.copy()
@@ -489,20 +538,14 @@ def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
         state.rows[...] = rows
         state.kernel_weight(obs.ctypes.data)  # the demix kernel, into state.out
         assert state.out.tobytes() == demix_frame(rows, obs).tobytes()
-    cov, prev = _solve_inputs(rng, n_bins, dim)
-    planes = pack_covariance(cov)
-    planes[0, 0, dim - 1, 0] = np.nan  # bin 0 keeps its previous row
-    rows, skipped, out = kernel_solve(auxiva._kernels, planes, prev, 1e-6, obs)
+    planes, trace, _, prev = _inverse_inputs(rng, n_bins, dim)
+    planes[0, 0, 0, 0], planes[0, 0, dim - 1, 0] = 1e-300, 1e200  # bin 0's row overflows
+    rows = prev.copy()
+    _, skipped, out = kernel_update(auxiva._kernels, planes, trace, obs, 0.99,
+                                    *kernel_gain(1.0), 1e-6, 1, rows)
     assert skipped == 1
     assert rows[0].tobytes() == prev[0].tobytes()
     assert out.tobytes() == demix_frame(rows, obs).tobytes()
-    # In place, with rows aliasing prev_rows as process_frame calls it.
-    in_place, in_place_out = prev.copy(), np.empty(n_bins, dtype=np.complex128)
-    assert auxiva._kernels.solve(n_bins, dim, planes.ctypes.data, in_place.ctypes.data, 1e-6,
-                                 in_place.ctypes.data, obs.ctypes.data,
-                                 in_place_out.ctypes.data) == 1
-    assert in_place.tobytes() == rows.tobytes()
-    assert in_place_out.tobytes() == out.tobytes()
 
 
 def _weights_both(compiled, reference, obs):
@@ -592,7 +635,7 @@ def test_kernel_addresses_stay_valid(rng, state_type):
     n_bins, dim = 65, 4
     state = state_type(n_bins, dim)
     frames = rng.standard_normal((300, n_bins, dim)) + 1j * rng.standard_normal((300, n_bins, dim))
-    frames[150, [3, 64], 0] = 1e200  # overflows two bins' covariance
+    frames[150, [3, 64], 0] = 1e200  # overflows two bins' trace
     resets = []
     reset = state.reset_bins
     state.reset_bins = lambda bins: (resets.append(bins), reset(bins))
@@ -600,13 +643,13 @@ def test_kernel_addresses_stay_valid(rng, state_type):
         for obs in frames:
             out = auxiva.process_frame(state, obs)
     assert len(resets) == 1
-    buffers = (state.cov, state.rows, state.gain, state.out)
+    buffers = (state.inv, state.trace, state.rows, state.gain, state.out, state.skipped)
     assert state.addresses == tuple(a.ctypes.data for a in buffers)
     assert out.tobytes() == state.out.tobytes() and out.ctypes.data != state.out.ctypes.data
     if state_type is IlrmaState:
         m = state.model
         assert m.addresses == tuple(a.ctypes.data for a in (m.bases, m.activations, m.variance))
-    for name in ("cov", "rows"):
+    for name in ("inv", "rows"):
         with pytest.raises(AttributeError):
             setattr(state, name, getattr(state, name).copy())
 
