@@ -343,3 +343,29 @@ def test_criterion_10_simulation_outputs_are_reproducible(tmp_path):
         assert a == b, f"{name} differs between identical runs"
     # cross-check one artifact is actually audio, not an empty placeholder
     assert len(read_wav(dirs[0] / "enhanced.wav")) == int(1.5 * SAMPLE_RATE)
+
+
+def test_longer_ctf_keeps_cancelling_more_in_a_long_room():
+    """The paper's long-CTF claim: in a T60 = 0.8 s room steady ERLE rises
+    strictly with the CTF length L = 1, 3, 6 and 10. The scene is scene 0 of
+    the benchmark's ``longrir_speech_auxiva_l6`` panel at seed 1 (16 s of
+    continuous speech, a 16384-tap RIR, hard clip at 0.2). Its ERLE read
+    3.66, 6.08, 8.83 and 12.21 dB (the three-scene panel means 3.75, 5.71,
+    8.09 and 11.49 dB); the bounds are half the smallest of these steps,
+    1.2 dB per step, and 3 dB at L = 1."""
+    far_seed, _, scene_seed = (int(s) for s in np.random.SeedSequence([1, 0]).generate_state(3))
+    spec = SceneSpec(
+        far_end=speech_like(16.0, far_seed, 0.3, 0.0),
+        room=RoomSpec(t60=0.8, rir_length=16384),
+        nonlinearity=NonlinearitySpec(kind="hard_clip", clip_ratio=0.2),
+        ser_db=0.0,
+        snr_db=60.0,
+        seed=scene_seed,
+    )
+    mic = synthesize_scene(spec).microphone
+    scores = []
+    for frames_l in (1, 3, 6, 10):
+        out, _ = run(spec.far_end, mic, EngineConfig(ctf=CtfConfig(frames_l=frames_l)))
+        scores.append(steady_state(erle(mic, out)))
+    assert scores[0] >= 3.0, scores
+    assert (np.diff(scores) >= 1.2).all(), scores

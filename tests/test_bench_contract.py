@@ -7,10 +7,13 @@ reports even when every engine test passes.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,3 +55,32 @@ def test_engine_cold_start_imports_scipy_signal():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert proc.stdout.strip() == "True"
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and the infinities, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+BENCHMARK = _strict_json((BENCH.parent / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_run_ends_in_a_result_with_every_per_layer_metric(workload):
+    """A traced benchmark run exits 0 and its last line is a strict JSON
+    result, ``correct``, with every ``per_layer`` metric BENCHMARK.json
+    declares: a span target that no longer resolves drops its metric."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = _strict_json(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    missing = {m["name"] for m in BENCHMARK["per_layer"]} - set(result["metrics"])
+    assert not missing, missing

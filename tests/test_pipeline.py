@@ -541,3 +541,43 @@ class TestEngineFromMapping:
             {"engine.a.optimizer": "ilrma", "scene.seed": "1"}, prefix="engine.a"
         )
         assert c.optimizer == "ilrma"
+
+
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+def test_long_silence_rescales_the_inverse_and_keeps_the_rows(spiky_scene, optimizer):
+    """At alpha = 0.5 every silent frame doubles P, so 1150 silent frames
+    between two echo segments would overflow it (2^1150). The update
+    rescales P and tau by a power of two instead: once the history has
+    left the observations the rows stay bit-exact through the silence, no
+    bin is reset or skipped, the output stays finite, and the second
+    segment is cancelled by 20 dB or more, with or without the silence. At alpha = 0.5 a
+    segment's steady ERLE moves by a few dB with the gap's length alone
+    (28.7 to 32.4 dB for ILRMA over gaps of 5 to 1150 frames), so the bound
+    is 20 dB, against about 0 dB for a broken state."""
+    far, mic = spiky_scene
+    hop, split, silent = 256, 4 * SAMPLE_RATE, 1150
+    config = EngineConfig(optimizer=optimizer, auxiva=AuxivaConfig(alpha=0.5))
+    for gap in (0, silent):
+        engine = StreamingEngine(config)
+        state = engine._state
+        resets = []
+        reset = state.reset_bins
+        state.reset_bins = lambda bins: (resets.append(bins), reset(bins))
+        f = np.concatenate([far[:split], np.zeros(gap * hop), far[split:]])
+        m = np.concatenate([mic[:split], np.zeros(gap * hop), mic[split:]])
+        parts, largest = [], 0.0
+        for j in range(len(m) // hop):
+            parts.append(engine.push(m[j * hop : (j + 1) * hop], f[j * hop : (j + 1) * hop]))
+            quiet = j - split // hop
+            if gap and quiet == 10:  # the window and the lags hold only zeros
+                rows = state.rows.copy()
+            elif gap and 10 < quiet < gap:
+                assert state.rows.tobytes() == rows.tobytes(), quiet
+                largest = max(largest, auxiva._trace(state.inv).max())
+        out = np.concatenate(parts + [engine.flush()])[: len(m)]
+        assert np.isfinite(out).all()
+        assert not resets and engine.stats.skipped_bins == 0
+        assert largest <= auxiva.RESCALE_ABOVE
+        after = slice(split + gap * hop, len(m))
+        assert steady_state(erle(AudioSignal(m[after]), AudioSignal(out[after]))) >= 20.0
+    assert largest > 2.0**256  # the silence reached the rescale
