@@ -254,34 +254,40 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
                 tr += re[upper(dim, a, a)];
         }
         trace[k0 / LANES] = tau;
-        /* The row's entries i >= 1 into v's planes, which are no longer read. */
+        /* The row's entries i >= 1 into v's planes, which are no longer
+           read, and the frame demixed with the rows, summed as demix_bins
+           sums it; lanes that keep their previous row are demixed again. */
         const v8 inv00 = 1.0 / re[0];
+        v8 check = (tau - tau) + (tr - tr), er = {0.0}, ei = {0.0};
+        const v8l broken_lanes = check != 0.0; /* NaN unless both are finite */
+        er += 1.0 * yr[0] + 0.0 * yi[0];
+        ei += 1.0 * yi[0] - 0.0 * yr[0];
         for (long i = 1; i < dim; i++) {
             vr[i] = re[i] * inv00;
             vi[i] = -im[i] * inv00;
+            check += (vr[i] - vr[i]) + (vi[i] - vi[i]);
+            er += vr[i] * yr[i] + vi[i] * yi[i];
+            ei += vr[i] * yi[i] - vi[i] * yr[i];
         }
         const long count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
         for (int l = 0; l < count; l++) {
-            if (!isfinite(tau[l]) || !isfinite(tr[l])) {
-                broken++;
+            const long k = k0 + l;
+            if (check[l] != 0.0) {
+                broken += broken_lanes[l] != 0;
+                skipped[0] += broken_lanes[l] == 0;
+                demix_bins(1, dim, rows + 2 * k * dim, obs + 2 * k * dim, out + 2 * k);
                 continue;
             }
-            int bad = 0;
-            for (long i = 1; i < dim; i++)
-                bad |= !isfinite(vr[i][l]) || !isfinite(vi[i][l]);
-            if (bad) {
-                skipped[0]++;
-                continue;
-            }
-            double *row = rows + 2 * (k0 + l) * dim;
+            double *row = rows + 2 * k * dim;
             row[0] = 1.0;
             row[1] = 0.0;
             for (long i = 1; i < dim; i++) {
                 row[2 * i] = vr[i][l];
                 row[2 * i + 1] = vi[i][l];
             }
+            out[2 * k] = er[l];
+            out[2 * k + 1] = ei[l];
         }
-        demix_bins(count, dim, rows + 2 * k0 * dim, obs + 2 * k0 * dim, out + 2 * k0);
     }
     free(yr);
     return broken;
