@@ -1,10 +1,10 @@
 /* Per-frame kernels for naec.auxiva and naec.ilrma:
-     ewma          the EWMA covariance update;
-     solve         the row solve, which also demixes the frame with the new rows;
+     update        the tracked inverse covariances P = V^-1 and traces, the
+                   rows read from P, and the frame demixed with them;
      demix         AuxIVA's demix with the previous rows, r1 and Phi(r1);
      ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1;
    and for the engine's framing in naec.pipeline, so that a compiled push
-   is frame_in, the three calls of process_frame, and ola:
+   is frame_in, the two calls of process_frame, and ola:
      fft_plan      the twiddle factors of the real FFTs, once per engine;
      frame_in      the far end's odd powers, the finite check, the time
                    buffer's shift, the analysis window and the real FFTs
@@ -16,36 +16,33 @@
    products only, the operations of the numpy code they replace. The FFTs
    and AuxIVA's r1 agree with the numpy path to rounding, not bytes.
 
-   The covariances are held in block-planar form: bins are grouped in blocks
-   of LANES, and a block holds a real plane and an imaginary plane of the
-   D(D+1)/2 upper-triangle entries in row-major order, each entry a vector of
-   LANES bins. ``cov`` is (ceil(K / LANES), 2, D(D+1)/2, LANES) doubles,
-   64-byte aligned; the lanes of a short last block past bin K - 1 hold copies
-   of bin K - 1 and are updated with its observation and gain, so they stay
-   equal to it. Row 0 holds conj(b), where b = cov[1:, 0] is the first column
-   below the diagonal. ``obs``, ``prev_rows`` and ``rows`` are (K, D)
-   interleaved complex doubles (re, im), C-contiguous, and a demixed frame
-   is (K,) of them; the caller checks shapes, dtypes, contiguity and
-   alignment.
+   P is held in block-planar form: bins are grouped in blocks of LANES, and
+   a block holds a real plane and an imaginary plane of the D(D+1)/2
+   upper-triangle entries in row-major order, each entry a vector of LANES
+   bins. ``inv`` is (ceil(K / LANES), 2, D(D+1)/2, LANES) doubles and the
+   traces ``trace`` ceil(K / LANES) * LANES, both 64-byte aligned; the lanes
+   of a short last block past bin K - 1 hold copies of bin K - 1 and are
+   updated with its observation and gain, so they stay equal to it.
+   ``obs`` and ``rows`` are (K, D) interleaved complex doubles (re, im),
+   C-contiguous, and a demixed frame is (K,) of them; the caller checks
+   shapes, dtypes, contiguity and alignment.
 
    Every vector operation is the scalar operation of one bin, done for LANES
    bins at once, so each bin's result is bit-identical to a one-bin-at-a-time
    computation. The complex arithmetic is written out in real operations (a
    ``double complex`` product calls __muldc3), and the file is built with
    -ffp-contract=off so no multiply-add is fused. The demixes do the
-   operations of numpy's einsum in its order and give its bytes; ILRMA's
-   NMF updates agree with the numpy ones to rounding, not bytes (see
-   ilrma.py). On x86-64 the lane kernels are compiled for AVX-512F and for
-   the baseline ISA, and the AVX-512F clone is picked when the library is
+   operations of numpy's einsum in its order and give its bytes; the
+   update gives the bytes of its numpy twin (auxiva.py); ILRMA's NMF
+   updates agree with the numpy ones to rounding, not bytes (see ilrma.py).
+   On x86-64 the lane kernels are compiled for AVX-512F and for the
+   baseline ISA, and the AVX-512F clone is picked when the library is
    loaded on a CPU that has it; the IEEE operations and their order are the
    same in both. A static helper is compiled once, for the baseline ISA, so
    one that holds vector code and is not inlined runs at baseline speed
    inside the AVX-512F clone: vector helpers are macros, and the scalar
-   demix_bins is always inlined. On an AVX-512F Xeon the AVX-512F clone of
-   the solve takes about half the baseline build's time at D = 10 and 19,
-   and of ilrma_weight 0.4-0.6 of it at K = 513 and B = 10; an AVX2 build
-   was no faster than the baseline one, so none is made
-   (BENCH_lane_solve.json, BENCH_compiled_weight.json). The FFTs' vectors
+   demix_bins is always inlined. An AVX2 build was no faster than the
+   baseline one, so none is made (BENCH_lane_solve.json). The FFTs' vectors
    of four doubles are split in two by the baseline build; there a
    1024-point real FFT of one row took about 3.3 us against 2.1-2.6 us in
    the AVX-512F clone (C harness). */
@@ -143,25 +140,20 @@ void demix(long n_bins, long dim, const double *rows, const double *obs, double 
 /* One frame of every bin's tracked inverse covariance P = V^-1 and trace
    tau = tr(V), then its row and its demixed output. With y = obs[k],
    s = (1 - alpha) gain[k * gain_stride] (a gain_stride of 0 shares gain[0]
-   by all bins) and j = coord, the recursion
-
-       V <- alpha V + s y y^H + rho e_j e_j^H
-
-   is two Sherman-Morrison updates: u = P y, q = Re(y^H u),
-   c1 = s / (alpha + s q); v = (P - c1 u u^H) e_j, d = Re v_j,
-   c2 = rho / (alpha + rho d); P <- (P - c1 u u^H - c2 v v^H) / alpha. The
-   loading is rho = load tau after tau <- alpha tau + s |y|^2, with
-   load = (1 - alpha) (D - 1) diag_load / D, and tau <- tau + rho; a frame
-   that adds nothing (s |y|^2 = 0, a silent bin) adds no loading, so in
-   digital silence P only grows by 1 / alpha. Each u_i is summed over j in
-   index order, and c1 u and c2 v are taken before their products. The
-   imaginary parts of P's diagonal are never written. A lane whose tr(P),
-   summed in index order, passes RESCALE_ABOVE has P scaled down and tau up
-   by that power of two, which changes no row. The row is the first column
-   of P over P_00, written over rows[k] unless tau or tr(P) is not finite
-   (a broken bin) or the row is not finite (a skipped bin); then rows[k]
-   is kept. out[k] = rows[k]^H y. Writes the number of skipped bins to
-   skipped[0] and returns the number of broken bins, or -1 if the
+   by all bins) and j = coord, V <- alpha V + s y y^H + rho e_j e_j^H is two
+   Sherman-Morrison updates: u = P y, q = Re(y^H u), c1 = s / (alpha + s q);
+   v = (P - c1 u u^H) e_j, d = Re v_j, c2 = rho / (alpha + rho d);
+   P <- (P - c1 u u^H - c2 v v^H) (1 / alpha). The loading is rho = load tau
+   after tau <- alpha tau + s |y|^2, load = (1 - alpha) (D - 1) diag_load / D,
+   then tau <- tau + rho; a bin whose s |y|^2 is not positive gets rho = 0.
+   Each u_i is summed over j in index order, and c1 u and c2 v are taken
+   before their products. The imaginary parts of P's diagonal are never
+   written. A lane whose tr(P), summed in index order, passes RESCALE_ABOVE
+   has P scaled down and tau up by that power of two. The row is the first
+   column of P times 1 / P_00, written over rows[k] unless tau or tr(P) is
+   not finite (a broken bin) or the row is not finite (a skipped bin); then
+   rows[k] is kept. out[k] = rows[k]^H y. Writes the number of skipped bins
+   to skipped[0] and returns the number of broken bins, or -1 if the
    workspace could not be allocated. */
 #define RESCALE_ABOVE 0x1p512
 LANE_CLONES
@@ -195,12 +187,11 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
            order. */
         for (long i = 0; i < dim; i++)
             ur[i] = ui[i] = (v8){0.0};
-        for (long a = 0, t = 0; a < dim; a++) {
+        for (long a = 0, t = 0; a < dim; a++, t++) {
             ur[a] += re[t] * yr[a] - im[t] * yi[a];
             ui[a] += re[t] * yi[a] + im[t] * yr[a];
-            t++;
-            for (long b = a + 1; b < dim; b++, t++) {
-                const v8 pr = re[t], pi = im[t];
+            for (long b = a + 1; b < dim; b++) {
+                const v8 pr = re[++t], pi = im[t];
                 ur[a] += pr * yr[b] - pi * yi[b];
                 ui[a] += pr * yi[b] + pi * yr[b];
                 ur[b] += pr * yr[a] + pi * yi[a];

@@ -1,63 +1,52 @@
 """Auxiliary-function (AuxIVA-style) updates for the constrained demixing row.
 
-Online mode keeps, per frequency bin, an exponentially weighted covariance
-of the stacked observation vector
+Online mode weights, per frequency bin, a covariance of the stacked
+observation vector y by Phi(r1) = r1**(beta - 2), a single per-frame weight
+driven by the cross-band norm r1(n) = sqrt(sum_k |w(k)^H y(k, n)|^2), and
+loads it by a trace-relative rho on one reference coordinate per frame:
 
-    V1(k, n) = alpha * V1(k, n-1) + (1 - alpha) * Phi(r1(n)) * y(k, n) y(k, n)^H
+    V(k, n) = alpha V(k, n-1) + s y y^H + rho e_j e_j^H,   s = (1 - alpha) Phi,
+    rho = (1 - alpha) (D - 1) diag_load tau / D,   j = 1 + n mod (D - 1)
 
-with a single per-frame weight Phi(r1) = r1**(beta - 2) driven by the
-cross-band norm r1(n) = sqrt(sum_k |w(k)^H y(k, n)|^2). The row is the first
-column of the loaded inverse covariance with its leading element pinned to 1,
-which for V1 = [[a, b^H], [b, C]] is the Schur form
+with tau the trace of V after the frame's data. Each reference coordinate
+is loaded once every D - 1 frames, so the loading adds up to about
+diag_load tau / D on C, where V = [[a, b^H], [b, C]]. A frame that adds
+nothing to a bin (s |y|^2 = 0) adds no loading there either. The state
+tracks P = V^-1 and tau instead of V: the recursion is two Sherman-Morrison
+updates of P, O(D^2) per bin (the ``update`` kernel of ``_kernels.c`` lists
+them), and the row is the first column of P with its leading element
+pinned to 1, w = P e_1 / P_00, the Schur form [1; -C^{-1} b] of the loaded V.
 
-    w(k, n) = [1; -(C + lambda I)^{-1} b],   lambda = diag_load * tr(V1) / D
+P is held in one block-planar layout shared with the compiled kernels
+(``pack_covariance``): blocks of ``LANES`` bins, each a real and an
+imaginary plane of the D(D+1)/2 upper-triangle entries with the bins
+innermost, so an entry of a block is one vector of ``LANES`` bins; the
+lanes of a short last block repeat the last bin, and the imaginary parts of
+the diagonal are never written. ``AuxivaState.inverse`` unpacks it.
 
-The covariances are held in one block-planar layout shared with the
-compiled kernels (``pack_covariance``): blocks of ``LANES`` bins, each a
-real and an imaginary plane of the D(D+1)/2 upper-triangle entries with the
-bins innermost, so an entry of a block is one vector of ``LANES`` bins.
-Row 0 stores conj(b), the first column below the diagonal, which is what
-the row solve reads; the rest of the upper triangle is stored as is. The
-lanes of a short last block repeat the last bin. ``pack_covariance`` and
-``unpack_covariance`` convert to and from the (K, D, D) Hermitian form,
-which the state exposes as ``AuxivaState.covariance``.
+``process_frame`` is the online core of both optimizers; ``IlrmaState``
+overrides the weight with the per-bin 1/r1(k) of its NMF model.
+``build_kernels`` compiles ``_kernels.c`` with ``cc`` when this module is
+first imported and caches the shared object under ``__pycache__``. With the
+kernels loaded a frame is two compiled calls on buffers the state owns,
+whose addresses it takes once: the weight (``state.kernel_weight``) and
+``update``, which also writes the rows and demixes the frame. Without them
+``process_frame`` runs ``state.frame_weight``, ``ewma_covariance_update``
+(P and tau), ``solve_demixing_rows`` (the rows) and ``ctf.demix_frame``:
+numpy code in the kernel's real operations and order, so P, tau, rows and
+output are the kernel's bytes for the same weight, and a bin's result does
+not depend on the other bins. AuxIVA's weight agrees to rounding: the
+``demix`` kernel sums |e|^2 as re^2 + im^2 in bin order, ``output_norm``
+with numpy's ``abs`` and pairwise sum.
 
-``process_frame`` is the online core of both optimizers. The recursion's
-weight is Phi(r1) here and the per-bin 1/r1(k) of the NMF model in
-``IlrmaState``, a subclass that overrides the weight. ``build_kernels``
-compiles ``_kernels.c`` with ``cc`` when this module is first imported and
-caches the shared object under ``__pycache__``. With the kernels loaded, a
-frame is three compiled calls on buffers the state owns, whose addresses it
-takes once: the weight (``state.kernel_weight``: here the ``demix`` kernel,
-which also takes r1 and Phi), the EWMA, and the row solve, which also
-demixes the frame with the new rows; none of them makes a numpy call.
-``process_frame`` and the two ``kernel_weight`` methods are the only
-callers of these kernels; the engine's framing (``naec.pipeline``) calls
-``fft_plan``, ``frame_in`` and ``ola`` of the same library.
-
-Without a compiler, or if the build or load fails, ``process_frame`` runs
-``state.frame_weight``, ``ewma_covariance_update``,
-``solve_demixing_rows`` and ``ctf.demix_frame``: numpy code on the same
-planes, with the bins on the contiguous last axis, and the reference the
-tests compare the kernels against. The EWMA is written out in real
-operations on both paths, so its planes are bit-identical; the numpy
-solve's complex products may be fused into multiply-adds on CPUs with FMA,
-while the kernels never fuse, so rows agree to rounding. Both demixes do
-the operations of ``ctf.demix_frame`` in its order, so for the same rows
-and observations they give its bytes; the ``demix`` kernel sums the
-weight's |e|^2 as re^2 + im^2 in bin order, where ``output_norm`` takes
-numpy's ``abs`` and pairwise sum, so AuxIVA's weight agrees to rounding,
-not bytes. The row solve is Gaussian
-elimination without pivoting (C + lambda I is positive definite), and a
-kernel bin's row does not depend on its block or the ISA picked at run
-time. The recursion is stored as written and the loading is trace-relative
-with no square roots, so a power-of-two rescale of a bin's V1 leaves its
-row bit-identical. A bin whose trace or solution is non-finite keeps its
-previous row and is counted in ``skipped_bins``. The EWMA update returns
-how many bins' traces overflowed; only then are those bins found and
-restarted from the initial prior and passthrough row.
+Rescaling P, tau and the weight by 2^-m, 2^m and 2^m rescales the update's
+results by the same powers of two and leaves the rows bit-identical. In
+digital silence P grows by 1 / alpha per frame; a bin whose tr(P) passes
+``RESCALE_ABOVE`` has P scaled down and tau up by that power of two. A bin
+whose tau or tr(P) is not finite is broken: ``process_frame`` restarts it
+from the prior and passthrough row (``reset_bins``). A bin whose row is not
+finite keeps its previous row and is counted in ``skipped_bins``.
 """
-
 from __future__ import annotations
 
 import ctypes
@@ -276,19 +265,12 @@ def aligned_zeros(shape) -> np.ndarray:
 
 
 def pack_covariance(cov: np.ndarray) -> np.ndarray:
-    """Planes of the (K, D, D) covariances ``cov``: (ceil(K / LANES), 2,
-    D(D+1)/2, LANES) float64, ``ALIGN``-byte aligned.
-
-    Stores the upper triangle, with row 0 taken as the conjugate of the
-    first column below the diagonal: the entries the row solve reads of a
-    (K, D, D) matrix, bit for bit.
-    """
+    """Planes of the upper triangles of the (K, D, D) Hermitian ``cov``:
+    (ceil(K / LANES), 2, D(D+1)/2, LANES) float64, ``ALIGN``-byte aligned."""
     n_bins, dim, _ = cov.shape
     rows, cols = _upper(dim)
-    lanes = np.asarray(cov)[_lane_bins(n_bins)]
-    tri = lanes[:, rows, cols]
-    tri[:, 1:dim] = lanes[:, 1:, 0].conj()
-    planes = aligned_zeros((len(lanes) // LANES, 2, len(rows), LANES))
+    tri = np.asarray(cov)[_lane_bins(n_bins)][:, rows, cols]
+    planes = aligned_zeros((len(tri) // LANES, 2, len(rows), LANES))
     tri = tri.reshape(len(planes), LANES, -1).transpose(0, 2, 1)
     planes[:, 0] = tri.real
     planes[:, 1] = tri.imag
@@ -296,7 +278,7 @@ def pack_covariance(cov: np.ndarray) -> np.ndarray:
 
 
 def unpack_covariance(cov: np.ndarray, n_bins: int) -> np.ndarray:
-    """The exactly Hermitian (K, D, D) covariances held in the planes ``cov``."""
+    """The exactly Hermitian (K, D, D) matrices held in the planes ``cov``."""
     dim = _dim(cov)
     rows, cols = _upper(dim)
     tri = np.empty((len(cov), LANES, len(rows)), dtype=np.complex128)
@@ -425,15 +407,12 @@ def weight(r1: float, config: AuxivaConfig) -> float:
 def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     """One online update with the frame's observations, returning E(k, n).
 
-    Steps: weight the frame from the previous rows, update every covariance,
-    reset the bins whose covariance overflowed (``state.reset_bins``),
-    re-solve every row, then re-demix so the emitted frame uses the updated
-    rows. Serves both optimizers. With the kernels loaded this is three
-    compiled calls on the state's buffers: the weight
-    (``state.kernel_weight``), the EWMA, and the row solve, which also
-    demixes into ``state.out``. Without them, the numpy functions run:
-    ``state.frame_weight``, ``ewma_covariance_update``,
-    ``solve_demixing_rows`` and ``ctf.demix_frame``.
+    Steps: weight the frame from the previous rows, update every bin's P
+    and tau, read the rows, reset the broken bins (``state.reset_bins``),
+    and demix with the new rows. Serves both optimizers. With the kernels
+    loaded: ``state.kernel_weight`` and the ``update`` kernel, which demixes
+    into ``state.out``; without them, ``state.frame_weight``,
+    ``ewma_covariance_update``, ``solve_demixing_rows`` and ``ctf.demix_frame``.
 
     ``obs`` may be any (K, D) array; it is converted to a C-contiguous
     complex128 array, whose address the state keeps. Passed the same array

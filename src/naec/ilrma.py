@@ -19,7 +19,7 @@ The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 ``AuxivaState``, adds an NMF model of ``AuxivaConfig.bases_b`` bases and
 overrides the frame weight; ``auxiva.process_frame`` drives it. Online
 activations carry over between frames (frame 0 starts uniform at 1/B);
-bases start at the constant 1; after a covariance overflow, non-finite
+bases start at the constant 1; after a bin reset, non-finite
 bases rows and activations return to these values. A frame whose
 pre-update output is all zero (digital silence) skips both updates and
 reuses the last 1/r1.

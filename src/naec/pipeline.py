@@ -32,7 +32,7 @@ moves its lags in place. A frame is three steps:
 If ``auxiva._kernels`` is loaded when the engine is built, steps 1 and 3
 are the ``frame_in`` and ``ola`` kernels of ``_kernels.c``, whose FFTs use
 a plan of twiddle factors the engine builds once (``fft_plan``), and a push
-is ``frame_in``, ``process_frame`` (three compiled calls) and ``ola``.
+is ``frame_in``, ``process_frame`` (two compiled calls) and ``ola``.
 Otherwise they are numpy code on the same buffers: ``nonlin.odd_powers``,
 ``np.fft.rfft``, ``ctf.stack_observations``, ``np.fft.irfft`` and the
 overlap-add. The two paths do the same IEEE operations in the same order
