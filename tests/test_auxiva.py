@@ -287,3 +287,22 @@ def test_inverse_stays_stable_over_20000_frames():
     expected, _ = loaded_rows(cov, state.rows, 0.0)
     err = np.linalg.norm(state.rows - expected, axis=1) / np.linalg.norm(expected, axis=1)
     assert err.max() <= 1e-5, err.max()
+
+
+@on_both_paths
+def test_rescale_moves_p_and_tau_together(rng):
+    """An update whose P passes ``RESCALE_ABOVE`` gives the same rows as
+    the unscaled update, with P scaled down and tau up by 2^512: P, tau and
+    the weight rescaled by 2^600, 2^-600 and 2^-600 come out of the update
+    as the unscaled results times 2^88 and 2^-88."""
+    cov = random_hpd(rng, 4, 9)
+    obs = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    inv, trace = np.linalg.inv(cov), np.einsum("kdd->k", cov).real
+    inv = 0.5 * (inv + inv.conj().transpose(0, 2, 1))
+    inv[:, range(4), range(4)] = inv[:, range(4), range(4)].real
+    big, big_trace = 2.0**600 * inv, 2.0**-600 * trace
+    _, rows = update_dense(inv, trace, obs, 0.99, 1.5, 1e-3)
+    _, big_rows = update_dense(big, big_trace, obs, 0.99, 2.0**-600 * 1.5, 1e-3)
+    assert big_rows.tobytes() == rows.tobytes()
+    assert big.tobytes() == (2.0**88 * inv).tobytes()
+    assert big_trace.tobytes() == (2.0**-88 * trace).tobytes()
