@@ -77,6 +77,9 @@ typedef long v8l __attribute__((vector_size(LANES * sizeof(long))));
         (v8)(((v8l)x_ & ~below_) | ((v8l)lo_ & below_));                   \
     })
 
+/* x in the lanes of the mask m, y in the others. */
+#define SELECT(m, x, y) ((v8)(((v8l)(x) & (m)) | ((v8l)(y) & ~(m))))
+
 /* Index of the upper-triangle entry (i, j), i <= j, in a plane. */
 static long upper(long dim, long i, long j)
 {
@@ -144,26 +147,23 @@ void demix(long n_bins, long dim, const double *rows, const double *obs, double 
    Sherman-Morrison updates: u = P y, q = Re(y^H u), c1 = s / (alpha + s q);
    v = (P - c1 u u^H) e_j, d = Re v_j, c2 = rho / (alpha + rho d);
    P <- (P - c1 u u^H - c2 v v^H) (1 / alpha). The loading is rho = load tau
-   after tau <- alpha tau + s |y|^2, load = (1 - alpha) (D - 1) diag_load / D,
-   then tau <- tau + rho; a bin whose s |y|^2 is not positive gets rho = 0.
-   Each u_i is summed over j in index order, and c1 u and c2 v are taken
-   before their products. The imaginary parts of P's diagonal are never
-   written. A lane whose tr(P), summed in index order, passes RESCALE_ABOVE
-   has P scaled down and tau up by that power of two. The row is the first
-   column of P times 1 / P_00, written over rows[k] unless tau or tr(P) is
-   not finite (a broken bin) or the row is not finite (a skipped bin); then
-   rows[k] is kept. out[k] = rows[k]^H y. Writes the number of skipped bins
-   to skipped[0] and returns the number of broken bins, or -1 if the
-   workspace could not be allocated. */
-#define RESCALE_ABOVE 0x1p512
+   after tau <- alpha tau + s |y|^2, load = (1 - alpha) diag_load, then
+   tau <- tau + rho. A bin whose s |y|^2 is zero is left as it is: c1 and
+   rho are 0, tau is kept and P is scaled by 1, not 1 / alpha. Each u_i is
+   summed over j in index order, and c1 u and c2 v are taken before their
+   products. The imaginary parts of P's diagonal are never written. The row
+   is the first column of P times 1 / P_00, written over rows[k] unless tau
+   or tr(P), summed in index order, is not finite (a broken bin) or the row
+   is not finite (a skipped bin); then rows[k] is kept. out[k] = rows[k]^H y.
+   Writes the number of skipped bins to skipped[0] and returns the number
+   of broken bins, or -1 if the workspace could not be allocated. */
 LANE_CLONES
 long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double alpha,
             const double *gain, long gain_stride, double diag_load, long coord,
             double *rows, double *out, long *skipped)
 {
     const long tri = dim * (dim + 1) / 2, j = coord;
-    const double inv_alpha = 1.0 / alpha;
-    const double load = (1.0 - alpha) * (double)(dim - 1) * diag_load / (double)dim;
+    const double inv_alpha = 1.0 / alpha, load = (1.0 - alpha) * diag_load;
     /* The block's y, u and v as real and imaginary planes. */
     v8 *yr = aligned_alloc(sizeof(v8), sizeof(v8) * 6 * dim);
     if (yr == NULL)
@@ -203,9 +203,12 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
             q += yr[i] * ur[i] + yi[i] * ui[i];
             norm += yr[i] * yr[i] + yi[i] * yi[i];
         }
-        const v8 c1 = s / (alpha + s * q), e = s * norm;
-        v8 tau = trace[k0 / LANES] * alpha + e;
-        const v8 rho = (v8)((v8l)(load * tau) & (e > 0.0));
+        const v8 e = s * norm;
+        const v8l moved = e != 0.0;
+        const v8 c1 = SELECT(moved, s / (alpha + s * q), (v8){0.0});
+        const v8 scale = SELECT(moved, (v8){0.0} + inv_alpha, (v8){0.0} + 1.0);
+        v8 tau = SELECT(moved, trace[k0 / LANES] * alpha + e, trace[k0 / LANES]);
+        const v8 rho = SELECT(e > 0.0, load * tau, (v8){0.0});
         tau += rho;
         for (long i = 0; i < dim; i++) {
             const long t = i <= j ? upper(dim, i, j) : upper(dim, j, i);
@@ -217,32 +220,14 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
         v8 tr = {0.0};
         for (long a = 0, t = 0; a < dim; a++) {
             const v8 a1r = c1 * ur[a], a1i = c1 * ui[a], a2r = c2 * vr[a], a2i = c2 * vi[a];
-            re[t] = ((re[t] - (a1r * ur[a] + a1i * ui[a])) - (a2r * vr[a] + a2i * vi[a])) * inv_alpha;
+            re[t] = ((re[t] - (a1r * ur[a] + a1i * ui[a])) - (a2r * vr[a] + a2i * vi[a])) * scale;
             tr += re[t++];
             for (long b = a + 1; b < dim; b++, t++) {
                 re[t] = ((re[t] - (a1r * ur[b] + a1i * ui[b])) - (a2r * vr[b] + a2i * vi[b]))
-                        * inv_alpha;
+                        * scale;
                 im[t] = ((im[t] - (a1i * ur[b] - a1r * ui[b])) - (a2i * vr[b] - a2r * vi[b]))
-                        * inv_alpha;
+                        * scale;
             }
-        }
-        v8 down = (v8){0.0} + 1.0, up = down;
-        int any = 0;
-        for (int l = 0; l < LANES; l++)
-            if (tr[l] > RESCALE_ABOVE) {
-                down[l] = 1.0 / RESCALE_ABOVE;
-                up[l] = RESCALE_ABOVE;
-                any = 1;
-            }
-        if (any) {
-            for (long t = 0; t < tri; t++) {
-                re[t] *= down;
-                im[t] *= down;
-            }
-            tau *= up;
-            tr = (v8){0.0};
-            for (long a = 0; a < dim; a++)
-                tr += re[upper(dim, a, a)];
         }
         trace[k0 / LANES] = tau;
         /* The row's entries i >= 1 into v's planes, which are no longer

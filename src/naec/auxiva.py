@@ -3,19 +3,21 @@
 Online mode weights, per frequency bin, a covariance of the stacked
 observation vector y by Phi(r1) = r1**(beta - 2), a single per-frame weight
 driven by the cross-band norm r1(n) = sqrt(sum_k |w(k)^H y(k, n)|^2), and
-loads it by a trace-relative rho on one reference coordinate per frame:
+loads it by a trace-relative rho on one coordinate per frame:
 
     V(k, n) = alpha V(k, n-1) + s y y^H + rho e_j e_j^H,   s = (1 - alpha) Phi,
-    rho = (1 - alpha) (D - 1) diag_load tau / D,   j = 1 + n mod (D - 1)
+    rho = (1 - alpha) diag_load tau,   j = n mod D
 
-with tau the trace of V after the frame's data. Each reference coordinate
-is loaded once every D - 1 frames, so the loading adds up to about
-diag_load tau / D on C, where V = [[a, b^H], [b, C]]. A frame that adds
-nothing to a bin (s |y|^2 = 0) adds no loading there either. The state
-tracks P = V^-1 and tau instead of V: the recursion is two Sherman-Morrison
-updates of P, O(D^2) per bin (the ``update`` kernel of ``_kernels.c`` lists
-them), and the row is the first column of P with its leading element
-pinned to 1, w = P e_1 / P_00, the Schur form [1; -C^{-1} b] of the loaded V.
+with tau the trace of V after the frame's data. Each coordinate is loaded
+once every D frames, so the loading adds up to about diag_load tau / D on
+every diagonal entry. A bin to which the frame adds nothing (s |y|^2 = 0)
+is left as it is. The state tracks P = V^-1 and tau instead of V: the
+recursion is two Sherman-Morrison updates of P, O(D^2) per bin (the
+``update`` kernel of ``_kernels.c`` lists them), and the row is the first
+column of P with its leading element pinned to 1, w = P e_1 / P_00, the
+Schur form [1; -C^{-1} b] of the loaded V = [[a, b^H], [b, C]]. The row
+does not depend on a, so the loading of coordinate 0 leaves it alone; it
+keeps P_00 bounded while the microphone is muted to exact zeros.
 
 P is held in one block-planar layout shared with the compiled kernels
 (``pack_covariance``): blocks of ``LANES`` bins, each a real and an
@@ -40,9 +42,7 @@ not depend on the other bins. AuxIVA's weight agrees to rounding: the
 with numpy's ``abs`` and pairwise sum.
 
 Rescaling P, tau and the weight by 2^-m, 2^m and 2^m rescales the update's
-results by the same powers of two and leaves the rows bit-identical. In
-digital silence P grows by 1 / alpha per frame; a bin whose tr(P) passes
-``RESCALE_ABOVE`` has P scaled down and tau up by that power of two. A bin
+results by the same powers of two and leaves the rows bit-identical. A bin
 whose tau or tr(P) is not finite is broken: ``process_frame`` restarts it
 from the prior and passthrough row (``reset_bins``). A bin whose row is not
 finite keeps its previous row and is counted in ``skipped_bins``.
@@ -63,12 +63,12 @@ import numpy as np
 from .ctf import demix_frame, passthrough_row
 
 COV_INIT_SCALE = 1e-3
-RESCALE_ABOVE = 2.0**512  # a bin's tr(P) above which P and tau are rescaled, as in _kernels.c
 R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 LANES = 8  # bins per block of the covariance planes, as in _kernels.c
 ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
+_TURN = np.array([1.0, -1.0])[:, np.newaxis, np.newaxis]  # see ewma_covariance_update
 
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
@@ -242,6 +242,12 @@ def _entries(dim: int) -> np.ndarray:
     return _read_only(index)[0]
 
 
+@functools.lru_cache(maxsize=16)
+def _signs(dim: int) -> np.ndarray:
+    """(D, D, 1) sign of P_ab's imaginary part, at [b, a], against plane entry ``_entries``."""
+    return _read_only(np.where(np.triu(np.ones((dim, dim), dtype=bool), 1), -1.0, 1.0)[..., None])[0]
+
+
 def _dim(cov: np.ndarray) -> int:
     """D from planes of D(D+1)/2 entries."""
     return (int(np.sqrt(8 * cov.shape[2] + 1)) - 1) // 2
@@ -293,10 +299,7 @@ def unpack_covariance(cov: np.ndarray, n_bins: int) -> np.ndarray:
 
 def _trace(inv: np.ndarray) -> np.ndarray:
     """(blocks, LANES) traces: the real diagonal summed in index order, as the kernel does."""
-    trace = np.zeros(inv.shape[::3])
-    for at in np.diagonal(_entries(_dim(inv))):
-        trace += inv[:, 0, at]
-    return trace
+    return np.add.reduce(inv[:, 0, np.diagonal(_entries(_dim(inv)))], axis=1, initial=0.0)
 
 
 def nonfinite_trace(inv: np.ndarray, trace: np.ndarray, n_bins: int) -> np.ndarray:
@@ -313,55 +316,54 @@ def ewma_covariance_update(inv: np.ndarray, trace: np.ndarray, obs: np.ndarray, 
     ``AuxivaState``), ``obs`` is (K, D) and ``gain`` a scalar or a length-K
     vector. The ``update`` kernel of ``_kernels.c`` documents the steps;
     these are its real operations in its order, so P and tau are its bytes.
-    Returns the number of broken bins (``nonfinite_trace``).
+    The lanes of all blocks run along one axis of N = blocks * LANES, and
+    every sum is a reduction over a leading axis, which numpy takes in index
+    order. Returns the number of broken bins (``nonfinite_trace``).
     """
     n_bins, dim = np.shape(obs)
-    blocks, lanes = len(inv), _lane_bins(n_bins)
+    blocks, _, tri, _ = inv.shape
     rows, cols = _upper(dim)
-    y = np.asarray(obs, dtype=np.complex128)[lanes].reshape(blocks, LANES, dim).transpose(2, 0, 1)
-    yr, yi = y.real, y.imag  # (D, blocks, LANES)
+    lanes = _lane_bins(n_bins)
+    y = np.asarray(obs, dtype=np.complex128)[lanes].view(np.float64)
+    yy = y.reshape(-1, dim, 2).transpose(2, 1, 0).copy()  # (2, D, N)
+    turned = yy[::-1] * -_TURN
     gain = np.broadcast_to(np.asarray(gain, dtype=np.float64), (n_bins,))
-    s = (1.0 - alpha) * gain[lanes].reshape(blocks, LANES)
-    re, im = inv[:, 0], inv[:, 1]
-    # P's (D, D) entries, lower ones conjugated, as (D, D, blocks, LANES).
-    pr = re[:, _entries(dim)].transpose(1, 2, 0, 3)
-    pi = im[:, _entries(dim)].transpose(1, 2, 0, 3)
-    lower = np.tril(np.ones((dim, dim), dtype=bool), -1)
-    pi[lower] = -pi[lower]
-    tau = trace.reshape(blocks, LANES)
+    s = (1.0 - alpha) * gain[lanes]
+    planes = inv.transpose(1, 2, 0, 3).reshape(2, tri, -1)  # a copy, (2, tri, N)
+    p = planes[:, _entries(dim)]  # p[:, b, a] = P_ab, as real and imaginary parts
+    p[1] *= _signs(dim)
+    # On stacked real and imaginary parts P y is Re(P) y + Im(P) (i y), and
+    # x conj(z) is x Re(z) + turn(x) Im(z), turn(x) = (Im x, -Re x).
     with np.errstate(all="ignore"):
-        ur, ui = np.zeros_like(yr), np.zeros_like(yr)
-        for j in range(dim):
-            ur += pr[:, j] * yr[j] - pi[:, j] * yi[j]
-            ui += pr[:, j] * yi[j] + pi[:, j] * yr[j]
-        q, norm = np.zeros_like(s), np.zeros_like(s)
-        for i in range(dim):
-            q += yr[i] * ur[i] + yi[i] * ui[i]
-            norm += yr[i] * yr[i] + yi[i] * yi[i]
-        c1, e = s / (alpha + s * q), s * norm
-        tau[...] = tau * alpha + e
-        load = (1.0 - alpha) * (dim - 1) * diag_load / dim
-        rho = np.where(e > 0.0, load * tau, 0.0)
+        u = np.add.reduce(p[0] * yy[:, :, None] + p[1] * turned[:, :, None], axis=1, initial=0.0)
+        z = np.stack([u, yy]) * yy
+        q, norm = np.add.reduce(z[:, 0] + z[:, 1], axis=1, initial=0.0)
+        e = s * norm
+        moved = e != 0.0  # a bin with s |y|^2 = 0 is left as it is
+        c1 = np.where(moved, s / (alpha + s * q), 0.0)
+        tau = trace.reshape(-1)
+        tau[...] = np.where(moved, tau * alpha + e, tau)
+        rho = np.where(e > 0.0, (1.0 - alpha) * diag_load * tau, 0.0)
         tau += rho
-        a1r, a1i = c1 * ur, c1 * ui
+        a1 = c1 * u
+        a1t = a1[::-1] * _TURN
         j = coord
-        vr = pr[:, j] - (a1r * ur[j] + a1i * ui[j])
-        vi = pi[:, j] - (a1i * ur[j] - a1r * ui[j])
-        c2 = rho / (alpha + rho * vr[j])
-        a2r, a2i = c2 * vr, c2 * vi
-        a, b = rows, cols
-        new = ((re.transpose(1, 0, 2) - (a1r[a] * ur[b] + a1i[a] * ui[b]))
-               - (a2r[a] * vr[b] + a2i[a] * vi[b])) * (1.0 / alpha)
-        re[...] = new.transpose(1, 0, 2)
-        off = np.flatnonzero(rows != cols)
-        a, b = rows[off], cols[off]
-        new = ((im[:, off].transpose(1, 0, 2) - (a1i[a] * ur[b] - a1r[a] * ui[b]))
-               - (a2i[a] * vr[b] - a2r[a] * vi[b])) * (1.0 / alpha)
-        im[:, off] = new.transpose(1, 0, 2)
-        big = _trace(inv) > RESCALE_ABOVE
-        if big.any():
-            inv *= np.where(big, 1.0 / RESCALE_ABOVE, 1.0)[:, np.newaxis, np.newaxis]
-            tau *= np.where(big, RESCALE_ABOVE, 1.0)
+        v = p[:, j] - (a1 * u[0, j] + a1t * u[1, j])
+        c2 = rho / (alpha + rho * v[0, j])
+        a2 = c2 * v
+        a2t = a2[::-1] * _TURN
+        diagonal = np.diagonal(_entries(dim))
+        kept = planes[1, diagonal]  # never written
+        # P - c1 u u^H - c2 v v^H on the upper entries (a, b), in place.
+        for x, xt, w in ((a1, a1t, u[:, cols]), (a2, a2t, v[:, cols])):
+            x, xt = x[:, rows], xt[:, rows]
+            x *= w[0]
+            xt *= w[1]
+            x += xt
+            planes -= x
+        planes *= np.where(moved, 1.0 / alpha, 1.0)
+        planes[1, diagonal] = kept
+        inv[...] = planes.reshape(2, tri, blocks, LANES).transpose(2, 0, 1, 3)
     return int(np.count_nonzero(nonfinite_trace(inv, trace, n_bins)))
 
 
@@ -376,16 +378,14 @@ def solve_demixing_rows(
     the ``update`` kernel's bytes.
     """
     n_bins, dim = prev_rows.shape
+    rows = np.empty((len(inv), LANES, dim, 2))
+    rows[:, :, 0] = 1.0, 0.0
     with np.errstate(all="ignore"):
-        inv00 = 1.0 / inv[:, 0, :1]
-        tail_r = (inv[:, 0, 1:dim] * inv00).transpose(0, 2, 1).reshape(-1, dim - 1)[:n_bins]
-        tail_i = (-inv[:, 1, 1:dim] * inv00).transpose(0, 2, 1).reshape(-1, dim - 1)[:n_bins]
+        rows[:, :, 1:] = (inv[:, :, 1:dim] * (1.0 / inv[:, np.newaxis, 0, :1] * _TURN)
+                          ).transpose(0, 3, 2, 1)
+    rows = rows.view(np.complex128).reshape(-1, dim)[:n_bins]
     broken = nonfinite_trace(inv, trace, n_bins)
-    bad = ~(np.isfinite(tail_r).all(axis=1) & np.isfinite(tail_i).all(axis=1)) & ~broken
-    rows = np.empty_like(prev_rows)
-    rows[:, 0] = 1.0
-    rows[:, 1:].real = tail_r
-    rows[:, 1:].imag = tail_i
+    bad = ~np.isfinite(rows).all(axis=1) & ~broken
     return np.where((bad | broken)[:, np.newaxis], prev_rows, rows), int(bad.sum())
 
 
@@ -428,7 +428,7 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
     n_bins, dim, config = state.n_bins, state.dim, state.config
-    coord = 1 + state.frames % (dim - 1)
+    coord = state.frames % dim
     state.frames += 1
     if _kernels is None:
         # A finite burst may overflow |e|^2; the update's count of broken

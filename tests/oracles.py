@@ -156,14 +156,13 @@ def offline_batch(
     observations: np.ndarray,
     config: AuxivaConfig = AuxivaConfig(),
     iterations: int = 20,
-    loading=1.0,
 ) -> np.ndarray:
     """Batch fixed-point sweeps over (N, K, D) observations; returns (K, D) rows.
 
     From passthrough rows, each sweep weights every frame by Phi(r1(n)) of its
     outputs, shared by all bins, forms the weighted mean covariance per bin,
     and re-solves every row with the online mode's normalization, loaded
-    by ``loaded_rows`` with ``loading``.
+    by ``loaded_rows``.
     """
     obs = np.asarray(observations, dtype=np.complex128)
     if obs.ndim != 3:
@@ -176,7 +175,7 @@ def offline_batch(
         phi = np.broadcast_to((r1 ** (config.beta - 2.0))[:, np.newaxis], e.shape)
         cov = np.einsum("nk,nkd,nke->kde", phi, obs, obs.conj()) / n_frames
         cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-        rows, _ = loaded_rows(cov, rows, config.diag_load, loading)
+        rows, _ = loaded_rows(cov, rows, config.diag_load)
     return rows
 
 
@@ -189,11 +188,37 @@ def ewma(cov: np.ndarray, obs: np.ndarray, alpha: float, gain) -> np.ndarray:
     return 0.5 * (out + out.conj().transpose(0, 2, 1))
 
 
-def loaded_rows(cov: np.ndarray, prev_rows: np.ndarray, diag_load: float,
-                loading=1.0) -> tuple[np.ndarray, int]:
-    """Rows [1; -(C + lambda L)^{-1} b] of the (K, D, D) Hermitian ``cov``
-    = [[a, b^H], [b, C]], lambda = diag_load * tr(V) / D, L = diag(``loading``)
-    (a scalar, D - 1 weights, or D - 1 weights per bin), by Gaussian
+def online_recursion(observations: np.ndarray, config: AuxivaConfig = AuxivaConfig()
+                     ) -> np.ndarray:
+    """The online recursion tracked densely over (N, K, D) observations;
+    returns the (K, D) rows after the last frame.
+
+    Frame n weights the bins by Phi(r1) of the previous rows' outputs, sets
+    V <- alpha V + s y y^H + rho e_j e_j^H per bin with s = (1 - alpha) Phi,
+    j = n mod D and rho = (1 - alpha) diag_load tau, tau = tr(V) after the
+    data, leaves a bin whose s |y|^2 is 0 as it is, and solves the rows of V
+    by ``loaded_rows`` without further loading.
+    """
+    obs = np.asarray(observations, dtype=np.complex128)
+    n_frames, n_bins, dim = obs.shape
+    cov = np.broadcast_to(1e-3 * np.eye(dim), (n_bins, dim, dim)).astype(np.complex128)
+    rows = np.tile(passthrough_row(dim), (n_bins, 1))
+    for n, y in enumerate(obs):
+        r1 = max(np.sqrt(np.sum(np.abs(np.einsum("kd,kd->k", rows.conj(), y)) ** 2)), R_FLOOR)
+        phi = r1 ** (config.beta - 2.0)
+        new = ewma(cov, y, config.alpha, phi)
+        new[:, n % dim, n % dim] += (1.0 - config.alpha) * config.diag_load * np.einsum(
+            "kdd->k", new).real
+        moved = (1.0 - config.alpha) * phi * np.sum(np.abs(y) ** 2, axis=1) != 0.0
+        cov = np.where(moved[:, np.newaxis, np.newaxis], new, cov)
+        rows, _ = loaded_rows(cov, rows, 0.0)
+    return rows
+
+
+def loaded_rows(cov: np.ndarray, prev_rows: np.ndarray, diag_load: float
+                ) -> tuple[np.ndarray, int]:
+    """Rows [1; -(C + lambda I)^{-1} b] of the (K, D, D) Hermitian ``cov``
+    = [[a, b^H], [b, C]], lambda = diag_load * tr(V) / D, by Gaussian
     elimination without pivoting over all bins at once; bins whose trace or
     solution is not finite keep ``prev_rows``, and their count is returned.
     This was the engine's row solve before it tracked the inverse."""
@@ -203,8 +228,7 @@ def loaded_rows(cov: np.ndarray, prev_rows: np.ndarray, diag_load: float,
     a = np.empty((n, dim, n_bins), dtype=np.complex128)  # [C + lambda I | b], bins last
     a[:, :n] = cov[:, 1:, 1:].transpose(1, 2, 0)
     a[:, n] = cov[:, 1:, 0].T
-    a[np.arange(n), np.arange(n)] += np.broadcast_to(loading, (n_bins, n)).T * (
-        diag_load * trace / dim)
+    a[np.arange(n), np.arange(n)] += diag_load * trace / dim
     with np.errstate(all="ignore"):
         for j in range(n):
             inv_pivot = 1.0 / a[j, j].real

@@ -262,21 +262,27 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
     """Each lane is one bin's scalar update: block position and block-mates
     change no bit of its planes, trace, row or output; and the numpy twin
     gives the kernel's bytes for every bin, so its rows do not depend on the
-    number of bins either."""
+    number of bins either. A bin with a zero observation or gain keeps its
+    planes and trace."""
     planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
     gain = rng.uniform(0.1, 3.0, n_bins)
+    obs[3::5], gain[4::5] = 0.0, 0.0
+    coord = n_bins % dim
     got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.99, gain, 1, 1e-6, dim - 1,
+    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.99, gain, 1, 1e-6, coord,
                          rows)[:2] == (0, 0)
+    for k in [*range(3, n_bins, 5), *range(4, n_bins, 5)]:
+        assert _per_lane(got)[k].tobytes() == _per_lane(planes)[k].tobytes()
+        assert got_trace[k] == trace[k]
     inv = unpack_covariance(planes, n_bins)
     for k in range(n_bins):
         one, one_trace, one_rows = (pack_covariance(inv[k : k + 1]), trace_buffer(trace[k], 1),
                                     prev[k : k + 1].copy())
         kernel_update(auxiva._kernels, one, one_trace, obs[k : k + 1], 0.99, gain[k : k + 1], 1,
-                      1e-6, dim - 1, one_rows)
+                      1e-6, coord, one_rows)
         assert _per_lane(one)[0].tobytes() == _per_lane(got)[k].tobytes()
         assert one_trace[0] == got_trace[k] and one_rows.tobytes() == rows[k].tobytes()
-    broken, numpy_rows, skipped, _ = _numpy_update(planes, trace, obs, 0.99, gain, 1e-6, dim - 1,
+    broken, numpy_rows, skipped, _ = _numpy_update(planes, trace, obs, 0.99, gain, 1e-6, coord,
                                                    prev)
     assert (broken, skipped) == (0, 0)
     assert planes.tobytes() == got.tobytes() and trace.tobytes() == got_trace.tobytes()
@@ -437,7 +443,7 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
     for dim in LANE_DIMS:
         planes, trace, obs, prev = _inverse_inputs(rng, 513, dim)
         prev[512, 1], obs[512, 1] = 0.0, 1e200  # overflows bin 512's trace, not its output
-        obs[5] = 0.0  # bin 5's P only grows by 1 / alpha, and its row overflows
+        obs[5] = 0.0  # bin 5 is left as it is, and its row overflows
         loaded, base = auxiva.AuxivaState(513, dim), auxiva.AuxivaState(513, dim)
         for state in (loaded, base):
             state.inv[...] = planes
@@ -450,7 +456,7 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
         with mock.patch.object(auxiva, "_kernels", lib):
             assert base.kernel_weight(obs.ctypes.data) == 0
         broken, skipped, base_out = kernel_update(lib, base.inv, base.trace, obs, 0.99, base.gain,
-                                                  0, 1e-6, 1, base.rows)
+                                                  0, 1e-6, 0, base.rows)
         assert broken == 1 and skipped == loaded.skipped_bins == 1
         base.reset_bins(auxiva.nonfinite_trace(base.inv, base.trace, 513))
         base_out[512] = demix_frame(base.rows[512:], obs[512:])[0]
