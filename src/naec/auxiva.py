@@ -245,7 +245,8 @@ def _entries(dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _signs(dim: int) -> np.ndarray:
     """(D, D, 1) sign of P_ab's imaginary part, at [b, a], against plane entry ``_entries``."""
-    return _read_only(np.where(np.triu(np.ones((dim, dim), dtype=bool), 1), -1.0, 1.0)[..., None])[0]
+    above = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    return _read_only(np.where(above, -1.0, 1.0)[..., np.newaxis])[0]
 
 
 def _dim(cov: np.ndarray) -> int:
@@ -347,9 +348,8 @@ def ewma_covariance_update(inv: np.ndarray, trace: np.ndarray, obs: np.ndarray, 
         tau += rho
         a1 = c1 * u
         a1t = a1[::-1] * _TURN
-        j = coord
-        v = p[:, j] - (a1 * u[0, j] + a1t * u[1, j])
-        c2 = rho / (alpha + rho * v[0, j])
+        v = p[:, coord] - (a1 * u[0, coord] + a1t * u[1, coord])
+        c2 = rho / (alpha + rho * v[0, coord])
         a2 = c2 * v
         a2t = a2[::-1] * _TURN
         diagonal = np.diagonal(_entries(dim))

@@ -298,13 +298,13 @@ def test_muted_microphone_keeps_p00_bounded(rng):
     adds to coordinate 0 when n mod D = 0, rho = load tau_pre with
     tau = (1 + load) tau_pre after it. Every load decays by alpha per frame,
     so P_00 = 1 / a stays below 1 / (rho alpha^age) for the last load,
-    instead of growing by 1 / alpha per frame (2^3000 here). The slack of
+    instead of growing by 1 / alpha per frame (2^600 here). The slack of
     1e-4 covers the first update, which takes P_00 from 2000 to 1 / rho,
     about 2e-7, and so loses about 9 of P_00's digits."""
     n_bins, dim, alpha, diag_load = 5, 4, 0.5, 1e-6
     state = AuxivaState(n_bins, dim, AuxivaConfig(alpha=alpha, diag_load=diag_load))
     load = (1.0 - alpha) * diag_load
-    for n in range(3000):
+    for n in range(600):
         obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
         obs[:, 0] = 0.0
         process_frame(state, obs)
