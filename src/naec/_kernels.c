@@ -3,18 +3,21 @@
                    rows read from P, and the frame demixed with them;
      demix         AuxIVA's demix with the previous rows, r1 and Phi(r1);
      ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1;
-   and for the engine's framing in naec.pipeline, so that a compiled push
-   is frame_in, the two calls of process_frame, and ola:
+     step          a compiled process_frame: the weight, then update;
+   and for the engine's framing in naec.pipeline:
      fft_plan      the twiddle factors of the real FFTs, once per engine;
      frame_in      the far end's odd powers, the finite check, the time
                    buffer's shift, the analysis window and the real FFTs
                    into the observations, lags moved in place;
      ola           the inverse real FFT, synthesis window, overlap-add,
                    norm and shift;
-     rfft, irfft   the same FFTs alone, for the tests.
-   Apart from the FFTs, the framing kernels make copies and elementwise
-   products only, the operations of the numpy code they replace. The FFTs
-   and AuxIVA's r1 agree with the numpy path to rounding, not bytes.
+     push          a compiled push: frame_in, step and ola in one call;
+     rfft, irfft   the same FFTs alone, and layout, for the tests.
+   step, frame_in, ola and push take a struct that the state or the engine
+   fills once. No kernel allocates memory or writes to stdout. Apart from
+   the FFTs, the framing kernels make copies and elementwise products only,
+   the operations of the numpy code they replace. The FFTs and AuxIVA's r1
+   agree with the numpy path to rounding, not bytes.
 
    P is held in block-planar form: bins are grouped in blocks of LANES, and
    a block holds a real plane and an imaginary plane of the D(D+1)/2
@@ -48,7 +51,6 @@
    the AVX-512F clone (C harness). */
 
 #include <math.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define LANES 8
@@ -155,22 +157,18 @@ void demix(long n_bins, long dim, const double *rows, const double *obs, double 
    is the first column of P times 1 / P_00, written over rows[k] unless tau
    or tr(P), summed in index order, is not finite (a broken bin) or the row
    is not finite (a skipped bin); then rows[k] is kept. out[k] = rows[k]^H y.
-   Writes the number of skipped bins to skipped[0] and returns the number
-   of broken bins, or -1 if the workspace could not be allocated. */
+   Adds the number of skipped bins to skipped[0] and returns the number of
+   broken bins. ``work`` holds 6 dim vectors. */
 LANE_CLONES
 long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double alpha,
             const double *gain, long gain_stride, double diag_load, long coord,
-            double *rows, double *out, long *skipped)
+            double *rows, double *out, long *skipped, v8 *work)
 {
     const long tri = dim * (dim + 1) / 2, j = coord;
     const double inv_alpha = 1.0 / alpha, load = (1.0 - alpha) * diag_load;
     /* The block's y, u and v as real and imaginary planes. */
-    v8 *yr = aligned_alloc(sizeof(v8), sizeof(v8) * 6 * dim);
-    if (yr == NULL)
-        return -1;
-    v8 *yi = yr + dim, *ur = yi + dim, *ui = ur + dim, *vr = ui + dim, *vi = vr + dim;
+    v8 *yr = work, *yi = yr + dim, *ur = yi + dim, *ui = ur + dim, *vr = ui + dim, *vi = vr + dim;
     long broken = 0;
-    skipped[0] = 0;
     for (long k0 = 0; k0 < n_bins; k0 += LANES) {
         v8 *re = inv + 2 * (k0 / LANES) * tri, *im = re + tri;
         v8 s;
@@ -265,7 +263,6 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
             out[2 * k + 1] = ei[l];
         }
     }
-    free(yr);
     return broken;
 }
 /* One frame of ILRMA's NMF source model and its weight, as
@@ -279,19 +276,16 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
    ``r1`` and ``gain`` are blocks * LANES long, all 64-byte aligned; ``v1``
    is B long. Lanes past bin K - 1 are computed on bin K - 1's power but
    are left out of num and den, so they never reach a bin's result.
-   Returns 1 if the model was updated, 0 if the frame was all zero, or -1
-   if the workspace could not be allocated. */
+   Returns 1 if the model was updated, 0 if the frame was all zero. ``work``
+   holds blocks + 2 B vectors: |e|^2 per block, then the per-lane partial
+   sums of num and den. */
 LANE_CLONES
 long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
                   const double *obs, v8 *bases, double *v1, v8 *r1,
-                  double floor, v8 *gain)
+                  double floor, v8 *gain, v8 *work)
 {
     const long blocks = (n_bins + LANES - 1) / LANES;
-    /* |e|^2 per block, then the per-lane partial sums of num and den. */
-    v8 *power = aligned_alloc(sizeof(v8), sizeof(v8) * (blocks + 2 * n_bases));
-    if (power == NULL)
-        return -1;
-    v8 *num = power + blocks, *den = num + n_bases;
+    v8 *power = work, *num = power + blocks, *den = num + n_bases;
     long live = 0;
     for (long j = 0; j < blocks; j++) {
         const long k0 = j * LANES, count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
@@ -344,8 +338,31 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
     }
     for (long j = 0; j < blocks; j++)
         gain[j] = 1.0 / r1[j];
-    free(power);
     return live;
+}
+
+/* naec.auxiva.AuxivaState.kernel: the state's buffers and settings, the
+   workspace of update and ilrma_weight, and the frames and skipped bins. */
+struct state {
+    long n_bins, dim, n_bases; /* n_bases > 0: ILRMA's weight, else AuxIVA's */
+    double alpha, diag_load, floor, exponent;
+    v8 *inv, *trace, *bases, *r1, *work;
+    double *gain, *v1, *rows, *obs, *out;
+    long frames, skipped_bins;
+};
+
+/* One frame of process_frame: the weight from the previous rows, then
+   update of coordinate frames mod dim, counted. Returns the broken bins. */
+long step(struct state *s)
+{
+    const long stride = s->n_bases > 0;
+    if (stride)
+        ilrma_weight(s->n_bins, s->dim, s->n_bases, s->rows, s->obs, s->bases, s->v1, s->r1,
+                     s->floor, (v8 *)s->gain, s->work);
+    else
+        demix(s->n_bins, s->dim, s->rows, s->obs, s->out, s->floor, s->exponent, s->gain);
+    return update(s->n_bins, s->dim, s->inv, s->trace, s->obs, s->alpha, s->gain, stride,
+                  s->diag_load, s->frames++ % s->dim, s->rows, s->out, &s->skipped_bins, s->work);
 }
 
 /* The engine's real FFTs, of n = 2m samples, n a power of two >= 4: the
@@ -584,12 +601,16 @@ void irfft(long n, double *plan, const double *spec, double *x)
     irfft_row(&f, spec, x);
 }
 
-/* The engine's framing (naec.pipeline), on buffers the engine allocates
-   once: ``tail`` is (P + 1, hop), ``buf`` and ``frame`` (P + 1, window_len),
-   ``window`` window_len, all C-contiguous doubles; ``obs`` is the (K, D)
-   observation buffer and ``plan`` fft_plan's for window_len.
+/* The engine's framing and buffers, allocated once: ``tail`` (P + 1, hop),
+   ``buf``, ``frame`` (P + 1, window_len), ``emit`` hop, ``plan`` fft_plan's,
+   the rest window_len doubles. A frame's obs and out are the state's. */
+struct engine {
+    struct state *state;
+    long order_p, frames_l, hop, window_len;
+    double *tail, *buf, *window, *frame, *plan, *synth, *acc, *norm, *emit;
+};
 
-   frame_in: row 0 of ``tail`` holds the hop of microphone samples and row 1
+/* frame_in: row 0 of ``tail`` holds the hop of microphone samples and row 1
    the far-end samples x; rows 2..P get x^3, ..., x^(2P - 1), each the row
    above times x * x, as nonlin.odd_powers builds them. Returns 0, having
    written nothing but ``tail``, if any entry of ``tail`` is not finite.
@@ -599,10 +620,11 @@ void irfft(long n, double *plan, const double *spec, double *x)
    reference's lags move one place later, dropping the oldest, then lag 0
    and the microphone entry are written. Returns 1. */
 LANE_CLONES
-long frame_in(long order_p, long frames_l, long hop, long window_len, double *tail,
-              double *restrict buf, const double *restrict window, double *restrict frame,
-              double *plan, double *restrict obs)
+long frame_in(const struct engine *e)
 {
+    const long order_p = e->order_p, frames_l = e->frames_l, hop = e->hop;
+    const long window_len = e->window_len;
+    double *tail = e->tail, *restrict frame = e->frame, *restrict obs = e->state->obs;
     const double *restrict x = tail + hop;
     for (long i = 2; i <= order_p; i++) {
         double *restrict power = tail + i * hop;
@@ -618,14 +640,14 @@ long frame_in(long order_p, long frames_l, long hop, long window_len, double *ta
         return 0;
     const long keep = window_len - hop;
     for (long r = 0; r <= order_p; r++) {
-        double *b = buf + r * window_len, *row = frame + r * window_len;
+        double *b = e->buf + r * window_len, *row = frame + r * window_len;
         memmove(b, b + hop, sizeof(double) * keep);
         memcpy(b + keep, tail + r * hop, sizeof(double) * hop);
         for (long t = 0; t < window_len; t++)
-            row[t] = b[t] * window[t];
+            row[t] = b[t] * e->window[t];
     }
     const long dim = order_p * frames_l + 1, n_bins = window_len / 2 + 1;
-    const struct fft f = fft_parts(window_len, plan);
+    const struct fft f = fft_parts(window_len, e->plan);
     rfft_row(&f, frame, obs, dim);
     for (long i = 0; i < order_p; i++) {
         double *lags = obs + 2 * (1 + i * frames_l);
@@ -641,18 +663,18 @@ long frame_in(long order_p, long frames_l, long hop, long window_len, double *ta
     return 1;
 }
 
-/* Overlap-add of the demixed frame ``spec`` (K complex, read after
-   ``synth`` (window_len) is set to its inverse transform) into ``acc``,
-   which starts at the next sample to emit: acc += synth * window, then
-   ``emit`` (hop) = the first hop of ``acc`` / ``norm``, and ``acc`` shifts
-   left by a hop with zeros appended. */
+/* Overlap-add of the demixed frame, the state's ``out``, into ``acc``, which
+   starts at the next sample to emit: ``synth`` = its inverse transform,
+   acc += synth * window, ``emit`` = the first hop of ``acc`` / ``norm``, and
+   ``acc`` shifts left by a hop with zeros appended. */
 LANE_CLONES
-void ola(long hop, long window_len, double *plan, const double *restrict spec,
-         double *restrict synth, const double *restrict window, double *restrict acc,
-         const double *restrict norm, double *restrict emit)
+void ola(const struct engine *e)
 {
-    const struct fft f = fft_parts(window_len, plan);
-    irfft_row(&f, spec, synth);
+    const long hop = e->hop, window_len = e->window_len;
+    double *restrict synth = e->synth, *restrict acc = e->acc, *restrict emit = e->emit;
+    const double *restrict window = e->window, *restrict norm = e->norm;
+    const struct fft f = fft_parts(window_len, e->plan);
+    irfft_row(&f, e->state->out, synth);
     for (long t = 0; t < window_len; t++)
         acc[t] += synth[t] * window[t];
     for (long t = 0; t < hop; t++)
@@ -660,4 +682,32 @@ void ola(long hop, long window_len, double *plan, const double *restrict spec,
     memmove(acc, acc + hop, sizeof(double) * (window_len - hop));
     for (long t = window_len - hop; t < window_len; t++)
         acc[t] = 0.0;
+}
+
+/* frame_in, step and, unless a bin broke, ola; returns -1 if frame_in rejected
+   the tail, else the broken bins, for the caller to reset before its ola. */
+long push(const struct engine *e)
+{
+    const long broken = frame_in(e) ? step(e->state) : -1;
+    if (broken == 0)
+        ola(e);
+    return broken;
+}
+
+/* The sizes and field offsets of struct state and struct engine in
+   declaration order, into ``out``, for the tests; returns their count. */
+#define AT(s, f) (long)__builtin_offsetof(struct s, f)
+long layout(long *out)
+{
+    const long at[] = {
+        sizeof(struct state), AT(state, n_bins), AT(state, dim), AT(state, n_bases),
+        AT(state, alpha), AT(state, diag_load), AT(state, floor), AT(state, exponent),
+        AT(state, inv), AT(state, trace), AT(state, bases), AT(state, r1), AT(state, work),
+        AT(state, gain), AT(state, v1), AT(state, rows), AT(state, obs), AT(state, out),
+        AT(state, frames), AT(state, skipped_bins), sizeof(struct engine), AT(engine, state),
+        AT(engine, order_p), AT(engine, frames_l), AT(engine, hop), AT(engine, window_len),
+        AT(engine, tail), AT(engine, buf), AT(engine, window), AT(engine, frame),
+        AT(engine, plan), AT(engine, synth), AT(engine, acc), AT(engine, norm), AT(engine, emit)};
+    memcpy(out, at, sizeof(at));
+    return sizeof(at) / sizeof(at[0]);
 }

@@ -30,11 +30,11 @@ the diagonal are never written. ``AuxivaState.inverse`` unpacks it.
 overrides the weight with the per-bin 1/r1(k) of its NMF model.
 ``build_kernels`` compiles ``_kernels.c`` with ``cc`` when this module is
 first imported and caches the shared object under ``__pycache__``. With the
-kernels loaded a frame is two compiled calls on buffers the state owns,
-whose addresses it takes once: the weight (``state.kernel_weight``) and
-``update``, which also writes the rows and demixes the frame. Without them
-``process_frame`` runs ``state.frame_weight``, ``ewma_covariance_update``
-(P and tau), ``solve_demixing_rows`` (the rows) and ``ctf.demix_frame``:
+kernels loaded a frame is one ``step`` call on ``state.kernel``: the
+weight, then ``update``, which also writes the rows and demixes the frame.
+Without them ``process_frame`` runs ``state.frame_weight``,
+``ewma_covariance_update`` (P and tau), ``solve_demixing_rows`` (the rows)
+and ``ctf.demix_frame``:
 numpy code in the kernel's real operations and order, so P, tau, rows and
 output are the kernel's bytes for the same weight, and a bin's result does
 not depend on the other bins. AuxIVA's weight agrees to rounding: the
@@ -65,17 +65,17 @@ from .ctf import demix_frame, passthrough_row
 COV_INIT_SCALE = 1e-3
 R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
-KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -Bsymbolic: the kernels call their own ``step``, not glibc's legacy regexp one.
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-Wl,-Bsymbolic")
 LANES = 8  # bins per block of the covariance planes, as in _kernels.c
 ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 _TURN = np.array([1.0, -1.0])[:, np.newaxis, np.newaxis]  # see ewma_covariance_update
 
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
-    """The compiled kernels of ``process_frame`` (``update``, ``demix``,
-    ``ilrma_weight``) and of the engine's framing (``fft_plan``, ``frame_in``,
-    ``ola``, and the ``rfft`` and ``irfft`` they run), or None if any step
-    fails.
+    """The compiled kernels of ``_kernels.c``, or None if any step fails:
+    ``step`` and the kernels it runs for ``process_frame``, ``push`` and the
+    framing kernels it runs for the engine, and the tests' ``layout``.
 
     The shared object is cached as ``kernels-<sha256 of source and flags>.so``
     in ``cache_dir``, compiled there on first use by ``cc`` into a temporary
@@ -100,11 +100,12 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     except (OSError, subprocess.SubprocessError):
         return None
     size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-    lib.update.argtypes = (size, size, ptr, ptr, ptr, real, ptr, size, real, size, ptr, ptr, ptr)
+    lib.update.argtypes = (size, size, ptr, ptr, ptr, real, ptr, size, real, size, ptr, ptr, ptr,
+                           ptr)
     lib.update.restype = size
     lib.demix.argtypes = (size, size, ptr, ptr, ptr, real, real, ptr)
     lib.demix.restype = None
-    lib.ilrma_weight.argtypes = (size, size, size, ptr, ptr, ptr, ptr, ptr, real, ptr)
+    lib.ilrma_weight.argtypes = (size, size, size, ptr, ptr, ptr, ptr, ptr, real, ptr, ptr)
     lib.ilrma_weight.restype = size
     lib.fft_plan.argtypes = (size, ptr)
     lib.fft_plan.restype = size
@@ -112,10 +113,9 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     lib.rfft.restype = None
     lib.irfft.argtypes = (size, ptr, ptr, ptr)
     lib.irfft.restype = None
-    lib.frame_in.argtypes = (size, size, size, size, ptr, ptr, ptr, ptr, ptr, ptr)
-    lib.frame_in.restype = size
-    lib.ola.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr)
-    lib.ola.restype = None
+    for name in ("step", "frame_in", "ola", "push", "layout"):  # each takes one pointer
+        getattr(lib, name).argtypes = (ptr,)
+        getattr(lib, name).restype = None if name == "ola" else size
     return lib
 
 
@@ -142,16 +142,26 @@ class AuxivaConfig:
             raise ValueError(f"bases_b must be >= 1, got {self.bases_b}")
 
 
+class KernelState(ctypes.Structure):
+    """``struct state`` of ``_kernels.c``: what ``step`` reads and counts."""
+
+    _fields_ = [*((name, ctypes.c_long) for name in ("n_bins", "dim", "n_bases")),
+                *((name, ctypes.c_double) for name in ("alpha", "diag_load", "floor", "exponent")),
+                *((name, ctypes.c_void_p) for name in ("inv", "trace", "bases", "r1", "work",
+                                                       "gain", "v1", "rows", "obs", "out")),
+                ("frames", ctypes.c_long), ("skipped_bins", ctypes.c_long)]
+
+
 class AuxivaState:
     """Per-bin inverse covariances, traces and demixing rows plus the count of skipped bins.
 
     The planes ``inv`` of P = V^-1, the traces ``trace`` of V and the rows,
     with the frame's covariance weight ``gain`` (``trace`` and ``gain``
-    padded to whole blocks of ``LANES`` bins, ``ALIGN``-byte aligned) and its
-    output ``out``, are buffers that live as long as the state and are only
-    written in place; ``inv`` and ``rows`` cannot be rebound. ``frames``
-    counts the frames, which pick the loaded coordinate. The compiled path
-    takes the buffers' ``addresses`` once, here.
+    padded to whole blocks of ``LANES`` bins, ``ALIGN``-byte aligned), its
+    output ``out`` and the kernels' workspace ``work``, are buffers that live
+    as long as the state and are only written in place; ``inv`` and ``rows``
+    cannot be rebound. ``kernel``, at ``handle``, holds their addresses, taken
+    once here, the settings and the counters ``frames`` and ``skipped_bins``.
     """
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
@@ -164,15 +174,19 @@ class AuxivaState:
         self._rows = np.tile(passthrough_row(dim), (n_bins, 1))
         self.gain = aligned_zeros(padded_bins(n_bins))
         self.out = np.empty(n_bins, dtype=np.complex128)
-        self.skipped = np.zeros(1, dtype=np.int64)  # the update kernel's count of a frame
-        self.addresses = tuple(a.ctypes.data for a in (self._inv, self.trace, self._rows,
-                                                       self.gain, self.out, self.skipped))
-        self.obs, self.obs_address = None, 0  # the last frame's, see process_frame
-        self.frames = 0
-        self.skipped_bins = 0
+        blocks = padded_bins(n_bins) // LANES
+        self.work = aligned_zeros((max(6 * dim, blocks + 2 * config.bases_b), LANES))
+        self.kernel = KernelState(
+            n_bins=n_bins, dim=dim, alpha=config.alpha, diag_load=config.diag_load, floor=R_FLOOR,
+            exponent=config.beta - 2.0, **{name: getattr(self, name).ctypes.data for name in
+                                           ("inv", "trace", "work", "gain", "rows", "out")})
+        self.handle = ctypes.c_void_p(ctypes.addressof(self.kernel))
+        self.obs = None  # the last frame's, see process_frame
 
     inv = property(lambda self: self._inv, doc="The planes of P = V^-1 (``pack_covariance``).")
     rows = property(lambda self: self._rows, doc="The (K, D) demixing rows.")
+    frames = property(lambda self: self.kernel.frames, doc="Frames processed.")
+    skipped_bins = property(lambda self: self.kernel.skipped_bins, doc="Rows kept over all frames.")
 
     @property
     def inverse(self) -> np.ndarray:
@@ -182,20 +196,6 @@ class AuxivaState:
     def frame_weight(self, obs: np.ndarray) -> float:
         """Covariance weight for this frame: Phi(r1) from the pre-update rows."""
         return weight(compute_r1(self, obs), self.config)
-
-    def kernel_weight(self, obs_address: int) -> int:
-        """``frame_weight`` into ``gain[0]`` by the compiled ``demix``, which
-        leaves the outputs in ``out``; returns the gain's stride over bins, 0.
-
-        The kernel sums |e|^2 as re^2 + im^2 in bin order, where
-        ``output_norm`` takes numpy's ``abs`` and pairwise sum, so the two
-        agree to rounding. An |e|^2 that overflows on a finite burst makes
-        the weight 0 or NaN, which the update's count of broken bins handles.
-        """
-        _, _, rows, gain, out, _ = self.addresses
-        _kernels.demix(self.n_bins, self.dim, rows, obs_address, out,
-                       R_FLOOR, self.config.beta - 2.0, gain)
-        return 0
 
     def reset_bins(self, bins: np.ndarray) -> None:
         """Return the selected bins (a mask or indices) to the initial prior and passthrough row."""
@@ -408,29 +408,34 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     """One online update with the frame's observations, returning E(k, n).
 
     Steps: weight the frame from the previous rows, update every bin's P
-    and tau, read the rows, reset the broken bins (``state.reset_bins``),
-    and demix with the new rows. Serves both optimizers. With the kernels
-    loaded: ``state.kernel_weight`` and the ``update`` kernel, which demixes
-    into ``state.out``; without them, ``state.frame_weight``,
+    and tau, read the rows, reset the broken bins (``reset_broken``), and
+    demix with the new rows into ``state.out``. Serves both optimizers. With
+    the kernels loaded: one ``step`` call; without them, ``state.frame_weight``,
     ``ewma_covariance_update``, ``solve_demixing_rows`` and ``ctf.demix_frame``.
+    The compiled ``demix`` sums AuxIVA's |e|^2 as re^2 + im^2 in bin order,
+    ``output_norm`` with numpy's ``abs`` and pairwise sum, so the weights
+    agree to rounding; an |e|^2 that overflows on a finite burst makes the
+    weight 0 or NaN, which the update's count of broken bins handles.
 
     ``obs`` may be any (K, D) array; it is converted to a C-contiguous
-    complex128 array, whose address the state keeps. Passed the same array
-    again, as the engine passes its observation buffer every frame, it is
-    neither converted nor asked for its address again.
+    complex128 array, ``state.obs``, whose address ``state.kernel`` keeps.
+    Passed the same array again, as the engine's buffer is every frame, it
+    is neither converted nor asked for its address again.
     """
     if obs is not state.obs:
         state.obs = np.ascontiguousarray(obs, dtype=np.complex128)
-        state.obs_address = state.obs.ctypes.data
+        state.kernel.obs = state.obs.ctypes.data
     obs = state.obs
     if obs.shape != (state.n_bins, state.dim):
         raise ValueError(
             f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
         )
-    n_bins, dim, config = state.n_bins, state.dim, state.config
-    coord = state.frames % dim
-    state.frames += 1
-    if _kernels is None:
+    if _kernels is not None:
+        broken = _kernels.step(state.handle)
+    else:
+        config, kernel = state.config, state.kernel
+        coord = kernel.frames % state.dim
+        kernel.frames += 1
         # A finite burst may overflow |e|^2; the update's count of broken
         # bins handles it, so numpy's warnings are only noise.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -439,18 +444,16 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
                                         config.diag_load, coord)
         rows, skipped = solve_demixing_rows(state.inv, state.trace, state.rows)
         state.rows[...] = rows
-        state.skipped_bins += skipped
-        if broken:
-            state.reset_bins(nonfinite_trace(state.inv, state.trace, n_bins))
-        return demix_frame(state.rows, obs)
-    inv, trace, rows, gain, out, skipped = state.addresses
-    stride = state.kernel_weight(state.obs_address)
-    broken = _kernels.update(n_bins, dim, inv, trace, state.obs_address, config.alpha, gain,
-                             stride, config.diag_load, coord, rows, out, skipped)
-    if broken < 0:
-        raise MemoryError("update workspace")
-    state.skipped_bins += int(state.skipped[0])
+        kernel.skipped_bins += skipped
+        if not broken:
+            state.out[...] = demix_frame(state.rows, obs)
     if broken:
-        state.reset_bins(nonfinite_trace(state.inv, state.trace, n_bins))
-        state.out[...] = demix_frame(state.rows, obs)
+        reset_broken(state)
     return state.out.copy()
+
+
+def reset_broken(state: AuxivaState) -> None:
+    """Restart the broken bins (``nonfinite_trace``) from the prior and
+    passthrough row, and demix ``state.obs`` into ``state.out`` again."""
+    state.reset_bins(nonfinite_trace(state.inv, state.trace, state.n_bins))
+    state.out[...] = demix_frame(state.rows, state.obs)

@@ -24,10 +24,11 @@ bases rows and activations return to these values. A frame whose
 pre-update output is all zero (digital silence) skips both updates and
 reuses the last 1/r1.
 
-With the compiled kernels loaded, ``kernel_weight`` makes one call of
-``ilrma_weight`` (``_kernels.c``): the pre-update demix, both updates, both
-refreshes and 1/r1, eight bins per vector operation. Without them,
-``frame_weight`` runs ``ctf.demix_frame``, ``update_bases`` and
+With the compiled kernels loaded, ``step`` runs ``ilrma_weight``
+(``_kernels.c``) for a state whose ``kernel`` has ``n_bases`` > 0: the
+pre-update demix, both updates, both refreshes and 1/r1, eight bins per
+vector operation. Without them, ``frame_weight`` runs
+``ctf.demix_frame``, ``update_bases`` and
 ``update_activations``, which are also the kernel's test oracle. The two
 paths agree to rounding, not bytes: the kernel takes |e1|^2 as re^2 + im^2
 and r1^-2 as (1 / r1)^2 and sums t1 v1 and the activation sums in a fixed
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import auxiva
 from .auxiva import AuxivaConfig, AuxivaState, aligned_zeros, padded_bins
 from .ctf import demix_frame
 
@@ -68,7 +68,7 @@ class NmfSourceModel:
     ``LANES``, (B, ceil(K / LANES) * LANES), and ``variance`` holds r1 padded
     the same way, both ``ALIGN``-byte aligned; ``t1`` and ``r1`` are views
     of them. Assigning to t1, v1 or r1 copies into the buffers, so their
-    ``addresses`` stay valid for the model's life.
+    addresses stay valid for the model's life.
     """
 
     t1 = _Buffer(lambda m: m.bases[:, : m.n_bins].T)
@@ -82,7 +82,6 @@ class NmfSourceModel:
         self.variance = aligned_zeros(padded_bins(n_bins))
         self.variance[...] = 1.0
         self.activations = np.full(bases_b, 1.0 / bases_b)
-        self.addresses = tuple(a.ctypes.data for a in (self.bases, self.activations, self.variance))
         self.recompute_variance()
 
     def recompute_variance(self) -> None:
@@ -112,7 +111,10 @@ class IlrmaState(AuxivaState):
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
         super().__init__(n_bins, dim, config)
-        self.model = NmfSourceModel(n_bins, config.bases_b)
+        self.model = m = NmfSourceModel(n_bins, config.bases_b)
+        k = self.kernel
+        k.n_bases, k.floor = config.bases_b, NMF_FLOOR
+        k.bases, k.v1, k.r1 = (a.ctypes.data for a in (m.bases, m.activations, m.variance))
 
     def frame_weight(self, obs: np.ndarray) -> np.ndarray:
         """Per-bin 1/r1(k) after NMF bases then activations updates on E with the previous rows."""
@@ -121,16 +123,6 @@ class IlrmaState(AuxivaState):
             update_bases(self.model, e_pre)
             update_activations(self.model, e_pre)
         return 1.0 / self.model.r1
-
-    def kernel_weight(self, obs_address: int) -> int:
-        """``frame_weight`` into ``gain`` by the compiled NMF kernel; returns
-        the gain's stride over bins, 1."""
-        m = self.model
-        _, _, rows, gain, _, _ = self.addresses
-        if auxiva._kernels.ilrma_weight(self.n_bins, self.dim, m.v1.size, rows, obs_address,
-                                        *m.addresses, NMF_FLOOR, gain) < 0:
-            raise MemoryError("NMF workspace")
-        return 1
 
     def reset_bins(self, bins: np.ndarray) -> None:
         """Reset the bins' prior and row, and any non-finite NMF entries,

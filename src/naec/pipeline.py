@@ -20,28 +20,30 @@ moves its lags in place. A frame is three steps:
    buffer, and the real FFTs of the P+1 rows go into the observation
    buffer, each reference's lags moving one place later.
 2. ``auxiva.process_frame`` on the optimizer's state (``STATES``,
-   configured by ``EngineConfig.auxiva``), looked up on ``auxiva`` every
-   frame.
-3. ``ola``: the inverse real FFT of the demixed frame, the synthesis
+   configured by ``EngineConfig.auxiva``), which demixes into ``state.out``.
+3. ``ola``: the inverse real FFT of ``state.out``, the synthesis
    window, the overlap-add into a one-window accumulator that starts at
    the next sample to emit, its first hop divided by the flat
    ``stft.ola_norm`` into the emit buffer, and the accumulator's shift.
    The hop divides the window at least four times, so each emitted hop
    has been covered by ``window_len/hop`` frames.
 
-If ``auxiva._kernels`` is loaded when the engine is built, steps 1 and 3
-are the ``frame_in`` and ``ola`` kernels of ``_kernels.c``, whose FFTs use
-a plan of twiddle factors the engine builds once (``fft_plan``), and a push
-is ``frame_in``, ``process_frame`` (two compiled calls) and ``ola``.
-Otherwise they are numpy code on the same buffers: ``nonlin.odd_powers``,
-``np.fft.rfft``, ``ctf.stack_observations``, ``np.fft.irfft`` and the
-overlap-add. The two paths do the same IEEE operations in the same order
-everywhere but in the transforms, where the kernels' FFTs agree with
-numpy's pocketfft to rounding, not bytes.
+If ``auxiva._kernels`` is loaded when the engine is built, a frame is one
+call of the ``push`` kernel of ``_kernels.c`` on a ``KernelEngine`` filled
+once: ``frame_in``, ``step`` (the compiled ``process_frame``, which is not
+called) and ``ola``, whose FFTs use a plan the engine builds once
+(``fft_plan``). If a bin breaks, Python resets it (``auxiva.reset_broken``)
+and calls ``ola``. Otherwise the steps are numpy code on the same buffers:
+``nonlin.odd_powers``, ``np.fft.rfft``, ``ctf.stack_observations``,
+``process_frame``, ``np.fft.irfft`` and the overlap-add. The two paths do
+the same IEEE operations in the same order everywhere but in the
+transforms, where the kernels' FFTs agree with numpy's pocketfft to
+rounding, not bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
@@ -57,6 +59,15 @@ from .nonlin import odd_powers
 from .stft import StftConfig, ola_norm
 
 STATES = {"auxiva": AuxivaState, "ilrma": IlrmaState}  # optimizer name -> state class
+
+
+class KernelEngine(ctypes.Structure):
+    """``struct engine`` of ``_kernels.c``: what ``push`` reads and writes."""
+
+    _fields_ = [("state", ctypes.c_void_p),
+                *((name, ctypes.c_long) for name in ("order_p", "frames_l", "hop", "window_len")),
+                *((name, ctypes.c_void_p) for name in ("tail", "buf", "window", "frame", "plan",
+                                                       "synth", "acc", "norm", "emit"))]
 
 
 @dataclass(frozen=True)
@@ -104,33 +115,31 @@ class StreamingEngine:
         self._wl = wl = sc.window_len
         p, l = config.ctf.order_p, config.ctf.frames_l
         self._order_p = p
-        # Buffers written in place every frame; the kernels' arguments below
-        # hold their addresses. Row 0 of the time buffers is the microphone,
+        # Buffers written in place every frame; the kernels' struct below
+        # holds their addresses. Row 0 of the time buffers is the microphone,
         # rows 1..P the odd powers of the far end. The zero history pre-pads
         # the stream by window_len - hop samples, which the first
         # latency_chunks frames shift out of the accumulator unemitted.
         self._tail = np.zeros((p + 1, hop))  # the new hop of each row
         self._buf = np.zeros((p + 1, wl))
         self._frame = np.zeros((p + 1, wl))  # buf times the window
-        self._obs = np.zeros((sc.n_bins, config.ctf.dim), dtype=np.complex128)
         self._synth = np.zeros(wl)  # the demixed frame, back in time
         self._acc = np.zeros(wl)  # starts at the next sample to emit
         self._emit = np.zeros(hop)
-        self._state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
-        self._lib = lib = auxiva._kernels  # the framing's path for the engine's life
+        self._state = state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
+        self._obs = state.obs = np.zeros((sc.n_bins, config.ctf.dim), dtype=np.complex128)
+        state.kernel.obs = self._obs.ctypes.data
+        self._lib = lib = auxiva._kernels  # the engine's path for its life
         if lib is None:
             self._spec = np.zeros((p + 1, sc.n_bins), dtype=np.complex128)
         else:
             self._plan = aligned_zeros(lib.fft_plan(wl, None))
-            self._demixed = np.zeros(sc.n_bins, dtype=np.complex128)
-            tail, buf, window, frame, plan, obs, demixed, synth, acc, norm, emit = (
+            lib.fft_plan(wl, self._plan.ctypes.data)
+            self._kernel = KernelEngine(state.handle.value, p, l, hop, wl, *(
                 a.ctypes.data for a in (self._tail, self._buf, self._window, self._frame,
-                                        self._plan, self._obs, self._demixed, self._synth,
-                                        self._acc, self._norm, self._emit))
-            lib.fft_plan(wl, plan)
-            self._frame_in_args = (p, l, hop, wl, tail, buf, window, frame, plan, obs)
-            self._ola_args = (hop, wl, plan, demixed, synth, window, acc, norm, emit)
-        self._frames = 0
+                                        self._plan, self._synth, self._acc, self._norm,
+                                        self._emit)))
+            self._handle = ctypes.c_void_p(ctypes.addressof(self._kernel))
         self._closed = False
         self._n_in = 0
         self._elapsed = 0.0
@@ -146,9 +155,9 @@ class StreamingEngine:
     @property
     def stats(self) -> EngineStats:
         return EngineStats(
-            n_frames=self._frames,
+            n_frames=self._state.frames,
             n_samples_in=self._n_in,
-            n_samples_out=max(0, self._frames - self.latency_chunks) * self._hop,
+            n_samples_out=max(0, self._state.frames - self.latency_chunks) * self._hop,
             skipped_bins=self._state.skipped_bins,
             elapsed_s=self._elapsed,
         )
@@ -173,47 +182,43 @@ class StreamingEngine:
         t0 = time.perf_counter()
         self._tail[0] = mic
         self._tail[1] = ref
-        if not self._frame_in():
-            raise ValueError("chunks contain non-finite samples or far-end powers")
-        out = self._process_frame(t0)
+        out = self._run_frame(t0)
         self._n_in += self._hop
         return out
 
-    def _frame_in(self) -> bool:
-        """Expand the odd powers into the tail and check it; only if all is
-        finite, shift the time buffer, window it into the frame buffer and
-        transform the frame into the observation buffer."""
-        if self._lib is not None:
-            return bool(self._lib.frame_in(*self._frame_in_args))
-        tail, buf, hop = self._tail, self._buf, self._hop
+    def _run_frame(self, t0: float) -> np.ndarray:
+        """One frame from the tail to the emitted hop, timed from ``t0``: one
+        ``push`` kernel call, or ``_numpy_push``. A rejected tail raises."""
+        status = self._lib.push(self._handle) if self._lib is not None else self._numpy_push()
+        if status < 0:
+            raise ValueError("chunks contain non-finite samples or far-end powers")
+        if status > 0:  # broken bins, which the kernel left for Python to reset
+            auxiva.reset_broken(self._state)
+            self._lib.ola(self._handle)
+        out = self._emit.copy() if self._state.frames > self.latency_chunks else np.empty(0)
+        self._elapsed += time.perf_counter() - t0
+        return out
+
+    def _numpy_push(self) -> int:
+        """The ``push`` kernel in numpy: -1 if the expanded tail is not
+        finite, having written nothing else, or 0 after the frame."""
+        tail, buf, hop, acc = self._tail, self._buf, self._hop, self._acc
         with np.errstate(over="ignore"):
             tail[1:] = odd_powers(tail[1], self._order_p)
         if not np.isfinite(tail).all():
-            return False
+            return -1
         buf[:, :-hop] = buf[:, hop:]
         buf[:, -hop:] = tail
         np.multiply(buf, self._window, out=self._frame)
         np.fft.rfft(self._frame, axis=-1, out=self._spec)
         stack_observations(self._spec, self._obs)
-        return True
-
-    def _process_frame(self, t0: float) -> np.ndarray:
-        """The frame in the observation buffer, from its demix to the emitted hop."""
-        enhanced = auxiva.process_frame(self._state, self._obs)
-        if self._lib is not None:
-            self._demixed[...] = enhanced
-            self._lib.ola(*self._ola_args)
-        else:
-            hop, acc = self._hop, self._acc
-            np.fft.irfft(enhanced, n=self._wl, out=self._synth)
-            acc += self._synth * self._window
-            np.divide(acc[:hop], self._norm, out=self._emit)
-            acc[:-hop] = acc[hop:]
-            acc[-hop:] = 0.0
-        self._frames += 1
-        out = self._emit.copy() if self._frames > self.latency_chunks else np.empty(0)
-        self._elapsed += time.perf_counter() - t0
-        return out
+        auxiva.process_frame(self._state, self._obs)
+        np.fft.irfft(self._state.out, n=self._wl, out=self._synth)
+        acc += self._synth * self._window
+        np.divide(acc[:hop], self._norm, out=self._emit)
+        acc[:-hop] = acc[hop:]
+        acc[-hop:] = 0.0
+        return 0
 
     def flush(self) -> np.ndarray:
         """Drain the pipeline; returns the remaining enhanced samples.
@@ -228,8 +233,7 @@ class StreamingEngine:
         for _ in range(self.latency_chunks):
             t0 = time.perf_counter()
             self._tail[:2] = 0.0
-            self._frame_in()
-            parts.append(self._process_frame(t0))
+            parts.append(self._run_frame(t0))
         self._closed = True
         return np.concatenate(parts)
 

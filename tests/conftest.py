@@ -71,10 +71,11 @@ def kernel_update(lib, planes, trace, obs, alpha, gain, stride, diag_load, coord
     skipped count and the frame demixed with the new rows."""
     out = np.empty(len(rows), dtype=np.complex128)
     skipped = np.zeros(1, dtype=np.int64)
+    work = auxiva.aligned_zeros((6 * obs.shape[1], auxiva.LANES))
     _assert_kernel_inputs(planes, trace, obs, gain, rows)
     broken = lib.update(*obs.shape, planes.ctypes.data, trace.ctypes.data, obs.ctypes.data,
                         alpha, gain.ctypes.data, stride, diag_load, coord, rows.ctypes.data,
-                        out.ctypes.data, skipped.ctypes.data)
+                        out.ctypes.data, skipped.ctypes.data, work.ctypes.data)
     return broken, int(skipped[0]), out
 
 

@@ -270,3 +270,27 @@ def itakura_saito(power: np.ndarray, variance: np.ndarray) -> float:
     """Itakura-Saito divergence sum(p/r - log(p/r) - 1) between power and model."""
     ratio = np.asarray(power) / np.asarray(variance)
     return float(np.sum(ratio - np.log(ratio) - 1.0))
+
+
+def nlms(observations: np.ndarray, mu: float) -> np.ndarray:
+    """Per-bin NLMS echo canceller on (N, K, D) observations; returns the (N, K) errors.
+
+    The adaptive baseline of the paper's comparison, on the engine's own
+    odd-power CTF observation: bin k predicts the microphone entry y_0 from
+    the D - 1 reference entries x with a filter h, outputs e = y_0 - h^H x,
+    and takes h <- h + mu x conj(e) / (|x|^2 + p), regularized by p, the
+    long-term far-end power of the bin: the mean of |x|^2 over the frames so
+    far. No double-talk detector and no step-size control.
+    """
+    n_frames, n_bins, dim = observations.shape
+    h = np.zeros((n_bins, dim - 1), dtype=np.complex128)
+    total = np.zeros(n_bins)
+    out = np.empty((n_frames, n_bins), dtype=np.complex128)
+    for n, obs in enumerate(observations):
+        x, y = obs[:, 1:], obs[:, 0]
+        power = np.sum(x.real**2 + x.imag**2, axis=1)
+        total += power
+        out[n] = e = y - np.einsum("kd,kd->k", h.conj(), x)
+        denom = power + total / (n + 1)
+        h += mu * x * np.where(denom > 0.0, e.conj() / np.maximum(denom, 1e-300), 0.0)[:, None]
+    return out

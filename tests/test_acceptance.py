@@ -40,6 +40,7 @@ from oracles import (
     analyze,
     batch_observations,
     constrained_matrix,
+    nlms,
     nmf_batch_sweep,
     offline_batch,
     online_recursion,
@@ -161,18 +162,23 @@ def test_criterion_04_cross_frame_model_beats_single_frame():
     assert results[3] - results[1] >= 2.0
 
 
-def test_criterion_05_double_talk_preserves_near_end():
-    """At 0 dB SER both optimizers reach > 5 dB true ERLE and always leave
-    the output closer to the near end than the raw microphone."""
-    scene = SceneSpec(
+def _criterion_05_scene(near_end: bool = True) -> SceneSpec:
+    """Clipped speech echo at 0 dB SER in a T60 = 0.3 s room, or its single-talk twin."""
+    return SceneSpec(
         far_end=speech_like(10.0, seed=3, level=0.3),
-        near_end=speech_like(10.0, seed=4, level=0.1),
+        near_end=speech_like(10.0, seed=4, level=0.1) if near_end else None,
         room=RoomSpec(t60=0.3, rir_length=8192),
         nonlinearity=NonlinearitySpec(kind="hard_clip", clip_ratio=0.2),
         ser_db=0.0,
         snr_db=60.0,
         seed=5,
     )
+
+
+def test_criterion_05_double_talk_preserves_near_end():
+    """At 0 dB SER both optimizers reach > 5 dB true ERLE and always leave
+    the output closer to the near end than the raw microphone."""
+    scene = _criterion_05_scene()
     comps = synthesize_scene(scene)
     tail = int(0.7 * len(comps.microphone))
     mic_residual = np.sum(
@@ -183,6 +189,45 @@ def test_criterion_05_double_talk_preserves_near_end():
         assert steady_state(terle(comps.echo, out, comps.near)) > 5.0
         out_residual = np.sum((out.samples[tail:] - comps.near.samples[tail:]) ** 2)
         assert out_residual < mic_residual
+
+
+def _nlms_output(mic: AudioSignal, far: AudioSignal, mu: float) -> AudioSignal:
+    """``oracles.nlms`` on the default engine's observations of the scene,
+    resynthesized and aligned with the microphone as ``run`` aligns its output."""
+    sc, cfg = StftConfig(), CtfConfig()
+    pad = sc.window_len - sc.hop
+    mic_spec, *ref_specs = (analyze(AudioSignal(np.concatenate([np.zeros(pad), x])), sc)
+                            for x in (mic.samples, *odd_powers(far.samples, cfg.order_p)))
+    errors = nlms(batch_observations(mic_spec, ref_specs, cfg), mu)
+    return AudioSignal(synthesize(Spectrogram(errors.T, sc)).samples[pad : pad + len(mic)])
+
+
+@pytest.mark.parametrize("near_end, margin_db", [(False, 1.5), (True, 2.5)],
+                         ids=["single_talk", "double_talk"])
+def test_auxiva_beats_adaptive_nlms_at_its_best_step(near_end, margin_db):
+    """The paper's claim that online SBSS beats adaptive NAEC, against a
+    per-bin NLMS on the same odd-power CTF observations with no double-talk
+    detector (``oracles.nlms``) at the best step size of a fixed grid. On
+    criterion 5's scene AuxIVA's steady ERLE (single talk) or true ERLE
+    (double talk) exceeds the best NLMS's by ``margin_db``.
+
+    Margins from a panel of 8 such scenes (far, near and scene seeds
+    3 + 10i, 4 + 10i, 5 + i): AuxIVA led by 2.24 to 4.26 dB in single talk
+    and 3.39 to 14.24 dB in double talk (3.00 and 3.46 dB on this scene).
+    ILRMA, not asserted here, led the best NLMS on every panel scene, by
+    0.22 to 3.25 dB in single talk and 1.91 dB or more in double talk.
+    """
+    scene = _criterion_05_scene(near_end)
+    comps = synthesize_scene(scene)
+
+    def score(out):
+        curve = terle(comps.echo, out, comps.near) if near_end else erle(comps.microphone, out)
+        return steady_state(curve)
+
+    best_nlms = max(score(_nlms_output(comps.microphone, scene.far_end, mu))
+                    for mu in (0.002, 0.01, 0.05, 0.5))
+    auxiva_db = score(run(scene.far_end, comps.microphone)[0])
+    assert auxiva_db - best_nlms >= margin_db, (auxiva_db, best_nlms)
 
 
 def test_criterion_06_nmf_update_property_suite():

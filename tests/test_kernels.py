@@ -1,5 +1,6 @@
 """The compiled per-bin kernels against the numpy code they replace, and their build."""
 
+import contextlib
 import ctypes
 import os
 import re
@@ -29,8 +30,8 @@ from conftest import (
 from naec import AudioSignal, auxiva
 from naec.auxiva import ALIGN, LANES, pack_covariance, padded_bins, unpack_covariance
 from naec.ctf import CtfConfig, demix_frame, passthrough_row
-from naec.ilrma import NMF_FLOOR, IlrmaState
-from naec.pipeline import EngineConfig, StreamingEngine, run_streaming
+from naec.ilrma import IlrmaState
+from naec.pipeline import EngineConfig, KernelEngine, StreamingEngine, run_streaming
 from naec.stft import StftConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -149,8 +150,8 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
 @needs_kernels
 @pytest.mark.parametrize("n_bins", [1, 9, 64])
 def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
-    """With stride 0 the kernel weights every bin by ``gain[0]``, as
-    ``AuxivaState.kernel_weight`` leaves it: NaN in the rest of the buffer
+    """With stride 0 the kernel weights every bin by ``gain[0]``, as AuxIVA's
+    ``demix`` leaves it in ``step``: NaN in the rest of the buffer
     changes no bit, and the planes are the numpy update's with that scalar."""
     planes, trace, obs, prev = _inverse_inputs(rng, n_bins, 5)
     gain = np.full(padded_bins(n_bins), np.nan)
@@ -404,6 +405,46 @@ def test_build_kernels_declares_every_kernel():
         assert kernel.restype is _ctype(restype), name
 
 
+@needs_kernels
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_clean_push_is_one_kernel_call(optimizer):
+    """With the kernels loaded, each clean push and each frame of ``flush``
+    makes exactly one Python-level kernel call, ``push``: every other
+    kernel of the library and ``auxiva.process_frame`` raise if called."""
+    lib = auxiva._kernels
+    rng = np.random.default_rng(2)
+    engine = StreamingEngine(EngineConfig(optimizer=optimizer))
+    calls = []
+    push = lib.push
+    names = {name for _, name, _ in KERNEL_DEFINITION.findall(auxiva.KERNEL_SOURCE.read_text())}
+    with contextlib.ExitStack() as stack:
+        for name in names - {"push"}:
+            stack.enter_context(mock.patch.object(lib, name, side_effect=AssertionError(name)))
+        stack.enter_context(mock.patch.object(auxiva, "process_frame",
+                                              side_effect=AssertionError("process_frame")))
+        stack.enter_context(mock.patch.object(
+            lib, "push", lambda handle: calls.append(handle) or push(handle)))
+        parts = [engine.push(*(0.3 * rng.standard_normal((2, engine.hop)))) for _ in range(8)]
+        parts.append(engine.flush())
+    assert len(calls) == 8 + engine.latency_chunks
+    assert np.isfinite(np.concatenate(parts)).all() and engine.stats.skipped_bins == 0
+
+
+@needs_kernels
+def test_structs_have_the_kernels_layout():
+    """``layout`` reports the size and field offsets of ``struct state`` and
+    ``struct engine``, naming the fields in their declaration order: they are
+    those of ``KernelState`` and ``KernelEngine``."""
+    out = (ctypes.c_long * 64)()
+    count = auxiva._kernels.layout(out)
+    expected, names = [], []
+    for struct, c_name in ((auxiva.KernelState, "state"), (KernelEngine, "engine")):
+        expected += [ctypes.sizeof(struct), *(getattr(struct, f).offset for f, _ in struct._fields_)]
+        names += [(c_name, f) for f, _ in struct._fields_]
+    assert list(out[:count]) == expected
+    assert re.findall(r"AT\((state|engine), (\w+)\)", auxiva.KERNEL_SOURCE.read_text()) == names
+
+
 def test_kernel_source_compiles_without_warnings(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
@@ -423,8 +464,8 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
                    check=True, capture_output=True, timeout=120)
     lib = ctypes.CDLL(str(target))
-    for name in ("update", "demix", "ilrma_weight", "fft_plan", "rfft", "irfft",
-                 "frame_in", "ola"):
+    for name in ("update", "demix", "ilrma_weight", "step", "fft_plan", "rfft", "irfft",
+                 "frame_in", "ola", "push"):
         getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
         getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
     for n in (4, 8, 64, 1024, 2048):
@@ -453,8 +494,7 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
             state.rows[...] = prev
         out = auxiva.process_frame(loaded, obs)
         # The same frame, kernel by kernel, on the baseline build.
-        with mock.patch.object(auxiva, "_kernels", lib):
-            assert base.kernel_weight(obs.ctypes.data) == 0
+        _demix_weight(lib, base, obs)
         broken, skipped, base_out = kernel_update(lib, base.inv, base.trace, obs, 0.99, base.gain,
                                                   0, 1e-6, 0, base.rows)
         assert broken == 1 and skipped == loaded.skipped_bins == 1
@@ -476,17 +516,25 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
             loaded, base = (_nmf_state(np.random.default_rng(bases_b), 513, dim, bases_b)
                             for _ in range(2))
             for frame in _nmf_frames(rng, 513, dim):
-                assert loaded.kernel_weight(frame.ctypes.data) == 1
+                assert _ilrma_weight(auxiva._kernels, loaded, frame) == 1
                 assert _ilrma_weight(lib, base, frame) == 1
                 assert _nmf_bytes(base) == _nmf_bytes(loaded)
 
 
+def _demix_weight(lib, state, obs):
+    """``lib``'s AuxIVA weight kernel as ``step`` calls it, from the
+    addresses and settings in ``state.kernel``: ``state``'s rows, into its
+    ``out`` and ``gain``."""
+    k = state.kernel
+    lib.demix(k.n_bins, k.dim, k.rows, obs.ctypes.data, k.out, k.floor, k.exponent, k.gain)
+
+
 def _ilrma_weight(lib, state, obs):
-    """``lib``'s NMF weight kernel on ``state``'s rows, model and gain."""
-    _, _, rows, gain, _, _ = state.addresses
-    m = state.model
-    return lib.ilrma_weight(state.n_bins, state.dim, m.v1.size, rows, obs.ctypes.data,
-                            *m.addresses, NMF_FLOOR, gain)
+    """``lib``'s NMF weight kernel as ``step`` calls it, from ``state.kernel``:
+    ``state``'s rows, model, gain and workspace."""
+    k = state.kernel
+    return lib.ilrma_weight(k.n_bins, k.dim, k.n_bases, k.rows, obs.ctypes.data, k.bases, k.v1,
+                            k.r1, k.floor, k.gain, k.work)
 
 
 def _nmf_bytes(state):
@@ -542,7 +590,7 @@ def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
     for rows in (passthrough, signed, random_rows):
         state = auxiva.AuxivaState(n_bins, dim)
         state.rows[...] = rows
-        state.kernel_weight(obs.ctypes.data)  # the demix kernel, into state.out
+        _demix_weight(auxiva._kernels, state, obs)
         assert state.out.tobytes() == demix_frame(rows, obs).tobytes()
     planes, trace, _, prev = _inverse_inputs(rng, n_bins, dim)
     planes[0, 0, 0, 0], planes[0, 0, dim - 1, 0] = 1e-300, 1e200  # bin 0's row overflows
@@ -556,7 +604,7 @@ def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
 
 def _weights_both(compiled, reference, obs):
     """One frame's weight on the NMF kernel and on the numpy updates."""
-    compiled.kernel_weight(obs.ctypes.data)
+    _ilrma_weight(auxiva._kernels, compiled, obs)
     with np.errstate(all="ignore"):
         return reference.frame_weight(obs)
 
@@ -636,8 +684,10 @@ def test_all_zero_frame_skips_the_nmf_update(n_bins):
 @pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
                          ids=["auxiva", "ilrma"])
 def test_kernel_addresses_stay_valid(rng, state_type):
-    """The addresses a state takes at construction are those of its buffers
-    after 300 frames and a bin reset, and its buffers cannot be rebound."""
+    """The addresses a state's ``kernel`` takes at construction are those of
+    its buffers after 300 frames and a bin reset, ``handle`` is the kernel's
+    address, ``obs`` that of the last frame, and the buffers cannot be
+    rebound."""
     n_bins, dim = 65, 4
     state = state_type(n_bins, dim)
     frames = rng.standard_normal((300, n_bins, dim)) + 1j * rng.standard_normal((300, n_bins, dim))
@@ -649,12 +699,16 @@ def test_kernel_addresses_stay_valid(rng, state_type):
         for obs in frames:
             out = auxiva.process_frame(state, obs)
     assert len(resets) == 1
-    buffers = (state.inv, state.trace, state.rows, state.gain, state.out, state.skipped)
-    assert state.addresses == tuple(a.ctypes.data for a in buffers)
-    assert out.tobytes() == state.out.tobytes() and out.ctypes.data != state.out.ctypes.data
+    k = state.kernel
+    buffers = {"inv": state.inv, "trace": state.trace, "rows": state.rows, "gain": state.gain,
+               "out": state.out, "work": state.work, "obs": frames[-1]}
     if state_type is IlrmaState:
         m = state.model
-        assert m.addresses == tuple(a.ctypes.data for a in (m.bases, m.activations, m.variance))
+        buffers.update(bases=m.bases, v1=m.activations, r1=m.variance)
+    for name, buffer in buffers.items():
+        assert getattr(k, name) == buffer.ctypes.data, name
+    assert state.handle.value == ctypes.addressof(k)
+    assert out.tobytes() == state.out.tobytes() and out.ctypes.data != state.out.ctypes.data
     for name in ("inv", "rows"):
         with pytest.raises(AttributeError):
             setattr(state, name, getattr(state, name).copy())
@@ -720,11 +774,11 @@ def test_demix_kernel_weight_agrees_with_compute_r1(rng, n_bins, dim):
     obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
     for scale in (1e-5, 1.0, 1e5):
         frame = np.ascontiguousarray(scale * obs)
-        assert state.kernel_weight(frame.ctypes.data) == 0
+        _demix_weight(auxiva._kernels, state, frame)
         expected = auxiva.weight(auxiva.compute_r1(state, frame), state.config)
         assert abs(state.gain[0] - expected) <= 1e-13 * expected, scale
     for frame in (np.zeros_like(obs), np.full_like(obs, 1e200)):
-        state.kernel_weight(frame.ctypes.data)
+        _demix_weight(auxiva._kernels, state, frame)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = auxiva.weight(auxiva.compute_r1(state, frame), state.config)
         assert state.gain[0] == expected

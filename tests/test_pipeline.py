@@ -3,7 +3,7 @@
 import contextlib
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -86,24 +86,24 @@ def test_latency_then_hop_sized_output(window_len, hop):
     "window_len, hop, optimizer",
     [(1024, 256, "auxiva"), (512, 128, "ilrma"), (64, 16, "auxiva"), (1024, 128, "ilrma")],
 )
-def test_streaming_overlap_add_matches_batch_synthesis(
-    small_scene, monkeypatch, window_len, hop, optimizer
-):
+def test_streaming_overlap_add_matches_batch_synthesis(small_scene, window_len, hop, optimizer):
     """The engine's hop-shifted overlap-add equals ``synthesize`` of its own
-    frames, bit for bit, with the inverse FFT the engine runs."""
+    frames, the state's ``out`` after each push, bit for bit, with the
+    inverse FFT the engine runs. The pushes end with the silent frames of
+    ``flush``, and their output is ``run``'s."""
     spec, comps = small_scene
-    frames = []
-    core = auxiva.process_frame
-
-    def capture(state, obs):
-        frames.append(core(state, obs))
-        return frames[-1]
-
-    monkeypatch.setattr(auxiva, "process_frame", capture)
     sc = StftConfig(window_len, hop)
     cfg = EngineConfig(optimizer=optimizer, stft=sc, ctf=CtfConfig(frames_l=2))
     out, stats = run(spec.far_end, comps.microphone, cfg)
+    engine = StreamingEngine(cfg)
+    pad = np.zeros(-len(out) % hop + engine.latency_chunks * hop)
+    mic, far = (np.concatenate([x.samples, pad]) for x in (comps.microphone, spec.far_end))
+    parts, frames = [], []
+    for j in range(0, len(mic), hop):
+        parts.append(engine.push(mic[j : j + hop], far[j : j + hop]))
+        frames.append(engine._state.out.copy())
     assert len(frames) == stats.n_frames
+    assert np.concatenate(parts)[: len(out)].tobytes() == out.samples.tobytes()
     batch = synthesize(Spectrogram(np.array(frames).T, sc), irfft=engine_irfft).samples
     start = window_len - hop
     assert out.samples.tobytes() == batch[start : start + len(out)].tobytes()
@@ -205,51 +205,46 @@ def _framing_config(window_len, hop, order_p, frames_l):
 @pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
 @on_both_paths
 def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l):
-    """Each frame's observations and emitted hop are, byte for byte, those of
-    plain numpy framing: odd powers, a shifted time buffer times the window,
-    one rfft, a (P, L, K) reference history stacked after the microphone,
-    and the windowed irfft overlap-added and divided by ``ola_norm``. The
-    transforms are the engine's: numpy's, or the kernels' FFTs."""
+    """Each frame's observations (the engine's buffer after the push) and
+    emitted hop are, byte for byte, those of plain numpy framing: odd
+    powers, a shifted time buffer times the window, one rfft, a (P, L, K)
+    reference history stacked after the microphone, and the windowed irfft
+    of the demixed frame (the state's ``out``) overlap-added and divided by
+    ``ola_norm``. The transforms are the engine's: numpy's, or the kernels'
+    FFTs."""
     config = _framing_config(window_len, hop, order_p, frames_l)
     sc, n_bins, n_frames = config.stft, config.stft.n_bins, 3 * window_len // hop
     rng = np.random.default_rng(window_len + order_p + frames_l)
     chunks = rng.standard_normal((n_frames, 2, hop)) * rng.choice([0.01, 0.5, 3.0], (n_frames, 1, 1))
-    frames = rng.standard_normal((n_frames, n_bins)) + 1j * rng.standard_normal((n_frames, n_bins))
     window, norm = sc.window_samples(), stft.ola_norm(sc)
     buf = np.zeros((order_p + 1, window_len))
     history = np.zeros((order_p, frames_l, n_bins), dtype=np.complex128)
     acc = np.zeros(window_len)
-    seen = []
-
-    def demixed(state, obs):
-        seen.append(obs.copy())
-        return frames[len(seen) - 1]
-
     engine = StreamingEngine(config)
-    with mock.patch.object(auxiva, "process_frame", demixed):
-        for j, (mic, far) in enumerate(chunks):
-            out = engine.push(mic, far)
-            buf[:, :-hop] = buf[:, hop:]
-            buf[0, -hop:] = mic
-            buf[1:, -hop:] = odd_powers(far, order_p)
-            spec = engine_rfft(buf * window)
-            history[:, 1:] = history[:, :-1]
-            history[:, 0] = spec[1:]
-            obs = np.column_stack([spec[0], history.reshape(-1, n_bins).T])
-            assert seen[j].tobytes() == obs.tobytes(), j
-            acc += engine_irfft(frames[j], n=window_len) * window
-            expected = acc[:hop] / norm if j >= engine.latency_chunks else np.empty(0)
-            assert out.tobytes() == expected.tobytes(), j
-            acc[:-hop] = acc[hop:]
-            acc[-hop:] = 0.0
+    for j, (mic, far) in enumerate(chunks):
+        out = engine.push(mic, far)
+        buf[:, :-hop] = buf[:, hop:]
+        buf[0, -hop:] = mic
+        buf[1:, -hop:] = odd_powers(far, order_p)
+        spec = engine_rfft(buf * window)
+        history[:, 1:] = history[:, :-1]
+        history[:, 0] = spec[1:]
+        obs = np.column_stack([spec[0], history.reshape(-1, n_bins).T])
+        assert engine._obs.tobytes() == obs.tobytes(), j
+        acc += engine_irfft(engine._state.out, n=window_len) * window
+        expected = acc[:hop] / norm if j >= engine.latency_chunks else np.empty(0)
+        assert out.tobytes() == expected.tobytes(), j
+        acc[:-hop] = acc[hop:]
+        acc[-hop:] = 0.0
 
 
 @pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
 @on_both_paths
 def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, order_p, frames_l):
-    """After n frames the engine's one observation buffer holds, byte for
-    byte, the stacked observations of frame n of the batch spectrograms of
-    the pre-padded microphone and far-end powers, taken with the engine's FFT."""
+    """After n frames the engine's one observation buffer, which its state
+    reads, holds, byte for byte, the stacked observations of frame n of the
+    batch spectrograms of the pre-padded microphone and far-end powers,
+    taken with the engine's FFT."""
     config = _framing_config(window_len, hop, order_p, frames_l)
     sc, n_frames = config.stft, 2 * window_len // hop + frames_l
     rng = np.random.default_rng(hop + frames_l)
@@ -258,20 +253,64 @@ def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, ord
     mic_spec = analyze(AudioSignal(np.concatenate([pad, mic])), sc, rfft=engine_rfft)
     ref_specs = [analyze(AudioSignal(np.concatenate([pad, x])), sc, rfft=engine_rfft)
                  for x in odd_powers(far, order_p)]
-    buffers = []
-    core = auxiva.process_frame
-
-    def capture(state, obs):
-        buffers.append(obs)
-        return core(state, obs)
-
     engine = StreamingEngine(config)
-    with mock.patch.object(auxiva, "process_frame", capture):
-        for n in range(n_frames):
-            engine.push(mic[n * hop : (n + 1) * hop], far[n * hop : (n + 1) * hop])
-            expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
-            assert buffers[-1].tobytes() == expected.tobytes(), n
-    assert all(b is buffers[0] for b in buffers)
+    buffer = engine._obs
+    for n in range(n_frames):
+        engine.push(mic[n * hop : (n + 1) * hop], far[n * hop : (n + 1) * hop])
+        expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
+        assert engine._obs.tobytes() == expected.tobytes(), n
+    assert engine._obs is buffer and engine._state.obs is buffer
+
+
+@pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+@pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
+def test_fused_push_equals_the_kernels_called_in_turn(window_len, hop, order_p, frames_l,
+                                                      optimizer):
+    """A stream through the one-call ``push`` kernel gives, byte for byte,
+    the output, skipped bins, frame counts and state of a second engine
+    driven by ``lib.frame_in``, ``auxiva.process_frame`` and ``lib.ola`` in
+    turn. A 1e200 microphone burst breaks bins, so the reset path runs; a
+    NaN chunk is rejected by both and leaves them usable; ``flush`` ends it."""
+    lib = auxiva._kernels
+    config = replace(_framing_config(window_len, hop, order_p, frames_l), optimizer=optimizer)
+    fused, manual = StreamingEngine(config), StreamingEngine(config)
+    resets = []
+    reset = fused._state.reset_bins
+    fused._state.reset_bins = lambda bins: (resets.append(bins), reset(bins))
+    rng = np.random.default_rng(window_len + frames_l)
+    n_chunks = 3 * window_len // hop
+    chunks = 0.3 * rng.standard_normal((n_chunks, 2, hop))
+    burst, rejected = n_chunks // 3, 2 * n_chunks // 3
+    chunks[burst, 0, hop // 2] = 1e200
+
+    def by_hand(mic, far):
+        manual._tail[0], manual._tail[1] = mic, far
+        if not lib.frame_in(manual._handle):
+            return None
+        auxiva.process_frame(manual._state, manual._obs)
+        lib.ola(manual._handle)
+        return manual._emit.copy() if manual._state.frames > manual.latency_chunks else np.empty(0)
+
+    got, expected = [], []
+    for j, (mic, far) in enumerate(chunks):
+        if j == rejected:
+            nan_mic = mic.copy()
+            nan_mic[3] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                fused.push(nan_mic, far)
+            assert by_hand(nan_mic, far) is None
+        got.append(fused.push(mic, far))
+        expected.append(by_hand(mic, far))
+    got.append(fused.flush())
+    expected += [by_hand(np.zeros(hop), np.zeros(hop)) for _ in range(manual.latency_chunks)]
+    assert len(resets) >= 1
+    assert np.concatenate(got).tobytes() == np.concatenate(expected).tobytes()
+    assert fused.stats.skipped_bins == manual.stats.skipped_bins
+    assert fused.stats.n_frames == manual.stats.n_frames == fused._state.frames
+    assert fused._state.frames == n_chunks + fused.latency_chunks
+    for name in ("inv", "trace", "rows", "out"):
+        assert getattr(fused._state, name).tobytes() == getattr(manual._state, name).tobytes()
 
 
 @pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
