@@ -19,16 +19,15 @@
    the operations of the numpy code they replace. The FFTs and AuxIVA's r1
    agree with the numpy path to rounding, not bytes.
 
-   P is held in block-planar form: bins are grouped in blocks of LANES, and
-   a block holds a real plane and an imaginary plane of the D(D+1)/2
-   upper-triangle entries in row-major order, each entry a vector of LANES
-   bins. ``inv`` is (ceil(K / LANES), 2, D(D+1)/2, LANES) doubles and the
-   traces ``trace`` ceil(K / LANES) * LANES, both 64-byte aligned; the lanes
-   of a short last block past bin K - 1 hold copies of bin K - 1 and are
-   updated with its observation and gain, so they stay equal to it.
-   ``obs`` and ``rows`` are (K, D) interleaved complex doubles (re, im),
-   C-contiguous, and a demixed frame is (K,) of them; the caller checks
-   shapes, dtypes, contiguity and alignment.
+   Every per-bin buffer holds blocks of LANES bins, bins innermost, 64-byte
+   aligned; the lanes past bin K - 1 hold and compute copies of bin K - 1.
+   ``inv`` holds P block-planar, (blocks, 2, D(D+1)/2, LANES) doubles: per
+   block a real and an imaginary plane of the upper-triangle entries in
+   row-major order. ``obs`` and ``rows`` are channel-major planes, (D, 2,
+   blocks * LANES) doubles: each channel's real plane, then its imaginary
+   plane. ``trace`` and ``gain`` are blocks * LANES doubles, and a demixed
+   frame ``out`` blocks * LANES interleaved complex doubles (re, im). The
+   caller checks shapes, dtypes and alignment.
 
    Every vector operation is the scalar operation of one bin, done for LANES
    bins at once, so each bin's result is bit-identical to a one-bin-at-a-time
@@ -42,19 +41,16 @@
    baseline ISA, and the AVX-512F clone is picked when the library is
    loaded on a CPU that has it; the IEEE operations and their order are the
    same in both. A static helper is compiled once, for the baseline ISA, so
-   one that holds vector code and is not inlined runs at baseline speed
-   inside the AVX-512F clone: vector helpers are macros, and the scalar
-   demix_bins is always inlined. An AVX2 build was no faster than the
-   baseline one, so none is made (BENCH_lane_solve.json). The FFTs' vectors
-   of four doubles are split in two by the baseline build; there a
-   1024-point real FFT of one row took about 3.3 us against 2.1-2.6 us in
-   the AVX-512F clone (C harness). */
+   vector helpers are macros or always inlined. An AVX2 build was no faster
+   than the baseline one, so none is made (BENCH_lane_solve.json). */
 
 #include <math.h>
 #include <string.h>
 
 #define LANES 8
 typedef double v8 __attribute__((vector_size(LANES * sizeof(double))));
+/* The same at the address of any double, for the engine's time buffers. */
+typedef double v8u __attribute__((vector_size(LANES * sizeof(double)), aligned(8)));
 
 /* Defining LANE_CLONES empty (-DLANE_CLONES=) builds each kernel for the
    ISA the compiler targets only. */
@@ -88,56 +84,50 @@ static long upper(long dim, long i, long j)
     return i * dim - i * (i - 1) / 2 + (j - i);
 }
 
-/* out[k] = rows[k]^H obs[k] for n bins: each the sum over d of
-   conj(rows[k][d]) obs[k][d], taken in index order from 0.0 in unfused real
-   operations, which are the operations and order of
-   np.einsum("kd,kd->k", rows.conj(), obs). DEMIX_WAYS bins are summed
-   side by side, each in its own order, which the compiler turns into one
-   two-lane vector operation per step; on an AVX-512F Xeon that took a
-   quarter less time than one bin at a time, and four or eight bins side by
-   side were slower than two. */
-#define DEMIX_WAYS 2
+/* Block b of the frame demixed with ``rows``, er + i ei: for each lane the
+   sum over the channels d of conj(rows[d]) obs[d], taken in index order
+   from 0.0 in unfused real operations, which are the operations and order
+   of np.einsum("kd,kd->k", rows.conj(), obs). ``blocks`` vectors a plane. */
 static inline __attribute__((always_inline)) void
-demix_bins(long n, long dim, const double *rows, const double *obs, double *out)
+demix_block(long dim, long blocks, long b, const v8 *rows, const v8 *obs, v8 *er, v8 *ei)
 {
-    long k = 0;
-    for (; k + DEMIX_WAYS <= n; k += DEMIX_WAYS) {
-        const double *r = rows + 2 * k * dim, *y = obs + 2 * k * dim;
-        double re[DEMIX_WAYS] = {0.0}, im[DEMIX_WAYS] = {0.0};
-        for (long d = 0; d < 2 * dim; d += 2)
-            for (int w = 0; w < DEMIX_WAYS; w++) {
-                const double *rw = r + 2 * w * dim + d, *yw = y + 2 * w * dim + d;
-                re[w] += rw[0] * yw[0] + rw[1] * yw[1];
-                im[w] += rw[0] * yw[1] - rw[1] * yw[0];
-            }
-        for (int w = 0; w < DEMIX_WAYS; w++) {
-            out[2 * (k + w)] = re[w];
-            out[2 * (k + w) + 1] = im[w];
-        }
+    v8 re = {0.0}, im = {0.0};
+    for (long d = 0; d < dim; d++) {
+        const v8 wr = rows[2 * d * blocks + b], wi = rows[(2 * d + 1) * blocks + b];
+        const v8 yr = obs[2 * d * blocks + b], yi = obs[(2 * d + 1) * blocks + b];
+        re += wr * yr + wi * yi;
+        im += wr * yi - wi * yr;
     }
-    for (; k < n; k++) {
-        const double *r = rows + 2 * k * dim, *y = obs + 2 * k * dim;
-        double re = 0.0, im = 0.0;
-        for (long d = 0; d < 2 * dim; d += 2) {
-            re += r[d] * y[d] + r[d + 1] * y[d + 1];
-            im += r[d] * y[d + 1] - r[d + 1] * y[d];
-        }
-        out[2 * k] = re;
-        out[2 * k + 1] = im;
-    }
+    *er = re;
+    *ei = im;
 }
 
+/* er + i ei as the LANES interleaved complex numbers of block b of out. */
+#define STORE_COMPLEX(out, b, er, ei)                                      \
+    do {                                                                   \
+        v8 *o_ = (v8 *)(out) + 2 * (b);                                    \
+        o_[0] = __builtin_shuffle(er, ei, (v8l){0, 8, 1, 9, 2, 10, 3, 11});  \
+        o_[1] = __builtin_shuffle(er, ei, (v8l){4, 12, 5, 13, 6, 14, 7, 15}); \
+    } while (0)
+
 /* AuxIVA's frame weight from the previous rows: out[k] = rows[k]^H obs[k]
-   for every bin (``out`` is (K,) complex), then r1 = sqrt(sum_k |out[k]|^2),
+   for every bin, then r1 = sqrt(sum_k |out[k]|^2),
    each |out[k]|^2 taken as re^2 + im^2 and summed in bin order, floored at
    ``floor`` (a NaN stays NaN), and gain[0] = pow(r1, exponent). */
-void demix(long n_bins, long dim, const double *rows, const double *obs, double *out,
-           double floor, double exponent, double *gain)
+LANE_CLONES
+void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, double *out, double floor,
+           double exponent, double *gain)
 {
-    demix_bins(n_bins, dim, rows, obs, out);
+    const long blocks = (n_bins + LANES - 1) / LANES;
     double power = 0.0;
-    for (long k = 0; k < 2 * n_bins; k += 2)
-        power += out[k] * out[k] + out[k + 1] * out[k + 1];
+    for (long b = 0; b < blocks; b++) {
+        v8 er, ei;
+        demix_block(dim, blocks, b, rows, obs, &er, &ei);
+        STORE_COMPLEX(out, b, er, ei);
+        const v8 p = er * er + ei * ei;
+        for (long l = 0; l < LANES && b * LANES + l < n_bins; l++)
+            power += p[l];
+    }
     const double r1 = sqrt(power);
     gain[0] = pow(r1 < floor ? floor : r1, exponent);
 }
@@ -160,41 +150,46 @@ void demix(long n_bins, long dim, const double *rows, const double *obs, double 
    Adds the number of skipped bins to skipped[0] and returns the number of
    broken bins. ``work`` holds 6 dim vectors. */
 LANE_CLONES
-long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double alpha,
-            const double *gain, long gain_stride, double diag_load, long coord,
-            double *rows, double *out, long *skipped, v8 *work)
+long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alpha,
+            const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
+            double *out, long *skipped, v8 *work)
 {
-    const long tri = dim * (dim + 1) / 2, j = coord;
+    const long tri = dim * (dim + 1) / 2, j = coord, blocks = (n_bins + LANES - 1) / LANES;
     const double inv_alpha = 1.0 / alpha, load = (1.0 - alpha) * diag_load;
     /* The block's y, u and v as real and imaginary planes. */
     v8 *yr = work, *yi = yr + dim, *ur = yi + dim, *ui = ur + dim, *vr = ui + dim, *vi = vr + dim;
     long broken = 0;
-    for (long k0 = 0; k0 < n_bins; k0 += LANES) {
-        v8 *re = inv + 2 * (k0 / LANES) * tri, *im = re + tri;
-        v8 s;
-        for (int l = 0; l < LANES; l++) {
-            const long k = k0 + l < n_bins ? k0 + l : n_bins - 1;
-            s[l] = (1.0 - alpha) * gain[k * gain_stride];
-            for (long i = 0; i < dim; i++) {
-                yr[i][l] = obs[2 * (k * dim + i)];
-                yi[i][l] = obs[2 * (k * dim + i) + 1];
-            }
+    for (long blk = 0, k0 = 0; blk < blocks; blk++, k0 += LANES) {
+        v8 *re = inv + 2 * blk * tri, *im = re + tri;
+        v8 s = (v8){0.0} + gain[0];
+        if (gain_stride && k0 + LANES <= n_bins)
+            s = *(const v8u *)(gain + k0);
+        else if (gain_stride)
+            for (int l = 0; l < LANES; l++)
+                s[l] = gain[k0 + l < n_bins ? k0 + l : n_bins - 1];
+        s *= 1.0 - alpha;
+        for (long i = 0; i < dim; i++) {
+            yr[i] = obs[2 * i * blocks + blk];
+            yi[i] = obs[(2 * i + 1) * blocks + blk];
         }
         /* u = P y: entry (a, b) adds P_ab y_b to u_a and, below the
            diagonal, conj(P_ab) y_a to u_b, so each u_i is summed in index
-           order. */
+           order; u_a's sum is held in sr, si across its row. */
         for (long i = 0; i < dim; i++)
             ur[i] = ui[i] = (v8){0.0};
         for (long a = 0, t = 0; a < dim; a++, t++) {
-            ur[a] += re[t] * yr[a] - im[t] * yi[a];
-            ui[a] += re[t] * yi[a] + im[t] * yr[a];
+            const v8 ya_r = yr[a], ya_i = yi[a];
+            v8 sr = ur[a] + (re[t] * ya_r - im[t] * ya_i);
+            v8 si = ui[a] + (re[t] * ya_i + im[t] * ya_r);
             for (long b = a + 1; b < dim; b++) {
                 const v8 pr = re[++t], pi = im[t];
-                ur[a] += pr * yr[b] - pi * yi[b];
-                ui[a] += pr * yi[b] + pi * yr[b];
-                ur[b] += pr * yr[a] + pi * yi[a];
-                ui[b] += pr * yi[a] - pi * yr[a];
+                sr += pr * yr[b] - pi * yi[b];
+                si += pr * yi[b] + pi * yr[b];
+                ur[b] += pr * ya_r + pi * ya_i;
+                ui[b] += pr * ya_i - pi * ya_r;
             }
+            ur[a] = sr;
+            ui[a] = si;
         }
         v8 q = {0.0}, norm = {0.0};
         for (long i = 0; i < dim; i++) {
@@ -205,7 +200,7 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
         const v8l moved = e != 0.0;
         const v8 c1 = SELECT(moved, s / (alpha + s * q), (v8){0.0});
         const v8 scale = SELECT(moved, (v8){0.0} + inv_alpha, (v8){0.0} + 1.0);
-        v8 tau = SELECT(moved, trace[k0 / LANES] * alpha + e, trace[k0 / LANES]);
+        v8 tau = SELECT(moved, trace[blk] * alpha + e, trace[blk]);
         const v8 rho = SELECT(e > 0.0, load * tau, (v8){0.0});
         tau += rho;
         for (long i = 0; i < dim; i++) {
@@ -227,41 +222,36 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
                         * scale;
             }
         }
-        trace[k0 / LANES] = tau;
-        /* The row's entries i >= 1 into v's planes, which are no longer
-           read, and the frame demixed with the rows, summed as demix_bins
-           sums it; lanes that keep their previous row are demixed again. */
+        trace[blk] = tau;
+        /* The new row into v's planes, which are no longer read; a lane
+           whose check is not 0 keeps its previous row instead. The frame is
+           demixed with the rows as stored, as demix_block sums it. */
         const v8 inv00 = 1.0 / re[0];
-        v8 check = (tau - tau) + (tr - tr), er = {0.0}, ei = {0.0};
-        const v8l broken_lanes = check != 0.0; /* NaN unless both are finite */
-        er += 1.0 * yr[0] + 0.0 * yi[0];
-        ei += 1.0 * yi[0] - 0.0 * yr[0];
+        const v8 broken_check = (tau - tau) + (tr - tr); /* NaN unless both are finite */
+        v8 check = broken_check, er = {0.0}, ei = {0.0};
+        vr[0] = (v8){0.0} + 1.0;
+        vi[0] = (v8){0.0};
         for (long i = 1; i < dim; i++) {
             vr[i] = re[i] * inv00;
             vi[i] = -im[i] * inv00;
             check += (vr[i] - vr[i]) + (vi[i] - vi[i]);
-            er += vr[i] * yr[i] + vi[i] * yi[i];
-            ei += vr[i] * yi[i] - vi[i] * yr[i];
         }
-        const long count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
-        for (int l = 0; l < count; l++) {
-            const long k = k0 + l;
-            if (check[l] != 0.0) {
-                broken += broken_lanes[l] != 0;
-                skipped[0] += broken_lanes[l] == 0;
-                demix_bins(1, dim, rows + 2 * k * dim, obs + 2 * k * dim, out + 2 * k);
-                continue;
-            }
-            double *row = rows + 2 * k * dim;
-            row[0] = 1.0;
-            row[1] = 0.0;
-            for (long i = 1; i < dim; i++) {
-                row[2 * i] = vr[i][l];
-                row[2 * i + 1] = vi[i][l];
-            }
-            out[2 * k] = er[l];
-            out[2 * k + 1] = ei[l];
+        for (long i = 0; i < dim; i++) {
+            v8 *wr = rows + 2 * i * blocks + blk, *wi = wr + blocks;
+            *wr = SELECT(check != 0.0, *wr, vr[i]);
+            *wi = SELECT(check != 0.0, *wi, vi[i]);
+            er += *wr * yr[i] + *wi * yi[i];
+            ei += *wr * yi[i] - *wi * yr[i];
         }
+        STORE_COMPLEX(out, blk, er, ei);
+        /* The lanes are counted only in a block that keeps a row: a mask kept
+           in a variable is scalarized by GCC 12 for AVX-512F alone. */
+        double any = 0.0; /* NaN if a lane keeps its row */
+        for (int l = 0; l < LANES; l++)
+            any += check[l];
+        for (long l = 0; any != 0.0 && l < LANES && k0 + l < n_bins; l++)
+            if (check[l] != 0.0)
+                broken_check[l] != 0.0 ? broken++ : skipped[0]++;
     }
     return broken;
 }
@@ -274,32 +264,34 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const double *obs, double
    then gain = 1 / r1. A frame whose outputs are all zero leaves the model
    as it is. ``bases`` holds t1 basis-major, (B, blocks * LANES), and
    ``r1`` and ``gain`` are blocks * LANES long, all 64-byte aligned; ``v1``
-   is B long. Lanes past bin K - 1 are computed on bin K - 1's power but
-   are left out of num and den, so they never reach a bin's result.
+   is B long. Lanes past bin K - 1 are computed on their own power, bin
+   K - 1's, but are left out of num and den, so they never reach a bin's
+   result.
    Returns 1 if the model was updated, 0 if the frame was all zero. ``work``
    holds blocks + 2 B vectors: |e|^2 per block, then the per-lane partial
    sums of num and den. */
 LANE_CLONES
-long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
-                  const double *obs, v8 *bases, double *v1, v8 *r1,
-                  double floor, v8 *gain, v8 *work)
+long ilrma_weight(long n_bins, long dim, long n_bases, const v8 *rows, const v8 *obs,
+                  v8 *bases, double *v1, v8 *r1, double floor, v8 *gain, v8 *work)
 {
     const long blocks = (n_bins + LANES - 1) / LANES;
     v8 *power = work, *num = power + blocks, *den = num + n_bases;
-    long live = 0;
+    /* The lanes of bins in a full block and in the last one. A mask compared
+       in the loops is scalarized by GCC 12 for AVX-512F alone. */
+    const v8l lane = {0, 1, 2, 3, 4, 5, 6, 7}, all = ~(v8l){0};
+    const v8l last = lane < n_bins - (blocks - 1) * LANES;
+    v8l alive = {0}; /* the outputs' bits: a sum from +0.0 is never -0.0, so 0 iff all are 0 */
     for (long j = 0; j < blocks; j++) {
-        const long k0 = j * LANES, count = n_bins - k0 < LANES ? n_bins - k0 : LANES;
-        double e[2 * LANES];
-        demix_bins(count, dim, rows + 2 * k0 * dim, obs + 2 * k0 * dim, e);
-        for (int l = 0; l < LANES; l++) {
-            const double *el = e + 2 * (l < count ? l : count - 1);
-            power[j][l] = el[0] * el[0] + el[1] * el[1];
-            live |= el[0] != 0.0 || el[1] != 0.0;
-        }
+        v8 er, ei;
+        demix_block(dim, blocks, j, rows, obs, &er, &ei);
+        power[j] = er * er + ei * ei;
+        alive |= ((v8l)er | (v8l)ei) & (j < blocks - 1 ? all : last);
     }
+    long live = 0;
+    for (int l = 0; l < LANES; l++)
+        live |= alive[l] != 0;
     if (live) {
         const v8 lo = (v8){0.0} + floor;
-        const v8l lane = {0, 1, 2, 3, 4, 5, 6, 7};
         for (long b = 0; b < n_bases; b++)
             num[b] = den[b] = (v8){0.0};
         for (long j = 0; j < blocks; j++) {
@@ -313,7 +305,7 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
                 r += t * v1[b];
             }
             const v8 w1 = 1.0 / AT_LEAST(r, lo), w2 = power[j] * (w1 * w1);
-            const v8l in_range = lane < n_bins - j * LANES;
+            const v8l in_range = j < blocks - 1 ? all : last;
             for (long b = 0; b < n_bases; b++) {
                 const v8 t = bases[b * blocks + j];
                 num[b] += (v8)((v8l)(t * w2) & in_range);
@@ -346,8 +338,8 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const double *rows,
 struct state {
     long n_bins, dim, n_bases; /* n_bases > 0: ILRMA's weight, else AuxIVA's */
     double alpha, diag_load, floor, exponent;
-    v8 *inv, *trace, *bases, *r1, *work;
-    double *gain, *v1, *rows, *obs, *out;
+    v8 *inv, *trace, *bases, *r1, *work, *rows, *obs;
+    double *gain, *v1, *out;
     long frames, skipped_bins;
 };
 
@@ -372,34 +364,71 @@ long step(struct state *s)
    m >= 4, is four interleaved FFTs of q = m / 4 points, z[4t + r] in lane r
    of a vector of FFT_LANES doubles, by radix-4 Stockham passes (and a
    radix-2 one last when log2 q is odd), then one radix-4 pass across the
-   lanes. The twiddle factors come from libm's cos and sin on angles of at
-   most pi / 4 and the symmetries of the circle, once per plan. The
-   transforms agree with numpy's pocketfft to rounding, not bytes. */
+   lanes. That pass and the splits run four bins per vector once q >= 4
+   and m >= 8, one at a time below, with the same operations. The twiddle
+   factors come from libm's cos and sin on angles of at most pi / 4 and the
+   symmetries of the circle, once per plan. The transforms agree with
+   numpy's pocketfft to rounding, not bytes. */
 #define FFT_LANES 4
 typedef double v4 __attribute__((vector_size(FFT_LANES * sizeof(double))));
+typedef double v4u __attribute__((vector_size(FFT_LANES * sizeof(double)), aligned(8)));
+typedef long v4l __attribute__((vector_size(FFT_LANES * sizeof(long))));
 typedef struct {
     v4 re, im;
 } cv4;
 
+/* Four doubles loaded from p, stored at p, or stored reversed ending at p;
+   four complex numbers interleaved at p, as their real and imaginary parts,
+   or stored from them, or stored reversed ending at p; the same for one. */
+#define LOAD4(p) ((v4) * (const v4u *)(p))
+#define STORE4(p, v) (*(v4u *)(p) = (v))
+#define REVERSE4(v) __builtin_shuffle(v, (v4l){3, 2, 1, 0})
+#define STORE4_REVERSED(p, v) STORE4((p) - 3, REVERSE4(v))
+#define REAL4(p) __builtin_shuffle(LOAD4(p), LOAD4((p) + 4), (v4l){0, 2, 4, 6})
+#define IMAG4(p) __builtin_shuffle(LOAD4(p), LOAD4((p) + 4), (v4l){1, 3, 5, 7})
+#define STORE_COMPLEX4(p, re, im)                                          \
+    (STORE4(p, __builtin_shuffle(re, im, (v4l){0, 4, 1, 5})),              \
+     STORE4((p) + 4, __builtin_shuffle(re, im, (v4l){2, 6, 3, 7})))
+#define STORE_COMPLEX4_REVERSED(p, re, im)                                 \
+    (STORE4((p) - 6, __builtin_shuffle(re, im, (v4l){3, 7, 2, 6})),        \
+     STORE4((p) - 2, __builtin_shuffle(re, im, (v4l){1, 5, 0, 4})))
+#define SET(p, v) (*(p) = (v))
+#define SET_COMPLEX(p, re, im) ((p)[0] = (re), (p)[1] = (im))
+
+/* The 4 x 4 transpose of the vectors x[0..3], in place. */
+#define TRANSPOSE4(x)                                                      \
+    do {                                                                   \
+        const v4l even_ = {0, 4, 2, 6}, odd_ = {1, 5, 3, 7};               \
+        const v4l lo_ = {0, 1, 4, 5}, hi_ = {2, 3, 6, 7};                  \
+        const v4 t0_ = __builtin_shuffle(x[0], x[1], even_);               \
+        const v4 t1_ = __builtin_shuffle(x[0], x[1], odd_);                \
+        const v4 t2_ = __builtin_shuffle(x[2], x[3], even_);               \
+        const v4 t3_ = __builtin_shuffle(x[2], x[3], odd_);                \
+        x[0] = __builtin_shuffle(t0_, t2_, lo_), x[1] = __builtin_shuffle(t1_, t3_, lo_); \
+        x[2] = __builtin_shuffle(t0_, t2_, hi_), x[3] = __builtin_shuffle(t1_, t3_, hi_); \
+    } while (0)
+
 /* A plan of an n-point transform in fft_plan's layout: the twiddles of
-   the lane FFTs and of the pass across the lanes, two lane buffers, an
-   m-point complex buffer and the twiddles of the split. */
+   the lane FFTs and of the pass across the lanes, two lane buffers, the
+   inverse's m-point complex input to cfft, cfft's output as real and
+   imaginary parts, and the twiddles of the split. */
 struct fft {
     long n, m, q;
     cv4 *inner;    /* W_q^j in every lane, j < q: stored broadcast, as the
                       baseline build makes a broadcast through the stack */
     cv4 *across;   /* lane r of across[k]: W_m^(rk), k < q */
     cv4 *lanes[2]; /* q each */
-    double *z;     /* m complex */
-    double *split; /* W_n^k, k <= m / 2 */
+    double *z, *zr, *zi; /* m complex; m real and m imaginary parts */
+    double *split;       /* W_n^k, k <= m / 2 */
 };
 
 static struct fft fft_parts(long n, double *plan)
 {
-    const long q = n / 8;
+    const long q = n / 8, m = n / 2;
     cv4 *inner = (cv4 *)plan;
     double *z = (double *)(inner + 4 * q);
-    return (struct fft){n, n / 2, q, inner, inner + q, {inner + 2 * q, inner + 3 * q}, z, z + n};
+    return (struct fft){n, m, q, inner, inner + q, {inner + 2 * q, inner + 3 * q},
+                        z, z + n, z + n + m, z + 2 * n};
 }
 
 /* W_n^j = exp(-2 pi i j / n) into w[0], w[1], for a power of two n >= 4:
@@ -441,7 +470,7 @@ long fft_plan(long n, double *plan)
         for (long k = 0; k <= m / 2; k++)
             unit_root(k, n, f.split + 2 * k);
     }
-    return 32 * q + 3 * m + 2;
+    return 32 * q + 5 * m + 2;
 }
 
 /* y = (zr + i zi) (wr + i wi) for vectors, each argument evaluated once. */
@@ -452,16 +481,30 @@ long fft_plan(long n, double *plan)
         (y).im = zr_ * (wi) + zi_ * (wr);                                  \
     } while (0)
 
-/* The m-point forward DFT of the complex z (interleaved) into out. */
+/* Bins k, k + q, k + 2 q and k + 3 q of the pass across the lanes, from
+   the lane products t[r] + i u[r], r < 4: of one k, or as vectors of four. */
+#define ACROSS(set, t, u)                                                  \
+    do {                                                                   \
+        typedef __typeof__(t[0]) T_;                                       \
+        const T_ sr = t[0] + t[2], si = u[0] + u[2], dr = t[0] - t[2], di = u[0] - u[2]; \
+        const T_ er = t[1] + t[3], ei = u[1] + u[3], fr = t[1] - t[3], fi = u[1] - u[3]; \
+        set(out_re + k, sr + er), set(out_im + k, si + ei);                \
+        set(out_re + k + q, dr + fi), set(out_im + k + q, di - fr);        \
+        set(out_re + k + 2 * q, sr - er), set(out_im + k + 2 * q, si - ei); \
+        set(out_re + k + 3 * q, dr - fi), set(out_im + k + 3 * q, di + fr); \
+    } while (0)
+
+/* The m-point forward DFT of the interleaved complex z into out_re, out_im. */
 static inline __attribute__((always_inline)) void
-cfft(const struct fft *f, const double *restrict z, double *restrict out)
+cfft(const struct fft *f, const double *restrict z, double *restrict out_re,
+     double *restrict out_im)
 {
     const long q = f->q;
     if (q == 0) { /* m = 2 */
-        out[0] = z[0] + z[2];
-        out[1] = z[1] + z[3];
-        out[2] = z[0] - z[2];
-        out[3] = z[1] - z[3];
+        out_re[0] = z[0] + z[2];
+        out_im[0] = z[1] + z[3];
+        out_re[1] = z[0] - z[2];
+        out_im[1] = z[1] - z[3];
         return;
     }
     cv4 *a = f->lanes[0], *b = f->lanes[1];
@@ -505,93 +548,117 @@ cfft(const struct fft *f, const double *restrict z, double *restrict out)
         }
         a = b;
     }
-    /* The radix-4 pass across the lanes: lane r of a[k] times W_m^(rk). */
-    for (long k = 0; k < q; k++) {
+    /* The radix-4 pass across the lanes: lane r of a[k] times W_m^(rk);
+       four k at a time, the products transposed so that a vector holds one
+       lane of four k. */
+    long k = 0;
+    for (; k + FFT_LANES <= q; k += FFT_LANES) {
+        v4 tr[FFT_LANES], ti[FFT_LANES];
+        for (int r = 0; r < FFT_LANES; r++) {
+            const cv4 w = f->across[k + r], x = a[k + r];
+            tr[r] = x.re * w.re - x.im * w.im;
+            ti[r] = x.re * w.im + x.im * w.re;
+        }
+        TRANSPOSE4(tr);
+        TRANSPOSE4(ti);
+        ACROSS(STORE4, tr, ti);
+    }
+    for (; k < q; k++) {
         const cv4 w = f->across[k];
         const v4 tr = a[k].re * w.re - a[k].im * w.im, ti = a[k].re * w.im + a[k].im * w.re;
-        const double sr = tr[0] + tr[2], si = ti[0] + ti[2], dr = tr[0] - tr[2], di = ti[0] - ti[2];
-        const double er = tr[1] + tr[3], ei = ti[1] + ti[3], fr = tr[1] - tr[3], fi = ti[1] - ti[3];
-        out[2 * k] = sr + er;
-        out[2 * k + 1] = si + ei;
-        out[2 * (k + q)] = dr + fi;
-        out[2 * (k + q) + 1] = di - fr;
-        out[2 * (k + 2 * q)] = sr - er;
-        out[2 * (k + 2 * q) + 1] = si - ei;
-        out[2 * (k + 3 * q)] = dr - fi;
-        out[2 * (k + 3 * q) + 1] = di + fr;
+        ACROSS(SET, tr, ti);
     }
 }
 
-/* The one-sided spectrum of n real samples x: bin k into out[k * stride]
-   (complex), with exact zeros for the imaginary parts at DC and Nyquist. */
+/* E = (Z[k] + conj(Z[m - k])) / 2 and O = -i (Z[k] - conj(Z[m - k])) / 2
+   are the spectra of the even and the odd samples at k, and bins k and
+   m - k are E + W_n^k O and conj(E - W_n^k O), written in that order. */
+#define SPLIT(ar, ai, br, bi, wr, wi, set_k, set_mk)                       \
+    do {                                                                   \
+        typedef __typeof__(ar) T_;                                         \
+        const T_ ar_ = (ar), ai_ = (ai), br_ = (br), bi_ = (bi), wr_ = (wr), wi_ = (wi); \
+        const T_ er = 0.5 * (ar_ + br_), ei = 0.5 * (ai_ + bi_);            \
+        const T_ odd_r = 0.5 * (ai_ - bi_), odd_i = 0.5 * (br_ - ar_);      \
+        const T_ tr = odd_r * wr_ - odd_i * wi_, ti = odd_r * wi_ + odd_i * wr_; \
+        set_mk(out_re + m - k, er - tr), set_mk(out_im + m - k, ti - ei);  \
+        set_k(out_re + k, er + tr), set_k(out_im + k, ei + ti);            \
+    } while (0)
+
+/* The one-sided spectrum of n real samples x into out_re and out_im, m + 1
+   bins each, with exact zeros for the imaginary parts at DC and Nyquist.
+   For k = m / 2 the write of bin k is kept. */
 static inline __attribute__((always_inline)) void
-rfft_row(const struct fft *f, const double *restrict x, double *restrict out, long stride)
+rfft_row(const struct fft *f, const double *restrict x, double *restrict out_re,
+         double *restrict out_im)
 {
     const long m = f->m;
-    const double *z = f->z;
-    cfft(f, x, f->z);
-    out[0] = z[0] + z[1];
-    out[1] = 0.0;
-    out[2 * m * stride] = z[0] - z[1];
-    out[2 * m * stride + 1] = 0.0;
-    /* E = (Z[k] + conj(Z[m - k])) / 2 and O = -i (Z[k] - conj(Z[m - k])) / 2
-       are the spectra of the even and the odd samples at k, and bins k and
-       m - k are E + W_n^k O and conj(E - W_n^k O); for k = m / 2 the second
-       write is kept. */
-    for (long k = 1; k <= m / 2; k++) {
-        const double ar = z[2 * k], ai = z[2 * k + 1], br = z[2 * (m - k)], bi = -z[2 * (m - k) + 1];
-        const double er = 0.5 * (ar + br), ei = 0.5 * (ai + bi);
-        const double odd_r = 0.5 * (ai - bi), odd_i = 0.5 * (br - ar);
-        const double *w = f->split + 2 * k;
-        const double tr = odd_r * w[0] - odd_i * w[1], ti = odd_r * w[1] + odd_i * w[0];
-        out[2 * (m - k) * stride] = er - tr;
-        out[2 * (m - k) * stride + 1] = ti - ei;
-        out[2 * k * stride] = er + tr;
-        out[2 * k * stride + 1] = ei + ti;
-    }
+    const double *zr = f->zr, *zi = f->zi, *w = f->split;
+    cfft(f, x, f->zr, f->zi);
+    out_re[0] = zr[0] + zi[0];
+    out_im[0] = 0.0;
+    out_re[m] = zr[0] - zi[0];
+    out_im[m] = 0.0;
+    long k = 1;
+    for (; k + FFT_LANES - 1 <= m / 2; k += FFT_LANES)
+        SPLIT(LOAD4(zr + k), LOAD4(zi + k), REVERSE4(LOAD4(zr + m - k - 3)),
+              -REVERSE4(LOAD4(zi + m - k - 3)), REAL4(w + 2 * k), IMAG4(w + 2 * k), STORE4,
+              STORE4_REVERSED);
+    for (; k <= m / 2; k++)
+        SPLIT(zr[k], zi[k], zr[m - k], -zi[m - k], w[2 * k], w[2 * k + 1], SET, SET);
 }
 
+/* 2 (E + i O), conjugated, for the spectra of the even and the odd samples
+   E = (X[k] + conj(X[m - k])) / 2 and O = (X[k] - conj(X[m - k])) W_n^-k / 2
+   into z[k] and z[m - k], written in that order. */
+#define UNSPLIT(ar, ai, br, bi, wr, wi, set_k, set_mk)                     \
+    do {                                                                   \
+        typedef __typeof__(ar) T_;                                         \
+        const T_ ar_ = (ar), ai_ = (ai), br_ = (br), bi_ = (bi), wr_ = (wr), wi_ = (wi); \
+        const T_ er = ar_ + br_, ei = ai_ + bi_, dr = ar_ - br_, di = ai_ - bi_; \
+        const T_ odd_r = dr * wr_ + di * wi_, odd_i = di * wr_ - dr * wi_;  \
+        set_k(z + 2 * k, er - odd_i, -(ei + odd_r));                       \
+        set_mk(z + 2 * (m - k), er + odd_i, ei - odd_r);                   \
+    } while (0)
+
 /* n real samples from their one-sided spectrum (m + 1 complex), ignoring
-   the imaginary parts at DC and Nyquist as numpy's irfft does. */
+   the imaginary parts at DC and Nyquist as numpy's irfft does: the inverse
+   FFT is the conjugate of the forward one of the conjugate, and 1 / n
+   scales it. For k = m / 2 the write of z[m - k] is kept. */
 static inline __attribute__((always_inline)) void
 irfft_row(const struct fft *f, const double *restrict spec, double *restrict x)
 {
     const long m = f->m;
+    const double *zr = f->zr, *zi = f->zi, *w = f->split;
     double *z = f->z;
-    /* 2 (E + i O), conjugated, for the spectra of the even and the odd
-       samples E = (X[k] + conj(X[m - k])) / 2 and
-       O = (X[k] - conj(X[m - k])) W_n^-k / 2: the inverse FFT is the
-       conjugate of the forward one of the conjugate, and 1 / n scales it. */
     z[0] = spec[0] + spec[2 * m];
     z[1] = spec[2 * m] - spec[0];
-    for (long k = 1; k <= m / 2; k++) {
-        const double ar = spec[2 * k], ai = spec[2 * k + 1];
-        const double br = spec[2 * (m - k)], bi = -spec[2 * (m - k) + 1];
-        const double er = ar + br, ei = ai + bi, dr = ar - br, di = ai - bi;
-        const double *w = f->split + 2 * k;
-        const double odd_r = dr * w[0] + di * w[1], odd_i = di * w[0] - dr * w[1];
-        z[2 * k] = er - odd_i;
-        z[2 * k + 1] = -(ei + odd_r);
-        z[2 * (m - k)] = er + odd_i;
-        z[2 * (m - k) + 1] = ei - odd_r;
-    }
-    cfft(f, z, x);
+    long k = 1;
+    for (; k + FFT_LANES - 1 <= m / 2; k += FFT_LANES)
+        UNSPLIT(REAL4(spec + 2 * k), IMAG4(spec + 2 * k), REVERSE4(REAL4(spec + 2 * (m - k - 3))),
+                -REVERSE4(IMAG4(spec + 2 * (m - k - 3))), REAL4(w + 2 * k), IMAG4(w + 2 * k),
+                STORE_COMPLEX4, STORE_COMPLEX4_REVERSED);
+    for (; k <= m / 2; k++)
+        UNSPLIT(spec[2 * k], spec[2 * k + 1], spec[2 * (m - k)], -spec[2 * (m - k) + 1],
+                w[2 * k], w[2 * k + 1], SET_COMPLEX, SET_COMPLEX);
+    cfft(f, z, f->zr, f->zi);
     const double scale = 1.0 / (double)f->n;
-    for (long t = 0; t < 2 * m; t += 2) {
-        x[t] *= scale;
-        x[t + 1] = -x[t + 1] * scale;
-    }
+    long t = 0;
+    for (; t + FFT_LANES <= m; t += FFT_LANES)
+        STORE_COMPLEX4(x + 2 * t, LOAD4(zr + t) * scale, -LOAD4(zi + t) * scale);
+    for (; t < m; t++)
+        SET_COMPLEX(x + 2 * t, zr[t] * scale, -zi[t] * scale);
 }
 
 /* rfft: ``n_rows`` rows of n real samples ``x`` to their one-sided spectra
-   ``out``, (n_rows, n / 2 + 1) complex. irfft: one spectrum to n samples.
+   ``out``, (n_rows, 2, n / 2 + 1) doubles: each row's real parts, then its
+   imaginary parts. irfft: one interleaved complex spectrum to n samples.
    ``plan`` is fft_plan's; the engine's framing does the same transforms. */
 LANE_CLONES
 void rfft(long n, long n_rows, double *plan, const double *x, double *out)
 {
     const struct fft f = fft_parts(n, plan);
     for (long r = 0; r < n_rows; r++)
-        rfft_row(&f, x + r * n, out + r * (n + 2), 1);
+        rfft_row(&f, x + r * n, out + r * (n + 2), out + r * (n + 2) + n / 2 + 1);
 }
 
 LANE_CLONES
@@ -610,55 +677,61 @@ struct engine {
     double *tail, *buf, *window, *frame, *plan, *synth, *acc, *norm, *emit;
 };
 
+/* for (t = 0; t < n; t++) body, LANES entries at a time through unaligned
+   vectors and then one at a time: in body, E(p) is the vector or the double
+   at p + t. */
+#define EACH(n, body)                                                      \
+    do {                                                                   \
+        long t = 0;                                                        \
+        { typedef v8u T; for (; t + LANES <= (n); t += LANES) body; }      \
+        { typedef double T; for (; t < (n); t++) body; }                   \
+    } while (0)
+#define E(p) (*(T *)((p) + t))
+
 /* frame_in: row 0 of ``tail`` holds the hop of microphone samples and row 1
    the far-end samples x; rows 2..P get x^3, ..., x^(2P - 1), each the row
    above times x * x, as nonlin.odd_powers builds them. Returns 0, having
    written nothing but ``tail``, if any entry of ``tail`` is not finite.
    Otherwise shifts each row of ``buf`` left by a hop, appends the row of
    ``tail``, sets ``frame`` to ``buf`` times the window, and transforms
-   the rows of ``frame`` into ``obs`` in the layout of naec.ctf: each
-   reference's lags move one place later, dropping the oldest, then lag 0
-   and the microphone entry are written. Returns 1. */
+   the rows of ``frame`` into the planes of ``obs`` in the layout of
+   naec.ctf: each reference's lags move one channel later, dropping the
+   oldest, then lag 0 is written; the microphone is channel 0. The padding
+   lanes of each written plane get bin K - 1. Returns 1. */
 LANE_CLONES
 long frame_in(const struct engine *e)
 {
     const long order_p = e->order_p, frames_l = e->frames_l, hop = e->hop;
-    const long window_len = e->window_len;
-    double *tail = e->tail, *restrict frame = e->frame, *restrict obs = e->state->obs;
+    const long window_len = e->window_len, n_bins = window_len / 2 + 1;
+    const long plane = (n_bins + LANES - 1) / LANES * LANES;
+    double *tail = e->tail, *restrict frame = e->frame, *restrict obs = (double *)e->state->obs;
     const double *restrict x = tail + hop;
     for (long i = 2; i <= order_p; i++) {
         double *restrict power = tail + i * hop;
         const double *restrict below = power - hop;
-        for (long t = 0; t < hop; t++)
-            power[t] = below[t] * (x[t] * x[t]);
+        EACH(hop, E(power) = E(below) * (E(x) * E(x)));
     }
     /* v - v is 0 for finite v and NaN for an infinity or NaN. */
-    int finite = 1;
-    for (long t = 0; t < (order_p + 1) * hop; t++)
-        finite &= tail[t] - tail[t] == 0.0;
-    if (!finite)
-        return 0;
+    v8 check = {0.0};
+    EACH((order_p + 1) * hop, check += E(tail) - E(tail));
+    for (int l = 0; l < LANES; l++)
+        if (check[l] != 0.0)
+            return 0;
     const long keep = window_len - hop;
     for (long r = 0; r <= order_p; r++) {
         double *b = e->buf + r * window_len, *row = frame + r * window_len;
         memmove(b, b + hop, sizeof(double) * keep);
         memcpy(b + keep, tail + r * hop, sizeof(double) * hop);
-        for (long t = 0; t < window_len; t++)
-            row[t] = b[t] * e->window[t];
+        EACH(window_len, E(row) = E(b) * E(e->window));
     }
-    const long dim = order_p * frames_l + 1, n_bins = window_len / 2 + 1;
     const struct fft f = fft_parts(window_len, e->plan);
-    rfft_row(&f, frame, obs, dim);
-    for (long i = 0; i < order_p; i++) {
-        double *lags = obs + 2 * (1 + i * frames_l);
-        for (long k = 0; k < n_bins; k++) {
-            double *at = lags + 2 * k * dim;
-            for (long lag = frames_l - 1; lag > 0; lag--) {
-                at[2 * lag] = at[2 * lag - 2];
-                at[2 * lag + 1] = at[2 * lag - 1];
-            }
-        }
-        rfft_row(&f, frame + (i + 1) * window_len, lags, dim);
+    for (long i = 0; i <= order_p; i++) {
+        double *re = obs + 2 * plane * (i ? 1 + (i - 1) * frames_l : 0), *im = re + plane;
+        if (i)
+            memmove(im + plane, re, sizeof(double) * 2 * plane * (frames_l - 1));
+        rfft_row(&f, frame + i * window_len, re, im);
+        for (long k = n_bins; k < plane; k++)
+            re[k] = re[n_bins - 1], im[k] = im[n_bins - 1];
     }
     return 1;
 }
@@ -675,13 +748,10 @@ void ola(const struct engine *e)
     const double *restrict window = e->window, *restrict norm = e->norm;
     const struct fft f = fft_parts(window_len, e->plan);
     irfft_row(&f, e->state->out, synth);
-    for (long t = 0; t < window_len; t++)
-        acc[t] += synth[t] * window[t];
-    for (long t = 0; t < hop; t++)
-        emit[t] = acc[t] / norm[t];
+    EACH(window_len, E(acc) += E(synth) * E(window));
+    EACH(hop, E(emit) = E(acc) / E(norm));
     memmove(acc, acc + hop, sizeof(double) * (window_len - hop));
-    for (long t = window_len - hop; t < window_len; t++)
-        acc[t] = 0.0;
+    memset(acc + window_len - hop, 0, sizeof(double) * hop);
 }
 
 /* frame_in, step and, unless a bin broke, ola; returns -1 if frame_in rejected
@@ -703,7 +773,7 @@ long layout(long *out)
         sizeof(struct state), AT(state, n_bins), AT(state, dim), AT(state, n_bases),
         AT(state, alpha), AT(state, diag_load), AT(state, floor), AT(state, exponent),
         AT(state, inv), AT(state, trace), AT(state, bases), AT(state, r1), AT(state, work),
-        AT(state, gain), AT(state, v1), AT(state, rows), AT(state, obs), AT(state, out),
+        AT(state, rows), AT(state, obs), AT(state, gain), AT(state, v1), AT(state, out),
         AT(state, frames), AT(state, skipped_bins), sizeof(struct engine), AT(engine, state),
         AT(engine, order_p), AT(engine, frames_l), AT(engine, hop), AT(engine, window_len),
         AT(engine, tail), AT(engine, buf), AT(engine, window), AT(engine, frame),

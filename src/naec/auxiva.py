@@ -19,12 +19,13 @@ Schur form [1; -C^{-1} b] of the loaded V = [[a, b^H], [b, C]]. The row
 does not depend on a, so the loading of coordinate 0 leaves it alone; it
 keeps P_00 bounded while the microphone is muted to exact zeros.
 
-P is held in one block-planar layout shared with the compiled kernels
-(``pack_covariance``): blocks of ``LANES`` bins, each a real and an
-imaginary plane of the D(D+1)/2 upper-triangle entries with the bins
-innermost, so an entry of a block is one vector of ``LANES`` bins; the
-lanes of a short last block repeat the last bin, and the imaginary parts of
-the diagonal are never written. ``AuxivaState.inverse`` unpacks it.
+The state's per-bin buffers keep the bins innermost, in blocks of ``LANES``
+bins whose lanes past the last bin repeat it, as the compiled kernels read
+them. P is block-planar (``pack_covariance``): per block a real and an
+imaginary plane of the D(D+1)/2 upper-triangle entries, whose diagonal
+imaginary parts are never written; ``AuxivaState.inverse`` unpacks it. The
+observations and rows are channel-major planes (``pack_observations``);
+``AuxivaState.rows`` reads and writes the rows' planes as (K, D) rows.
 
 ``process_frame`` is the online core of both optimizers; ``IlrmaState``
 overrides the weight with the per-bin 1/r1(k) of its NMF model.
@@ -67,7 +68,7 @@ R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 # -Bsymbolic: the kernels call their own ``step``, not glibc's legacy regexp one.
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-Wl,-Bsymbolic")
-LANES = 8  # bins per block of the covariance planes, as in _kernels.c
+LANES = 8  # bins per block of the per-bin planes, as in _kernels.c
 ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 _TURN = np.array([1.0, -1.0])[:, np.newaxis, np.newaxis]  # see ewma_covariance_update
 
@@ -148,20 +149,20 @@ class KernelState(ctypes.Structure):
     _fields_ = [*((name, ctypes.c_long) for name in ("n_bins", "dim", "n_bases")),
                 *((name, ctypes.c_double) for name in ("alpha", "diag_load", "floor", "exponent")),
                 *((name, ctypes.c_void_p) for name in ("inv", "trace", "bases", "r1", "work",
-                                                       "gain", "v1", "rows", "obs", "out")),
+                                                       "rows", "obs", "gain", "v1", "out")),
                 ("frames", ctypes.c_long), ("skipped_bins", ctypes.c_long)]
 
 
 class AuxivaState:
     """Per-bin inverse covariances, traces and demixing rows plus the count of skipped bins.
 
-    The planes ``inv`` of P = V^-1, the traces ``trace`` of V and the rows,
-    with the frame's covariance weight ``gain`` (``trace`` and ``gain``
-    padded to whole blocks of ``LANES`` bins, ``ALIGN``-byte aligned), its
-    output ``out`` and the kernels' workspace ``work``, are buffers that live
-    as long as the state and are only written in place; ``inv`` and ``rows``
-    cannot be rebound. ``kernel``, at ``handle``, holds their addresses, taken
-    once here, the settings and the counters ``frames`` and ``skipped_bins``.
+    The planes ``inv`` of P = V^-1, ``row_planes`` of the rows and ``obs``
+    of the frame's observations, the traces ``trace`` of V, the frame's
+    weight ``gain``, its output ``out`` (K of a padded buffer) and the
+    kernels' workspace ``work``, all ``ALIGN``-byte aligned, live as long as
+    the state and are only written in place; the planes cannot be rebound.
+    ``kernel``, at ``handle``, holds their addresses, taken once here, the
+    settings and the counters ``frames`` and ``skipped_bins``.
     """
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
@@ -171,20 +172,25 @@ class AuxivaState:
         self._inv = pack_covariance(np.broadcast_to(_prior(dim), (n_bins, dim, dim)))
         self.trace = aligned_zeros(padded_bins(n_bins))
         self.trace[...] = dim * COV_INIT_SCALE
-        self._rows = np.tile(passthrough_row(dim), (n_bins, 1))
+        self._row_planes = pack_observations(np.tile(passthrough_row(dim), (n_bins, 1)))
+        self._obs = aligned_zeros((dim, 2, padded_bins(n_bins)))
         self.gain = aligned_zeros(padded_bins(n_bins))
-        self.out = np.empty(n_bins, dtype=np.complex128)
+        self.out = aligned_zeros((padded_bins(n_bins), 2)).view(np.complex128)[:n_bins, 0]
         blocks = padded_bins(n_bins) // LANES
         self.work = aligned_zeros((max(6 * dim, blocks + 2 * config.bases_b), LANES))
         self.kernel = KernelState(
             n_bins=n_bins, dim=dim, alpha=config.alpha, diag_load=config.diag_load, floor=R_FLOOR,
-            exponent=config.beta - 2.0, **{name: getattr(self, name).ctypes.data for name in
-                                           ("inv", "trace", "work", "gain", "rows", "out")})
+            exponent=config.beta - 2.0, rows=self.row_planes.ctypes.data, **{
+                name: getattr(self, name).ctypes.data
+                for name in ("inv", "trace", "work", "gain", "obs", "out")})
         self.handle = ctypes.c_void_p(ctypes.addressof(self.kernel))
-        self.obs = None  # the last frame's, see process_frame
 
     inv = property(lambda self: self._inv, doc="The planes of P = V^-1 (``pack_covariance``).")
-    rows = property(lambda self: self._rows, doc="The (K, D) demixing rows.")
+    row_planes = property(lambda self: self._row_planes, doc="The rows' planes.")
+    obs = property(lambda self: self._obs, doc="The planes of the frame's observations.")
+    rows = property(lambda self: unpack_observations(self.row_planes, self.n_bins),
+                    lambda self, rows: pack_observations(rows, self.row_planes),
+                    doc="The (K, D) demixing rows, unpacked; assigning packs them.")
     frames = property(lambda self: self.kernel.frames, doc="Frames processed.")
     skipped_bins = property(lambda self: self.kernel.skipped_bins, doc="Rows kept over all frames.")
 
@@ -205,7 +211,7 @@ class AuxivaState:
         lanes = mask[_lane_bins(self.n_bins)]
         np.copyto(self.inv, prior, where=lanes.reshape(len(self.inv), 1, 1, LANES))
         self.trace[lanes] = self.dim * COV_INIT_SCALE
-        self.rows[mask] = passthrough_row(self.dim)
+        self.rows = np.where(mask[:, np.newaxis], passthrough_row(self.dim), self.rows)
 
 
 def _prior(dim: int) -> np.ndarray:
@@ -282,6 +288,24 @@ def pack_covariance(cov: np.ndarray) -> np.ndarray:
     planes[:, 0] = tri.real
     planes[:, 1] = tri.imag
     return planes
+
+
+def pack_observations(obs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Planes of the (K, D) complex observations or rows ``obs``, into ``out``
+    if given: (D, 2, ``padded_bins(K)``) float64, ``ALIGN``-byte aligned, each
+    channel's real parts, then its imaginary parts; lanes past K repeat bin K - 1."""
+    obs = np.asarray(obs)
+    n_bins, dim = obs.shape
+    out = aligned_zeros((dim, 2, padded_bins(n_bins))) if out is None else out
+    out[:, 0, :n_bins], out[:, 1, :n_bins] = obs.real.T, obs.imag.T
+    out[:, :, n_bins:] = out[:, :, n_bins - 1 : n_bins]
+    return out
+
+
+def unpack_observations(planes: np.ndarray, n_bins: int) -> np.ndarray:
+    """The (K, D) complex array held in the planes ``planes`` (``pack_observations``)."""
+    pairs = np.ascontiguousarray(planes[:, :, :n_bins].transpose(2, 0, 1))  # (K, D, 2)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def unpack_covariance(cov: np.ndarray, n_bins: int) -> np.ndarray:
@@ -411,42 +435,37 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     and tau, read the rows, reset the broken bins (``reset_broken``), and
     demix with the new rows into ``state.out``. Serves both optimizers. With
     the kernels loaded: one ``step`` call; without them, ``state.frame_weight``,
-    ``ewma_covariance_update``, ``solve_demixing_rows`` and ``ctf.demix_frame``.
-    The compiled ``demix`` sums AuxIVA's |e|^2 as re^2 + im^2 in bin order,
-    ``output_norm`` with numpy's ``abs`` and pairwise sum, so the weights
-    agree to rounding; an |e|^2 that overflows on a finite burst makes the
-    weight 0 or NaN, which the update's count of broken bins handles.
-
-    ``obs`` may be any (K, D) array; it is converted to a C-contiguous
-    complex128 array, ``state.obs``, whose address ``state.kernel`` keeps.
-    Passed the same array again, as the engine's buffer is every frame, it
-    is neither converted nor asked for its address again.
+    ``ewma_covariance_update``, ``solve_demixing_rows`` and ``ctf.demix_frame``
+    on the unpacked (K, D) observations and rows. The compiled ``demix`` sums
+    AuxIVA's |e|^2 as re^2 + im^2 in bin order, ``output_norm`` with numpy's
+    ``abs`` and pairwise sum, so the weights agree to rounding; an |e|^2 that
+    overflows on a finite burst makes the weight 0 or NaN, which the update's
+    count of broken bins handles. ``obs`` is any (K, D) array, which is packed
+    into ``state.obs``, or ``state.obs`` itself as the engine passes it.
     """
     if obs is not state.obs:
-        state.obs = np.ascontiguousarray(obs, dtype=np.complex128)
-        state.kernel.obs = state.obs.ctypes.data
-    obs = state.obs
-    if obs.shape != (state.n_bins, state.dim):
-        raise ValueError(
-            f"expected observations of shape ({state.n_bins}, {state.dim}), got {obs.shape}"
-        )
+        if np.shape(obs) != (state.n_bins, state.dim):
+            raise ValueError(f"expected observations of shape ({state.n_bins}, {state.dim}), "
+                             f"got {np.shape(obs)}")
+        pack_observations(obs, state.obs)
     if _kernels is not None:
         broken = _kernels.step(state.handle)
     else:
         config, kernel = state.config, state.kernel
         coord = kernel.frames % state.dim
         kernel.frames += 1
+        obs, prev = unpack_observations(state.obs, state.n_bins), state.rows
         # A finite burst may overflow |e|^2; the update's count of broken
         # bins handles it, so numpy's warnings are only noise.
         with np.errstate(over="ignore", invalid="ignore"):
             gain = state.frame_weight(obs)
         broken = ewma_covariance_update(state.inv, state.trace, obs, config.alpha, gain,
                                         config.diag_load, coord)
-        rows, skipped = solve_demixing_rows(state.inv, state.trace, state.rows)
-        state.rows[...] = rows
+        rows, skipped = solve_demixing_rows(state.inv, state.trace, prev)
+        state.rows = rows
         kernel.skipped_bins += skipped
         if not broken:
-            state.out[...] = demix_frame(state.rows, obs)
+            state.out[...] = demix_frame(rows, obs)
     if broken:
         reset_broken(state)
     return state.out.copy()
@@ -456,4 +475,4 @@ def reset_broken(state: AuxivaState) -> None:
     """Restart the broken bins (``nonfinite_trace``) from the prior and
     passthrough row, and demix ``state.obs`` into ``state.out`` again."""
     state.reset_bins(nonfinite_trace(state.inv, state.trace, state.n_bins))
-    state.out[...] = demix_frame(state.rows, state.obs)
+    state.out[...] = demix_frame(state.rows, unpack_observations(state.obs, state.n_bins))

@@ -9,16 +9,18 @@ bit-identical output by construction.
 
 The engine allocates its buffers once and each frame writes them in place.
 A time buffer holds the last window of the microphone (row 0) and of the
-odd-power reference channels (rows 1..P). One (K, P*L + 1) observation
-buffer in the layout of ``ctf`` is also the reference history: each frame
-moves its lags in place. A frame is three steps:
+odd-power reference channels (rows 1..P). One observation buffer, the
+state's ``obs``, is also the reference history: it holds the P*L + 1
+channels in the order of ``ctf``, each as a real and an imaginary plane of
+the K bins (``auxiva.pack_observations``), and each frame moves the lags'
+planes in place. A frame is three steps:
 
 1. ``frame_in``: the new hop's odd powers into a (P+1, hop) tail buffer,
    and the check that the microphone and every power are finite, which
    rejects a chunk before any engine state is written; then the time
    buffer shifts by a hop, takes the tail and is windowed into the frame
    buffer, and the real FFTs of the P+1 rows go into the observation
-   buffer, each reference's lags moving one place later.
+   planes, each reference's lags moving one channel later.
 2. ``auxiva.process_frame`` on the optimizer's state (``STATES``,
    configured by ``EngineConfig.auxiva``), which demixes into ``state.out``.
 3. ``ola``: the inverse real FFT of ``state.out``, the synthesis
@@ -127,8 +129,7 @@ class StreamingEngine:
         self._acc = np.zeros(wl)  # starts at the next sample to emit
         self._emit = np.zeros(hop)
         self._state = state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
-        self._obs = state.obs = np.zeros((sc.n_bins, config.ctf.dim), dtype=np.complex128)
-        state.kernel.obs = self._obs.ctypes.data
+        self._obs = state.obs
         self._lib = lib = auxiva._kernels  # the engine's path for its life
         if lib is None:
             self._spec = np.zeros((p + 1, sc.n_bins), dtype=np.complex128)

@@ -68,15 +68,20 @@ def kernel_update(lib, planes, trace, obs, alpha, gain, stride, diag_load, coord
     """``lib``'s update kernel on the aligned ``planes`` of P and ``trace`` in
     place, bin k weighted by ``gain[k * stride]``, with the (K, D) ``rows``
     read as the previous rows and overwritten; returns its broken count, its
-    skipped count and the frame demixed with the new rows."""
-    out = np.empty(len(rows), dtype=np.complex128)
+    skipped count and the frame demixed with the new rows. The (K, D)
+    ``obs`` and ``rows`` go to the kernel as their planes (``pack_observations``)."""
+    n_bins, dim = obs.shape
+    obs_planes, row_planes = auxiva.pack_observations(obs), auxiva.pack_observations(rows)
+    out = auxiva.aligned_zeros((auxiva.padded_bins(n_bins), 2)).view(np.complex128)[:, 0]
     skipped = np.zeros(1, dtype=np.int64)
-    work = auxiva.aligned_zeros((6 * obs.shape[1], auxiva.LANES))
-    _assert_kernel_inputs(planes, trace, obs, gain, rows)
-    broken = lib.update(*obs.shape, planes.ctypes.data, trace.ctypes.data, obs.ctypes.data,
-                        alpha, gain.ctypes.data, stride, diag_load, coord, rows.ctypes.data,
-                        out.ctypes.data, skipped.ctypes.data, work.ctypes.data)
-    return broken, int(skipped[0]), out
+    work = auxiva.aligned_zeros((6 * dim, auxiva.LANES))
+    _assert_kernel_inputs(planes, trace, gain)
+    broken = lib.update(n_bins, dim, planes.ctypes.data, trace.ctypes.data,
+                        obs_planes.ctypes.data, alpha, gain.ctypes.data, stride, diag_load, coord,
+                        row_planes.ctypes.data, out.ctypes.data, skipped.ctypes.data,
+                        work.ctypes.data)
+    rows[...] = auxiva.unpack_observations(row_planes, n_bins)
+    return broken, int(skipped[0]), out[:n_bins]
 
 
 def _assert_kernel_inputs(planes, *arrays):
@@ -172,9 +177,11 @@ def engine_rfft(x, lib=None):
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[-1]
     rows = x.reshape(-1, n)
-    out = np.empty((len(rows), n // 2 + 1), dtype=np.complex128)
+    planes = np.empty((len(rows), 2, n // 2 + 1))
     plan = fft_plan(lib, n)
-    lib.rfft(n, len(rows), plan.ctypes.data, rows.ctypes.data, out.ctypes.data)
+    lib.rfft(n, len(rows), plan.ctypes.data, rows.ctypes.data, planes.ctypes.data)
+    out = np.empty((len(rows), n // 2 + 1), dtype=np.complex128)
+    out.real, out.imag = planes[:, 0], planes[:, 1]
     return out.reshape(*x.shape[:-1], n // 2 + 1)
 
 

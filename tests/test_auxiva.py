@@ -15,6 +15,7 @@ from naec.auxiva import (
     compute_r1,
     process_frame,
     weight,
+    unpack_observations,
 )
 from naec.ctf import passthrough_row
 from oracles import constrained_matrix, ewma, loaded_rows, offline_batch
@@ -204,8 +205,9 @@ def test_process_frame_counts_and_shape(rng):
 
 @on_both_paths
 def test_process_frame_reads_a_reused_buffer_afresh(rng):
-    """One buffer rewritten in place every frame, as the engine passes it, a
-    strided view and fresh arrays give the same frames byte for byte."""
+    """One buffer rewritten in place every frame, a strided view and fresh
+    arrays give the same frames byte for byte: each is packed into the
+    state's own observation planes, whose address its kernel keeps."""
     frames = rng.standard_normal((6, 9, 4)) + 1j * rng.standard_normal((6, 9, 4))
     states = [AuxivaState(9, 4) for _ in range(3)]
     buffer = np.empty((9, 4), dtype=np.complex128)
@@ -215,7 +217,9 @@ def test_process_frame_reads_a_reused_buffer_afresh(rng):
         wide[:, ::2] = obs
         outs = [process_frame(s, o) for s, o in zip(states, (buffer, wide[:, ::2], obs.copy()))]
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
-    assert states[0].obs is buffer
+    for state in states:
+        assert unpack_observations(state.obs, 9).tobytes() == frames[-1].tobytes()
+        assert state.kernel.obs == state.obs.ctypes.data
 
 
 def test_zero_references_keep_passthrough(rng):

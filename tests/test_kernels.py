@@ -28,7 +28,15 @@ from conftest import (
     update_planes,
 )
 from naec import AudioSignal, auxiva
-from naec.auxiva import ALIGN, LANES, pack_covariance, padded_bins, unpack_covariance
+from naec.auxiva import (
+    ALIGN,
+    LANES,
+    pack_covariance,
+    pack_observations,
+    padded_bins,
+    unpack_covariance,
+    unpack_observations,
+)
 from naec.ctf import CtfConfig, demix_frame, passthrough_row
 from naec.ilrma import IlrmaState
 from naec.pipeline import EngineConfig, KernelEngine, StreamingEngine, run_streaming
@@ -209,6 +217,32 @@ def test_pack_unpack_is_exact_and_hermitian(rng, n_bins, dim):
         assert pad.tobytes() == lanes[n_bins - 1].tobytes()
 
 
+# (K, D): the engine's at the four FRAMINGS of test_pipeline.py, then a K
+# below one block, one whole block and one with K mod LANES = 4.
+PLANE_SIZES = [(513, 4), (513, 10), (33, 13), (513, 3), (7, 10), (8, 4), (12, 19)]
+
+
+@pytest.mark.parametrize("n_bins, dim", PLANE_SIZES)
+def test_observation_planes_round_trip(rng, n_bins, dim):
+    """``pack_observations`` lays (K, D) observations or rows out as aligned
+    (D, 2, padded K) planes, each channel's real parts and then its imaginary
+    parts, with bin K - 1 in the padding lanes; ``unpack_observations`` gives
+    the input back byte for byte, signed zeros included; and a state's
+    ``rows`` writes and reads its row planes the same way."""
+    obs = _flush_like(rng, n_bins, dim)
+    planes = pack_observations(obs)
+    assert planes.shape == (dim, 2, padded_bins(n_bins)) and planes.ctypes.data % ALIGN == 0
+    assert planes[:, 0, :n_bins].tobytes() == np.ascontiguousarray(obs.real.T).tobytes()
+    assert planes[:, 1, :n_bins].tobytes() == np.ascontiguousarray(obs.imag.T).tobytes()
+    for pad in range(n_bins, padded_bins(n_bins)):
+        assert planes[..., pad].tobytes() == planes[..., n_bins - 1].tobytes()
+    assert unpack_observations(planes, n_bins).tobytes() == obs.tobytes()
+    state = auxiva.AuxivaState(n_bins, dim)
+    state.rows = obs
+    assert state.row_planes.tobytes() == planes.tobytes()
+    assert state.rows.tobytes() == obs.tobytes()
+
+
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
 @pytest.mark.parametrize("window_len", [256, 1024, 4096])
 def test_engine_planes_are_aligned(optimizer, window_len):
@@ -288,6 +322,48 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
     assert (broken, skipped) == (0, 0)
     assert planes.tobytes() == got.tobytes() and trace.tobytes() == got_trace.tobytes()
     assert numpy_rows.tobytes() == rows.tobytes()
+
+
+@needs_kernels
+@pytest.mark.parametrize("per_bin", [False, True], ids=["auxiva", "ilrma"])
+def test_kept_rows_demix_the_frame_as_the_numpy_update(rng, per_bin):
+    """In a full block and in the short last block, the update keeps the
+    previous row of a broken lane (a 1e200 burst overflows its trace) and of
+    a skipped one (its P gives an overflowing row, and an observation whose
+    |y|^2 underflows leaves P as it is) and demixes the frame with it: the
+    rows, the output and the counts are the numpy twin's bytes, under
+    AuxIVA's shared weight and ILRMA's per-bin one. So does ``process_frame``
+    with either optimizer, on either path, for the skipped lanes."""
+    n_bins, dim = 13, 4  # blocks of bins 0-7 and 8-12
+    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
+    broken_bins, skipped_bins = [3, 11], [5, 12]
+    for k in skipped_bins:
+        planes[k // LANES, 0, [0, dim - 1], k % LANES] = 1e-300, 1e200
+    obs[skipped_bins] *= 1e-200
+    burst = obs.copy()
+    burst[broken_bins, 1] = 1e200
+    gain = rng.uniform(0.1, 3.0, n_bins) if per_bin else 1.0
+    rows = prev.copy()
+    got = kernel_update(auxiva._kernels, aligned_copy(planes), aligned_copy(trace), burst, 0.99,
+                        *kernel_gain(gain), 1e-6, 1, rows)
+    with np.errstate(all="ignore"):
+        expected = _numpy_update(aligned_copy(planes), aligned_copy(trace), burst, 0.99, gain,
+                                 1e-6, 1, prev)
+    assert got[:2] == (expected[0], expected[2]) == (2, 2)
+    assert rows.tobytes() == expected[1].tobytes() and got[2].tobytes() == expected[3].tobytes()
+    kept = broken_bins + skipped_bins
+    assert rows[kept].tobytes() == prev[kept].tobytes()
+    assert got[2][kept].tobytes() == demix_frame(prev[kept], burst[kept]).tobytes()
+    for state_type in (auxiva.AuxivaState, IlrmaState):
+        for paths in (contextlib.nullcontext(), numpy_path()):
+            state = state_type(n_bins, dim)
+            state.inv[...], state.trace[...], state.rows = planes, trace, prev
+            with paths, np.errstate(all="ignore"):
+                out = auxiva.process_frame(state, obs)
+            assert state.skipped_bins == 2
+            assert state.rows[skipped_bins].tobytes() == prev[skipped_bins].tobytes()
+            assert out[skipped_bins].tobytes() == demix_frame(prev[skipped_bins],
+                                                              obs[skipped_bins]).tobytes()
 
 
 @needs_kernels
@@ -446,11 +522,14 @@ def test_structs_have_the_kernels_layout():
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
+    """``-Wall -Wextra -Werror`` builds of the kernels as loaded and of the
+    baseline ISA alone (``-DLANE_CLONES=``) succeed."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
-                    "-o", str(tmp_path / "kernels.so"), str(auxiva.KERNEL_SOURCE)],
-                   check=True, capture_output=True, timeout=120)
+    for clones in ([], ["-DLANE_CLONES="]):
+        subprocess.run(["cc", *auxiva.KERNEL_FLAGS, *clones, "-Wall", "-Wextra", "-Werror",
+                        "-o", str(tmp_path / "kernels.so"), str(auxiva.KERNEL_SOURCE)],
+                       check=True, capture_output=True, timeout=120)
 
 
 @needs_kernels
@@ -491,19 +570,21 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
             state.inv[5 // LANES, 0, 0, 5 % LANES] = 1e-300
             state.inv[5 // LANES, 0, 1, 5 % LANES] = 1e200
             state.trace[...] = trace
-            state.rows[...] = prev
+            state.rows = prev
         out = auxiva.process_frame(loaded, obs)
         # The same frame, kernel by kernel, on the baseline build.
         _demix_weight(lib, base, obs)
+        rows = base.rows
         broken, skipped, base_out = kernel_update(lib, base.inv, base.trace, obs, 0.99, base.gain,
-                                                  0, 1e-6, 0, base.rows)
+                                                  0, 1e-6, 0, rows)
+        base.rows = rows
         assert broken == 1 and skipped == loaded.skipped_bins == 1
         base.reset_bins(auxiva.nonfinite_trace(base.inv, base.trace, 513))
         base_out[512] = demix_frame(base.rows[512:], obs[512:])[0]
         assert base.gain.tobytes() == loaded.gain.tobytes()
         assert base.inv.tobytes() == loaded.inv.tobytes()
         assert base.trace.tobytes() == loaded.trace.tobytes()
-        assert base.rows.tobytes() == loaded.rows.tobytes()
+        assert base.row_planes.tobytes() == loaded.row_planes.tobytes()
         assert base_out.tobytes() == out.tobytes()
         gain = rng.uniform(0.1, 3.0, 513)
         results = []
@@ -523,18 +604,21 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
 
 def _demix_weight(lib, state, obs):
     """``lib``'s AuxIVA weight kernel as ``step`` calls it, from the
-    addresses and settings in ``state.kernel``: ``state``'s rows, into its
-    ``out`` and ``gain``."""
+    addresses and settings in ``state.kernel``, with ``obs`` packed into the
+    state's observation planes: ``state``'s rows, into its ``out`` and ``gain``."""
     k = state.kernel
-    lib.demix(k.n_bins, k.dim, k.rows, obs.ctypes.data, k.out, k.floor, k.exponent, k.gain)
+    pack_observations(obs, state.obs)
+    lib.demix(k.n_bins, k.dim, k.rows, k.obs, k.out, k.floor, k.exponent, k.gain)
 
 
 def _ilrma_weight(lib, state, obs):
-    """``lib``'s NMF weight kernel as ``step`` calls it, from ``state.kernel``:
-    ``state``'s rows, model, gain and workspace."""
+    """``lib``'s NMF weight kernel as ``step`` calls it, from ``state.kernel``
+    and ``obs`` packed as in ``_demix_weight``: ``state``'s rows, model, gain
+    and workspace."""
     k = state.kernel
-    return lib.ilrma_weight(k.n_bins, k.dim, k.n_bases, k.rows, obs.ctypes.data, k.bases, k.v1,
-                            k.r1, k.floor, k.gain, k.work)
+    pack_observations(obs, state.obs)
+    return lib.ilrma_weight(k.n_bins, k.dim, k.n_bases, k.rows, k.obs, k.bases, k.v1, k.r1,
+                            k.floor, k.gain, k.work)
 
 
 def _nmf_bytes(state):
@@ -549,8 +633,10 @@ def _nmf_state(rng, n_bins, dim, bases_b):
     """An ILRMA state with random rows and a random NMF model, padding lanes
     left as they start."""
     state = IlrmaState(n_bins, dim, auxiva.AuxivaConfig(bases_b=bases_b))
-    state.rows[:, 1:] = 0.3 * (rng.standard_normal((n_bins, dim - 1))
-                               + 1j * rng.standard_normal((n_bins, dim - 1)))
+    rows = state.rows
+    rows[:, 1:] = 0.3 * (rng.standard_normal((n_bins, dim - 1))
+                         + 1j * rng.standard_normal((n_bins, dim - 1)))
+    state.rows = rows
     state.model.t1 = rng.uniform(0.2, 2.0, (n_bins, bases_b))
     state.model.v1 = rng.uniform(0.2, 2.0, bases_b)
     state.model.recompute_variance()
@@ -589,7 +675,7 @@ def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
     random_rows = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
     for rows in (passthrough, signed, random_rows):
         state = auxiva.AuxivaState(n_bins, dim)
-        state.rows[...] = rows
+        state.rows = rows
         _demix_weight(auxiva._kernels, state, obs)
         assert state.out.tobytes() == demix_frame(rows, obs).tobytes()
     planes, trace, _, prev = _inverse_inputs(rng, n_bins, dim)
@@ -686,8 +772,8 @@ def test_all_zero_frame_skips_the_nmf_update(n_bins):
 def test_kernel_addresses_stay_valid(rng, state_type):
     """The addresses a state's ``kernel`` takes at construction are those of
     its buffers after 300 frames and a bin reset, ``handle`` is the kernel's
-    address, ``obs`` that of the last frame, and the buffers cannot be
-    rebound."""
+    address, the observation planes hold the last frame, and the planes
+    cannot be rebound."""
     n_bins, dim = 65, 4
     state = state_type(n_bins, dim)
     frames = rng.standard_normal((300, n_bins, dim)) + 1j * rng.standard_normal((300, n_bins, dim))
@@ -700,8 +786,8 @@ def test_kernel_addresses_stay_valid(rng, state_type):
             out = auxiva.process_frame(state, obs)
     assert len(resets) == 1
     k = state.kernel
-    buffers = {"inv": state.inv, "trace": state.trace, "rows": state.rows, "gain": state.gain,
-               "out": state.out, "work": state.work, "obs": frames[-1]}
+    buffers = {"inv": state.inv, "trace": state.trace, "rows": state.row_planes,
+               "gain": state.gain, "out": state.out, "work": state.work, "obs": state.obs}
     if state_type is IlrmaState:
         m = state.model
         buffers.update(bases=m.bases, v1=m.activations, r1=m.variance)
@@ -709,7 +795,8 @@ def test_kernel_addresses_stay_valid(rng, state_type):
         assert getattr(k, name) == buffer.ctypes.data, name
     assert state.handle.value == ctypes.addressof(k)
     assert out.tobytes() == state.out.tobytes() and out.ctypes.data != state.out.ctypes.data
-    for name in ("inv", "rows"):
+    assert unpack_observations(state.obs, n_bins).tobytes() == frames[-1].tobytes()
+    for name in ("inv", "row_planes", "obs"):
         with pytest.raises(AttributeError):
             setattr(state, name, getattr(state, name).copy())
 
@@ -734,10 +821,10 @@ def test_rfft_kernel_agrees_with_numpy(rng, n):
         assert got[:, [0, -1]].imag.tobytes() == np.zeros((rows, 2)).tobytes()
         assert engine_rfft(x, lib).tobytes() == got.tobytes()
     plan = fft_plan(lib, n)
-    out = [np.empty(n // 2 + 1, dtype=np.complex128) for _ in range(2)]
-    for spec in out:
-        lib.rfft(n, 1, plan.ctypes.data, x[0].ctypes.data, spec.ctypes.data)
-    assert out[0].tobytes() == out[1].tobytes() == got[0].tobytes()
+    out = [np.empty((2, n // 2 + 1)) for _ in range(2)]
+    for planes in out:
+        lib.rfft(n, 1, plan.ctypes.data, x[0].ctypes.data, planes.ctypes.data)
+    assert out[0].tobytes() == out[1].tobytes() == np.stack([got[0].real, got[0].imag]).tobytes()
 
 
 @needs_kernels
@@ -770,7 +857,7 @@ def test_demix_kernel_weight_agrees_with_compute_r1(rng, n_bins, dim):
     above and below 1, and equals it exactly at the floor (a silent frame)
     and when |e|^2 overflows (weight 0)."""
     state = auxiva.AuxivaState(n_bins, dim)
-    state.rows[...] = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+    state.rows = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
     obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
     for scale in (1e-5, 1.0, 1e5):
         frame = np.ascontiguousarray(scale * obs)

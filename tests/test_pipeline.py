@@ -14,7 +14,7 @@ import naec
 from conftest import engine_irfft, engine_rfft, numpy_path, on_both_paths
 from naec import auxiva, ctf, stft
 from naec.audio_io import SAMPLE_RATE, AudioSignal
-from naec.auxiva import AuxivaConfig
+from naec.auxiva import AuxivaConfig, pack_observations, unpack_observations
 from naec.ctf import CtfConfig
 from naec.metrics import erle, steady_state
 from naec.nonlin import odd_powers
@@ -230,7 +230,8 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
         history[:, 1:] = history[:, :-1]
         history[:, 0] = spec[1:]
         obs = np.column_stack([spec[0], history.reshape(-1, n_bins).T])
-        assert engine._obs.tobytes() == obs.tobytes(), j
+        assert unpack_observations(engine._obs, n_bins).tobytes() == obs.tobytes(), j
+        assert engine._obs.tobytes() == pack_observations(obs).tobytes(), j
         acc += engine_irfft(engine._state.out, n=window_len) * window
         expected = acc[:hop] / norm if j >= engine.latency_chunks else np.empty(0)
         assert out.tobytes() == expected.tobytes(), j
@@ -242,9 +243,9 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
 @on_both_paths
 def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, order_p, frames_l):
     """After n frames the engine's one observation buffer, which its state
-    reads, holds, byte for byte, the stacked observations of frame n of the
-    batch spectrograms of the pre-padded microphone and far-end powers,
-    taken with the engine's FFT."""
+    reads, holds, byte for byte, the planes of the stacked observations of
+    frame n of the batch spectrograms of the pre-padded microphone and
+    far-end powers, taken with the engine's FFT."""
     config = _framing_config(window_len, hop, order_p, frames_l)
     sc, n_frames = config.stft, 2 * window_len // hop + frames_l
     rng = np.random.default_rng(hop + frames_l)
@@ -258,7 +259,8 @@ def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, ord
     for n in range(n_frames):
         engine.push(mic[n * hop : (n + 1) * hop], far[n * hop : (n + 1) * hop])
         expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
-        assert engine._obs.tobytes() == expected.tobytes(), n
+        assert unpack_observations(engine._obs, sc.n_bins).tobytes() == expected.tobytes(), n
+        assert engine._obs.tobytes() == pack_observations(expected).tobytes(), n
     assert engine._obs is buffer and engine._state.obs is buffer
 
 
@@ -309,7 +311,7 @@ def test_fused_push_equals_the_kernels_called_in_turn(window_len, hop, order_p, 
     assert fused.stats.skipped_bins == manual.stats.skipped_bins
     assert fused.stats.n_frames == manual.stats.n_frames == fused._state.frames
     assert fused._state.frames == n_chunks + fused.latency_chunks
-    for name in ("inv", "trace", "rows", "out"):
+    for name in ("inv", "trace", "row_planes", "obs", "out"):
         assert getattr(fused._state, name).tobytes() == getattr(manual._state, name).tobytes()
 
 
