@@ -255,27 +255,25 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alp
     }
     return broken;
 }
-/* One frame of ILRMA's NMF source model and its weight, as
+/* One frame of ILRMA's rank-1 NMF source model and its weight, as
    IlrmaState.frame_weight does it in numpy: from the outputs e = rows^H obs
-   of the previous rows, the bases update t1 <- max(t1 sqrt(|e|^2 / r1),
+   of the previous rows, the basis update t1 <- max(t1 sqrt(|e|^2 / r1),
    floor), the refresh r1 = max(t1 v1, floor), the activation update
-   v1 <- max(v1 sqrt(num / den), floor) with num = t1^T (|e|^2 / r1^2) and
-   den = t1^T (1 / r1) summed over the K bins, and the final refresh of r1;
+   v1 <- max(v1 sqrt(num / den), floor) with num = t1 . (|e|^2 / r1^2) and
+   den = t1 . (1 / r1) summed over the K bins, and the final refresh of r1;
    then gain = 1 / r1. A frame whose outputs are all zero leaves the model
-   as it is. ``bases`` holds t1 basis-major, (B, blocks * LANES), and
-   ``r1`` and ``gain`` are blocks * LANES long, all 64-byte aligned; ``v1``
-   is B long. Lanes past bin K - 1 are computed on their own power, bin
-   K - 1's, but are left out of num and den, so they never reach a bin's
-   result.
+   as it is. ``basis`` (t1), ``r1`` and ``gain`` are blocks * LANES long,
+   64-byte aligned, and ``v1`` is one double. Lanes past bin K - 1 are
+   computed on their own power, bin K - 1's, but are left out of num and
+   den, so they never reach a bin's result.
    Returns 1 if the model was updated, 0 if the frame was all zero. ``work``
-   holds blocks + 2 B vectors: |e|^2 per block, then the per-lane partial
-   sums of num and den. */
+   holds |e|^2, one vector per block. */
 LANE_CLONES
-long ilrma_weight(long n_bins, long dim, long n_bases, const v8 *rows, const v8 *obs,
-                  v8 *bases, double *v1, v8 *r1, double floor, v8 *gain, v8 *work)
+long ilrma_weight(long n_bins, long dim, const v8 *rows, const v8 *obs, v8 *basis, double *v1,
+                  v8 *r1, double floor, v8 *gain, v8 *work)
 {
     const long blocks = (n_bins + LANES - 1) / LANES;
-    v8 *power = work, *num = power + blocks, *den = num + n_bases;
+    v8 *power = work;
     /* The lanes of bins in a full block and in the last one. A mask compared
        in the loops is scalarized by GCC 12 for AVX-512F alone. */
     const v8l lane = {0, 1, 2, 3, 4, 5, 6, 7}, all = ~(v8l){0};
@@ -292,41 +290,29 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const v8 *rows, const v8 
         live |= alive[l] != 0;
     if (live) {
         const v8 lo = (v8){0.0} + floor;
-        for (long b = 0; b < n_bases; b++)
-            num[b] = den[b] = (v8){0.0};
+        const double v = *v1;
+        v8 num = {0.0}, den = {0.0};
         for (long j = 0; j < blocks; j++) {
             const v8 ratio = power[j] / r1[j];
-            v8 factor, r = {0.0};
+            v8 factor; /* one vector sqrt, as the library is built with -fno-math-errno */
             for (int l = 0; l < LANES; l++)
                 factor[l] = sqrt(ratio[l]);
-            for (long b = 0; b < n_bases; b++) {
-                const v8 t = AT_LEAST(bases[b * blocks + j] * factor, lo);
-                bases[b * blocks + j] = t;
-                r += t * v1[b];
-            }
-            const v8 w1 = 1.0 / AT_LEAST(r, lo), w2 = power[j] * (w1 * w1);
+            const v8 t = AT_LEAST(basis[j] * factor, lo);
+            basis[j] = t;
+            const v8 w1 = 1.0 / AT_LEAST(t * v, lo), w2 = power[j] * (w1 * w1);
             const v8l in_range = j < blocks - 1 ? all : last;
-            for (long b = 0; b < n_bases; b++) {
-                const v8 t = bases[b * blocks + j];
-                num[b] += (v8)((v8l)(t * w2) & in_range);
-                den[b] += (v8)((v8l)(t * w1) & in_range);
-            }
+            num += (v8)((v8l)(t * w2) & in_range);
+            den += (v8)((v8l)(t * w1) & in_range);
         }
-        for (long b = 0; b < n_bases; b++) {
-            double n = 0.0, d = 0.0;
-            for (int l = 0; l < LANES; l++) {
-                n += num[b][l];
-                d += den[b][l];
-            }
-            const double v = v1[b] * sqrt(n / d);
-            v1[b] = v < floor ? floor : v;
+        double n = 0.0, d = 0.0;
+        for (int l = 0; l < LANES; l++) {
+            n += num[l];
+            d += den[l];
         }
-        for (long j = 0; j < blocks; j++) {
-            v8 r = {0.0};
-            for (long b = 0; b < n_bases; b++)
-                r += bases[b * blocks + j] * v1[b];
-            r1[j] = AT_LEAST(r, lo);
-        }
+        const double updated = v * sqrt(n / d);
+        *v1 = updated < floor ? floor : updated;
+        for (long j = 0; j < blocks; j++)
+            r1[j] = AT_LEAST(basis[j] * *v1, lo);
     }
     for (long j = 0; j < blocks; j++)
         gain[j] = 1.0 / r1[j];
@@ -336,9 +322,9 @@ long ilrma_weight(long n_bins, long dim, long n_bases, const v8 *rows, const v8 
 /* naec.auxiva.AuxivaState.kernel: the state's buffers and settings, the
    workspace of update and ilrma_weight, and the frames and skipped bins. */
 struct state {
-    long n_bins, dim, n_bases; /* n_bases > 0: ILRMA's weight, else AuxIVA's */
+    long n_bins, dim;
     double alpha, diag_load, floor, exponent;
-    v8 *inv, *trace, *bases, *r1, *work, *rows, *obs;
+    v8 *inv, *trace, *basis, *r1, *work, *rows, *obs; /* basis: ILRMA's weight, NULL: AuxIVA's */
     double *gain, *v1, *out;
     long frames, skipped_bins;
 };
@@ -347,10 +333,10 @@ struct state {
    update of coordinate frames mod dim, counted. Returns the broken bins. */
 long step(struct state *s)
 {
-    const long stride = s->n_bases > 0;
+    const long stride = s->basis != NULL;
     if (stride)
-        ilrma_weight(s->n_bins, s->dim, s->n_bases, s->rows, s->obs, s->bases, s->v1, s->r1,
-                     s->floor, (v8 *)s->gain, s->work);
+        ilrma_weight(s->n_bins, s->dim, s->rows, s->obs, s->basis, s->v1, s->r1, s->floor,
+                     (v8 *)s->gain, s->work);
     else
         demix(s->n_bins, s->dim, s->rows, s->obs, s->out, s->floor, s->exponent, s->gain);
     return update(s->n_bins, s->dim, s->inv, s->trace, s->obs, s->alpha, s->gain, stride,
@@ -770,9 +756,9 @@ long push(const struct engine *e)
 long layout(long *out)
 {
     const long at[] = {
-        sizeof(struct state), AT(state, n_bins), AT(state, dim), AT(state, n_bases),
-        AT(state, alpha), AT(state, diag_load), AT(state, floor), AT(state, exponent),
-        AT(state, inv), AT(state, trace), AT(state, bases), AT(state, r1), AT(state, work),
+        sizeof(struct state), AT(state, n_bins), AT(state, dim), AT(state, alpha),
+        AT(state, diag_load), AT(state, floor), AT(state, exponent), AT(state, inv),
+        AT(state, trace), AT(state, basis), AT(state, r1), AT(state, work),
         AT(state, rows), AT(state, obs), AT(state, gain), AT(state, v1), AT(state, out),
         AT(state, frames), AT(state, skipped_bins), sizeof(struct engine), AT(engine, state),
         AT(engine, order_p), AT(engine, frames_l), AT(engine, hop), AT(engine, window_len),

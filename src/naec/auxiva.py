@@ -39,7 +39,7 @@ and ``ctf.demix_frame``:
 numpy code in the kernel's real operations and order, so P, tau, rows and
 output are the kernel's bytes for the same weight, and a bin's result does
 not depend on the other bins. AuxIVA's weight agrees to rounding: the
-``demix`` kernel sums |e|^2 as re^2 + im^2 in bin order, ``output_norm``
+``demix`` kernel sums |e|^2 as re^2 + im^2 in bin order, ``compute_r1``
 with numpy's ``abs`` and pairwise sum.
 
 Rescaling P, tau and the weight by 2^-m, 2^m and 2^m rescales the update's
@@ -66,8 +66,9 @@ from .ctf import demix_frame, passthrough_row
 COV_INIT_SCALE = 1e-3
 R_FLOOR = 1e-8  # floor on r1, so Phi(r1) stays finite on a silent frame
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+# -fno-math-errno: sqrt is one (vector) instruction, with no libm call for errno.
 # -Bsymbolic: the kernels call their own ``step``, not glibc's legacy regexp one.
-KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-Wl,-Bsymbolic")
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared", "-Wl,-Bsymbolic")
 LANES = 8  # bins per block of the per-bin planes, as in _kernels.c
 ALIGN = 64  # byte alignment of the planes, one vector of LANES doubles
 _TURN = np.array([1.0, -1.0])[:, np.newaxis, np.newaxis]  # see ewma_covariance_update
@@ -106,7 +107,7 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     lib.update.restype = size
     lib.demix.argtypes = (size, size, ptr, ptr, ptr, real, real, ptr)
     lib.demix.restype = None
-    lib.ilrma_weight.argtypes = (size, size, size, ptr, ptr, ptr, ptr, ptr, real, ptr, ptr)
+    lib.ilrma_weight.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr, real, ptr, ptr)
     lib.ilrma_weight.restype = size
     lib.fft_plan.argtypes = (size, ptr)
     lib.fft_plan.restype = size
@@ -125,12 +126,11 @@ _kernels = build_kernels()  # None: the numpy code below runs instead
 
 @dataclass(frozen=True)
 class AuxivaConfig:
-    """Online-core settings of both optimizers; ``beta`` is AuxIVA's, ``bases_b`` ILRMA's."""
+    """Online-core settings of both optimizers; ``beta`` is AuxIVA's only."""
 
     alpha: float = 0.99
     beta: float = 0.4
     diag_load: float = 1e-6
-    bases_b: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -139,16 +139,14 @@ class AuxivaConfig:
             raise ValueError(f"beta must be in (0, 2), got {self.beta}")
         if self.diag_load <= 0.0:
             raise ValueError(f"diag_load must be positive, got {self.diag_load}")
-        if self.bases_b < 1:
-            raise ValueError(f"bases_b must be >= 1, got {self.bases_b}")
 
 
 class KernelState(ctypes.Structure):
     """``struct state`` of ``_kernels.c``: what ``step`` reads and counts."""
 
-    _fields_ = [*((name, ctypes.c_long) for name in ("n_bins", "dim", "n_bases")),
+    _fields_ = [*((name, ctypes.c_long) for name in ("n_bins", "dim")),
                 *((name, ctypes.c_double) for name in ("alpha", "diag_load", "floor", "exponent")),
-                *((name, ctypes.c_void_p) for name in ("inv", "trace", "bases", "r1", "work",
+                *((name, ctypes.c_void_p) for name in ("inv", "trace", "basis", "r1", "work",
                                                        "rows", "obs", "gain", "v1", "out")),
                 ("frames", ctypes.c_long), ("skipped_bins", ctypes.c_long)]
 
@@ -177,7 +175,7 @@ class AuxivaState:
         self.gain = aligned_zeros(padded_bins(n_bins))
         self.out = aligned_zeros((padded_bins(n_bins), 2)).view(np.complex128)[:n_bins, 0]
         blocks = padded_bins(n_bins) // LANES
-        self.work = aligned_zeros((max(6 * dim, blocks + 2 * config.bases_b), LANES))
+        self.work = aligned_zeros((max(6 * dim, blocks), LANES))
         self.kernel = KernelState(
             n_bins=n_bins, dim=dim, alpha=config.alpha, diag_load=config.diag_load, floor=R_FLOOR,
             exponent=config.beta - 2.0, rows=self.row_planes.ctypes.data, **{
@@ -199,9 +197,9 @@ class AuxivaState:
         """The (K, D, D) Hermitian inverse covariances P, unpacked from ``inv``."""
         return unpack_covariance(self.inv, self.n_bins)
 
-    def frame_weight(self, obs: np.ndarray) -> float:
-        """Covariance weight for this frame: Phi(r1) from the pre-update rows."""
-        return weight(compute_r1(self, obs), self.config)
+    def frame_weight(self, obs: np.ndarray, rows: np.ndarray) -> float:
+        """Covariance weight for this frame: Phi(r1) from the (K, D) pre-update ``rows``."""
+        return weight(compute_r1(rows, obs), self.config)
 
     def reset_bins(self, bins: np.ndarray) -> None:
         """Return the selected bins (a mask or indices) to the initial prior and passthrough row."""
@@ -413,14 +411,10 @@ def solve_demixing_rows(
     return np.where((bad | broken)[:, np.newaxis], prev_rows, rows), int(bad.sum())
 
 
-def compute_r1(state: AuxivaState, obs: np.ndarray) -> float:
-    """Cross-band output norm sqrt(sum_k |w^H y|^2) with pre-update rows, floored."""
-    return output_norm(demix_frame(state.rows, obs))
-
-
-def output_norm(e: np.ndarray) -> float:
-    """sqrt(sum_k |e(k)|^2), floored at ``R_FLOOR``."""
-    return max(float(np.sqrt(np.sum(np.abs(e) ** 2))), R_FLOOR)
+def compute_r1(rows: np.ndarray, obs: np.ndarray) -> float:
+    """Cross-band output norm sqrt(sum_k |w^H y|^2) with the pre-update ``rows``,
+    floored at ``R_FLOOR``."""
+    return max(float(np.sqrt(np.sum(np.abs(demix_frame(rows, obs)) ** 2))), R_FLOOR)
 
 
 def weight(r1: float, config: AuxivaConfig) -> float:
@@ -437,7 +431,7 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     the kernels loaded: one ``step`` call; without them, ``state.frame_weight``,
     ``ewma_covariance_update``, ``solve_demixing_rows`` and ``ctf.demix_frame``
     on the unpacked (K, D) observations and rows. The compiled ``demix`` sums
-    AuxIVA's |e|^2 as re^2 + im^2 in bin order, ``output_norm`` with numpy's
+    AuxIVA's |e|^2 as re^2 + im^2 in bin order, ``compute_r1`` with numpy's
     ``abs`` and pairwise sum, so the weights agree to rounding; an |e|^2 that
     overflows on a finite burst makes the weight 0 or NaN, which the update's
     count of broken bins handles. ``obs`` is any (K, D) array, which is packed
@@ -458,7 +452,7 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
         # A finite burst may overflow |e|^2; the update's count of broken
         # bins handles it, so numpy's warnings are only noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            gain = state.frame_weight(obs)
+            gain = state.frame_weight(obs, prev)
         broken = ewma_covariance_update(state.inv, state.trace, obs, config.alpha, gain,
                                         config.diag_load, coord)
         rows, skipped = solve_demixing_rows(state.inv, state.trace, prev)

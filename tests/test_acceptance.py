@@ -232,13 +232,13 @@ def test_auxiva_beats_adaptive_nlms_at_its_best_step(near_end, margin_db):
 
 def test_criterion_06_nmf_update_property_suite():
     """Fixed point, batch consistency, and floor preservation over 1000
-    random 8-bin/2-basis instances, all at 1e-12."""
+    random 8-bin instances, all at 1e-12."""
     rng = np.random.default_rng(66)
     start = time.perf_counter()
     for _ in range(1000):
-        m = NmfSourceModel(8, 2)
-        m.t1 = rng.uniform(0.2, 2.0, (8, 2))
-        m.v1 = rng.uniform(0.2, 2.0, 2)
+        m = NmfSourceModel(8)
+        m.t1 = rng.uniform(0.2, 2.0, 8)
+        m.v1 = rng.uniform(0.2, 2.0)
         m.recompute_variance()
 
         # factor-one fixed point: matching power leaves the model untouched
@@ -252,17 +252,17 @@ def test_criterion_06_nmf_update_property_suite():
         # online update pair consistent with the batch sweep on one column
         e1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         t_ref, v_ref, r_ref = nmf_batch_sweep(
-            m.t1.copy(), m.v1.copy()[:, None], (np.abs(e1) ** 2)[:, None], NMF_FLOOR
+            m.t1.reshape(8, 1), m.v1.reshape(1, 1), (np.abs(e1) ** 2)[:, None], NMF_FLOOR
         )
         update_bases(m, e1)
         update_activations(m, e1)
-        np.testing.assert_allclose(m.t1, t_ref, rtol=1e-12)
-        np.testing.assert_allclose(m.v1, v_ref[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(m.t1, t_ref[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(m.v1, v_ref[0, 0], rtol=1e-12)
         np.testing.assert_allclose(m.r1, r_ref[:, 0], rtol=1e-12)
 
-        # silence drives the bases to the floor, never below
+        # silence drives the basis to the floor, never below
         update_bases(m, np.zeros(8, dtype=complex))
-        np.testing.assert_array_equal(m.t1, np.full((8, 2), NMF_FLOOR))
+        np.testing.assert_array_equal(m.t1, np.full(8, NMF_FLOOR))
         assert np.all(m.v1 >= NMF_FLOOR) and np.all(m.r1 >= NMF_FLOOR)
     assert time.perf_counter() - start < 5.0
 

@@ -123,7 +123,7 @@ def test_loading_is_trace_relative(rng):
     for n in range(4):
         obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
         obs[1] = 0.0
-        weight_before = state.frame_weight(obs)
+        weight_before = state.frame_weight(obs, state.rows)
         process_frame(state, obs)
         cov, tau = _dense_update(cov, obs, alpha, weight_before, 0.1, n % dim)
         np.testing.assert_allclose(state.inverse[0], np.linalg.inv(cov[0]), rtol=1e-9)
@@ -186,11 +186,11 @@ def test_constrained_product_inverse_identity(rng):
 def test_r1_and_weight(rng):
     state = AuxivaState(3, 2)
     obs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    r1 = compute_r1(state, obs)
+    r1 = compute_r1(state.rows, obs)
     # passthrough rows: outputs are the first observation entries
     assert r1 == pytest.approx(np.sqrt(np.sum(np.abs(obs[:, 0]) ** 2)))
     assert weight(r1, state.config) == pytest.approx(r1 ** (0.4 - 2.0))
-    assert compute_r1(state, np.zeros((3, 2), dtype=complex)) == R_FLOOR
+    assert compute_r1(state.rows, np.zeros((3, 2), dtype=complex)) == R_FLOOR
 
 
 def test_process_frame_counts_and_shape(rng):
@@ -284,7 +284,7 @@ def test_inverse_stays_stable_over_20000_frames():
     cov = np.broadcast_to(1e-3 * np.eye(dim), (n_bins, dim, dim)).astype(complex)
     for n in range(20000):
         obs = block[n % len(block)]
-        gain = state.frame_weight(obs)
+        gain = state.frame_weight(obs, state.rows)
         process_frame(state, obs)
         cov, _ = _dense_update(cov, obs, alpha, gain, state.config.diag_load, n % dim)
     diagonal = np.diagonal(auxiva._entries(dim))

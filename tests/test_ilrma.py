@@ -1,4 +1,4 @@
-"""Rank-constrained spectral model: multiplicative updates and batch mode."""
+"""Rank-1 NMF source model: multiplicative updates and batch mode."""
 
 import numpy as np
 import pytest
@@ -15,60 +15,58 @@ from oracles import itakura_saito, nmf_batch_sweep
 
 
 def _literal_bases_update(t1, v1, r1, p, floor):
-    """Loop transcription of the multiplicative bases update."""
-    k_bins, b = t1.shape
+    """Loop transcription of the multiplicative basis update."""
     out = np.empty_like(t1)
-    for k in range(k_bins):
-        for j in range(b):
-            num = p[k] * v1[j] / r1[k] ** 2
-            den = v1[j] / r1[k]
-            out[k, j] = max(t1[k, j] * np.sqrt(num / den), floor)
+    for k in range(len(t1)):
+        num = p[k] * v1 / r1[k] ** 2
+        den = v1 / r1[k]
+        out[k] = max(t1[k] * np.sqrt(num / den), floor)
     return out
 
 
+def _random_model(rng, n_bins, low=0.5):
+    m = NmfSourceModel(n_bins)
+    m.t1 = rng.uniform(low, 2.0, n_bins)
+    m.v1 = rng.uniform(low, 2.0)
+    m.recompute_variance()
+    return m
+
+
 def test_model_initial_state():
-    m = NmfSourceModel(4, 5)
-    np.testing.assert_array_equal(m.t1, np.ones((4, 5)))
-    np.testing.assert_array_equal(m.v1, np.full(5, 0.2))
+    m = NmfSourceModel(4)
+    np.testing.assert_array_equal(m.t1, np.ones(4))
+    assert m.v1 == 1.0
     np.testing.assert_array_equal(m.r1, np.ones(4))
+    # the padding lanes the kernel computes on start as the bins do
+    np.testing.assert_array_equal(m.basis, np.ones(8))
+    np.testing.assert_array_equal(m.variance, np.ones(8))
 
 
 def test_bases_update_matches_literal_formula(rng):
-    m = NmfSourceModel(6, 3)
-    m.t1 = rng.uniform(0.5, 2.0, (6, 3))
-    m.v1 = rng.uniform(0.5, 2.0, 3)
-    m.recompute_variance()
+    m = _random_model(rng, 6)
     e1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     expected = _literal_bases_update(
-        m.t1, m.v1, m.r1, np.abs(e1) ** 2, NMF_FLOOR
+        m.t1, float(m.v1), m.r1, np.abs(e1) ** 2, NMF_FLOOR
     )
     update_bases(m, e1)
     np.testing.assert_allclose(m.t1, expected, rtol=1e-13)
-    np.testing.assert_allclose(m.r1, np.maximum(m.t1 @ m.v1, NMF_FLOOR), rtol=0)
+    np.testing.assert_allclose(m.r1, np.maximum(m.t1 * m.v1, NMF_FLOOR), rtol=0)
 
 
 def test_activation_update_sums_over_bins(rng):
-    m = NmfSourceModel(5, 2)
-    m.t1 = rng.uniform(0.5, 2.0, (5, 2))
-    m.v1 = rng.uniform(0.5, 2.0, 2)
-    m.recompute_variance()
+    m = _random_model(rng, 5)
     e1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     p = np.abs(e1) ** 2
-    expected = np.empty(2)
-    for j in range(2):
-        num = np.sum(m.t1[:, j] * p / m.r1**2)
-        den = np.sum(m.t1[:, j] / m.r1)
-        expected[j] = max(m.v1[j] * np.sqrt(num / den), NMF_FLOOR)
+    num = sum(m.t1[k] * p[k] / m.r1[k] ** 2 for k in range(5))
+    den = sum(m.t1[k] / m.r1[k] for k in range(5))
+    expected = max(m.v1 * np.sqrt(num / den), NMF_FLOOR)
     update_activations(m, e1)
     np.testing.assert_allclose(m.v1, expected, rtol=1e-13)
 
 
 def test_perfect_fit_is_a_fixed_point(rng):
-    """When |e1|^2 already equals t1 @ v1 both updates change nothing."""
-    m = NmfSourceModel(8, 2)
-    m.t1 = rng.uniform(0.5, 2.0, (8, 2))
-    m.v1 = rng.uniform(0.5, 2.0, 2)
-    m.recompute_variance()
+    """When |e1|^2 already equals t1 v1 both updates change nothing."""
+    m = _random_model(rng, 8)
     e1 = np.sqrt(m.r1)  # power exactly matches the model variance
     t_before, v_before = m.t1.copy(), m.v1.copy()
     update_bases(m, e1)
@@ -78,25 +76,22 @@ def test_perfect_fit_is_a_fixed_point(rng):
 
 
 def test_zero_power_floors_bases():
-    m = NmfSourceModel(3, 2)
+    m = NmfSourceModel(3)
     update_bases(m, np.zeros(3, dtype=complex))
-    np.testing.assert_array_equal(m.t1, np.full((3, 2), 1e-12))
+    np.testing.assert_array_equal(m.t1, np.full(3, 1e-12))
     assert np.all(m.r1 >= 1e-12)
 
 
 def test_online_pair_equals_single_column_batch_sweep(rng):
-    m = NmfSourceModel(6, 3)
-    m.t1 = rng.uniform(0.5, 2.0, (6, 3))
-    m.v1 = rng.uniform(0.5, 2.0, 3)
-    m.recompute_variance()
+    m = _random_model(rng, 6)
     e1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     t_ref, v_ref, r_ref = nmf_batch_sweep(
-        m.t1.copy(), m.v1.copy()[:, None], (np.abs(e1) ** 2)[:, None], NMF_FLOOR
+        m.t1.reshape(6, 1), m.v1.reshape(1, 1), (np.abs(e1) ** 2)[:, None], NMF_FLOOR
     )
     update_bases(m, e1)
     update_activations(m, e1)
-    np.testing.assert_allclose(m.t1, t_ref, rtol=1e-13)
-    np.testing.assert_allclose(m.v1, v_ref[:, 0], rtol=1e-13)
+    np.testing.assert_allclose(m.t1, t_ref[:, 0], rtol=1e-13)
+    np.testing.assert_allclose(m.v1, v_ref[0, 0], rtol=1e-13)
     np.testing.assert_allclose(m.r1, r_ref[:, 0], rtol=1e-13)
 
 
@@ -120,7 +115,7 @@ def test_itakura_saito_zero_at_match(rng):
 
 
 def test_online_state_and_zero_reference_passthrough(rng):
-    state = IlrmaState(4, 3, AuxivaConfig(bases_b=2))
+    state = IlrmaState(4, 3, AuxivaConfig(alpha=0.95))
     for _ in range(8):
         obs = np.zeros((4, 3), dtype=np.complex128)
         obs[:, 0] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -137,6 +132,6 @@ def test_process_frame_shape_check():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AuxivaConfig(bases_b=0)
+        AuxivaConfig(diag_load=-1.0)
     with pytest.raises(ValueError):
         AuxivaConfig(alpha=1.5)

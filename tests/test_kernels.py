@@ -593,9 +593,8 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
             assert kernel_update(library, p, t, obs, 0.9, gain, 1, 1e-6, 2 % dim, rows)[0] == 1
             results.append((p.tobytes(), t.tobytes(), rows.tobytes()))
         assert results[0] == results[1]
-        for bases_b in NMF_BASES:
-            loaded, base = (_nmf_state(np.random.default_rng(bases_b), 513, dim, bases_b)
-                            for _ in range(2))
+        for seed in NMF_SEEDS:
+            loaded, base = (_nmf_state(np.random.default_rng(seed), 513, dim) for _ in range(2))
             for frame in _nmf_frames(rng, 513, dim):
                 assert _ilrma_weight(auxiva._kernels, loaded, frame) == 1
                 assert _ilrma_weight(lib, base, frame) == 1
@@ -617,28 +616,28 @@ def _ilrma_weight(lib, state, obs):
     and workspace."""
     k = state.kernel
     pack_observations(obs, state.obs)
-    return lib.ilrma_weight(k.n_bins, k.dim, k.n_bases, k.rows, k.obs, k.bases, k.v1, k.r1,
-                            k.floor, k.gain, k.work)
+    return lib.ilrma_weight(k.n_bins, k.dim, k.rows, k.obs, k.basis, k.v1, k.r1, k.floor, k.gain,
+                            k.work)
 
 
 def _nmf_bytes(state):
     m = state.model
-    return m.bases.tobytes(), m.v1.tobytes(), m.variance.tobytes(), state.gain.tobytes()
+    return m.basis.tobytes(), m.v1.tobytes(), m.variance.tobytes(), state.gain.tobytes()
 
 
-NMF_BASES = [1, 2, 10, 33]
+NMF_SEEDS = [1, 2, 10, 33]  # four random models and row sets per size
 
 
-def _nmf_state(rng, n_bins, dim, bases_b):
+def _nmf_state(rng, n_bins, dim):
     """An ILRMA state with random rows and a random NMF model, padding lanes
     left as they start."""
-    state = IlrmaState(n_bins, dim, auxiva.AuxivaConfig(bases_b=bases_b))
+    state = IlrmaState(n_bins, dim)
     rows = state.rows
     rows[:, 1:] = 0.3 * (rng.standard_normal((n_bins, dim - 1))
                          + 1j * rng.standard_normal((n_bins, dim - 1)))
     state.rows = rows
-    state.model.t1 = rng.uniform(0.2, 2.0, (n_bins, bases_b))
-    state.model.v1 = rng.uniform(0.2, 2.0, bases_b)
+    state.model.t1 = rng.uniform(0.2, 2.0, n_bins)
+    state.model.v1 = rng.uniform(0.2, 2.0)
     state.model.recompute_variance()
     return state
 
@@ -692,7 +691,7 @@ def _weights_both(compiled, reference, obs):
     """One frame's weight on the NMF kernel and on the numpy updates."""
     _ilrma_weight(auxiva._kernels, compiled, obs)
     with np.errstate(all="ignore"):
-        return reference.frame_weight(obs)
+        return reference.frame_weight(obs, reference.rows)
 
 
 def _assert_models_close(compiled, reference, expected_gain):
@@ -703,16 +702,16 @@ def _assert_models_close(compiled, reference, expected_gain):
 
 
 @needs_kernels
-@pytest.mark.parametrize("bases_b", NMF_BASES)
+@pytest.mark.parametrize("seed", NMF_SEEDS)
 @pytest.mark.parametrize("n_bins, dim", [(9, 4), (513, 4), (65, 10)])
-def test_nmf_kernel_agrees_with_the_numpy_updates(n_bins, dim, bases_b):
+def test_nmf_kernel_agrees_with_the_numpy_updates(n_bins, dim, seed):
     """The weight kernel follows ``update_bases`` + ``update_activations`` to
     rounding over several frames. The padding lanes of the last block hold
-    huge bases and variances; were they summed, v1 would be far off."""
-    compiled, reference = (_nmf_state(np.random.default_rng(bases_b), n_bins, dim, bases_b)
+    a huge basis and variances; were they summed, v1 would be far off."""
+    compiled, reference = (_nmf_state(np.random.default_rng(seed), n_bins, dim)
                            for _ in range(2))
     pad = np.s_[n_bins:]
-    compiled.model.bases[:, pad] = 1e150
+    compiled.model.basis[pad] = 1e150
     compiled.model.variance[pad] = 1e-150
     for obs in _nmf_frames(np.random.default_rng(dim), n_bins, dim, count=5):
         gain = _weights_both(compiled, reference, obs)
@@ -721,15 +720,15 @@ def test_nmf_kernel_agrees_with_the_numpy_updates(n_bins, dim, bases_b):
 
 @needs_kernels
 def test_nmf_kernel_propagates_non_finite_as_numpy_does(rng):
-    """NaN and Inf bases and outputs stay non-finite in the same entries on
-    both paths, so ``reset_bins`` resets the same bases rows."""
-    n_bins, dim, bases_b = 21, 4, 3
-    compiled, reference = (_nmf_state(np.random.default_rng(5), n_bins, dim, bases_b)
+    """NaN and Inf basis entries and outputs stay non-finite in the same
+    entries on both paths, so ``reset_bins`` resets the same basis entries."""
+    n_bins, dim = 21, 4
+    compiled, reference = (_nmf_state(np.random.default_rng(5), n_bins, dim)
                            for _ in range(2))
     for state in (compiled, reference):
-        state.model.t1[2, 1] = np.nan
-        state.model.t1[7, 0] = np.inf
-        state.model.t1[20, 2] = np.inf  # the last bin, whose copies pad its block
+        state.model.t1[2] = np.nan
+        state.model.t1[7] = np.inf
+        state.model.t1[20] = np.inf  # the last bin, whose copies pad its block
         state.model.recompute_variance()
     obs = _nmf_frames(rng, n_bins, dim, count=1)[0]
     obs[11] = 1e200  # |e|^2 overflows in bin 11
@@ -742,10 +741,10 @@ def test_nmf_kernel_propagates_non_finite_as_numpy_does(rng):
     assert not np.isfinite(reference.model.t1).all()
     resets = []
     for state in (compiled, reference):
-        before = np.isfinite(state.model.t1).all(axis=1)
+        before = np.isfinite(state.model.t1)
         state.reset_bins([])
         resets.append(~before)
-        assert np.isfinite(state.model.bases).all()
+        assert np.isfinite(state.model.basis).all()
     np.testing.assert_array_equal(*resets)
 
 
@@ -755,7 +754,7 @@ def test_all_zero_frame_skips_the_nmf_update(n_bins):
     """A frame whose pre-update outputs are all zero, signed zeros included,
     leaves the model byte for byte and weights by the last 1/r1, in the
     kernel and in a compiled ``process_frame``."""
-    state = _nmf_state(np.random.default_rng(3), n_bins, 4, 10)
+    state = _nmf_state(np.random.default_rng(3), n_bins, 4)
     before = _nmf_bytes(state)[:3]
     obs = np.zeros((n_bins, 4), dtype=np.complex128)
     obs[::2] = complex(-0.0, -0.0)
@@ -790,7 +789,7 @@ def test_kernel_addresses_stay_valid(rng, state_type):
                "gain": state.gain, "out": state.out, "work": state.work, "obs": state.obs}
     if state_type is IlrmaState:
         m = state.model
-        buffers.update(bases=m.bases, v1=m.activations, r1=m.variance)
+        buffers.update(basis=m.basis, v1=m.activation, r1=m.variance)
     for name, buffer in buffers.items():
         assert getattr(k, name) == buffer.ctypes.data, name
     assert state.handle.value == ctypes.addressof(k)
@@ -862,10 +861,10 @@ def test_demix_kernel_weight_agrees_with_compute_r1(rng, n_bins, dim):
     for scale in (1e-5, 1.0, 1e5):
         frame = np.ascontiguousarray(scale * obs)
         _demix_weight(auxiva._kernels, state, frame)
-        expected = auxiva.weight(auxiva.compute_r1(state, frame), state.config)
+        expected = auxiva.weight(auxiva.compute_r1(state.rows, frame), state.config)
         assert abs(state.gain[0] - expected) <= 1e-13 * expected, scale
     for frame in (np.zeros_like(obs), np.full_like(obs, 1e200)):
         _demix_weight(auxiva._kernels, state, frame)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = auxiva.weight(auxiva.compute_r1(state, frame), state.config)
+            expected = auxiva.weight(auxiva.compute_r1(state.rows, frame), state.config)
         assert state.gain[0] == expected

@@ -517,7 +517,7 @@ SECTIONS = (StftConfig, CtfConfig, AuxivaConfig)
 # A valid non-default value for every engine setting, as a config file writes it.
 NON_DEFAULT = {
     "optimizer": "ilrma", "window_len": "2048", "hop": "128", "frames_l": "2",
-    "order_p": "1", "alpha": "0.95", "beta": "0.5", "diag_load": "1e-5", "bases_b": "4",
+    "order_p": "1", "alpha": "0.95", "beta": "0.5", "diag_load": "1e-5",
 }
 
 
@@ -531,7 +531,7 @@ def _settings(c: EngineConfig) -> dict:
 class TestEngineFromMapping:
     def test_settings_have_distinct_names(self):
         names = ["optimizer"] + [f.name for cls in SECTIONS for f in fields(cls)]
-        assert len(set(names)) == len(names) == 9
+        assert len(set(names)) == len(names) == 8
         assert set(_settings(EngineConfig())) == set(NON_DEFAULT)
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
@@ -560,7 +560,6 @@ class TestEngineFromMapping:
                 "engine.order_p": "1",
                 "engine.alpha": "0.95",
                 "engine.beta": "0.5",
-                "engine.bases_b": "4",
                 "engine.diag_load": "1e-5",
                 "engine.window_len": "512",
                 "engine.hop": "128",
@@ -568,12 +567,14 @@ class TestEngineFromMapping:
         )
         assert c.optimizer == "ilrma"
         assert c.ctf == CtfConfig(frames_l=2, order_p=1)
-        assert c.auxiva == AuxivaConfig(alpha=0.95, beta=0.5, diag_load=1e-5, bases_b=4)
+        assert c.auxiva == AuxivaConfig(alpha=0.95, beta=0.5, diag_load=1e-5)
         assert c.stft.window_len == 512 and c.stft.hop == 128
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError, match="engine.step_size"):
-            engine_from_mapping({"engine.step_size": "0.1"})
+        # ILRMA's rank-1 model has no basis count, so no engine.bases_b.
+        for key in ("engine.step_size", "engine.bases_b"):
+            with pytest.raises(ValueError, match=key):
+                engine_from_mapping({key: "4"})
         with pytest.raises(ValueError, match="'engine'"):
             engine_from_mapping({"engine": "ilrma"})
 
