@@ -28,19 +28,19 @@ observations and rows are channel-major planes (``pack_observations``);
 ``AuxivaState.rows`` reads and writes the rows' planes as (K, D) rows.
 
 ``process_frame`` is the online core of both optimizers; ``IlrmaState``
-overrides the weight with the per-bin 1/r1(k) of its NMF model.
-``build_kernels`` compiles ``_kernels.c`` with ``cc`` when this module is
-first imported and caches the shared object under ``__pycache__``. With the
-kernels loaded a frame is one ``step`` call on ``state.kernel``: the
-weight, then ``update``, which also writes the rows and demixes the frame.
-Without them ``process_frame`` runs ``state.frame_weight``,
-``ewma_covariance_update`` (P and tau), ``solve_demixing_rows`` (the rows)
-and ``ctf.demix_frame``:
-numpy code in the kernel's real operations and order, so P, tau, rows and
-output are the kernel's bytes for the same weight, and a bin's result does
-not depend on the other bins. AuxIVA's weight agrees to rounding: the
-``demix`` kernel sums |e|^2 as re^2 + im^2 in bin order, ``compute_r1``
-with numpy's ``abs`` and pairwise sum.
+sets the weight to the per-bin 1/r1(k) of its NMF model. ``build_kernels``
+compiles ``_kernels.c`` with ``cc`` when this module is first imported,
+caches the shared object under ``__pycache__`` and raises ImportError if it
+cannot. A frame is one ``step`` call on ``state.kernel``: the weight, then
+``update``, which also writes the rows and demixes the frame.
+``compute_r1``, ``ewma_covariance_update``, ``solve_demixing_rows`` and
+``ctf.demix_frame`` are the kernels' test oracles, kept in the package
+because ``bench/spans.py`` wraps them by name: numpy code in the kernel's
+real operations and order, so P, tau, rows and output are the
+kernel's bytes for the same weight, and a bin's result does not depend on
+the other bins. AuxIVA's weight agrees to rounding: the ``demix`` kernel
+sums |e|^2 as re^2 + im^2 in bin order, ``compute_r1`` with numpy's ``abs``
+and pairwise sum.
 
 Rescaling P, tau and the weight by 2^-m, 2^m and 2^m rescales the update's
 results by the same powers of two and leaves the rows bit-identical. A bin
@@ -50,10 +50,11 @@ finite keeps its previous row and is counted in ``skipped_bins``.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
-import functools
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -75,32 +76,50 @@ _TURN = np.array([1.0, -1.0])[:, np.newaxis, np.newaxis]  # see ewma_covariance_
 
 
 def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: str = "cc"):
-    """The compiled kernels of ``_kernels.c``, or None if any step fails:
-    ``step`` and the kernels it runs for ``process_frame``, ``push`` and the
-    framing kernels it runs for the engine, and the tests' ``layout``.
+    """The compiled kernels of ``_kernels.c``: ``step`` and the kernels it
+    runs for ``process_frame``, ``push`` and the framing kernels it runs for
+    the engine, and the tests' ``layout``.
 
     The shared object is cached as ``kernels-<sha256 of source and flags>.so``
     in ``cache_dir``, compiled there on first use by ``cc`` into a temporary
-    file that is then renamed into place, and loaded through ``ctypes``.
+    file that is then renamed into place, and loaded through ``ctypes``. A
+    fresh build removes the other ``kernels-*.so`` there, the stale builds
+    of earlier sources. If ``cache_dir`` cannot be written, the build goes
+    to a private temporary directory, removed once the library is loaded.
+    Raises ImportError, with the compiler command and its stderr, if the
+    build fails.
     """
-    try:
-        source = KERNEL_SOURCE.read_bytes()
-        digest = hashlib.sha256(source + " ".join(KERNEL_FLAGS).encode()).hexdigest()
-        target = cache_dir / f"kernels-{digest}.so"
-        if not target.exists():
+    source = KERNEL_SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(KERNEL_FLAGS).encode()).hexdigest()
+    target = cache_dir / f"kernels-{digest}.so"
+    private = None
+    if not target.exists():
+        try:
             cache_dir.mkdir(exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-            os.close(fd)
-            try:
-                subprocess.run([cc, *KERNEL_FLAGS, "-o", tmp, str(KERNEL_SOURCE)],
-                               capture_output=True, check=True, timeout=120)
-                os.replace(tmp, target)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-        lib = ctypes.CDLL(str(target))
-    except (OSError, subprocess.SubprocessError):
-        return None
+        except OSError:  # an unwritable cache
+            cache_dir = private = Path(tempfile.mkdtemp(prefix="naec-kernels-"))
+            target = cache_dir / target.name
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+        os.close(fd)
+        command = [cc, *KERNEL_FLAGS, "-o", tmp, str(KERNEL_SOURCE)]
+        try:
+            subprocess.run(command, capture_output=True, check=True, timeout=120)
+            os.replace(tmp, target)
+        except (OSError, subprocess.SubprocessError) as error:
+            stderr = (getattr(error, "stderr", None) or b"").decode(errors="replace")
+            raise ImportError(f"naec needs a C compiler with GCC vector extensions; "
+                              f"`{' '.join(command)}` failed: {error}\n{stderr}") from error
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        for stale in cache_dir.glob("kernels-*.so"):
+            if stale != target:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+    lib = ctypes.CDLL(str(target))
+    if private is not None:
+        shutil.rmtree(private, ignore_errors=True)
     size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
     lib.update.argtypes = (size, size, ptr, ptr, ptr, real, ptr, size, real, size, ptr, ptr, ptr,
                            ptr)
@@ -121,7 +140,7 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     return lib
 
 
-_kernels = build_kernels()  # None: the numpy code below runs instead
+_kernels = build_kernels()
 
 
 @dataclass(frozen=True)
@@ -133,8 +152,8 @@ class AuxivaConfig:
     diag_load: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 2.0:
             raise ValueError(f"beta must be in (0, 2), got {self.beta}")
         if self.diag_load <= 0.0:
@@ -197,10 +216,6 @@ class AuxivaState:
         """The (K, D, D) Hermitian inverse covariances P, unpacked from ``inv``."""
         return unpack_covariance(self.inv, self.n_bins)
 
-    def frame_weight(self, obs: np.ndarray, rows: np.ndarray) -> float:
-        """Covariance weight for this frame: Phi(r1) from the (K, D) pre-update ``rows``."""
-        return weight(compute_r1(rows, obs), self.config)
-
     def reset_bins(self, bins: np.ndarray) -> None:
         """Return the selected bins (a mask or indices) to the initial prior and passthrough row."""
         mask = np.zeros(self.n_bins, dtype=bool)
@@ -217,40 +232,28 @@ def _prior(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128) / COV_INIT_SCALE
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-# The index arrays below are cached per K or D, as a frame would otherwise
-# spend more time building them than the numpy code spends using them.
-@functools.lru_cache(maxsize=16)
 def _lane_bins(n_bins: int) -> np.ndarray:
     """The bin held by each lane of the planes; a short last block repeats bin K - 1."""
-    return _read_only(np.minimum(np.arange(padded_bins(n_bins)), n_bins - 1))[0]
+    return np.minimum(np.arange(padded_bins(n_bins)), n_bins - 1)
 
 
-@functools.lru_cache(maxsize=16)
 def _upper(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each plane entry: the upper triangle in row-major order."""
-    return _read_only(*np.triu_indices(dim))
+    return np.triu_indices(dim)
 
 
-@functools.lru_cache(maxsize=16)
 def _entries(dim: int) -> np.ndarray:
     """(D, D) plane entry that holds V[i, j] or, below the diagonal, its conjugate."""
     rows, cols = _upper(dim)
     index = np.empty((dim, dim), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(len(rows))
-    return _read_only(index)[0]
+    return index
 
 
-@functools.lru_cache(maxsize=16)
 def _signs(dim: int) -> np.ndarray:
     """(D, D, 1) sign of P_ab's imaginary part, at [b, a], against plane entry ``_entries``."""
     above = np.triu(np.ones((dim, dim), dtype=bool), 1)
-    return _read_only(np.where(above, -1.0, 1.0)[..., np.newaxis])[0]
+    return np.where(above, -1.0, 1.0)[..., np.newaxis]
 
 
 def _dim(cov: np.ndarray) -> int:
@@ -417,50 +420,17 @@ def compute_r1(rows: np.ndarray, obs: np.ndarray) -> float:
     return max(float(np.sqrt(np.sum(np.abs(demix_frame(rows, obs)) ** 2))), R_FLOOR)
 
 
-def weight(r1: float, config: AuxivaConfig) -> float:
-    """Weighting function Phi(r1) = r1**(beta - 2); finite because r1 is floored."""
-    return float(r1 ** (config.beta - 2.0))
-
-
 def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
-    """One online update with the frame's observations, returning E(k, n).
-
-    Steps: weight the frame from the previous rows, update every bin's P
-    and tau, read the rows, reset the broken bins (``reset_broken``), and
-    demix with the new rows into ``state.out``. Serves both optimizers. With
-    the kernels loaded: one ``step`` call; without them, ``state.frame_weight``,
-    ``ewma_covariance_update``, ``solve_demixing_rows`` and ``ctf.demix_frame``
-    on the unpacked (K, D) observations and rows. The compiled ``demix`` sums
-    AuxIVA's |e|^2 as re^2 + im^2 in bin order, ``compute_r1`` with numpy's
-    ``abs`` and pairwise sum, so the weights agree to rounding; an |e|^2 that
-    overflows on a finite burst makes the weight 0 or NaN, which the update's
-    count of broken bins handles. ``obs`` is any (K, D) array, which is packed
-    into ``state.obs``, or ``state.obs`` itself as the engine passes it.
-    """
+    """One online update with the frame's observations, returning E(k, n):
+    one ``step`` call (weight, update, rows, demix into ``state.out``), then
+    ``reset_broken`` if a bin broke. ``obs`` is any (K, D) array, packed
+    into ``state.obs``, or ``state.obs`` itself as the engine passes it."""
     if obs is not state.obs:
         if np.shape(obs) != (state.n_bins, state.dim):
             raise ValueError(f"expected observations of shape ({state.n_bins}, {state.dim}), "
                              f"got {np.shape(obs)}")
         pack_observations(obs, state.obs)
-    if _kernels is not None:
-        broken = _kernels.step(state.handle)
-    else:
-        config, kernel = state.config, state.kernel
-        coord = kernel.frames % state.dim
-        kernel.frames += 1
-        obs, prev = unpack_observations(state.obs, state.n_bins), state.rows
-        # A finite burst may overflow |e|^2; the update's count of broken
-        # bins handles it, so numpy's warnings are only noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            gain = state.frame_weight(obs, prev)
-        broken = ewma_covariance_update(state.inv, state.trace, obs, config.alpha, gain,
-                                        config.diag_load, coord)
-        rows, skipped = solve_demixing_rows(state.inv, state.trace, prev)
-        state.rows = rows
-        kernel.skipped_bins += skipped
-        if not broken:
-            state.out[...] = demix_frame(rows, obs)
-    if broken:
+    if _kernels.step(state.handle):
         reset_broken(state)
     return state.out.copy()
 

@@ -17,20 +17,18 @@ weight 1/r1(k) instead of the per-frame scalar of the AuxIVA variant:
     V1(k, n) = alpha * V1(k, n-1) + (1 - alpha) * (1 / r1(k, n)) * y y^H
 
 The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
-``AuxivaState``, adds the NMF model and overrides the frame weight;
-``auxiva.process_frame`` drives it. The basis and the activation start at 1
-and carry over between frames; after a bin reset, non-finite basis entries
-and a non-finite activation return to 1. A frame whose pre-update output is
-all zero (digital silence) skips both updates and reuses the last 1/r1.
-
-With the compiled kernels loaded, ``step`` runs ``ilrma_weight``
-(``_kernels.c``) for a state whose ``kernel`` has a ``basis``: the
+``AuxivaState`` and adds the NMF model, whose buffers its ``kernel`` points
+at, so ``step`` runs ``ilrma_weight`` (``_kernels.c``) for the weight: the
 pre-update demix, both updates, both refreshes and 1/r1, eight bins per
-vector operation. Without them, ``frame_weight`` runs
-``ctf.demix_frame``, ``update_bases`` and
-``update_activations``, which are also the kernel's test oracle. The two
-paths agree to rounding, not bytes: the kernel takes |e1|^2 as re^2 + im^2
-and r1^-2 as (1 / r1)^2 and sums num and den in a fixed order,
+vector operation. The basis and the activation start at 1 and carry over
+between frames; after a bin reset, non-finite basis entries and a
+non-finite activation return to 1. A frame whose pre-update output is all
+zero (digital silence) skips both updates and reuses the last 1/r1.
+
+``update_bases`` and ``update_activations`` are the kernel's test oracle,
+kept in the package because ``bench/spans.py`` wraps them by name.
+They agree with it to rounding, not bytes: the kernel takes |e1|^2 as
+re^2 + im^2 and r1^-2 as (1 / r1)^2 and sums num and den in a fixed order,
 where numpy uses hypot, its own power function and BLAS. Every build of the
 kernel gives the same bytes.
 """
@@ -40,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .auxiva import AuxivaConfig, AuxivaState, aligned_zeros, padded_bins
-from .ctf import demix_frame
 
 NMF_FLOOR = 1e-12
 
@@ -114,14 +111,6 @@ class IlrmaState(AuxivaState):
         k = self.kernel
         k.floor = NMF_FLOOR
         k.basis, k.v1, k.r1 = (a.ctypes.data for a in (m.basis, m.activation, m.variance))
-
-    def frame_weight(self, obs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Per-bin 1/r1(k) after the NMF updates on E with the (K, D) pre-update ``rows``."""
-        e_pre = demix_frame(rows, obs)
-        if e_pre.any():  # an all-zero frame would floor t1 and v1
-            update_bases(self.model, e_pre)
-            update_activations(self.model, e_pre)
-        return 1.0 / self.model.r1
 
     def reset_bins(self, bins: np.ndarray) -> None:
         """Reset the bins' prior and row, and any non-finite NMF entries,

@@ -13,7 +13,8 @@ odd-power reference channels (rows 1..P). One observation buffer, the
 state's ``obs``, is also the reference history: it holds the P*L + 1
 channels in the order of ``ctf``, each as a real and an imaginary plane of
 the K bins (``auxiva.pack_observations``), and each frame moves the lags'
-planes in place. A frame is three steps:
+planes in place. A frame is one call of the ``push`` kernel of
+``_kernels.c`` on a ``KernelEngine`` filled once, which runs three steps:
 
 1. ``frame_in``: the new hop's odd powers into a (P+1, hop) tail buffer,
    and the check that the microphone and every power are finite, which
@@ -21,26 +22,19 @@ planes in place. A frame is three steps:
    buffer shifts by a hop, takes the tail and is windowed into the frame
    buffer, and the real FFTs of the P+1 rows go into the observation
    planes, each reference's lags moving one channel later.
-2. ``auxiva.process_frame`` on the optimizer's state (``STATES``,
-   configured by ``EngineConfig.auxiva``), which demixes into ``state.out``.
-3. ``ola``: the inverse real FFT of ``state.out``, the synthesis
-   window, the overlap-add into a one-window accumulator that starts at
-   the next sample to emit, its first hop divided by the flat
-   ``stft.ola_norm`` into the emit buffer, and the accumulator's shift.
-   The hop divides the window at least four times, so each emitted hop
-   has been covered by ``window_len/hop`` frames.
+2. ``step``, the compiled ``auxiva.process_frame`` (which is not called),
+   on the optimizer's state (``STATES``, configured by
+   ``EngineConfig.auxiva``), which demixes into ``state.out``.
+3. ``ola``: the inverse real FFT of ``state.out``, the synthesis window,
+   the overlap-add into a one-window accumulator that starts at the next
+   sample to emit, its first hop divided by the flat ``stft.ola_norm``
+   into the emit buffer, and the accumulator's shift. The hop divides the
+   window at least four times, so each emitted hop has been covered by
+   ``window_len/hop`` frames.
 
-If ``auxiva._kernels`` is loaded when the engine is built, a frame is one
-call of the ``push`` kernel of ``_kernels.c`` on a ``KernelEngine`` filled
-once: ``frame_in``, ``step`` (the compiled ``process_frame``, which is not
-called) and ``ola``, whose FFTs use a plan the engine builds once
-(``fft_plan``). If a bin breaks, Python resets it (``auxiva.reset_broken``)
-and calls ``ola``. Otherwise the steps are numpy code on the same buffers:
-``nonlin.odd_powers``, ``np.fft.rfft``, ``ctf.stack_observations``,
-``process_frame``, ``np.fft.irfft`` and the overlap-add. The two paths do
-the same IEEE operations in the same order everywhere but in the
-transforms, where the kernels' FFTs agree with numpy's pocketfft to
-rounding, not bytes.
+The FFTs use a plan the engine builds once (``fft_plan``). If a bin
+breaks, ``push`` returns before ``ola``, and Python resets the bin
+(``auxiva.reset_broken``) and calls ``ola``.
 """
 
 from __future__ import annotations
@@ -55,9 +49,9 @@ import numpy as np
 from . import auxiva
 from .audio_io import SAMPLE_RATE, AudioSignal, from_flat
 from .auxiva import AuxivaConfig, AuxivaState, aligned_zeros
-from .ctf import CtfConfig, stack_observations
+from .ctf import CtfConfig
 from .ilrma import IlrmaState
-from .nonlin import odd_powers
+from .nonlin import odd_powers  # noqa: F401 - unused; bench/spans.py wraps it at this name
 from .stft import StftConfig, ola_norm
 
 STATES = {"auxiva": AuxivaState, "ilrma": IlrmaState}  # optimizer name -> state class
@@ -116,7 +110,6 @@ class StreamingEngine:
         self._hop = hop = sc.hop
         self._wl = wl = sc.window_len
         p, l = config.ctf.order_p, config.ctf.frames_l
-        self._order_p = p
         # Buffers written in place every frame; the kernels' struct below
         # holds their addresses. Row 0 of the time buffers is the microphone,
         # rows 1..P the odd powers of the far end. The zero history pre-pads
@@ -129,18 +122,13 @@ class StreamingEngine:
         self._acc = np.zeros(wl)  # starts at the next sample to emit
         self._emit = np.zeros(hop)
         self._state = state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
-        self._obs = state.obs
-        self._lib = lib = auxiva._kernels  # the engine's path for its life
-        if lib is None:
-            self._spec = np.zeros((p + 1, sc.n_bins), dtype=np.complex128)
-        else:
-            self._plan = aligned_zeros(lib.fft_plan(wl, None))
-            lib.fft_plan(wl, self._plan.ctypes.data)
-            self._kernel = KernelEngine(state.handle.value, p, l, hop, wl, *(
-                a.ctypes.data for a in (self._tail, self._buf, self._window, self._frame,
-                                        self._plan, self._synth, self._acc, self._norm,
-                                        self._emit)))
-            self._handle = ctypes.c_void_p(ctypes.addressof(self._kernel))
+        self._lib = lib = auxiva._kernels
+        self._plan = aligned_zeros(lib.fft_plan(wl, None))
+        lib.fft_plan(wl, self._plan.ctypes.data)
+        self._kernel = KernelEngine(state.handle.value, p, l, hop, wl, *(
+            a.ctypes.data for a in (self._tail, self._buf, self._window, self._frame, self._plan,
+                                    self._synth, self._acc, self._norm, self._emit)))
+        self._handle = ctypes.c_void_p(ctypes.addressof(self._kernel))
         self._closed = False
         self._n_in = 0
         self._elapsed = 0.0
@@ -189,8 +177,8 @@ class StreamingEngine:
 
     def _run_frame(self, t0: float) -> np.ndarray:
         """One frame from the tail to the emitted hop, timed from ``t0``: one
-        ``push`` kernel call, or ``_numpy_push``. A rejected tail raises."""
-        status = self._lib.push(self._handle) if self._lib is not None else self._numpy_push()
+        ``push`` kernel call. A rejected tail raises."""
+        status = self._lib.push(self._handle)
         if status < 0:
             raise ValueError("chunks contain non-finite samples or far-end powers")
         if status > 0:  # broken bins, which the kernel left for Python to reset
@@ -199,27 +187,6 @@ class StreamingEngine:
         out = self._emit.copy() if self._state.frames > self.latency_chunks else np.empty(0)
         self._elapsed += time.perf_counter() - t0
         return out
-
-    def _numpy_push(self) -> int:
-        """The ``push`` kernel in numpy: -1 if the expanded tail is not
-        finite, having written nothing else, or 0 after the frame."""
-        tail, buf, hop, acc = self._tail, self._buf, self._hop, self._acc
-        with np.errstate(over="ignore"):
-            tail[1:] = odd_powers(tail[1], self._order_p)
-        if not np.isfinite(tail).all():
-            return -1
-        buf[:, :-hop] = buf[:, hop:]
-        buf[:, -hop:] = tail
-        np.multiply(buf, self._window, out=self._frame)
-        np.fft.rfft(self._frame, axis=-1, out=self._spec)
-        stack_observations(self._spec, self._obs)
-        auxiva.process_frame(self._state, self._obs)
-        np.fft.irfft(self._state.out, n=self._wl, out=self._synth)
-        acc += self._synth * self._window
-        np.divide(acc[:hop], self._norm, out=self._emit)
-        acc[:-hop] = acc[hop:]
-        acc[-hop:] = 0.0
-        return 0
 
     def flush(self) -> np.ndarray:
         """Drain the pipeline; returns the remaining enhanced samples.

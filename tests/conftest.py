@@ -1,8 +1,5 @@
 """Shared fixtures: small deterministic signals and scenes."""
 
-import functools
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -112,12 +109,8 @@ def trace_buffer(trace, n_bins):
 
 
 def update_planes(planes, trace, obs, alpha, gain, diag_load, coord, prev_rows):
-    """One update of the planes of P and the padded ``trace`` in place: the
-    loaded kernel, or ``ewma_covariance_update`` then ``solve_demixing_rows``
-    inside ``numpy_path``; returns (broken, rows, skipped)."""
-    if auxiva._kernels is None:
-        broken = auxiva.ewma_covariance_update(planes, trace, obs, alpha, gain, diag_load, coord)
-        return (broken, *auxiva.solve_demixing_rows(planes, trace, prev_rows))
+    """One update of the planes of P and the padded ``trace`` in place by the
+    loaded kernel; returns (broken, rows, skipped)."""
     rows = np.array(prev_rows, dtype=np.complex128)
     broken, skipped, _ = kernel_update(auxiva._kernels, planes, trace, obs, alpha,
                                        *kernel_gain(gain), diag_load, coord, rows)
@@ -143,23 +136,6 @@ def rows_of(inv, prev_rows, trace=1.0):
     return update_planes(planes, padded, obs, 1.0, 0.0, 1e-6, 1, prev_rows)[1:]
 
 
-def numpy_path():
-    """Context in which ``naec.auxiva`` runs its numpy code, as with no C compiler."""
-    return mock.patch.object(auxiva, "_kernels", None)
-
-
-def on_both_paths(test):
-    """Run ``test`` on the compiled kernels (when loaded), then on the numpy path."""
-
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        test(*args, **kwargs)
-        with numpy_path():
-            test(*args, **kwargs)
-
-    return run
-
-
 def fft_plan(lib, n):
     """``lib``'s twiddle plan of an n-point real FFT, as the engine builds it."""
     plan = auxiva.aligned_zeros(lib.fft_plan(n, None))
@@ -168,12 +144,9 @@ def fft_plan(lib, n):
 
 
 def engine_rfft(x, lib=None):
-    """The real FFT over the last axis that an engine built now frames with:
-    ``lib``'s (by default the loaded kernels') ``rfft``, or ``np.fft.rfft``
-    inside ``numpy_path``."""
-    lib = auxiva._kernels if lib is None else lib
-    if lib is None:
-        return np.fft.rfft(x)
+    """The real FFT over the last axis that an engine frames with: ``lib``'s
+    (by default the loaded kernels') ``rfft``."""
+    lib = lib or auxiva._kernels
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[-1]
     rows = x.reshape(-1, n)
@@ -187,10 +160,8 @@ def engine_rfft(x, lib=None):
 
 def engine_irfft(spec, n, lib=None):
     """The inverse of ``engine_rfft`` to n samples over the last axis:
-    ``lib``'s ``irfft`` row by row, or ``np.fft.irfft`` inside ``numpy_path``."""
-    lib = auxiva._kernels if lib is None else lib
-    if lib is None:
-        return np.fft.irfft(spec, n=n)
+    ``lib``'s ``irfft`` row by row."""
+    lib = lib or auxiva._kernels
     spec = np.ascontiguousarray(spec, dtype=np.complex128)
     rows = spec.reshape(-1, spec.shape[-1])
     out = np.empty((len(rows), n))

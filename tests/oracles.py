@@ -1,4 +1,5 @@
-"""Batch forms of the online engine, kept as test oracles only.
+"""Batch forms of the online engine and a numpy driver of its online core,
+kept as test oracles only.
 
 No part of the package calls these; the tests compare the engine's framing,
 observation stacking and online updates against them.
@@ -10,8 +11,19 @@ from typing import Sequence
 import numpy as np
 
 from naec.audio_io import AudioSignal
-from naec.auxiva import R_FLOOR, AuxivaConfig
-from naec.ctf import CtfConfig, passthrough_row
+from naec.auxiva import (
+    R_FLOOR,
+    AuxivaConfig,
+    AuxivaState,
+    compute_r1,
+    ewma_covariance_update,
+    pack_observations,
+    reset_broken,
+    solve_demixing_rows,
+    unpack_observations,
+)
+from naec.ctf import CtfConfig, demix_frame, passthrough_row
+from naec.ilrma import IlrmaState, update_activations, update_bases
 from naec.stft import StftConfig
 
 _ENVELOPE_FLOOR = 1e-12
@@ -294,3 +306,51 @@ def nlms(observations: np.ndarray, mu: float) -> np.ndarray:
         denom = power + total / (n + 1)
         h += mu * x * np.where(denom > 0.0, e.conj() / np.maximum(denom, 1e-300), 0.0)[:, None]
     return out
+
+
+def weight(r1: float, config: AuxivaConfig) -> float:
+    """Weighting function Phi(r1) = r1**(beta - 2); finite because r1 is floored."""
+    return float(r1 ** (config.beta - 2.0))
+
+
+def frame_weight(state: AuxivaState, obs: np.ndarray, rows: np.ndarray):
+    """The covariance weight of a frame from the (K, D) pre-update ``rows``:
+    AuxIVA's Phi(r1), or for an ``IlrmaState`` the per-bin 1/r1(k) after
+    the NMF updates on the outputs, which update ``state.model``."""
+    if not isinstance(state, IlrmaState):
+        return weight(compute_r1(rows, obs), state.config)
+    e_pre = demix_frame(rows, obs)
+    if e_pre.any():  # an all-zero frame would floor t1 and v1
+        update_bases(state.model, e_pre)
+        update_activations(state.model, e_pre)
+    return 1.0 / state.model.r1
+
+
+def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
+    """``auxiva.process_frame`` in numpy on the same state: ``frame_weight``,
+    ``ewma_covariance_update``, ``solve_demixing_rows`` and
+    ``ctf.demix_frame`` on the unpacked (K, D) observations and rows.
+
+    For the same weight, P, tau, the rows and the output are the kernel's
+    bytes; the weights agree with the compiled ones to rounding. Broken bins
+    are reset by ``reset_broken``, as the engine does.
+    """
+    pack_observations(obs, state.obs)
+    config, kernel = state.config, state.kernel
+    coord = kernel.frames % state.dim
+    kernel.frames += 1
+    obs, prev = unpack_observations(state.obs, state.n_bins), state.rows
+    # A finite burst may overflow |e|^2; the update's count of broken bins
+    # handles it, so numpy's warnings are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = frame_weight(state, obs, prev)
+    broken = ewma_covariance_update(state.inv, state.trace, obs, config.alpha, gain,
+                                    config.diag_load, coord)
+    rows, skipped = solve_demixing_rows(state.inv, state.trace, prev)
+    state.rows = rows
+    kernel.skipped_bins += skipped
+    if broken:
+        reset_broken(state)
+    else:
+        state.out[...] = demix_frame(rows, obs)
+    return state.out.copy()

@@ -92,6 +92,16 @@ class TestProcess:
              "--out-dir", str(out)]
         ) == EXIT_OK
 
+    def test_alpha_one_is_usage_error(self, tmp_path, wav_pair, capsys):
+        """At alpha = 1 no bin would ever update and the output would be the microphone."""
+        far, mic = wav_pair
+        cfg = _write_cfg(tmp_path, "engine.alpha = 1\n")
+        out = tmp_path / "out"
+        assert main(["process", str(far), str(mic), "--config", str(cfg),
+                     "--out-dir", str(out)]) == EXIT_USAGE == 1
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestSimulate:
     def test_requires_config(self, tmp_path):

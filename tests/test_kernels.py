@@ -1,7 +1,8 @@
-"""The compiled per-bin kernels against the numpy code they replace, and their build."""
+"""The compiled per-bin kernels against their numpy oracles, and their build."""
 
 import contextlib
 import ctypes
+import hashlib
 import os
 import re
 import shutil
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import naec
+import oracles
 from conftest import (
     aligned_copy,
     engine_irfft,
@@ -21,8 +23,6 @@ from conftest import (
     fft_plan,
     kernel_gain,
     kernel_update,
-    numpy_path,
-    on_both_paths,
     random_hpd,
     trace_buffer,
     update_planes,
@@ -43,54 +43,101 @@ from naec.pipeline import EngineConfig, KernelEngine, StreamingEngine, run_strea
 from naec.stft import StftConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-needs_kernels = pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
 
 OPTIMIZERS = ("auxiva", "ilrma")
 
 # Runs the default engine with each optimizer on saved (far, mic) samples in
-# a fresh interpreter.
+# a fresh interpreter and prints the path the kernels were loaded from.
 RUN_SAVED = f"""
 import sys, numpy as np, naec
 far, mic = (naec.AudioSignal(x) for x in np.load(sys.argv[1]))
 outs = [naec.run(far, mic, naec.EngineConfig(optimizer=o))[0].samples for o in {OPTIMIZERS}]
 np.save(sys.argv[2], np.stack(outs))
-print(naec.auxiva._kernels is None)
+print(naec.auxiva._kernels._name)
 """
 
 
-def test_kernels_loaded_when_a_compiler_is_found():
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    assert auxiva._kernels is not None
-
-
-def test_failed_build_gives_no_kernels(tmp_path):
-    assert auxiva.build_kernels(tmp_path, cc="naec-no-such-compiler") is None
-    assert list(tmp_path.iterdir()) == []  # the temporary output is removed
-    (tmp_path / "file").write_text("")
-    assert auxiva.build_kernels(tmp_path / "file" / "cache") is None  # unwritable
-
-
-def test_import_without_compiler_runs_the_numpy_path(tmp_path):
-    """A package copy with no cached kernel and no ``cc`` on PATH imports and
-    gives the numpy path's output byte for byte, with either optimizer."""
+def _package_copy(tmp_path):
+    """A copy of the package without its cache, and a saved (far, mic) pair."""
     shutil.copytree(SRC / "naec", tmp_path / "naec",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    (tmp_path / "bin").mkdir()
     rng = np.random.default_rng(7)
     far = 0.3 * rng.standard_normal(8000)
     mic = np.tanh(2.0 * far) + 0.01 * rng.standard_normal(8000)
     np.save(tmp_path / "in.npy", np.stack([far, mic]))
-    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PATH": str(tmp_path / "bin")}
-    proc = subprocess.run(
+    return far, mic
+
+
+def _run_saved(tmp_path, **env):
+    return subprocess.run(
         [sys.executable, "-c", RUN_SAVED, str(tmp_path / "in.npy"), str(tmp_path / "out.npy")],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "True"
+        env={**os.environ, "PYTHONPATH": str(tmp_path), **env}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120)
+
+
+def test_kernels_loaded_when_a_compiler_is_found():
+    """The package's kernels are the cached build of its source and flags."""
+    digest = hashlib.sha256(auxiva.KERNEL_SOURCE.read_bytes()
+                            + " ".join(auxiva.KERNEL_FLAGS).encode()).hexdigest()
+    cached = auxiva.KERNEL_SOURCE.parent / "__pycache__" / f"kernels-{digest}.so"
+    assert Path(auxiva._kernels._name) == cached and cached.exists()
+
+
+def test_failed_build_raises_import_error_naming_the_compiler(tmp_path):
+    """A missing compiler, or one that fails, raises ImportError with the
+    compiler command and its stderr, and leaves no temporary output."""
+    with pytest.raises(ImportError, match="naec-no-such-compiler"):
+        auxiva.build_kernels(tmp_path / "cache", cc="naec-no-such-compiler")
+    assert list((tmp_path / "cache").iterdir()) == []
+    failing = tmp_path / "failing-cc"
+    failing.write_text("#!/bin/sh\necho 'no vector extensions here' >&2\nexit 1\n")
+    failing.chmod(0o755)
+    with pytest.raises(ImportError, match=f"(?s){failing}.*no vector extensions here"):
+        auxiva.build_kernels(tmp_path / "cache", cc=str(failing))
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_import_without_compiler_raises_import_error(tmp_path):
+    """A package copy with no cached kernel and no ``cc`` on PATH does not
+    import: ``import naec`` raises ImportError naming the compiler."""
+    _package_copy(tmp_path)
+    (tmp_path / "bin").mkdir()
+    proc = _run_saved(tmp_path, PATH=str(tmp_path / "bin"))
+    assert proc.returncode != 0
+    assert re.search(r"ImportError: naec needs a C compiler.*`cc -O2", proc.stderr), proc.stderr
     assert not list((tmp_path / "naec" / "__pycache__").glob("*.so"))
-    with numpy_path():
-        expected = [naec.run(AudioSignal(far), AudioSignal(mic),
-                             naec.EngineConfig(optimizer=o))[0].samples for o in OPTIMIZERS]
+    assert not (tmp_path / "out.npy").exists()
+
+
+def test_unwritable_cache_builds_working_kernels(tmp_path):
+    """A package copy whose ``__pycache__`` cannot be written (a file stands
+    in its place) still imports: it builds in a private temporary directory,
+    removed once the library is loaded, and its engine gives the loaded
+    kernels' output byte for byte, with either optimizer."""
+    far, mic = _package_copy(tmp_path)
+    (tmp_path / "naec" / "__pycache__").write_text("")
+    proc = _run_saved(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded_from = Path(proc.stdout.strip())
+    assert loaded_from.name == Path(auxiva._kernels._name).name
+    assert not loaded_from.exists() and not loaded_from.parent.exists()
+    expected = [naec.run(AudioSignal(far), AudioSignal(mic),
+                         naec.EngineConfig(optimizer=o))[0].samples for o in OPTIMIZERS]
     assert np.load(tmp_path / "out.npy").tobytes() == np.stack(expected).tobytes()
+
+
+def test_fresh_build_prunes_stale_kernels(tmp_path):
+    """A fresh build removes the other ``kernels-*.so`` of its cache and
+    loads; a cache hit leaves the directory as it is."""
+    (tmp_path / "kernels-stale.so").write_bytes(b"")
+    (tmp_path / "other.so").write_bytes(b"")
+    lib = auxiva.build_kernels(tmp_path)
+    built = Path(lib._name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["other.so", built.name])
+    assert lib.layout((ctypes.c_long * 64)()) > 0
+    (tmp_path / "kernels-stale.so").write_bytes(b"")
+    assert Path(auxiva.build_kernels(tmp_path)._name) == built
+    assert (tmp_path / "kernels-stale.so").exists()
 
 
 def _unaligned_copy(a):
@@ -126,7 +173,6 @@ def _numpy_update(planes, trace, obs, alpha, gain, diag_load, coord, prev):
     return broken, rows, skipped, demix_frame(rows, obs)
 
 
-@needs_kernels
 @pytest.mark.parametrize("gain", ["float", "0-d", "numpy-scalar", "(1,)", "per-bin"])
 @pytest.mark.parametrize("n_bins", [1, 64])
 def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
@@ -155,7 +201,6 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
     assert np.isfinite(got).all()
 
 
-@needs_kernels
 @pytest.mark.parametrize("n_bins", [1, 9, 64])
 def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
     """With stride 0 the kernel weights every bin by ``gain[0]``, as AuxIVA's
@@ -170,18 +215,18 @@ def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
     assert got.tobytes() == planes.tobytes() and got_trace.tobytes() == trace.tobytes()
 
 
-@needs_kernels
 @pytest.mark.parametrize("dim", [4, 10, 19])
 @pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
                          ids=["auxiva", "ilrma"])
 def test_process_frame_paths_agree_over_300_frames(rng, dim, state_type):
+    """The compiled ``process_frame`` follows the numpy driver of
+    ``oracles`` to rounding over 300 frames."""
     n_bins = 65
     compiled, reference = state_type(n_bins, dim), state_type(n_bins, dim)
     for _ in range(300):
         obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
         auxiva.process_frame(compiled, obs)
-        with numpy_path():
-            auxiva.process_frame(reference, obs)
+        oracles.process_frame(reference, obs)
     err = np.linalg.norm(compiled.rows - reference.rows) / np.linalg.norm(reference.rows)
     assert err <= 1e-12, err
     assert compiled.skipped_bins == reference.skipped_bins == 0
@@ -264,33 +309,33 @@ def test_engine_planes_are_aligned(optimizer, window_len):
 @pytest.mark.parametrize("dim", [4, 10])
 @pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
                          ids=["auxiva", "ilrma"])
-@on_both_paths
 def test_bin_reset_after_overflow_gives_the_prior_row(rng, dim, state_type):
     """A bin whose trace overflows returns to the prior P = I / 1e-3, its
     trace to D * 1e-3 and its row to the passthrough row byte for byte, and
-    its output is the microphone entry. The reset covers the last bin, whose
+    its output is the microphone entry, in ``process_frame`` and in the
+    numpy driver of ``oracles``. The reset covers the last bin, whose
     copies fill the short last block."""
     n_bins, burst_bins = 9, [3, 8]
-    state = state_type(n_bins, dim)
-    for _ in range(5):
-        auxiva.process_frame(state, rng.standard_normal((n_bins, dim))
-                             + 1j * rng.standard_normal((n_bins, dim)))
-    obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
-    obs[burst_bins, 0] = 1e200
-    out = auxiva.process_frame(state, obs)
-    for k in burst_bins:
-        assert state.rows[k].tobytes() == passthrough_row(dim).tobytes()
-        assert out[k] == obs[k, 0]
-    np.testing.assert_array_equal(state.inverse[burst_bins],
-                                  np.broadcast_to(np.eye(dim) / 1e-3, (2, dim, dim)))
-    np.testing.assert_array_equal(state.trace[burst_bins], dim * 1e-3)
-    lanes = _per_lane(state.inv)
-    for pad in lanes[n_bins:]:
-        assert pad.tobytes() == lanes[n_bins - 1].tobytes()
-    assert (state.trace[n_bins:] == state.trace[n_bins - 1]).all()
+    for process_frame in (auxiva.process_frame, oracles.process_frame):
+        state = state_type(n_bins, dim)
+        for _ in range(5):
+            process_frame(state, rng.standard_normal((n_bins, dim))
+                          + 1j * rng.standard_normal((n_bins, dim)))
+        obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+        obs[burst_bins, 0] = 1e200
+        out = process_frame(state, obs)
+        for k in burst_bins:
+            assert state.rows[k].tobytes() == passthrough_row(dim).tobytes()
+            assert out[k] == obs[k, 0]
+        np.testing.assert_array_equal(state.inverse[burst_bins],
+                                      np.broadcast_to(np.eye(dim) / 1e-3, (2, dim, dim)))
+        np.testing.assert_array_equal(state.trace[burst_bins], dim * 1e-3)
+        lanes = _per_lane(state.inv)
+        for pad in lanes[n_bins:]:
+            assert pad.tobytes() == lanes[n_bins - 1].tobytes()
+        assert (state.trace[n_bins:] == state.trace[n_bins - 1]).all()
 
 
-@needs_kernels
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
@@ -324,7 +369,6 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
     assert numpy_rows.tobytes() == rows.tobytes()
 
 
-@needs_kernels
 @pytest.mark.parametrize("per_bin", [False, True], ids=["auxiva", "ilrma"])
 def test_kept_rows_demix_the_frame_as_the_numpy_update(rng, per_bin):
     """In a full block and in the short last block, the update keeps the
@@ -332,8 +376,9 @@ def test_kept_rows_demix_the_frame_as_the_numpy_update(rng, per_bin):
     a skipped one (its P gives an overflowing row, and an observation whose
     |y|^2 underflows leaves P as it is) and demixes the frame with it: the
     rows, the output and the counts are the numpy twin's bytes, under
-    AuxIVA's shared weight and ILRMA's per-bin one. So does ``process_frame``
-    with either optimizer, on either path, for the skipped lanes."""
+    AuxIVA's shared weight and ILRMA's per-bin one. So do ``process_frame``
+    and the numpy driver of ``oracles``, with either optimizer, for the
+    skipped lanes."""
     n_bins, dim = 13, 4  # blocks of bins 0-7 and 8-12
     planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
     broken_bins, skipped_bins = [3, 11], [5, 12]
@@ -355,18 +400,17 @@ def test_kept_rows_demix_the_frame_as_the_numpy_update(rng, per_bin):
     assert rows[kept].tobytes() == prev[kept].tobytes()
     assert got[2][kept].tobytes() == demix_frame(prev[kept], burst[kept]).tobytes()
     for state_type in (auxiva.AuxivaState, IlrmaState):
-        for paths in (contextlib.nullcontext(), numpy_path()):
+        for process_frame in (auxiva.process_frame, oracles.process_frame):
             state = state_type(n_bins, dim)
             state.inv[...], state.trace[...], state.rows = planes, trace, prev
-            with paths, np.errstate(all="ignore"):
-                out = auxiva.process_frame(state, obs)
+            with np.errstate(all="ignore"):
+                out = process_frame(state, obs)
             assert state.skipped_bins == 2
             assert state.rows[skipped_bins].tobytes() == prev[skipped_bins].tobytes()
             assert out[skipped_bins].tobytes() == demix_frame(prev[skipped_bins],
                                                               obs[skipped_bins]).tobytes()
 
 
-@needs_kernels
 @pytest.mark.parametrize("fault", ["nan", "1e200"])
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
@@ -408,30 +452,29 @@ def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
                                       np.isin(np.arange(n_bins), bad))
 
 
-@needs_kernels
 @pytest.mark.parametrize("dim", [4, 10, 19])
 @pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
                          ids=["auxiva", "ilrma"])
 def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
     """A 1e200 microphone burst in some bins: the EWMA's broken-bin count and
-    the reset that follows are the same on the kernels and on the numpy path."""
+    the reset that follows are the same on both paths: the compiled
+    ``process_frame`` and the numpy driver of ``oracles``."""
     n_bins, burst_frame, burst_bins = 65, 20, [3, 8, 64]
     frames = rng.standard_normal((40, n_bins, dim)) + 1j * rng.standard_normal((40, n_bins, dim))
     frames[burst_frame, burst_bins, 0] = 1e200
 
-    def run():
+    def run(process_frame):
         state = state_type(n_bins, dim)
         resets = []
         reset = state.reset_bins
         state.reset_bins = lambda bins: (resets.append(np.flatnonzero(bins)), reset(bins))
         with np.errstate(all="ignore"):
             for obs in frames:
-                auxiva.process_frame(state, obs)
+                process_frame(state, obs)
         return state, resets
 
-    compiled, compiled_resets = run()
-    with numpy_path():
-        reference, reference_resets = run()
+    compiled, compiled_resets = run(auxiva.process_frame)
+    reference, reference_resets = run(oracles.process_frame)
     assert len(compiled_resets) == 1
     for got, expected in zip(compiled_resets, reference_resets, strict=True):
         np.testing.assert_array_equal(got, expected)
@@ -443,14 +486,16 @@ def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
 
 
 @pytest.mark.parametrize("n_bins", [1, 65])
-@on_both_paths
 def test_ewma_returns_the_count_of_broken_bins(rng, n_bins):
-    """Both paths count the bins whose updated trace of V or of P is not finite."""
+    """The kernel and its numpy twin count the bins whose updated trace of V
+    or of P is not finite."""
     planes, trace, obs, prev = _inverse_inputs(rng, n_bins, 4)
-    assert update_planes(aligned_copy(planes), aligned_copy(trace), obs, 0.9, 1.0, 1e-6, 1, prev)[0] == 0
+    for update in (update_planes, _numpy_update):
+        assert update(aligned_copy(planes), aligned_copy(trace), obs, 0.9, 1.0, 1e-6, 1, prev)[0] == 0
     obs[-1, 2] = 1e200
-    with np.errstate(all="ignore"):
-        assert update_planes(aligned_copy(planes), aligned_copy(trace), obs, 0.9, 1.0, 1e-6, 1, prev)[0] == 1
+    for update in (update_planes, _numpy_update):
+        with np.errstate(all="ignore"):
+            assert update(aligned_copy(planes), aligned_copy(trace), obs, 0.9, 1.0, 1e-6, 1, prev)[0] == 1
 
 
 # A definition with external linkage: return type at the start of a line,
@@ -470,8 +515,6 @@ def test_build_kernels_declares_every_kernel():
     restype and one argtype per C parameter, of the parameter's type;
     without them ``ctypes`` would pass 64-bit pointers as C ints."""
     lib = auxiva.build_kernels()
-    if lib is None:
-        pytest.skip("no compiled kernels")
     definitions = KERNEL_DEFINITION.findall(auxiva.KERNEL_SOURCE.read_text())
     assert {"update", "demix", "frame_in", "ola"} <= {name for _, name, _ in definitions}
     for restype, name, params in definitions:
@@ -481,11 +524,10 @@ def test_build_kernels_declares_every_kernel():
         assert kernel.restype is _ctype(restype), name
 
 
-@needs_kernels
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_clean_push_is_one_kernel_call(optimizer):
-    """With the kernels loaded, each clean push and each frame of ``flush``
-    makes exactly one Python-level kernel call, ``push``: every other
+    """Each clean push and each frame of ``flush`` makes exactly one
+    Python-level kernel call, ``push``: every other
     kernel of the library and ``auxiva.process_frame`` raise if called."""
     lib = auxiva._kernels
     rng = np.random.default_rng(2)
@@ -506,7 +548,6 @@ def test_clean_push_is_one_kernel_call(optimizer):
     assert np.isfinite(np.concatenate(parts)).all() and engine.stats.skipped_bins == 0
 
 
-@needs_kernels
 def test_structs_have_the_kernels_layout():
     """``layout`` reports the size and field offsets of ``struct state`` and
     ``struct engine``, naming the fields in their declaration order: they are
@@ -524,15 +565,12 @@ def test_structs_have_the_kernels_layout():
 def test_kernel_source_compiles_without_warnings(tmp_path):
     """``-Wall -Wextra -Werror`` builds of the kernels as loaded and of the
     baseline ISA alone (``-DLANE_CLONES=``) succeed."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
     for clones in ([], ["-DLANE_CLONES="]):
         subprocess.run(["cc", *auxiva.KERNEL_FLAGS, *clones, "-Wall", "-Wextra", "-Werror",
                         "-o", str(tmp_path / "kernels.so"), str(auxiva.KERNEL_SOURCE)],
                        check=True, capture_output=True, timeout=120)
 
 
-@needs_kernels
 def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
     bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
@@ -659,7 +697,6 @@ def _flush_like(rng, n_bins, dim):
     return obs
 
 
-@needs_kernels
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
@@ -691,7 +728,7 @@ def _weights_both(compiled, reference, obs):
     """One frame's weight on the NMF kernel and on the numpy updates."""
     _ilrma_weight(auxiva._kernels, compiled, obs)
     with np.errstate(all="ignore"):
-        return reference.frame_weight(obs, reference.rows)
+        return oracles.frame_weight(reference, obs, reference.rows)
 
 
 def _assert_models_close(compiled, reference, expected_gain):
@@ -701,7 +738,6 @@ def _assert_models_close(compiled, reference, expected_gain):
     np.testing.assert_allclose(compiled.gain[: compiled.n_bins], expected_gain, rtol=1e-12, atol=0)
 
 
-@needs_kernels
 @pytest.mark.parametrize("seed", NMF_SEEDS)
 @pytest.mark.parametrize("n_bins, dim", [(9, 4), (513, 4), (65, 10)])
 def test_nmf_kernel_agrees_with_the_numpy_updates(n_bins, dim, seed):
@@ -718,7 +754,6 @@ def test_nmf_kernel_agrees_with_the_numpy_updates(n_bins, dim, seed):
         _assert_models_close(compiled, reference, gain)
 
 
-@needs_kernels
 def test_nmf_kernel_propagates_non_finite_as_numpy_does(rng):
     """NaN and Inf basis entries and outputs stay non-finite in the same
     entries on both paths, so ``reset_bins`` resets the same basis entries."""
@@ -748,7 +783,6 @@ def test_nmf_kernel_propagates_non_finite_as_numpy_does(rng):
     np.testing.assert_array_equal(*resets)
 
 
-@needs_kernels
 @pytest.mark.parametrize("n_bins", [9, 513])
 def test_all_zero_frame_skips_the_nmf_update(n_bins):
     """A frame whose pre-update outputs are all zero, signed zeros included,
@@ -765,7 +799,6 @@ def test_all_zero_frame_skips_the_nmf_update(n_bins):
     assert state.gain[:n_bins].tobytes() == (1.0 / state.model.r1).tobytes()
 
 
-@needs_kernels
 @pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
                          ids=["auxiva", "ilrma"])
 def test_kernel_addresses_stay_valid(rng, state_type):
@@ -803,7 +836,6 @@ def test_kernel_addresses_stay_valid(rng, state_type):
 FFT_SIZES = [2**e for e in range(2, 13)]  # 4 to 4096 points
 
 
-@needs_kernels
 @pytest.mark.parametrize("n", FFT_SIZES)
 def test_rfft_kernel_agrees_with_numpy(rng, n):
     """The kernel's forward FFT of 1 to 6 rows of any scale agrees with
@@ -826,7 +858,6 @@ def test_rfft_kernel_agrees_with_numpy(rng, n):
     assert out[0].tobytes() == out[1].tobytes() == np.stack([got[0].real, got[0].imag]).tobytes()
 
 
-@needs_kernels
 @pytest.mark.parametrize("n", FFT_SIZES)
 def test_irfft_kernel_agrees_with_numpy(rng, n):
     """The kernel's inverse FFT agrees with ``np.fft.irfft`` to 1e-14 of the
@@ -847,7 +878,6 @@ def test_irfft_kernel_agrees_with_numpy(rng, n):
     np.testing.assert_allclose(engine_irfft(engine_rfft(x, lib), n, lib), x, rtol=0, atol=1e-14 * n)
 
 
-@needs_kernels
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_demix_kernel_weight_agrees_with_compute_r1(rng, n_bins, dim):
@@ -861,10 +891,10 @@ def test_demix_kernel_weight_agrees_with_compute_r1(rng, n_bins, dim):
     for scale in (1e-5, 1.0, 1e5):
         frame = np.ascontiguousarray(scale * obs)
         _demix_weight(auxiva._kernels, state, frame)
-        expected = auxiva.weight(auxiva.compute_r1(state.rows, frame), state.config)
+        expected = oracles.weight(auxiva.compute_r1(state.rows, frame), state.config)
         assert abs(state.gain[0] - expected) <= 1e-13 * expected, scale
     for frame in (np.zeros_like(obs), np.full_like(obs, 1e200)):
         _demix_weight(auxiva._kernels, state, frame)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = auxiva.weight(auxiva.compute_r1(state.rows, frame), state.config)
+            expected = oracles.weight(auxiva.compute_r1(state.rows, frame), state.config)
         assert state.gain[0] == expected

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import naec
-from conftest import engine_irfft, engine_rfft, numpy_path, on_both_paths
+from conftest import engine_irfft, engine_rfft
 from naec import auxiva, ctf, stft
 from naec.audio_io import SAMPLE_RATE, AudioSignal
 from naec.auxiva import AuxivaConfig, pack_observations, unpack_observations
@@ -45,7 +45,7 @@ def test_public_names_resolve_and_batch_oracles_are_test_only():
         stft: ["Spectrogram", "analyze", "synthesize", "n_frames_for", "_ENVELOPE_FLOOR"],
         ctf: ["_check_shapes", "build_observation", "frame_observations",
               "batch_observations", "constrained_matrix"],
-        auxiva: ["offline_batch"],
+        auxiva: ["offline_batch", "weight"],
     }
     for module, names in oracles.items():
         for name in names:
@@ -154,7 +154,6 @@ def test_run_streaming_irregular_chunks_bit_exact(small_scene):
 
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
-@on_both_paths
 def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
     spec, comps = small_scene
     config = EngineConfig(optimizer=optimizer)
@@ -203,15 +202,13 @@ def _framing_config(window_len, hop, order_p, frames_l):
 
 
 @pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
-@on_both_paths
 def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l):
     """Each frame's observations (the engine's buffer after the push) and
     emitted hop are, byte for byte, those of plain numpy framing: odd
     powers, a shifted time buffer times the window, one rfft, a (P, L, K)
     reference history stacked after the microphone, and the windowed irfft
     of the demixed frame (the state's ``out``) overlap-added and divided by
-    ``ola_norm``. The transforms are the engine's: numpy's, or the kernels'
-    FFTs."""
+    ``ola_norm``. The transforms are the engine's, the kernels' FFTs."""
     config = _framing_config(window_len, hop, order_p, frames_l)
     sc, n_bins, n_frames = config.stft, config.stft.n_bins, 3 * window_len // hop
     rng = np.random.default_rng(window_len + order_p + frames_l)
@@ -230,8 +227,8 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
         history[:, 1:] = history[:, :-1]
         history[:, 0] = spec[1:]
         obs = np.column_stack([spec[0], history.reshape(-1, n_bins).T])
-        assert unpack_observations(engine._obs, n_bins).tobytes() == obs.tobytes(), j
-        assert engine._obs.tobytes() == pack_observations(obs).tobytes(), j
+        assert unpack_observations(engine._state.obs, n_bins).tobytes() == obs.tobytes(), j
+        assert engine._state.obs.tobytes() == pack_observations(obs).tobytes(), j
         acc += engine_irfft(engine._state.out, n=window_len) * window
         expected = acc[:hop] / norm if j >= engine.latency_chunks else np.empty(0)
         assert out.tobytes() == expected.tobytes(), j
@@ -240,7 +237,6 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
 
 
 @pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
-@on_both_paths
 def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, order_p, frames_l):
     """After n frames the engine's one observation buffer, which its state
     reads, holds, byte for byte, the planes of the stacked observations of
@@ -255,16 +251,15 @@ def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, ord
     ref_specs = [analyze(AudioSignal(np.concatenate([pad, x])), sc, rfft=engine_rfft)
                  for x in odd_powers(far, order_p)]
     engine = StreamingEngine(config)
-    buffer = engine._obs
+    buffer = engine._state.obs
     for n in range(n_frames):
         engine.push(mic[n * hop : (n + 1) * hop], far[n * hop : (n + 1) * hop])
         expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
-        assert unpack_observations(engine._obs, sc.n_bins).tobytes() == expected.tobytes(), n
-        assert engine._obs.tobytes() == pack_observations(expected).tobytes(), n
-    assert engine._obs is buffer and engine._state.obs is buffer
+        assert unpack_observations(engine._state.obs, sc.n_bins).tobytes() == expected.tobytes(), n
+        assert engine._state.obs.tobytes() == pack_observations(expected).tobytes(), n
+    assert engine._state.obs is buffer
 
 
-@pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
 @pytest.mark.parametrize("window_len, hop, order_p, frames_l", FRAMINGS)
 def test_fused_push_equals_the_kernels_called_in_turn(window_len, hop, order_p, frames_l,
@@ -290,7 +285,7 @@ def test_fused_push_equals_the_kernels_called_in_turn(window_len, hop, order_p, 
         manual._tail[0], manual._tail[1] = mic, far
         if not lib.frame_in(manual._handle):
             return None
-        auxiva.process_frame(manual._state, manual._obs)
+        auxiva.process_frame(manual._state, manual._state.obs)
         lib.ola(manual._handle)
         return manual._emit.copy() if manual._state.frames > manual.latency_chunks else np.empty(0)
 
@@ -315,12 +310,11 @@ def test_fused_push_equals_the_kernels_called_in_turn(window_len, hop, order_p, 
         assert getattr(fused._state, name).tobytes() == getattr(manual._state, name).tobytes()
 
 
-@pytest.mark.skipif(auxiva._kernels is None, reason="no compiled kernels")
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
 def test_compiled_frame_calls_no_numpy_fft_or_errstate(optimizer):
-    """With the kernels loaded, ``push`` and ``flush`` call neither numpy's
-    FFTs nor ``np.errstate``: the transforms and both weights are compiled.
-    A change that brings numpy back into a compiled frame fails here."""
+    """``push`` and ``flush`` call neither numpy's FFTs nor ``np.errstate``:
+    the transforms and both weights are compiled. A change that brings numpy
+    back into a compiled frame fails here."""
     rng = np.random.default_rng(5)
     engine = StreamingEngine(EngineConfig(optimizer=optimizer))
     forbidden = [mock.patch.object(np.fft, name, side_effect=AssertionError(name))
@@ -335,7 +329,6 @@ def test_compiled_frame_calls_no_numpy_fft_or_errstate(optimizer):
     assert len(out) == 8 * engine.hop and np.isfinite(out).all() and np.any(out)
 
 
-@on_both_paths
 def test_push_takes_strided_float32_and_int16_chunks():
     """Chunks that are strided views, float32 or int16 give the output of
     their contiguous float64 copies, byte for byte."""
@@ -410,13 +403,12 @@ def test_finite_burst_raises_no_warning(spiky_scene, optimizer):
     raise numpy warnings, which an application may have made errors."""
     far, mic = spiky_scene
     n = 120 * EngineConfig().stft.hop
-    for paths in (contextlib.nullcontext(), numpy_path()):
-        with paths, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out, stats = _push_all(EngineConfig(optimizer=optimizer), mic[:n], far[:n],
-                                   burst_chunk=100)
-        assert np.isfinite(out).all()
-        assert stats.skipped_bins == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, stats = _push_all(EngineConfig(optimizer=optimizer), mic[:n], far[:n],
+                               burst_chunk=100)
+    assert np.isfinite(out).all()
+    assert stats.skipped_bins == 0
 
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
