@@ -3,7 +3,7 @@
                    rows read from P, and the frame demixed with them;
      demix         AuxIVA's demix with the previous rows, r1 and Phi(r1);
      ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1;
-     step          a compiled process_frame: the weight, then update;
+     step          a compiled process_frame: the weight, update, bin resets;
    and for the engine's framing in naec.pipeline:
      fft_plan      the twiddle factors of the real FFTs, once per engine;
      frame_in      the far end's odd powers, the finite check, the time
@@ -16,8 +16,8 @@
    step, frame_in, ola and push take a struct that the state or the engine
    fills once. No kernel allocates memory or writes to stdout. Apart from
    the FFTs, the framing kernels make copies and elementwise products only,
-   the operations of the numpy code they replace. The FFTs and AuxIVA's r1
-   agree with the numpy path to rounding, not bytes.
+   the operations of numpy framing. The FFTs and AuxIVA's r1 agree with
+   their numpy oracles (tests/oracles.py) to rounding, not bytes.
 
    Every per-bin buffer holds blocks of LANES bins, bins innermost, 64-byte
    aligned; the lanes past bin K - 1 hold and compute copies of bin K - 1.
@@ -35,8 +35,8 @@
    ``double complex`` product calls __muldc3), and the file is built with
    -ffp-contract=off so no multiply-add is fused. The demixes do the
    operations of numpy's einsum in its order and give its bytes; the
-   update gives the bytes of its numpy twin (auxiva.py); ILRMA's NMF
-   updates agree with the numpy ones to rounding, not bytes (see ilrma.py).
+   update and the bin reset give the bytes of their numpy twins in oracles.py;
+   ILRMA's NMF updates agree with the numpy ones to rounding (see ilrma.py).
    On x86-64 the lane kernels are compiled for AVX-512F and for the
    baseline ISA, and the AVX-512F clone is picked when the library is
    loaded on a CPU that has it; the IEEE operations and their order are the
@@ -256,7 +256,7 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alp
     return broken;
 }
 /* One frame of ILRMA's rank-1 NMF source model and its weight, as
-   IlrmaState.frame_weight does it in numpy: from the outputs e = rows^H obs
+   oracles.frame_weight does it in numpy: from the outputs e = rows^H obs
    of the previous rows, the basis update t1 <- max(t1 sqrt(|e|^2 / r1),
    floor), the refresh r1 = max(t1 v1, floor), the activation update
    v1 <- max(v1 sqrt(num / den), floor) with num = t1 . (|e|^2 / r1^2) and
@@ -319,19 +319,58 @@ long ilrma_weight(long n_bins, long dim, const v8 *rows, const v8 *obs, v8 *basi
     return live;
 }
 
-/* naec.auxiva.AuxivaState.kernel: the state's buffers and settings, the
-   workspace of update and ilrma_weight, and the frames and skipped bins. */
+/* naec.auxiva.AuxivaState.kernel: the state's buffers and settings (cov_init, the prior's
+   scale), the workspace of update and ilrma_weight, and the frame and bin counters. */
 struct state {
     long n_bins, dim;
-    double alpha, diag_load, floor, exponent;
+    double alpha, diag_load, floor, exponent, cov_init;
     v8 *inv, *trace, *basis, *r1, *work, *rows, *obs; /* basis: ILRMA's weight, NULL: AuxIVA's */
     double *gain, *v1, *out;
-    long frames, skipped_bins;
+    long frames, skipped_bins, broken_bins;
 };
 
-/* One frame of process_frame: the weight from the previous rows, then
-   update of coordinate frames mod dim, counted. Returns the broken bins. */
-long step(struct state *s)
+/* Restarts each bin that update found broken (tau or tr(P), summed in index
+   order, not finite) from the prior P = I / cov_init, tau = dim cov_init and
+   the passthrough row, counts it and demixes its block again by demix_block;
+   a short last block's padding lanes follow bin K - 1. For ILRMA's weight,
+   non-finite t1 entries and v1 return to 1, then r1 = max(t1 v1, floor). */
+static void reset_broken(struct state *s)
+{
+    const long n_bins = s->n_bins, dim = s->dim, tri = dim * (dim + 1) / 2;
+    const long blocks = (n_bins + LANES - 1) / LANES, last = (n_bins - 1) % LANES;
+    if (s->basis != NULL && !isfinite(*s->v1))
+        *s->v1 = 1.0;
+    for (long b = 0, k = 0; b < blocks; b++) {
+        v8 *re = s->inv + 2 * b * tri, *im = re + tri, tr = {0.0}, tau = s->trace[b], er, ei;
+        for (long i = 0; i < dim; i++)
+            tr += re[upper(dim, i, i)];
+        const long before = s->broken_bins;
+        for (long l = 0; l < LANES; l++, k++) {
+            const long at = k < n_bins ? l : last;
+            if (isfinite(tau[at]) && isfinite(tr[at]))
+                continue;
+            for (long i = 0, t = 0; i < dim; i++)
+                for (long j = i; j < dim; j++, t++)
+                    re[t][l] = i == j ? 1.0 / s->cov_init : 0.0, im[t][l] = 0.0;
+            s->trace[b][l] = dim * s->cov_init;
+            for (long d = 0; d < dim; d++)
+                s->rows[2 * d * blocks + b][l] = d == 0, s->rows[(2 * d + 1) * blocks + b][l] = 0.0;
+            s->broken_bins += k < n_bins;
+        }
+        if (s->broken_bins > before) {
+            demix_block(dim, blocks, b, s->rows, s->obs, &er, &ei);
+            STORE_COMPLEX(s->out, b, er, ei);
+        }
+        for (int l = 0; s->basis != NULL && l < LANES; l++)
+            s->basis[b][l] = isfinite(s->basis[b][l]) ? s->basis[b][l] : 1.0;
+        if (s->basis != NULL)
+            s->r1[b] = AT_LEAST(s->basis[b] * *s->v1, (v8){0.0} + s->floor);
+    }
+}
+
+/* One frame of process_frame: the weight from the previous rows, update of
+   coordinate frames mod dim, counted, and reset_broken if a bin broke. */
+void step(struct state *s)
 {
     const long stride = s->basis != NULL;
     if (stride)
@@ -339,8 +378,9 @@ long step(struct state *s)
                      (v8 *)s->gain, s->work);
     else
         demix(s->n_bins, s->dim, s->rows, s->obs, s->out, s->floor, s->exponent, s->gain);
-    return update(s->n_bins, s->dim, s->inv, s->trace, s->obs, s->alpha, s->gain, stride,
-                  s->diag_load, s->frames++ % s->dim, s->rows, s->out, &s->skipped_bins, s->work);
+    if (update(s->n_bins, s->dim, s->inv, s->trace, s->obs, s->alpha, s->gain, stride,
+               s->diag_load, s->frames++ % s->dim, s->rows, s->out, &s->skipped_bins, s->work))
+        reset_broken(s);
 }
 
 /* The engine's real FFTs, of n = 2m samples, n a power of two >= 4: the
@@ -740,14 +780,14 @@ void ola(const struct engine *e)
     memset(acc + window_len - hop, 0, sizeof(double) * hop);
 }
 
-/* frame_in, step and, unless a bin broke, ola; returns -1 if frame_in rejected
-   the tail, else the broken bins, for the caller to reset before its ola. */
+/* frame_in, step and ola; returns -1 if frame_in rejected the tail, else 0. */
 long push(const struct engine *e)
 {
-    const long broken = frame_in(e) ? step(e->state) : -1;
-    if (broken == 0)
-        ola(e);
-    return broken;
+    if (!frame_in(e))
+        return -1;
+    step(e->state);
+    ola(e);
+    return 0;
 }
 
 /* The sizes and field offsets of struct state and struct engine in
@@ -757,13 +797,14 @@ long layout(long *out)
 {
     const long at[] = {
         sizeof(struct state), AT(state, n_bins), AT(state, dim), AT(state, alpha),
-        AT(state, diag_load), AT(state, floor), AT(state, exponent), AT(state, inv),
-        AT(state, trace), AT(state, basis), AT(state, r1), AT(state, work),
+        AT(state, diag_load), AT(state, floor), AT(state, exponent), AT(state, cov_init),
+        AT(state, inv), AT(state, trace), AT(state, basis), AT(state, r1), AT(state, work),
         AT(state, rows), AT(state, obs), AT(state, gain), AT(state, v1), AT(state, out),
-        AT(state, frames), AT(state, skipped_bins), sizeof(struct engine), AT(engine, state),
-        AT(engine, order_p), AT(engine, frames_l), AT(engine, hop), AT(engine, window_len),
-        AT(engine, tail), AT(engine, buf), AT(engine, window), AT(engine, frame),
-        AT(engine, plan), AT(engine, synth), AT(engine, acc), AT(engine, norm), AT(engine, emit)};
+        AT(state, frames), AT(state, skipped_bins), AT(state, broken_bins), sizeof(struct engine),
+        AT(engine, state), AT(engine, order_p), AT(engine, frames_l), AT(engine, hop),
+        AT(engine, window_len), AT(engine, tail), AT(engine, buf), AT(engine, window),
+        AT(engine, frame), AT(engine, plan), AT(engine, synth), AT(engine, acc), AT(engine, norm),
+        AT(engine, emit)};
     memcpy(out, at, sizeof(at));
     return sizeof(at) / sizeof(at[0]);
 }

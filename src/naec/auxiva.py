@@ -32,7 +32,8 @@ sets the weight to the per-bin 1/r1(k) of its NMF model. ``build_kernels``
 compiles ``_kernels.c`` with ``cc`` when this module is first imported,
 caches the shared object under ``__pycache__`` and raises ImportError if it
 cannot. A frame is one ``step`` call on ``state.kernel``: the weight, then
-``update``, which also writes the rows and demixes the frame.
+``update``, which also writes the rows and demixes the frame, then the reset
+of any broken bin.
 ``compute_r1``, ``ewma_covariance_update``, ``solve_demixing_rows`` and
 ``ctf.demix_frame`` are the kernels' test oracles, kept in the package
 because ``bench/spans.py`` wraps them by name: numpy code in the kernel's
@@ -44,9 +45,10 @@ and pairwise sum.
 
 Rescaling P, tau and the weight by 2^-m, 2^m and 2^m rescales the update's
 results by the same powers of two and leaves the rows bit-identical. A bin
-whose tau or tr(P) is not finite is broken: ``process_frame`` restarts it
-from the prior and passthrough row (``reset_bins``). A bin whose row is not
-finite keeps its previous row and is counted in ``skipped_bins``.
+whose tau or tr(P) is not finite is broken: ``step`` restarts it from the
+prior and passthrough row, demixes it again and counts it in
+``broken_bins``. A bin whose row is not finite keeps its previous row and is
+counted in ``skipped_bins``.
 """
 from __future__ import annotations
 
@@ -136,7 +138,7 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     lib.irfft.restype = None
     for name in ("step", "frame_in", "ola", "push", "layout"):  # each takes one pointer
         getattr(lib, name).argtypes = (ptr,)
-        getattr(lib, name).restype = None if name == "ola" else size
+        getattr(lib, name).restype = None if name in ("step", "ola") else size
     return lib
 
 
@@ -164,14 +166,15 @@ class KernelState(ctypes.Structure):
     """``struct state`` of ``_kernels.c``: what ``step`` reads and counts."""
 
     _fields_ = [*((name, ctypes.c_long) for name in ("n_bins", "dim")),
-                *((name, ctypes.c_double) for name in ("alpha", "diag_load", "floor", "exponent")),
+                *((name, ctypes.c_double) for name in ("alpha", "diag_load", "floor", "exponent",
+                                                       "cov_init")),
                 *((name, ctypes.c_void_p) for name in ("inv", "trace", "basis", "r1", "work",
                                                        "rows", "obs", "gain", "v1", "out")),
-                ("frames", ctypes.c_long), ("skipped_bins", ctypes.c_long)]
+                *((name, ctypes.c_long) for name in ("frames", "skipped_bins", "broken_bins"))]
 
 
 class AuxivaState:
-    """Per-bin inverse covariances, traces and demixing rows plus the count of skipped bins.
+    """Per-bin inverse covariances, traces and demixing rows plus bin counters.
 
     The planes ``inv`` of P = V^-1, ``row_planes`` of the rows and ``obs``
     of the frame's observations, the traces ``trace`` of V, the frame's
@@ -179,7 +182,7 @@ class AuxivaState:
     kernels' workspace ``work``, all ``ALIGN``-byte aligned, live as long as
     the state and are only written in place; the planes cannot be rebound.
     ``kernel``, at ``handle``, holds their addresses, taken once here, the
-    settings and the counters ``frames`` and ``skipped_bins``.
+    settings and the counters ``frames``, ``skipped_bins`` and ``broken_bins``.
     """
 
     def __init__(self, n_bins: int, dim: int, config: AuxivaConfig = AuxivaConfig()):
@@ -197,7 +200,8 @@ class AuxivaState:
         self.work = aligned_zeros((max(6 * dim, blocks), LANES))
         self.kernel = KernelState(
             n_bins=n_bins, dim=dim, alpha=config.alpha, diag_load=config.diag_load, floor=R_FLOOR,
-            exponent=config.beta - 2.0, rows=self.row_planes.ctypes.data, **{
+            exponent=config.beta - 2.0, cov_init=COV_INIT_SCALE,
+            rows=self.row_planes.ctypes.data, **{
                 name: getattr(self, name).ctypes.data
                 for name in ("inv", "trace", "work", "gain", "obs", "out")})
         self.handle = ctypes.c_void_p(ctypes.addressof(self.kernel))
@@ -210,21 +214,12 @@ class AuxivaState:
                     doc="The (K, D) demixing rows, unpacked; assigning packs them.")
     frames = property(lambda self: self.kernel.frames, doc="Frames processed.")
     skipped_bins = property(lambda self: self.kernel.skipped_bins, doc="Rows kept over all frames.")
+    broken_bins = property(lambda self: self.kernel.broken_bins, doc="Bins reset over all frames.")
 
     @property
     def inverse(self) -> np.ndarray:
         """The (K, D, D) Hermitian inverse covariances P, unpacked from ``inv``."""
         return unpack_covariance(self.inv, self.n_bins)
-
-    def reset_bins(self, bins: np.ndarray) -> None:
-        """Return the selected bins (a mask or indices) to the initial prior and passthrough row."""
-        mask = np.zeros(self.n_bins, dtype=bool)
-        mask[bins] = True
-        prior = pack_covariance(_prior(self.dim)[np.newaxis])
-        lanes = mask[_lane_bins(self.n_bins)]
-        np.copyto(self.inv, prior, where=lanes.reshape(len(self.inv), 1, 1, LANES))
-        self.trace[lanes] = self.dim * COV_INIT_SCALE
-        self.rows = np.where(mask[:, np.newaxis], passthrough_row(self.dim), self.rows)
 
 
 def _prior(dim: int) -> np.ndarray:
@@ -422,21 +417,13 @@ def compute_r1(rows: np.ndarray, obs: np.ndarray) -> float:
 
 def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     """One online update with the frame's observations, returning E(k, n):
-    one ``step`` call (weight, update, rows, demix into ``state.out``), then
-    ``reset_broken`` if a bin broke. ``obs`` is any (K, D) array, packed
-    into ``state.obs``, or ``state.obs`` itself as the engine passes it."""
+    one ``step`` call (weight, update, rows, demix into ``state.out``, bin
+    resets). ``obs`` is any (K, D) array, packed into ``state.obs``, or
+    ``state.obs`` itself as the engine passes it."""
     if obs is not state.obs:
         if np.shape(obs) != (state.n_bins, state.dim):
             raise ValueError(f"expected observations of shape ({state.n_bins}, {state.dim}), "
                              f"got {np.shape(obs)}")
         pack_observations(obs, state.obs)
-    if _kernels.step(state.handle):
-        reset_broken(state)
+    _kernels.step(state.handle)
     return state.out.copy()
-
-
-def reset_broken(state: AuxivaState) -> None:
-    """Restart the broken bins (``nonfinite_trace``) from the prior and
-    passthrough row, and demix ``state.obs`` into ``state.out`` again."""
-    state.reset_bins(nonfinite_trace(state.inv, state.trace, state.n_bins))
-    state.out[...] = demix_frame(state.rows, unpack_observations(state.obs, state.n_bins))

@@ -21,7 +21,7 @@ The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 at, so ``step`` runs ``ilrma_weight`` (``_kernels.c``) for the weight: the
 pre-update demix, both updates, both refreshes and 1/r1, eight bins per
 vector operation. The basis and the activation start at 1 and carry over
-between frames; after a bin reset, non-finite basis entries and a
+between frames; when ``step`` resets a bin, non-finite basis entries and a
 non-finite activation return to 1. A frame whose pre-update output is all
 zero (digital silence) skips both updates and reuses the last 1/r1.
 
@@ -111,12 +111,3 @@ class IlrmaState(AuxivaState):
         k = self.kernel
         k.floor = NMF_FLOOR
         k.basis, k.v1, k.r1 = (a.ctypes.data for a in (m.basis, m.activation, m.variance))
-
-    def reset_bins(self, bins: np.ndarray) -> None:
-        """Reset the bins' prior and row, and any non-finite NMF entries,
-        the basis's padding lanes included."""
-        super().reset_bins(bins)
-        m = self.model
-        for buffer in (m.basis, m.activation):
-            buffer[~np.isfinite(buffer)] = 1.0
-        m.recompute_variance()

@@ -32,9 +32,8 @@ planes in place. A frame is one call of the ``push`` kernel of
    window at least four times, so each emitted hop has been covered by
    ``window_len/hop`` frames.
 
-The FFTs use a plan the engine builds once (``fft_plan``). If a bin
-breaks, ``push`` returns before ``ola``, and Python resets the bin
-(``auxiva.reset_broken``) and calls ``ola``.
+The FFTs use a plan the engine builds once (``fft_plan``). A bin that
+breaks is reset inside ``step``, so every frame is the one call.
 """
 
 from __future__ import annotations
@@ -178,12 +177,8 @@ class StreamingEngine:
     def _run_frame(self, t0: float) -> np.ndarray:
         """One frame from the tail to the emitted hop, timed from ``t0``: one
         ``push`` kernel call. A rejected tail raises."""
-        status = self._lib.push(self._handle)
-        if status < 0:
+        if self._lib.push(self._handle) < 0:
             raise ValueError("chunks contain non-finite samples or far-end powers")
-        if status > 0:  # broken bins, which the kernel left for Python to reset
-            auxiva.reset_broken(self._state)
-            self._lib.ola(self._handle)
         out = self._emit.copy() if self._state.frames > self.latency_chunks else np.empty(0)
         self._elapsed += time.perf_counter() - t0
         return out

@@ -12,18 +12,23 @@ import numpy as np
 
 from naec.audio_io import AudioSignal
 from naec.auxiva import (
+    COV_INIT_SCALE,
+    LANES,
     R_FLOOR,
     AuxivaConfig,
     AuxivaState,
+    _lane_bins,
+    _prior,
     compute_r1,
     ewma_covariance_update,
+    nonfinite_trace,
+    pack_covariance,
     pack_observations,
-    reset_broken,
     solve_demixing_rows,
     unpack_observations,
 )
 from naec.ctf import CtfConfig, demix_frame, passthrough_row
-from naec.ilrma import IlrmaState, update_activations, update_bases
+from naec.ilrma import NMF_FLOOR, IlrmaState, update_activations, update_bases
 from naec.stft import StftConfig
 
 _ENVELOPE_FLOOR = 1e-12
@@ -333,7 +338,7 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
 
     For the same weight, P, tau, the rows and the output are the kernel's
     bytes; the weights agree with the compiled ones to rounding. Broken bins
-    are reset by ``reset_broken``, as the engine does.
+    are reset by ``reset_broken``, as the ``step`` kernel does.
     """
     pack_observations(obs, state.obs)
     config, kernel = state.config, state.kernel
@@ -354,3 +359,26 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     else:
         state.out[...] = demix_frame(rows, obs)
     return state.out.copy()
+
+
+def reset_broken(state: AuxivaState) -> None:
+    """The ``step`` kernel's bin reset in numpy: restart the broken bins
+    (``nonfinite_trace``) from the prior P = I / COV_INIT_SCALE, tau =
+    D COV_INIT_SCALE and the passthrough row, the padding lanes following
+    bin K - 1, add their count to ``broken_bins``, and demix ``state.obs``
+    into ``state.out`` again. For an ``IlrmaState``, non-finite basis
+    entries and activation return to 1, and r1 is refreshed over the whole
+    padded buffer."""
+    mask = nonfinite_trace(state.inv, state.trace, state.n_bins)
+    lanes = mask[_lane_bins(state.n_bins)]
+    prior = pack_covariance(_prior(state.dim)[np.newaxis])
+    np.copyto(state.inv, prior, where=lanes.reshape(len(state.inv), 1, 1, LANES))
+    state.trace[lanes] = state.dim * COV_INIT_SCALE
+    state.rows = np.where(mask[:, np.newaxis], passthrough_row(state.dim), state.rows)
+    state.kernel.broken_bins += int(np.count_nonzero(mask))
+    if isinstance(state, IlrmaState):
+        m = state.model
+        for buffer in (m.basis, m.activation):
+            buffer[~np.isfinite(buffer)] = 1.0
+        m.variance[...] = np.maximum(m.basis * m.activation, NMF_FLOOR)
+    state.out[...] = demix_frame(state.rows, unpack_observations(state.obs, state.n_bins))

@@ -314,14 +314,20 @@ def test_bin_reset_after_overflow_gives_the_prior_row(rng, dim, state_type):
     trace to D * 1e-3 and its row to the passthrough row byte for byte, and
     its output is the microphone entry, in ``process_frame`` and in the
     numpy driver of ``oracles``. The reset covers the last bin, whose
-    copies fill the short last block."""
+    copies fill the short last block. In the kernel's ILRMA model the
+    padding lanes of the basis, the variance and the gain still hold bin
+    K - 1's values a few frames later (the numpy driver's NMF updates write
+    only the K bins)."""
     n_bins, burst_bins = 9, [3, 8]
+
+    def frame():
+        return rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+
     for process_frame in (auxiva.process_frame, oracles.process_frame):
         state = state_type(n_bins, dim)
         for _ in range(5):
-            process_frame(state, rng.standard_normal((n_bins, dim))
-                          + 1j * rng.standard_normal((n_bins, dim)))
-        obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
+            process_frame(state, frame())
+        obs = frame()
         obs[burst_bins, 0] = 1e200
         out = process_frame(state, obs)
         for k in burst_bins:
@@ -334,6 +340,11 @@ def test_bin_reset_after_overflow_gives_the_prior_row(rng, dim, state_type):
         for pad in lanes[n_bins:]:
             assert pad.tobytes() == lanes[n_bins - 1].tobytes()
         assert (state.trace[n_bins:] == state.trace[n_bins - 1]).all()
+        if state_type is IlrmaState and process_frame is auxiva.process_frame:
+            for _ in range(3):
+                process_frame(state, frame())
+            for buffer in (state.model.basis, state.model.variance, state.gain):
+                assert (buffer[n_bins:] == buffer[n_bins - 1]).all(), buffer
 
 
 @pytest.mark.parametrize("dim", LANE_DIMS)
@@ -456,33 +467,42 @@ def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
 @pytest.mark.parametrize("state_type", [auxiva.AuxivaState, IlrmaState],
                          ids=["auxiva", "ilrma"])
 def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
-    """A 1e200 microphone burst in some bins: the EWMA's broken-bin count and
-    the reset that follows are the same on both paths: the compiled
-    ``process_frame`` and the numpy driver of ``oracles``."""
+    """A 1e200 microphone burst in some bins: the count of reset bins after
+    each frame is the same on both paths, the compiled ``process_frame`` and
+    the numpy driver of ``oracles``, and rises only at the burst. The frame
+    of the burst through ``step`` leaves the state's bytes, padding lanes
+    included, as its weight and update kernels followed by the numpy
+    ``oracles.reset_broken`` do (the drivers' weights agree only to
+    rounding, so their states are compared by their rows)."""
     n_bins, burst_frame, burst_bins = 65, 20, [3, 8, 64]
     frames = rng.standard_normal((40, n_bins, dim)) + 1j * rng.standard_normal((40, n_bins, dim))
     frames[burst_frame, burst_bins, 0] = 1e200
 
-    def run(process_frame):
-        state = state_type(n_bins, dim)
-        resets = []
-        reset = state.reset_bins
-        state.reset_bins = lambda bins: (resets.append(np.flatnonzero(bins)), reset(bins))
+    def run(process_frame, state, frames):
+        counts = []
         with np.errstate(all="ignore"):
             for obs in frames:
                 process_frame(state, obs)
-        return state, resets
+                counts.append(state.broken_bins)
+        return counts
 
-    compiled, compiled_resets = run(auxiva.process_frame)
-    reference, reference_resets = run(oracles.process_frame)
-    assert len(compiled_resets) == 1
-    for got, expected in zip(compiled_resets, reference_resets, strict=True):
-        np.testing.assert_array_equal(got, expected)
+    compiled, reference = state_type(n_bins, dim), state_type(n_bins, dim)
+    counts = run(auxiva.process_frame, compiled, frames)
+    assert run(oracles.process_frame, reference, frames) == counts
+    assert counts[burst_frame - 1] == 0 < counts[burst_frame] == counts[-1]
     if state_type is auxiva.AuxivaState:  # ILRMA's NMF model spreads the burst to all bins
-        np.testing.assert_array_equal(compiled_resets[0], burst_bins)
+        assert counts[-1] == len(burst_bins)
     assert compiled.skipped_bins == reference.skipped_bins == 0
     err = np.linalg.norm(compiled.rows - reference.rows) / np.linalg.norm(reference.rows)
     assert err <= 1e-12, err
+    stepped, by_parts = state_type(n_bins, dim), state_type(n_bins, dim)
+    for state in (stepped, by_parts):
+        run(auxiva.process_frame, state, frames[:burst_frame])
+    run(auxiva.process_frame, stepped, frames[burst_frame : burst_frame + 1])
+    with np.errstate(all="ignore"):
+        _step_with_oracle_reset(by_parts, frames[burst_frame])
+    assert _state_bytes(stepped) == _state_bytes(by_parts)
+    assert stepped.broken_bins == counts[burst_frame]
 
 
 @pytest.mark.parametrize("n_bins", [1, 65])
@@ -526,9 +546,10 @@ def test_build_kernels_declares_every_kernel():
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_clean_push_is_one_kernel_call(optimizer):
-    """Each clean push and each frame of ``flush`` makes exactly one
-    Python-level kernel call, ``push``: every other
-    kernel of the library and ``auxiva.process_frame`` raise if called."""
+    """Each push and each frame of ``flush`` makes exactly one Python-level
+    kernel call, ``push``, also a push whose 1e200 microphone sample breaks
+    bins, which ``step`` resets: every other kernel of the library and
+    ``auxiva.process_frame`` raise if called."""
     lib = auxiva._kernels
     rng = np.random.default_rng(2)
     engine = StreamingEngine(EngineConfig(optimizer=optimizer))
@@ -542,10 +563,13 @@ def test_clean_push_is_one_kernel_call(optimizer):
                                               side_effect=AssertionError("process_frame")))
         stack.enter_context(mock.patch.object(
             lib, "push", lambda handle: calls.append(handle) or push(handle)))
-        parts = [engine.push(*(0.3 * rng.standard_normal((2, engine.hop)))) for _ in range(8)]
+        chunks = 0.3 * rng.standard_normal((8, 2, engine.hop))
+        chunks[6, 0, 5] = 1e200
+        parts = [engine.push(*chunk) for chunk in chunks]
         parts.append(engine.flush())
     assert len(calls) == 8 + engine.latency_chunks
     assert np.isfinite(np.concatenate(parts)).all() and engine.stats.skipped_bins == 0
+    assert engine._state.broken_bins > 0
 
 
 def test_structs_have_the_kernels_layout():
@@ -574,8 +598,9 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
     bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
-    counts, rows and output; an update with per-bin weights; NMF weights; the
-    FFTs and their plans; and the engine's framing, ``frame_in`` and ``ola``."""
+    counts, rows and output, with a bin reset; an update with per-bin
+    weights; NMF weights; the FFTs and their plans; and the engine's
+    framing, ``frame_in`` and ``ola``."""
     target = tmp_path / "kernels.so"
     subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
                     "-o", str(target), str(auxiva.KERNEL_SOURCE)],
@@ -609,21 +634,12 @@ def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
             state.inv[5 // LANES, 0, 1, 5 % LANES] = 1e200
             state.trace[...] = trace
             state.rows = prev
-        out = auxiva.process_frame(loaded, obs)
-        # The same frame, kernel by kernel, on the baseline build.
-        _demix_weight(lib, base, obs)
-        rows = base.rows
-        broken, skipped, base_out = kernel_update(lib, base.inv, base.trace, obs, 0.99, base.gain,
-                                                  0, 1e-6, 0, rows)
-        base.rows = rows
-        assert broken == 1 and skipped == loaded.skipped_bins == 1
-        base.reset_bins(auxiva.nonfinite_trace(base.inv, base.trace, 513))
-        base_out[512] = demix_frame(base.rows[512:], obs[512:])[0]
-        assert base.gain.tobytes() == loaded.gain.tobytes()
-        assert base.inv.tobytes() == loaded.inv.tobytes()
-        assert base.trace.tobytes() == loaded.trace.tobytes()
-        assert base.row_planes.tobytes() == loaded.row_planes.tobytes()
-        assert base_out.tobytes() == out.tobytes()
+        auxiva.process_frame(loaded, obs)
+        pack_observations(obs, base.obs)
+        lib.step(base.handle)  # the same frame, bin reset included, on the baseline build
+        assert base.broken_bins == loaded.broken_bins == 1
+        assert base.skipped_bins == loaded.skipped_bins == 1
+        assert _state_bytes(base) == _state_bytes(loaded)
         gain = rng.uniform(0.1, 3.0, 513)
         results = []
         for library in (auxiva._kernels, lib):
@@ -661,6 +677,33 @@ def _ilrma_weight(lib, state, obs):
 def _nmf_bytes(state):
     m = state.model
     return m.basis.tobytes(), m.v1.tobytes(), m.variance.tobytes(), state.gain.tobytes()
+
+
+def _state_bytes(state):
+    """Every buffer and counter of a state, padding lanes included."""
+    k = state.kernel
+    buffers = [state.inv, state.trace, state.row_planes, state.obs, state.gain, state.out]
+    if isinstance(state, IlrmaState):
+        buffers += [state.model.basis, state.model.activation, state.model.variance]
+    return [b.tobytes() for b in buffers] + [k.frames, k.skipped_bins, k.broken_bins]
+
+
+def _step_with_oracle_reset(state, obs):
+    """``step`` on ``state`` with the numpy reset: the loaded weight and
+    update kernels on the state's buffers, then ``oracles.reset_broken`` if
+    the update found a broken bin."""
+    k, lib = state.kernel, auxiva._kernels
+    if isinstance(state, IlrmaState):
+        _ilrma_weight(lib, state, obs)
+    else:
+        _demix_weight(lib, state, obs)
+    skipped = ctypes.addressof(k) + auxiva.KernelState.skipped_bins.offset
+    broken = lib.update(k.n_bins, k.dim, k.inv, k.trace, k.obs, k.alpha, k.gain,
+                        int(bool(k.basis)), k.diag_load, k.frames % k.dim, k.rows, k.out, skipped,
+                        k.work)
+    k.frames += 1
+    if broken:
+        oracles.reset_broken(state)
 
 
 NMF_SEEDS = [1, 2, 10, 33]  # four random models and row sets per size
@@ -756,7 +799,7 @@ def test_nmf_kernel_agrees_with_the_numpy_updates(n_bins, dim, seed):
 
 def test_nmf_kernel_propagates_non_finite_as_numpy_does(rng):
     """NaN and Inf basis entries and outputs stay non-finite in the same
-    entries on both paths, so ``reset_bins`` resets the same basis entries."""
+    entries on both paths, so a bin reset resets the same basis entries."""
     n_bins, dim = 21, 4
     compiled, reference = (_nmf_state(np.random.default_rng(5), n_bins, dim)
                            for _ in range(2))
@@ -777,7 +820,7 @@ def test_nmf_kernel_propagates_non_finite_as_numpy_does(rng):
     resets = []
     for state in (compiled, reference):
         before = np.isfinite(state.model.t1)
-        state.reset_bins([])
+        oracles.reset_broken(state)
         resets.append(~before)
         assert np.isfinite(state.model.basis).all()
     np.testing.assert_array_equal(*resets)
@@ -810,13 +853,12 @@ def test_kernel_addresses_stay_valid(rng, state_type):
     state = state_type(n_bins, dim)
     frames = rng.standard_normal((300, n_bins, dim)) + 1j * rng.standard_normal((300, n_bins, dim))
     frames[150, [3, 64], 0] = 1e200  # overflows two bins' trace
-    resets = []
-    reset = state.reset_bins
-    state.reset_bins = lambda bins: (resets.append(bins), reset(bins))
+    counts = []
     with np.errstate(all="ignore"):
         for obs in frames:
             out = auxiva.process_frame(state, obs)
-    assert len(resets) == 1
+            counts.append(state.broken_bins)
+    assert counts[149] == 0 < counts[150] == counts[-1]
     k = state.kernel
     buffers = {"inv": state.inv, "trace": state.trace, "rows": state.row_planes,
                "gain": state.gain, "out": state.out, "work": state.work, "obs": state.obs}

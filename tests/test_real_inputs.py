@@ -10,24 +10,39 @@ from naec import (
     NonlinearitySpec,
     RoomSpec,
     SceneSpec,
+    StreamingEngine,
+    erle,
     run,
     speech_like,
+    steady_state,
     synthesize_scene,
 )
 
 
-@pytest.fixture(scope="module")
-def double_talk():
-    """4 s of clipped speech echo under a near-end talker at SER 0 dB, T60 0.3 s."""
+def _double_talk(seconds):
+    """Far end and microphone: clipped speech echo under a near-end talker at
+    SER 0 dB, T60 0.3 s."""
     spec = SceneSpec(
-        far_end=speech_like(4.0, seed=3, level=0.3),
+        far_end=speech_like(seconds, seed=3, level=0.3),
         room=RoomSpec(t60=0.3, rir_length=4096),
         nonlinearity=NonlinearitySpec(kind="hard_clip", clip_ratio=0.2),
-        near_end=speech_like(4.0, seed=4, level=0.1),
+        near_end=speech_like(seconds, seed=4, level=0.1),
         snr_db=60.0,
         seed=1,
     )
     return spec.far_end.samples, synthesize_scene(spec).microphone.samples
+
+
+@pytest.fixture(scope="module")
+def double_talk():
+    """4 s of the double-talk scene."""
+    return _double_talk(4.0)
+
+
+@pytest.fixture(scope="module")
+def long_double_talk():
+    """6 s of the double-talk scene."""
+    return _double_talk(6.0)
 
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
@@ -45,3 +60,42 @@ def test_loud_far_end_keeps_the_output_bounded(double_talk, optimizer, far_gain)
     out, _ = run(AudioSignal(far_gain * far), AudioSignal(mic), EngineConfig(optimizer=optimizer))
     peak = np.abs(out.samples[SAMPLE_RATE:]).max() / np.abs(mic).max()
     assert peak <= 4.0, peak
+
+
+def _run_counting_resets(far, mic, optimizer):
+    """``run``'s output, pushed hop by hop through one engine, and the number
+    of bins its ``step`` reset."""
+    engine = StreamingEngine(EngineConfig(optimizer=optimizer))
+    hop = engine.hop
+    parts = [engine.push(mic[j : j + hop], far[j : j + hop]) for j in range(0, len(mic), hop)]
+    return np.concatenate(parts + [engine.flush()])[: len(mic)], engine._state.broken_bins
+
+
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+@pytest.mark.parametrize("level, resets", [
+    pytest.param(1e200, {"auxiva": 5082, "ilrma": 5130}, id="1e200"),
+    pytest.param(1e30, {"auxiva": 0, "ilrma": 0}, id="1e30", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a finite burst stays in V and costs 3 dB of ERLE (ROADMAP item 4)")),
+])
+def test_mic_burst_is_forgotten(long_double_talk, optimizer, level, resets):
+    """A microphone held at ``level`` for 0.1 s at 2.0 s. The output stays
+    finite; from 0.5 s after the burst it peaks at no more than 4x the clean
+    microphone's peak, and its steady ERLE is within 1 dB of a clean run's.
+    A 1e200 burst overflows the covariances, and ``step`` resets the broken
+    bins: 5082 with AuxIVA and 5130 with ILRMA. ERLE is not taken over the
+    burst itself, whose squares overflow."""
+    far, mic = long_double_talk
+    start, stop = 2 * SAMPLE_RATE, 2 * SAMPLE_RATE + SAMPLE_RATE // 10
+    burst = mic.copy()
+    burst[start:stop] = level
+    clean, _ = _run_counting_resets(far, mic, optimizer)
+    out, broken = _run_counting_resets(far, burst, optimizer)
+    after = slice(stop + SAMPLE_RATE // 2, len(mic))
+    assert np.isfinite(out).all()
+    peak = np.abs(out[after]).max() / np.abs(mic).max()
+    assert peak <= 4.0, peak
+    steady = [steady_state(erle(AudioSignal(mic[after]), AudioSignal(x[after])))
+              for x in (clean, out)]
+    assert abs(steady[1] - steady[0]) <= 1.0, steady
+    assert broken == resets[optimizer]
