@@ -7,8 +7,8 @@
    and for the engine's framing in naec.pipeline:
      fft_plan      the twiddle factors of the real FFTs, once per engine;
      frame_in      the far end's odd powers, the finite check, the time
-                   buffer's shift, the analysis window and the real FFTs
-                   into the observations, lags moved in place;
+                   buffer's shift and the windowed real FFTs, two rows at
+                   a time, into the observations, lags moved in place;
      ola           the inverse real FFT, synthesis window, overlap-add,
                    norm and shift;
      push          a compiled push: frame_in, step and ola in one call;
@@ -29,10 +29,10 @@
    frame ``out`` blocks * LANES interleaved complex doubles (re, im). The
    caller checks shapes, dtypes and alignment.
 
-   Every vector operation is the scalar operation of one bin, done for LANES
-   bins at once, so each bin's result is bit-identical to a one-bin-at-a-time
-   computation. The complex arithmetic is written out in real operations (a
-   ``double complex`` product calls __muldc3), and the file is built with
+   Every vector operation is the scalar operation of one bin (or FFT
+   lane), done for LANES at once, so each result is bit-identical to one
+   computed alone. The complex arithmetic is written out in real operations
+   (a ``double complex`` product calls __muldc3), and the file is built with
    -ffp-contract=off so no multiply-add is fused. The demixes do the
    operations of numpy's einsum in its order and give its bytes; the
    update and the bin reset give the bytes of their numpy twins in oracles.py;
@@ -41,8 +41,8 @@
    baseline ISA, and the AVX-512F clone is picked when the library is
    loaded on a CPU that has it; the IEEE operations and their order are the
    same in both. A static helper is compiled once, for the baseline ISA, so
-   vector helpers are macros or always inlined. An AVX2 build was no faster
-   than the baseline one, so none is made (BENCH_lane_solve.json). */
+   vector helpers are macros or always inlined. No AVX2 clone is made: it
+   was no faster than the baseline one (BENCH_lane_solve.json). */
 
 #include <math.h>
 #include <string.h>
@@ -148,11 +148,13 @@ void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, double *out, do
    or tr(P), summed in index order, is not finite (a broken bin) or the row
    is not finite (a skipped bin); then rows[k] is kept. out[k] = rows[k]^H y.
    Adds the number of skipped bins to skipped[0] and returns the number of
-   broken bins. ``work`` holds 6 dim vectors. */
-LANE_CLONES
-long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alpha,
-            const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
-            double *out, long *skipped, v8 *work)
+   broken bins. ``work`` holds 6 dim vectors. update_dim is the body, with
+   dim a constant for the engine's D = P L + 1 at P = 3, L = 1..6, and a
+   variable for the rest. */
+static inline __attribute__((always_inline)) long
+update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, double alpha,
+           const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
+           double *out, long *skipped, v8 *restrict work)
 {
     const long tri = dim * (dim + 1) / 2, j = coord, blocks = (n_bins + LANES - 1) / LANES;
     const double inv_alpha = 1.0 / alpha, load = (1.0 - alpha) * diag_load;
@@ -255,6 +257,25 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alp
     }
     return broken;
 }
+
+LANE_CLONES
+long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alpha,
+            const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
+            double *out, long *skipped, v8 *work)
+{
+#define UPDATE_AT(d) update_dim(n_bins, d, inv, trace, obs, alpha, gain, gain_stride, diag_load, \
+                              coord, rows, out, skipped, work)
+    switch (dim) {
+    case 4: return UPDATE_AT(4);
+    case 7: return UPDATE_AT(7);
+    case 10: return UPDATE_AT(10);
+    case 13: return UPDATE_AT(13);
+    case 16: return UPDATE_AT(16);
+    case 19: return UPDATE_AT(19);
+    default: return UPDATE_AT(dim);
+    }
+}
+
 /* One frame of ILRMA's rank-1 NMF source model and its weight, as
    oracles.frame_weight does it in numpy: from the outputs e = rows^H obs
    of the previous rows, the basis update t1 <- max(t1 sqrt(|e|^2 / r1),
@@ -265,7 +286,8 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alp
    as it is. ``basis`` (t1), ``r1`` and ``gain`` are blocks * LANES long,
    64-byte aligned, and ``v1`` is one double. Lanes past bin K - 1 are
    computed on their own power, bin K - 1's, but are left out of num and
-   den, so they never reach a bin's result.
+   den, so they never reach a bin's result; so is a bin whose term of num
+   or of den is not finite (an overflowed |e|^2), so it breaks only itself.
    Returns 1 if the model was updated, 0 if the frame was all zero. ``work``
    holds |e|^2, one vector per block. */
 LANE_CLONES
@@ -301,8 +323,9 @@ long ilrma_weight(long n_bins, long dim, const v8 *rows, const v8 *obs, v8 *basi
             basis[j] = t;
             const v8 w1 = 1.0 / AT_LEAST(t * v, lo), w2 = power[j] * (w1 * w1);
             const v8l in_range = j < blocks - 1 ? all : last;
-            num += (v8)((v8l)(t * w2) & in_range);
-            den += (v8)((v8l)(t * w1) & in_range);
+            const v8 tw2 = t * w2, tw1 = t * w1, finite = (tw2 - tw2) + (tw1 - tw1);
+            num += SELECT(finite == 0.0, (v8)((v8l)tw2 & in_range), (v8){0.0});
+            den += SELECT(finite == 0.0, (v8)((v8l)tw1 & in_range), (v8){0.0});
         }
         double n = 0.0, d = 0.0;
         for (int l = 0; l < LANES; l++) {
@@ -387,29 +410,29 @@ void step(struct state *s)
    m-point complex FFT of z[t] = x[2t] + i x[2t + 1], split into the spectra
    of the even and the odd samples (Sorensen et al., "Real-valued fast
    Fourier transform algorithms", IEEE TASSP 1987). The complex FFT, for
-   m >= 4, is four interleaved FFTs of q = m / 4 points, z[4t + r] in lane r
-   of a vector of FFT_LANES doubles, by radix-4 Stockham passes (and a
-   radix-2 one last when log2 q is odd), then one radix-4 pass across the
-   lanes. That pass and the splits run four bins per vector once q >= 4
-   and m >= 8, one at a time below, with the same operations. The twiddle
+   m >= 4, is four interleaved FFTs of q = m / 4 points, z[4t + r] in lane r,
+   by radix-4 Stockham passes (and a radix-2 one last when log2 q is odd),
+   then one radix-4 pass across the lanes. Two rows a and b go at once:
+   lanes 0-3 of each vector hold a's four sub-FFTs and lanes 4-7 b's. The
+   pass across the lanes leaves its bins in groups of four, a's then b's,
+   so the split runs four bins of both rows per vector once q >= 4 and
+   m >= 8, one at a time below, with the same operations. The twiddle
    factors come from libm's cos and sin on angles of at most pi / 4 and the
-   symmetries of the circle, once per plan. The transforms agree with
-   numpy's pocketfft to rounding, not bytes. */
-#define FFT_LANES 4
-typedef double v4 __attribute__((vector_size(FFT_LANES * sizeof(double))));
-typedef double v4u __attribute__((vector_size(FFT_LANES * sizeof(double)), aligned(8)));
-typedef long v4l __attribute__((vector_size(FFT_LANES * sizeof(long))));
-typedef struct {
-    v4 re, im;
-} cv4;
+   symmetries of the circle, once per plan, stored as the vectors read. The
+   transforms agree with numpy's pocketfft to rounding, not bytes. */
+typedef double v4 __attribute__((vector_size(4 * sizeof(double))));
+typedef double v4u __attribute__((vector_size(4 * sizeof(double)), aligned(8)));
+typedef long v4l __attribute__((vector_size(4 * sizeof(long))));
+typedef struct { v8 re, im; } cv8;
+typedef struct { v4 re, im; } cv4;
 
 /* Four doubles loaded from p, stored at p, or stored reversed ending at p;
    four complex numbers interleaved at p, as their real and imaginary parts,
-   or stored from them, or stored reversed ending at p; the same for one. */
+   or stored from them, or stored reversed ending at p; the same for one;
+   the lower and the upper four lanes of a v8. */
 #define LOAD4(p) ((v4) * (const v4u *)(p))
 #define STORE4(p, v) (*(v4u *)(p) = (v))
 #define REVERSE4(v) __builtin_shuffle(v, (v4l){3, 2, 1, 0})
-#define STORE4_REVERSED(p, v) STORE4((p) - 3, REVERSE4(v))
 #define REAL4(p) __builtin_shuffle(LOAD4(p), LOAD4((p) + 4), (v4l){0, 2, 4, 6})
 #define IMAG4(p) __builtin_shuffle(LOAD4(p), LOAD4((p) + 4), (v4l){1, 3, 5, 7})
 #define STORE_COMPLEX4(p, re, im)                                          \
@@ -420,41 +443,51 @@ typedef struct {
      STORE4((p) - 2, __builtin_shuffle(re, im, (v4l){1, 5, 0, 4})))
 #define SET(p, v) (*(p) = (v))
 #define SET_COMPLEX(p, re, im) ((p)[0] = (re), (p)[1] = (im))
+#define LOWER(v) __builtin_shufflevector(v, v, 0, 1, 2, 3)
+#define UPPER(v) __builtin_shufflevector(v, v, 4, 5, 6, 7)
 
-/* The 4 x 4 transpose of the vectors x[0..3], in place. */
-#define TRANSPOSE4(x)                                                      \
+/* Where bin k of row h (0 for a, 1 for b) of the pair is held: in groups of
+   four bins, a's then b's. */
+#define GROUPED(k, h) ((k) / 4 * 8 + 4 * (h) + (k) % 4)
+
+/* The 4 x 4 transposes of each four lanes of the vectors x[0..3], in
+   place, by the shuffles ``even`` and ``lo``: of v8s by TRANSPOSE8, of v4s
+   by TRANSPOSE4. */
+#define TRANSPOSE8(x)                                                      \
+    TRANSPOSE(x, ((v8l){0, 8, 2, 10, 4, 12, 6, 14}), ((v8l){0, 1, 8, 9, 4, 5, 12, 13}))
+#define TRANSPOSE4(x) TRANSPOSE(x, ((v4l){0, 4, 2, 6}), ((v4l){0, 1, 4, 5}))
+#define TRANSPOSE(x, even, lo)                                             \
     do {                                                                   \
-        const v4l even_ = {0, 4, 2, 6}, odd_ = {1, 5, 3, 7};               \
-        const v4l lo_ = {0, 1, 4, 5}, hi_ = {2, 3, 6, 7};                  \
-        const v4 t0_ = __builtin_shuffle(x[0], x[1], even_);               \
-        const v4 t1_ = __builtin_shuffle(x[0], x[1], odd_);                \
-        const v4 t2_ = __builtin_shuffle(x[2], x[3], even_);               \
-        const v4 t3_ = __builtin_shuffle(x[2], x[3], odd_);                \
+        const __typeof__(even) even_ = even, odd_ = even_ + 1, lo_ = lo, hi_ = lo_ + 2; \
+        const __typeof__(x[0]) t0_ = __builtin_shuffle(x[0], x[1], even_),  \
+                               t1_ = __builtin_shuffle(x[0], x[1], odd_),   \
+                               t2_ = __builtin_shuffle(x[2], x[3], even_),  \
+                               t3_ = __builtin_shuffle(x[2], x[3], odd_);   \
         x[0] = __builtin_shuffle(t0_, t2_, lo_), x[1] = __builtin_shuffle(t1_, t3_, lo_); \
         x[2] = __builtin_shuffle(t0_, t2_, hi_), x[3] = __builtin_shuffle(t1_, t3_, hi_); \
     } while (0)
 
 /* A plan of an n-point transform in fft_plan's layout: the twiddles of
    the lane FFTs and of the pass across the lanes, two lane buffers, the
-   inverse's m-point complex input to cfft, cfft's output as real and
-   imaginary parts, and the twiddles of the split. */
+   inverse's m-point complex input, the complex FFT's output as real and
+   imaginary parts in GROUPED order, and the twiddles of the split. */
 struct fft {
     long n, m, q;
-    cv4 *inner;    /* W_q^j in every lane, j < q: stored broadcast, as the
+    cv8 *inner;    /* W_q^j in every lane, j < q: stored broadcast, as the
                       baseline build makes a broadcast through the stack */
-    cv4 *across;   /* lane r of across[k]: W_m^(rk), k < q */
-    cv4 *lanes[2]; /* q each */
-    double *z, *zr, *zi; /* m complex; m real and m imaginary parts */
-    double *split;       /* W_n^k, k <= m / 2 */
+    cv8 *across;   /* lanes r and 4 + r of across[k]: W_m^(rk), k < q */
+    cv8 *lanes[2]; /* q each */
+    double *z, *zr, *zi;         /* 8 ceil(m / 4) doubles each */
+    double *split_re, *split_im; /* W_n^k at GROUPED(k, 0) and (k, 1), k < 4 (m / 8 + 1) */
 };
 
 static struct fft fft_parts(long n, double *plan)
 {
-    const long q = n / 8, m = n / 2;
-    cv4 *inner = (cv4 *)plan;
+    const long q = n / 8, m = n / 2, g = 8 * ((m + 3) / 4), s = 8 * (m / 8 + 1);
+    cv8 *inner = (cv8 *)plan;
     double *z = (double *)(inner + 4 * q);
     return (struct fft){n, m, q, inner, inner + q, {inner + 2 * q, inner + 3 * q},
-                        z, z + n, z + n + m, z + 2 * n};
+                        z, z + g, z + 2 * g, z + 3 * g, z + 3 * g + s};
 }
 
 /* W_n^j = exp(-2 pi i j / n) into w[0], w[1], for a power of two n >= 4:
@@ -476,7 +509,7 @@ static void unit_root(long j, long n, double *w)
 }
 
 /* The length in doubles of the plan of an n-point real FFT, n a power of
-   two >= 4; given a plan, 32-byte aligned, also writes its twiddle
+   two >= 4; given a plan, 64-byte aligned, also writes its twiddle
    factors. The rest of a plan is the transforms' workspace. */
 long fft_plan(long n, double *plan)
 {
@@ -485,152 +518,215 @@ long fft_plan(long n, double *plan)
         const struct fft f = fft_parts(n, plan);
         double w[2];
         for (long k = 0; k < q; k++)
-            for (int r = 0; r < FFT_LANES; r++) {
+            for (int l = 0; l < LANES; l++) {
                 unit_root(8 * k, n, w);
-                f.inner[k].re[r] = w[0];
-                f.inner[k].im[r] = w[1];
-                unit_root(2 * r * k, n, w);
-                f.across[k].re[r] = w[0];
-                f.across[k].im[r] = w[1];
+                f.inner[k].re[l] = w[0];
+                f.inner[k].im[l] = w[1];
+                unit_root(2 * (l % 4) * k, n, w);
+                f.across[k].re[l] = w[0];
+                f.across[k].im[l] = w[1];
             }
-        for (long k = 0; k <= m / 2; k++)
-            unit_root(k, n, f.split + 2 * k);
+        for (long k = 0; k < 4 * (m / 8 + 1); k++) {
+            unit_root(k, n, w);
+            f.split_re[GROUPED(k, 0)] = f.split_re[GROUPED(k, 1)] = w[0];
+            f.split_im[GROUPED(k, 0)] = f.split_im[GROUPED(k, 1)] = w[1];
+        }
     }
-    return 32 * q + 5 * m + 2;
+    return 64 * q + 24 * ((m + 3) / 4) + 16 * (m / 8 + 1);
 }
 
 /* y = (zr + i zi) (wr + i wi) for vectors, each argument evaluated once. */
 #define CMUL_INTO(y, zr, zi, wr, wi)                                       \
     do {                                                                   \
-        const v4 zr_ = (zr), zi_ = (zi);                                   \
+        const __typeof__(zr) zr_ = (zr), zi_ = (zi);                       \
         (y).re = zr_ * (wr) - zi_ * (wi);                                  \
         (y).im = zr_ * (wi) + zi_ * (wr);                                  \
     } while (0)
 
 /* Bins k, k + q, k + 2 q and k + 3 q of the pass across the lanes, from
-   the lane products t[r] + i u[r], r < 4: of one k, or as vectors of four. */
-#define ACROSS(set, t, u)                                                  \
+   the lane products t[r] + i u[r], r < 4, at out_re + at(bin) and out_im +
+   at(bin): of one row and k, or as vectors of four k of both rows. */
+#define ACROSS(set, t, u, at)                                              \
     do {                                                                   \
         typedef __typeof__(t[0]) T_;                                       \
         const T_ sr = t[0] + t[2], si = u[0] + u[2], dr = t[0] - t[2], di = u[0] - u[2]; \
         const T_ er = t[1] + t[3], ei = u[1] + u[3], fr = t[1] - t[3], fi = u[1] - u[3]; \
-        set(out_re + k, sr + er), set(out_im + k, si + ei);                \
-        set(out_re + k + q, dr + fi), set(out_im + k + q, di - fr);        \
-        set(out_re + k + 2 * q, sr - er), set(out_im + k + 2 * q, si - ei); \
-        set(out_re + k + 3 * q, dr - fi), set(out_im + k + 3 * q, di + fr); \
+        set(out_re + at(k), sr + er), set(out_im + at(k), si + ei);        \
+        set(out_re + at(k + q), dr + fi), set(out_im + at(k + q), di - fr); \
+        set(out_re + at(k + 2 * q), sr - er), set(out_im + at(k + 2 * q), si - ei); \
+        set(out_re + at(k + 3 * q), dr - fi), set(out_im + at(k + 3 * q), di + fr); \
+    } while (0)
+#define STORE8(p, v) (*(v8 *)(p) = (v))
+#define GROUP_AT(k) (2 * (k))
+#define PLANAR_AT(k) (k)
+#define ROW_AT(k) GROUPED(k, h)
+
+/* The Stockham passes of the lane FFTs on the lane buffers a and b, of
+   type CV with vectors V, the result left in a: a sub-transform of n points
+   at stride s becomes four of n / 4 points at stride 4 s, and a radix-2
+   pass ends an odd log2 q. A V of inner's lanes is the twiddle of each. */
+#define STOCKHAM(CV, V)                                                    \
+    do {                                                                   \
+        long n = q, s = 1;                                                 \
+        for (; n >= 4; n /= 4, s *= 4) {                                   \
+            const long m4 = n / 4;                                         \
+            for (long p = 0; p < m4; p++) {                                \
+                const cv8 *w1 = f->inner + p * s, *w2 = w1 + p * s, *w3 = w2 + p * s; \
+                const V w1r = *(const V *)&w1->re, w1i = *(const V *)&w1->im; \
+                const V w2r = *(const V *)&w2->re, w2i = *(const V *)&w2->im; \
+                const V w3r = *(const V *)&w3->re, w3i = *(const V *)&w3->im; \
+                for (long t = 0; t < s; t++) {                             \
+                    const CV *restrict x0 = a + t + s * p, *restrict x1 = x0 + s * m4; \
+                    const CV *restrict x2 = x1 + s * m4, *restrict x3 = x2 + s * m4; \
+                    CV *restrict y = b + t + 4 * s * p;                    \
+                    const V s02r = x0->re + x2->re, s02i = x0->im + x2->im; \
+                    const V d02r = x0->re - x2->re, d02i = x0->im - x2->im; \
+                    const V s13r = x1->re + x3->re, s13i = x1->im + x3->im; \
+                    const V d13r = x1->re - x3->re, d13i = x1->im - x3->im; \
+                    y[0].re = s02r + s13r;                                 \
+                    y[0].im = s02i + s13i;                                 \
+                    /* (d02 - i d13) W, (s02 - s13) W^2, (d02 + i d13) W^3 */ \
+                    CMUL_INTO(y[s], d02r + d13i, d02i - d13r, w1r, w1i);   \
+                    CMUL_INTO(y[2 * s], s02r - s13r, s02i - s13i, w2r, w2i); \
+                    CMUL_INTO(y[3 * s], d02r - d13i, d02i + d13r, w3r, w3i); \
+                }                                                          \
+            }                                                              \
+            CV *swap = a;                                                  \
+            a = b, b = swap;                                               \
+        }                                                                  \
+        if (n == 2) {                                                      \
+            for (long t = 0; t < s; t++) {                                 \
+                const V xr = a[t].re, xi = a[t].im, yr = a[t + s].re, yi = a[t + s].im; \
+                b[t].re = xr + yr, b[t].im = xi + yi;                      \
+                b[t + s].re = xr - yr, b[t + s].im = xi - yi;              \
+            }                                                              \
+            a = b;                                                         \
+        }                                                                  \
     } while (0)
 
-/* The m-point forward DFT of the interleaved complex z into out_re, out_im. */
+/* The radix-4 pass across the lanes of a, of vectors V, four k at a time:
+   lane r of a[k] times W_m^(rk), transposed to one lane of four k. */
+#define ACROSS_PASS(V, transpose, set, at)                                 \
+    for (; k + 4 <= q; k += 4) {                                           \
+        V tr[4], ti[4];                                                    \
+        for (int r = 0; r < 4; r++) {                                      \
+            const V wr = *(const V *)&f->across[k + r].re, wi = *(const V *)&f->across[k + r].im; \
+            tr[r] = a[k + r].re * wr - a[k + r].im * wi;                   \
+            ti[r] = a[k + r].re * wi + a[k + r].im * wr;                   \
+        }                                                                  \
+        transpose(tr);                                                     \
+        transpose(ti);                                                     \
+        ACROSS(set, tr, ti, at);                                           \
+    }
+
+/* The m-point forward DFTs of the interleaved complex rows xa and xb, n
+   doubles each and each times ``window`` unless it is NULL, into f->zr and
+   f->zi in GROUPED order. xb may be xa. */
 static inline __attribute__((always_inline)) void
-cfft(const struct fft *f, const double *restrict z, double *restrict out_re,
-     double *restrict out_im)
+cfft_pair(const struct fft *f, const double *xa, const double *xb, const double *window)
 {
     const long q = f->q;
+    double *restrict out_re = f->zr, *restrict out_im = f->zi;
     if (q == 0) { /* m = 2 */
-        out_re[0] = z[0] + z[2];
-        out_im[0] = z[1] + z[3];
-        out_re[1] = z[0] - z[2];
-        out_im[1] = z[1] - z[3];
+        for (int h = 0; h < 2; h++) {
+            double z[4];
+            for (int i = 0; i < 4; i++)
+                z[i] = window ? (h ? xb : xa)[i] * window[i] : (h ? xb : xa)[i];
+            out_re[4 * h] = z[0] + z[2], out_im[4 * h] = z[1] + z[3];
+            out_re[4 * h + 1] = z[0] - z[2], out_im[4 * h + 1] = z[1] - z[3];
+        }
         return;
     }
-    cv4 *a = f->lanes[0], *b = f->lanes[1];
+    cv8 *a = f->lanes[0], *b = f->lanes[1];
+    const v8l even = {0, 2, 4, 6, 8, 10, 12, 14};
+    for (long t = 0; t < q; t++) {
+        v8 za = *(const v8u *)(xa + 8 * t), zb = *(const v8u *)(xb + 8 * t);
+        if (window) {
+            za *= *(const v8u *)(window + 8 * t);
+            zb *= *(const v8u *)(window + 8 * t);
+        }
+        a[t] = (cv8){__builtin_shuffle(za, zb, even), __builtin_shuffle(za, zb, even + 1)};
+    }
+    STOCKHAM(cv8, v8);
+    long k = 0;
+    ACROSS_PASS(v8, TRANSPOSE8, STORE8, GROUP_AT);
+    for (; k < q; k++) { /* q < 4 */
+        const cv8 w = f->across[k];
+        const v8 tr = a[k].re * w.re - a[k].im * w.im, ti = a[k].re * w.im + a[k].im * w.re;
+        for (int h = 0; h < 2; h++)
+            ACROSS(SET, ((const double *)&tr + 4 * h), ((const double *)&ti + 4 * h), ROW_AT);
+    }
+}
+
+/* cfft_pair's transform of one row z, for q >= 4, in four-lane vectors
+   into f->zr and f->zi in bin order: the inverse's, for which a pair would
+   double the work and groups with gaps the stores. */
+static inline __attribute__((always_inline)) void
+cfft_row(const struct fft *f, const double *z)
+{
+    const long q = f->q;
+    double *restrict out_re = f->zr, *restrict out_im = f->zi;
+    cv4 *a = (cv4 *)f->lanes[0], *b = (cv4 *)f->lanes[1];
     for (long t = 0; t < q; t++) {
         const double *zt = z + 8 * t;
         a[t] = (cv4){{zt[0], zt[2], zt[4], zt[6]}, {zt[1], zt[3], zt[5], zt[7]}};
     }
-    /* Stockham passes over the lanes: a sub-transform of n points at
-       stride s becomes four of n / 4 points at stride 4 s. */
-    long n = q, s = 1;
-    for (; n >= 4; n /= 4, s *= 4) {
-        const long m4 = n / 4;
-        for (long p = 0; p < m4; p++) {
-            const cv4 *w1 = f->inner + p * s, *w2 = w1 + p * s, *w3 = w2 + p * s;
-            for (long t = 0; t < s; t++) {
-                const cv4 *restrict x0 = a + t + s * p, *restrict x1 = x0 + s * m4;
-                const cv4 *restrict x2 = x1 + s * m4, *restrict x3 = x2 + s * m4;
-                cv4 *restrict y = b + t + 4 * s * p;
-                const v4 s02r = x0->re + x2->re, s02i = x0->im + x2->im;
-                const v4 d02r = x0->re - x2->re, d02i = x0->im - x2->im;
-                const v4 s13r = x1->re + x3->re, s13i = x1->im + x3->im;
-                const v4 d13r = x1->re - x3->re, d13i = x1->im - x3->im;
-                y[0].re = s02r + s13r;
-                y[0].im = s02i + s13i;
-                CMUL_INTO(y[s], d02r + d13i, d02i - d13r, w1->re, w1->im); /* (d02 - i d13) W */
-                CMUL_INTO(y[2 * s], s02r - s13r, s02i - s13i, w2->re, w2->im);
-                CMUL_INTO(y[3 * s], d02r - d13i, d02i + d13r, w3->re, w3->im); /* (d02 + i d13) W^3 */
-            }
-        }
-        cv4 *swap = a;
-        a = b;
-        b = swap;
-    }
-    if (n == 2) {
-        for (long t = 0; t < s; t++) {
-            const v4 xr = a[t].re, xi = a[t].im, yr = a[t + s].re, yi = a[t + s].im;
-            b[t].re = xr + yr;
-            b[t].im = xi + yi;
-            b[t + s].re = xr - yr;
-            b[t + s].im = xi - yi;
-        }
-        a = b;
-    }
-    /* The radix-4 pass across the lanes: lane r of a[k] times W_m^(rk);
-       four k at a time, the products transposed so that a vector holds one
-       lane of four k. */
+    STOCKHAM(cv4, v4);
     long k = 0;
-    for (; k + FFT_LANES <= q; k += FFT_LANES) {
-        v4 tr[FFT_LANES], ti[FFT_LANES];
-        for (int r = 0; r < FFT_LANES; r++) {
-            const cv4 w = f->across[k + r], x = a[k + r];
-            tr[r] = x.re * w.re - x.im * w.im;
-            ti[r] = x.re * w.im + x.im * w.re;
-        }
-        TRANSPOSE4(tr);
-        TRANSPOSE4(ti);
-        ACROSS(STORE4, tr, ti);
-    }
-    for (; k < q; k++) {
-        const cv4 w = f->across[k];
-        const v4 tr = a[k].re * w.re - a[k].im * w.im, ti = a[k].re * w.im + a[k].im * w.re;
-        ACROSS(SET, tr, ti);
-    }
+    ACROSS_PASS(v4, TRANSPOSE4, STORE4, PLANAR_AT);
 }
 
 /* E = (Z[k] + conj(Z[m - k])) / 2 and O = -i (Z[k] - conj(Z[m - k])) / 2
-   are the spectra of the even and the odd samples at k, and bins k and
-   m - k are E + W_n^k O and conj(E - W_n^k O), written in that order. */
-#define SPLIT(ar, ai, br, bi, wr, wi, set_k, set_mk)                       \
+   are the spectra of the even and the odd samples at k; bins k and m - k
+   are E + W_n^k O into kr + i ki and conj(E - W_n^k O) into mr + i mi. */
+#define SPLIT(ar, ai, br, bi, wr, wi, kr, ki, mr, mi)                      \
     do {                                                                   \
         typedef __typeof__(ar) T_;                                         \
         const T_ ar_ = (ar), ai_ = (ai), br_ = (br), bi_ = (bi), wr_ = (wr), wi_ = (wi); \
         const T_ er = 0.5 * (ar_ + br_), ei = 0.5 * (ai_ + bi_);            \
         const T_ odd_r = 0.5 * (ai_ - bi_), odd_i = 0.5 * (br_ - ar_);      \
         const T_ tr = odd_r * wr_ - odd_i * wi_, ti = odd_r * wi_ + odd_i * wr_; \
-        set_mk(out_re + m - k, er - tr), set_mk(out_im + m - k, ti - ei);  \
-        set_k(out_re + k, er + tr), set_k(out_im + k, ei + ti);            \
+        mr = er - tr, mi = ti - ei, kr = er + tr, ki = ei + ti;            \
     } while (0)
 
-/* The one-sided spectrum of n real samples x into out_re and out_im, m + 1
-   bins each, with exact zeros for the imaginary parts at DC and Nyquist.
-   For k = m / 2 the write of bin k is kept. */
+/* The one-sided spectra of the rows xa and xb of n real samples, each
+   times ``window`` unless it is NULL, into (re_a, im_a) and (re_b, im_b),
+   m + 1 bins each, with exact zeros for the imaginary parts at DC and
+   Nyquist. xb may be xa. For k = m / 2 bin k is written as E + W_n^k O. */
 static inline __attribute__((always_inline)) void
-rfft_row(const struct fft *f, const double *restrict x, double *restrict out_re,
-         double *restrict out_im)
+rfft_pair(const struct fft *f, const double *xa, const double *xb, const double *window,
+          double *re_a, double *im_a, double *re_b, double *im_b)
 {
     const long m = f->m;
-    const double *zr = f->zr, *zi = f->zi, *w = f->split;
-    cfft(f, x, f->zr, f->zi);
-    out_re[0] = zr[0] + zi[0];
-    out_im[0] = 0.0;
-    out_re[m] = zr[0] - zi[0];
-    out_im[m] = 0.0;
-    long k = 1;
-    for (; k + FFT_LANES - 1 <= m / 2; k += FFT_LANES)
-        SPLIT(LOAD4(zr + k), LOAD4(zi + k), REVERSE4(LOAD4(zr + m - k - 3)),
-              -REVERSE4(LOAD4(zi + m - k - 3)), REAL4(w + 2 * k), IMAG4(w + 2 * k), STORE4,
-              STORE4_REVERSED);
-    for (; k <= m / 2; k++)
-        SPLIT(zr[k], zi[k], zr[m - k], -zi[m - k], w[2 * k], w[2 * k + 1], SET, SET);
+    const double *zr = f->zr, *zi = f->zi;
+    double *const re[2] = {re_a, re_b}, *const im[2] = {im_a, im_b};
+    cfft_pair(f, xa, xb, window);
+    /* Bins k = 4 g + i < m / 2 and m - k; Z[m - k] is lane 0 of group
+       m / 4 - g (of group 0 for g = 0: Z is periodic) and lanes 3, 2, 1 of
+       the group below. Bins 0 and m are written again below. */
+    const v8l mirror = {8, 3, 2, 1, 12, 7, 6, 5}, reverse = {3, 2, 1, 0, 7, 6, 5, 4};
+    const v8 *zr8 = (const v8 *)zr, *zi8 = (const v8 *)zi, *wr8 = (const v8 *)f->split_re;
+    for (long g = 0; g < m / 8; g++) {
+        const long hi = g ? m / 4 - g : 0, lo = m / 4 - g - 1;
+        const v8 br = __builtin_shuffle(zr8[lo], zr8[hi], mirror);
+        const v8 bi = __builtin_shuffle(zi8[lo], zi8[hi], mirror);
+        v8 kr, ki, mr, mi;
+        SPLIT(zr8[g], zi8[g], br, -bi, wr8[g], ((const v8 *)f->split_im)[g], kr, ki, mr, mi);
+        mr = __builtin_shuffle(mr, reverse);
+        mi = __builtin_shuffle(mi, reverse);
+        STORE4(re_a + 4 * g, LOWER(kr)), STORE4(re_b + 4 * g, UPPER(kr));
+        STORE4(im_a + 4 * g, LOWER(ki)), STORE4(im_b + 4 * g, UPPER(ki));
+        STORE4(re_a + m - 4 * g - 3, LOWER(mr)), STORE4(re_b + m - 4 * g - 3, UPPER(mr));
+        STORE4(im_a + m - 4 * g - 3, LOWER(mi)), STORE4(im_b + m - 4 * g - 3, UPPER(mi));
+    }
+    for (int h = 0; h < 2; h++) {
+        for (long k = m < 8 ? 1 : m / 2; k <= m / 2; k++)
+            SPLIT(zr[GROUPED(k, h)], zi[GROUPED(k, h)], zr[GROUPED(m - k, h)],
+                  -zi[GROUPED(m - k, h)], f->split_re[GROUPED(k, h)], f->split_im[GROUPED(k, h)],
+                  re[h][k], im[h][k], re[h][m - k], im[h][m - k]);
+        re[h][0] = zr[4 * h] + zi[4 * h], im[h][0] = 0.0;
+        re[h][m] = zr[4 * h] - zi[4 * h], im[h][m] = 0.0;
+    }
 }
 
 /* 2 (E + i O), conjugated, for the spectra of the even and the odd samples
@@ -646,45 +742,58 @@ rfft_row(const struct fft *f, const double *restrict x, double *restrict out_re,
         set_mk(z + 2 * (m - k), er + odd_i, ei - odd_r);                   \
     } while (0)
 
+/* Row a's twiddles of bins k..k + 3, k = 4 j + 1, at w + 2 k in GROUPED order. */
+#define TWIDDLES4(w) __builtin_shuffle(LOAD4((w) - 2), LOAD4((w) + 6), (v4l){1, 2, 3, 4})
+
 /* n real samples from their one-sided spectrum (m + 1 complex), ignoring
    the imaginary parts at DC and Nyquist as numpy's irfft does: the inverse
-   FFT is the conjugate of the forward one of the conjugate, and 1 / n
-   scales it. For k = m / 2 the write of z[m - k] is kept. */
+   FFT is the conjugate of the forward one of the conjugate, cfft_row's
+   (below q = 4 a pair of the same input), and 1 / n scales it. For
+   k = m / 2 the write of z[m - k] is kept. */
 static inline __attribute__((always_inline)) void
 irfft_row(const struct fft *f, const double *restrict spec, double *restrict x)
 {
     const long m = f->m;
-    const double *zr = f->zr, *zi = f->zi, *w = f->split;
+    const double *zr = f->zr, *zi = f->zi, *wr = f->split_re, *wi = f->split_im;
     double *z = f->z;
     z[0] = spec[0] + spec[2 * m];
     z[1] = spec[2 * m] - spec[0];
     long k = 1;
-    for (; k + FFT_LANES - 1 <= m / 2; k += FFT_LANES)
+    for (; k + 3 <= m / 2; k += 4)
         UNSPLIT(REAL4(spec + 2 * k), IMAG4(spec + 2 * k), REVERSE4(REAL4(spec + 2 * (m - k - 3))),
-                -REVERSE4(IMAG4(spec + 2 * (m - k - 3))), REAL4(w + 2 * k), IMAG4(w + 2 * k),
-                STORE_COMPLEX4, STORE_COMPLEX4_REVERSED);
+                -REVERSE4(IMAG4(spec + 2 * (m - k - 3))),
+                TWIDDLES4(wr + 2 * k), TWIDDLES4(wi + 2 * k), STORE_COMPLEX4,
+                STORE_COMPLEX4_REVERSED);
     for (; k <= m / 2; k++)
         UNSPLIT(spec[2 * k], spec[2 * k + 1], spec[2 * (m - k)], -spec[2 * (m - k) + 1],
-                w[2 * k], w[2 * k + 1], SET_COMPLEX, SET_COMPLEX);
-    cfft(f, z, f->zr, f->zi);
+                wr[GROUPED(k, 0)], wi[GROUPED(k, 0)], SET_COMPLEX, SET_COMPLEX);
     const double scale = 1.0 / (double)f->n;
-    long t = 0;
-    for (; t + FFT_LANES <= m; t += FFT_LANES)
-        STORE_COMPLEX4(x + 2 * t, LOAD4(zr + t) * scale, -LOAD4(zi + t) * scale);
-    for (; t < m; t++)
-        SET_COMPLEX(x + 2 * t, zr[t] * scale, -zi[t] * scale);
+    if (f->q >= 4) {
+        cfft_row(f, z);
+        for (long t = 0; t < m; t += 4)
+            STORE_COMPLEX4(x + 2 * t, LOAD4(zr + t) * scale, -LOAD4(zi + t) * scale);
+    } else {
+        cfft_pair(f, z, z, NULL);
+        for (long t = 0; t < m; t++)
+            SET_COMPLEX(x + 2 * t, zr[GROUPED(t, 0)] * scale, -zi[GROUPED(t, 0)] * scale);
+    }
 }
 
 /* rfft: ``n_rows`` rows of n real samples ``x`` to their one-sided spectra
    ``out``, (n_rows, 2, n / 2 + 1) doubles: each row's real parts, then its
-   imaginary parts. irfft: one interleaved complex spectrum to n samples.
-   ``plan`` is fft_plan's; the engine's framing does the same transforms. */
+   imaginary parts, two rows at a time and an odd last row paired with
+   itself. irfft: one interleaved complex spectrum to n samples. ``plan``
+   is fft_plan's; the engine's framing does the same transforms. */
 LANE_CLONES
 void rfft(long n, long n_rows, double *plan, const double *x, double *out)
 {
     const struct fft f = fft_parts(n, plan);
-    for (long r = 0; r < n_rows; r++)
-        rfft_row(&f, x + r * n, out + r * (n + 2), out + r * (n + 2) + n / 2 + 1);
+    for (long a = 0; a < n_rows; a += 2) {
+        const long b = a + 1 < n_rows ? a + 1 : a;
+        double *out_a = out + a * (n + 2), *out_b = out + b * (n + 2);
+        rfft_pair(&f, x + a * n, x + b * n, NULL, out_a, out_a + n / 2 + 1, out_b,
+                  out_b + n / 2 + 1);
+    }
 }
 
 LANE_CLONES
@@ -695,12 +804,12 @@ void irfft(long n, double *plan, const double *spec, double *x)
 }
 
 /* The engine's framing and buffers, allocated once: ``tail`` (P + 1, hop),
-   ``buf``, ``frame`` (P + 1, window_len), ``emit`` hop, ``plan`` fft_plan's,
-   the rest window_len doubles. A frame's obs and out are the state's. */
+   ``buf`` (P + 1, window_len), ``emit`` hop, ``plan`` fft_plan's, the rest
+   window_len doubles. A frame's obs and out are the state's. */
 struct engine {
     struct state *state;
     long order_p, frames_l, hop, window_len;
-    double *tail, *buf, *window, *frame, *plan, *synth, *acc, *norm, *emit;
+    double *tail, *buf, *window, *plan, *synth, *acc, *norm, *emit;
 };
 
 /* for (t = 0; t < n; t++) body, LANES entries at a time through unaligned
@@ -719,18 +828,18 @@ struct engine {
    above times x * x, as nonlin.odd_powers builds them. Returns 0, having
    written nothing but ``tail``, if any entry of ``tail`` is not finite.
    Otherwise shifts each row of ``buf`` left by a hop, appends the row of
-   ``tail``, sets ``frame`` to ``buf`` times the window, and transforms
-   the rows of ``frame`` into the planes of ``obs`` in the layout of
-   naec.ctf: each reference's lags move one channel later, dropping the
-   oldest, then lag 0 is written; the microphone is channel 0. The padding
-   lanes of each written plane get bin K - 1. Returns 1. */
+   ``tail``, and transforms the rows of ``buf`` times the window, two at a
+   time, into the planes of ``obs`` in the layout of naec.ctf: each
+   reference's lags move one channel later, dropping the oldest, then lag 0
+   is written; the microphone is channel 0. The padding lanes of each
+   written plane get bin K - 1. Returns 1. */
 LANE_CLONES
 long frame_in(const struct engine *e)
 {
     const long order_p = e->order_p, frames_l = e->frames_l, hop = e->hop;
     const long window_len = e->window_len, n_bins = window_len / 2 + 1;
     const long plane = (n_bins + LANES - 1) / LANES * LANES;
-    double *tail = e->tail, *restrict frame = e->frame, *restrict obs = (double *)e->state->obs;
+    double *tail = e->tail, *restrict obs = (double *)e->state->obs, *re[2];
     const double *restrict x = tail + hop;
     for (long i = 2; i <= order_p; i++) {
         double *restrict power = tail + i * hop;
@@ -745,19 +854,24 @@ long frame_in(const struct engine *e)
             return 0;
     const long keep = window_len - hop;
     for (long r = 0; r <= order_p; r++) {
-        double *b = e->buf + r * window_len, *row = frame + r * window_len;
+        double *b = e->buf + r * window_len;
         memmove(b, b + hop, sizeof(double) * keep);
         memcpy(b + keep, tail + r * hop, sizeof(double) * hop);
-        EACH(window_len, E(row) = E(b) * E(e->window));
     }
     const struct fft f = fft_parts(window_len, e->plan);
-    for (long i = 0; i <= order_p; i++) {
-        double *re = obs + 2 * plane * (i ? 1 + (i - 1) * frames_l : 0), *im = re + plane;
-        if (i)
-            memmove(im + plane, re, sizeof(double) * 2 * plane * (frames_l - 1));
-        rfft_row(&f, frame + i * window_len, re, im);
-        for (long k = n_bins; k < plane; k++)
-            re[k] = re[n_bins - 1], im[k] = im[n_bins - 1];
+    for (long a = 0; a <= order_p; a += 2) {
+        const long b = a < order_p ? a + 1 : a;
+        for (long i = a; i <= b; i++) {
+            double *c = re[i - a] = obs + 2 * plane * (i ? 1 + (i - 1) * frames_l : 0);
+            if (i)
+                memmove(c + 2 * plane, c, sizeof(double) * 2 * plane * (frames_l - 1));
+        }
+        re[1] = re[b - a];
+        rfft_pair(&f, e->buf + a * window_len, e->buf + b * window_len, e->window, re[0],
+                  re[0] + plane, re[1], re[1] + plane);
+        for (int h = 0; h < 2; h++)
+            for (long k = n_bins; k < plane; k++)
+                re[h][k] = re[h][n_bins - 1], re[h][plane + k] = re[h][plane + n_bins - 1];
     }
     return 1;
 }
@@ -803,7 +917,7 @@ long layout(long *out)
         AT(state, frames), AT(state, skipped_bins), AT(state, broken_bins), sizeof(struct engine),
         AT(engine, state), AT(engine, order_p), AT(engine, frames_l), AT(engine, hop),
         AT(engine, window_len), AT(engine, tail), AT(engine, buf), AT(engine, window),
-        AT(engine, frame), AT(engine, plan), AT(engine, synth), AT(engine, acc), AT(engine, norm),
+        AT(engine, plan), AT(engine, synth), AT(engine, acc), AT(engine, norm),
         AT(engine, emit)};
     memcpy(out, at, sizeof(at));
     return sizeof(at) / sizeof(at[0]);

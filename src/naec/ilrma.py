@@ -29,8 +29,8 @@ zero (digital silence) skips both updates and reuses the last 1/r1.
 kept in the package because ``bench/spans.py`` wraps them by name.
 They agree with it to rounding, not bytes: the kernel takes |e1|^2 as
 re^2 + im^2 and r1^-2 as (1 / r1)^2 and sums num and den in a fixed order,
-where numpy uses hypot, its own power function and BLAS. Every build of the
-kernel gives the same bytes.
+where numpy uses hypot, its own power function and pairwise sums. Every
+build of the kernel gives the same bytes.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ def update_bases(model: NmfSourceModel, e1: np.ndarray) -> None:
 
 
 def update_activations(model: NmfSourceModel, e1: np.ndarray) -> None:
-    """Multiplicative activation update; the sums run over all K bins."""
-    p = np.abs(np.asarray(e1)) ** 2
-    num = model.t1 @ (p * model.r1 ** -2.0)
-    den = model.t1 @ (model.r1 ** -1.0)
+    """Multiplicative activation update; the sums run over the K bins whose
+    terms of both sums are finite, so an overflowed bin breaks only itself."""
+    terms = model.t1 * np.stack([np.abs(np.asarray(e1)) ** 2 * model.r1 ** -2.0, model.r1 ** -1.0])
+    num, den = np.where(np.isfinite(terms).all(axis=0), terms, 0.0).sum(axis=1)
     model.v1 = np.maximum(model.v1 * np.sqrt(num / den), NMF_FLOOR)
     model.recompute_variance()
 

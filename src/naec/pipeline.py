@@ -19,9 +19,9 @@ planes in place. A frame is one call of the ``push`` kernel of
 1. ``frame_in``: the new hop's odd powers into a (P+1, hop) tail buffer,
    and the check that the microphone and every power are finite, which
    rejects a chunk before any engine state is written; then the time
-   buffer shifts by a hop, takes the tail and is windowed into the frame
-   buffer, and the real FFTs of the P+1 rows go into the observation
-   planes, each reference's lags moving one channel later.
+   buffer shifts by a hop and takes the tail, and the real FFTs of its
+   P+1 rows, two rows at a time and windowed as they are loaded, go into
+   the observation planes, each reference's lags moving one channel later.
 2. ``step``, the compiled ``auxiva.process_frame`` (which is not called),
    on the optimizer's state (``STATES``, configured by
    ``EngineConfig.auxiva``), which demixes into ``state.out``.
@@ -61,7 +61,7 @@ class KernelEngine(ctypes.Structure):
 
     _fields_ = [("state", ctypes.c_void_p),
                 *((name, ctypes.c_long) for name in ("order_p", "frames_l", "hop", "window_len")),
-                *((name, ctypes.c_void_p) for name in ("tail", "buf", "window", "frame", "plan",
+                *((name, ctypes.c_void_p) for name in ("tail", "buf", "window", "plan",
                                                        "synth", "acc", "norm", "emit"))]
 
 
@@ -116,7 +116,6 @@ class StreamingEngine:
         # latency_chunks frames shift out of the accumulator unemitted.
         self._tail = np.zeros((p + 1, hop))  # the new hop of each row
         self._buf = np.zeros((p + 1, wl))
-        self._frame = np.zeros((p + 1, wl))  # buf times the window
         self._synth = np.zeros(wl)  # the demixed frame, back in time
         self._acc = np.zeros(wl)  # starts at the next sample to emit
         self._emit = np.zeros(hop)
@@ -125,7 +124,7 @@ class StreamingEngine:
         self._plan = aligned_zeros(lib.fft_plan(wl, None))
         lib.fft_plan(wl, self._plan.ctypes.data)
         self._kernel = KernelEngine(state.handle.value, p, l, hop, wl, *(
-            a.ctypes.data for a in (self._tail, self._buf, self._window, self._frame, self._plan,
+            a.ctypes.data for a in (self._tail, self._buf, self._window, self._plan,
                                     self._synth, self._acc, self._norm, self._emit)))
         self._handle = ctypes.c_void_p(ctypes.addressof(self._kernel))
         self._closed = False

@@ -201,6 +201,27 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
     assert np.isfinite(got).all()
 
 
+UPDATE_DIMS = [4, 7, 10, 13, 16, 19]  # the D = P L + 1 that update is compiled for
+
+
+@pytest.mark.parametrize("dim", [2, *UPDATE_DIMS, 22])
+@pytest.mark.parametrize("n_bins", [9, 513])
+def test_update_for_each_compiled_dim_is_the_numpy_update(rng, n_bins, dim):
+    """``update`` at every D it is compiled for and at two others (2, 22),
+    which run its body with D a variable: per-bin weights give the planes,
+    traces, rows and output of the numpy twin, byte for byte."""
+    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
+    gain, coord = rng.uniform(0.1, 3.0, n_bins), dim // 2
+    got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
+    counts = kernel_update(auxiva._kernels, got, got_trace, obs, 0.9, *kernel_gain(gain), 1e-3,
+                           coord, rows)
+    broken, expected, skipped, out = _numpy_update(planes, trace, obs, 0.9, gain, 1e-3, coord,
+                                                   prev)
+    assert counts[:2] == (broken, skipped) == (0, 0)
+    assert got.tobytes() == planes.tobytes() and got_trace.tobytes() == trace.tobytes()
+    assert rows.tobytes() == expected.tobytes() and counts[2].tobytes() == out.tobytes()
+
+
 @pytest.mark.parametrize("n_bins", [1, 9, 64])
 def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
     """With stride 0 the kernel weights every bin by ``gain[0]``, as AuxIVA's
@@ -262,9 +283,9 @@ def test_pack_unpack_is_exact_and_hermitian(rng, n_bins, dim):
         assert pad.tobytes() == lanes[n_bins - 1].tobytes()
 
 
-# (K, D): the engine's at the four FRAMINGS of test_pipeline.py, then a K
+# (K, D): the engine's at the five FRAMINGS of test_pipeline.py, then a K
 # below one block, one whole block and one with K mod LANES = 4.
-PLANE_SIZES = [(513, 4), (513, 10), (33, 13), (513, 3), (7, 10), (8, 4), (12, 19)]
+PLANE_SIZES = [(513, 4), (513, 10), (33, 13), (513, 3), (513, 7), (7, 10), (8, 4), (12, 19)]
 
 
 @pytest.mark.parametrize("n_bins, dim", PLANE_SIZES)
@@ -469,7 +490,8 @@ def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
 def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
     """A 1e200 microphone burst in some bins: the count of reset bins after
     each frame is the same on both paths, the compiled ``process_frame`` and
-    the numpy driver of ``oracles``, and rises only at the burst. The frame
+    the numpy driver of ``oracles``, and rises only at the burst, by the
+    burst's bins alone on both optimizers. The frame
     of the burst through ``step`` leaves the state's bytes, padding lanes
     included, as its weight and update kernels followed by the numpy
     ``oracles.reset_broken`` do (the drivers' weights agree only to
@@ -489,9 +511,7 @@ def test_mic_burst_resets_the_same_bins_on_both_paths(rng, dim, state_type):
     compiled, reference = state_type(n_bins, dim), state_type(n_bins, dim)
     counts = run(auxiva.process_frame, compiled, frames)
     assert run(oracles.process_frame, reference, frames) == counts
-    assert counts[burst_frame - 1] == 0 < counts[burst_frame] == counts[-1]
-    if state_type is auxiva.AuxivaState:  # ILRMA's NMF model spreads the burst to all bins
-        assert counts[-1] == len(burst_bins)
+    assert counts[burst_frame - 1] == 0 < counts[burst_frame] == counts[-1] == len(burst_bins)
     assert compiled.skipped_bins == reference.skipped_bins == 0
     err = np.linalg.norm(compiled.rows - reference.rows) / np.linalg.norm(reference.rows)
     assert err <= 1e-12, err
@@ -586,26 +606,35 @@ def test_structs_have_the_kernels_layout():
     assert re.findall(r"AT\((state|engine), (\w+)\)", auxiva.KERNEL_SOURCE.read_text()) == names
 
 
-def test_kernel_source_compiles_without_warnings(tmp_path):
+def _strict_build(target, *flags):
+    """``_kernels.c`` built by ``cc`` into ``target`` with the loaded flags,
+    ``flags`` and ``-Wall -Wextra -Werror``; raises if the build fails."""
+    subprocess.run(["cc", *auxiva.KERNEL_FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+                    "-o", str(target), str(auxiva.KERNEL_SOURCE)],
+                   check=True, capture_output=True, timeout=120)
+    return target
+
+
+@pytest.fixture(scope="session")
+def baseline_build(tmp_path_factory):
+    """The kernels built once per session for the baseline ISA alone
+    (``-DLANE_CLONES=``), warnings as errors."""
+    return _strict_build(tmp_path_factory.mktemp("baseline") / "kernels.so", "-DLANE_CLONES=")
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path, baseline_build):
     """``-Wall -Wextra -Werror`` builds of the kernels as loaded and of the
-    baseline ISA alone (``-DLANE_CLONES=``) succeed."""
-    for clones in ([], ["-DLANE_CLONES="]):
-        subprocess.run(["cc", *auxiva.KERNEL_FLAGS, *clones, "-Wall", "-Wextra", "-Werror",
-                        "-o", str(tmp_path / "kernels.so"), str(auxiva.KERNEL_SOURCE)],
-                       check=True, capture_output=True, timeout=120)
+    baseline ISA alone (``baseline_build``) succeed."""
+    assert _strict_build(tmp_path / "kernels.so").exists() and baseline_build.exists()
 
 
-def test_baseline_build_gives_the_loaded_rows(rng, tmp_path):
+def test_baseline_build_gives_the_loaded_rows(rng, baseline_build):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
     bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
     counts, rows and output, with a bin reset; an update with per-bin
     weights; NMF weights; the FFTs and their plans; and the engine's
     framing, ``frame_in`` and ``ola``."""
-    target = tmp_path / "kernels.so"
-    subprocess.run(["cc", *auxiva.KERNEL_FLAGS, "-DLANE_CLONES=",
-                    "-o", str(target), str(auxiva.KERNEL_SOURCE)],
-                   check=True, capture_output=True, timeout=120)
-    lib = ctypes.CDLL(str(target))
+    lib = ctypes.CDLL(str(baseline_build))
     for name in ("update", "demix", "ilrma_weight", "step", "fft_plan", "rfft", "irfft",
                  "frame_in", "ola", "push"):
         getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
@@ -898,6 +927,17 @@ def test_rfft_kernel_agrees_with_numpy(rng, n):
     for planes in out:
         lib.rfft(n, 1, plan.ctypes.data, x[0].ctypes.data, planes.ctypes.data)
     assert out[0].tobytes() == out[1].tobytes() == np.stack([got[0].real, got[0].imag]).tobytes()
+
+
+@pytest.mark.parametrize("n", FFT_SIZES)
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5])
+def test_rfft_of_rows_equals_row_by_row_calls(rng, n, n_rows):
+    """``rfft`` transforms rows two at a time, an odd last row paired with
+    itself: the spectra of a (rows, n) array are, byte for byte, those of
+    one-row calls, so no row reads another's lanes."""
+    x = rng.standard_normal((n_rows, n)) * rng.choice([1e-3, 1.0, 1e3], (n_rows, 1))
+    rows = np.stack([engine_rfft(row) for row in x])
+    assert engine_rfft(x).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("n", FFT_SIZES)

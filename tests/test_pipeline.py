@@ -193,8 +193,10 @@ def test_push_rejects_non_finite_and_stays_usable(small_scene, optimizer):
 
 
 # (window_len, hop, order_p, frames_l): the benchmark's two framings, a
-# short window with six lags, and a hop of an eighth of the window.
-FRAMINGS = [(1024, 256, 3, 1), (1024, 256, 3, 3), (64, 16, 2, 6), (1024, 128, 1, 2)]
+# short window with six lags, a hop of an eighth of the window, and three
+# rows, whose last is transformed paired with itself.
+FRAMINGS = [(1024, 256, 3, 1), (1024, 256, 3, 3), (64, 16, 2, 6), (1024, 128, 1, 2),
+            (1024, 256, 2, 3)]
 
 
 def _framing_config(window_len, hop, order_p, frames_l):

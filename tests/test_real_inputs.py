@@ -73,7 +73,7 @@ def _run_counting_resets(far, mic, optimizer):
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
 @pytest.mark.parametrize("level, resets", [
-    pytest.param(1e200, {"auxiva": 5082, "ilrma": 5130}, id="1e200"),
+    pytest.param(1e200, {"auxiva": 5082, "ilrma": 5082}, id="1e200"),
     pytest.param(1e30, {"auxiva": 0, "ilrma": 0}, id="1e30", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="a finite burst stays in V and costs 3 dB of ERLE (ROADMAP item 4)")),
@@ -83,7 +83,8 @@ def test_mic_burst_is_forgotten(long_double_talk, optimizer, level, resets):
     finite; from 0.5 s after the burst it peaks at no more than 4x the clean
     microphone's peak, and its steady ERLE is within 1 dB of a clean run's.
     A 1e200 burst overflows the covariances, and ``step`` resets the broken
-    bins: 5082 with AuxIVA and 5130 with ILRMA. ERLE is not taken over the
+    bins: 5082 on either optimizer, as ILRMA's weight leaves an overflowed
+    bin out of its sums. ERLE is not taken over the
     burst itself, whose squares overflow."""
     far, mic = long_double_talk
     start, stop = 2 * SAMPLE_RATE, 2 * SAMPLE_RATE + SAMPLE_RATE // 10
@@ -99,3 +100,28 @@ def test_mic_burst_is_forgotten(long_double_talk, optimizer, level, resets):
               for x in (clean, out)]
     assert abs(steady[1] - steady[0]) <= 1.0, steady
     assert broken == resets[optimizer]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a far-end burst stays in V, whose tracked inverse loses "
+                          "definiteness (ROADMAP items 4 and 18)")
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+@pytest.mark.parametrize("level", [100.0, 1e3], ids=["100", "1e3"])
+def test_far_burst_is_forgotten(long_double_talk, optimizer, level):
+    """The far end held at +-``level`` (its samples' signs) for 0.1 s at
+    2.0 s, the microphone as recorded. The output stays finite; from 0.5 s
+    after the burst it peaks at no more than 4x the microphone's peak, and
+    its steady ERLE is within 1 dB of a clean run's."""
+    far, mic = long_double_talk
+    start, stop = 2 * SAMPLE_RATE, 2 * SAMPLE_RATE + SAMPLE_RATE // 10
+    burst = far.copy()
+    burst[start:stop] = level * np.sign(far[start:stop])
+    clean, _ = _run_counting_resets(far, mic, optimizer)
+    out, _ = _run_counting_resets(burst, mic, optimizer)
+    after = slice(stop + SAMPLE_RATE // 2, len(mic))
+    assert np.isfinite(out).all()
+    peak = np.abs(out[after]).max() / np.abs(mic).max()
+    assert peak <= 4.0, peak
+    steady = [steady_state(erle(AudioSignal(mic[after]), AudioSignal(x[after])))
+              for x in (clean, out)]
+    assert abs(steady[1] - steady[0]) <= 1.0, steady
