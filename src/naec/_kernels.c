@@ -149,8 +149,8 @@ void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, double *out, do
    is not finite (a skipped bin); then rows[k] is kept. out[k] = rows[k]^H y.
    Adds the number of skipped bins to skipped[0] and returns the number of
    broken bins. ``work`` holds 6 dim vectors. update_dim is the body, with
-   dim a constant for the engine's D = P L + 1 at P = 3, L = 1..6, and a
-   variable for the rest. */
+   dim a constant at D = 4 (P = 3, L = 1), where that makes it about 10%
+   faster, and a variable for the rest. */
 static inline __attribute__((always_inline)) long
 update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, double alpha,
            const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
@@ -263,17 +263,11 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alp
             const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
             double *out, long *skipped, v8 *work)
 {
-#define UPDATE_AT(d) update_dim(n_bins, d, inv, trace, obs, alpha, gain, gain_stride, diag_load, \
-                              coord, rows, out, skipped, work)
-    switch (dim) {
-    case 4: return UPDATE_AT(4);
-    case 7: return UPDATE_AT(7);
-    case 10: return UPDATE_AT(10);
-    case 13: return UPDATE_AT(13);
-    case 16: return UPDATE_AT(16);
-    case 19: return UPDATE_AT(19);
-    default: return UPDATE_AT(dim);
-    }
+    if (dim == 4)
+        return update_dim(n_bins, 4, inv, trace, obs, alpha, gain, gain_stride, diag_load, coord,
+                          rows, out, skipped, work);
+    return update_dim(n_bins, dim, inv, trace, obs, alpha, gain, gain_stride, diag_load, coord,
+                      rows, out, skipped, work);
 }
 
 /* One frame of ILRMA's rank-1 NMF source model and its weight, as
@@ -412,11 +406,12 @@ void step(struct state *s)
    Fourier transform algorithms", IEEE TASSP 1987). The complex FFT, for
    m >= 4, is four interleaved FFTs of q = m / 4 points, z[4t + r] in lane r,
    by radix-4 Stockham passes (and a radix-2 one last when log2 q is odd),
-   then one radix-4 pass across the lanes. Two rows a and b go at once:
-   lanes 0-3 of each vector hold a's four sub-FFTs and lanes 4-7 b's. The
-   pass across the lanes leaves its bins in groups of four, a's then b's,
-   so the split runs four bins of both rows per vector once q >= 4 and
-   m >= 8, one at a time below, with the same operations. The twiddle
+   then one radix-4 pass across the lanes. A forward FFT takes two rows a
+   and b, a's four sub-FFTs in lanes 0-3 of each vector and b's in lanes
+   4-7, and the inverse one row in vectors of four lanes. A pair's pass
+   across the lanes leaves its bins in groups of four, a's then b's, so the
+   split runs four bins of both rows per vector once q >= 4 and m >= 8, one
+   at a time below, with the same operations. The twiddle
    factors come from libm's cos and sin on angles of at most pi / 4 and the
    symmetries of the circle, once per plan, stored as the vectors read. The
    transforms agree with numpy's pocketfft to rounding, not bytes. */
@@ -658,14 +653,19 @@ cfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
     }
 }
 
-/* cfft_pair's transform of one row z, for q >= 4, in four-lane vectors
-   into f->zr and f->zi in bin order: the inverse's, for which a pair would
-   double the work and groups with gaps the stores. */
+/* cfft_pair's transform of one row z in four-lane vectors, into f->zr and
+   f->zi in bin order: the inverse's, for which a pair would double the
+   work. */
 static inline __attribute__((always_inline)) void
 cfft_row(const struct fft *f, const double *z)
 {
     const long q = f->q;
     double *restrict out_re = f->zr, *restrict out_im = f->zi;
+    if (q == 0) { /* m = 2 */
+        out_re[0] = z[0] + z[2], out_im[0] = z[1] + z[3];
+        out_re[1] = z[0] - z[2], out_im[1] = z[1] - z[3];
+        return;
+    }
     cv4 *a = (cv4 *)f->lanes[0], *b = (cv4 *)f->lanes[1];
     for (long t = 0; t < q; t++) {
         const double *zt = z + 8 * t;
@@ -674,6 +674,11 @@ cfft_row(const struct fft *f, const double *z)
     STOCKHAM(cv4, v4);
     long k = 0;
     ACROSS_PASS(v4, TRANSPOSE4, STORE4, PLANAR_AT);
+    for (; k < q; k++) { /* q < 4 */
+        const v4 wr = *(const v4 *)&f->across[k].re, wi = *(const v4 *)&f->across[k].im;
+        const v4 tr = a[k].re * wr - a[k].im * wi, ti = a[k].re * wi + a[k].im * wr;
+        ACROSS(SET, tr, ti, PLANAR_AT);
+    }
 }
 
 /* E = (Z[k] + conj(Z[m - k])) / 2 and O = -i (Z[k] - conj(Z[m - k])) / 2
@@ -747,9 +752,8 @@ rfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
 
 /* n real samples from their one-sided spectrum (m + 1 complex), ignoring
    the imaginary parts at DC and Nyquist as numpy's irfft does: the inverse
-   FFT is the conjugate of the forward one of the conjugate, cfft_row's
-   (below q = 4 a pair of the same input), and 1 / n scales it. For
-   k = m / 2 the write of z[m - k] is kept. */
+   FFT is the conjugate of the forward one of the conjugate, cfft_row's,
+   and 1 / n scales it. For k = m / 2 the write of z[m - k] is kept. */
 static inline __attribute__((always_inline)) void
 irfft_row(const struct fft *f, const double *restrict spec, double *restrict x)
 {
@@ -767,16 +771,13 @@ irfft_row(const struct fft *f, const double *restrict spec, double *restrict x)
     for (; k <= m / 2; k++)
         UNSPLIT(spec[2 * k], spec[2 * k + 1], spec[2 * (m - k)], -spec[2 * (m - k) + 1],
                 wr[GROUPED(k, 0)], wi[GROUPED(k, 0)], SET_COMPLEX, SET_COMPLEX);
+    cfft_row(f, z);
     const double scale = 1.0 / (double)f->n;
-    if (f->q >= 4) {
-        cfft_row(f, z);
-        for (long t = 0; t < m; t += 4)
-            STORE_COMPLEX4(x + 2 * t, LOAD4(zr + t) * scale, -LOAD4(zi + t) * scale);
-    } else {
-        cfft_pair(f, z, z, NULL);
-        for (long t = 0; t < m; t++)
-            SET_COMPLEX(x + 2 * t, zr[GROUPED(t, 0)] * scale, -zi[GROUPED(t, 0)] * scale);
-    }
+    long t = 0;
+    for (; t + 4 <= m; t += 4)
+        STORE_COMPLEX4(x + 2 * t, LOAD4(zr + t) * scale, -LOAD4(zi + t) * scale);
+    for (; t < m; t++)
+        SET_COMPLEX(x + 2 * t, zr[t] * scale, -zi[t] * scale);
 }
 
 /* rfft: ``n_rows`` rows of n real samples ``x`` to their one-sided spectra

@@ -201,27 +201,6 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
     assert np.isfinite(got).all()
 
 
-UPDATE_DIMS = [4, 7, 10, 13, 16, 19]  # the D = P L + 1 that update is compiled for
-
-
-@pytest.mark.parametrize("dim", [2, *UPDATE_DIMS, 22])
-@pytest.mark.parametrize("n_bins", [9, 513])
-def test_update_for_each_compiled_dim_is_the_numpy_update(rng, n_bins, dim):
-    """``update`` at every D it is compiled for and at two others (2, 22),
-    which run its body with D a variable: per-bin weights give the planes,
-    traces, rows and output of the numpy twin, byte for byte."""
-    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
-    gain, coord = rng.uniform(0.1, 3.0, n_bins), dim // 2
-    got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-    counts = kernel_update(auxiva._kernels, got, got_trace, obs, 0.9, *kernel_gain(gain), 1e-3,
-                           coord, rows)
-    broken, expected, skipped, out = _numpy_update(planes, trace, obs, 0.9, gain, 1e-3, coord,
-                                                   prev)
-    assert counts[:2] == (broken, skipped) == (0, 0)
-    assert got.tobytes() == planes.tobytes() and got_trace.tobytes() == trace.tobytes()
-    assert rows.tobytes() == expected.tobytes() and counts[2].tobytes() == out.tobytes()
-
-
 @pytest.mark.parametrize("n_bins", [1, 9, 64])
 def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
     """With stride 0 the kernel weights every bin by ``gain[0]``, as AuxIVA's
@@ -254,7 +233,7 @@ def test_process_frame_paths_agree_over_300_frames(rng, dim, state_type):
 
 
 LANE_BINS = [1, 7, 8, 9, 513]  # one lane, a short block, a full block, a tail, the engine's K
-LANE_DIMS = [2, 4, 10, 19]
+LANE_DIMS = [2, 4, 10, 19, 22]  # update is compiled with D a constant at 4, a variable else
 
 
 def _per_lane(planes):
@@ -373,16 +352,17 @@ def test_bin_reset_after_overflow_gives_the_prior_row(rng, dim, state_type):
 def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
     """Each lane is one bin's scalar update: block position and block-mates
     change no bit of its planes, trace, row or output; and the numpy twin
-    gives the kernel's bytes for every bin, so its rows do not depend on the
-    number of bins either. A bin with a zero observation or gain keeps its
-    planes and trace."""
+    gives the kernel's bytes for every bin (planes, trace, rows and output),
+    so its rows do not depend on the number of bins either. A bin with a
+    zero observation or gain keeps its planes and trace."""
     planes, trace, obs, prev = _inverse_inputs(rng, n_bins, dim)
     gain = rng.uniform(0.1, 3.0, n_bins)
     obs[3::5], gain[4::5] = 0.0, 0.0
     coord = n_bins % dim
     got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.99, gain, 1, 1e-6, coord,
-                         rows)[:2] == (0, 0)
+    *counts, out = kernel_update(auxiva._kernels, got, got_trace, obs, 0.99, gain, 1, 1e-6, coord,
+                                 rows)
+    assert counts == [0, 0]
     for k in [*range(3, n_bins, 5), *range(4, n_bins, 5)]:
         assert _per_lane(got)[k].tobytes() == _per_lane(planes)[k].tobytes()
         assert got_trace[k] == trace[k]
@@ -394,11 +374,11 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
                       1e-6, coord, one_rows)
         assert _per_lane(one)[0].tobytes() == _per_lane(got)[k].tobytes()
         assert one_trace[0] == got_trace[k] and one_rows.tobytes() == rows[k].tobytes()
-    broken, numpy_rows, skipped, _ = _numpy_update(planes, trace, obs, 0.99, gain, 1e-6, coord,
-                                                   prev)
+    broken, numpy_rows, skipped, numpy_out = _numpy_update(planes, trace, obs, 0.99, gain, 1e-6,
+                                                           coord, prev)
     assert (broken, skipped) == (0, 0)
     assert planes.tobytes() == got.tobytes() and trace.tobytes() == got_trace.tobytes()
-    assert numpy_rows.tobytes() == rows.tobytes()
+    assert numpy_rows.tobytes() == rows.tobytes() and numpy_out.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("per_bin", [False, True], ids=["auxiva", "ilrma"])
