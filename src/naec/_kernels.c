@@ -8,7 +8,8 @@
      fft_plan      the twiddle factors of the real FFTs, once per engine;
      frame_in      the far end's odd powers, the finite check, the time
                    buffer's shift and the windowed real FFTs, two rows at
-                   a time, into the observations, lags moved in place;
+                   a time, into the observations, each reference's new
+                   spectrum over its oldest lag (a ring of lag slots);
      ola           the inverse real FFT, synthesis window, overlap-add,
                    norm and shift;
      push          a compiled push: frame_in, step and ola in one call;
@@ -25,9 +26,12 @@
    block a real and an imaginary plane of the upper-triangle entries in
    row-major order. ``obs`` and ``rows`` are channel-major planes, (D, 2,
    blocks * LANES) doubles: each channel's real plane, then its imaginary
-   plane. ``trace`` and ``gain`` are blocks * LANES doubles, and a demixed
-   frame ``out`` blocks * LANES interleaved complex doubles (re, im). The
-   caller checks shapes, dtypes and alignment.
+   plane. The rows are in the channel order of naec.ctf; channel d of obs
+   is its plane pair channel[d], which frame_in rotates, so every sum over
+   the channels is taken in the ctf order. ``trace`` and ``gain`` are
+   blocks * LANES doubles, and a demixed frame ``out`` blocks * LANES
+   interleaved complex doubles (re, im). The caller checks shapes, dtypes
+   and alignment.
 
    Every vector operation is the scalar operation of one bin (or FFT
    lane), done for LANES at once, so each result is bit-identical to one
@@ -87,14 +91,16 @@ static long upper(long dim, long i, long j)
 /* Block b of the frame demixed with ``rows``, er + i ei: for each lane the
    sum over the channels d of conj(rows[d]) obs[d], taken in index order
    from 0.0 in unfused real operations, which are the operations and order
-   of np.einsum("kd,kd->k", rows.conj(), obs). ``blocks`` vectors a plane. */
+   of np.einsum("kd,kd->k", rows.conj(), obs). ``blocks`` vectors a plane;
+   channel d of obs is its plane pair channel[d]. */
 static inline __attribute__((always_inline)) void
-demix_block(long dim, long blocks, long b, const v8 *rows, const v8 *obs, v8 *er, v8 *ei)
+demix_block(long dim, long blocks, long b, const v8 *rows, const v8 *obs, const long *channel,
+            v8 *er, v8 *ei)
 {
     v8 re = {0.0}, im = {0.0};
     for (long d = 0; d < dim; d++) {
         const v8 wr = rows[2 * d * blocks + b], wi = rows[(2 * d + 1) * blocks + b];
-        const v8 yr = obs[2 * d * blocks + b], yi = obs[(2 * d + 1) * blocks + b];
+        const v8 *y = obs + 2 * channel[d] * blocks + b, yr = y[0], yi = y[blocks];
         re += wr * yr + wi * yi;
         im += wr * yi - wi * yr;
     }
@@ -115,14 +121,14 @@ demix_block(long dim, long blocks, long b, const v8 *rows, const v8 *obs, v8 *er
    each |out[k]|^2 taken as re^2 + im^2 and summed in bin order, floored at
    ``floor`` (a NaN stays NaN), and gain[0] = pow(r1, exponent). */
 LANE_CLONES
-void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, double *out, double floor,
-           double exponent, double *gain)
+void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, const long *channel, double *out,
+           double floor, double exponent, double *gain)
 {
     const long blocks = (n_bins + LANES - 1) / LANES;
     double power = 0.0;
     for (long b = 0; b < blocks; b++) {
         v8 er, ei;
-        demix_block(dim, blocks, b, rows, obs, &er, &ei);
+        demix_block(dim, blocks, b, rows, obs, channel, &er, &ei);
         STORE_COMPLEX(out, b, er, ei);
         const v8 p = er * er + ei * ei;
         for (long l = 0; l < LANES && b * LANES + l < n_bins; l++)
@@ -133,7 +139,8 @@ void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, double *out, do
 }
 
 /* One frame of every bin's tracked inverse covariance P = V^-1 and trace
-   tau = tr(V), then its row and its demixed output. With y = obs[k],
+   tau = tr(V), then its row and its demixed output. With y = obs[k], its
+   channel d read from obs's plane pair channel[d] as in demix_block,
    s = (1 - alpha) gain[k * gain_stride] (a gain_stride of 0 shares gain[0]
    by all bins) and j = coord, V <- alpha V + s y y^H + rho e_j e_j^H is two
    Sherman-Morrison updates: u = P y, q = Re(y^H u), c1 = s / (alpha + s q);
@@ -152,9 +159,9 @@ void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, double *out, do
    dim a constant at D = 4 (P = 3, L = 1), where that makes it about 10%
    faster, and a variable for the rest. */
 static inline __attribute__((always_inline)) long
-update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, double alpha,
-           const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
-           double *out, long *skipped, v8 *restrict work)
+update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, const long *channel,
+           double alpha, const double *gain, long gain_stride, double diag_load, long coord,
+           v8 *rows, double *out, long *skipped, v8 *restrict work)
 {
     const long tri = dim * (dim + 1) / 2, j = coord, blocks = (n_bins + LANES - 1) / LANES;
     const double inv_alpha = 1.0 / alpha, load = (1.0 - alpha) * diag_load;
@@ -171,8 +178,9 @@ update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, doubl
                 s[l] = gain[k0 + l < n_bins ? k0 + l : n_bins - 1];
         s *= 1.0 - alpha;
         for (long i = 0; i < dim; i++) {
-            yr[i] = obs[2 * i * blocks + blk];
-            yi[i] = obs[(2 * i + 1) * blocks + blk];
+            const v8 *y = obs + 2 * channel[i] * blocks + blk;
+            yr[i] = y[0];
+            yi[i] = y[blocks];
         }
         /* u = P y: entry (a, b) adds P_ab y_b to u_a and, below the
            diagonal, conj(P_ab) y_a to u_b, so each u_i is summed in index
@@ -259,15 +267,15 @@ update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, doubl
 }
 
 LANE_CLONES
-long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alpha,
-            const double *gain, long gain_stride, double diag_load, long coord, v8 *rows,
-            double *out, long *skipped, v8 *work)
+long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, const long *channel,
+            double alpha, const double *gain, long gain_stride, double diag_load, long coord,
+            v8 *rows, double *out, long *skipped, v8 *work)
 {
     if (dim == 4)
-        return update_dim(n_bins, 4, inv, trace, obs, alpha, gain, gain_stride, diag_load, coord,
-                          rows, out, skipped, work);
-    return update_dim(n_bins, dim, inv, trace, obs, alpha, gain, gain_stride, diag_load, coord,
-                      rows, out, skipped, work);
+        return update_dim(n_bins, 4, inv, trace, obs, channel, alpha, gain, gain_stride, diag_load,
+                          coord, rows, out, skipped, work);
+    return update_dim(n_bins, dim, inv, trace, obs, channel, alpha, gain, gain_stride, diag_load,
+                      coord, rows, out, skipped, work);
 }
 
 /* One frame of ILRMA's rank-1 NMF source model and its weight, as
@@ -285,8 +293,8 @@ long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, double alp
    Returns 1 if the model was updated, 0 if the frame was all zero. ``work``
    holds |e|^2, one vector per block. */
 LANE_CLONES
-long ilrma_weight(long n_bins, long dim, const v8 *rows, const v8 *obs, v8 *basis, double *v1,
-                  v8 *r1, double floor, v8 *gain, v8 *work)
+long ilrma_weight(long n_bins, long dim, const v8 *rows, const v8 *obs, const long *channel,
+                  v8 *basis, double *v1, v8 *r1, double floor, v8 *gain, v8 *work)
 {
     const long blocks = (n_bins + LANES - 1) / LANES;
     v8 *power = work;
@@ -297,7 +305,7 @@ long ilrma_weight(long n_bins, long dim, const v8 *rows, const v8 *obs, v8 *basi
     v8l alive = {0}; /* the outputs' bits: a sum from +0.0 is never -0.0, so 0 iff all are 0 */
     for (long j = 0; j < blocks; j++) {
         v8 er, ei;
-        demix_block(dim, blocks, j, rows, obs, &er, &ei);
+        demix_block(dim, blocks, j, rows, obs, channel, &er, &ei);
         power[j] = er * er + ei * ei;
         alive |= ((v8l)er | (v8l)ei) & (j < blocks - 1 ? all : last);
     }
@@ -342,6 +350,7 @@ struct state {
     long n_bins, dim;
     double alpha, diag_load, floor, exponent, cov_init;
     v8 *inv, *trace, *basis, *r1, *work, *rows, *obs; /* basis: ILRMA's weight, NULL: AuxIVA's */
+    long *channel; /* the plane pair of obs that holds each channel of the ctf order */
     double *gain, *v1, *out;
     long frames, skipped_bins, broken_bins;
 };
@@ -375,7 +384,7 @@ static void reset_broken(struct state *s)
             s->broken_bins += k < n_bins;
         }
         if (s->broken_bins > before) {
-            demix_block(dim, blocks, b, s->rows, s->obs, &er, &ei);
+            demix_block(dim, blocks, b, s->rows, s->obs, s->channel, &er, &ei);
             STORE_COMPLEX(s->out, b, er, ei);
         }
         for (int l = 0; s->basis != NULL && l < LANES; l++)
@@ -391,11 +400,12 @@ void step(struct state *s)
 {
     const long stride = s->basis != NULL;
     if (stride)
-        ilrma_weight(s->n_bins, s->dim, s->rows, s->obs, s->basis, s->v1, s->r1, s->floor,
-                     (v8 *)s->gain, s->work);
+        ilrma_weight(s->n_bins, s->dim, s->rows, s->obs, s->channel, s->basis, s->v1, s->r1,
+                     s->floor, (v8 *)s->gain, s->work);
     else
-        demix(s->n_bins, s->dim, s->rows, s->obs, s->out, s->floor, s->exponent, s->gain);
-    if (update(s->n_bins, s->dim, s->inv, s->trace, s->obs, s->alpha, s->gain, stride,
+        demix(s->n_bins, s->dim, s->rows, s->obs, s->channel, s->out, s->floor, s->exponent,
+              s->gain);
+    if (update(s->n_bins, s->dim, s->inv, s->trace, s->obs, s->channel, s->alpha, s->gain, stride,
                s->diag_load, s->frames++ % s->dim, s->rows, s->out, &s->skipped_bins, s->work))
         reset_broken(s);
 }
@@ -413,8 +423,12 @@ void step(struct state *s)
    split runs four bins of both rows per vector once q >= 4 and m >= 8, one
    at a time below, with the same operations. The twiddle
    factors come from libm's cos and sin on angles of at most pi / 4 and the
-   symmetries of the circle, once per plan, stored as the vectors read. The
-   transforms agree with numpy's pocketfft to rounding, not bytes. */
+   symmetries of the circle, once per plan, each stored once: the lane
+   FFTs' as (re, im) pairs that the passes splat, the pass across the
+   lanes' in four lanes that a pair widens to eight, and the split's in bin
+   order. The plan of 1024 points, workspace included, is 5904 doubles
+   (46 KB), so it stays in a 48 KB L1 data cache. The transforms agree with
+   numpy's pocketfft to rounding, not bytes. */
 typedef double v4 __attribute__((vector_size(4 * sizeof(double))));
 typedef double v4u __attribute__((vector_size(4 * sizeof(double)), aligned(8)));
 typedef long v4l __attribute__((vector_size(4 * sizeof(long))));
@@ -440,6 +454,15 @@ typedef struct { v4 re, im; } cv4;
 #define SET_COMPLEX(p, re, im) ((p)[0] = (re), (p)[1] = (im))
 #define LOWER(v) __builtin_shufflevector(v, v, 0, 1, 2, 3)
 #define UPPER(v) __builtin_shufflevector(v, v, 4, 5, 6, 7)
+/* The v4 w as a V, in both halves of a v8: of the forms tried, the fastest
+   in both clones (ROADMAP item 10). */
+#define WIDE(V, w) WIDE_##V(w)
+#define WIDE_v4(w) (w)
+#define WIDE_v8(w)                                                         \
+    __extension__({                                                        \
+        const v4 w_ = (w);                                                 \
+        (v8){w_[0], w_[1], w_[2], w_[3], w_[0], w_[1], w_[2], w_[3]};      \
+    })
 
 /* Where bin k of row h (0 for a, 1 for b) of the pair is held: in groups of
    four bins, a's then b's. */
@@ -463,26 +486,30 @@ typedef struct { v4 re, im; } cv4;
     } while (0)
 
 /* A plan of an n-point transform in fft_plan's layout: the twiddles of
-   the lane FFTs and of the pass across the lanes, two lane buffers, the
-   inverse's m-point complex input, the complex FFT's output as real and
-   imaginary parts in GROUPED order, and the twiddles of the split. */
+   the lane FFTs and of the pass across the lanes, the two lane buffers of
+   the Stockham passes, and the twiddles of the split. The complex FFT's
+   output, as real and imaginary parts (a pair's in GROUPED order), and the
+   inverse's m-point complex input go in the lane buffer that the passes
+   leave idle: the result of an even number of passes ends in lanes[0], of
+   an odd number in lanes[1]. The input sits in that buffer's upper half,
+   which the four-lane passes of the inverse never touch. */
 struct fft {
     long n, m, q;
-    cv8 *inner;    /* W_q^j in every lane, j < q: stored broadcast, as the
-                      baseline build makes a broadcast through the stack */
-    cv8 *across;   /* lanes r and 4 + r of across[k]: W_m^(rk), k < q */
-    cv8 *lanes[2]; /* q each */
-    double *z, *zr, *zi;         /* 8 ceil(m / 4) doubles each */
-    double *split_re, *split_im; /* W_n^k at GROUPED(k, 0) and (k, 1), k < 4 (m / 8 + 1) */
+    double *inner;  /* W_q^j as (re, im), j < q */
+    cv4 *across;    /* lane r of across[k]: W_m^(rk), k < q */
+    cv8 *lanes[2];  /* 16 max(q, 1) doubles each */
+    double *z, *zr, *zi;
+    double *split_re, *split_im; /* W_n^k, k < 4 (m / 8 + 1) */
 };
 
 static struct fft fft_parts(long n, double *plan)
 {
-    const long q = n / 8, m = n / 2, g = 8 * ((m + 3) / 4), s = 8 * (m / 8 + 1);
-    cv8 *inner = (cv8 *)plan;
-    double *z = (double *)(inner + 4 * q);
-    return (struct fft){n, m, q, inner, inner + q, {inner + 2 * q, inner + 3 * q},
-                        z, z + g, z + 2 * g, z + 3 * g, z + 3 * g + s};
+    const long q = n / 8, m = n / 2, lane = q ? 16 * q : 16, g = 8 * ((m + 3) / 4);
+    const long passes = q ? (__builtin_ctzl(q) + 1) / 2 : 0;
+    double *across = plan + 8 * ((q + 3) / 4), *lanes = across + 8 * q;
+    double *idle = lanes + lane * (1 - passes % 2), *split = lanes + 2 * lane;
+    return (struct fft){n, m, q, plan, (cv4 *)across, {(cv8 *)lanes, (cv8 *)(lanes + lane)},
+                        idle + 2 * m, idle, idle + g, split, split + 8 * ((m / 8 + 2) / 2)};
 }
 
 /* W_n^j = exp(-2 pi i j / n) into w[0], w[1], for a power of two n >= 4:
@@ -511,26 +538,27 @@ long fft_plan(long n, double *plan)
     const long q = n / 8, m = n / 2;
     if (plan != NULL) {
         const struct fft f = fft_parts(n, plan);
-        double w[2];
-        for (long k = 0; k < q; k++)
-            for (int l = 0; l < LANES; l++) {
-                unit_root(8 * k, n, w);
-                f.inner[k].re[l] = w[0];
-                f.inner[k].im[l] = w[1];
-                unit_root(2 * (l % 4) * k, n, w);
-                f.across[k].re[l] = w[0];
-                f.across[k].im[l] = w[1];
+        for (long k = 0; k < q; k++) {
+            unit_root(8 * k, n, f.inner + 2 * k);
+            for (int r = 0; r < 4; r++) {
+                double w[2];
+                unit_root(2 * r * k, n, w);
+                f.across[k].re[r] = w[0];
+                f.across[k].im[r] = w[1];
             }
+        }
         for (long k = 0; k < 4 * (m / 8 + 1); k++) {
+            double w[2];
             unit_root(k, n, w);
-            f.split_re[GROUPED(k, 0)] = f.split_re[GROUPED(k, 1)] = w[0];
-            f.split_im[GROUPED(k, 0)] = f.split_im[GROUPED(k, 1)] = w[1];
+            f.split_re[k] = w[0];
+            f.split_im[k] = w[1];
         }
     }
-    return 64 * q + 24 * ((m + 3) / 4) + 16 * (m / 8 + 1);
+    return 8 * ((q + 3) / 4) + 8 * q + 2 * (q ? 16 * q : 16) + 16 * ((m / 8 + 2) / 2);
 }
 
-/* y = (zr + i zi) (wr + i wi) for vectors, each argument evaluated once. */
+/* y = (zr + i zi) (wr + i wi) for vectors zr, zi and vectors or scalars
+   wr, wi (a scalar in every lane), each argument evaluated once. */
 #define CMUL_INTO(y, zr, zi, wr, wi)                                       \
     do {                                                                   \
         const __typeof__(zr) zr_ = (zr), zi_ = (zi);                       \
@@ -559,17 +587,17 @@ long fft_plan(long n, double *plan)
 /* The Stockham passes of the lane FFTs on the lane buffers a and b, of
    type CV with vectors V, the result left in a: a sub-transform of n points
    at stride s becomes four of n / 4 points at stride 4 s, and a radix-2
-   pass ends an odd log2 q. A V of inner's lanes is the twiddle of each. */
+   pass ends an odd log2 q. One twiddle of inner serves every lane. */
 #define STOCKHAM(CV, V)                                                    \
     do {                                                                   \
         long n = q, s = 1;                                                 \
         for (; n >= 4; n /= 4, s *= 4) {                                   \
             const long m4 = n / 4;                                         \
             for (long p = 0; p < m4; p++) {                                \
-                const cv8 *w1 = f->inner + p * s, *w2 = w1 + p * s, *w3 = w2 + p * s; \
-                const V w1r = *(const V *)&w1->re, w1i = *(const V *)&w1->im; \
-                const V w2r = *(const V *)&w2->re, w2i = *(const V *)&w2->im; \
-                const V w3r = *(const V *)&w3->re, w3i = *(const V *)&w3->im; \
+                const double *w1 = f->inner + 2 * p * s, *w2 = w1 + 2 * p * s; \
+                const double *w3 = w2 + 2 * p * s;                         \
+                const double w1r = w1[0], w1i = w1[1], w2r = w2[0], w2i = w2[1]; \
+                const double w3r = w3[0], w3i = w3[1];                     \
                 for (long t = 0; t < s; t++) {                             \
                     const CV *restrict x0 = a + t + s * p, *restrict x1 = x0 + s * m4; \
                     const CV *restrict x2 = x1 + s * m4, *restrict x3 = x2 + s * m4; \
@@ -605,7 +633,7 @@ long fft_plan(long n, double *plan)
     for (; k + 4 <= q; k += 4) {                                           \
         V tr[4], ti[4];                                                    \
         for (int r = 0; r < 4; r++) {                                      \
-            const V wr = *(const V *)&f->across[k + r].re, wi = *(const V *)&f->across[k + r].im; \
+            const V wr = WIDE(V, f->across[k + r].re), wi = WIDE(V, f->across[k + r].im); \
             tr[r] = a[k + r].re * wr - a[k + r].im * wi;                   \
             ti[r] = a[k + r].re * wi + a[k + r].im * wr;                   \
         }                                                                  \
@@ -646,8 +674,8 @@ cfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
     long k = 0;
     ACROSS_PASS(v8, TRANSPOSE8, STORE8, GROUP_AT);
     for (; k < q; k++) { /* q < 4 */
-        const cv8 w = f->across[k];
-        const v8 tr = a[k].re * w.re - a[k].im * w.im, ti = a[k].re * w.im + a[k].im * w.re;
+        const v8 wr = WIDE(v8, f->across[k].re), wi = WIDE(v8, f->across[k].im);
+        const v8 tr = a[k].re * wr - a[k].im * wi, ti = a[k].re * wi + a[k].im * wr;
         for (int h = 0; h < 2; h++)
             ACROSS(SET, ((const double *)&tr + 4 * h), ((const double *)&ti + 4 * h), ROW_AT);
     }
@@ -675,7 +703,7 @@ cfft_row(const struct fft *f, const double *z)
     long k = 0;
     ACROSS_PASS(v4, TRANSPOSE4, STORE4, PLANAR_AT);
     for (; k < q; k++) { /* q < 4 */
-        const v4 wr = *(const v4 *)&f->across[k].re, wi = *(const v4 *)&f->across[k].im;
+        const v4 wr = f->across[k].re, wi = f->across[k].im;
         const v4 tr = a[k].re * wr - a[k].im * wi, ti = a[k].re * wi + a[k].im * wr;
         ACROSS(SET, tr, ti, PLANAR_AT);
     }
@@ -710,13 +738,14 @@ rfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
        m / 4 - g (of group 0 for g = 0: Z is periodic) and lanes 3, 2, 1 of
        the group below. Bins 0 and m are written again below. */
     const v8l mirror = {8, 3, 2, 1, 12, 7, 6, 5}, reverse = {3, 2, 1, 0, 7, 6, 5, 4};
-    const v8 *zr8 = (const v8 *)zr, *zi8 = (const v8 *)zi, *wr8 = (const v8 *)f->split_re;
+    const v8 *zr8 = (const v8 *)zr, *zi8 = (const v8 *)zi;
+    const v4 *wr4 = (const v4 *)f->split_re, *wi4 = (const v4 *)f->split_im;
     for (long g = 0; g < m / 8; g++) {
         const long hi = g ? m / 4 - g : 0, lo = m / 4 - g - 1;
         const v8 br = __builtin_shuffle(zr8[lo], zr8[hi], mirror);
         const v8 bi = __builtin_shuffle(zi8[lo], zi8[hi], mirror);
         v8 kr, ki, mr, mi;
-        SPLIT(zr8[g], zi8[g], br, -bi, wr8[g], ((const v8 *)f->split_im)[g], kr, ki, mr, mi);
+        SPLIT(zr8[g], zi8[g], br, -bi, WIDE(v8, wr4[g]), WIDE(v8, wi4[g]), kr, ki, mr, mi);
         mr = __builtin_shuffle(mr, reverse);
         mi = __builtin_shuffle(mi, reverse);
         STORE4(re_a + 4 * g, LOWER(kr)), STORE4(re_b + 4 * g, UPPER(kr));
@@ -727,7 +756,7 @@ rfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
     for (int h = 0; h < 2; h++) {
         for (long k = m < 8 ? 1 : m / 2; k <= m / 2; k++)
             SPLIT(zr[GROUPED(k, h)], zi[GROUPED(k, h)], zr[GROUPED(m - k, h)],
-                  -zi[GROUPED(m - k, h)], f->split_re[GROUPED(k, h)], f->split_im[GROUPED(k, h)],
+                  -zi[GROUPED(m - k, h)], f->split_re[k], f->split_im[k],
                   re[h][k], im[h][k], re[h][m - k], im[h][m - k]);
         re[h][0] = zr[4 * h] + zi[4 * h], im[h][0] = 0.0;
         re[h][m] = zr[4 * h] - zi[4 * h], im[h][m] = 0.0;
@@ -747,9 +776,6 @@ rfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
         set_mk(z + 2 * (m - k), er + odd_i, ei - odd_r);                   \
     } while (0)
 
-/* Row a's twiddles of bins k..k + 3, k = 4 j + 1, at w + 2 k in GROUPED order. */
-#define TWIDDLES4(w) __builtin_shuffle(LOAD4((w) - 2), LOAD4((w) + 6), (v4l){1, 2, 3, 4})
-
 /* n real samples from their one-sided spectrum (m + 1 complex), ignoring
    the imaginary parts at DC and Nyquist as numpy's irfft does: the inverse
    FFT is the conjugate of the forward one of the conjugate, cfft_row's,
@@ -766,11 +792,11 @@ irfft_row(const struct fft *f, const double *restrict spec, double *restrict x)
     for (; k + 3 <= m / 2; k += 4)
         UNSPLIT(REAL4(spec + 2 * k), IMAG4(spec + 2 * k), REVERSE4(REAL4(spec + 2 * (m - k - 3))),
                 -REVERSE4(IMAG4(spec + 2 * (m - k - 3))),
-                TWIDDLES4(wr + 2 * k), TWIDDLES4(wi + 2 * k), STORE_COMPLEX4,
+                LOAD4(wr + k), LOAD4(wi + k), STORE_COMPLEX4,
                 STORE_COMPLEX4_REVERSED);
     for (; k <= m / 2; k++)
         UNSPLIT(spec[2 * k], spec[2 * k + 1], spec[2 * (m - k)], -spec[2 * (m - k) + 1],
-                wr[GROUPED(k, 0)], wi[GROUPED(k, 0)], SET_COMPLEX, SET_COMPLEX);
+                wr[k], wi[k], SET_COMPLEX, SET_COMPLEX);
     cfft_row(f, z);
     const double scale = 1.0 / (double)f->n;
     long t = 0;
@@ -830,10 +856,11 @@ struct engine {
    written nothing but ``tail``, if any entry of ``tail`` is not finite.
    Otherwise shifts each row of ``buf`` left by a hop, appends the row of
    ``tail``, and transforms the rows of ``buf`` times the window, two at a
-   time, into the planes of ``obs`` in the layout of naec.ctf: each
-   reference's lags move one channel later, dropping the oldest, then lag 0
-   is written; the microphone is channel 0. The padding lanes of each
-   written plane get bin K - 1. Returns 1. */
+   time, into the planes of ``obs``: the microphone into the plane pair of
+   channel 0, and each reference's spectrum over its oldest lag, whose
+   plane pair becomes its lag 0 as the state's ``channel`` entries of its
+   lags rotate by one, so no plane moves. The padding lanes of each written
+   plane get bin K - 1. Returns 1. */
 LANE_CLONES
 long frame_in(const struct engine *e)
 {
@@ -860,12 +887,17 @@ long frame_in(const struct engine *e)
         memcpy(b + keep, tail + r * hop, sizeof(double) * hop);
     }
     const struct fft f = fft_parts(window_len, e->plan);
+    long *channel = e->state->channel;
     for (long a = 0; a <= order_p; a += 2) {
         const long b = a < order_p ? a + 1 : a;
         for (long i = a; i <= b; i++) {
-            double *c = re[i - a] = obs + 2 * plane * (i ? 1 + (i - 1) * frames_l : 0);
-            if (i)
-                memmove(c + 2 * plane, c, sizeof(double) * 2 * plane * (frames_l - 1));
+            long *lags = channel + (i ? 1 + (i - 1) * frames_l : 0), oldest = lags[0];
+            if (i) {
+                oldest = lags[frames_l - 1];
+                memmove(lags + 1, lags, sizeof(long) * (frames_l - 1));
+                lags[0] = oldest;
+            }
+            re[i - a] = obs + 2 * plane * oldest;
         }
         re[1] = re[b - a];
         rfft_pair(&f, e->buf + a * window_len, e->buf + b * window_len, e->window, re[0],
@@ -895,14 +927,16 @@ void ola(const struct engine *e)
     memset(acc + window_len - hop, 0, sizeof(double) * hop);
 }
 
-/* frame_in, step and ola; returns -1 if frame_in rejected the tail, else 0. */
+/* frame_in, step and ola; returns -1 if frame_in rejected the tail, else 1
+   if ``emit`` holds a hop to emit, which it does from frame window_len / hop
+   on, and 0 before. */
 long push(const struct engine *e)
 {
     if (!frame_in(e))
         return -1;
     step(e->state);
     ola(e);
-    return 0;
+    return e->state->frames > e->window_len / e->hop - 1;
 }
 
 /* The sizes and field offsets of struct state and struct engine in
@@ -914,8 +948,9 @@ long layout(long *out)
         sizeof(struct state), AT(state, n_bins), AT(state, dim), AT(state, alpha),
         AT(state, diag_load), AT(state, floor), AT(state, exponent), AT(state, cov_init),
         AT(state, inv), AT(state, trace), AT(state, basis), AT(state, r1), AT(state, work),
-        AT(state, rows), AT(state, obs), AT(state, gain), AT(state, v1), AT(state, out),
-        AT(state, frames), AT(state, skipped_bins), AT(state, broken_bins), sizeof(struct engine),
+        AT(state, rows), AT(state, obs), AT(state, channel), AT(state, gain), AT(state, v1),
+        AT(state, out), AT(state, frames), AT(state, skipped_bins), AT(state, broken_bins),
+        sizeof(struct engine),
         AT(engine, state), AT(engine, order_p), AT(engine, frames_l), AT(engine, hop),
         AT(engine, window_len), AT(engine, tail), AT(engine, buf), AT(engine, window),
         AT(engine, plan), AT(engine, synth), AT(engine, acc), AT(engine, norm),

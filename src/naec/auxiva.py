@@ -123,12 +123,12 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     if private is not None:
         shutil.rmtree(private, ignore_errors=True)
     size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-    lib.update.argtypes = (size, size, ptr, ptr, ptr, real, ptr, size, real, size, ptr, ptr, ptr,
-                           ptr)
+    lib.update.argtypes = (size, size, ptr, ptr, ptr, ptr, real, ptr, size, real, size, ptr, ptr,
+                           ptr, ptr)
     lib.update.restype = size
-    lib.demix.argtypes = (size, size, ptr, ptr, ptr, real, real, ptr)
+    lib.demix.argtypes = (size, size, ptr, ptr, ptr, ptr, real, real, ptr)
     lib.demix.restype = None
-    lib.ilrma_weight.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr, real, ptr, ptr)
+    lib.ilrma_weight.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr, ptr, real, ptr, ptr)
     lib.ilrma_weight.restype = size
     lib.fft_plan.argtypes = (size, ptr)
     lib.fft_plan.restype = size
@@ -169,7 +169,8 @@ class KernelState(ctypes.Structure):
                 *((name, ctypes.c_double) for name in ("alpha", "diag_load", "floor", "exponent",
                                                        "cov_init")),
                 *((name, ctypes.c_void_p) for name in ("inv", "trace", "basis", "r1", "work",
-                                                       "rows", "obs", "gain", "v1", "out")),
+                                                       "rows", "obs", "channel", "gain", "v1",
+                                                       "out")),
                 *((name, ctypes.c_long) for name in ("frames", "skipped_bins", "broken_bins"))]
 
 
@@ -181,6 +182,9 @@ class AuxivaState:
     weight ``gain``, its output ``out`` (K of a padded buffer) and the
     kernels' workspace ``work``, all ``ALIGN``-byte aligned, live as long as
     the state and are only written in place; the planes cannot be rebound.
+    ``channel`` holds, for each channel of the ``ctf`` order, the plane pair
+    of ``obs`` that holds it: the identity, unless an engine's ``frame_in``
+    rotates each reference's lags through their slots (``logical_obs``).
     ``kernel``, at ``handle``, holds their addresses, taken once here, the
     settings and the counters ``frames``, ``skipped_bins`` and ``broken_bins``.
     """
@@ -194,6 +198,7 @@ class AuxivaState:
         self.trace[...] = dim * COV_INIT_SCALE
         self._row_planes = pack_observations(np.tile(passthrough_row(dim), (n_bins, 1)))
         self._obs = aligned_zeros((dim, 2, padded_bins(n_bins)))
+        self._channel = np.arange(dim, dtype=np.dtype(ctypes.c_long))
         self.gain = aligned_zeros(padded_bins(n_bins))
         self.out = aligned_zeros((padded_bins(n_bins), 2)).view(np.complex128)[:n_bins, 0]
         blocks = padded_bins(n_bins) // LANES
@@ -203,12 +208,16 @@ class AuxivaState:
             exponent=config.beta - 2.0, cov_init=COV_INIT_SCALE,
             rows=self.row_planes.ctypes.data, **{
                 name: getattr(self, name).ctypes.data
-                for name in ("inv", "trace", "work", "gain", "obs", "out")})
+                for name in ("inv", "trace", "work", "gain", "obs", "channel", "out")})
         self.handle = ctypes.c_void_p(ctypes.addressof(self.kernel))
 
     inv = property(lambda self: self._inv, doc="The planes of P = V^-1 (``pack_covariance``).")
     row_planes = property(lambda self: self._row_planes, doc="The rows' planes.")
-    obs = property(lambda self: self._obs, doc="The planes of the frame's observations.")
+    obs = property(lambda self: self._obs, doc="The planes of the frame's observations, "
+                   "channel d at ``channel[d]``.")
+    channel = property(lambda self: self._channel, doc="The plane pair of ``obs`` of each channel.")
+    logical_obs = property(lambda self: self._obs[self.channel],
+                           doc="A copy of ``obs`` with its plane pairs in the ``ctf`` order.")
     rows = property(lambda self: unpack_observations(self.row_planes, self.n_bins),
                     lambda self, rows: pack_observations(rows, self.row_planes),
                     doc="The (K, D) demixing rows, unpacked; assigning packs them.")
@@ -418,12 +427,12 @@ def compute_r1(rows: np.ndarray, obs: np.ndarray) -> float:
 def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     """One online update with the frame's observations, returning E(k, n):
     one ``step`` call (weight, update, rows, demix into ``state.out``, bin
-    resets). ``obs`` is any (K, D) array, packed into ``state.obs``, or
-    ``state.obs`` itself as the engine passes it."""
+    resets). ``obs`` is any (K, D) array, packed into ``state.obs`` through
+    ``state.channel``, or ``state.obs`` itself as the engine passes it."""
     if obs is not state.obs:
         if np.shape(obs) != (state.n_bins, state.dim):
             raise ValueError(f"expected observations of shape ({state.n_bins}, {state.dim}), "
                              f"got {np.shape(obs)}")
-        pack_observations(obs, state.obs)
+        state.obs[state.channel] = pack_observations(obs)
     _kernels.step(state.handle)
     return state.out.copy()

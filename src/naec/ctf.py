@@ -18,7 +18,9 @@ a (K, P*L + 1) array. Rows use the Hermitian convention: the near-end
 estimate is ``w^H y``. The engine keeps one observation buffer for its
 whole life, in planes (``auxiva.pack_observations``), and the buffer is
 also its reference history: each frame the ``frame_in`` kernel of
-``_kernels.c`` moves the lags in place and writes the new spectra. The
+``_kernels.c`` writes each reference's new spectrum over its oldest lag
+and rotates the state's table of which plane pair holds which channel of
+this layout (``AuxivaState.channel``), so the planes never move. The
 batch stacking of whole spectrograms, which the tests hold that buffer to,
 and the full constrained demixing matrix are test oracles, in
 ``tests/oracles.py``.

@@ -11,17 +11,21 @@ The engine allocates its buffers once and each frame writes them in place.
 A time buffer holds the last window of the microphone (row 0) and of the
 odd-power reference channels (rows 1..P). One observation buffer, the
 state's ``obs``, is also the reference history: it holds the P*L + 1
-channels in the order of ``ctf``, each as a real and an imaginary plane of
-the K bins (``auxiva.pack_observations``), and each frame moves the lags'
-planes in place. A frame is one call of the ``push`` kernel of
-``_kernels.c`` on a ``KernelEngine`` filled once, which runs three steps:
+channels, each as a real and an imaginary plane of the K bins
+(``auxiva.pack_observations``), and the state's ``channel`` table names
+the plane pair of each channel in the order of ``ctf``. Each reference's
+L lag slots are a ring: a frame writes its new spectrum over the oldest
+lag and rotates the table's entries, so no plane moves
+(``state.logical_obs`` is the buffer in ``ctf`` order). A frame is one
+call of the ``push`` kernel of ``_kernels.c`` on a ``KernelEngine``
+filled once, which runs three steps:
 
 1. ``frame_in``: the new hop's odd powers into a (P+1, hop) tail buffer,
    and the check that the microphone and every power are finite, which
    rejects a chunk before any engine state is written; then the time
    buffer shifts by a hop and takes the tail, and the real FFTs of its
    P+1 rows, two rows at a time and windowed as they are loaded, go into
-   the observation planes, each reference's lags moving one channel later.
+   the observation planes, each reference's over its oldest lag.
 2. ``step``, the compiled ``auxiva.process_frame`` (which is not called),
    on the optimizer's state (``STATES``, configured by
    ``EngineConfig.auxiva``), which demixes into ``state.out``.
@@ -32,8 +36,10 @@ planes in place. A frame is one call of the ``push`` kernel of
    window at least four times, so each emitted hop has been covered by
    ``window_len/hop`` frames.
 
-The FFTs use a plan the engine builds once (``fft_plan``). A bin that
-breaks is reset inside ``step``, so every frame is the one call.
+The FFTs use a plan the engine builds once (``fft_plan``), 46 KB at the
+default 1024-point window. A bin that breaks is reset inside ``step``, so
+every frame is the one call, and its return value says whether the frame
+emits a hop.
 """
 
 from __future__ import annotations
@@ -120,7 +126,9 @@ class StreamingEngine:
         self._acc = np.zeros(wl)  # starts at the next sample to emit
         self._emit = np.zeros(hop)
         self._state = state = STATES[config.optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
-        self._lib = lib = auxiva._kernels
+        lib = auxiva._kernels
+        self._push = lib.push  # bound once: a push is this one call
+        self._mic, self._ref = self._tail[0], self._tail[1]
         self._plan = aligned_zeros(lib.fft_plan(wl, None))
         lib.fft_plan(wl, self._plan.ctypes.data)
         self._kernel = KernelEngine(state.handle.value, p, l, hop, wl, *(
@@ -167,18 +175,20 @@ class StreamingEngine:
                 f"got {mic.shape} and {ref.shape}"
             )
         t0 = time.perf_counter()
-        self._tail[0] = mic
-        self._tail[1] = ref
+        self._mic[...] = mic
+        self._ref[...] = ref
         out = self._run_frame(t0)
         self._n_in += self._hop
         return out
 
     def _run_frame(self, t0: float) -> np.ndarray:
         """One frame from the tail to the emitted hop, timed from ``t0``: one
-        ``push`` kernel call. A rejected tail raises."""
-        if self._lib.push(self._handle) < 0:
+        ``push`` kernel call, which says whether the frame emits. A rejected
+        tail raises."""
+        emitted = self._push(self._handle)
+        if emitted < 0:
             raise ValueError("chunks contain non-finite samples or far-end powers")
-        out = self._emit.copy() if self._state.frames > self.latency_chunks else np.empty(0)
+        out = self._emit.copy() if emitted else np.empty(0)
         self._elapsed += time.perf_counter() - t0
         return out
 

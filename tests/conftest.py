@@ -1,5 +1,7 @@
 """Shared fixtures: small deterministic signals and scenes."""
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -72,11 +74,12 @@ def kernel_update(lib, planes, trace, obs, alpha, gain, stride, diag_load, coord
     out = auxiva.aligned_zeros((auxiva.padded_bins(n_bins), 2)).view(np.complex128)[:, 0]
     skipped = np.zeros(1, dtype=np.int64)
     work = auxiva.aligned_zeros((6 * dim, auxiva.LANES))
+    channel = np.arange(dim, dtype=np.dtype(ctypes.c_long))  # the planes in channel order
     _assert_kernel_inputs(planes, trace, gain)
     broken = lib.update(n_bins, dim, planes.ctypes.data, trace.ctypes.data,
-                        obs_planes.ctypes.data, alpha, gain.ctypes.data, stride, diag_load, coord,
-                        row_planes.ctypes.data, out.ctypes.data, skipped.ctypes.data,
-                        work.ctypes.data)
+                        obs_planes.ctypes.data, channel.ctypes.data, alpha, gain.ctypes.data,
+                        stride, diag_load, coord, row_planes.ctypes.data, out.ctypes.data,
+                        skipped.ctypes.data, work.ctypes.data)
     rows[...] = auxiva.unpack_observations(row_planes, n_bins)
     return broken, int(skipped[0]), out[:n_bins]
 

@@ -340,11 +340,11 @@ def process_frame(state: AuxivaState, obs: np.ndarray) -> np.ndarray:
     bytes; the weights agree with the compiled ones to rounding. Broken bins
     are reset by ``reset_broken``, as the ``step`` kernel does.
     """
-    pack_observations(obs, state.obs)
+    state.obs[state.channel] = pack_observations(obs)
     config, kernel = state.config, state.kernel
     coord = kernel.frames % state.dim
     kernel.frames += 1
-    obs, prev = unpack_observations(state.obs, state.n_bins), state.rows
+    obs, prev = unpack_observations(state.logical_obs, state.n_bins), state.rows
     # A finite burst may overflow |e|^2; the update's count of broken bins
     # handles it, so numpy's warnings are only noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,10 +365,10 @@ def reset_broken(state: AuxivaState) -> None:
     """The ``step`` kernel's bin reset in numpy: restart the broken bins
     (``nonfinite_trace``) from the prior P = I / COV_INIT_SCALE, tau =
     D COV_INIT_SCALE and the passthrough row, the padding lanes following
-    bin K - 1, add their count to ``broken_bins``, and demix ``state.obs``
-    into ``state.out`` again. For an ``IlrmaState``, non-finite basis
-    entries and activation return to 1, and r1 is refreshed over the whole
-    padded buffer."""
+    bin K - 1, add their count to ``broken_bins``, and demix
+    ``state.logical_obs`` into ``state.out`` again. For an ``IlrmaState``,
+    non-finite basis entries and activation return to 1, and r1 is
+    refreshed over the whole padded buffer."""
     mask = nonfinite_trace(state.inv, state.trace, state.n_bins)
     lanes = mask[_lane_bins(state.n_bins)]
     prior = pack_covariance(_prior(state.dim)[np.newaxis])
@@ -381,4 +381,4 @@ def reset_broken(state: AuxivaState) -> None:
         for buffer in (m.basis, m.activation):
             buffer[~np.isfinite(buffer)] = 1.0
         m.variance[...] = np.maximum(m.basis * m.activation, NMF_FLOOR)
-    state.out[...] = demix_frame(state.rows, unpack_observations(state.obs, state.n_bins))
+    state.out[...] = demix_frame(state.rows, unpack_observations(state.logical_obs, state.n_bins))

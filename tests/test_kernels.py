@@ -549,20 +549,21 @@ def test_clean_push_is_one_kernel_call(optimizer):
     """Each push and each frame of ``flush`` makes exactly one Python-level
     kernel call, ``push``, also a push whose 1e200 microphone sample breaks
     bins, which ``step`` resets: every other kernel of the library and
-    ``auxiva.process_frame`` raise if called."""
+    ``auxiva.process_frame`` raise if called. The engine binds ``push`` when
+    it is built, so the counting one is in place by then."""
     lib = auxiva._kernels
     rng = np.random.default_rng(2)
-    engine = StreamingEngine(EngineConfig(optimizer=optimizer))
     calls = []
     push = lib.push
     names = {name for _, name, _ in KERNEL_DEFINITION.findall(auxiva.KERNEL_SOURCE.read_text())}
     with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            lib, "push", lambda handle: calls.append(handle) or push(handle)))
+        engine = StreamingEngine(EngineConfig(optimizer=optimizer))
         for name in names - {"push"}:
             stack.enter_context(mock.patch.object(lib, name, side_effect=AssertionError(name)))
         stack.enter_context(mock.patch.object(auxiva, "process_frame",
                                               side_effect=AssertionError("process_frame")))
-        stack.enter_context(mock.patch.object(
-            lib, "push", lambda handle: calls.append(handle) or push(handle)))
         chunks = 0.3 * rng.standard_normal((8, 2, engine.hop))
         chunks[6, 0, 5] = 1e200
         parts = [engine.push(*chunk) for chunk in chunks]
@@ -670,7 +671,7 @@ def _demix_weight(lib, state, obs):
     state's observation planes: ``state``'s rows, into its ``out`` and ``gain``."""
     k = state.kernel
     pack_observations(obs, state.obs)
-    lib.demix(k.n_bins, k.dim, k.rows, k.obs, k.out, k.floor, k.exponent, k.gain)
+    lib.demix(k.n_bins, k.dim, k.rows, k.obs, k.channel, k.out, k.floor, k.exponent, k.gain)
 
 
 def _ilrma_weight(lib, state, obs):
@@ -679,8 +680,8 @@ def _ilrma_weight(lib, state, obs):
     and workspace."""
     k = state.kernel
     pack_observations(obs, state.obs)
-    return lib.ilrma_weight(k.n_bins, k.dim, k.rows, k.obs, k.basis, k.v1, k.r1, k.floor, k.gain,
-                            k.work)
+    return lib.ilrma_weight(k.n_bins, k.dim, k.rows, k.obs, k.channel, k.basis, k.v1, k.r1,
+                            k.floor, k.gain, k.work)
 
 
 def _nmf_bytes(state):
@@ -707,7 +708,7 @@ def _step_with_oracle_reset(state, obs):
     else:
         _demix_weight(lib, state, obs)
     skipped = ctypes.addressof(k) + auxiva.KernelState.skipped_bins.offset
-    broken = lib.update(k.n_bins, k.dim, k.inv, k.trace, k.obs, k.alpha, k.gain,
+    broken = lib.update(k.n_bins, k.dim, k.inv, k.trace, k.obs, k.channel, k.alpha, k.gain,
                         int(bool(k.basis)), k.diag_load, k.frames % k.dim, k.rows, k.out, skipped,
                         k.work)
     k.frames += 1
@@ -870,7 +871,8 @@ def test_kernel_addresses_stay_valid(rng, state_type):
     assert counts[149] == 0 < counts[150] == counts[-1]
     k = state.kernel
     buffers = {"inv": state.inv, "trace": state.trace, "rows": state.row_planes,
-               "gain": state.gain, "out": state.out, "work": state.work, "obs": state.obs}
+               "gain": state.gain, "out": state.out, "work": state.work, "obs": state.obs,
+               "channel": state.channel}
     if state_type is IlrmaState:
         m = state.model
         buffers.update(basis=m.basis, v1=m.activation, r1=m.variance)
@@ -879,12 +881,18 @@ def test_kernel_addresses_stay_valid(rng, state_type):
     assert state.handle.value == ctypes.addressof(k)
     assert out.tobytes() == state.out.tobytes() and out.ctypes.data != state.out.ctypes.data
     assert unpack_observations(state.obs, n_bins).tobytes() == frames[-1].tobytes()
-    for name in ("inv", "row_planes", "obs"):
+    for name in ("inv", "row_planes", "obs", "channel"):
         with pytest.raises(AttributeError):
             setattr(state, name, getattr(state, name).copy())
 
 
 FFT_SIZES = [2**e for e in range(2, 13)]  # 4 to 4096 points
+
+
+def test_fft_plan_of_the_engine_fits_in_48_kb():
+    """The plan of the engine's 1024-point FFT, twiddles and workspace, is at
+    most 6144 doubles (48 KB, an L1 data cache of the bench's Xeon)."""
+    assert auxiva._kernels.fft_plan(1024, None) <= 6144
 
 
 @pytest.mark.parametrize("n", FFT_SIZES)

@@ -19,6 +19,7 @@ from naec.ctf import CtfConfig
 from naec.metrics import erle, steady_state
 from naec.nonlin import odd_powers
 from naec.pipeline import (
+    STATES,
     EngineConfig,
     EngineStats,
     StreamingEngine,
@@ -229,8 +230,8 @@ def test_framing_equals_the_numpy_expressions(window_len, hop, order_p, frames_l
         history[:, 1:] = history[:, :-1]
         history[:, 0] = spec[1:]
         obs = np.column_stack([spec[0], history.reshape(-1, n_bins).T])
-        assert unpack_observations(engine._state.obs, n_bins).tobytes() == obs.tobytes(), j
-        assert engine._state.obs.tobytes() == pack_observations(obs).tobytes(), j
+        assert unpack_observations(engine._state.logical_obs, n_bins).tobytes() == obs.tobytes(), j
+        assert engine._state.logical_obs.tobytes() == pack_observations(obs).tobytes(), j
         acc += engine_irfft(engine._state.out, n=window_len) * window
         expected = acc[:hop] / norm if j >= engine.latency_chunks else np.empty(0)
         assert out.tobytes() == expected.tobytes(), j
@@ -257,9 +258,51 @@ def test_observation_buffer_is_the_batch_frame_observations(window_len, hop, ord
     for n in range(n_frames):
         engine.push(mic[n * hop : (n + 1) * hop], far[n * hop : (n + 1) * hop])
         expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
-        assert unpack_observations(engine._state.obs, sc.n_bins).tobytes() == expected.tobytes(), n
-        assert engine._state.obs.tobytes() == pack_observations(expected).tobytes(), n
+        logical = engine._state.logical_obs
+        assert unpack_observations(logical, sc.n_bins).tobytes() == expected.tobytes(), n
+        assert logical.tobytes() == pack_observations(expected).tobytes(), n
     assert engine._state.obs is buffer
+
+
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+@pytest.mark.parametrize("frames_l", [1, 2, 3, 6])
+def test_lag_ring_holds_the_batch_frame_observations(frames_l, optimizer):
+    """``frame_in`` writes each reference's new spectrum over its oldest lag
+    and rotates the state's ``channel`` table instead of moving the planes:
+    after every one of 3L + 2 frames the logical view is, byte for byte, the
+    batch frame observations, the microphone stays in plane pair 0 and each
+    reference's lags stay in its own L slots; and the state's weight, P,
+    traces, rows and output are those of a state with the identity table fed
+    the same observations by ``process_frame``. A NaN chunk, rejected at
+    frame L + 1, moves neither the table nor any plane."""
+    config = replace(_framing_config(64, 16, 3, frames_l), optimizer=optimizer)
+    sc, n_frames = config.stft, 3 * frames_l + 2
+    rng = np.random.default_rng(frames_l)
+    mic, far = 0.3 * rng.standard_normal((2, n_frames * sc.hop))
+    pad = np.zeros(sc.window_len - sc.hop)
+    mic_spec = analyze(AudioSignal(np.concatenate([pad, mic])), sc, rfft=engine_rfft)
+    ref_specs = [analyze(AudioSignal(np.concatenate([pad, x])), sc, rfft=engine_rfft)
+                 for x in odd_powers(far, config.ctf.order_p)]
+    engine = StreamingEngine(config)
+    state, hop = engine._state, sc.hop
+    twin = STATES[optimizer](sc.n_bins, config.ctf.dim, config.auxiva)
+    slots = [list(range(1 + i * frames_l, 1 + (i + 1) * frames_l)) for i in range(3)]
+    for n in range(n_frames):
+        chunk = mic[n * hop : (n + 1) * hop], far[n * hop : (n + 1) * hop]
+        if n == frames_l + 1:
+            channel, planes = state.channel.copy(), state.obs.copy()
+            with pytest.raises(ValueError, match="non-finite"):
+                engine.push(np.full(hop, np.nan), chunk[1])
+            assert state.channel.tobytes() == channel.tobytes()
+            assert state.obs.tobytes() == planes.tobytes()
+        engine.push(*chunk)
+        expected = frame_observations(mic_spec, ref_specs, n, config.ctf)
+        assert unpack_observations(state.logical_obs, sc.n_bins).tobytes() == expected.tobytes(), n
+        assert state.channel[0] == 0
+        assert all(sorted(state.channel[s]) == s for s in slots), (n, state.channel)
+        auxiva.process_frame(twin, expected)
+        for name in ("gain", "inv", "trace", "row_planes", "out"):
+            assert getattr(state, name).tobytes() == getattr(twin, name).tobytes(), (n, name)
 
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
