@@ -1,9 +1,10 @@
 /* Per-frame kernels for naec.auxiva and naec.ilrma:
+     weight        the frame demixed with the previous rows, and from it the
+                   covariance weight: AuxIVA's Phi(r1), or ILRMA's NMF
+                   updates and 1/r1;
      update        the tracked inverse covariances P = V^-1 and traces, the
                    rows read from P, and the frame demixed with them;
-     demix         AuxIVA's demix with the previous rows, r1 and Phi(r1);
-     ilrma_weight  ILRMA's demix with the previous rows, NMF updates and 1/r1;
-     step          a compiled process_frame: the weight, update, bin resets;
+     step          a compiled process_frame: weight, update, bin resets;
    and for the engine's framing in naec.pipeline:
      fft_plan      the twiddle factors of the real FFTs, once per engine;
      frame_in      the far end's odd powers, the finite check, the time
@@ -14,10 +15,11 @@
                    norm and shift;
      push          a compiled push: frame_in, step and ola in one call;
      rfft, irfft   the same FFTs alone, and layout, for the tests.
-   step, frame_in, ola and push take a struct that the state or the engine
-   fills once. No kernel allocates memory or writes to stdout. Apart from
-   the FFTs, the framing kernels make copies and elementwise products only,
-   the operations of numpy framing. The FFTs and AuxIVA's r1 agree with
+   Every kernel but fft_plan, rfft and irfft takes one pointer: to a struct
+   that the state or the engine fills once, or to layout's output. No
+   kernel allocates memory or writes to stdout. Apart from the FFTs, the
+   framing kernels make copies and elementwise products only, the
+   operations of numpy framing. The FFTs and AuxIVA's r1 agree with
    their numpy oracles (tests/oracles.py) to rounding, not bytes.
 
    Every per-bin buffer holds blocks of LANES bins, bins innermost, 64-byte
@@ -37,9 +39,10 @@
    lane), done for LANES at once, so each result is bit-identical to one
    computed alone. The complex arithmetic is written out in real operations
    (a ``double complex`` product calls __muldc3), and the file is built with
-   -ffp-contract=off so no multiply-add is fused. The demixes do the
-   operations of numpy's einsum in its order and give its bytes; the
-   update and the bin reset give the bytes of their numpy twins in oracles.py;
+   -ffp-contract=off so no multiply-add is fused. The one demix,
+   demix_block, does the operations of numpy's einsum in its order and gives
+   its bytes; the update and the bin reset give the bytes of their numpy
+   twins in oracles.py;
    ILRMA's NMF updates agree with the numpy ones to rounding (see ilrma.py).
    On x86-64 the lane kernels are compiled for AVX-512F and for the
    baseline ISA, and the AVX-512F clone is picked when the library is
@@ -116,69 +119,132 @@ demix_block(long dim, long blocks, long b, const v8 *rows, const v8 *obs, const 
         o_[1] = __builtin_shuffle(er, ei, (v8l){4, 12, 5, 13, 6, 14, 7, 15}); \
     } while (0)
 
-/* AuxIVA's frame weight from the previous rows: out[k] = rows[k]^H obs[k]
-   for every bin, then r1 = sqrt(sum_k |out[k]|^2),
-   each |out[k]|^2 taken as re^2 + im^2 and summed in bin order, floored at
-   ``floor`` (a NaN stays NaN), and gain[0] = pow(r1, exponent). */
+/* naec.auxiva.AuxivaState.kernel: the state's buffers and settings (cov_init, the prior's
+   scale), the kernels' workspace, and the frame and bin counters. */
+struct state {
+    long n_bins, dim;
+    double alpha, diag_load, floor, exponent, cov_init;
+    v8 *inv, *trace, *basis, *r1, *work, *rows, *obs; /* basis: ILRMA's weight, NULL: AuxIVA's */
+    long *channel; /* the plane pair of obs that holds each channel of the ctf order */
+    double *gain, *v1, *out;
+    long frames, skipped_bins, broken_bins;
+};
+
+/* The frame's covariance weight from the previous rows, into every lane of
+   ``gain``. Both weights start from one pass: out = rows^H obs for every
+   bin by demix_block, and each |out[k]|^2, taken as re^2 + im^2, into
+   ``work``, one vector per block. AuxIVA's weight (``basis`` NULL) is
+   pow(r1, exponent), r1 = sqrt(sum_k |out[k]|^2) summed in bin order in
+   that pass and floored at ``floor`` (a NaN stays NaN). ILRMA's is 1 / r1
+   of its rank-1 NMF source model, as oracles.frame_weight does it in numpy:
+   the basis update t1 <- max(t1 sqrt(|e|^2 / r1), floor), the refresh
+   r1 = max(t1 v1, floor), the activation update v1 <- max(v1 sqrt(num /
+   den), floor) with num = t1 . (|e|^2 / r1^2) and den = t1 . (1 / r1)
+   summed over the K bins, and the final refresh of r1. A frame whose
+   outputs are all zero leaves the model as it is. ``basis`` (t1), ``r1``
+   and ``gain`` are blocks * LANES long and ``v1`` is one double. Lanes past
+   bin K - 1 are computed on their own power, bin K - 1's, but are left out
+   of num and den, so they never reach a bin's result; so is a bin whose
+   term of num or of den is not finite (an overflowed |e|^2), so it breaks
+   only itself. Returns 0 if the outputs are all zero, else 1. */
 LANE_CLONES
-void demix(long n_bins, long dim, const v8 *rows, const v8 *obs, const long *channel, double *out,
-           double floor, double exponent, double *gain)
+long weight(struct state *s)
 {
-    const long blocks = (n_bins + LANES - 1) / LANES;
-    double power = 0.0;
-    for (long b = 0; b < blocks; b++) {
+    const long n_bins = s->n_bins, blocks = (n_bins + LANES - 1) / LANES;
+    const int auxiva = s->basis == NULL;
+    v8 *power = s->work, *gain = (v8 *)s->gain, *basis = s->basis, *r1 = s->r1;
+    /* The lanes of bins in a full block and in the last one. A mask compared
+       in the loops is scalarized by GCC 12 for AVX-512F alone. */
+    const v8l lane = {0, 1, 2, 3, 4, 5, 6, 7}, all = ~(v8l){0};
+    const v8l last = lane < n_bins - (blocks - 1) * LANES;
+    v8l alive = {0}; /* the outputs' bits: a sum from +0.0 is never -0.0, so 0 iff all are 0 */
+    double sum = 0.0;
+    for (long j = 0; j < blocks; j++) {
         v8 er, ei;
-        demix_block(dim, blocks, b, rows, obs, channel, &er, &ei);
-        STORE_COMPLEX(out, b, er, ei);
-        const v8 p = er * er + ei * ei;
-        for (long l = 0; l < LANES && b * LANES + l < n_bins; l++)
-            power += p[l];
+        demix_block(s->dim, blocks, j, s->rows, s->obs, s->channel, &er, &ei);
+        STORE_COMPLEX(s->out, j, er, ei);
+        const v8 p = power[j] = er * er + ei * ei;
+        alive |= ((v8l)er | (v8l)ei) & (j < blocks - 1 ? all : last);
+        for (long l = 0; auxiva && l < LANES && j * LANES + l < n_bins; l++)
+            sum += p[l];
     }
-    const double r1 = sqrt(power);
-    gain[0] = pow(r1 < floor ? floor : r1, exponent);
+    long live = 0;
+    for (int l = 0; l < LANES; l++)
+        live |= alive[l] != 0;
+    if (auxiva) {
+        const double norm = sqrt(sum);
+        const v8 phi = (v8){0.0} + pow(norm < s->floor ? s->floor : norm, s->exponent);
+        for (long j = 0; j < blocks; j++)
+            gain[j] = phi;
+        return live;
+    }
+    if (live) {
+        const v8 lo = (v8){0.0} + s->floor;
+        const double v = *s->v1;
+        v8 num = {0.0}, den = {0.0};
+        for (long j = 0; j < blocks; j++) {
+            const v8 ratio = power[j] / r1[j];
+            v8 factor; /* one vector sqrt, as the library is built with -fno-math-errno */
+            for (int l = 0; l < LANES; l++)
+                factor[l] = sqrt(ratio[l]);
+            const v8 t = AT_LEAST(basis[j] * factor, lo);
+            basis[j] = t;
+            const v8 w1 = 1.0 / AT_LEAST(t * v, lo), w2 = power[j] * (w1 * w1);
+            const v8l in_range = j < blocks - 1 ? all : last;
+            const v8 tw2 = t * w2, tw1 = t * w1, finite = (tw2 - tw2) + (tw1 - tw1);
+            num += SELECT(finite == 0.0, (v8)((v8l)tw2 & in_range), (v8){0.0});
+            den += SELECT(finite == 0.0, (v8)((v8l)tw1 & in_range), (v8){0.0});
+        }
+        double n = 0.0, d = 0.0;
+        for (int l = 0; l < LANES; l++) {
+            n += num[l];
+            d += den[l];
+        }
+        const double updated = v * sqrt(n / d);
+        *s->v1 = updated < s->floor ? s->floor : updated;
+        for (long j = 0; j < blocks; j++)
+            r1[j] = AT_LEAST(basis[j] * *s->v1, lo);
+    }
+    for (long j = 0; j < blocks; j++)
+        gain[j] = 1.0 / r1[j];
+    return live;
 }
 
 /* One frame of every bin's tracked inverse covariance P = V^-1 and trace
    tau = tr(V), then its row and its demixed output. With y = obs[k], its
    channel d read from obs's plane pair channel[d] as in demix_block,
-   s = (1 - alpha) gain[k * gain_stride] (a gain_stride of 0 shares gain[0]
-   by all bins) and j = coord, V <- alpha V + s y y^H + rho e_j e_j^H is two
-   Sherman-Morrison updates: u = P y, q = Re(y^H u), c1 = s / (alpha + s q);
-   v = (P - c1 u u^H) e_j, d = Re v_j, c2 = rho / (alpha + rho d);
-   P <- (P - c1 u u^H - c2 v v^H) (1 / alpha). The loading is rho = load tau
-   after tau <- alpha tau + s |y|^2, load = (1 - alpha) diag_load, then
-   tau <- tau + rho. A bin whose s |y|^2 is zero is left as it is: c1 and
-   rho are 0, tau is kept and P is scaled by 1, not 1 / alpha. Each u_i is
-   summed over j in index order, and c1 u and c2 v are taken before their
-   products. The imaginary parts of P's diagonal are never written. The row
-   is the first column of P times 1 / P_00, written over rows[k] unless tau
-   or tr(P), summed in index order, is not finite (a broken bin) or the row
-   is not finite (a skipped bin); then rows[k] is kept. out[k] = rows[k]^H y.
-   Adds the number of skipped bins to skipped[0] and returns the number of
-   broken bins. ``work`` holds 6 dim vectors. update_dim is the body, with
-   dim a constant at D = 4 (P = 3, L = 1), where that makes it about 10%
-   faster, and a variable for the rest. */
-static inline __attribute__((always_inline)) long
-update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, const long *channel,
-           double alpha, const double *gain, long gain_stride, double diag_load, long coord,
-           v8 *rows, double *out, long *skipped, v8 *restrict work)
+   s = (1 - alpha) gain[k] and j = frames mod dim, V <- alpha V + s y y^H +
+   rho e_j e_j^H is two Sherman-Morrison updates: u = P y, q = Re(y^H u),
+   c1 = s / (alpha + s q); v = (P - c1 u u^H) e_j, d = Re v_j,
+   c2 = rho / (alpha + rho d); P <- (P - c1 u u^H - c2 v v^H) (1 / alpha).
+   The loading is rho = load tau after tau <- alpha tau + s |y|^2,
+   load = (1 - alpha) diag_load, then tau <- tau + rho. A bin whose s |y|^2
+   is zero is left as it is: c1 and rho are 0, tau is kept and P is scaled
+   by 1, not 1 / alpha. Each u_i is summed over j in index order, and c1 u
+   and c2 v are taken before their products. The imaginary parts of P's
+   diagonal are never written. The row is the first column of P times
+   1 / P_00, written over rows[k] unless tau or tr(P), summed in index
+   order, is not finite (a broken bin) or the row is not finite (a skipped
+   bin); then rows[k] is kept. out[k] = rows[k]^H y by demix_block. Adds the
+   number of skipped bins to ``skipped_bins`` and returns the number of
+   broken bins; ``frames`` is left to step. ``work`` holds 6 dim vectors.
+   update_dim is the body, with dim a constant at D = 4 (P = 3, L = 1),
+   where that makes it about 10% faster, and a variable for the rest. */
+static inline __attribute__((always_inline)) long update_dim(struct state *st, const long dim)
 {
-    const long tri = dim * (dim + 1) / 2, j = coord, blocks = (n_bins + LANES - 1) / LANES;
-    const double inv_alpha = 1.0 / alpha, load = (1.0 - alpha) * diag_load;
+    const long n_bins = st->n_bins, blocks = (n_bins + LANES - 1) / LANES;
+    const long tri = dim * (dim + 1) / 2, j = st->frames % dim;
+    const double alpha = st->alpha, inv_alpha = 1.0 / alpha, load = (1.0 - alpha) * st->diag_load;
+    const v8 *obs = st->obs, *gain = (const v8 *)st->gain;
+    v8 *trace = st->trace, *rows = st->rows;
     /* The block's y, u and v as real and imaginary planes. */
-    v8 *yr = work, *yi = yr + dim, *ur = yi + dim, *ui = ur + dim, *vr = ui + dim, *vi = vr + dim;
-    long broken = 0;
+    v8 *yr = st->work, *yi = yr + dim, *ur = yi + dim, *ui = ur + dim, *vr = ui + dim, *vi = vr + dim;
+    long broken = 0, skipped = 0;
     for (long blk = 0, k0 = 0; blk < blocks; blk++, k0 += LANES) {
-        v8 *re = inv + 2 * blk * tri, *im = re + tri;
-        v8 s = (v8){0.0} + gain[0];
-        if (gain_stride && k0 + LANES <= n_bins)
-            s = *(const v8u *)(gain + k0);
-        else if (gain_stride)
-            for (int l = 0; l < LANES; l++)
-                s[l] = gain[k0 + l < n_bins ? k0 + l : n_bins - 1];
-        s *= 1.0 - alpha;
+        v8 *re = st->inv + 2 * blk * tri, *im = re + tri;
+        const v8 s = gain[blk] * (1.0 - alpha);
         for (long i = 0; i < dim; i++) {
-            const v8 *y = obs + 2 * channel[i] * blocks + blk;
+            const v8 *y = obs + 2 * st->channel[i] * blocks + blk;
             yr[i] = y[0];
             yi[i] = y[blocks];
         }
@@ -235,10 +301,10 @@ update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, const
         trace[blk] = tau;
         /* The new row into v's planes, which are no longer read; a lane
            whose check is not 0 keeps its previous row instead. The frame is
-           demixed with the rows as stored, as demix_block sums it. */
+           then demixed with the rows as stored. */
         const v8 inv00 = 1.0 / re[0];
         const v8 broken_check = (tau - tau) + (tr - tr); /* NaN unless both are finite */
-        v8 check = broken_check, er = {0.0}, ei = {0.0};
+        v8 check = broken_check, er, ei;
         vr[0] = (v8){0.0} + 1.0;
         vi[0] = (v8){0.0};
         for (long i = 1; i < dim; i++) {
@@ -250,10 +316,9 @@ update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, const
             v8 *wr = rows + 2 * i * blocks + blk, *wi = wr + blocks;
             *wr = SELECT(check != 0.0, *wr, vr[i]);
             *wi = SELECT(check != 0.0, *wi, vi[i]);
-            er += *wr * yr[i] + *wi * yi[i];
-            ei += *wr * yi[i] - *wi * yr[i];
         }
-        STORE_COMPLEX(out, blk, er, ei);
+        demix_block(dim, blocks, blk, rows, obs, st->channel, &er, &ei);
+        STORE_COMPLEX(st->out, blk, er, ei);
         /* The lanes are counted only in a block that keeps a row: a mask kept
            in a variable is scalarized by GCC 12 for AVX-512F alone. */
         double any = 0.0; /* NaN if a lane keeps its row */
@@ -261,100 +326,17 @@ update_dim(long n_bins, const long dim, v8 *inv, v8 *trace, const v8 *obs, const
             any += check[l];
         for (long l = 0; any != 0.0 && l < LANES && k0 + l < n_bins; l++)
             if (check[l] != 0.0)
-                broken_check[l] != 0.0 ? broken++ : skipped[0]++;
+                broken_check[l] != 0.0 ? broken++ : skipped++;
     }
+    st->skipped_bins += skipped;
     return broken;
 }
 
 LANE_CLONES
-long update(long n_bins, long dim, v8 *inv, v8 *trace, const v8 *obs, const long *channel,
-            double alpha, const double *gain, long gain_stride, double diag_load, long coord,
-            v8 *rows, double *out, long *skipped, v8 *work)
+long update(struct state *s)
 {
-    if (dim == 4)
-        return update_dim(n_bins, 4, inv, trace, obs, channel, alpha, gain, gain_stride, diag_load,
-                          coord, rows, out, skipped, work);
-    return update_dim(n_bins, dim, inv, trace, obs, channel, alpha, gain, gain_stride, diag_load,
-                      coord, rows, out, skipped, work);
+    return s->dim == 4 ? update_dim(s, 4) : update_dim(s, s->dim);
 }
-
-/* One frame of ILRMA's rank-1 NMF source model and its weight, as
-   oracles.frame_weight does it in numpy: from the outputs e = rows^H obs
-   of the previous rows, the basis update t1 <- max(t1 sqrt(|e|^2 / r1),
-   floor), the refresh r1 = max(t1 v1, floor), the activation update
-   v1 <- max(v1 sqrt(num / den), floor) with num = t1 . (|e|^2 / r1^2) and
-   den = t1 . (1 / r1) summed over the K bins, and the final refresh of r1;
-   then gain = 1 / r1. A frame whose outputs are all zero leaves the model
-   as it is. ``basis`` (t1), ``r1`` and ``gain`` are blocks * LANES long,
-   64-byte aligned, and ``v1`` is one double. Lanes past bin K - 1 are
-   computed on their own power, bin K - 1's, but are left out of num and
-   den, so they never reach a bin's result; so is a bin whose term of num
-   or of den is not finite (an overflowed |e|^2), so it breaks only itself.
-   Returns 1 if the model was updated, 0 if the frame was all zero. ``work``
-   holds |e|^2, one vector per block. */
-LANE_CLONES
-long ilrma_weight(long n_bins, long dim, const v8 *rows, const v8 *obs, const long *channel,
-                  v8 *basis, double *v1, v8 *r1, double floor, v8 *gain, v8 *work)
-{
-    const long blocks = (n_bins + LANES - 1) / LANES;
-    v8 *power = work;
-    /* The lanes of bins in a full block and in the last one. A mask compared
-       in the loops is scalarized by GCC 12 for AVX-512F alone. */
-    const v8l lane = {0, 1, 2, 3, 4, 5, 6, 7}, all = ~(v8l){0};
-    const v8l last = lane < n_bins - (blocks - 1) * LANES;
-    v8l alive = {0}; /* the outputs' bits: a sum from +0.0 is never -0.0, so 0 iff all are 0 */
-    for (long j = 0; j < blocks; j++) {
-        v8 er, ei;
-        demix_block(dim, blocks, j, rows, obs, channel, &er, &ei);
-        power[j] = er * er + ei * ei;
-        alive |= ((v8l)er | (v8l)ei) & (j < blocks - 1 ? all : last);
-    }
-    long live = 0;
-    for (int l = 0; l < LANES; l++)
-        live |= alive[l] != 0;
-    if (live) {
-        const v8 lo = (v8){0.0} + floor;
-        const double v = *v1;
-        v8 num = {0.0}, den = {0.0};
-        for (long j = 0; j < blocks; j++) {
-            const v8 ratio = power[j] / r1[j];
-            v8 factor; /* one vector sqrt, as the library is built with -fno-math-errno */
-            for (int l = 0; l < LANES; l++)
-                factor[l] = sqrt(ratio[l]);
-            const v8 t = AT_LEAST(basis[j] * factor, lo);
-            basis[j] = t;
-            const v8 w1 = 1.0 / AT_LEAST(t * v, lo), w2 = power[j] * (w1 * w1);
-            const v8l in_range = j < blocks - 1 ? all : last;
-            const v8 tw2 = t * w2, tw1 = t * w1, finite = (tw2 - tw2) + (tw1 - tw1);
-            num += SELECT(finite == 0.0, (v8)((v8l)tw2 & in_range), (v8){0.0});
-            den += SELECT(finite == 0.0, (v8)((v8l)tw1 & in_range), (v8){0.0});
-        }
-        double n = 0.0, d = 0.0;
-        for (int l = 0; l < LANES; l++) {
-            n += num[l];
-            d += den[l];
-        }
-        const double updated = v * sqrt(n / d);
-        *v1 = updated < floor ? floor : updated;
-        for (long j = 0; j < blocks; j++)
-            r1[j] = AT_LEAST(basis[j] * *v1, lo);
-    }
-    for (long j = 0; j < blocks; j++)
-        gain[j] = 1.0 / r1[j];
-    return live;
-}
-
-/* naec.auxiva.AuxivaState.kernel: the state's buffers and settings (cov_init, the prior's
-   scale), the workspace of update and ilrma_weight, and the frame and bin counters. */
-struct state {
-    long n_bins, dim;
-    double alpha, diag_load, floor, exponent, cov_init;
-    v8 *inv, *trace, *basis, *r1, *work, *rows, *obs; /* basis: ILRMA's weight, NULL: AuxIVA's */
-    long *channel; /* the plane pair of obs that holds each channel of the ctf order */
-    double *gain, *v1, *out;
-    long frames, skipped_bins, broken_bins;
-};
-
 /* Restarts each bin that update found broken (tau or tr(P), summed in index
    order, not finite) from the prior P = I / cov_init, tau = dim cov_init and
    the passthrough row, counts it and demixes its block again by demix_block;
@@ -394,20 +376,14 @@ static void reset_broken(struct state *s)
     }
 }
 
-/* One frame of process_frame: the weight from the previous rows, update of
-   coordinate frames mod dim, counted, and reset_broken if a bin broke. */
+/* One frame of process_frame: weight, update, reset_broken if a bin
+   broke, and the frame counted. */
 void step(struct state *s)
 {
-    const long stride = s->basis != NULL;
-    if (stride)
-        ilrma_weight(s->n_bins, s->dim, s->rows, s->obs, s->channel, s->basis, s->v1, s->r1,
-                     s->floor, (v8 *)s->gain, s->work);
-    else
-        demix(s->n_bins, s->dim, s->rows, s->obs, s->channel, s->out, s->floor, s->exponent,
-              s->gain);
-    if (update(s->n_bins, s->dim, s->inv, s->trace, s->obs, s->channel, s->alpha, s->gain, stride,
-               s->diag_load, s->frames++ % s->dim, s->rows, s->out, &s->skipped_bins, s->work))
+    weight(s);
+    if (update(s))
         reset_broken(s);
+    s->frames++;
 }
 
 /* The engine's real FFTs, of n = 2m samples, n a power of two >= 4: the

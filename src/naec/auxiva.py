@@ -31,17 +31,18 @@ observations and rows are channel-major planes (``pack_observations``);
 sets the weight to the per-bin 1/r1(k) of its NMF model. ``build_kernels``
 compiles ``_kernels.c`` with ``cc`` when this module is first imported,
 caches the shared object under ``__pycache__`` and raises ImportError if it
-cannot. A frame is one ``step`` call on ``state.kernel``: the weight, then
-``update``, which also writes the rows and demixes the frame, then the reset
-of any broken bin.
+cannot. A frame is one ``step`` call on ``state.kernel``: ``weight``, which
+demixes the frame with the previous rows and weights it, then ``update``,
+which also writes the rows and demixes the frame with them, then the reset
+of any broken bin. Every optimizer kernel takes that one struct.
 ``compute_r1``, ``ewma_covariance_update``, ``solve_demixing_rows`` and
 ``ctf.demix_frame`` are the kernels' test oracles, kept in the package
 because ``bench/spans.py`` wraps them by name: numpy code in the kernel's
 real operations and order, so P, tau, rows and output are the
 kernel's bytes for the same weight, and a bin's result does not depend on
-the other bins. AuxIVA's weight agrees to rounding: the ``demix`` kernel
+the other bins. AuxIVA's weight agrees to rounding: the ``weight`` kernel
 sums |e|^2 as re^2 + im^2 in bin order, ``compute_r1`` with numpy's ``abs``
-and pairwise sum.
+and pairwise sum, and writes it into every lane of ``gain``.
 
 Rescaling P, tau and the weight by 2^-m, 2^m and 2^m rescales the update's
 results by the same powers of two and leaves the rows bit-identical. A bin
@@ -55,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -122,21 +124,14 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     lib = ctypes.CDLL(str(target))
     if private is not None:
         shutil.rmtree(private, ignore_errors=True)
-    size, ptr, real = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-    lib.update.argtypes = (size, size, ptr, ptr, ptr, ptr, real, ptr, size, real, size, ptr, ptr,
-                           ptr, ptr)
-    lib.update.restype = size
-    lib.demix.argtypes = (size, size, ptr, ptr, ptr, ptr, real, real, ptr)
-    lib.demix.restype = None
-    lib.ilrma_weight.argtypes = (size, size, ptr, ptr, ptr, ptr, ptr, ptr, real, ptr, ptr)
-    lib.ilrma_weight.restype = size
+    size, ptr = ctypes.c_long, ctypes.c_void_p
     lib.fft_plan.argtypes = (size, ptr)
     lib.fft_plan.restype = size
     lib.rfft.argtypes = (size, size, ptr, ptr, ptr)
     lib.rfft.restype = None
     lib.irfft.argtypes = (size, ptr, ptr, ptr)
     lib.irfft.restype = None
-    for name in ("step", "frame_in", "ola", "push", "layout"):  # each takes one pointer
+    for name in ("weight", "update", "step", "frame_in", "ola", "push", "layout"):  # one pointer
         getattr(lib, name).argtypes = (ptr,)
         getattr(lib, name).restype = None if name in ("step", "ola") else size
     return lib
@@ -158,8 +153,8 @@ class AuxivaConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 2.0:
             raise ValueError(f"beta must be in (0, 2), got {self.beta}")
-        if self.diag_load <= 0.0:
-            raise ValueError(f"diag_load must be positive, got {self.diag_load}")
+        if not (math.isfinite(self.diag_load) and self.diag_load > 0.0):
+            raise ValueError(f"diag_load must be positive and finite, got {self.diag_load}")
 
 
 class KernelState(ctypes.Structure):

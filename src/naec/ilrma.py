@@ -18,9 +18,9 @@ weight 1/r1(k) instead of the per-frame scalar of the AuxIVA variant:
 
 The online optimizer is the AuxIVA core: ``IlrmaState`` subclasses
 ``AuxivaState`` and adds the NMF model, whose buffers its ``kernel`` points
-at, so ``step`` runs ``ilrma_weight`` (``_kernels.c``) for the weight: the
-pre-update demix, both updates, both refreshes and 1/r1, eight bins per
-vector operation. The basis and the activation start at 1 and carry over
+at, so the ``weight`` kernel (``_kernels.c``) takes its NMF side: after the
+pre-update demix that AuxIVA's weight shares, both updates, both refreshes
+and 1/r1, eight bins per vector operation. The basis and the activation start at 1 and carry over
 between frames; when ``step`` resets a bin, non-finite basis entries and a
 non-finite activation return to 1. A frame whose pre-update output is all
 zero (digital silence) skips both updates and reuses the last 1/r1.

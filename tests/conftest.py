@@ -63,25 +63,29 @@ def signal_pair(short_noise):
     return short_noise, mic
 
 
-def kernel_update(lib, planes, trace, obs, alpha, gain, stride, diag_load, coord, rows):
+def kernel_update(lib, planes, trace, obs, alpha, gain, diag_load, coord, rows):
     """``lib``'s update kernel on the aligned ``planes`` of P and ``trace`` in
-    place, bin k weighted by ``gain[k * stride]``, with the (K, D) ``rows``
+    place, weighted by ``gain``, a scalar or K of them, padded as
+    ``trace_buffer`` pads, on coordinate ``coord``, with the (K, D) ``rows``
     read as the previous rows and overwritten; returns its broken count, its
     skipped count and the frame demixed with the new rows. The (K, D)
-    ``obs`` and ``rows`` go to the kernel as their planes (``pack_observations``)."""
+    ``obs`` and ``rows`` go to the kernel as their planes (``pack_observations``),
+    and every buffer through a ``KernelState`` of their addresses."""
     n_bins, dim = obs.shape
     obs_planes, row_planes = auxiva.pack_observations(obs), auxiva.pack_observations(rows)
     out = auxiva.aligned_zeros((auxiva.padded_bins(n_bins), 2)).view(np.complex128)[:, 0]
-    skipped = np.zeros(1, dtype=np.int64)
+    gain = trace_buffer(gain, n_bins)
     work = auxiva.aligned_zeros((6 * dim, auxiva.LANES))
     channel = np.arange(dim, dtype=np.dtype(ctypes.c_long))  # the planes in channel order
     _assert_kernel_inputs(planes, trace, gain)
-    broken = lib.update(n_bins, dim, planes.ctypes.data, trace.ctypes.data,
-                        obs_planes.ctypes.data, channel.ctypes.data, alpha, gain.ctypes.data,
-                        stride, diag_load, coord, row_planes.ctypes.data, out.ctypes.data,
-                        skipped.ctypes.data, work.ctypes.data)
+    buffers = {"inv": planes, "trace": trace, "obs": obs_planes, "channel": channel,
+               "gain": gain, "rows": row_planes, "out": out, "work": work}
+    kernel = auxiva.KernelState(n_bins=n_bins, dim=dim, alpha=alpha, diag_load=diag_load,
+                                frames=coord, **{k: a.ctypes.data for k, a in buffers.items()})
+    broken = lib.update(ctypes.addressof(kernel))
+    assert kernel.frames == coord  # step counts the frame
     rows[...] = auxiva.unpack_observations(row_planes, n_bins)
-    return broken, int(skipped[0]), out[:n_bins]
+    return broken, kernel.skipped_bins, out[:n_bins]
 
 
 def _assert_kernel_inputs(planes, *arrays):
@@ -89,12 +93,6 @@ def _assert_kernel_inputs(planes, *arrays):
     assert planes.dtype == np.float64 and planes.ctypes.data % auxiva.ALIGN == 0
     for a in (planes, *arrays):
         assert a.flags.c_contiguous and a.dtype in (np.float64, np.complex128)
-
-
-def kernel_gain(gain):
-    """A scalar or per-bin gain as the update kernel's buffer and stride."""
-    gain = np.atleast_1d(np.asarray(gain, dtype=np.float64))
-    return gain, int(gain.size > 1)
 
 
 def aligned_copy(a):
@@ -115,8 +113,8 @@ def update_planes(planes, trace, obs, alpha, gain, diag_load, coord, prev_rows):
     """One update of the planes of P and the padded ``trace`` in place by the
     loaded kernel; returns (broken, rows, skipped)."""
     rows = np.array(prev_rows, dtype=np.complex128)
-    broken, skipped, _ = kernel_update(auxiva._kernels, planes, trace, obs, alpha,
-                                       *kernel_gain(gain), diag_load, coord, rows)
+    broken, skipped, _ = kernel_update(auxiva._kernels, planes, trace, obs, alpha, gain,
+                                       diag_load, coord, rows)
     return broken, rows, skipped
 
 

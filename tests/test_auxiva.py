@@ -28,8 +28,9 @@ def test_config_validation():
             AuxivaConfig(alpha=alpha)
     with pytest.raises(ValueError):
         AuxivaConfig(beta=2.0)
-    with pytest.raises(ValueError):
-        AuxivaConfig(diag_load=0.0)
+    for diag_load in (0.0, -1e-6, np.nan, np.inf, -np.inf):  # NaN resets every bin every frame
+        with pytest.raises(ValueError, match="diag_load must be positive and finite"):
+            AuxivaConfig(diag_load=diag_load)
 
 
 def test_state_starts_at_passthrough():

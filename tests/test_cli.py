@@ -213,6 +213,14 @@ class TestSimulate:
         assert "window_len/hop" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_diag_load_is_usage_error(self, tmp_path, capsys, value):
+        cfg = _write_cfg(tmp_path, SCENE_CFG + f"engine.diag_load = {value}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE == 1
+        assert "diag_load must be positive and finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_invalid_sweep_value_stops_before_any_work(self, tmp_path, capsys):
         cfg = _write_cfg(
             tmp_path, SCENE_CFG + "sweep.key = engine.alpha\nsweep.values = 0.9 2\n"

@@ -21,7 +21,6 @@ from conftest import (
     engine_irfft,
     engine_rfft,
     fft_plan,
-    kernel_gain,
     kernel_update,
     random_hpd,
     trace_buffer,
@@ -178,8 +177,8 @@ def _numpy_update(planes, trace, obs, alpha, gain, diag_load, coord, prev):
 def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
     """The numpy update takes a shared gain in any scalar shape, or one per
     bin, on planes and observations of any layout, and gives the planes,
-    traces and rows of the kernel with that gain and stride 0 or 1 byte for
-    byte: both do the same real operations in the same order."""
+    traces and rows of the kernel with that gain, padded, byte for byte:
+    both do the same real operations in the same order."""
     planes, trace, obs, prev = _inverse_inputs(rng, n_bins, 5)
     value = {
         "float": 2.5,
@@ -189,8 +188,8 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
         "per-bin": rng.uniform(0.1, 3.0, n_bins),
     }[gain]
     got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.9, *kernel_gain(value), 1e-3,
-                         3, rows)[:2] == (0, 0)
+    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.9, value, 1e-3, 3,
+                         rows)[:2] == (0, 0)
     for p, y, r in ((aligned_copy(planes), obs, prev),
                     (_unaligned_copy(planes), _strided_copy(obs), _strided_copy(prev))):
         t = aligned_copy(trace)
@@ -201,18 +200,39 @@ def test_ewma_gain_shapes_match_numpy(rng, gain, n_bins):
     assert np.isfinite(got).all()
 
 
-@pytest.mark.parametrize("n_bins", [1, 9, 64])
-def test_ewma_stride_zero_reads_only_the_first_gain(rng, n_bins):
-    """With stride 0 the kernel weights every bin by ``gain[0]``, as AuxIVA's
-    ``demix`` leaves it in ``step``: NaN in the rest of the buffer
-    changes no bit, and the planes are the numpy update's with that scalar."""
-    planes, trace, obs, prev = _inverse_inputs(rng, n_bins, 5)
-    gain = np.full(padded_bins(n_bins), np.nan)
-    gain[0] = 2.5
-    got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-    assert kernel_update(auxiva._kernels, got, got_trace, obs, 0.9, gain, 0, 1e-6, 1, rows)[0] == 0
-    _numpy_update(planes, trace, obs, 0.9, 2.5, 1e-6, 1, prev)
-    assert got.tobytes() == planes.tobytes() and got_trace.tobytes() == trace.tobytes()
+def _assert_padding_follows_the_last_bin(gain, n_bins):
+    bits = gain.view(np.int64)
+    assert not np.isnan(gain).any() and (bits[n_bins:] == bits[n_bins - 1]).all()
+
+
+@pytest.mark.parametrize("n_bins", [9, 513])
+def test_weight_fills_every_lane_of_the_gain(rng, n_bins):
+    """``update`` reads each block's weights as one vector, so ``weight``
+    writes every lane of ``gain``, padding included, over a buffer of NaN:
+    AuxIVA the same Phi(r1) bits into each lane, and ILRMA 1 / r1 with bin
+    K - 1's bits in the padding lanes, within ``step``, on the frame whose
+    ``step`` resets bin K - 1 and after it, and alone."""
+    dim = 4
+    frames = rng.standard_normal((6, n_bins, dim)) + 1j * rng.standard_normal((6, n_bins, dim))
+    state = auxiva.AuxivaState(n_bins, dim)
+    state.rows = frames[0]
+    state.gain[...] = np.nan
+    assert _weight(auxiva._kernels, state, frames[1]) == 1
+    bits = state.gain.view(np.int64)
+    assert np.isfinite(state.gain[0]) and (bits == bits[0]).all()
+    state = IlrmaState(n_bins, dim)
+    frames[4, n_bins - 1, 0] = 1e200  # overflows bin K - 1's |e|^2 and trace
+    for n, frame in enumerate(frames):
+        state.gain[...] = np.nan
+        with np.errstate(all="ignore"):
+            auxiva.process_frame(state, frame)
+        assert state.broken_bins == (n >= 4)
+        if n == 4:
+            assert state.rows[n_bins - 1].tobytes() == passthrough_row(dim).tobytes()
+        _assert_padding_follows_the_last_bin(state.gain, n_bins)
+    state.gain[...] = np.nan
+    assert _weight(auxiva._kernels, state, frames[0]) == 1
+    _assert_padding_follows_the_last_bin(state.gain, n_bins)
 
 
 @pytest.mark.parametrize("dim", [4, 10, 19])
@@ -360,7 +380,7 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
     obs[3::5], gain[4::5] = 0.0, 0.0
     coord = n_bins % dim
     got, got_trace, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-    *counts, out = kernel_update(auxiva._kernels, got, got_trace, obs, 0.99, gain, 1, 1e-6, coord,
+    *counts, out = kernel_update(auxiva._kernels, got, got_trace, obs, 0.99, gain, 1e-6, coord,
                                  rows)
     assert counts == [0, 0]
     for k in [*range(3, n_bins, 5), *range(4, n_bins, 5)]:
@@ -370,7 +390,7 @@ def test_solve_over_all_bins_equals_one_bin_calls(rng, n_bins, dim):
     for k in range(n_bins):
         one, one_trace, one_rows = (pack_covariance(inv[k : k + 1]), trace_buffer(trace[k], 1),
                                     prev[k : k + 1].copy())
-        kernel_update(auxiva._kernels, one, one_trace, obs[k : k + 1], 0.99, gain[k : k + 1], 1,
+        kernel_update(auxiva._kernels, one, one_trace, obs[k : k + 1], 0.99, gain[k : k + 1],
                       1e-6, coord, one_rows)
         assert _per_lane(one)[0].tobytes() == _per_lane(got)[k].tobytes()
         assert one_trace[0] == got_trace[k] and one_rows.tobytes() == rows[k].tobytes()
@@ -402,7 +422,7 @@ def test_kept_rows_demix_the_frame_as_the_numpy_update(rng, per_bin):
     gain = rng.uniform(0.1, 3.0, n_bins) if per_bin else 1.0
     rows = prev.copy()
     got = kernel_update(auxiva._kernels, aligned_copy(planes), aligned_copy(trace), burst, 0.99,
-                        *kernel_gain(gain), 1e-6, 1, rows)
+                        gain, 1e-6, 1, rows)
     with np.errstate(all="ignore"):
         expected = _numpy_update(aligned_copy(planes), aligned_copy(trace), burst, 0.99, gain,
                                  1e-6, 1, prev)
@@ -442,12 +462,11 @@ def test_faulty_bin_leaves_its_lane_mates_alone(rng, n_bins, dim, fault):
         faulty_obs[bad] = 1e200
     good = np.setdiff1d(np.arange(n_bins), bad)
     clean, clean_trace, clean_rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-    kernel_update(auxiva._kernels, clean, clean_trace, obs, 0.99, *kernel_gain(1.0), 1e-6, 1,
-                  clean_rows)
+    kernel_update(auxiva._kernels, clean, clean_trace, obs, 0.99, 1.0, 1e-6, 1, clean_rows)
     runs = []
     p, t, rows = aligned_copy(faulty), aligned_copy(trace), prev.copy()
-    runs.append((p, t, *kernel_update(auxiva._kernels, p, t, faulty_obs, 0.99,
-                                      *kernel_gain(1.0), 1e-6, 1, rows)[:2], rows))
+    runs.append((p, t, *kernel_update(auxiva._kernels, p, t, faulty_obs, 0.99, 1.0, 1e-6, 1,
+                                      rows)[:2], rows))
     p, t = _unaligned_copy(faulty), aligned_copy(trace)
     with np.errstate(all="ignore"):
         broken, rows, skipped, _ = _numpy_update(p, t, faulty_obs, 0.99, 1.0, 1e-6, 1,
@@ -536,7 +555,7 @@ def test_build_kernels_declares_every_kernel():
     without them ``ctypes`` would pass 64-bit pointers as C ints."""
     lib = auxiva.build_kernels()
     definitions = KERNEL_DEFINITION.findall(auxiva.KERNEL_SOURCE.read_text())
-    assert {"update", "demix", "frame_in", "ola"} <= {name for _, name, _ in definitions}
+    assert {"update", "weight", "frame_in", "ola"} <= {name for _, name, _ in definitions}
     for restype, name, params in definitions:
         kernel = getattr(lib, name)
         assert kernel.argtypes is not None, name
@@ -609,6 +628,17 @@ def test_kernel_source_compiles_without_warnings(tmp_path, baseline_build):
     assert _strict_build(tmp_path / "kernels.so").exists() and baseline_build.exists()
 
 
+@pytest.mark.parametrize("flags", [(), ("-DLANE_CLONES=",)], ids=["loaded", "baseline"])
+def test_kernel_source_passes_the_warnings_gate(flags):
+    """``cc -Wall -Wextra -Werror -fsyntax-only`` with the build's flags finds
+    nothing in ``_kernels.c``: a parameter or local that a refactor leaves
+    unused fails here in a fraction of a second, before any build."""
+    proc = subprocess.run(["cc", *auxiva.KERNEL_FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", str(auxiva.KERNEL_SOURCE)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 def test_baseline_build_gives_the_loaded_rows(rng, baseline_build):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
     bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
@@ -616,8 +646,8 @@ def test_baseline_build_gives_the_loaded_rows(rng, baseline_build):
     weights; NMF weights; the FFTs and their plans; and the engine's
     framing, ``frame_in`` and ``ola``."""
     lib = ctypes.CDLL(str(baseline_build))
-    for name in ("update", "demix", "ilrma_weight", "step", "fft_plan", "rfft", "irfft",
-                 "frame_in", "ola", "push"):
+    for name in ("update", "weight", "step", "fft_plan", "rfft", "irfft", "frame_in", "ola",
+                 "push"):
         getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
         getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
     for n in (4, 8, 64, 1024, 2048):
@@ -654,34 +684,24 @@ def test_baseline_build_gives_the_loaded_rows(rng, baseline_build):
         results = []
         for library in (auxiva._kernels, lib):
             p, t, rows = aligned_copy(planes), aligned_copy(trace), prev.copy()
-            assert kernel_update(library, p, t, obs, 0.9, gain, 1, 1e-6, 2 % dim, rows)[0] == 1
+            assert kernel_update(library, p, t, obs, 0.9, gain, 1e-6, 2 % dim, rows)[0] == 1
             results.append((p.tobytes(), t.tobytes(), rows.tobytes()))
         assert results[0] == results[1]
         for seed in NMF_SEEDS:
             loaded, base = (_nmf_state(np.random.default_rng(seed), 513, dim) for _ in range(2))
             for frame in _nmf_frames(rng, 513, dim):
-                assert _ilrma_weight(auxiva._kernels, loaded, frame) == 1
-                assert _ilrma_weight(lib, base, frame) == 1
+                assert _weight(auxiva._kernels, loaded, frame) == 1
+                assert _weight(lib, base, frame) == 1
                 assert _nmf_bytes(base) == _nmf_bytes(loaded)
 
 
-def _demix_weight(lib, state, obs):
-    """``lib``'s AuxIVA weight kernel as ``step`` calls it, from the
-    addresses and settings in ``state.kernel``, with ``obs`` packed into the
-    state's observation planes: ``state``'s rows, into its ``out`` and ``gain``."""
-    k = state.kernel
+def _weight(lib, state, obs):
+    """``lib``'s weight kernel as ``step`` calls it, on ``state.handle``,
+    with ``obs`` packed into the state's observation planes: ``state``'s rows
+    and, for an ``IlrmaState``, its model, into its ``out``, ``gain`` and
+    workspace. Returns the kernel's result."""
     pack_observations(obs, state.obs)
-    lib.demix(k.n_bins, k.dim, k.rows, k.obs, k.channel, k.out, k.floor, k.exponent, k.gain)
-
-
-def _ilrma_weight(lib, state, obs):
-    """``lib``'s NMF weight kernel as ``step`` calls it, from ``state.kernel``
-    and ``obs`` packed as in ``_demix_weight``: ``state``'s rows, model, gain
-    and workspace."""
-    k = state.kernel
-    pack_observations(obs, state.obs)
-    return lib.ilrma_weight(k.n_bins, k.dim, k.rows, k.obs, k.channel, k.basis, k.v1, k.r1,
-                            k.floor, k.gain, k.work)
+    return lib.weight(state.handle)
 
 
 def _nmf_bytes(state):
@@ -702,16 +722,10 @@ def _step_with_oracle_reset(state, obs):
     """``step`` on ``state`` with the numpy reset: the loaded weight and
     update kernels on the state's buffers, then ``oracles.reset_broken`` if
     the update found a broken bin."""
-    k, lib = state.kernel, auxiva._kernels
-    if isinstance(state, IlrmaState):
-        _ilrma_weight(lib, state, obs)
-    else:
-        _demix_weight(lib, state, obs)
-    skipped = ctypes.addressof(k) + auxiva.KernelState.skipped_bins.offset
-    broken = lib.update(k.n_bins, k.dim, k.inv, k.trace, k.obs, k.channel, k.alpha, k.gain,
-                        int(bool(k.basis)), k.diag_load, k.frames % k.dim, k.rows, k.out, skipped,
-                        k.work)
-    k.frames += 1
+    lib = auxiva._kernels
+    _weight(lib, state, obs)
+    broken = lib.update(state.handle)
+    state.kernel.frames += 1
     if broken:
         oracles.reset_broken(state)
 
@@ -753,7 +767,7 @@ def _flush_like(rng, n_bins, dim):
 @pytest.mark.parametrize("dim", LANE_DIMS)
 @pytest.mark.parametrize("n_bins", LANE_BINS)
 def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
-    """The pre-update demix kernel and the demix inside the update give
+    """The weight kernel's pre-update demix and the update's demix give
     ``ctf.demix_frame``'s bytes, signed zeros included, for passthrough rows
     (as the first frames and a flush have), updated rows and rows a skipped
     bin keeps."""
@@ -765,13 +779,13 @@ def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
     for rows in (passthrough, signed, random_rows):
         state = auxiva.AuxivaState(n_bins, dim)
         state.rows = rows
-        _demix_weight(auxiva._kernels, state, obs)
+        _weight(auxiva._kernels, state, obs)
         assert state.out.tobytes() == demix_frame(rows, obs).tobytes()
     planes, trace, _, prev = _inverse_inputs(rng, n_bins, dim)
     planes[0, 0, 0, 0], planes[0, 0, dim - 1, 0] = 1e-300, 1e200  # bin 0's row overflows
     rows = prev.copy()
-    _, skipped, out = kernel_update(auxiva._kernels, planes, trace, obs, 0.99,
-                                    *kernel_gain(1.0), 1e-6, 1, rows)
+    _, skipped, out = kernel_update(auxiva._kernels, planes, trace, obs, 0.99, 1.0, 1e-6, 1,
+                                    rows)
     assert skipped == 1
     assert rows[0].tobytes() == prev[0].tobytes()
     assert out.tobytes() == demix_frame(rows, obs).tobytes()
@@ -779,7 +793,7 @@ def test_demix_kernels_equal_demix_frame(rng, n_bins, dim):
 
 def _weights_both(compiled, reference, obs):
     """One frame's weight on the NMF kernel and on the numpy updates."""
-    _ilrma_weight(auxiva._kernels, compiled, obs)
+    _weight(auxiva._kernels, compiled, obs)
     with np.errstate(all="ignore"):
         return oracles.frame_weight(reference, obs, reference.rows)
 
@@ -845,7 +859,7 @@ def test_all_zero_frame_skips_the_nmf_update(n_bins):
     before = _nmf_bytes(state)[:3]
     obs = np.zeros((n_bins, 4), dtype=np.complex128)
     obs[::2] = complex(-0.0, -0.0)
-    assert _ilrma_weight(auxiva._kernels, state, obs) == 0
+    assert _weight(auxiva._kernels, state, obs) == 0
     assert _nmf_bytes(state)[:3] == before
     auxiva.process_frame(state, obs)
     assert _nmf_bytes(state)[:3] == before
@@ -960,11 +974,11 @@ def test_demix_kernel_weight_agrees_with_compute_r1(rng, n_bins, dim):
     obs = rng.standard_normal((n_bins, dim)) + 1j * rng.standard_normal((n_bins, dim))
     for scale in (1e-5, 1.0, 1e5):
         frame = np.ascontiguousarray(scale * obs)
-        _demix_weight(auxiva._kernels, state, frame)
+        _weight(auxiva._kernels, state, frame)
         expected = oracles.weight(auxiva.compute_r1(state.rows, frame), state.config)
         assert abs(state.gain[0] - expected) <= 1e-13 * expected, scale
     for frame in (np.zeros_like(obs), np.full_like(obs, 1e200)):
-        _demix_weight(auxiva._kernels, state, frame)
+        _weight(auxiva._kernels, state, frame)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = oracles.weight(auxiva.compute_r1(state.rows, frame), state.config)
         assert state.gain[0] == expected

@@ -5,8 +5,12 @@ function pointer in a timed loop, and runs it on two builds of
 ``naec``'s ``_kernels.c``: the library ``naec`` loads (its AVX-512F clone
 on a CPU that has it) and a ``-DLANE_CLONES=`` build for the baseline ISA
 alone. For each build it prints µs per call of ``frame_in``, ``step`` and
-``ola`` on a default AuxIVA engine at each L of ``--frames-l``, and of
-``rfft`` (4 rows, P = 3) and ``irfft`` at the engine's window length. Each
+``ola``, and of the two stages of ``step``, ``weight`` and ``update``, on a
+default AuxIVA engine at each L of ``--frames-l`` and on an ILRMA engine at
+L = 1 (``ilrma_l1``, the bench's ``mtf_music_ilrma_l1`` engine), and of
+``rfft`` (4 rows, P = 3) and ``irfft`` at the engine's window length.
+``update`` is timed with the frame counter advanced after each call, as
+``step`` advances it, so each load falls on the next coordinate. Each
 figure is the best of ``--repeats`` timed loops of about ``--loop-ms``
 each in one process, and the median
 of those bests over ``--processes`` fresh processes, run one at a time.
@@ -31,6 +35,7 @@ from pathlib import Path
 LOOPS = r"""
 #include <time.h>
 typedef void (*one_ptr)(const void *);
+typedef long (*state_fn)(void *);
 typedef void (*rfft_fn)(long, long, double *, const double *, double *);
 typedef void (*irfft_fn)(long, double *, const double *, double *);
 static double now(void)
@@ -44,6 +49,15 @@ double per_call(one_ptr f, const void *arg, long calls)
     const double t0 = now();
     for (long i = 0; i < calls; i++)
         f(arg);
+    return (now() - t0) / calls;
+}
+double per_frame(state_fn f, void *state, long *frames, long calls)
+{
+    const double t0 = now();
+    for (long i = 0; i < calls; i++) {
+        f(state);
+        ++*frames;
+    }
     return (now() - t0) / calls;
 }
 double per_rfft(rfft_fn f, long n, long rows, double *plan, const double *x, double *out, long calls)
@@ -89,9 +103,10 @@ def measure(paths: dict, frames_l: list, repeats: int, loop_ms: float) -> dict:
     loops = ctypes.CDLL(paths["loops"])
     ptr, size = ctypes.c_void_p, ctypes.c_long
     loops.per_call.argtypes = (ptr, ptr, size)
+    loops.per_frame.argtypes = (ptr, ptr, ptr, size)
     loops.per_rfft.argtypes = (ptr, size, size, ptr, ptr, ptr, size)
     loops.per_irfft.argtypes = (ptr, size, ptr, ptr, ptr, size)
-    for f in (loops.per_call, loops.per_rfft, loops.per_irfft):
+    for f in (loops.per_call, loops.per_frame, loops.per_rfft, loops.per_irfft):
         f.restype = ctypes.c_double
     libs = {"loaded": auxiva._kernels, "baseline": ctypes.CDLL(paths["baseline"])}
 
@@ -104,12 +119,14 @@ def measure(paths: dict, frames_l: list, repeats: int, loop_ms: float) -> dict:
         return min(loop(calls) for _ in range(repeats))
 
     rng = np.random.default_rng(0)
+    configs = {f"l{l}": EngineConfig(ctf=CtfConfig(frames_l=l)) for l in frames_l}
+    configs["ilrma_l1"] = EngineConfig(optimizer="ilrma", ctf=CtfConfig(frames_l=1))
     engines = {}
-    for l in frames_l:
-        engine = StreamingEngine(EngineConfig(ctf=CtfConfig(frames_l=l)))
+    for name, config in configs.items():
+        engine = StreamingEngine(config)
         for mic, far in 0.3 * rng.standard_normal((20, 2, engine.hop)):
             engine.push(mic, far)
-        engines[l] = engine
+        engines[name] = engine
     n = next(iter(engines.values()))._wl
     plan = auxiva.aligned_zeros(auxiva._kernels.fft_plan(n, None))
     auxiva._kernels.fft_plan(n, plan.ctypes.data)
@@ -120,11 +137,17 @@ def measure(paths: dict, frames_l: list, repeats: int, loop_ms: float) -> dict:
     times = {}
     for name, lib in libs.items():
         row = times[name] = {}
-        for l, engine in engines.items():
-            for kernel, arg in (("frame_in", engine._handle), ("step", engine._state.handle),
+        for config, engine in engines.items():
+            state = engine._state
+            frames = ctypes.addressof(state.kernel) + auxiva.KernelState.frames.offset
+            for kernel, arg in (("frame_in", engine._handle), ("step", state.handle),
                                 ("ola", engine._handle)):
                 f = address(lib, kernel)
-                row[f"{kernel}_l{l}"] = best(lambda calls: loops.per_call(f, arg, calls))
+                row[f"{kernel}_{config}"] = best(lambda calls: loops.per_call(f, arg, calls))
+            for kernel in ("weight", "update"):
+                f = address(lib, kernel)
+                row[f"{kernel}_{config}"] = best(
+                    lambda calls: loops.per_frame(f, state.handle, frames, calls))
         f = address(lib, "rfft")
         row["rfft_4rows"] = best(lambda calls: loops.per_rfft(f, n, 4, plan.ctypes.data,
                                                               x.ctypes.data, spec.ctypes.data,
@@ -162,9 +185,9 @@ def main(argv=None) -> int:
                for b in BUILDS}
     print(f"µs per call, median over {args.processes} processes of the best of {args.repeats} "
           f"loops of {args.loop_ms:g} ms ({time.perf_counter() - t0:.0f} s)")
-    print(f"{'kernel':<14}" + "".join(f"{b:>10}" for b in BUILDS))
+    print(f"{'kernel':<18}" + "".join(f"{b:>10}" for b in BUILDS))
     for kernel in medians["loaded"]:
-        print(f"{kernel:<14}" + "".join(f"{medians[b][kernel]:>10.3f}" for b in BUILDS))
+        print(f"{kernel:<18}" + "".join(f"{medians[b][kernel]:>10.3f}" for b in BUILDS))
     if args.json:
         args.json.write_text(json.dumps({"us_median": medians, "ns_best_per_process": runs},
                                         indent=1) + "\n")
