@@ -386,18 +386,18 @@ void step(struct state *s)
     s->frames++;
 }
 
-/* The engine's real FFTs, of n = 2m samples, n a power of two >= 4: the
-   m-point complex FFT of z[t] = x[2t] + i x[2t + 1], split into the spectra
-   of the even and the odd samples (Sorensen et al., "Real-valued fast
-   Fourier transform algorithms", IEEE TASSP 1987). The complex FFT, for
-   m >= 4, is four interleaved FFTs of q = m / 4 points, z[4t + r] in lane r,
-   by radix-4 Stockham passes (and a radix-2 one last when log2 q is odd),
-   then one radix-4 pass across the lanes. A forward FFT takes two rows a
-   and b, a's four sub-FFTs in lanes 0-3 of each vector and b's in lanes
-   4-7, and the inverse one row in vectors of four lanes. A pair's pass
-   across the lanes leaves its bins in groups of four, a's then b's, so the
-   split runs four bins of both rows per vector once q >= 4 and m >= 8, one
-   at a time below, with the same operations. The twiddle
+/* The engine's real FFTs, of n = 2m samples, n a power of two >= 32 (as
+   naec.stft.StftConfig admits): the m-point complex FFT of z[t] = x[2t] +
+   i x[2t + 1], split into the spectra of the even and the odd samples
+   (Sorensen et al., "Real-valued fast Fourier transform algorithms", IEEE
+   TASSP 1987). The complex FFT is four interleaved FFTs of q = m / 4 >= 4
+   points, z[4t + r] in lane r, by radix-4 Stockham passes (and a radix-2
+   one last when log2 q is odd), then one radix-4 pass across the lanes,
+   four k at a time. A forward FFT takes two rows a and b, a's four sub-FFTs
+   in lanes 0-3 of each vector and b's in lanes 4-7, and the inverse one row
+   in vectors of four lanes. A pair's pass across the lanes leaves its bins
+   in groups of four, a's then b's, so the split runs four bins of both rows
+   per vector, and bin m / 2 of each row alone. The twiddle
    factors come from libm's cos and sin on angles of at most pi / 4 and the
    symmetries of the circle, once per plan, each stored once: the lane
    FFTs' as (re, im) pairs that the passes splat, the pass across the
@@ -426,8 +426,6 @@ typedef struct { v4 re, im; } cv4;
 #define STORE_COMPLEX4_REVERSED(p, re, im)                                 \
     (STORE4((p) - 6, __builtin_shuffle(re, im, (v4l){3, 7, 2, 6})),        \
      STORE4((p) - 2, __builtin_shuffle(re, im, (v4l){1, 5, 0, 4})))
-#define SET(p, v) (*(p) = (v))
-#define SET_COMPLEX(p, re, im) ((p)[0] = (re), (p)[1] = (im))
 #define LOWER(v) __builtin_shufflevector(v, v, 0, 1, 2, 3)
 #define UPPER(v) __builtin_shufflevector(v, v, 4, 5, 6, 7)
 /* The v4 w as a V, in both halves of a v8: of the forms tried, the fastest
@@ -473,19 +471,18 @@ struct fft {
     long n, m, q;
     double *inner;  /* W_q^j as (re, im), j < q */
     cv4 *across;    /* lane r of across[k]: W_m^(rk), k < q */
-    cv8 *lanes[2];  /* 16 max(q, 1) doubles each */
+    cv8 *lanes[2];  /* 16 q doubles each */
     double *z, *zr, *zi;
     double *split_re, *split_im; /* W_n^k, k < 4 (m / 8 + 1) */
 };
 
 static struct fft fft_parts(long n, double *plan)
 {
-    const long q = n / 8, m = n / 2, lane = q ? 16 * q : 16, g = 8 * ((m + 3) / 4);
-    const long passes = q ? (__builtin_ctzl(q) + 1) / 2 : 0;
-    double *across = plan + 8 * ((q + 3) / 4), *lanes = across + 8 * q;
+    const long q = n / 8, m = n / 2, lane = 16 * q, passes = (__builtin_ctzl(q) + 1) / 2;
+    double *across = plan + 2 * q, *lanes = across + 8 * q;
     double *idle = lanes + lane * (1 - passes % 2), *split = lanes + 2 * lane;
     return (struct fft){n, m, q, plan, (cv4 *)across, {(cv8 *)lanes, (cv8 *)(lanes + lane)},
-                        idle + 2 * m, idle, idle + g, split, split + 8 * ((m / 8 + 2) / 2)};
+                        idle + 2 * m, idle, idle + 2 * m, split, split + m / 2 + 8};
 }
 
 /* W_n^j = exp(-2 pi i j / n) into w[0], w[1], for a power of two n >= 4:
@@ -507,7 +504,7 @@ static void unit_root(long j, long n, double *w)
 }
 
 /* The length in doubles of the plan of an n-point real FFT, n a power of
-   two >= 4; given a plan, 64-byte aligned, also writes its twiddle
+   two >= 32; given a plan, 64-byte aligned, also writes its twiddle
    factors. The rest of a plan is the transforms' workspace. */
 long fft_plan(long n, double *plan)
 {
@@ -530,7 +527,7 @@ long fft_plan(long n, double *plan)
             f.split_im[k] = w[1];
         }
     }
-    return 8 * ((q + 3) / 4) + 8 * q + 2 * (q ? 16 * q : 16) + 16 * ((m / 8 + 2) / 2);
+    return 2 * q + 8 * q + 32 * q + m + 16;
 }
 
 /* y = (zr + i zi) (wr + i wi) for vectors zr, zi and vectors or scalars
@@ -544,7 +541,7 @@ long fft_plan(long n, double *plan)
 
 /* Bins k, k + q, k + 2 q and k + 3 q of the pass across the lanes, from
    the lane products t[r] + i u[r], r < 4, at out_re + at(bin) and out_im +
-   at(bin): of one row and k, or as vectors of four k of both rows. */
+   at(bin), as vectors of four k: of one row, or of both rows of a pair. */
 #define ACROSS(set, t, u, at)                                              \
     do {                                                                   \
         typedef __typeof__(t[0]) T_;                                       \
@@ -558,7 +555,6 @@ long fft_plan(long n, double *plan)
 #define STORE8(p, v) (*(v8 *)(p) = (v))
 #define GROUP_AT(k) (2 * (k))
 #define PLANAR_AT(k) (k)
-#define ROW_AT(k) GROUPED(k, h)
 
 /* The Stockham passes of the lane FFTs on the lane buffers a and b, of
    type CV with vectors V, the result left in a: a sub-transform of n points
@@ -606,7 +602,7 @@ long fft_plan(long n, double *plan)
 /* The radix-4 pass across the lanes of a, of vectors V, four k at a time:
    lane r of a[k] times W_m^(rk), transposed to one lane of four k. */
 #define ACROSS_PASS(V, transpose, set, at)                                 \
-    for (; k + 4 <= q; k += 4) {                                           \
+    for (long k = 0; k < q; k += 4) {                                      \
         V tr[4], ti[4];                                                    \
         for (int r = 0; r < 4; r++) {                                      \
             const V wr = WIDE(V, f->across[k + r].re), wi = WIDE(V, f->across[k + r].im); \
@@ -619,42 +615,22 @@ long fft_plan(long n, double *plan)
     }
 
 /* The m-point forward DFTs of the interleaved complex rows xa and xb, n
-   doubles each and each times ``window`` unless it is NULL, into f->zr and
-   f->zi in GROUPED order. xb may be xa. */
+   doubles each and each times ``window``, into f->zr and f->zi in GROUPED
+   order. xb may be xa. */
 static inline __attribute__((always_inline)) void
 cfft_pair(const struct fft *f, const double *xa, const double *xb, const double *window)
 {
     const long q = f->q;
     double *restrict out_re = f->zr, *restrict out_im = f->zi;
-    if (q == 0) { /* m = 2 */
-        for (int h = 0; h < 2; h++) {
-            double z[4];
-            for (int i = 0; i < 4; i++)
-                z[i] = window ? (h ? xb : xa)[i] * window[i] : (h ? xb : xa)[i];
-            out_re[4 * h] = z[0] + z[2], out_im[4 * h] = z[1] + z[3];
-            out_re[4 * h + 1] = z[0] - z[2], out_im[4 * h + 1] = z[1] - z[3];
-        }
-        return;
-    }
     cv8 *a = f->lanes[0], *b = f->lanes[1];
     const v8l even = {0, 2, 4, 6, 8, 10, 12, 14};
     for (long t = 0; t < q; t++) {
-        v8 za = *(const v8u *)(xa + 8 * t), zb = *(const v8u *)(xb + 8 * t);
-        if (window) {
-            za *= *(const v8u *)(window + 8 * t);
-            zb *= *(const v8u *)(window + 8 * t);
-        }
+        const v8 w = *(const v8u *)(window + 8 * t);
+        const v8 za = *(const v8u *)(xa + 8 * t) * w, zb = *(const v8u *)(xb + 8 * t) * w;
         a[t] = (cv8){__builtin_shuffle(za, zb, even), __builtin_shuffle(za, zb, even + 1)};
     }
     STOCKHAM(cv8, v8);
-    long k = 0;
     ACROSS_PASS(v8, TRANSPOSE8, STORE8, GROUP_AT);
-    for (; k < q; k++) { /* q < 4 */
-        const v8 wr = WIDE(v8, f->across[k].re), wi = WIDE(v8, f->across[k].im);
-        const v8 tr = a[k].re * wr - a[k].im * wi, ti = a[k].re * wi + a[k].im * wr;
-        for (int h = 0; h < 2; h++)
-            ACROSS(SET, ((const double *)&tr + 4 * h), ((const double *)&ti + 4 * h), ROW_AT);
-    }
 }
 
 /* cfft_pair's transform of one row z in four-lane vectors, into f->zr and
@@ -665,24 +641,13 @@ cfft_row(const struct fft *f, const double *z)
 {
     const long q = f->q;
     double *restrict out_re = f->zr, *restrict out_im = f->zi;
-    if (q == 0) { /* m = 2 */
-        out_re[0] = z[0] + z[2], out_im[0] = z[1] + z[3];
-        out_re[1] = z[0] - z[2], out_im[1] = z[1] - z[3];
-        return;
-    }
     cv4 *a = (cv4 *)f->lanes[0], *b = (cv4 *)f->lanes[1];
     for (long t = 0; t < q; t++) {
         const double *zt = z + 8 * t;
         a[t] = (cv4){{zt[0], zt[2], zt[4], zt[6]}, {zt[1], zt[3], zt[5], zt[7]}};
     }
     STOCKHAM(cv4, v4);
-    long k = 0;
     ACROSS_PASS(v4, TRANSPOSE4, STORE4, PLANAR_AT);
-    for (; k < q; k++) { /* q < 4 */
-        const v4 wr = f->across[k].re, wi = f->across[k].im;
-        const v4 tr = a[k].re * wr - a[k].im * wi, ti = a[k].re * wi + a[k].im * wr;
-        ACROSS(SET, tr, ti, PLANAR_AT);
-    }
 }
 
 /* E = (Z[k] + conj(Z[m - k])) / 2 and O = -i (Z[k] - conj(Z[m - k])) / 2
@@ -699,9 +664,9 @@ cfft_row(const struct fft *f, const double *z)
     } while (0)
 
 /* The one-sided spectra of the rows xa and xb of n real samples, each
-   times ``window`` unless it is NULL, into (re_a, im_a) and (re_b, im_b),
-   m + 1 bins each, with exact zeros for the imaginary parts at DC and
-   Nyquist. xb may be xa. For k = m / 2 bin k is written as E + W_n^k O. */
+   times ``window``, into (re_a, im_a) and (re_b, im_b), m + 1 bins each,
+   with exact zeros for the imaginary parts at DC and Nyquist. xb may be xa.
+   For k = m / 2 bin k is written as E + W_n^k O. */
 static inline __attribute__((always_inline)) void
 rfft_pair(const struct fft *f, const double *xa, const double *xb, const double *window,
           double *re_a, double *im_a, double *re_b, double *im_b)
@@ -730,10 +695,9 @@ rfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
         STORE4(im_a + m - 4 * g - 3, LOWER(mi)), STORE4(im_b + m - 4 * g - 3, UPPER(mi));
     }
     for (int h = 0; h < 2; h++) {
-        for (long k = m < 8 ? 1 : m / 2; k <= m / 2; k++)
-            SPLIT(zr[GROUPED(k, h)], zi[GROUPED(k, h)], zr[GROUPED(m - k, h)],
-                  -zi[GROUPED(m - k, h)], f->split_re[k], f->split_im[k],
-                  re[h][k], im[h][k], re[h][m - k], im[h][m - k]);
+        const long k = m / 2, at = GROUPED(k, h);
+        SPLIT(zr[at], zi[at], zr[at], -zi[at], f->split_re[k], f->split_im[k], re[h][k], im[h][k],
+              re[h][k], im[h][k]);
         re[h][0] = zr[4 * h] + zi[4 * h], im[h][0] = 0.0;
         re[h][m] = zr[4 * h] - zi[4 * h], im[h][m] = 0.0;
     }
@@ -741,15 +705,14 @@ rfft_pair(const struct fft *f, const double *xa, const double *xb, const double 
 
 /* 2 (E + i O), conjugated, for the spectra of the even and the odd samples
    E = (X[k] + conj(X[m - k])) / 2 and O = (X[k] - conj(X[m - k])) W_n^-k / 2
-   into z[k] and z[m - k], written in that order. */
-#define UNSPLIT(ar, ai, br, bi, wr, wi, set_k, set_mk)                     \
+   of four k from k on, into z[k] and z[m - k], written in that order. */
+#define UNSPLIT(ar, ai, br, bi, wr, wi)                                     \
     do {                                                                   \
-        typedef __typeof__(ar) T_;                                         \
-        const T_ ar_ = (ar), ai_ = (ai), br_ = (br), bi_ = (bi), wr_ = (wr), wi_ = (wi); \
-        const T_ er = ar_ + br_, ei = ai_ + bi_, dr = ar_ - br_, di = ai_ - bi_; \
-        const T_ odd_r = dr * wr_ + di * wi_, odd_i = di * wr_ - dr * wi_;  \
-        set_k(z + 2 * k, er - odd_i, -(ei + odd_r));                       \
-        set_mk(z + 2 * (m - k), er + odd_i, ei - odd_r);                   \
+        const v4 ar_ = (ar), ai_ = (ai), br_ = (br), bi_ = (bi), wr_ = (wr), wi_ = (wi); \
+        const v4 er = ar_ + br_, ei = ai_ + bi_, dr = ar_ - br_, di = ai_ - bi_; \
+        const v4 odd_r = dr * wr_ + di * wi_, odd_i = di * wr_ - dr * wi_;  \
+        STORE_COMPLEX4(z + 2 * k, er - odd_i, -(ei + odd_r));              \
+        STORE_COMPLEX4_REVERSED(z + 2 * (m - k), er + odd_i, ei - odd_r);  \
     } while (0)
 
 /* n real samples from their one-sided spectrum (m + 1 complex), ignoring
@@ -764,37 +727,29 @@ irfft_row(const struct fft *f, const double *restrict spec, double *restrict x)
     double *z = f->z;
     z[0] = spec[0] + spec[2 * m];
     z[1] = spec[2 * m] - spec[0];
-    long k = 1;
-    for (; k + 3 <= m / 2; k += 4)
+    for (long k = 1; k < m / 2; k += 4)
         UNSPLIT(REAL4(spec + 2 * k), IMAG4(spec + 2 * k), REVERSE4(REAL4(spec + 2 * (m - k - 3))),
-                -REVERSE4(IMAG4(spec + 2 * (m - k - 3))),
-                LOAD4(wr + k), LOAD4(wi + k), STORE_COMPLEX4,
-                STORE_COMPLEX4_REVERSED);
-    for (; k <= m / 2; k++)
-        UNSPLIT(spec[2 * k], spec[2 * k + 1], spec[2 * (m - k)], -spec[2 * (m - k) + 1],
-                wr[k], wi[k], SET_COMPLEX, SET_COMPLEX);
+                -REVERSE4(IMAG4(spec + 2 * (m - k - 3))), LOAD4(wr + k), LOAD4(wi + k));
     cfft_row(f, z);
     const double scale = 1.0 / (double)f->n;
-    long t = 0;
-    for (; t + 4 <= m; t += 4)
+    for (long t = 0; t < m; t += 4)
         STORE_COMPLEX4(x + 2 * t, LOAD4(zr + t) * scale, -LOAD4(zi + t) * scale);
-    for (; t < m; t++)
-        SET_COMPLEX(x + 2 * t, zr[t] * scale, -zi[t] * scale);
 }
 
-/* rfft: ``n_rows`` rows of n real samples ``x`` to their one-sided spectra
-   ``out``, (n_rows, 2, n / 2 + 1) doubles: each row's real parts, then its
-   imaginary parts, two rows at a time and an odd last row paired with
-   itself. irfft: one interleaved complex spectrum to n samples. ``plan``
-   is fft_plan's; the engine's framing does the same transforms. */
+/* rfft: ``n_rows`` rows of n real samples ``x``, each times the n doubles
+   of ``window``, to their one-sided spectra ``out``, (n_rows, 2, n / 2 + 1)
+   doubles: each row's real parts, then its imaginary parts, two rows at a
+   time and an odd last row paired with itself. irfft: one interleaved
+   complex spectrum to n samples. ``plan`` is fft_plan's; the engine's
+   framing does the same transforms. */
 LANE_CLONES
-void rfft(long n, long n_rows, double *plan, const double *x, double *out)
+void rfft(long n, long n_rows, double *plan, const double *window, const double *x, double *out)
 {
     const struct fft f = fft_parts(n, plan);
     for (long a = 0; a < n_rows; a += 2) {
         const long b = a + 1 < n_rows ? a + 1 : a;
         double *out_a = out + a * (n + 2), *out_b = out + b * (n + 2);
-        rfft_pair(&f, x + a * n, x + b * n, NULL, out_a, out_a + n / 2 + 1, out_b,
+        rfft_pair(&f, x + a * n, x + b * n, window, out_a, out_a + n / 2 + 1, out_b,
                   out_b + n / 2 + 1);
     }
 }

@@ -127,7 +127,7 @@ def build_kernels(cache_dir: Path = KERNEL_SOURCE.parent / "__pycache__", cc: st
     size, ptr = ctypes.c_long, ctypes.c_void_p
     lib.fft_plan.argtypes = (size, ptr)
     lib.fft_plan.restype = size
-    lib.rfft.argtypes = (size, size, ptr, ptr, ptr)
+    lib.rfft.argtypes = (size, size, ptr, ptr, ptr, ptr)
     lib.rfft.restype = None
     lib.irfft.argtypes = (size, ptr, ptr, ptr)
     lib.irfft.restype = None

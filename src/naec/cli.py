@@ -125,6 +125,7 @@ def _stats_dict(stats) -> dict:
     return {
         "n_frames": stats.n_frames,
         "skipped_bins": stats.skipped_bins,
+        "broken_bins": stats.broken_bins,
         "elapsed_s": stats.elapsed_s,
         "realtime_factor": stats.realtime_factor,
     }

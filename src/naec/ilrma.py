@@ -37,23 +37,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .auxiva import AuxivaConfig, AuxivaState, aligned_zeros, padded_bins
+from .auxiva import AuxivaConfig, AuxivaState, _lane_bins, aligned_zeros, padded_bins
 
 NMF_FLOOR = 1e-12
 
 
-class _Buffer:
-    """A model attribute kept in a fixed buffer: reading gives ``view(model)``,
-    assigning copies into it, so the buffer's address never changes."""
-
-    def __init__(self, view):
-        self.view = view
-
-    def __get__(self, model, owner=None):
-        return self if model is None else self.view(model)
-
-    def __set__(self, model, value):
-        self.view(model)[...] = value
+def _fill(buffer: np.ndarray, n_bins: int, value) -> None:
+    """The K bins ``value`` into the per-bin ``buffer``, its lanes past bin
+    K - 1 copies of that bin, as ``pack_observations`` pads them."""
+    buffer[...] = np.broadcast_to(value, (n_bins,))[_lane_bins(n_bins)]
 
 
 class NmfSourceModel:
@@ -64,12 +56,12 @@ class NmfSourceModel:
     whole blocks of ``LANES`` and ``ALIGN``-byte aligned, and ``activation``
     holds v1; ``t1``, ``v1`` and ``r1`` are views of them. Assigning to t1,
     v1 or r1 copies into the buffers, so their addresses stay valid for the
-    model's life.
+    model's life, and the padding lanes of ``basis`` and ``variance`` hold bin K - 1.
     """
 
-    t1 = _Buffer(lambda m: m.basis[: m.n_bins])
-    v1 = _Buffer(lambda m: m.activation)
-    r1 = _Buffer(lambda m: m.variance[: m.n_bins])
+    t1 = property(lambda m: m.basis[: m.n_bins], lambda m, t1: _fill(m.basis, m.n_bins, t1))
+    v1 = property(lambda m: m.activation, lambda m, v1: np.copyto(m.activation, v1))
+    r1 = property(lambda m: m.variance[: m.n_bins], lambda m, r1: _fill(m.variance, m.n_bins, r1))
 
     def __init__(self, n_bins: int):
         self.n_bins = n_bins

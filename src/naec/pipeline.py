@@ -95,6 +95,7 @@ class EngineStats:
     n_samples_in: int = 0
     n_samples_out: int = 0
     skipped_bins: int = 0
+    broken_bins: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -154,6 +155,7 @@ class StreamingEngine:
             n_samples_in=self._n_in,
             n_samples_out=max(0, self._state.frames - self.latency_chunks) * self._hop,
             skipped_bins=self._state.skipped_bins,
+            broken_bins=self._state.broken_bins,
             elapsed_s=self._elapsed,
         )
 

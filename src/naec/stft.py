@@ -3,12 +3,13 @@
 The engine (``pipeline``) frames its input itself: frame ``n`` covers input
 samples ``[n*hop, n*hop + window_len)``, windowed and transformed by a plain
 one-sided DFT, and synthesis windows again and overlap-adds. All window
-normalization happens at synthesis time. ``StftConfig`` admits only hops
-that divide the window at least four times, so every sample away from the
-edges lies under ``window_len/hop`` frames and the squared periodic Hann
-window overlap-adds to a constant: the hop-long ``ola_norm`` is flat. The
-batch analysis and synthesis the tests hold the engine to are in
-``tests/oracles.py``.
+normalization happens at synthesis time. ``StftConfig`` admits only
+power-of-two windows of at least 32 points, the smallest real FFT of the
+compiled kernels, and hops that divide the window at least four times, so
+every sample away from the edges lies under ``window_len/hop`` frames and
+the squared periodic Hann window overlap-adds to a constant: the hop-long
+``ola_norm`` is flat. The batch analysis and synthesis the tests hold the
+engine to are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class StftConfig:
             raise ValueError(f"hop must divide window_len={self.window_len}, got {self.hop}")
         if self.window_len // self.hop < 4:
             raise ColaError(f"window_len/hop must be >= 4, got {self.window_len}/{self.hop}")
+        if self.window_len < 32:  # the smallest real FFT the kernels run
+            raise ValueError(f"window_len must be at least 32, got {self.window_len}")
 
     @property
     def n_bins(self) -> int:

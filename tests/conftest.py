@@ -146,14 +146,16 @@ def fft_plan(lib, n):
 
 def engine_rfft(x, lib=None):
     """The real FFT over the last axis that an engine frames with: ``lib``'s
-    (by default the loaded kernels') ``rfft``."""
+    (by default the loaded kernels') ``rfft``, through its windowed load with
+    a window of ones, which leaves every sample's bits as they are."""
     lib = lib or auxiva._kernels
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[-1]
     rows = x.reshape(-1, n)
     planes = np.empty((len(rows), 2, n // 2 + 1))
-    plan = fft_plan(lib, n)
-    lib.rfft(n, len(rows), plan.ctypes.data, rows.ctypes.data, planes.ctypes.data)
+    plan, ones = fft_plan(lib, n), np.ones(n)
+    lib.rfft(n, len(rows), plan.ctypes.data, ones.ctypes.data, rows.ctypes.data,
+             planes.ctypes.data)
     out = np.empty((len(rows), n // 2 + 1), dtype=np.complex128)
     out.real, out.imag = planes[:, 0], planes[:, 1]
     return out.reshape(*x.shape[:-1], n // 2 + 1)

@@ -45,6 +45,7 @@ class TestProcess:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["command"] == "process"
         assert summary["stats"]["n_frames"] > 0
+        assert summary["stats"]["broken_bins"] == summary["stats"]["skipped_bins"] == 0
         printed = capsys.readouterr().out
         assert "frames processed:" in printed
         assert "skipped bins:" in printed
@@ -211,6 +212,13 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
         assert "window_len/hop" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_window_below_32_points_is_usage_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, SCENE_CFG + "engine.window_len = 16\nengine.hop = 4\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE == 1
+        assert "window_len must be at least 32" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

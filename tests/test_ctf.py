@@ -15,7 +15,7 @@ from oracles import (
 
 
 def _specs(n_frames=4, order_p=2, seed=0):
-    c = StftConfig(window_len=8, hop=2)
+    c = StftConfig(window_len=32, hop=8)
     rng = np.random.default_rng(seed)
 
     def make():

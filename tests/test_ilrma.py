@@ -42,6 +42,23 @@ def test_model_initial_state():
     np.testing.assert_array_equal(m.variance, np.ones(8))
 
 
+@pytest.mark.parametrize("n_bins", [9, 513])
+def test_setters_give_the_padding_lanes_bin_k_minus_1(rng, n_bins):
+    """Assigning t1 or r1, and ``recompute_variance``, copy bin K - 1 into the
+    padding lanes of the basis and the variance, the invariant the compiled
+    weight and update rely on, bit for bit."""
+    m = NmfSourceModel(n_bins)
+    padding = m.basis.size - n_bins
+    m.t1 = rng.uniform(0.2, 2.0, n_bins)
+    assert m.basis[n_bins:].tobytes() == np.full(padding, m.t1[-1]).tobytes()
+    m.v1 = 0.7
+    m.recompute_variance()
+    assert m.variance[-1] != 1.0  # the padding lanes moved off their start
+    assert m.variance[n_bins:].tobytes() == np.full(padding, m.r1[-1]).tobytes()
+    m.r1 = rng.uniform(0.2, 2.0, n_bins)
+    assert m.variance[n_bins:].tobytes() == np.full(padding, m.r1[-1]).tobytes()
+
+
 def test_bases_update_matches_literal_formula(rng):
     m = _random_model(rng, 6)
     e1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)

@@ -639,6 +639,27 @@ def test_kernel_source_passes_the_warnings_gate(flags):
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
+def test_kernel_times_tool_runs():
+    """``tools/kernel_times.py`` at its shortest settings exits 0 and prints
+    one row of the two builds' µs per kernel: ``frame_in``, ``step``, ``ola``,
+    ``weight`` and ``update`` of the L = 1 and ILRMA engines, and the FFTs.
+    Its loop library calls the kernels by their C signatures, which a kernel
+    change must keep in step."""
+    tool = SRC.parent / "tools" / "kernel_times.py"
+    proc = subprocess.run([sys.executable, str(tool), "--processes", "1", "--repeats", "1",
+                           "--loop-ms", "0.2", "--frames-l", "1"],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("kernel"))
+    rows = [line.split() for line in lines[header + 1:]]
+    kernels = [f"{k}_{e}" for e in ("l1", "ilrma_l1")
+               for k in ("frame_in", "step", "ola", "weight", "update")]
+    assert sorted(row[0] for row in rows) == sorted(kernels + ["rfft_4rows", "irfft"])
+    assert all(len(row) == 3 and float(row[1]) > 0 and float(row[2]) > 0 for row in rows), rows
+
+
 def test_baseline_build_gives_the_loaded_rows(rng, baseline_build):
     """Every kernel built for the baseline ISA alone gives the loaded kernels'
     bytes, whichever clone the CPU runs: a compiled frame's weight, planes,
@@ -650,7 +671,7 @@ def test_baseline_build_gives_the_loaded_rows(rng, baseline_build):
                  "push"):
         getattr(lib, name).argtypes = getattr(auxiva._kernels, name).argtypes
         getattr(lib, name).restype = getattr(auxiva._kernels, name).restype
-    for n in (4, 8, 64, 1024, 2048):
+    for n in (32, 64, 1024, 2048):
         assert fft_plan(lib, n).tobytes() == fft_plan(auxiva._kernels, n).tobytes()
         x = rng.standard_normal((5, n))
         spec = engine_rfft(x, lib)
@@ -734,8 +755,9 @@ NMF_SEEDS = [1, 2, 10, 33]  # four random models and row sets per size
 
 
 def _nmf_state(rng, n_bins, dim):
-    """An ILRMA state with random rows and a random NMF model, padding lanes
-    left as they start."""
+    """An ILRMA state with random rows and a random NMF model, set through
+    ``t1``, ``v1`` and ``recompute_variance``, so the padding lanes of the
+    basis and the variance hold bin K - 1's values."""
     state = IlrmaState(n_bins, dim)
     rows = state.rows
     rows[:, 1:] = 0.3 * (rng.standard_normal((n_bins, dim - 1))
@@ -900,7 +922,7 @@ def test_kernel_addresses_stay_valid(rng, state_type):
             setattr(state, name, getattr(state, name).copy())
 
 
-FFT_SIZES = [2**e for e in range(2, 13)]  # 4 to 4096 points
+FFT_SIZES = [2**e for e in range(5, 13)]  # 32 to 4096 points; StftConfig admits no window below 32
 
 
 def test_fft_plan_of_the_engine_fits_in_48_kb():
@@ -924,10 +946,10 @@ def test_rfft_kernel_agrees_with_numpy(rng, n):
         assert (err <= 1e-14 * np.abs(expected).max(axis=1)).all(), (rows, err)
         assert got[:, [0, -1]].imag.tobytes() == np.zeros((rows, 2)).tobytes()
         assert engine_rfft(x, lib).tobytes() == got.tobytes()
-    plan = fft_plan(lib, n)
+    plan, ones = fft_plan(lib, n), np.ones(n)
     out = [np.empty((2, n // 2 + 1)) for _ in range(2)]
     for planes in out:
-        lib.rfft(n, 1, plan.ctypes.data, x[0].ctypes.data, planes.ctypes.data)
+        lib.rfft(n, 1, plan.ctypes.data, ones.ctypes.data, x[0].ctypes.data, planes.ctypes.data)
     assert out[0].tobytes() == out[1].tobytes() == np.stack([got[0].real, got[0].imag]).tobytes()
 
 

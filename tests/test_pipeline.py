@@ -510,6 +510,21 @@ def test_stats_realtime_factor():
     assert EngineStats().realtime_factor == np.inf
 
 
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+def test_stats_count_the_bins_a_burst_resets(rng, optimizer):
+    """``EngineStats.broken_bins`` is the state's count of bins that ``step``
+    reset: 0 on a clean run, and above 0 after a push whose microphone chunk
+    holds a 1e200 sample."""
+    config = EngineConfig(optimizer=optimizer)
+    chunks = 0.3 * rng.standard_normal((12, 2, 256))
+    assert run_streaming(chunks, config)[1].broken_bins == 0
+    chunks[8, 0, 5] = 1e200
+    engine = StreamingEngine(config)
+    for mic, far in chunks:
+        engine.push(mic, far)
+    assert engine.stats.broken_bins == engine._state.broken_bins > 0
+
+
 def test_echo_reduction_on_synthetic_scene(small_scene):
     spec, comps = small_scene
     for optimizer in ("auxiva", "ilrma"):

@@ -1,11 +1,15 @@
 """The engine on inputs a real call sends it, beyond the benchmark's levels."""
 
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from naec import (
     SAMPLE_RATE,
     AudioSignal,
+    CtfConfig,
     EngineConfig,
     NonlinearitySpec,
     RoomSpec,
@@ -43,6 +47,42 @@ def double_talk():
 def long_double_talk():
     """6 s of the double-talk scene."""
     return _double_talk(6.0)
+
+
+@lru_cache(maxsize=1)
+def _int16_double_talk():
+    """2 s of the double-talk scene on the int16 grid, as ``read_wav`` gives a
+    16-bit WAV: every sample a multiple of 2^-15 in [-1, 1)."""
+    return tuple(np.clip(np.round(x * 32768.0), -32768, 32767) / 32768.0
+                 for x in _double_talk(2.0))
+
+
+@lru_cache(maxsize=None)
+def _run_at_unit_gain(optimizer, frames_l):
+    far, mic = _int16_double_talk()
+    return run(AudioSignal(far), AudioSignal(mic),
+               EngineConfig(optimizer=optimizer, ctf=CtfConfig(frames_l=frames_l)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the engine does not scale its channels by powers of two "
+                          "(ROADMAP item 18)")
+@pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])
+@pytest.mark.parametrize("frames_l", [1, 3])
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (1, 1), (-10, 5), (15, 15)])
+def test_power_of_two_gains_scale_the_output_exactly(optimizer, frames_l, a, b):
+    """A microphone gain of 2^a and a far-end gain of 2^b give, byte for
+    byte, 2^a times the output at unit gains, and the same ``EngineStats``
+    but for ``elapsed_s``. Every power-of-two gain is exact in binary
+    floating point, so this holds for an engine that scales each channel by
+    a power of two. (15, 15) feeds the scene's int16 samples as floats, so
+    its output must be 2^15 times that of the WAV path."""
+    far, mic = _int16_double_talk()
+    expected, expected_stats = _run_at_unit_gain(optimizer, frames_l)
+    out, stats = run(AudioSignal(np.ldexp(far, b)), AudioSignal(np.ldexp(mic, a)),
+                     EngineConfig(optimizer=optimizer, ctf=CtfConfig(frames_l=frames_l)))
+    assert out.samples.tobytes() == np.ldexp(expected.samples, a).tobytes()
+    assert replace(stats, elapsed_s=0.0) == replace(expected_stats, elapsed_s=0.0)
 
 
 @pytest.mark.parametrize("optimizer", ["auxiva", "ilrma"])

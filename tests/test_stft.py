@@ -30,6 +30,11 @@ def test_config_validation():
     for window_len, hop in [(1, 1), (2, 1), (1024, 512), (1024, 1024)]:
         with pytest.raises(ColaError):  # window_len/hop < 4
             StftConfig(window_len, hop)
+    for window_len, hop in [(16, 4), (16, 2), (8, 2), (4, 1)]:  # the kernels' FFTs start at 32
+        with pytest.raises(ValueError, match="at least 32") as error:
+            StftConfig(window_len, hop)
+        assert not isinstance(error.value, ColaError)
+    assert StftConfig(32, 8).n_bins == 17
 
 
 def _squared_hann_overlap_sum(window_len: int, hop: int) -> np.ndarray:
@@ -39,9 +44,10 @@ def _squared_hann_overlap_sum(window_len: int, hop: int) -> np.ndarray:
 
 def test_config_admits_exactly_the_flat_overlap_pairs():
     """Every power-of-two window up to 2**16 with every hop dividing it:
-    a pair is admitted exactly when the squared-window overlap sum is
-    non-zero and flat to 1e-10, save for the flat two-sample window at
-    hop 1, which the window_len/hop >= 4 rule excludes."""
+    from 32 points on, a pair is admitted exactly when the squared-window
+    overlap sum is non-zero and flat to 1e-10; the flat two-sample window at
+    hop 1 is a ColaError (window_len/hop >= 4), and every other pair below
+    32 points that passes that rule is the floor's ValueError."""
     flat_but_rejected = []
     for window_len in (2**e for e in range(17)):
         for hop in (2**e for e in range(window_len.bit_length())):
@@ -53,7 +59,10 @@ def test_config_admits_exactly_the_flat_overlap_pairs():
                 if flat:
                     flat_but_rejected.append((window_len, hop))
                 continue
-            assert flat, (window_len, hop)
+            except ValueError:
+                assert window_len < 32, (window_len, hop)
+                continue
+            assert flat and window_len >= 32, (window_len, hop)
             np.testing.assert_allclose(ola_norm(config), 0.375 * window_len / hop, rtol=1e-10)
     assert flat_but_rejected == [(2, 1)]
 

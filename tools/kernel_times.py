@@ -8,7 +8,8 @@ alone. For each build it prints µs per call of ``frame_in``, ``step`` and
 ``ola``, and of the two stages of ``step``, ``weight`` and ``update``, on a
 default AuxIVA engine at each L of ``--frames-l`` and on an ILRMA engine at
 L = 1 (``ilrma_l1``, the bench's ``mtf_music_ilrma_l1`` engine), and of
-``rfft`` (4 rows, P = 3) and ``irfft`` at the engine's window length.
+``rfft`` (4 rows, P = 3, times the engine's window) and ``irfft`` at the
+engine's window length.
 ``update`` is timed with the frame counter advanced after each call, as
 ``step`` advances it, so each load falls on the next coordinate. Each
 figure is the best of ``--repeats`` timed loops of about ``--loop-ms``
@@ -36,7 +37,7 @@ LOOPS = r"""
 #include <time.h>
 typedef void (*one_ptr)(const void *);
 typedef long (*state_fn)(void *);
-typedef void (*rfft_fn)(long, long, double *, const double *, double *);
+typedef void (*rfft_fn)(long, long, double *, const double *, const double *, double *);
 typedef void (*irfft_fn)(long, double *, const double *, double *);
 static double now(void)
 {
@@ -60,11 +61,12 @@ double per_frame(state_fn f, void *state, long *frames, long calls)
     }
     return (now() - t0) / calls;
 }
-double per_rfft(rfft_fn f, long n, long rows, double *plan, const double *x, double *out, long calls)
+double per_rfft(rfft_fn f, long n, long rows, double *plan, const double *window, const double *x,
+                double *out, long calls)
 {
     const double t0 = now();
     for (long i = 0; i < calls; i++)
-        f(n, rows, plan, x, out);
+        f(n, rows, plan, window, x, out);
     return (now() - t0) / calls;
 }
 double per_irfft(irfft_fn f, long n, double *plan, const double *spec, double *x, long calls)
@@ -104,7 +106,7 @@ def measure(paths: dict, frames_l: list, repeats: int, loop_ms: float) -> dict:
     ptr, size = ctypes.c_void_p, ctypes.c_long
     loops.per_call.argtypes = (ptr, ptr, size)
     loops.per_frame.argtypes = (ptr, ptr, ptr, size)
-    loops.per_rfft.argtypes = (ptr, size, size, ptr, ptr, ptr, size)
+    loops.per_rfft.argtypes = (ptr, size, size, ptr, ptr, ptr, ptr, size)
     loops.per_irfft.argtypes = (ptr, size, ptr, ptr, ptr, size)
     for f in (loops.per_call, loops.per_frame, loops.per_rfft, loops.per_irfft):
         f.restype = ctypes.c_double
@@ -127,7 +129,7 @@ def measure(paths: dict, frames_l: list, repeats: int, loop_ms: float) -> dict:
         for mic, far in 0.3 * rng.standard_normal((20, 2, engine.hop)):
             engine.push(mic, far)
         engines[name] = engine
-    n = next(iter(engines.values()))._wl
+    n, window = engine._wl, engine._window  # every engine frames alike
     plan = auxiva.aligned_zeros(auxiva._kernels.fft_plan(n, None))
     auxiva._kernels.fft_plan(n, plan.ctypes.data)
     x = rng.standard_normal((4, n))
@@ -150,8 +152,8 @@ def measure(paths: dict, frames_l: list, repeats: int, loop_ms: float) -> dict:
                     lambda calls: loops.per_frame(f, state.handle, frames, calls))
         f = address(lib, "rfft")
         row["rfft_4rows"] = best(lambda calls: loops.per_rfft(f, n, 4, plan.ctypes.data,
-                                                              x.ctypes.data, spec.ctypes.data,
-                                                              calls))
+                                                              window.ctypes.data, x.ctypes.data,
+                                                              spec.ctypes.data, calls))
         f = address(lib, "irfft")
         row["irfft"] = best(lambda calls: loops.per_irfft(f, n, plan.ctypes.data,
                                                           half.ctypes.data, out.ctypes.data, calls))
